@@ -1,9 +1,9 @@
 """Exact skein-module classes of closed singular braids.
 
 The pipeline: parse a braid word with crossings and double points, evaluate
-its desingularisations in the Hecke algebra, pair Markov-trace functionals
-against explicit basis words to coordinatise its class as a polynomial in
-X, Y over Q(q, z), then rescale into the closure invariant over Q(s, u).
+its desingularisations in the Hecke algebra, read its class as a polynomial
+in X, Y over Q(q, z) off its Markov-trace functionals by a closed-form
+change of variables, then rescale into the closure invariant over Q(s, u).
 """
 
 from .braid import (

@@ -2,8 +2,8 @@
 
 Reads one braid word, runs the full pipeline, and prints a report as text
 or JSON.  Exit codes: 0 success, 2 parse/validation error, 3 internal
-theory violation (singular pairing matrix, or a verification check that
-came back false), 4 size caps exceeded.
+theory violation (a ``--verify`` move changed the class, or the
+``--skein-check`` relation failed), 4 size caps exceeded.
 
 stdout is byte-identical for identical (input, flags, seed); wall-clock
 timing goes to stderr.
@@ -27,7 +27,6 @@ from .braid import (
     random_move_sequence,
     underlying_permutation,
 )
-from .linalg import SingularMatrixError
 from .markov import (
     HARD_MAX_DEGREE,
     HARD_MAX_STRANDS,
@@ -240,9 +239,6 @@ def main(argv: list[str] | None = None) -> int:
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPS
-    except SingularMatrixError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_THEORY
     except (BraidSyntaxError, StrandIndexError, InapplicableMoveError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -6,7 +6,9 @@ intermediate entry a polynomial (the divisions it performs are exact).
 Pivoting is deterministic: the first row with a nonzero entry, in column
 order.  The incremental reduced-echelon ``LinearSystem`` handles the
 overdetermined axiom systems used by the trace oracle, where consistency
-of redundant equations is part of what is being checked.
+of redundant equations is part of what is being checked.  The pipeline
+itself solves no linear systems; the tests use this module as an
+independent oracle.
 """
 
 from __future__ import annotations

@@ -9,15 +9,27 @@ respect to the monomials X^a Y^b (a + b = d), where X is the class of a
 single double point on two strands and Y that of a double point followed
 by a crossing.
 
-Coordinates are extracted by pairing: the explicit representative word for
-X^k Y^{d-k} places its factors on disjoint strand pairs
-(``t1 t3 ... t(2k-1)`` followed by ``(t s)`` blocks at the remaining odd
-indices), the (d+1) x (d+1) matrix of functional values on these words is
-cached together with its inverse, and a word's coordinate vector solves
-against its trace vector.  Columns are ordered by descending X-exponent,
-so the degree-1 matrix reads [[1, z], [z, (q-1)z + q]] and has determinant
--(z^2 - (q-1)z - q).  The matrix must be nonsingular; a singular one would
-indicate an implementation bug and raises immediately.
+On two strands X deletes to the identity (trace 1) and resolves to a
+crossing (trace z); Y deletes to a crossing (z) and resolves to its square
+(w = (q-1)z + q).  The trace is multiplicative on words split over disjoint
+strand pairs, so the unweighted k-th functional of X^a Y^b is the
+coefficient of T0^(d-k) T1^k in (T0 + z T1)^a (z T0 + w T1)^b.  A word whose
+unweighted functionals are C_k (``trace_components``) therefore has the
+coordinates x_ab with
+
+    sum_k C_k T0^(d-k) T1^k = sum_ab x_ab A^a B^b,  A = T0 + z T1, B = z T0 + w T1,
+
+and the inverse change of variables T0 = (wA - zB)/D, T1 = (B - zA)/D with
+D = w - z^2 = -(z - q)(z + 1) reads x_ab off as the coefficient of A^a B^b
+in sum_k C_k (wA - zB)^(d-k) (B - zA)^k, divided by D^d.  The k!(d-k)!
+weights scale whole functionals and cancel.  The only factors a coordinate's
+denominator can have are q (from the Laurent trace), z - q and z + 1, so
+exact trial divisions give its canonical form.
+
+``pairing_matrix`` evaluates the same expansion on the explicit basis words
+(``basis_word``: ``t1 t3 ... t(2k-1)`` followed by ``(t s)`` blocks at the
+remaining odd indices), columns ordered by descending X-exponent; the
+degree-1 matrix reads [[1, z], [z, (q-1)z + q]] and has determinant D.
 
 The one-step deletion/resolution maps act on coordinates as
 
@@ -26,16 +38,16 @@ The one-step deletion/resolution maps act on coordinates as
 
 which the test suite cross-checks against the word-level maps.
 
-Hard caps (degree <= 8, strands <= 12) apply to user-supplied words only;
-the internal pairing words live on 2d strands and are exempt.
+Hard caps (degree <= 8, strands <= 12) apply to the words given to
+``markov_class``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 from math import factorial
-from math import gcd as _int_gcd
 from typing import Iterable, Mapping
 
 from .braid import Generator, SIGMA, TAU, SingularBraidWord
@@ -47,7 +59,6 @@ from .coeff import (
     poly_divexact,
 )
 from .hecke import evaluate_word, ocneanu_trace, trace_components
-from .linalg import determinant, invert
 
 __all__ = [
     "HARD_MAX_DEGREE",
@@ -231,83 +242,46 @@ def basis_word(d: int, k: int) -> SingularBraidWord:
     return SingularBraidWord(max(2 * d, 1), tuple(letters))
 
 
-# The only irreducible factors the pairing determinants contain (checked,
-# not assumed, when each degree's solver is built): the degree-1 system
-# determinant is -(z - q)(z + 1) and higher degrees stay inside this list.
+_P_ONE, _P_Z, _P_W = _ONE.numerator, _Z.numerator, _Z_SLIDE.numerator
 _Z_MINUS_Q = MultivariatePolynomial(QZ, {(0, 1): 1, (1, 0): -1})
 _Z_PLUS_1 = MultivariatePolynomial(QZ, {(0, 1): 1, (0, 0): 1})
 
 
-@dataclass(frozen=True)
-class _FactoredSolver:
-    """Adjugate rows plus the determinant in factored form.
-
-    Coordinates come out as (adjugate . trace vector)/det; because every
-    denominator factor is known and linear, the reduction to canonical form
-    is a run of exact trial divisions instead of a general gcd.
-    """
-
-    adjugate: tuple[tuple[MultivariatePolynomial, ...], ...]
-    zq_power: int
-    zp_power: int
-    constant: int
-
-
-_pairing_cache: dict[int, tuple[list[list[RationalFunction]], object]] = {}
+def _expand(
+    forms: list[tuple[MultivariatePolynomial, MultivariatePolynomial]],
+) -> list[MultivariatePolynomial]:
+    """Coefficients of V^0, V^1, ... in the product of the linear forms
+    u*U + v*V, each given as the pair (u, v)."""
+    coeffs = [_P_ONE]
+    for u, v in forms:
+        out = [c * u for c in coeffs] + [MultivariatePolynomial.zero(QZ)]
+        for j, c in enumerate(coeffs):
+            out[j + 1] = out[j + 1] + c * v
+        coeffs = out
+    return coeffs
 
 
-def _pairing(d: int) -> tuple[list[list[RationalFunction]], object]:
-    cached = _pairing_cache.get(d)
-    if cached is None:
-        columns = [trace_vector(basis_word(d, d - c)).values for c in range(d + 1)]
-        matrix = [[columns[c][k] for c in range(d + 1)] for k in range(d + 1)]
-        inverse = invert(matrix)  # raises SingularMatrixError on a theory violation
-        solver: object = _build_factored_solver(matrix, inverse)
-        if solver is None:
-            solver = inverse
-        cached = (matrix, solver)
-        _pairing_cache[d] = cached
-    return cached
-
-
-def _build_factored_solver(matrix, inverse) -> "_FactoredSolver | None":
-    det = determinant(matrix)
-    if not det.denominator.is_one:
-        return None
-    leftover = det.numerator
-    zq_power = zp_power = 0
-    for factor, attr in ((_Z_MINUS_Q, "zq"), (_Z_PLUS_1, "zp")):
-        while True:
-            try:
-                leftover = poly_divexact(leftover, factor)
-            except ExactDivisionError:
-                break
-            if attr == "zq":
-                zq_power += 1
-            else:
-                zp_power += 1
-    if set(leftover.terms) != {(0, 0)}:
-        return None
-    constant = leftover.terms[(0, 0)]
-    adjugate = []
-    for row in inverse:
-        adj_row = []
-        for entry in row:
-            scaled = entry * det
-            if not scaled.denominator.is_one:
-                return None
-            adj_row.append(scaled.numerator)
-        adjugate.append(tuple(adj_row))
-    return _FactoredSolver(tuple(adjugate), zq_power, zp_power, constant)
+@cache
+def _substitution(d: int) -> tuple[tuple[MultivariatePolynomial, ...], ...]:
+    """Row k: coefficients of B^0 .. B^d in (wA - zB)^(d-k) (B - zA)^k."""
+    return tuple(
+        tuple(_expand([(_P_W, -_P_Z)] * (d - k) + [(-_P_Z, _P_ONE)] * k))
+        for k in range(d + 1)
+    )
 
 
 def pairing_matrix(d: int) -> list[list[RationalFunction]]:
     """Functional values on the basis words; rows by functional index, columns
-    by descending X-exponent.  Required (and checked) to be nonsingular."""
+    by descending X-exponent.  Entry [k][c] is k!(d-k)! times the coefficient
+    of T1^k in (T0 + z T1)^(d-c) (z T0 + w T1)^c."""
     if d < 0:
         raise DegreeError("degree must be >= 0")
-    matrix, _ = _pairing(d)
-    return [list(row) for row in matrix]
+    columns = [_expand([(_P_ONE, _P_Z)] * (d - c) + [(_P_Z, _P_W)] * c) for c in range(d + 1)]
+    weights = [factorial(k) * factorial(d - k) for k in range(d + 1)]
+    return [
+        [RationalFunction.from_polynomial(col[k].scaled(weights[k])) for col in columns]
+        for k in range(d + 1)
+    ]
 
 
 class ClassPolynomial:
@@ -431,52 +405,36 @@ def markov_class(
     max_degree: int | None = None,
     max_strands: int | None = None,
 ) -> MarkovClass:
-    """Coordinates of the word's class, solved against the pairing matrix."""
+    """Coordinates of the word's class, by the change of variables T0 = wA - zB,
+    T1 = B - zA in its trace components, over D^d."""
     check_caps(word, max_degree, max_strands)
     d = word.degree
-    if d == 0:
-        return MarkovClass({(0, 0): trace_vector(word).values[0]})
-    _, solver = _pairing(d)
-    if isinstance(solver, _FactoredSolver):
-        comps = trace_components(word)
-        weighted = [
-            {mono: factorial(k) * factorial(d - k) * c for mono, c in comp.items()}
-            for k, comp in enumerate(comps)
-        ]
-        coeffs = {}
-        for c in range(d + 1):
-            acc: dict[tuple[int, int], int] = {}
-            for k in range(d + 1):
-                comp = weighted[k]
-                if not comp:
-                    continue
-                for (a0, a1), ca in solver.adjugate[c][k].terms.items():
-                    for (b0, b1), cb in comp.items():
-                        key = (a0 + b0, a1 + b1)
-                        v = acc.get(key, 0) + ca * cb
-                        if v:
-                            acc[key] = v
-                        else:
-                            del acc[key]
-            coeffs[(d - c, c)] = _reduce_against_factored_det(acc, solver)
-        return MarkovClass(coeffs)
-    tv = trace_vector(word)
+    table = _substitution(d)
+    comps = trace_components(word)
     coeffs = {}
-    for c in range(d + 1):
-        acc_rf = RationalFunction.zero(QZ)
-        for k in range(d + 1):
-            acc_rf = acc_rf + solver[c][k] * tv.values[k]
-        coeffs[(d - c, c)] = acc_rf
+    for b in range(d + 1):
+        acc: dict[tuple[int, int], int] = {}
+        for k, comp in enumerate(comps):
+            for (a0, a1), ca in table[k][b].terms.items():
+                for (b0, b1), cb in comp.items():
+                    key = (a0 + b0, a1 + b1)
+                    v = acc.get(key, 0) + ca * cb
+                    if v:
+                        acc[key] = v
+                    else:
+                        del acc[key]
+        coeffs[(d - b, b)] = _over_det_power(acc, d)
     return MarkovClass(coeffs)
 
 
-def _reduce_against_factored_det(
-    laurent: dict[tuple[int, int], int], solver: _FactoredSolver
+def _over_det_power(
+    laurent: dict[tuple[int, int], int], d: int
 ) -> RationalFunction:
-    """Canonicalise (laurent numerator)/det using the known factor list.
+    """Canonicalise (laurent numerator)/D^d, where D = w - z^2 = -(z - q)(z + 1)
+    is the determinant of the degree-1 pairing matrix.
 
-    Every common factor must be one of q, z - q, z + 1 or an integer, so
-    trial divisions produce the reduced pair directly.
+    Every common factor must be q, z - q or z + 1, so trial divisions
+    produce the reduced pair directly.
     """
     if not laurent:
         return RationalFunction.zero(QZ)
@@ -485,28 +443,16 @@ def _reduce_against_factored_det(
     if min_q < 0:
         laurent = {(e0 - min_q, e1): v for (e0, e1), v in laurent.items()}
     num = MultivariatePolynomial(QZ, laurent)
-    zq_power, zp_power = solver.zq_power, solver.zp_power
-    while zq_power > 0:
-        try:
-            num = poly_divexact(num, _Z_MINUS_Q)
-        except ExactDivisionError:
-            break
-        zq_power -= 1
-    while zp_power > 0:
-        try:
-            num = poly_divexact(num, _Z_PLUS_1)
-        except ExactDivisionError:
-            break
-        zp_power -= 1
-    constant = solver.constant
-    shared = _int_gcd(num.content(), abs(constant))
-    if shared > 1:
-        num = MultivariatePolynomial(
-            QZ, {mono: c // shared for mono, c in num.terms.items()}
-        )
-        constant //= shared
-    den = MultivariatePolynomial.monomial(QZ, (q_power, 0), constant)
-    den = den * _Z_MINUS_Q**zq_power * _Z_PLUS_1**zp_power
+    den = MultivariatePolynomial.monomial(QZ, (q_power, 0), (-1) ** d)
+    for factor in (_Z_MINUS_Q, _Z_PLUS_1):
+        power = d
+        while power > 0:
+            try:
+                num = poly_divexact(num, factor)
+            except ExactDivisionError:
+                break
+            power -= 1
+        den = den * factor**power
     if den.leading_coefficient() < 0:
         num, den = -num, -den
     return RationalFunction._raw(num, den)

@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+from singskein import cli
+from singskein.braid import parse
 from singskein.cli import main
 
 
@@ -90,6 +92,31 @@ def test_timing_goes_to_stderr_only(capsys):
     _, out, err = invoke(capsys, "--word", "t1", "--strands", "2")
     assert "elapsed" not in out
     assert "elapsed" in err
+
+
+def test_verify_failure_exits_3(capsys, monkeypatch):
+    start = parse("t1 s1", 2)
+    true_class = cli.skein_class
+
+    def skewed_class(word, *args, **kwargs):
+        cls = true_class(word, *args, **kwargs)
+        return cls if word == start else cls.add(cls)
+
+    monkeypatch.setattr(cli, "skein_class", skewed_class)
+    code, out, _ = invoke(
+        capsys,
+        "--word",
+        "t1 s1",
+        "--strands",
+        "2",
+        "--format",
+        "json",
+        "--verify",
+        "--moves",
+        "5",
+    )
+    assert code == 3
+    assert json.loads(out)["verify"]["failed"] > 0
 
 
 def test_syntax_error_exits_2(capsys):

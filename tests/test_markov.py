@@ -15,8 +15,9 @@ from singskein.braid import (
     with_strands,
 )
 from singskein.coeff import QZ, RationalFunction
-from singskein.linalg import determinant
+from singskein.linalg import determinant, solve
 from singskein.markov import (
+    HARD_MAX_DEGREE,
     CapExceededError,
     DegreeError,
     FormalWordSum,
@@ -181,6 +182,17 @@ def test_pairing_matrix_degree_two_nonsingular():
     assert not determinant(m).is_zero
 
 
+def trace_built_pairing(d):
+    columns = [trace_vector(basis_word(d, d - c)).values for c in range(d + 1)]
+    return [[columns[c][k] for c in range(d + 1)] for k in range(d + 1)]
+
+
+def test_pairing_matrix_matches_trace_built_columns():
+    # the closed form against the traces of the explicit basis words
+    for d in range(HARD_MAX_DEGREE + 1):
+        assert pairing_matrix(d) == trace_built_pairing(d)
+
+
 # -- class coordinates --------------------------------------------------------------
 
 
@@ -204,6 +216,19 @@ def test_markov_class_of_stacked_generators():
     # the 4-strand stack of t1 and t1 s1 has class X*Y
     w = stack(parse("t1", 2), parse("t1 s1", 2))
     assert markov_class(w) == MarkovClass.monomial(1, 1)
+
+
+def test_markov_class_matches_pairing_solve():
+    # the change of variables against solving the trace-built pairing system
+    rng = random.Random(2043)
+    for _ in range(20):
+        d = rng.randint(0, 3)
+        w = random_singular_word(
+            rng, strands=rng.randint(2, 4), length=rng.randint(d, d + 5), degree=d
+        )
+        coords = solve(trace_built_pairing(d), trace_vector(w).values)
+        expected = MarkovClass({(d - c, c): coords[c] for c in range(d + 1)})
+        assert markov_class(w) == expected
 
 
 def test_markov_class_caps():
