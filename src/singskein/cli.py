@@ -72,6 +72,16 @@ def _positive_cap(limit: int, label: str):
     return convert
 
 
+def _move_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError("--moves must be an integer") from exc
+    if value < 0:
+        raise argparse.ArgumentTypeError("--moves must be >= 0")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="singskein",
@@ -100,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="fuzz closure-preserving moves and check the class is unchanged",
     )
     parser.add_argument(
-        "--moves", type=int, default=25, help="number of verification moves"
+        "--moves", type=_move_count, default=25, help="number of verification moves"
     )
     parser.add_argument("--seed", type=int, default=0, help="verification seed")
     parser.add_argument(
@@ -163,8 +173,6 @@ def run(args: argparse.Namespace) -> RunReport:
 
 
 def _verify_moves(word: SingularBraidWord, reference, args: argparse.Namespace) -> dict:
-    if args.moves < 0:
-        raise ValueError("--moves must be >= 0")
     strand_cap = args.max_strands if args.max_strands else HARD_MAX_STRANDS
     passed = 0
     failures: list[str] = []

@@ -17,7 +17,8 @@ decides mathematical equality.
 
 Negative powers (Laurent-style scalars such as ``q**-2``) are ordinary
 rational functions with monomial denominators; monomial denominators get a
-fast normalisation path that avoids the general gcd.
+fast normalisation path that avoids the general gcd, and a product with a
+monomial ratio is reduced in closed form.
 
 All values are immutable and safe to share across threads.
 """
@@ -797,6 +798,10 @@ class RationalFunction:
             return RationalFunction._raw(
                 self.numerator * other.numerator, self.denominator
             )
+        if len(other.numerator.terms) == 1 and len(other.denominator.terms) == 1:
+            return _times_monomial(self, other)
+        if len(self.numerator.terms) == 1 and len(self.denominator.terms) == 1:
+            return _times_monomial(other, self)
         return RationalFunction(
             self.numerator * other.numerator, self.denominator * other.denominator
         )
@@ -863,6 +868,28 @@ class RationalFunction:
 
     def __repr__(self) -> str:
         return f"<rf {self}>"
+
+
+def _times_monomial(f: RationalFunction, m: RationalFunction) -> RationalFunction:
+    """Product of canonical N/D with a canonical a*x^alpha / (b*x^beta).
+
+    N and D are coprime, so the only common factor of a*N*x^alpha and
+    b*D*x^beta is g * x^t, with g = gcd(a*content(N), b*content(D)) and t
+    the smaller of the lowest exponents of N*x^alpha and D*x^beta, one
+    variable at a time.  Multiplying by a monomial keeps graded-lex order,
+    so the denominator's leading coefficient stays positive.
+    """
+    ((a0, a1), a), = m.numerator.terms.items()
+    ((b0, b1), b), = m.denominator.terms.items()
+    num, den = f.numerator.terms, f.denominator.terms
+    t0 = min(min(e0 for e0, _ in num) + a0, min(e0 for e0, _ in den) + b0)
+    t1 = min(min(e1 for _, e1 in num) + a1, min(e1 for _, e1 in den) + b1)
+    g = _int_gcd(a * _terms_content(num), b * _terms_content(den))
+    num = {(e0 + a0 - t0, e1 + a1 - t1): c * a // g for (e0, e1), c in num.items()}
+    den = {(e0 + b0 - t0, e1 + b1 - t1): c * b // g for (e0, e1), c in den.items()}
+    return RationalFunction._raw(
+        MultivariatePolynomial(f.variables, num), MultivariatePolynomial(f.variables, den)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -7,14 +7,16 @@ Xhat^a Yhat^b is
 
     embed(c_ab) * z^(a + b - n + 1) * u^(a + e - n + 1)
 
-where embed is the field embedding q -> s^2, z -> (s^2 - 1)/(1 - s^2 u^2)
-and the powers of z are taken in the image field.  The exponents come from
-inverting the normalised braid-to-class map on the two generator words: a
-lone double point on two strands must map to Xhat, a double point followed
-by a crossing to Yhat, and the empty word on one strand to 1.  Both
-anchors, the skein relation t^{-1} L+ - t L- = x L0 (with t = s u,
-x = s - 1/s), and invariance under all closure-preserving moves are
-enforced by the test suite rather than assumed.
+where embed is the field embedding q -> s^2, z -> (s^2 - 1)/(1 - s^2 u^2).
+Because embed is a ring homomorphism, the power of z is applied in Q(q, z)
+before embedding: both powers are then monomials, and a product with a
+monomial is reduced in closed form.  The exponents come from inverting the
+normalised braid-to-class map on the two generator words: a lone double
+point on two strands must map to Xhat, a double point followed by a
+crossing to Yhat, and the empty word on one strand to 1.  Both anchors,
+the skein relation t^{-1} L+ - t L- = x L0 (with t = s u, x = s - 1/s),
+and invariance under all closure-preserving moves are enforced by the test
+suite rather than assumed.
 
 Adding a free strand multiplies a class by (1 - s^2 u^2)/(u (s^2 - 1)),
 the disjoint-union coefficient (t^{-1} - t)/x.
@@ -23,18 +25,9 @@ the disjoint-union coefficient (t^{-1} - t)/x.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd as _int_gcd
 
 from .braid import Generator, SIGMA, SIGMA_INV, SingularBraidWord, exponent_sum
-from .coeff import (
-    ExactDivisionError,
-    MultivariatePolynomial,
-    SU,
-    RationalFunction,
-    embed_qz_to_su,
-    poly_divexact,
-)
-from .coeff import QZ
+from .coeff import QZ, SU, RationalFunction, embed_qz_to_su
 from .markov import ClassPolynomial, check_caps, markov_class
 
 __all__ = [
@@ -48,81 +41,13 @@ __all__ = [
     "VAR_X",
 ]
 
-_ONE_SU = RationalFunction.one(SU)
 _S = RationalFunction.coordinate(SU, "s")
 _U = RationalFunction.coordinate(SU, "u")
+_Z = RationalFunction.coordinate(QZ, "z")
 
 # the skein-relation constants: t = s*u and x = s - 1/s
 VAR_T = _S * _U
 VAR_X = _S - _S.inverse()
-
-_Z_IMAGE = embed_qz_to_su(RationalFunction.coordinate(QZ, "z"))
-
-_z_powers: dict[int, RationalFunction] = {0: _ONE_SU}
-_u_powers: dict[int, RationalFunction] = {0: _ONE_SU}
-
-
-def _cached_power(cache: dict[int, RationalFunction], base: RationalFunction, e: int) -> RationalFunction:
-    hit = cache.get(e)
-    if hit is None:
-        hit = base**e
-        cache[e] = hit
-    return hit
-
-
-# Every denominator this stage produces factors over a fixed list of small
-# irreducibles: powers of s and u from the normalisation, s +- 1 and su +- 1
-# from the embedded trace variable, u +- 1 and s^2 u +- 1 from the embedded
-# coordinate denominators (the images of q, z - q and z + 1).  Products can
-# therefore be reduced by trial division; if a denominator ever falls
-# outside the list the code below detects it and takes the general path.
-_SU_DEN_FACTORS = (
-    MultivariatePolynomial(SU, {(1, 0): 1}),  # s
-    MultivariatePolynomial(SU, {(0, 1): 1}),  # u
-    MultivariatePolynomial(SU, {(1, 0): 1, (0, 0): -1}),  # s - 1
-    MultivariatePolynomial(SU, {(1, 0): 1, (0, 0): 1}),  # s + 1
-    MultivariatePolynomial(SU, {(0, 1): 1, (0, 0): -1}),  # u - 1
-    MultivariatePolynomial(SU, {(0, 1): 1, (0, 0): 1}),  # u + 1
-    MultivariatePolynomial(SU, {(1, 1): 1, (0, 0): -1}),  # s*u - 1
-    MultivariatePolynomial(SU, {(1, 1): 1, (0, 0): 1}),  # s*u + 1
-    MultivariatePolynomial(SU, {(2, 1): 1, (0, 0): -1}),  # s^2*u - 1
-    MultivariatePolynomial(SU, {(2, 1): 1, (0, 0): 1}),  # s^2*u + 1
-)
-
-
-def _mul_structured(a: RationalFunction, b: RationalFunction) -> RationalFunction:
-    """Product of two reduced fractions whose denominators factor over the
-    known list; falls back to the general constructor otherwise."""
-    if a.is_zero or b.is_zero:
-        return RationalFunction.zero(SU)
-    num = a.numerator * b.numerator
-    den = a.denominator * b.denominator
-    if den.is_one:
-        return RationalFunction(num)
-    for factor in _SU_DEN_FACTORS:
-        while True:
-            try:
-                num_next = poly_divexact(num, factor)
-                den_next = poly_divexact(den, factor)
-            except ExactDivisionError:
-                break
-            num, den = num_next, den_next
-    probe = den
-    for factor in _SU_DEN_FACTORS:
-        while True:
-            try:
-                probe = poly_divexact(probe, factor)
-            except ExactDivisionError:
-                break
-    if len(probe.terms) != 1 or (0, 0) not in probe.terms:
-        return RationalFunction(num, den)
-    shared = _int_gcd(num.content(), den.content())
-    if shared > 1:
-        num = MultivariatePolynomial(SU, {m: c // shared for m, c in num.terms.items()})
-        den = MultivariatePolynomial(SU, {m: c // shared for m, c in den.terms.items()})
-    if den.leading_coefficient() < 0:
-        num, den = -num, -den
-    return RationalFunction._raw(num, den)
 
 
 class SkeinClass(ClassPolynomial):
@@ -162,10 +87,8 @@ def skein_class(
     writhe = exponent_sum(word)
     out: dict[tuple[int, int], RationalFunction] = {}
     for (a, b), coeff in coords.coeffs.items():
-        image = embed_qz_to_su(coeff)
-        image = _mul_structured(image, _cached_power(_z_powers, _Z_IMAGE, a + b - n + 1))
-        image = _mul_structured(image, _cached_power(_u_powers, _U, a + writhe - n + 1))
-        out[(a, b)] = image
+        image = embed_qz_to_su(coeff * _Z ** (a + b - n + 1))
+        out[(a, b)] = image * _U ** (a + writhe - n + 1)
     return SkeinClass(out)
 
 

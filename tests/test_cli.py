@@ -119,6 +119,17 @@ def test_verify_failure_exits_3(capsys, monkeypatch):
     assert json.loads(out)["verify"]["failed"] > 0
 
 
+def test_negative_moves_rejected_before_any_work(capsys, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the class was computed before --moves was checked")
+
+    monkeypatch.setattr(cli, "markov_class", unreachable)
+    with pytest.raises(SystemExit) as exc:
+        main(["--word", "t1", "--strands", "2", "--verify", "--moves", "-1"])
+    assert exc.value.code == 2
+    assert "--moves must be >= 0" in capsys.readouterr().err
+
+
 def test_syntax_error_exits_2(capsys):
     code, _, err = invoke(capsys, "--word", "s1 x9")
     assert code == 2

@@ -171,6 +171,29 @@ def test_pow_negative_exponent():
 # -- evaluation --------------------------------------------------------------
 
 
+def test_monomial_products_match_general_constructor():
+    # a product with a monomial ratio is reduced in closed form; check it
+    # against the general constructor on the unreduced product
+    rng = random.Random(314159)
+    for variables in (QZ, SU):
+        for _ in range(150):
+            f = random_rf(rng, variables)
+            e0, e1 = rng.randint(-3, 3), rng.randint(-3, 3)
+            coeff = Fraction(rng.choice((-1, 1)) * rng.randint(1, 12), rng.randint(1, 12))
+            m = RationalFunction(
+                MultivariatePolynomial(variables, {(max(e0, 0), max(e1, 0)): coeff}),
+                MultivariatePolynomial.monomial(variables, (max(-e0, 0), max(-e1, 0))),
+            )
+            for a, b in ((f, m), (m, f)):
+                p = a * b
+                assert p == RationalFunction(
+                    a.numerator * b.numerator, a.denominator * b.denominator
+                )
+                rebuilt = RationalFunction(p.numerator, p.denominator)
+                assert rebuilt.numerator == p.numerator
+                assert rebuilt.denominator == p.denominator
+
+
 def test_eval_simple():
     assert rf_eval(Q + ONE_QZ, (2, 0)) == 3
 

@@ -10,6 +10,7 @@ from singskein.braid import (
     SIGMA_INV,
     SingularBraidWord,
     TAU,
+    exponent_sum,
     parse,
     random_move_sequence,
     stack,
@@ -17,6 +18,7 @@ from singskein.braid import (
 )
 from singskein.coeff import SU, RationalFunction, embed_qz_to_su
 from singskein.coeff import QZ
+from singskein.markov import markov_class
 from singskein.skein import (
     SkeinClass,
     closure_product,
@@ -149,6 +151,29 @@ def test_move_invariance_smoke():
         base = skein_class(w)
         for _, step in random_move_sequence(w, 8, seed=rng.randint(0, 10**6), max_strands=6):
             assert skein_class(step) == base
+
+
+def test_coefficients_match_products_in_the_image_field():
+    # each coefficient against embed(c) * embed(z)^m * u^e, multiplied out
+    # and reduced by the general constructor
+    rng = random.Random(4099)
+    z_image = embed_qz_to_su(RationalFunction.coordinate(QZ, "z"))
+    for _ in range(20):
+        d = rng.randint(0, 3)
+        w = random_singular_word(rng, rng.randint(2, 5), rng.randint(d, d + 6), d)
+        n, writhe = w.strands, exponent_sum(w)
+        expected = {}
+        for (a, b), c in markov_class(w).coeffs.items():
+            factors = (
+                embed_qz_to_su(c),
+                z_image ** (a + b - n + 1),
+                RationalFunction.from_laurent_terms(SU, {(0, a + writhe - n + 1): 1}),
+            )
+            num, den = factors[0].numerator, factors[0].denominator
+            for f in factors[1:]:
+                num, den = num * f.numerator, den * f.denominator
+            expected[(a, b)] = RationalFunction(num, den)
+        assert skein_class(w) == SkeinClass(expected)
 
 
 # -- algebra structure ---------------------------------------------------------------------
