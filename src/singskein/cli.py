@@ -137,6 +137,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(args: argparse.Namespace) -> RunReport:
     word = parse(args.word, args.strands)
+    if args.skein_check is not None and not 0 < args.skein_check < word.strands:
+        raise ValueError(f"crossing index {args.skein_check} out of range for {word.strands} strands")
     start = time.perf_counter()
     markov = markov_class(word, args.max_degree, args.max_strands)
     skein = skein_class(word, args.max_degree, args.max_strands, coords=markov)

@@ -534,33 +534,38 @@ def _gcd_terms(a: Mapping[Monomial, int], b: Mapping[Monomial, int]) -> dict[Mon
 
 
 def _divexact_terms(a: Mapping[Monomial, int], b: Mapping[Monomial, int]) -> dict[Monomial, int]:
-    """Exact multivariate division of term dicts; raises if inexact."""
+    """Exact division of term dicts by long division on the dense form, one
+    row at a time; raises if inexact.  An exact quotient is unique."""
     if not b:
         raise ExactDivisionError("division by zero polynomial")
     if not a:
         return {}
-    (lb0, lb1) = max(b, key=_monomial_key)
-    lb_coeff = b[(lb0, lb1)]
-    rem = dict(a)
-    out: dict[Monomial, int] = {}
-    while rem:
-        (la0, la1) = max(rem, key=_monomial_key)
-        d0, d1 = la0 - lb0, la1 - lb1
-        if d0 < 0 or d1 < 0:
-            raise ExactDivisionError("quotient is not a polynomial")
-        la_coeff = rem[(la0, la1)]
-        if la_coeff % lb_coeff:
-            raise ExactDivisionError("inexact coefficient division")
-        qc = la_coeff // lb_coeff
-        out[(d0, d1)] = qc
-        for (b0, b1), bc in b.items():
-            mono = (b0 + d0, b1 + d1)
-            acc = rem.get(mono, 0) - qc * bc
-            if acc:
-                rem[mono] = acc
-            else:
-                rem.pop(mono, None)
-    return out
+    F, G = _to_rec(a), _to_rec(b)
+    dG = len(G) - 1
+    out: list[list[int]] = [[] for _ in range(len(F) - dG)]
+    while len(F) > dG:
+        off = len(F) - 1 - dG
+        row = out[off] = _u_divexact(F[-1], G[-1])
+        for k, g_row in enumerate(G):
+            if g_row:
+                F[off + k] = _u_sub(F[off + k], _u_mul(g_row, row))
+        _b_trim(F)
+    if F:
+        raise ExactDivisionError("nonzero remainder")
+    return _from_rec(out)
+
+
+def _divide_out(terms: dict, factor: Mapping[Monomial, int], limit: int) -> tuple[dict, int]:
+    """Divide factor out of terms as often as it goes, at most limit times;
+    returns the quotient and the number of divisions made."""
+    times = 0
+    while times < limit:
+        try:
+            terms = _divexact_terms(terms, factor)
+        except ExactDivisionError:
+            break
+        times += 1
+    return terms, times
 
 
 def poly_gcd(a: MultivariatePolynomial, b: MultivariatePolynomial) -> MultivariatePolynomial:
@@ -916,18 +921,14 @@ def rf_eval(a: RationalFunction, point: tuple) -> Fraction:
 _EMBED_A = MultivariatePolynomial(SU, {(2, 0): 1, (0, 0): -1})  # s^2 - 1
 _EMBED_B = MultivariatePolynomial(SU, {(0, 0): 1, (2, 2): -1})  # 1 - s^2*u^2
 
-# The embedding collapses only the curves s = 0, s = +-1, s*u = +-1 to
-# points (and blows up on s*u = +-1), so images of coprime polynomials can
-# share no irreducible factor outside this list.  That turns the reduction
-# of an embedded fraction into cheap trial divisions instead of a general
-# bivariate gcd.
-_EMBED_COLLAPSED = (
-    MultivariatePolynomial(SU, {(1, 0): 1}),  # s
-    MultivariatePolynomial(SU, {(1, 0): 1, (0, 0): -1}),  # s - 1
-    MultivariatePolynomial(SU, {(1, 0): 1, (0, 0): 1}),  # s + 1
-    MultivariatePolynomial(SU, {(1, 1): 1, (0, 0): -1}),  # s*u - 1
-    MultivariatePolynomial(SU, {(1, 1): 1, (0, 0): 1}),  # s*u + 1
-)
+# N/D maps to the images of N and D, both times (1 - s^2*u^2)^L with L the
+# larger z-degree.  Images of coprime N and D can share only factors that
+# the substitution collapses to a point: s, from (q, z) = (0, -1), and
+# s - 1 and s + 1, both from (1, 0).  The images are polynomials in s^2, so
+# s - 1 and s + 1 come with equal multiplicity and cancel together as
+# s^2 - 1, and the common power of s cancels by an exponent shift.  The
+# image of whichever of N, D has z-degree L carries no power of
+# 1 - s^2*u^2, so s*u - 1 and s*u + 1 never cancel.
 
 
 def embed_qz_to_su(a: RationalFunction) -> RationalFunction:
@@ -952,14 +953,13 @@ def embed_qz_to_su(a: RationalFunction) -> RationalFunction:
 
     num = image(a.numerator).terms
     den = image(a.denominator).terms
-    for factor in _EMBED_COLLAPSED:
-        while True:
-            try:
-                num_next = _divexact_terms(num, factor.terms)
-                den_next = _divexact_terms(den, factor.terms)
-            except ExactDivisionError:
-                break
-            num, den = num_next, den_next
+    shift = min(e0 for e0, _ in (*num, *den))
+    num = {(e0 - shift, e1): c for (e0, e1), c in num.items()}
+    den = {(e0 - shift, e1): c for (e0, e1), c in den.items()}
+    den, j = _divide_out(den, _EMBED_A.terms, max(e0 for e0, _ in den) // 2)
+    num, k = _divide_out(num, _EMBED_A.terms, j)
+    if k < j:
+        den = (MultivariatePolynomial(SU, den) * _EMBED_A ** (j - k)).terms
     g = _int_gcd(_terms_content(num), _terms_content(den))
     if g > 1:
         num = {mono: c // g for mono, c in num.items()}

@@ -24,7 +24,8 @@ D = w - z^2 = -(z - q)(z + 1) reads x_ab off as the coefficient of A^a B^b
 in sum_k C_k (wA - zB)^(d-k) (B - zA)^k, divided by D^d.  The k!(d-k)!
 weights scale whole functionals and cancel.  The only factors a coordinate's
 denominator can have are q (from the Laurent trace), z - q and z + 1, so
-exact trial divisions give its canonical form.
+a shift of the q-exponents and ``coeff._divide_out`` (exact division by
+z - q and z + 1) give its canonical form.
 
 ``pairing_matrix`` evaluates the same expansion on the explicit basis words
 (``basis_word``: ``t1 t3 ... t(2k-1)`` followed by ``(t s)`` blocks at the
@@ -51,13 +52,7 @@ from math import factorial
 from typing import Iterable, Mapping
 
 from .braid import Generator, SIGMA, TAU, SingularBraidWord
-from .coeff import (
-    ExactDivisionError,
-    MultivariatePolynomial,
-    QZ,
-    RationalFunction,
-    poly_divexact,
-)
+from .coeff import MultivariatePolynomial, QZ, RationalFunction, _divide_out
 from .hecke import evaluate_word, ocneanu_trace, trace_components
 
 __all__ = [
@@ -433,8 +428,9 @@ def _over_det_power(
     """Canonicalise (laurent numerator)/D^d, where D = w - z^2 = -(z - q)(z + 1)
     is the determinant of the degree-1 pairing matrix.
 
-    Every common factor must be q, z - q or z + 1, so trial divisions
-    produce the reduced pair directly.
+    Every common factor must be q, z - q or z + 1: q by the Laurent shift, the
+    others by ``coeff._divide_out``, at most d times each.  The denominator is
+    (-1)^d q^p (z - q)^(d - j) (z + 1)^(d - k) after j and k divisions.
     """
     if not laurent:
         return RationalFunction.zero(QZ)
@@ -442,17 +438,11 @@ def _over_det_power(
     q_power = -min_q if min_q < 0 else 0
     if min_q < 0:
         laurent = {(e0 - min_q, e1): v for (e0, e1), v in laurent.items()}
-    num = MultivariatePolynomial(QZ, laurent)
     den = MultivariatePolynomial.monomial(QZ, (q_power, 0), (-1) ** d)
     for factor in (_Z_MINUS_Q, _Z_PLUS_1):
-        power = d
-        while power > 0:
-            try:
-                num = poly_divexact(num, factor)
-            except ExactDivisionError:
-                break
-            power -= 1
-        den = den * factor**power
+        laurent, times = _divide_out(laurent, factor.terms, d)
+        den = den * factor ** (d - times)
+    num = MultivariatePolynomial(QZ, laurent)
     if den.leading_coefficient() < 0:
         num, den = -num, -den
     return RationalFunction._raw(num, den)

@@ -130,6 +130,16 @@ def test_negative_moves_rejected_before_any_work(capsys, monkeypatch):
     assert "--moves must be >= 0" in capsys.readouterr().err
 
 
+def test_skein_check_index_rejected_before_any_work(capsys, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the class was computed before --skein-check was checked")
+
+    monkeypatch.setattr(cli, "markov_class", unreachable)
+    code, _, err = invoke(capsys, "--word", "t1", "--strands", "2", "--skein-check", "5")
+    assert code == 2
+    assert "crossing index 5 out of range for 2 strands" in err
+
+
 def test_syntax_error_exits_2(capsys):
     code, _, err = invoke(capsys, "--word", "s1 x9")
     assert code == 2

@@ -8,6 +8,7 @@ import pytest
 from singskein.coeff import (
     QZ,
     SU,
+    ExactDivisionError,
     MixedVariablesError,
     MultivariatePolynomial,
     PoleError,
@@ -76,6 +77,33 @@ def test_poly_gcd_bivariate():
     fh = f * MultivariatePolynomial(vars_, {(2, 0): 1, (0, 0): 5})
     assert poly_gcd(fg, fh) == f
     assert poly_divexact(fg, f) == g
+
+
+def test_exact_division_on_dense_rows():
+    # factors with several rows in the first variable, some of them empty
+    # as in s^2 - 1: exact quotients come back, remainders are refused
+    rng = random.Random(8128)
+
+    def row_poly(variables):
+        terms = {}
+        for e0 in rng.sample(range(5), rng.randint(2, 3)):
+            for e1 in rng.sample(range(4), rng.randint(1, 2)):
+                terms[(e0, e1)] = rng.choice([-3, -2, -1, 1, 2, 3])
+        return MultivariatePolynomial(variables, terms)
+
+    for variables in (QZ, SU):
+        divisors = [MultivariatePolynomial(variables, {(2, 0): 1, (0, 0): -1})]
+        divisors += [row_poly(variables) for _ in range(40)]
+        for g in divisors:
+            f = row_poly(variables)
+            assert poly_divexact(f * g, g) == f
+            top = g.total_degree()
+            r = MultivariatePolynomial(
+                variables,
+                {(e0, rng.randint(0, top - 1 - e0)): rng.choice([-2, -1, 1, 2]) for e0 in range(top)},
+            )
+            with pytest.raises(ExactDivisionError):
+                poly_divexact(f * g + r, g)
 
 
 def test_poly_gcd_includes_content():
@@ -265,9 +293,9 @@ def test_embed_rejects_su_input():
 
 
 def test_embed_fast_reduction_matches_full_gcd():
-    # the embedding reduces fractions by trial division against the factors
-    # the substitution can introduce; check it against the general
-    # constructor, z-heavy denominators included
+    # the embedding cancels only the factors the substitution can introduce
+    # (s by an exponent shift, s^2 - 1 by exact division); check it against
+    # the general constructor, z-heavy denominators included
     rng = random.Random(271828)
     special = [
         Z.inverse(),
@@ -275,6 +303,14 @@ def test_embed_fast_reduction_matches_full_gcd():
         (Q - ONE_QZ) / (Z * Z),
         Z / (Q * Z + ONE_QZ),
         (Q * Z - Z) / (Z + ONE_QZ),
+        # a common power of s
+        Q / (Z + ONE_QZ),
+        Q**2 / ((Z + ONE_QZ) * (Q + Z + ONE_QZ)),
+        # s^2 - 1 divides the numerator more often than the denominator
+        (Q - ONE_QZ) ** 2 / Z,
+        # numerator and denominator at different z-levels
+        Z**3 / (Q + ONE_QZ),
+        (Q + ONE_QZ) / Z**3,
     ]
     cases = special + [random_rf(rng) for _ in range(40)]
     for f in cases:
