@@ -18,17 +18,40 @@ count, so traces are memoised on the permutation with trailing fixed
 points trimmed.
 
 Internally a small kernel works with interned trimmed permutations and
-integer Laurent coefficients; the public operations wrap everything in
-``RationalFunction`` scalars.  The kernel also provides the fused fold used
-by the degree-d trace functionals: singular letters branch into a "delete"
-and a "resolve to crossing" copy, with the resolution count carried in the
-coefficient key, so all 2^d desingularisations share one pass.
+exact integer coefficients; the public operations wrap everything in
+``RationalFunction`` scalars.  ``trace_components`` folds a word once for
+all 2^d desingularisations: a singular letter branches into a "delete" and
+a "resolve to crossing" copy, and the copy's resolution count r rides in
+the coefficient.  Each permutation's coefficient, a polynomial in q and r,
+is one Python int P_w, its value at q = 2^(R*B) and r = 2^B with R = d + 1:
+the signed (balanced) B-bit digit in slot R*e + r is the coefficient of
+q^e with r resolutions.  The fold is scaled by q^#S, #S the number of
+negative crossings, so no exponent is negative: a negative crossing
+multiplies by ``q T_i^{-1} = T_i + (1 - q)`` and every rule is a shift and
+an add.  The trace combination sums ``c * P_w`` over the permutations w
+for each term ``c q^a z^b`` of ``tr(T_w)`` (a is never negative), shifts
+each sum by a powers of q and adds it into one int per z-exponent,
+decoded once; slots never collide because r < R.  Decoding is exact when
+every digit is below 2^(B-1) in absolute value, and B is set from two
+bounds on L1 norms (sums of absolute coefficients):
+
+- the fold of a word with c crossings and d double points has L1 at most
+  3^c 4^d: a crossing step at most triples it (``(q-1) T_w + q T_ws`` or
+  ``T_ws + (1-q) T_w``), and a double point at most quadruples it (the
+  deleted copy plus the resolved crossing);
+- ``tr(T_w)`` has L1 at most 3^((m-1)(m-2)/2) for largest moved point m:
+  coset peeling makes at most m - 2 left multiplications, each at most
+  tripling L1, then recurses into S_(m-1).
+
+A digit of a z-sum is a sum of fold coefficients times trace coefficients,
+so it is at most the product of the two bounds with m = n, the strand
+count; B is that product's bit length plus one.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .braid import SIGMA, SIGMA_INV, TAU, SingularBraidWord, StrandIndexError
 from .coeff import QZ, RationalFunction
@@ -51,16 +74,15 @@ class SingularLetterError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Kernel: interned permutations, integer Laurent coefficients.
+# Kernel: interned permutations, integer coefficients.
 #
 # Permutations are trimmed tuples (trailing fixed points removed) interned
-# to small ints.  Fold coefficients are dicts keyed by q-exponent * 16 +
-# resolution-count (both fit easily; the degree cap upstream keeps the
-# resolution count below 16).  Trace values are dicts keyed by
-# (q-exponent, z-exponent) pairs with integer values.
+# to small ints.  Trace values are dicts keyed by (q-exponent, z-exponent)
+# pairs with integer values.  ``_kernel_trace`` folds with dict
+# coefficients keyed by q-exponent and is not packed: its folds are short
+# and sparse, so decoding would dominate (a packed version measured about
+# 30% slower on cold fills).
 # ---------------------------------------------------------------------------
-
-_RE_LIMIT = 16
 
 _intern: dict[tuple[int, ...], int] = {(): 0}
 _tuples: list[tuple[int, ...]] = [()]
@@ -158,15 +180,14 @@ def _kernel_trace(wid: int) -> dict[tuple[int, int], int]:
             if ascent:
                 _acc(new, vid, coeffs, 0)
             else:
-                _acc(new, uid, coeffs, 16)
+                _acc(new, uid, coeffs, 1)
                 _acc(new, uid, coeffs, 0, negate=True)
-                _acc(new, vid, coeffs, 16)
+                _acc(new, vid, coeffs, 1)
         state = _prune(new)
     out: dict[tuple[int, int], int] = {}
     for uid, coeffs in state.items():
         child = _kernel_trace(uid)
-        for key, c in coeffs.items():
-            qe = key // 16
+        for qe, c in coeffs.items():
             for (tq, tz), tc in child.items():
                 k2 = (qe + tq, tz + 1)
                 v = out.get(k2, 0) + c * tc
@@ -178,71 +199,75 @@ def _kernel_trace(wid: int) -> dict[tuple[int, int], int]:
     return out
 
 
-def _fold_word(letters: Iterable) -> dict[int, dict[int, int]]:
-    """Fold a singular word through the kernel.
-
-    State maps interned permutations to coefficient dicts keyed by
-    ``16 * q_exponent + resolution_count``.  A singular letter contributes
-    both its deletion (coefficient kept) and its resolution to a positive
-    crossing (resolution count bumped).
-    """
-    state: dict[int, dict[int, int]] = {0: {0: 1}}
-    for g in letters:
-        i = g.index
-        new: dict[int, dict[int, int]] = {}
-        if g.kind == SIGMA:
-            for wid, coeffs in state.items():
-                vid, ascent = _rmult(wid, i)
-                if ascent:
-                    _acc(new, vid, coeffs, 0)
-                else:
-                    _acc(new, wid, coeffs, 16)
-                    _acc(new, wid, coeffs, 0, negate=True)
-                    _acc(new, vid, coeffs, 16)
-        elif g.kind == SIGMA_INV:
-            for wid, coeffs in state.items():
-                vid, ascent = _rmult(wid, i)
-                if ascent:
-                    _acc(new, vid, coeffs, -16)
-                    _acc(new, wid, coeffs, -16)
-                    _acc(new, wid, coeffs, 0, negate=True)
-                else:
-                    _acc(new, vid, coeffs, 0)
-        else:  # TAU: delete + resolve
-            for wid, coeffs in state.items():
-                _acc(new, wid, coeffs, 0)
-                vid, ascent = _rmult(wid, i)
-                if ascent:
-                    _acc(new, vid, coeffs, 1)
-                else:
-                    _acc(new, wid, coeffs, 17)
-                    _acc(new, wid, coeffs, 1, negate=True)
-                    _acc(new, vid, coeffs, 17)
-        state = _prune(new)
-    return state
-
-
 def trace_components(word: SingularBraidWord) -> list[dict[tuple[int, int], int]]:
     """For each k in 0..degree, the sum over k-subsets S of the singular
     letters of ``tr`` of the word with S resolved and the rest deleted, as an
     integer Laurent dict over (q-exponent, z-exponent)."""
     d = word.degree
-    if d >= _RE_LIMIT:
-        raise ValueError(f"degree {d} exceeds the kernel's resolution window")
-    state = _fold_word(word.letters)
-    comps: list[dict[tuple[int, int], int]] = [{} for _ in range(d + 1)]
-    for wid, coeffs in state.items():
-        child = _kernel_trace(wid)
-        for key, c in coeffs.items():
-            qe, re = divmod(key, 16)
-            comp = comps[re]
-            for (tq, tz), tc in child.items():
-                k2 = (qe + tq, tz)
-                v = comp.get(k2, 0) + c * tc
-                if v:
-                    comp[k2] = v
+    n = word.strands
+    stride = d + 1  # slots per power of q: resolution counts 0..d
+    negatives = sum(1 for g in word.letters if g.kind == SIGMA_INV)
+    crossings = len(word.letters) - d
+    # Digit width from the two L1 bounds in the module docstring.
+    bound = 3**crossings * 4**d * 3 ** ((n - 1) * (n - 2) // 2)
+    bits = bound.bit_length() + 1
+    q_shift = stride * bits
+    state: dict[int, int] = {0: 1}
+    for g in word.letters:
+        i = g.index
+        new: dict[int, int] = {}
+        get = new.get
+        if g.kind == SIGMA:
+            for wid, p in state.items():
+                vid, ascent = _rmult(wid, i)
+                if ascent:
+                    new[vid] = get(vid, 0) + p
                 else:
-                    del comp[k2]
+                    pq = p << q_shift
+                    new[wid] = get(wid, 0) + pq - p
+                    new[vid] = get(vid, 0) + pq
+        elif g.kind == SIGMA_INV:  # times q: T_i + (1 - q)
+            for wid, p in state.items():
+                vid, ascent = _rmult(wid, i)
+                if ascent:
+                    new[vid] = get(vid, 0) + p
+                    new[wid] = get(wid, 0) + p - (p << q_shift)
+                else:
+                    new[vid] = get(vid, 0) + (p << q_shift)
+        else:  # TAU: delete + resolve
+            for wid, p in state.items():
+                new[wid] = get(wid, 0) + p
+                pr = p << bits
+                vid, ascent = _rmult(wid, i)
+                if ascent:
+                    new[vid] = get(vid, 0) + pr
+                else:
+                    pq = pr << q_shift
+                    new[wid] = get(wid, 0) + pq - pr
+                    new[vid] = get(vid, 0) + pq
+        state = {wid: p for wid, p in new.items() if p}
+    by_term: dict[tuple[int, int], int] = {}
+    get = by_term.get
+    for wid, p in state.items():
+        for key, tc in _kernel_trace(wid).items():
+            by_term[key] = get(key, 0) + tc * p
+    sums: dict[int, int] = {}
+    for (tq, tz), total in by_term.items():
+        sums[tz] = sums.get(tz, 0) + (total << tq * q_shift)
+    comps: list[dict[tuple[int, int], int]] = [{} for _ in range(stride)]
+    mask = (1 << bits) - 1
+    half = 1 << (bits - 1)
+    for tz, total in sums.items():
+        slot = 0
+        while total:
+            digit = total & mask
+            if digit >= half:
+                digit -= 1 << bits
+            if digit:
+                qe, re = divmod(slot, stride)
+                comps[re][(qe - negatives, tz)] = digit  # undo q^#S
+            total = (total - digit) >> bits
+            slot += 1
     return comps
 
 

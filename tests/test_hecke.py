@@ -1,14 +1,20 @@
 """Generator multiplication, word evaluation, and the Markov trace."""
 
 import random
+from itertools import permutations
+from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from singskein.braid import SIGMA, SIGMA_INV, Generator, SingularBraidWord, parse
+from singskein.braid import SIGMA, SIGMA_INV, TAU, Generator, SingularBraidWord, parse
 from singskein.coeff import QZ, RationalFunction
 from singskein.hecke import (
     HeckeElement,
     SingularLetterError,
+    _intern_list,
+    _kernel_trace,
     evaluate_word,
     mul_by_generator,
     multiply,
@@ -16,6 +22,7 @@ from singskein.hecke import (
     permutation_trace,
     trace_components,
 )
+from singskein.markov import trace_functional
 from singskein.permutations import Permutation
 
 ONE = RationalFunction.one(QZ)
@@ -238,3 +245,56 @@ def test_evaluate_word_agrees_with_kernel():
         comps = trace_components(w)
         assert len(comps) == 1
         assert RationalFunction.from_laurent_terms(QZ, comps[0]) == via_public
+
+
+# -- exactness of the packed fold ---------------------------------------------------
+
+
+@st.composite
+def singular_words(draw):
+    """2-5 strands, at most 10 letters, at most 3 double points, crossings
+    three-to-one negative."""
+    n = draw(st.integers(2, 5))
+    index = st.integers(1, n - 1)
+    kind = st.sampled_from((SIGMA_INV, SIGMA_INV, SIGMA_INV, SIGMA))
+    letters = draw(st.lists(st.builds(Generator, kind, index), max_size=7))
+    for _ in range(draw(st.integers(0, 3))):
+        letters.insert(draw(st.integers(0, len(letters))), Generator(TAU, draw(index)))
+    return SingularBraidWord(n, tuple(letters))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(singular_words())
+def test_packed_components_match_literal_expansion(w):
+    d = w.degree
+    comps = trace_components(w)
+    assert len(comps) == d + 1
+    for k, comp in enumerate(comps):
+        value = RationalFunction.from_laurent_terms(QZ, comp)
+        assert value.scaled(factorial(k) * factorial(d - k)) == trace_functional(w, k)
+
+
+def test_packed_components_on_long_generator_runs():
+    # Long runs of one block reach high q-powers, negative digits and, for
+    # S1 and S2, a large q^#S shift; the mixed-sign s1 S2 grows coefficients
+    # to about 2^52 at k = 40.
+    rng = random.Random(71)
+    for block, n in (("s1", 2), ("S1", 2), ("S1 S2", 3), ("s1 S2", 3)):
+        for k in sorted({1, 2, 40, *rng.sample(range(3, 40), 4)}):
+            w = parse(" ".join([block] * k), n)
+            comps = trace_components(w)
+            assert len(comps) == 1
+            value = RationalFunction.from_laurent_terms(QZ, comps[0])
+            assert value == ocneanu_trace(evaluate_word(w)), (block, k)
+
+
+def test_trace_l1_within_digit_bound():
+    # trace_components sizes its packed digits with L1(tr T_w) <=
+    # 3^((n-1)(n-2)/2) for w in S_n; the largest values for n = 2..6 are
+    # 1, 3, 9, 27, 81.
+    for n in range(1, 7):
+        worst = max(
+            sum(abs(c) for c in _kernel_trace(_intern_list(list(p))).values())
+            for p in permutations(range(1, n + 1))
+        )
+        assert worst <= 3 ** ((n - 1) * (n - 2) // 2)
