@@ -305,70 +305,29 @@ class RelationMove(MarkovMove):
             pair = (Generator(kind, self.index), Generator(-kind, self.index))
             return SingularBraidWord(word.strands, letters[:p] + pair + letters[p:])
 
-        if rule == R_CANCEL:
-            if p + 2 > len(letters):
-                raise InapplicableMoveError("cancel position out of range")
-            a, b = letters[p], letters[p + 1]
-            if a.kind == TAU or b.kind != -a.kind or b.index != a.index:
-                raise InapplicableMoveError("no inverse pair at position")
-            return SingularBraidWord(word.strands, letters[:p] + letters[p + 2 :])
-
-        if rule in (R_SIGMA_TAU_SAME, R_FAR_SIGMA_SIGMA, R_FAR_SIGMA_TAU, R_FAR_TAU_TAU):
-            if p + 2 > len(letters):
-                raise InapplicableMoveError("swap position out of range")
+        if rule in _PAIR_RULES:
+            if not 0 <= p <= len(letters) - 2:
+                raise InapplicableMoveError(f"{rule} position out of range")
             a, b = letters[p], letters[p + 1]
             if not _pair_matches(rule, a, b):
                 raise InapplicableMoveError(f"{rule} does not match at position {p}")
+            replaced = () if rule == R_CANCEL else (b, a)
             return SingularBraidWord(
-                word.strands, letters[:p] + (b, a) + letters[p + 2 :]
+                word.strands, letters[:p] + replaced + letters[p + 2 :]
             )
 
-        if rule == R_BRAID:
-            if p + 3 > len(letters):
-                raise InapplicableMoveError("braid position out of range")
+        if rule in _TRIPLE_RULES:
+            if not 0 <= p <= len(letters) - 3:
+                raise InapplicableMoveError(f"{rule} position out of range")
             a, b, c = letters[p], letters[p + 1], letters[p + 2]
-            if not (
-                a.kind == b.kind == c.kind == SIGMA
-                and a.index == c.index
-                and abs(a.index - b.index) == 1
-            ):
-                raise InapplicableMoveError("no braid-relation triple at position")
-            replaced = (b, a, b)
-            return SingularBraidWord(
-                word.strands, letters[:p] + replaced + letters[p + 3 :]
-            )
-
-        if rule == R_SIGMA_SIGMA_TAU:
-            if p + 3 > len(letters):
-                raise InapplicableMoveError("position out of range")
-            a, b, c = letters[p], letters[p + 1], letters[p + 2]
-            # sigma_k sigma_l tau_k  <->  tau_l sigma_k sigma_l, |k - l| = 1
-            if (
-                a.kind == SIGMA
-                and b.kind == SIGMA
-                and c.kind == TAU
-                and c.index == a.index
-                and abs(a.index - b.index) == 1
-            ):
-                replaced = (
-                    Generator(TAU, b.index),
-                    Generator(SIGMA, a.index),
-                    Generator(SIGMA, b.index),
-                )
-            elif (
-                a.kind == TAU
-                and b.kind == SIGMA
-                and c.kind == SIGMA
-                and abs(b.index - c.index) == 1
-                and a.index == c.index
-            ):
-                replaced = (
-                    Generator(SIGMA, b.index),
-                    Generator(SIGMA, c.index),
-                    Generator(TAU, b.index),
-                )
-            else:
-                raise InapplicableMoveError("no singular braid triple at position")
+            if not _triple_matches(rule, a, b, c):
+                raise InapplicableMoveError(f"{rule} does not match at position {p}")
+            if rule == R_BRAID:
+                replaced = (b, a, b)
+            elif a.kind == SIGMA:  # sigma_k sigma_l tau_k -> tau_l sigma_k sigma_l
+                replaced = (Generator(TAU, b.index), a, b)
+            else:  # tau_k sigma_l sigma_k -> sigma_l sigma_k tau_l
+                replaced = (b, c, Generator(TAU, b.index))
             return SingularBraidWord(
                 word.strands, letters[:p] + replaced + letters[p + 3 :]
             )
@@ -376,7 +335,14 @@ class RelationMove(MarkovMove):
         raise InapplicableMoveError(f"unknown relation rule {rule!r}")
 
 
+# Rules matched on two or three adjacent letters, in candidate order.
+_PAIR_RULES = (R_CANCEL, R_SIGMA_TAU_SAME, R_FAR_SIGMA_SIGMA, R_FAR_SIGMA_TAU, R_FAR_TAU_TAU)
+_TRIPLE_RULES = (R_BRAID, R_SIGMA_SIGMA_TAU)
+
+
 def _pair_matches(rule: str, a: Generator, b: Generator) -> bool:
+    if rule == R_CANCEL:
+        return a.kind != TAU and b.kind == -a.kind and b.index == a.index
     if rule == R_SIGMA_TAU_SAME:
         return a.index == b.index and {a.kind, b.kind} == {SIGMA, TAU}
     if abs(a.index - b.index) < 2:
@@ -391,6 +357,18 @@ def _pair_matches(rule: str, a: Generator, b: Generator) -> bool:
     return False
 
 
+def _triple_matches(rule: str, a: Generator, b: Generator, c: Generator) -> bool:
+    # every triple rule reads k l k with |k - l| = 1
+    if a.index != c.index or abs(a.index - b.index) != 1:
+        return False
+    kinds = (a.kind, b.kind, c.kind)
+    if rule == R_BRAID:
+        return kinds == (SIGMA, SIGMA, SIGMA)
+    if rule == R_SIGMA_SIGMA_TAU:
+        return kinds in ((SIGMA, SIGMA, TAU), (TAU, SIGMA, SIGMA))
+    return False
+
+
 def apply_move(word: SingularBraidWord, move: MarkovMove) -> SingularBraidWord:
     return move.apply(word)
 
@@ -401,33 +379,12 @@ def relation_move_candidates(word: SingularBraidWord) -> list[RelationMove]:
     out: list[RelationMove] = []
     for p in range(len(letters) - 1):
         a, b = letters[p], letters[p + 1]
-        if a.kind != TAU and b.kind == -a.kind and b.index == a.index:
-            out.append(RelationMove(R_CANCEL, p))
-        for rule in (R_SIGMA_TAU_SAME, R_FAR_SIGMA_SIGMA, R_FAR_SIGMA_TAU, R_FAR_TAU_TAU):
-            if _pair_matches(rule, a, b):
-                out.append(RelationMove(rule, p))
+        out.extend(RelationMove(rule, p) for rule in _PAIR_RULES if _pair_matches(rule, a, b))
     for p in range(len(letters) - 2):
         a, b, c = letters[p], letters[p + 1], letters[p + 2]
-        if (
-            a.kind == b.kind == c.kind == SIGMA
-            and a.index == c.index
-            and abs(a.index - b.index) == 1
-        ):
-            out.append(RelationMove(R_BRAID, p))
-        if (
-            a.kind == SIGMA
-            and b.kind == SIGMA
-            and c.kind == TAU
-            and c.index == a.index
-            and abs(a.index - b.index) == 1
-        ) or (
-            a.kind == TAU
-            and b.kind == SIGMA
-            and c.kind == SIGMA
-            and abs(b.index - c.index) == 1
-            and a.index == c.index
-        ):
-            out.append(RelationMove(R_SIGMA_SIGMA_TAU, p))
+        out.extend(
+            RelationMove(rule, p) for rule in _TRIPLE_RULES if _triple_matches(rule, a, b, c)
+        )
     return out
 
 

@@ -945,10 +945,13 @@ def embed_qz_to_su(a: RationalFunction) -> RationalFunction:
         b_pows.append(b_pows[-1] * _EMBED_B)
 
     def image(poly: MultivariatePolynomial) -> MultivariatePolynomial:
-        acc = MultivariatePolynomial.zero(SU)
+        # one product per power of z: the q-part of each z^ez is a polynomial in s
+        by_z: dict[int, dict[Monomial, object]] = {}
         for (eq, ez), coeff in poly.terms.items():
-            term = MultivariatePolynomial.monomial(SU, (2 * eq, 0), coeff)
-            acc = acc + term * a_pows[ez] * b_pows[level - ez]
+            by_z.setdefault(ez, {})[(2 * eq, 0)] = coeff
+        acc = MultivariatePolynomial.zero(SU)
+        for ez, terms in by_z.items():
+            acc = acc + MultivariatePolynomial(SU, terms) * a_pows[ez] * b_pows[level - ez]
         return acc
 
     num = image(a.numerator).terms

@@ -9,43 +9,39 @@ rule: ``T_w T_i = T_{w s_i}`` when the length goes up, and
 
 ``ocneanu_trace`` is the unique linear functional with ``tr(1) = 1``,
 ``tr(ab) = tr(ba)`` and ``tr(x T_{s_n} y) = z tr(x y)`` for x, y supported
-on the first n strands.  It is computed per basis element by coset peeling:
-for ``T_w`` with largest moved point m, write ``w = v s_{m-1} c`` where
-``v = s_j ... s_{m-2}`` (j = w(m)) and c fixes m, with lengths adding up;
-then ``tr(T_w) = z * tr(T_v T_c)`` and the recursion bottoms out at the
-identity.  The value of ``tr(T_w)`` does not depend on the ambient strand
-count, so traces are memoised on the permutation with trailing fixed
-points trimmed.
+on the first n strands.
 
-Internally a small kernel works with interned trimmed permutations and
-exact integer coefficients; the public operations wrap everything in
-``RationalFunction`` scalars.  ``trace_components`` folds a word once for
-all 2^d desingularisations: a singular letter branches into a "delete" and
-a "resolve to crossing" copy, and the copy's resolution count r rides in
-the coefficient.  Each permutation's coefficient, a polynomial in q and r,
-is one Python int P_w, its value at q = 2^(R*B) and r = 2^B with R = d + 1:
-the signed (balanced) B-bit digit in slot R*e + r is the coefficient of
-q^e with r resolutions.  The fold is scaled by q^#S, #S the number of
-negative crossings, so no exponent is negative: a negative crossing
-multiplies by ``q T_i^{-1} = T_i + (1 - q)`` and every rule is a shift and
-an add.  The trace combination sums ``c * P_w`` over the permutations w
-for each term ``c q^a z^b`` of ``tr(T_w)`` (a is never negative), shifts
-each sum by a powers of q and adds it into one int per z-exponent,
-decoded once; slots never collide because r < R.  Decoding is exact when
-every digit is below 2^(B-1) in absolute value, and B is set from two
-bounds on L1 norms (sums of absolute coefficients):
+Internally a small kernel works with interned trimmed permutations (trailing
+fixed points removed) and exact integer coefficients; the public operations
+wrap everything in ``RationalFunction`` scalars.  ``trace_components`` folds
+a word once for all 2^d desingularisations: a singular letter branches into
+a "delete" and a "resolve to crossing" copy, and the copy's resolution count
+r rides in the coefficient.  Each permutation's coefficient, a polynomial in
+q and r, is one Python int P_w, its value at q = 2^(R*B) and r = 2^B with
+R = d + 1: the signed (balanced) B-bit digit in slot R*e + r is the
+coefficient of q^e with r resolutions.  The fold is scaled by q^#S, #S the
+number of negative crossings, so no exponent is negative: a negative
+crossing multiplies by ``q T_i^{-1} = T_i + (1 - q)`` and every rule is a
+shift and an add.
 
-- the fold of a word with c crossings and d double points has L1 at most
-  3^c 4^d: a crossing step at most triples it (``(q-1) T_w + q T_ws`` or
-  ``T_ws + (1-q) T_w``), and a double point at most quadruples it (the
-  deleted copy plus the resolved crossing);
-- ``tr(T_w)`` has L1 at most 3^((m-1)(m-2)/2) for largest moved point m:
-  coset peeling makes at most m - 2 left multiplications, each at most
-  tripling L1, then recurses into S_(m-1).
-
-A digit of a z-sum is a sum of fold coefficients times trace coefficients,
-so it is at most the product of the two bounds with m = n, the strand
-count; B is that product's bit length plus one.
+The trace then acts on the whole folded element, one strand at a time, by
+peeling: for m from the strand count down to 2, each term P_w T_w whose
+largest moved point is m is written ``T_w = T_v T_{m-1} T_c`` with
+j = w(m), ``v = s_j ... s_{m-2}`` and c fixing m, lengths adding up, and is
+replaced by ``z P_w T_c T_j ... T_{m-2}``.  That has the same trace: the
+Markov property takes out ``T_{m-1}`` as a factor z, and cyclicity moves
+``T_v`` to the right.  At one level and one power of z, all the c are
+folded together in one positive fold, each joining just before the step
+s_j.  What is left on the identity is one int per power of z, decoded once;
+slots never collide because r < R.  Decoding is exact when every digit is
+below 2^(B-1) in absolute value, and B is set from one bound on L1 norms
+(sums of absolute coefficients): every fold or peel step at most triples
+L1 (``(q-1) T_w + q T_ws`` or ``T_ws + (1-q) T_w``) and a double point at
+most quadruples it (the deleted copy plus the resolved crossing).  A word
+with c crossings and d double points folds to L1 at most 3^c 4^d, and a
+coefficient passes through at most sum_{m=2..n} (m - 2) = (n-1)(n-2)/2
+peel steps on n strands, so every digit is at most
+3^(c + (n-1)(n-2)/2) 4^d; B is that bound's bit length plus one.
 """
 
 from __future__ import annotations
@@ -74,25 +70,17 @@ class SingularLetterError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Kernel: interned permutations, integer coefficients.
-#
-# Permutations are trimmed tuples (trailing fixed points removed) interned
-# to small ints.  Trace values are dicts keyed by (q-exponent, z-exponent)
-# pairs with integer values.  ``_kernel_trace`` folds with dict
-# coefficients keyed by q-exponent and is not packed: its folds are short
-# and sparse, so decoding would dominate (a packed version measured about
-# 30% slower on cold fills).
+# Kernel: interned permutations, packed integer coefficients.
 # ---------------------------------------------------------------------------
 
 _intern: dict[tuple[int, ...], int] = {(): 0}
 _tuples: list[tuple[int, ...]] = [()]
 _intern_lock = threading.Lock()
-# The mult/trace caches need no lock: their fills are pure and idempotent,
+# The mult/coset caches need no lock: their fills are pure and idempotent,
 # so a race only duplicates work.  Interning assigns fresh ids, which is
 # not idempotent, hence the lock on the miss path.
 _rmult_cache: dict[tuple[int, int], tuple[int, bool]] = {}
-_lmult_cache: dict[tuple[int, int], tuple[int, bool]] = {}
-_trace_cache: dict[int, dict[tuple[int, int], int]] = {0: {(0, 0): 1}}
+_coset_cache: dict[int, tuple[int, int]] = {}
 
 
 def _intern_list(values: list[int]) -> int:
@@ -125,139 +113,112 @@ def _rmult(wid: int, i: int) -> tuple[int, bool]:
     return result
 
 
-def _lmult(i: int, wid: int) -> tuple[int, bool]:
-    """(id of s_i*w, whether the length went up)."""
-    key = (i, wid)
-    hit = _lmult_cache.get(key)
+def _coset(wid: int) -> tuple[int, int]:
+    """(j, id of c) with w = s_j ... s_{m-1} c, lengths adding up, where m
+    is w's largest moved point, j = w(m) and c fixes m."""
+    hit = _coset_cache.get(wid)
     if hit is not None:
         return hit
-    t = _tuples[wid]
-    values = list(t) + list(range(len(t) + 1, i + 2))
-    pa, pb = values.index(i), values.index(i + 1)
-    values[pa], values[pb] = i + 1, i
-    result = (_intern_list(values), pa < pb)
-    _lmult_cache[key] = result
-    return result
-
-
-def _acc(new: dict, wid: int, coeffs: dict, delta: int, negate: bool = False) -> None:
-    dst = new.get(wid)
-    if dst is None:
-        dst = new[wid] = {}
-    if negate:
-        for key, c in coeffs.items():
-            dst[key + delta] = dst.get(key + delta, 0) - c
-    else:
-        for key, c in coeffs.items():
-            dst[key + delta] = dst.get(key + delta, 0) + c
-
-
-def _prune(state: dict) -> dict:
-    out = {}
-    for wid, coeffs in state.items():
-        clean = {k: v for k, v in coeffs.items() if v}
-        if clean:
-            out[wid] = clean
-    return out
-
-
-def _kernel_trace(wid: int) -> dict[tuple[int, int], int]:
-    cached = _trace_cache.get(wid)
-    if cached is not None:
-        return cached
     t = _tuples[wid]
     m = len(t)
     j = t[m - 1]  # w(m) < m since the tuple is trimmed
     # c = L_j^{-1} w where L_j = s_j ... s_{m-1}; relabel values accordingly
     c_vals = [m if v == j else (v - 1 if v > j else v) for v in t]
-    cid = _intern_list(c_vals)
-    # element = T_v T_c with v = s_j ... s_{m-2}, folded by left multiplication
-    state: dict[int, dict[int, int]] = {cid: {0: 1}}
-    for i in range(m - 2, j - 1, -1):
-        new: dict[int, dict[int, int]] = {}
-        for uid, coeffs in state.items():
-            vid, ascent = _lmult(i, uid)
+    result = (j, _intern_list(c_vals))
+    _coset_cache[wid] = result
+    return result
+
+
+def _step(state: dict[int, int], i: int, kind: int, q_shift: int, bits: int) -> dict[int, int]:
+    """Right-multiply a packed state by ``T_i`` (SIGMA), ``q T_i^{-1}``
+    (SIGMA_INV) or a double point's delete-plus-resolve (TAU)."""
+    new: dict[int, int] = {}
+    get = new.get
+    if kind == SIGMA:
+        for wid, p in state.items():
+            vid, ascent = _rmult(wid, i)
             if ascent:
-                _acc(new, vid, coeffs, 0)
+                new[vid] = get(vid, 0) + p
             else:
-                _acc(new, uid, coeffs, 1)
-                _acc(new, uid, coeffs, 0, negate=True)
-                _acc(new, vid, coeffs, 1)
-        state = _prune(new)
-    out: dict[tuple[int, int], int] = {}
-    for uid, coeffs in state.items():
-        child = _kernel_trace(uid)
-        for qe, c in coeffs.items():
-            for (tq, tz), tc in child.items():
-                k2 = (qe + tq, tz + 1)
-                v = out.get(k2, 0) + c * tc
-                if v:
-                    out[k2] = v
-                else:
-                    del out[k2]
-    _trace_cache[wid] = out
-    return out
+                pq = p << q_shift
+                new[wid] = get(wid, 0) + pq - p
+                new[vid] = get(vid, 0) + pq
+    elif kind == SIGMA_INV:  # times q: T_i + (1 - q)
+        for wid, p in state.items():
+            vid, ascent = _rmult(wid, i)
+            if ascent:
+                new[vid] = get(vid, 0) + p
+                new[wid] = get(wid, 0) + p - (p << q_shift)
+            else:
+                new[vid] = get(vid, 0) + (p << q_shift)
+    else:  # TAU: delete + resolve
+        for wid, p in state.items():
+            new[wid] = get(wid, 0) + p
+            pr = p << bits
+            vid, ascent = _rmult(wid, i)
+            if ascent:
+                new[vid] = get(vid, 0) + pr
+            else:
+                pq = pr << q_shift
+                new[wid] = get(wid, 0) + pq - pr
+                new[vid] = get(vid, 0) + pq
+    return {wid: p for wid, p in new.items() if p}
 
 
-def trace_components(word: SingularBraidWord) -> list[dict[tuple[int, int], int]]:
-    """For each k in 0..degree, the sum over k-subsets S of the singular
-    letters of ``tr`` of the word with S resolved and the rest deleted, as an
-    integer Laurent dict over (q-exponent, z-exponent)."""
-    d = word.degree
-    n = word.strands
-    stride = d + 1  # slots per power of q: resolution counts 0..d
-    negatives = sum(1 for g in word.letters if g.kind == SIGMA_INV)
-    crossings = len(word.letters) - d
-    # Digit width from the two L1 bounds in the module docstring.
-    bound = 3**crossings * 4**d * 3 ** ((n - 1) * (n - 2) // 2)
+def _trace(
+    state: dict[int, int], letters: tuple, strands: int, degree: int
+) -> list[dict[tuple[int, int], int]]:
+    """Fold ``letters`` into ``state`` (permutation ids to packed ints), peel
+    the result down to the identity and decode it: for each resolution count
+    0..degree, an integer Laurent dict over (q-exponent, z-exponent).
+
+    ``state`` is consumed: each z-slice is dropped once it is partitioned, so
+    the caller must keep no reference to it.
+    """
+    stride = degree + 1  # slots per power of q: resolution counts 0..degree
+    negatives = sum(1 for g in letters if g.kind == SIGMA_INV)
+    crossings = len(letters) - degree
+    # Digit width from the L1 bound in the module docstring.
+    bound = 3 ** (crossings + (strands - 1) * (strands - 2) // 2) * 4**degree
     bits = bound.bit_length() + 1
     q_shift = stride * bits
-    state: dict[int, int] = {0: 1}
-    for g in word.letters:
-        i = g.index
-        new: dict[int, int] = {}
-        get = new.get
-        if g.kind == SIGMA:
-            for wid, p in state.items():
-                vid, ascent = _rmult(wid, i)
-                if ascent:
-                    new[vid] = get(vid, 0) + p
+    for g in letters:
+        state = _step(state, g.index, g.kind, q_shift, bits)
+    slices = [state]  # slices[k]: the terms carrying z^k
+    del state
+    for m in range(strands, 1, -1):
+        out: list[dict[int, int]] = [{}]
+        for k in range(len(slices)):
+            part, slices[k] = slices[k], None
+            rest = out[k]
+            groups: dict[int, dict[int, int]] = {}  # j -> {id of c: P_w}
+            # a first entry keeps p itself: ``0 + p`` would copy a big int
+            for wid, p in part.items():
+                if len(_tuples[wid]) < m:
+                    dst, key = rest, wid
                 else:
-                    pq = p << q_shift
-                    new[wid] = get(wid, 0) + pq - p
-                    new[vid] = get(vid, 0) + pq
-        elif g.kind == SIGMA_INV:  # times q: T_i + (1 - q)
-            for wid, p in state.items():
-                vid, ascent = _rmult(wid, i)
-                if ascent:
-                    new[vid] = get(vid, 0) + p
-                    new[wid] = get(wid, 0) + p - (p << q_shift)
-                else:
-                    new[vid] = get(vid, 0) + (p << q_shift)
-        else:  # TAU: delete + resolve
-            for wid, p in state.items():
-                new[wid] = get(wid, 0) + p
-                pr = p << bits
-                vid, ascent = _rmult(wid, i)
-                if ascent:
-                    new[vid] = get(vid, 0) + pr
-                else:
-                    pq = pr << q_shift
-                    new[wid] = get(wid, 0) + pq - pr
-                    new[vid] = get(vid, 0) + pq
-        state = {wid: p for wid, p in new.items() if p}
-    by_term: dict[tuple[int, int], int] = {}
-    get = by_term.get
-    for wid, p in state.items():
-        for key, tc in _kernel_trace(wid).items():
-            by_term[key] = get(key, 0) + tc * p
-    sums: dict[int, int] = {}
-    for (tq, tz), total in by_term.items():
-        sums[tz] = sums.get(tz, 0) + (total << tq * q_shift)
+                    j, key = _coset(wid)
+                    dst = groups.get(j)
+                    if dst is None:
+                        dst = groups[j] = {}
+                old = dst.get(key)
+                dst[key] = p if old is None else old + p
+            del part
+            # z * P_w * T_c T_j ... T_{m-2}: each c joins just before step s_j
+            acc: dict[int, int] = {}
+            for i in range(min(groups, default=m), m):
+                for cid, p in groups.pop(i, {}).items():
+                    old = acc.get(cid)
+                    acc[cid] = p if old is None else old + p
+                if i < m - 1:
+                    acc = _step(acc, i, SIGMA, q_shift, bits)
+            out.append(acc)  # the terms carrying z^(k+1)
+        slices = out
     comps: list[dict[tuple[int, int], int]] = [{} for _ in range(stride)]
     mask = (1 << bits) - 1
     half = 1 << (bits - 1)
-    for tz, total in sums.items():
+    for tz, part in enumerate(slices):
+        total = part.get(0, 0)  # only the identity is left
         slot = 0
         while total:
             digit = total & mask
@@ -271,11 +232,18 @@ def trace_components(word: SingularBraidWord) -> list[dict[tuple[int, int], int]
     return comps
 
 
+def trace_components(word: SingularBraidWord) -> list[dict[tuple[int, int], int]]:
+    """For each k in 0..degree, the sum over k-subsets S of the singular
+    letters of ``tr`` of the word with S resolved and the rest deleted, as an
+    integer Laurent dict over (q-exponent, z-exponent)."""
+    return _trace({0: 1}, word.letters, word.strands, word.degree)
+
+
 def permutation_trace(perm: Permutation) -> RationalFunction:
     """Markov trace of the basis element indexed by ``perm`` (any strand count)."""
     m = perm.largest_moved_point()
-    wid = _intern_list(list(perm.image[:m]))
-    return RationalFunction.from_laurent_terms(QZ, _kernel_trace(wid))
+    comps = _trace({_intern_list(list(perm.image[:m])): 1}, (), m, 0)
+    return RationalFunction.from_laurent_terms(QZ, comps[0])
 
 
 # ---------------------------------------------------------------------------

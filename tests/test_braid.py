@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from singskein.braid import (
     Conjugate,
@@ -11,6 +13,9 @@ from singskein.braid import (
     InapplicableMoveError,
     R_BRAID,
     R_CANCEL,
+    R_FAR_SIGMA_SIGMA,
+    R_FAR_SIGMA_TAU,
+    R_FAR_TAU_TAU,
     R_INSERT,
     R_SIGMA_SIGMA_TAU,
     R_SIGMA_TAU_SAME,
@@ -223,6 +228,45 @@ def test_relation_moves_preserve_counted_invariants():
             assert exponent_sum(out) == exponent_sum(w)
             assert out.degree == w.degree
             assert underlying_permutation(out) == underlying_permutation(w)
+
+
+@st.composite
+def _words(draw):
+    """2-6 strands, at most 12 letters of every kind."""
+    n = draw(st.integers(2, 6))
+    letter = st.builds(Generator, st.sampled_from((SIGMA, SIGMA_INV, TAU)), st.integers(1, n - 1))
+    return SingularBraidWord(n, tuple(draw(st.lists(letter, max_size=12))))
+
+
+def _applies(w, move):
+    try:
+        apply_move(w, move)
+    except InapplicableMoveError:
+        return False
+    return True
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_words())
+def test_relation_move_candidates_are_exactly_the_applicable_moves(w):
+    # pair rules position by position in rule order, then the triple rules
+    pair_rules = (R_CANCEL, R_SIGMA_TAU_SAME, R_FAR_SIGMA_SIGMA, R_FAR_SIGMA_TAU, R_FAR_TAU_TAU)
+    expected = []
+    for rules in (pair_rules, (R_BRAID, R_SIGMA_SIGMA_TAU)):
+        for p in range(len(w.letters)):
+            expected.extend(
+                (rule, p) for rule in rules if _applies(w, RelationMove(rule, p))
+            )
+    assert [(m.rule, m.position) for m in relation_move_candidates(w)] == expected
+
+
+def test_relation_move_rejects_negative_position():
+    # a negative position must not wrap around to the end of the word
+    w = word("S2 s1 s2 s3 s1 s3", 4)
+    for rule in (R_CANCEL, R_FAR_SIGMA_SIGMA, R_BRAID, R_SIGMA_SIGMA_TAU):
+        for p in (-1, -2, -3):
+            with pytest.raises(InapplicableMoveError):
+                RelationMove(rule, p).apply(w)
 
 
 def test_random_move_sequence_deterministic():

@@ -13,8 +13,6 @@ from singskein.coeff import QZ, RationalFunction
 from singskein.hecke import (
     HeckeElement,
     SingularLetterError,
-    _intern_list,
-    _kernel_trace,
     evaluate_word,
     mul_by_generator,
     multiply,
@@ -289,12 +287,56 @@ def test_packed_components_on_long_generator_runs():
 
 
 def test_trace_l1_within_digit_bound():
-    # trace_components sizes its packed digits with L1(tr T_w) <=
-    # 3^((n-1)(n-2)/2) for w in S_n; the largest values for n = 2..6 are
-    # 1, 3, 9, 27, 81.
+    # The digit-width lemma with no letters: the peel of T_w, w in S_n,
+    # takes at most (n-1)(n-2)/2 steps, so L1(tr T_w) <= 3^((n-1)(n-2)/2);
+    # the largest values for n = 2..6 are 1, 3, 9, 27, 81.
     for n in range(1, 7):
         worst = max(
-            sum(abs(c) for c in _kernel_trace(_intern_list(list(p))).values())
+            sum(abs(c) for c in permutation_trace(Permutation(p)).numerator.terms.values())
             for p in permutations(range(1, n + 1))
         )
         assert worst <= 3 ** ((n - 1) * (n - 2) // 2)
+
+
+# -- the peel against an independent coset recursion ---------------------------------
+
+
+def _reference_trace(w, memo):
+    """tr(T_w) from public operations only: with m the largest moved point and
+    j = w(m), T_w = T_{s_j ... s_{m-1}} T_c for c fixing m, and
+    tr(T_w) = z * tr(T_{s_j ... s_{m-2}} T_c) by the Markov property."""
+    hit = memo.get(w)
+    if hit is not None:
+        return hit
+    n, m = w.size, w.largest_moved_point()
+    if m == 0:
+        return ONE
+    j = w(m)
+    left = Permutation.identity(n)
+    for i in range(j, m):
+        left = left.right_multiplied(i)
+    c = left.inverse().compose(w)
+    assert c(m) == m
+    t_c = HeckeElement(n, {c: ONE})
+    full = SingularBraidWord(n, tuple(Generator(SIGMA, i) for i in range(j, m)))
+    assert multiply(evaluate_word(full), t_c) == HeckeElement(n, {w: ONE})
+    v = SingularBraidWord(n, full.letters[:-1])
+    total = RationalFunction.zero(QZ)
+    for u, coeff in multiply(evaluate_word(v), t_c).terms.items():
+        total = total + coeff * _reference_trace(u, memo)
+    memo[w] = value = Z * total
+    return value
+
+
+def test_permutation_trace_matches_coset_recursion():
+    memo = {}
+    for n in range(1, 6):
+        for p in permutations(range(1, n + 1)):
+            w = Permutation(p)
+            assert permutation_trace(w) == _reference_trace(w, memo), p
+    rng = random.Random(83)
+    for _ in range(40):
+        image = list(range(1, 8))
+        rng.shuffle(image)
+        w = Permutation(image)
+        assert permutation_trace(w) == _reference_trace(w, memo), image
