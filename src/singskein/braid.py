@@ -301,6 +301,8 @@ class RelationMove(MarkovMove):
                 raise InapplicableMoveError("insert position out of range")
             if not 1 <= self.index <= word.strands - 1:
                 raise InapplicableMoveError("insert index out of range")
+            if self.sign not in (1, -1):
+                raise InapplicableMoveError("insert sign must be +1 or -1")
             kind = SIGMA if self.sign > 0 else SIGMA_INV
             pair = (Generator(kind, self.index), Generator(-kind, self.index))
             return SingularBraidWord(word.strands, letters[:p] + pair + letters[p:])

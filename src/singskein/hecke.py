@@ -11,18 +11,26 @@ rule: ``T_w T_i = T_{w s_i}`` when the length goes up, and
 ``tr(ab) = tr(ba)`` and ``tr(x T_{s_n} y) = z tr(x y)`` for x, y supported
 on the first n strands.
 
-Internally a small kernel works with interned trimmed permutations (trailing
-fixed points removed) and exact integer coefficients; the public operations
-wrap everything in ``RationalFunction`` scalars.  ``trace_components`` folds
-a word once for all 2^d desingularisations: a singular letter branches into
-a "delete" and a "resolve to crossing" copy, and the copy's resolution count
-r rides in the coefficient.  Each permutation's coefficient, a polynomial in
-q and r, is one Python int P_w, its value at q = 2^(R*B) and r = 2^B with
-R = d + 1: the signed (balanced) B-bit digit in slot R*e + r is the
-coefficient of q^e with r resolutions.  The fold is scaled by q^#S, #S the
-number of negative crossings, so no exponent is negative: a negative
-crossing multiplies by ``q T_i^{-1} = T_i + (1 - q)`` and every rule is a
-shift and an add.
+Internally a small kernel works with packed permutations and exact integer
+coefficients; the public operations wrap everything in ``RationalFunction``
+scalars.  A permutation w is one int whose field k - 1, 5 bits wide, holds
+w(k) XOR k: a fixed point is a zero field, so trailing fixed points vanish,
+the identity is 0 and w's largest moved point is its bit length over 5,
+rounded up.  Right multiplication by s_i swaps two fields in closed form.
+Points up to 31 XOR into 5 bits and 32 does not, so the kernel takes at most
+31 strands.  Its one memo, the coset split of a permutation, is keyed by the
+packed value; its fills are pure and idempotent, so a race between threads
+only duplicates work and it needs no lock.
+
+``trace_components`` folds a word once for all 2^d desingularisations: a
+singular letter branches into a "delete" and a "resolve to crossing" copy,
+and the copy's resolution count r rides in the coefficient.  Each
+permutation's coefficient, a polynomial in q and r, is one Python int P_w,
+its value at q = 2^(R*B) and r = 2^B with R = d + 1: the signed (balanced)
+B-bit digit in slot R*e + r is the coefficient of q^e with r resolutions.
+The fold is scaled by q^#S, #S the number of negative crossings, so no
+exponent is negative: a negative crossing multiplies by
+``q T_i^{-1} = T_i + (1 - q)`` and every rule is a shift and an add.
 
 The trace then acts on the whole folded element, one strand at a time, by
 peeling: for m from the strand count down to 2, each term P_w T_w whose
@@ -46,8 +54,7 @@ peel steps on n strands, so every digit is at most
 
 from __future__ import annotations
 
-import threading
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .braid import SIGMA, SIGMA_INV, TAU, SingularBraidWord, StrandIndexError
 from .coeff import QZ, RationalFunction
@@ -70,111 +77,98 @@ class SingularLetterError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Kernel: interned permutations, packed integer coefficients.
+# Kernel: packed permutations, packed integer coefficients.
 # ---------------------------------------------------------------------------
 
-_intern: dict[tuple[int, ...], int] = {(): 0}
-_tuples: list[tuple[int, ...]] = [()]
-_intern_lock = threading.Lock()
-# The mult/coset caches need no lock: their fills are pure and idempotent,
-# so a race only duplicates work.  Interning assigns fresh ids, which is
-# not idempotent, hence the lock on the miss path.
-_rmult_cache: dict[tuple[int, int], tuple[int, bool]] = {}
+_FIELD = 5  # bits per point of a packed permutation
+_MASK = (1 << _FIELD) - 1  # also the largest strand count a field can hold
+
 _coset_cache: dict[int, tuple[int, int]] = {}
 
 
-def _intern_list(values: list[int]) -> int:
-    while values and values[-1] == len(values):
-        values.pop()
-    key = tuple(values)
-    wid = _intern.get(key)
-    if wid is None:
-        with _intern_lock:
-            wid = _intern.get(key)
-            if wid is None:
-                wid = len(_tuples)
-                _intern[key] = wid
-                _tuples.append(key)
-    return wid
+def _pack(values: Iterable[int]) -> int:
+    """The permutation with images ``values`` (of 1, 2, ...) as one int."""
+    w = 0
+    for k, v in enumerate(values):
+        w |= (v ^ (k + 1)) << (_FIELD * k)
+    return w
 
 
-def _rmult(wid: int, i: int) -> tuple[int, bool]:
-    """(id of w*s_i, whether the length went up)."""
-    key = (wid, i)
-    hit = _rmult_cache.get(key)
+def _coset(w: int) -> tuple[int, int]:
+    """(j, c) with w = s_j ... s_{m-1} c, lengths adding up, where m is w's
+    largest moved point, j = w(m) and c fixes m."""
+    hit = _coset_cache.get(w)
     if hit is not None:
         return hit
-    t = _tuples[wid]
-    values = list(t) + list(range(len(t) + 1, i + 2))
-    a, b = values[i - 1], values[i]
-    values[i - 1], values[i] = b, a
-    result = (_intern_list(values), a < b)
-    _rmult_cache[key] = result
-    return result
-
-
-def _coset(wid: int) -> tuple[int, int]:
-    """(j, id of c) with w = s_j ... s_{m-1} c, lengths adding up, where m
-    is w's largest moved point, j = w(m) and c fixes m."""
-    hit = _coset_cache.get(wid)
-    if hit is not None:
-        return hit
-    t = _tuples[wid]
-    m = len(t)
-    j = t[m - 1]  # w(m) < m since the tuple is trimmed
+    m = (w.bit_length() + _FIELD - 1) // _FIELD
+    values = [((w >> (_FIELD * k)) & _MASK) ^ (k + 1) for k in range(m)]
+    j = values[-1]
     # c = L_j^{-1} w where L_j = s_j ... s_{m-1}; relabel values accordingly
-    c_vals = [m if v == j else (v - 1 if v > j else v) for v in t]
-    result = (j, _intern_list(c_vals))
-    _coset_cache[wid] = result
+    result = (j, _pack([m if v == j else (v - 1 if v > j else v) for v in values]))
+    _coset_cache[w] = result
     return result
 
 
 def _step(state: dict[int, int], i: int, kind: int, q_shift: int, bits: int) -> dict[int, int]:
     """Right-multiply a packed state by ``T_i`` (SIGMA), ``q T_i^{-1}``
-    (SIGMA_INV) or a double point's delete-plus-resolve (TAU)."""
+    (SIGMA_INV) or a double point's delete-plus-resolve (TAU).
+
+    With a = w(i) and b = w(i+1), w s_i swaps the two fields, that is XORs
+    a ^ b into both, and the length goes up iff a < b."""
+    lo = _FIELD * (i - 1)
+    hi = lo + _FIELD
+    both = (1 << lo) | (1 << hi)
     new: dict[int, int] = {}
     get = new.get
     if kind == SIGMA:
-        for wid, p in state.items():
-            vid, ascent = _rmult(wid, i)
-            if ascent:
-                new[vid] = get(vid, 0) + p
+        for w, p in state.items():
+            a = ((w >> lo) & _MASK) ^ i
+            b = ((w >> hi) & _MASK) ^ (i + 1)
+            v = w ^ ((a ^ b) * both)
+            if a < b:
+                new[v] = get(v, 0) + p
             else:
                 pq = p << q_shift
-                new[wid] = get(wid, 0) + pq - p
-                new[vid] = get(vid, 0) + pq
+                new[w] = get(w, 0) + pq - p
+                new[v] = get(v, 0) + pq
     elif kind == SIGMA_INV:  # times q: T_i + (1 - q)
-        for wid, p in state.items():
-            vid, ascent = _rmult(wid, i)
-            if ascent:
-                new[vid] = get(vid, 0) + p
-                new[wid] = get(wid, 0) + p - (p << q_shift)
+        for w, p in state.items():
+            a = ((w >> lo) & _MASK) ^ i
+            b = ((w >> hi) & _MASK) ^ (i + 1)
+            v = w ^ ((a ^ b) * both)
+            if a < b:
+                new[v] = get(v, 0) + p
+                new[w] = get(w, 0) + p - (p << q_shift)
             else:
-                new[vid] = get(vid, 0) + (p << q_shift)
+                new[v] = get(v, 0) + (p << q_shift)
     else:  # TAU: delete + resolve
-        for wid, p in state.items():
-            new[wid] = get(wid, 0) + p
+        for w, p in state.items():
+            new[w] = get(w, 0) + p
             pr = p << bits
-            vid, ascent = _rmult(wid, i)
-            if ascent:
-                new[vid] = get(vid, 0) + pr
+            a = ((w >> lo) & _MASK) ^ i
+            b = ((w >> hi) & _MASK) ^ (i + 1)
+            v = w ^ ((a ^ b) * both)
+            if a < b:
+                new[v] = get(v, 0) + pr
             else:
                 pq = pr << q_shift
-                new[wid] = get(wid, 0) + pq - pr
-                new[vid] = get(vid, 0) + pq
-    return {wid: p for wid, p in new.items() if p}
+                new[w] = get(w, 0) + pq - pr
+                new[v] = get(v, 0) + pq
+    return {w: p for w, p in new.items() if p}
 
 
 def _trace(
     state: dict[int, int], letters: tuple, strands: int, degree: int
 ) -> list[dict[tuple[int, int], int]]:
-    """Fold ``letters`` into ``state`` (permutation ids to packed ints), peel
-    the result down to the identity and decode it: for each resolution count
-    0..degree, an integer Laurent dict over (q-exponent, z-exponent).
+    """Fold ``letters`` into ``state`` (packed permutations to packed ints),
+    peel the result down to the identity and decode it: for each resolution
+    count 0..degree, an integer Laurent dict over (q-exponent, z-exponent).
 
     ``state`` is consumed: each z-slice is dropped once it is partitioned, so
     the caller must keep no reference to it.
     """
+    if strands > _MASK:
+        raise ValueError(f"{strands} strands do not fit a {_FIELD}-bit field (at most {_MASK})")
     stride = degree + 1  # slots per power of q: resolution counts 0..degree
     negatives = sum(1 for g in letters if g.kind == SIGMA_INV)
     crossings = len(letters) - degree
@@ -187,17 +181,18 @@ def _trace(
     slices = [state]  # slices[k]: the terms carrying z^k
     del state
     for m in range(strands, 1, -1):
+        below = 1 << (_FIELD * (m - 1))  # w < below: largest moved point below m
         out: list[dict[int, int]] = [{}]
         for k in range(len(slices)):
             part, slices[k] = slices[k], None
             rest = out[k]
-            groups: dict[int, dict[int, int]] = {}  # j -> {id of c: P_w}
+            groups: dict[int, dict[int, int]] = {}  # j -> {c: P_w}
             # a first entry keeps p itself: ``0 + p`` would copy a big int
-            for wid, p in part.items():
-                if len(_tuples[wid]) < m:
-                    dst, key = rest, wid
+            for w, p in part.items():
+                if w < below:
+                    dst, key = rest, w
                 else:
-                    j, key = _coset(wid)
+                    j, key = _coset(w)
                     dst = groups.get(j)
                     if dst is None:
                         dst = groups[j] = {}
@@ -207,9 +202,9 @@ def _trace(
             # z * P_w * T_c T_j ... T_{m-2}: each c joins just before step s_j
             acc: dict[int, int] = {}
             for i in range(min(groups, default=m), m):
-                for cid, p in groups.pop(i, {}).items():
-                    old = acc.get(cid)
-                    acc[cid] = p if old is None else old + p
+                for c, p in groups.pop(i, {}).items():
+                    old = acc.get(c)
+                    acc[c] = p if old is None else old + p
                 if i < m - 1:
                     acc = _step(acc, i, SIGMA, q_shift, bits)
             out.append(acc)  # the terms carrying z^(k+1)
@@ -240,9 +235,9 @@ def trace_components(word: SingularBraidWord) -> list[dict[tuple[int, int], int]
 
 
 def permutation_trace(perm: Permutation) -> RationalFunction:
-    """Markov trace of the basis element indexed by ``perm`` (any strand count)."""
-    m = perm.largest_moved_point()
-    comps = _trace({_intern_list(list(perm.image[:m])): 1}, (), m, 0)
+    """Markov trace of the basis element indexed by ``perm`` (any strand count;
+    ``ValueError`` if it moves a point above 31)."""
+    comps = _trace({_pack(perm.image): 1}, (), perm.largest_moved_point(), 0)
     return RationalFunction.from_laurent_terms(QZ, comps[0])
 
 

@@ -165,6 +165,9 @@ def test_insert_move():
     w = word("t1", 2)
     inserted = apply_move(w, RelationMove(R_INSERT, 1, index=1, sign=-1))
     assert inserted.display() == "t1 S1 s1"
+    for sign in (0, 5):
+        with pytest.raises(InapplicableMoveError):
+            apply_move(w, RelationMove(R_INSERT, 1, index=1, sign=sign))
 
 
 def test_sigma_tau_commute_move():

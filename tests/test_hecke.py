@@ -232,17 +232,42 @@ def test_evaluate_word_respects_relation_moves():
 
 def test_evaluate_word_agrees_with_kernel():
     rng = random.Random(59)
+    words = []
     for _ in range(30):
         n = rng.randint(2, 5)
         letters = tuple(
             Generator(rng.choice((SIGMA, SIGMA_INV)), rng.randrange(1, n))
             for _ in range(rng.randint(0, 10))
         )
-        w = SingularBraidWord(n, letters)
+        words.append(SingularBraidWord(n, letters))
+    # 12-31 strands on the top indices n-3..n-1: the kernel's packed
+    # permutations then use their highest fields, up to the 31-strand limit.
+    # The trace is invariant under shifting every index, so the same word on
+    # strands 1..4 gives a value that uses only the lowest fields.
+    for n in (12, 16, 31, *rng.sample(range(13, 31), 5)):
+        indices = [n - 3, n - 2, n - 1] + [rng.randrange(n - 3, n) for _ in range(rng.randint(0, 5))]
+        rng.shuffle(indices)
+        letters = tuple(Generator(rng.choice((SIGMA, SIGMA_INV)), i) for i in indices)
+        words.append(SingularBraidWord(n, letters))
+    for w in words:
         via_public = ocneanu_trace(evaluate_word(w))
         comps = trace_components(w)
         assert len(comps) == 1
         assert RationalFunction.from_laurent_terms(QZ, comps[0]) == via_public
+        if w.strands >= 12:
+            shift = w.strands - 4
+            low = tuple(Generator(g.kind, g.index - shift) for g in w.letters)
+            assert ocneanu_trace(evaluate_word(SingularBraidWord(4, low))) == via_public
+
+
+def test_kernel_refuses_more_than_31_strands():
+    # a point above 31 does not fit a 5-bit field: unchecked, the
+    # transposition (31 32) would trace to 0 instead of z
+    assert permutation_trace(Permutation.adjacent_transposition(31, 30)) == Z
+    with pytest.raises(ValueError):
+        trace_components(SingularBraidWord(32, (Generator(SIGMA, 31),)))
+    with pytest.raises(ValueError):
+        permutation_trace(Permutation.adjacent_transposition(32, 31))
 
 
 # -- exactness of the packed fold ---------------------------------------------------
@@ -289,13 +314,18 @@ def test_packed_components_on_long_generator_runs():
 def test_trace_l1_within_digit_bound():
     # The digit-width lemma with no letters: the peel of T_w, w in S_n,
     # takes at most (n-1)(n-2)/2 steps, so L1(tr T_w) <= 3^((n-1)(n-2)/2);
-    # the largest values for n = 2..6 are 1, 3, 9, 27, 81.
+    # the largest values for n = 2..6 are exactly 3^(n-2) (1, 3, 9, 27, 81),
+    # reached at the transposition (1 n).
     for n in range(1, 7):
-        worst = max(
-            sum(abs(c) for c in permutation_trace(Permutation(p)).numerator.terms.values())
+        l1 = {
+            p: sum(abs(c) for c in permutation_trace(Permutation(p)).numerator.terms.values())
             for p in permutations(range(1, n + 1))
-        )
+        }
+        worst = max(l1.values())
         assert worst <= 3 ** ((n - 1) * (n - 2) // 2)
+        if n >= 2:
+            assert worst == 3 ** (n - 2)
+            assert l1[(n, *range(2, n), 1)] == worst
 
 
 # -- the peel against an independent coset recursion ---------------------------------
