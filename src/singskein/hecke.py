@@ -19,8 +19,8 @@ the identity is 0 and w's largest moved point is its bit length over 5,
 rounded up.  Right multiplication by s_i swaps two fields in closed form.
 Points up to 31 XOR into 5 bits and 32 does not, so the kernel takes at most
 31 strands.  Its one memo, the coset split of a permutation, is keyed by the
-packed value; its fills are pure and idempotent, so a race between threads
-only duplicates work and it needs no lock.
+packed value, so ``clear_caches`` may empty it at any time and
+``cache_info`` reports its entries, hits and misses.
 
 ``trace_components`` folds a word once for all 2^d desingularisations: a
 singular letter branches into a "delete" and a "resolve to crossing" copy,
@@ -50,19 +50,44 @@ with c crossings and d double points folds to L1 at most 3^c 4^d, and a
 coefficient passes through at most sum_{m=2..n} (m - 2) = (n-1)(n-2)/2
 peel steps on n strands, so every digit is at most
 3^(c + (n-1)(n-2)/2) 4^d; B is that bound's bit length plus one.
+
+Each word is folded in one of two orientations, chosen per word.  The map
+``iota: T_i -> -q T_i^{-1} = q - 1 - T_i`` is an involutive automorphism of
+the algebra, and ``tr_z o iota`` is the Markov trace with parameter
+``z' = q - 1 - z``, so ``tr_z(x) = tr_{z'}(iota(x))`` (Jones, Ann. Math. 126,
+1987).  iota sends ``s_i`` and a resolved double point to ``-q T_i^{-1}`` and
+``S_i`` to ``-q^{-1} T_i``.  A positive letter branches only where w has a
+descent at i, a negative one where it has an ascent, and ascents are the
+common case while w is short; so a word with more negative than positive
+crossings (#S > #s) is folded as its mirror (a count rule, which need not
+pick the cheaper fold when the signs are nearly balanced).  That fold swaps the rules of
+s and S and resolves a double point by the negative rule
+``q T_i^{-1} = T_i + (1 - q)``, one more factor q per resolution, so its
+component k carries q^(#s + k) where the direct fold's carries q^#S.  As
+component k of the word is (-1)^(c + k) q^(#s - #S + k) times the mirror's
+at z', the mirror fold is decoded exactly as the direct one (q-exponents
+shifted down by #S) and then only needs z -> q - 1 - z and the sign
+(-1)^(c + k): integer binomials on a z-degree of at most n - 1.  The digit
+bound holds unchanged: a negative step at most triples L1 in either
+orientation, and delete plus negative resolve, ``1 + T_i + (1 - q)``, at
+most quadruples it.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+from math import comb
 from typing import Iterable, Mapping
 
-from .braid import SIGMA, SIGMA_INV, TAU, SingularBraidWord, StrandIndexError
+from .braid import SIGMA, SIGMA_INV, TAU, SingularBraidWord, StrandIndexError, exponent_sum
 from .coeff import QZ, RationalFunction
 from .permutations import Permutation
 
 __all__ = [
     "HeckeElement",
     "SingularLetterError",
+    "cache_info",
+    "clear_caches",
     "mul_by_generator",
     "evaluate_word",
     "multiply",
@@ -82,8 +107,8 @@ class SingularLetterError(ValueError):
 
 _FIELD = 5  # bits per point of a packed permutation
 _MASK = (1 << _FIELD) - 1  # also the largest strand count a field can hold
-
-_coset_cache: dict[int, tuple[int, int]] = {}
+_TAU_NEG = 2  # a double point resolved to a negative crossing (mirror fold)
+_MIRROR = {SIGMA: SIGMA_INV, SIGMA_INV: SIGMA, TAU: _TAU_NEG}
 
 
 def _pack(values: Iterable[int]) -> int:
@@ -94,24 +119,32 @@ def _pack(values: Iterable[int]) -> int:
     return w
 
 
+@lru_cache(maxsize=None)
 def _coset(w: int) -> tuple[int, int]:
     """(j, c) with w = s_j ... s_{m-1} c, lengths adding up, where m is w's
     largest moved point, j = w(m) and c fixes m."""
-    hit = _coset_cache.get(w)
-    if hit is not None:
-        return hit
     m = (w.bit_length() + _FIELD - 1) // _FIELD
     values = [((w >> (_FIELD * k)) & _MASK) ^ (k + 1) for k in range(m)]
     j = values[-1]
     # c = L_j^{-1} w where L_j = s_j ... s_{m-1}; relabel values accordingly
-    result = (j, _pack([m if v == j else (v - 1 if v > j else v) for v in values]))
-    _coset_cache[w] = result
-    return result
+    return j, _pack([m if v == j else (v - 1 if v > j else v) for v in values])
+
+
+def cache_info() -> dict[str, int]:
+    """Entries, hits and misses of the kernel's one memo, the coset split."""
+    info = _coset.cache_info()
+    return {"entries": info.currsize, "hits": info.hits, "misses": info.misses}
+
+
+def clear_caches() -> None:
+    """Empty the coset memo; safe at any time, as it is keyed by value."""
+    _coset.cache_clear()
 
 
 def _step(state: dict[int, int], i: int, kind: int, q_shift: int, bits: int) -> dict[int, int]:
     """Right-multiply a packed state by ``T_i`` (SIGMA), ``q T_i^{-1}``
-    (SIGMA_INV) or a double point's delete-plus-resolve (TAU).
+    (SIGMA_INV) or a double point's delete-plus-resolve, to ``T_i`` (TAU) or
+    to ``q T_i^{-1}`` (_TAU_NEG).
 
     With a = w(i) and b = w(i+1), w s_i swaps the two fields, that is XORs
     a ^ b into both, and the length goes up iff a < b."""
@@ -141,7 +174,7 @@ def _step(state: dict[int, int], i: int, kind: int, q_shift: int, bits: int) -> 
                 new[w] = get(w, 0) + p - (p << q_shift)
             else:
                 new[v] = get(v, 0) + (p << q_shift)
-    else:  # TAU: delete + resolve
+    elif kind == TAU:  # delete + resolve
         for w, p in state.items():
             new[w] = get(w, 0) + p
             pr = p << bits
@@ -154,18 +187,58 @@ def _step(state: dict[int, int], i: int, kind: int, q_shift: int, bits: int) -> 
                 pq = pr << q_shift
                 new[w] = get(w, 0) + pq - pr
                 new[v] = get(v, 0) + pq
+    else:  # _TAU_NEG: delete + resolve, times q: T_i + (1 - q)
+        for w, p in state.items():
+            pr = p << bits
+            a = ((w >> lo) & _MASK) ^ i
+            b = ((w >> hi) & _MASK) ^ (i + 1)
+            v = w ^ ((a ^ b) * both)
+            if a < b:
+                new[v] = get(v, 0) + pr
+                new[w] = get(w, 0) + p + pr - (pr << q_shift)
+            else:
+                new[w] = get(w, 0) + p
+                new[v] = get(v, 0) + (pr << q_shift)
     return {w: p for w, p in new.items() if p}
 
 
+def _mirror(comp: dict[tuple[int, int], int], negate: bool) -> dict[tuple[int, int], int]:
+    """``comp`` at z -> q - 1 - z, negated if ``negate``.  Keys come in decode
+    order (z-exponent, then q-exponent), so both orientations return the
+    same dicts in the same order."""
+    if not comp:
+        return {}
+    low = min(e for e, _ in comp)
+    top = max(t for _, t in comp)
+    width = max(e for e, _ in comp) - low + top + 1  # room for (q - 1)^top
+    polys = [[0] * width for _ in range(top + 1)]  # polys[t][e - low]: q^e z^t
+    for (e, t), a in comp.items():
+        polys[t][e - low] = -a if negate else a
+    out: dict[tuple[int, int], int] = {}
+    for tz in range(top + 1):
+        # (q - 1 - z)^t holds (-1)^tz C(t, tz) (q - 1)^(t - tz) z^tz: Horner in q - 1
+        acc = [0] * width
+        for t in range(top, tz - 1, -1):
+            c, poly = comb(t, tz), polys[t]
+            acc = [(acc[e - 1] if e else 0) - acc[e] + c * poly[e] for e in range(width)]
+        sign = -1 if tz & 1 else 1
+        for e, a in enumerate(acc):
+            if a:
+                out[(e + low, tz)] = sign * a
+    return out
+
+
 def _trace(
-    state: dict[int, int], letters: tuple, strands: int, degree: int
+    state: dict[int, int], letters: tuple, strands: int, degree: int, mirror: bool = False
 ) -> list[dict[tuple[int, int], int]]:
     """Fold ``letters`` into ``state`` (packed permutations to packed ints),
     peel the result down to the identity and decode it: for each resolution
     count 0..degree, an integer Laurent dict over (q-exponent, z-exponent).
 
-    ``state`` is consumed: each z-slice is dropped once it is partitioned, so
-    the caller must keep no reference to it.
+    With ``mirror`` the word is folded as its mirror and mapped back (module
+    docstring); ``state`` must then be the identity ``{0: 1}``.  ``state`` is
+    consumed: each z-slice is dropped once it is partitioned, so the caller
+    must keep no reference to it.
     """
     if strands > _MASK:
         raise ValueError(f"{strands} strands do not fit a {_FIELD}-bit field (at most {_MASK})")
@@ -177,7 +250,7 @@ def _trace(
     bits = bound.bit_length() + 1
     q_shift = stride * bits
     for g in letters:
-        state = _step(state, g.index, g.kind, q_shift, bits)
+        state = _step(state, g.index, _MIRROR[g.kind] if mirror else g.kind, q_shift, bits)
     slices = [state]  # slices[k]: the terms carrying z^k
     del state
     for m in range(strands, 1, -1):
@@ -224,14 +297,17 @@ def _trace(
                 comps[re][(qe - negatives, tz)] = digit  # undo q^#S
             total = (total - digit) >> bits
             slot += 1
+    if mirror:
+        return [_mirror(comp, (crossings + k) % 2 == 1) for k, comp in enumerate(comps)]
     return comps
 
 
 def trace_components(word: SingularBraidWord) -> list[dict[tuple[int, int], int]]:
     """For each k in 0..degree, the sum over k-subsets S of the singular
     letters of ``tr`` of the word with S resolved and the rest deleted, as an
-    integer Laurent dict over (q-exponent, z-exponent)."""
-    return _trace({0: 1}, word.letters, word.strands, word.degree)
+    integer Laurent dict over (q-exponent, z-exponent).  A word with more
+    negative than positive crossings is folded as its mirror."""
+    return _trace({0: 1}, word.letters, word.strands, word.degree, exponent_sum(word) < 0)
 
 
 def permutation_trace(perm: Permutation) -> RationalFunction:

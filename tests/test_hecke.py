@@ -1,5 +1,6 @@
 """Generator multiplication, word evaluation, and the Markov trace."""
 
+import hashlib
 import random
 from itertools import permutations
 from math import factorial
@@ -8,11 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from singskein import cli, hecke
 from singskein.braid import SIGMA, SIGMA_INV, TAU, Generator, SingularBraidWord, parse
 from singskein.coeff import QZ, RationalFunction
 from singskein.hecke import (
     HeckeElement,
     SingularLetterError,
+    cache_info,
+    clear_caches,
     evaluate_word,
     mul_by_generator,
     multiply,
@@ -286,29 +290,119 @@ def singular_words(draw):
     return SingularBraidWord(n, tuple(letters))
 
 
+def forced(w, mirror):
+    """``trace_components`` with the orientation forced: as given or mirrored."""
+    return hecke._trace({0: 1}, w.letters, w.strands, w.degree, mirror)
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(singular_words())
 def test_packed_components_match_literal_expansion(w):
     d = w.degree
-    comps = trace_components(w)
-    assert len(comps) == d + 1
-    for k, comp in enumerate(comps):
-        value = RationalFunction.from_laurent_terms(QZ, comp)
-        assert value.scaled(factorial(k) * factorial(d - k)) == trace_functional(w, k)
+    expected = [trace_functional(w, k) for k in range(d + 1)]
+    for comps in (trace_components(w), forced(w, False), forced(w, True)):
+        assert len(comps) == d + 1
+        for k, comp in enumerate(comps):
+            value = RationalFunction.from_laurent_terms(QZ, comp)
+            assert value.scaled(factorial(k) * factorial(d - k)) == expected[k]
+
+
+@st.composite
+def mixed_sign_words(draw):
+    """2-6 strands, at most 14 letters, at most 3 double points, crossings
+    positive or negative with equal odds."""
+    n = draw(st.integers(2, 6))
+    index = st.integers(1, n - 1)
+    kind = st.sampled_from((SIGMA, SIGMA_INV))
+    letters = draw(st.lists(st.builds(Generator, kind, index), max_size=11))
+    for _ in range(draw(st.integers(0, 3))):
+        letters.insert(draw(st.integers(0, len(letters))), Generator(TAU, draw(index)))
+    return SingularBraidWord(n, tuple(letters))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(mixed_sign_words())
+def test_both_orientations_give_equal_components(w):
+    assert forced(w, False) == forced(w, True)
 
 
 def test_packed_components_on_long_generator_runs():
     # Long runs of one block reach high q-powers, negative digits and, for
     # S1 and S2, a large q^#S shift; the mixed-sign s1 S2 grows coefficients
     # to about 2^52 at k = 40.
+    # Each word is also folded in both forced orientations.
     rng = random.Random(71)
     for block, n in (("s1", 2), ("S1", 2), ("S1 S2", 3), ("s1 S2", 3)):
         for k in sorted({1, 2, 40, *rng.sample(range(3, 40), 4)}):
             w = parse(" ".join([block] * k), n)
-            comps = trace_components(w)
-            assert len(comps) == 1
-            value = RationalFunction.from_laurent_terms(QZ, comps[0])
-            assert value == ocneanu_trace(evaluate_word(w)), (block, k)
+            expected = ocneanu_trace(evaluate_word(w))
+            for comps in (trace_components(w), forced(w, False), forced(w, True)):
+                assert len(comps) == 1
+                value = RationalFunction.from_laurent_terms(QZ, comps[0])
+                assert value == expected, (block, k)
+
+
+def seed4_word():
+    """30 negative crossings and 6 double points on 10 strands: folded as
+    given its state peaks at 188,784 permutations, as its mirror at 3,584."""
+    rng = random.Random(4)
+    letters = ["S" + str(rng.randrange(1, 10)) for _ in range(30)]
+    for _ in range(6):
+        letters.insert(rng.randint(0, len(letters)), f"t{rng.randrange(1, 10)}")
+    return " ".join(letters)
+
+
+def spy_on_orientation(monkeypatch):
+    """The orientation of every word ``trace_components`` folds, in order."""
+    seen = []
+    real = hecke._trace
+
+    def spy(state, letters, strands, degree, mirror=False):
+        seen.append(mirror)
+        return real(state, letters, strands, degree, mirror)
+
+    monkeypatch.setattr(hecke, "_trace", spy)
+    return seen
+
+
+def test_orientation_rule_mirrors_only_mostly_negative_words(monkeypatch):
+    seen = spy_on_orientation(monkeypatch)
+    cases = {
+        "": False,
+        "t1 t2": False,
+        "s1 S2": False,  # #S = #s keeps the word as given
+        "s1 S2 t1 S1 s2": False,
+        "s1 s2 s1 S2 t2": False,
+        "S1 s2 S1": True,
+        "S1 t1": True,
+        seed4_word(): True,
+    }
+    for text, mirror in cases.items():
+        trace_components(parse(text, 10))
+        assert seen.pop() is mirror, text
+
+
+def test_seed4_word_renders_pinned_digest_through_the_mirror(monkeypatch):
+    # The digest was rendered with each orientation forced; as given the word
+    # takes about 25 times the time and memory it takes mirrored.
+    seen = spy_on_orientation(monkeypatch)
+    args = cli.build_parser().parse_args(["--word", seed4_word(), "--format", "json"])
+    text = cli.render_json(cli.run(args))
+    assert seen == [True]
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "23bfaf2fb9f1d1c1ea7425764637efdb7ce5d3298a9d8a76e1eb521ba07266d5"
+
+
+def test_clear_caches_leaves_components_unchanged():
+    w = parse("S1 s2 t3 S2 s1 S3 t1 s3 S2 s1", 4)
+    first = trace_components(w)
+    assert cache_info()["entries"] > 0
+    clear_caches()
+    assert cache_info() == {"entries": 0, "hits": 0, "misses": 0}
+    second = trace_components(w)
+    assert second == first
+    info = cache_info()
+    assert info["entries"] == info["misses"] > 0
 
 
 def test_trace_l1_within_digit_bound():
