@@ -25,10 +25,6 @@ from .coeff import (
     MultivariatePolynomial,
     RationalFunction,
     embed_qz_to_su,
-    rf_add,
-    rf_div,
-    rf_eval,
-    rf_mul,
 )
 from .hecke import (
     HeckeElement,

@@ -16,9 +16,8 @@ first variable).  Canonical form is unique, so structural equality ``==``
 decides mathematical equality.
 
 Negative powers (Laurent-style scalars such as ``q**-2``) are ordinary
-rational functions with monomial denominators; monomial denominators get a
-fast normalisation path that avoids the general gcd, and a product with a
-monomial ratio is reduced in closed form.
+rational functions with monomial denominators; a product with a monomial
+ratio is reduced in closed form.
 
 All values are immutable and safe to share across threads.
 """
@@ -40,10 +39,6 @@ __all__ = [
     "poly_gcd",
     "poly_divexact",
     "poly_lcm",
-    "rf_add",
-    "rf_mul",
-    "rf_div",
-    "rf_eval",
     "embed_qz_to_su",
 ]
 
@@ -159,13 +154,6 @@ class MultivariatePolynomial:
 
     def leading_coefficient(self):
         return self.terms[self.leading_monomial()]
-
-    def content(self) -> int:
-        """Gcd of the (integer) coefficients, nonnegative."""
-        c = 0
-        for coeff in self.terms.values():
-            c = _int_gcd(c, abs(coeff))
-        return c
 
     # -- arithmetic --------------------------------------------------------
 
@@ -505,24 +493,6 @@ def _gcd_terms(a: Mapping[Monomial, int], b: Mapping[Monomial, int]) -> dict[Mon
         g0 = min(m0, min(e0 for e0, _ in other))
         g1 = min(m1, min(e1 for _, e1 in other))
         g = {(g0, g1): _int_gcd(abs(mc), _terms_content(other))}
-    elif a == b:
-        g = dict(a)
-    elif all(e1 == 0 for _, e1 in a) and all(e1 == 0 for _, e1 in b):
-        fa = [0] * (max(e0 for e0, _ in a) + 1)
-        for (e0, _), c in a.items():
-            fa[e0] = c
-        fb = [0] * (max(e0 for e0, _ in b) + 1)
-        for (e0, _), c in b.items():
-            fb[e0] = c
-        g = {(e0, 0): c for e0, c in enumerate(_u_gcd(fa, fb)) if c}
-    elif all(e0 == 0 for e0, _ in a) and all(e0 == 0 for e0, _ in b):
-        fa = [0] * (max(e1 for _, e1 in a) + 1)
-        for (_, e1), c in a.items():
-            fa[e1] = c
-        fb = [0] * (max(e1 for _, e1 in b) + 1)
-        for (_, e1), c in b.items():
-            fb[e1] = c
-        g = {(0, e1): c for e1, c in enumerate(_u_gcd(fa, fb)) if c}
     else:
         g = _from_rec(_b_gcd(_to_rec(a), _to_rec(b)))
     if not g:
@@ -555,17 +525,36 @@ def _divexact_terms(a: Mapping[Monomial, int], b: Mapping[Monomial, int]) -> dic
     return _from_rec(out)
 
 
-def _divide_out(terms: dict, factor: Mapping[Monomial, int], limit: int) -> tuple[dict, int]:
-    """Divide factor out of terms as often as it goes, at most limit times;
-    returns the quotient and the number of divisions made."""
+def _strip_root(
+    polys: list[list[list[int]]], root: int, shift: int, limit: int
+) -> tuple[list[list[list[int]]], int]:
+    """Divide every polynomial, given as dense rows over x of int lists over
+    y, by x - root*y^shift as often as all of them allow, at most limit times;
+    returns the quotients and the number of divisions made.
+
+    Synthetic division (Horner's rule): walking down from the top row, each
+    quotient row is the input row plus root*y^shift times the row above it,
+    and the last such sum is the remainder.
+    """
     times = 0
     while times < limit:
-        try:
-            terms = _divexact_terms(terms, factor)
-        except ExactDivisionError:
-            break
+        quotients = []
+        for rows in polys:
+            carry: list[int] = []
+            out = []
+            for row in reversed(rows):
+                acc = list(row) + [0] * (len(carry) + shift - len(row))
+                for i, c in enumerate(carry):
+                    acc[i + shift] += root * c
+                carry = _u_trim(acc)
+                out.append(carry)
+            if carry:
+                return polys, times
+            # out holds the quotient rows top row first, then the remainder
+            quotients.append(out[-2::-1])
+        polys = quotients
         times += 1
-    return terms, times
+    return polys, times
 
 
 def poly_gcd(a: MultivariatePolynomial, b: MultivariatePolynomial) -> MultivariatePolynomial:
@@ -625,39 +614,6 @@ def _canonical_pair(num: dict, den: dict) -> tuple[dict, dict]:
         raise ZeroDivisionError("zero denominator")
     if not num:
         return {}, {(0, 0): 1}
-
-    if len(den) == 1:
-        (d0, d1), dc = next(iter(den.items()))
-        s0 = min(d0, min(e0 for e0, _ in num))
-        s1 = min(d1, min(e1 for _, e1 in num))
-        if s0 or s1:
-            num = {(e0 - s0, e1 - s1): c for (e0, e1), c in num.items()}
-            d0, d1 = d0 - s0, d1 - s1
-        g = _int_gcd(abs(dc), _terms_content(num))
-        if g > 1:
-            num = {mono: c // g for mono, c in num.items()}
-            dc //= g
-        if dc < 0:
-            num = {mono: -c for mono, c in num.items()}
-            dc = -dc
-        return num, {(d0, d1): dc}
-
-    if len(num) == 1:
-        (n0, n1), nc = next(iter(num.items()))
-        s0 = min(n0, min(e0 for e0, _ in den))
-        s1 = min(n1, min(e1 for _, e1 in den))
-        if s0 or s1:
-            den = {(e0 - s0, e1 - s1): c for (e0, e1), c in den.items()}
-            n0, n1 = n0 - s0, n1 - s1
-        g = _int_gcd(abs(nc), _terms_content(den))
-        if g > 1:
-            den = {mono: c // g for mono, c in den.items()}
-            nc //= g
-        if den[max(den, key=_monomial_key)] < 0:
-            den = {mono: -c for mono, c in den.items()}
-            nc = -nc
-        return {(n0, n1): nc}, den
-
     g = _gcd_terms(num, den)
     if g and g != {(0, 0): 1}:
         num = _divexact_terms(num, g)
@@ -727,10 +683,6 @@ class RationalFunction:
     def coordinate(cls, variables, name: str) -> "RationalFunction":
         num = MultivariatePolynomial.variable(variables, name)
         return cls._raw(num, MultivariatePolynomial.one(variables))
-
-    @classmethod
-    def from_polynomial(cls, poly: MultivariatePolynomial) -> "RationalFunction":
-        return cls(poly)
 
     @classmethod
     def from_laurent_terms(cls, variables, terms: Mapping[Monomial, int]) -> "RationalFunction":
@@ -898,28 +850,8 @@ def _times_monomial(f: RationalFunction, m: RationalFunction) -> RationalFunctio
 
 
 # ---------------------------------------------------------------------------
-# Module-level operation aliases and the field embedding
+# The field embedding
 # ---------------------------------------------------------------------------
-
-
-def rf_add(a: RationalFunction, b: RationalFunction) -> RationalFunction:
-    return a + b
-
-
-def rf_mul(a: RationalFunction, b: RationalFunction) -> RationalFunction:
-    return a * b
-
-
-def rf_div(a: RationalFunction, b: RationalFunction) -> RationalFunction:
-    return a / b
-
-
-def rf_eval(a: RationalFunction, point: tuple) -> Fraction:
-    return a.evaluate(point)
-
-
-_EMBED_A = MultivariatePolynomial(SU, {(2, 0): 1, (0, 0): -1})  # s^2 - 1
-_EMBED_B = MultivariatePolynomial(SU, {(0, 0): 1, (2, 2): -1})  # 1 - s^2*u^2
 
 # N/D maps to the images of N and D, both times (1 - s^2*u^2)^L with L the
 # larger z-degree.  Images of coprime N and D can share only factors that
@@ -928,7 +860,32 @@ _EMBED_B = MultivariatePolynomial(SU, {(0, 0): 1, (2, 2): -1})  # 1 - s^2*u^2
 # s - 1 and s + 1 come with equal multiplicity and cancel together as
 # s^2 - 1, and the common power of s cancels by an exponent shift.  The
 # image of whichever of N, D has z-degree L carries no power of
-# 1 - s^2*u^2, so s*u - 1 and s*u + 1 never cancel.
+# 1 - s^2*u^2, so s*u - 1 and s*u + 1 never cancel.  Both images are built
+# as dense rows over s^2 of int lists over u^2, and s^2 - 1 is stripped from
+# the two together by synthetic division.
+
+
+def _embed_rows(poly: MultivariatePolynomial, level: int) -> list[list[int]]:
+    """Image of poly times (1 - s^2*u^2)^level as rows over x = s^2 of int
+    lists over y = u^2: sum_b N_b(x) (x - 1)^b (1 - x*y)^(level - b), where
+    N_b is the coefficient of z^b, by Horner's rule in 1 - x*y."""
+    by_z: list[list[int]] = [[] for _ in range(level + 1)]
+    for (eq, ez), coeff in poly.terms.items():
+        n_b = by_z[ez]
+        n_b += [0] * (eq + 1 - len(n_b))
+        n_b[eq] = coeff
+    rows: list[list[int]] = []
+    a_pow = [1]
+    for b, n_b in enumerate(by_z):
+        if b:
+            a_pow = _u_sub([0] + a_pow, a_pow)  # (x - 1)^b
+            # rows * (1 - x*y): row i loses row i - 1 times y
+            rows = [_u_sub(row, [0] + below) for row, below in zip(rows + [[]], [[]] + rows)]
+        term = _u_mul(n_b, a_pow)
+        rows += [[] for _ in range(len(term) - len(rows))]
+        for i, c in enumerate(term):
+            rows[i] = _u_trim([(rows[i][0] if rows[i] else 0) + c] + rows[i][1:])
+    return _b_trim(rows)
 
 
 def embed_qz_to_su(a: RationalFunction) -> RationalFunction:
@@ -938,31 +895,12 @@ def embed_qz_to_su(a: RationalFunction) -> RationalFunction:
     if a.is_zero:
         return RationalFunction.zero(SU)
     level = max(a.numerator.degree_in(1), a.denominator.degree_in(1), 0)
-    a_pows = [MultivariatePolynomial.one(SU)]
-    b_pows = [MultivariatePolynomial.one(SU)]
-    for _ in range(level):
-        a_pows.append(a_pows[-1] * _EMBED_A)
-        b_pows.append(b_pows[-1] * _EMBED_B)
-
-    def image(poly: MultivariatePolynomial) -> MultivariatePolynomial:
-        # one product per power of z: the q-part of each z^ez is a polynomial in s
-        by_z: dict[int, dict[Monomial, object]] = {}
-        for (eq, ez), coeff in poly.terms.items():
-            by_z.setdefault(ez, {})[(2 * eq, 0)] = coeff
-        acc = MultivariatePolynomial.zero(SU)
-        for ez, terms in by_z.items():
-            acc = acc + MultivariatePolynomial(SU, terms) * a_pows[ez] * b_pows[level - ez]
-        return acc
-
-    num = image(a.numerator).terms
-    den = image(a.denominator).terms
-    shift = min(e0 for e0, _ in (*num, *den))
-    num = {(e0 - shift, e1): c for (e0, e1), c in num.items()}
-    den = {(e0 - shift, e1): c for (e0, e1), c in den.items()}
-    den, j = _divide_out(den, _EMBED_A.terms, max(e0 for e0, _ in den) // 2)
-    num, k = _divide_out(num, _EMBED_A.terms, j)
-    if k < j:
-        den = (MultivariatePolynomial(SU, den) * _EMBED_A ** (j - k)).terms
+    num = _embed_rows(a.numerator, level)
+    den = _embed_rows(a.denominator, level)
+    (num, den), _ = _strip_root([num, den], 1, 0, len(den))
+    low = min(next(i for i, row in enumerate(rows) if row) for rows in (num, den))
+    num = {(2 * i, 2 * j): c for i, row in enumerate(num[low:]) for j, c in enumerate(row) if c}
+    den = {(2 * i, 2 * j): c for i, row in enumerate(den[low:]) for j, c in enumerate(row) if c}
     g = _int_gcd(_terms_content(num), _terms_content(den))
     if g > 1:
         num = {mono: c // g for mono, c in num.items()}

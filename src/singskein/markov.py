@@ -24,7 +24,7 @@ D = w - z^2 = -(z - q)(z + 1) reads x_ab off as the coefficient of A^a B^b
 in sum_k C_k (wA - zB)^(d-k) (B - zA)^k, divided by D^d.  The k!(d-k)!
 weights scale whole functionals and cancel.  The only factors a coordinate's
 denominator can have are q (from the Laurent trace), z - q and z + 1, so
-a shift of the q-exponents and ``coeff._divide_out`` (exact division by
+a shift of the q-exponents and ``coeff._strip_root`` (synthetic division by
 z - q and z + 1) give its canonical form.
 
 ``pairing_matrix`` evaluates the same expansion on the explicit basis words
@@ -52,7 +52,7 @@ from math import factorial
 from typing import Iterable, Mapping
 
 from .braid import Generator, SIGMA, TAU, SingularBraidWord
-from .coeff import MultivariatePolynomial, QZ, RationalFunction, _divide_out
+from .coeff import MultivariatePolynomial, QZ, RationalFunction, _from_rec, _strip_root, _to_rec
 from .hecke import evaluate_word, ocneanu_trace, trace_components
 
 __all__ = [
@@ -274,7 +274,7 @@ def pairing_matrix(d: int) -> list[list[RationalFunction]]:
     columns = [_expand([(_P_ONE, _P_Z)] * (d - c) + [(_P_Z, _P_W)] * c) for c in range(d + 1)]
     weights = [factorial(k) * factorial(d - k) for k in range(d + 1)]
     return [
-        [RationalFunction.from_polynomial(col[k].scaled(weights[k])) for col in columns]
+        [RationalFunction(col[k].scaled(weights[k])) for col in columns]
         for k in range(d + 1)
     ]
 
@@ -429,20 +429,20 @@ def _over_det_power(
     is the determinant of the degree-1 pairing matrix.
 
     Every common factor must be q, z - q or z + 1: q by the Laurent shift, the
-    others by ``coeff._divide_out``, at most d times each.  The denominator is
-    (-1)^d q^p (z - q)^(d - j) (z + 1)^(d - k) after j and k divisions.
+    others by ``coeff._strip_root`` on the numerator's rows over z, at most d
+    times each.  The denominator is (-1)^d q^p (z - q)^(d - j) (z + 1)^(d - k)
+    after j and k divisions.
     """
     if not laurent:
         return RationalFunction.zero(QZ)
-    min_q = min(e0 for e0, _ in laurent)
-    q_power = -min_q if min_q < 0 else 0
-    if min_q < 0:
-        laurent = {(e0 - min_q, e1): v for (e0, e1), v in laurent.items()}
+    q_power = max(0, -min(e0 for e0, _ in laurent))
+    rows = _to_rec({(ez, eq + q_power): v for (eq, ez), v in laurent.items()})
     den = MultivariatePolynomial.monomial(QZ, (q_power, 0), (-1) ** d)
-    for factor in (_Z_MINUS_Q, _Z_PLUS_1):
-        laurent, times = _divide_out(laurent, factor.terms, d)
+    # z - q is z - 1*q^1 and z + 1 is z - (-1)*q^0 over rows in z
+    for factor, root, shift in ((_Z_MINUS_Q, 1, 1), (_Z_PLUS_1, -1, 0)):
+        (rows,), times = _strip_root([rows], root, shift, d)
         den = den * factor ** (d - times)
-    num = MultivariatePolynomial(QZ, laurent)
+    num = MultivariatePolynomial(QZ, {(eq, ez): v for (ez, eq), v in _from_rec(rows).items()})
     if den.leading_coefficient() < 0:
         num, den = -num, -den
     return RationalFunction._raw(num, den)

@@ -118,12 +118,6 @@ class Permutation:
         shift = self.size
         return Permutation(self.image + tuple(v + shift for v in other.image))
 
-    def extended(self, n: int) -> "Permutation":
-        """The same permutation viewed inside a larger symmetric group."""
-        if n < self.size:
-            raise ValueError("cannot shrink a permutation")
-        return Permutation(self.image + tuple(range(self.size + 1, n + 1)))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Permutation):
             return NotImplemented

@@ -13,14 +13,12 @@ from singskein.coeff import (
     MultivariatePolynomial,
     PoleError,
     RationalFunction,
+    _strip_root,
+    _to_rec,
     embed_qz_to_su,
     poly_divexact,
     poly_gcd,
     poly_lcm,
-    rf_add,
-    rf_div,
-    rf_eval,
-    rf_mul,
 )
 
 Q = RationalFunction.coordinate(QZ, "q")
@@ -67,6 +65,10 @@ def test_poly_gcd_simple():
     a = MultivariatePolynomial(QZ, {(2, 0): 1, (0, 0): -1})
     b = MultivariatePolynomial(QZ, {(1, 0): 1, (0, 0): -1})
     assert poly_gcd(a, b) == b
+    # in z only, with content: 2z^2 - 2 and -4z - 4 share 2(z + 1)
+    a = MultivariatePolynomial(QZ, {(0, 2): 2, (0, 0): -2})
+    b = MultivariatePolynomial(QZ, {(0, 1): -4, (0, 0): -4})
+    assert poly_gcd(a, b) == MultivariatePolynomial(QZ, {(0, 1): 2, (0, 0): 2})
 
 
 def test_poly_gcd_bivariate():
@@ -77,6 +79,46 @@ def test_poly_gcd_bivariate():
     fh = f * MultivariatePolynomial(vars_, {(2, 0): 1, (0, 0): 5})
     assert poly_gcd(fg, fh) == f
     assert poly_divexact(fg, f) == g
+    # equal operands, either sign
+    assert poly_gcd(fg, fg) == fg
+    assert poly_gcd(-fg, -fg) == fg
+
+
+def test_strip_root_divides_known_linear_factors():
+    # f * (x - root*y^shift)^k for the three factors the pipeline strips:
+    # z - q (root 1, shift 1) and z + 1 (root -1, shift 0) on rows over z
+    # with entries over q, s^2 - 1 (root 1, shift 0) on rows over s^2 with
+    # entries over u^2; the variable names below are only placeholders
+    rng = random.Random(1618)
+
+    def cofactor(root, shift):
+        # not divisible by x - root*y^shift: nonzero at x = root*3^shift, y = 3
+        while True:
+            f = MultivariatePolynomial(
+                QZ, {(rng.randint(0, 3), rng.randint(0, 3)): rng.randint(-5, 5) for _ in range(4)}
+            )
+            if f.evaluate((root * 3**shift, 3)):
+                return f
+
+    for root, shift in ((1, 1), (-1, 0), (1, 0)):
+        linear = MultivariatePolynomial(QZ, {(1, 0): 1, (0, shift): -root})
+        for k in range(5):
+            f, g = cofactor(root, shift), cofactor(root, shift)
+            rows = _to_rec((f * linear**k).terms)
+            assert _strip_root([rows], root, shift, 4) == ([_to_rec(f.terms)], k)
+            # the limit stops it early
+            for limit in range(k):
+                expected = _to_rec((f * linear ** (k - limit)).terms)
+                assert _strip_root([rows], root, shift, limit) == ([expected], limit)
+            # divided together, two polynomials lose the smaller multiplicity
+            j = rng.randint(0, 4)
+            both = [rows, _to_rec((g * linear**j).terms)]
+            m = min(j, k)
+            expected = [
+                _to_rec((f * linear ** (k - m)).terms),
+                _to_rec((g * linear ** (j - m)).terms),
+            ]
+            assert _strip_root(both, root, shift, 4) == (expected, m)
 
 
 def test_exact_division_on_dense_rows():
@@ -128,7 +170,7 @@ def test_poly_rendering_order():
 
 def test_self_division_gives_one():
     f = (Q - ONE_QZ) / ONE_QZ
-    assert rf_div(f, f) == ONE_QZ
+    assert f / f == ONE_QZ
 
 
 def test_gcd_cancellation():
@@ -136,6 +178,21 @@ def test_gcd_cancellation():
     num = MultivariatePolynomial(QZ, {(2, 0): 1, (0, 0): -1})
     den = MultivariatePolynomial(QZ, {(1, 0): 1, (0, 0): -1})
     assert RationalFunction(num, den) == Q + ONE_QZ
+    # monomial denominator: (4q^3 + 6q^2 z)/(-2q z^2) = (-2q^2 - 3qz)/z^2
+    f = RationalFunction(
+        MultivariatePolynomial(QZ, {(3, 0): 4, (2, 1): 6}),
+        MultivariatePolynomial(QZ, {(1, 2): -2}),
+    )
+    assert f.numerator.terms == {(2, 0): -2, (1, 1): -3}
+    assert f.denominator.terms == {(0, 2): 1}
+    # monomial numerator with a common power, content and a negative
+    # coefficient: -6q^2 z/(4q^3 + 2qz) = -3qz/(2q^2 + z)
+    f = RationalFunction(
+        MultivariatePolynomial(QZ, {(2, 1): -6}),
+        MultivariatePolynomial(QZ, {(3, 0): 4, (1, 1): 2}),
+    )
+    assert f.numerator.terms == {(1, 1): -3}
+    assert f.denominator.terms == {(2, 0): 2, (0, 1): 1}
 
 
 def test_denominator_sign_normalised():
@@ -154,8 +211,11 @@ def test_fraction_coefficients_cleared():
 
 def test_canonicalisation_idempotent():
     rng = random.Random(7)
-    for _ in range(40):
-        f = random_rf(rng)
+    monomial_parts = [
+        (Q * Q.scaled(2) + Q * Z.scaled(3)) / (Z * Z),
+        (Q * Z).scaled(-3) / (Q * Q.scaled(2) + Z),
+    ]
+    for f in [random_rf(rng) for _ in range(40)] + monomial_parts:
         again = RationalFunction(f.numerator, f.denominator)
         assert again.numerator == f.numerator
         assert again.denominator == f.denominator
@@ -163,14 +223,14 @@ def test_canonicalisation_idempotent():
 
 def test_mixed_variables_rejected():
     with pytest.raises(MixedVariablesError):
-        rf_add(Q, S)
+        Q + S
     with pytest.raises(MixedVariablesError):
-        rf_mul(Z, U)
+        Z * U
 
 
 def test_division_by_zero():
     with pytest.raises(ZeroDivisionError):
-        rf_div(Q, RationalFunction.zero(QZ))
+        Q / RationalFunction.zero(QZ)
 
 
 # -- field axioms on randomized inputs ---------------------------------------
@@ -223,17 +283,17 @@ def test_monomial_products_match_general_constructor():
 
 
 def test_eval_simple():
-    assert rf_eval(Q + ONE_QZ, (2, 0)) == 3
+    assert (Q + ONE_QZ).evaluate((2, 0)) == 3
 
 
 def test_eval_coordinate_function():
-    assert rf_eval(Z, (2, 5)) == 5
+    assert Z.evaluate((2, 5)) == 5
 
 
 def test_eval_pole():
     f = ONE_QZ / (Q - ONE_QZ)
     with pytest.raises(PoleError):
-        rf_eval(f, (1, 0))
+        f.evaluate((1, 0))
 
 
 def test_eval_commutes_with_arithmetic():
@@ -274,7 +334,7 @@ def test_embed_qz_plus_one():
 
 def test_embed_z_numeric_spot_check():
     # at (s, u) = (2, 3): (4 - 1)/(1 - 36) = -3/35
-    value = rf_eval(embed_qz_to_su(Z), (2, 3))
+    value = embed_qz_to_su(Z).evaluate((2, 3))
     assert value == Fraction(-3, 35)
 
 

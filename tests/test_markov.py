@@ -14,7 +14,7 @@ from singskein.braid import (
     stack,
     with_strands,
 )
-from singskein.coeff import QZ, RationalFunction
+from singskein.coeff import QZ, MultivariatePolynomial, RationalFunction
 from singskein.linalg import determinant, solve
 from singskein.markov import (
     HARD_MAX_DEGREE,
@@ -30,6 +30,7 @@ from singskein.markov import (
     g1_apply,
     markov_class,
     markov_class_of_sum,
+    _over_det_power,
     pairing_matrix,
     subset_expansion,
     trace_functional,
@@ -369,3 +370,32 @@ def test_trace_vector_invariant_under_strand_preserving_moves():
             assert trace_vector(apply_move(w, move)) == reference
         if w.letters:
             assert trace_vector(apply_move(w, CyclicShift(1))) == reference
+
+
+def test_over_det_power_matches_general_constructor():
+    # numerators carrying (z - q)^i (z + 1)^j with i, j up to d + 2, past the
+    # limit of d divisions each, and a Laurent shift in q
+    rng = random.Random(4242)
+    z_minus_q = MultivariatePolynomial(QZ, {(0, 1): 1, (1, 0): -1})
+    z_plus_1 = MultivariatePolynomial(QZ, {(0, 1): 1, (0, 0): 1})
+    det = -(z_minus_q * z_plus_1)
+    for d in range(4):
+        for i in range(d + 3):
+            for j in range(d + 3):
+                while True:  # a cofactor nonzero at z = q and at z = -1
+                    terms = {(rng.randint(0, 2), rng.randint(0, 2)): rng.randint(-4, 4) for _ in range(3)}
+                    f = MultivariatePolynomial(QZ, terms)
+                    if f.evaluate((3, 3)) and f.evaluate((3, -1)):
+                        break
+                num = f * z_minus_q**i * z_plus_1**j
+                shift = rng.randint(-3, 2)
+                laurent = {(e0 + shift, e1): c for (e0, e1), c in num.terms.items()}
+                p = max(0, -shift)
+                shifted = {(e0 + shift + p, e1): c for (e0, e1), c in num.terms.items()}
+                expected = RationalFunction(
+                    MultivariatePolynomial(QZ, shifted),
+                    det**d * MultivariatePolynomial.monomial(QZ, (p, 0)),
+                )
+                got = _over_det_power(laurent, d)
+                assert got.numerator == expected.numerator
+                assert got.denominator == expected.denominator
