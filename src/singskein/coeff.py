@@ -853,39 +853,44 @@ def _times_monomial(f: RationalFunction, m: RationalFunction) -> RationalFunctio
 # The field embedding
 # ---------------------------------------------------------------------------
 
-# N/D maps to the images of N and D, both times (1 - s^2*u^2)^L with L the
-# larger z-degree.  Images of coprime N and D can share only factors that
-# the substitution collapses to a point: s, from (q, z) = (0, -1), and
-# s - 1 and s + 1, both from (1, 0).  The images are polynomials in s^2, so
-# s - 1 and s + 1 come with equal multiplicity and cancel together as
-# s^2 - 1, and the common power of s cancels by an exponent shift.  The
-# image of whichever of N, D has z-degree L carries no power of
-# 1 - s^2*u^2, so s*u - 1 and s*u + 1 never cancel.  Both images are built
-# as dense rows over s^2 of int lists over u^2, and s^2 - 1 is stripped from
-# the two together by synthetic division.
+# The embedding kernel.  A polynomial N of z-degree at most L maps to
+# Ntilde / (1 - s^2*u^2)^L with Ntilde = sum_b N_b(x) (x - 1)^b (1 - x*y)^(L - b),
+# x = s^2, y = u^2 and N_b the coefficient of z^b; ``_embed_rows`` forms
+# Ntilde by Horner's rule in 1 - x*y.  ``skein`` applies it to factored
+# coordinates, whose denominators it knows in closed form; ``embed_qz_to_su``
+# applies it to both sides of any fraction and is the oracle for that path.
+#
+# For coprime N and D the images can share only factors that the
+# substitution collapses to a point: s, from (q, z) = (0, -1), and s - 1 and
+# s + 1, both from (1, 0).  The images are polynomials in s^2, so s - 1 and
+# s + 1 come with equal multiplicity and cancel together as s^2 - 1, and the
+# common power of s cancels by an exponent shift.  The image of whichever of
+# N, D has z-degree L carries no power of 1 - s^2*u^2, so s*u - 1 and
+# s*u + 1 never cancel.  s^2 - 1 is stripped from the two images together by
+# synthetic division.
 
 
-def _embed_rows(poly: MultivariatePolynomial, level: int) -> list[list[int]]:
-    """Image of poly times (1 - s^2*u^2)^level as rows over x = s^2 of int
-    lists over y = u^2: sum_b N_b(x) (x - 1)^b (1 - x*y)^(level - b), where
-    N_b is the coefficient of z^b, by Horner's rule in 1 - x*y."""
-    by_z: list[list[int]] = [[] for _ in range(level + 1)]
-    for (eq, ez), coeff in poly.terms.items():
-        n_b = by_z[ez]
-        n_b += [0] * (eq + 1 - len(n_b))
-        n_b[eq] = coeff
+def _embed_rows(by_z: list[list[int]], level: int) -> list[list[int]]:
+    """Image of N times (1 - s^2*u^2)^level, N given as rows over z of int
+    lists over q, as rows over x = s^2 of int lists over y = u^2:
+    sum_b N_b(x) (x - 1)^b (1 - x*y)^(level - b), by Horner's rule in 1 - x*y."""
     rows: list[list[int]] = []
     a_pow = [1]
-    for b, n_b in enumerate(by_z):
+    for b in range(level + 1):
         if b:
             a_pow = _u_sub([0] + a_pow, a_pow)  # (x - 1)^b
             # rows * (1 - x*y): row i loses row i - 1 times y
             rows = [_u_sub(row, [0] + below) for row, below in zip(rows + [[]], [[]] + rows)]
-        term = _u_mul(n_b, a_pow)
+        term = _u_mul(by_z[b], a_pow) if b < len(by_z) else []
         rows += [[] for _ in range(len(term) - len(rows))]
         for i, c in enumerate(term):
             rows[i] = _u_trim([(rows[i][0] if rows[i] else 0) + c] + rows[i][1:])
     return _b_trim(rows)
+
+
+def _z_rows(poly: MultivariatePolynomial) -> list[list[int]]:
+    """A (q, z) polynomial as rows over z of int lists over q."""
+    return _to_rec({(ez, eq): c for (eq, ez), c in poly.terms.items()})
 
 
 def embed_qz_to_su(a: RationalFunction) -> RationalFunction:
@@ -895,8 +900,8 @@ def embed_qz_to_su(a: RationalFunction) -> RationalFunction:
     if a.is_zero:
         return RationalFunction.zero(SU)
     level = max(a.numerator.degree_in(1), a.denominator.degree_in(1), 0)
-    num = _embed_rows(a.numerator, level)
-    den = _embed_rows(a.denominator, level)
+    num = _embed_rows(_z_rows(a.numerator), level)
+    den = _embed_rows(_z_rows(a.denominator), level)
     (num, den), _ = _strip_root([num, den], 1, 0, len(den))
     low = min(next(i for i, row in enumerate(rows) if row) for rows in (num, den))
     num = {(2 * i, 2 * j): c for i, row in enumerate(num[low:]) for j, c in enumerate(row) if c}

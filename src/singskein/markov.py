@@ -25,7 +25,12 @@ in sum_k C_k (wA - zB)^(d-k) (B - zA)^k, divided by D^d.  The k!(d-k)!
 weights scale whole functionals and cancel.  The only factors a coordinate's
 denominator can have are q (from the Laurent trace), z - q and z + 1, so
 a shift of the q-exponents and ``coeff._strip_root`` (synthetic division by
-z - q and z + 1) give its canonical form.
+z - q and z + 1) put it in lowest terms as a ``FactoredCoordinate``,
+(-1)^d R / (q^p (z - q)^alpha (z + 1)^beta).  ``factored_coordinates``
+returns these, and ``skein`` maps them straight into Q(s, u);
+``markov_class`` writes each one down in canonical form, (-1)^(d + alpha) R
+over q^p (q - z)^alpha (z + 1)^beta, whose coefficients are products of
+binomials and whose leading coefficient is 1.
 
 ``pairing_matrix`` evaluates the same expansion on the explicit basis words
 (``basis_word``: ``t1 t3 ... t(2k-1)`` followed by ``(t s)`` blocks at the
@@ -48,11 +53,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
-from math import factorial
-from typing import Iterable, Mapping
+from math import comb, factorial
+from typing import Iterable, Mapping, NamedTuple
 
 from .braid import Generator, SIGMA, TAU, SingularBraidWord
-from .coeff import MultivariatePolynomial, QZ, RationalFunction, _from_rec, _strip_root, _to_rec
+from .coeff import MultivariatePolynomial, QZ, RationalFunction, _strip_root, _to_rec
 from .hecke import evaluate_word, ocneanu_trace, trace_components
 
 __all__ = [
@@ -64,6 +69,7 @@ __all__ = [
     "TraceVector",
     "ClassPolynomial",
     "MarkovClass",
+    "FactoredCoordinate",
     "check_caps",
     "desing_delete",
     "desing_resolve",
@@ -72,6 +78,7 @@ __all__ = [
     "trace_vector",
     "basis_word",
     "pairing_matrix",
+    "factored_coordinates",
     "markov_class",
     "markov_class_of_sum",
     "g0_apply",
@@ -238,8 +245,6 @@ def basis_word(d: int, k: int) -> SingularBraidWord:
 
 
 _P_ONE, _P_Z, _P_W = _ONE.numerator, _Z.numerator, _Z_SLIDE.numerator
-_Z_MINUS_Q = MultivariatePolynomial(QZ, {(0, 1): 1, (1, 0): -1})
-_Z_PLUS_1 = MultivariatePolynomial(QZ, {(0, 1): 1, (0, 0): 1})
 
 
 def _expand(
@@ -389,24 +394,76 @@ class ClassPolynomial:
 
 
 class MarkovClass(ClassPolynomial):
-    """Class of a braid in the commutative stacking algebra over (q, z)."""
+    """Class of a braid in the commutative stacking algebra over (q, z).
+
+    A class computed by ``markov_class`` keeps the factored coordinates it
+    was built from in ``factored`` (None for any other class), so that
+    ``skein_class`` can reuse them without solving the word again.
+    """
 
     variable_names = ("X", "Y")
     field_variables = QZ
 
+    __slots__ = ("factored",)
 
-def markov_class(
+    def __init__(
+        self,
+        coeffs: Mapping[tuple[int, int], RationalFunction],
+        factored: "Mapping[tuple[int, int], FactoredCoordinate] | None" = None,
+    ):
+        super().__init__(coeffs)
+        object.__setattr__(self, "factored", factored)
+
+
+class FactoredCoordinate(NamedTuple):
+    """A nonzero coordinate sign * R / (q^p (z - q)^alpha (z + 1)^beta) in
+    lowest terms, sign = (-1)^d.
+
+    R is given as rows over z of int lists over q (``rows``), and is divisible
+    by none of q (if p > 0), z - q (if alpha > 0) and z + 1 (if beta > 0).
+    The rows are shared, not copied: read them, never write them.
+    """
+
+    rows: list[list[int]]
+    p: int
+    alpha: int
+    beta: int
+    sign: int
+
+    def in_qz(self) -> RationalFunction:
+        """Canonical form: sign * (-1)^alpha * R over q^p (q - z)^alpha
+        (z + 1)^beta.  Every q-exponent p + alpha - i of the denominator comes
+        from the single term of (q - z)^alpha with z^i, so its coefficients are
+        products of binomials, and its graded-lex leading coefficient is 1."""
+        sign = self.sign * (-1) ** self.alpha
+        num = {
+            (eq, ez): sign * v
+            for ez, row in enumerate(self.rows)
+            for eq, v in enumerate(row)
+            if v
+        }
+        den = {
+            (self.p + self.alpha - i, i + j): (-1) ** i * comb(self.alpha, i) * comb(self.beta, j)
+            for i in range(self.alpha + 1)
+            for j in range(self.beta + 1)
+        }
+        return RationalFunction._raw(
+            MultivariatePolynomial(QZ, num), MultivariatePolynomial(QZ, den)
+        )
+
+
+def factored_coordinates(
     word: SingularBraidWord,
     max_degree: int | None = None,
     max_strands: int | None = None,
-) -> MarkovClass:
-    """Coordinates of the word's class, by the change of variables T0 = wA - zB,
-    T1 = B - zA in its trace components, over D^d."""
+) -> dict[tuple[int, int], FactoredCoordinate]:
+    """The word's nonzero coordinates in factored form, by the change of
+    variables T0 = wA - zB, T1 = B - zA in its trace components, over D^d."""
     check_caps(word, max_degree, max_strands)
     d = word.degree
     table = _substitution(d)
     comps = trace_components(word)
-    coeffs = {}
+    out = {}
     for b in range(d + 1):
         acc: dict[tuple[int, int], int] = {}
         for k, comp in enumerate(comps):
@@ -418,34 +475,37 @@ def markov_class(
                         acc[key] = v
                     else:
                         del acc[key]
-        coeffs[(d - b, b)] = _over_det_power(acc, d)
-    return MarkovClass(coeffs)
+        if acc:
+            out[(d - b, b)] = _over_det_power(acc, d)
+    return out
 
 
-def _over_det_power(
-    laurent: dict[tuple[int, int], int], d: int
-) -> RationalFunction:
-    """Canonicalise (laurent numerator)/D^d, where D = w - z^2 = -(z - q)(z + 1)
-    is the determinant of the degree-1 pairing matrix.
+def markov_class(
+    word: SingularBraidWord,
+    max_degree: int | None = None,
+    max_strands: int | None = None,
+) -> MarkovClass:
+    """Coordinates of the word's class over Q(q, z), from its factored
+    coordinates, which the class keeps."""
+    factored = factored_coordinates(word, max_degree, max_strands)
+    return MarkovClass({ab: c.in_qz() for ab, c in factored.items()}, factored)
 
-    Every common factor must be q, z - q or z + 1: q by the Laurent shift, the
-    others by ``coeff._strip_root`` on the numerator's rows over z, at most d
-    times each.  The denominator is (-1)^d q^p (z - q)^(d - j) (z + 1)^(d - k)
-    after j and k divisions.
+
+def _over_det_power(laurent: dict[tuple[int, int], int], d: int) -> FactoredCoordinate:
+    """Factor a nonzero (laurent numerator)/D^d, where D = w - z^2 =
+    -(z - q)(z + 1) is the determinant of the degree-1 pairing matrix.
+
+    Every common factor must be q, z - q or z + 1: q by the Laurent shift p,
+    the others by ``coeff._strip_root`` on the numerator's rows over z, at
+    most d times each.  After j and k divisions the value is
+    (-1)^d R / (q^p (z - q)^(d - j) (z + 1)^(d - k)).
     """
-    if not laurent:
-        return RationalFunction.zero(QZ)
     q_power = max(0, -min(e0 for e0, _ in laurent))
     rows = _to_rec({(ez, eq + q_power): v for (eq, ez), v in laurent.items()})
-    den = MultivariatePolynomial.monomial(QZ, (q_power, 0), (-1) ** d)
     # z - q is z - 1*q^1 and z + 1 is z - (-1)*q^0 over rows in z
-    for factor, root, shift in ((_Z_MINUS_Q, 1, 1), (_Z_PLUS_1, -1, 0)):
-        (rows,), times = _strip_root([rows], root, shift, d)
-        den = den * factor ** (d - times)
-    num = MultivariatePolynomial(QZ, {(eq, ez): v for (ez, eq), v in _from_rec(rows).items()})
-    if den.leading_coefficient() < 0:
-        num, den = -num, -den
-    return RationalFunction._raw(num, den)
+    (rows,), j = _strip_root([rows], 1, 1, d)
+    (rows,), k = _strip_root([rows], -1, 0, d)
+    return FactoredCoordinate(rows, q_power, d - j, d - k, (-1) ** d)
 
 
 def markov_class_of_sum(words: FormalWordSum) -> MarkovClass:

@@ -5,18 +5,34 @@ basis monomials Xhat^a Yhat^b.  Writing n for the strand count, e for the
 writhe and c_ab for the (q, z)-coordinates, the coefficient of
 Xhat^a Yhat^b is
 
-    embed(c_ab) * z^(a + b - n + 1) * u^(a + e - n + 1)
+    embed(c_ab * z^m) * u^k,  m = a + b - n + 1,  k = a + e - n + 1,
 
 where embed is the field embedding q -> s^2, z -> (s^2 - 1)/(1 - s^2 u^2).
-Because embed is a ring homomorphism, the power of z is applied in Q(q, z)
-before embedding: both powers are then monomials, and a product with a
-monomial is reduced in closed form.  The exponents come from inverting the
-normalised braid-to-class map on the two generator words: a lone double
-point on two strands must map to Xhat, a double point followed by a
-crossing to Yhat, and the empty word on one strand to 1.  Both anchors,
-the skein relation t^{-1} L+ - t L- = x L0 (with t = s u, x = s - 1/s),
-and invariance under all closure-preserving moves are enforced by the test
-suite rather than assumed.
+The exponents come from inverting the normalised braid-to-class map on the
+two generator words: a lone double point on two strands must map to Xhat,
+a double point followed by a crossing to Yhat, and the empty word on one
+strand to 1.  Both anchors, the skein relation t^{-1} L+ - t L- = x L0
+(with t = s u, x = s - 1/s), and invariance under all closure-preserving
+moves are enforced by the test suite rather than assumed.
+
+Each coefficient is formed in closed form from the factored coordinate
+c = sign * R / (q^p (z - q)^alpha (z + 1)^beta) (``markov.FactoredCoordinate``),
+with no (q, z) fraction in between.  Write x = s^2, y = u^2.  Then
+z - q -> (x^2 y - 1)/(1 - x y) and z + 1 -> x (1 - y)/(1 - x y), and with
+L the z-degree of R and Rtilde = sum_b R_b(x) (x - 1)^b (1 - x y)^(L - b)
+(``coeff._embed_rows``):
+
+    embed(c z^m) u^k = sign * Rtilde * (x - 1)^m * (1 - x y)^(alpha + beta - L - m) * u^k
+                       / (x^(p + beta) (x^2 y - 1)^alpha (1 - y)^beta).
+
+Only three kinds of factor can cancel: the common power of s; x - 1, at
+most max(-m, 0) times, by synthetic division; and the common power of u,
+when k < 0.  Rtilde mod (1 - x y) is R_L(x) (x - 1)^L, which is not zero, so
+no factor 1 - x y cancels, and R's own lowest terms keep x^2 y - 1 and
+1 - y from cancelling.  The denominator is a product of primitive
+polynomials, so no integer content cancels either, and its graded-lex
+leading coefficient has the sign (-1)^(beta + j) when 1 - x y is left in it
+j times.
 
 Adding a free strand multiplies a class by (1 - s^2 u^2)/(u (s^2 - 1)),
 the disjoint-union coefficient (t^{-1} - t)/x.
@@ -25,10 +41,17 @@ the disjoint-union coefficient (t^{-1} - t)/x.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .braid import Generator, SIGMA, SIGMA_INV, SingularBraidWord, exponent_sum
-from .coeff import QZ, SU, RationalFunction, embed_qz_to_su
-from .markov import ClassPolynomial, check_caps, markov_class
+from .coeff import SU, MultivariatePolynomial, RationalFunction, _embed_rows, _strip_root
+from .markov import (
+    ClassPolynomial,
+    FactoredCoordinate,
+    MarkovClass,
+    check_caps,
+    factored_coordinates,
+)
 
 __all__ = [
     "SkeinClass",
@@ -43,7 +66,6 @@ __all__ = [
 
 _S = RationalFunction.coordinate(SU, "s")
 _U = RationalFunction.coordinate(SU, "u")
-_Z = RationalFunction.coordinate(QZ, "z")
 
 # the skein-relation constants: t = s*u and x = s - 1/s
 VAR_T = _S * _U
@@ -73,23 +95,79 @@ def skein_class(
     word: SingularBraidWord,
     max_degree: int | None = None,
     max_strands: int | None = None,
-    coords: "ClassPolynomial | None" = None,
+    coords: MarkovClass | None = None,
 ) -> SkeinClass:
     """Class of the word's closure in the basis {Xhat^a Yhat^b}.
 
-    ``coords`` may pass the word's precomputed coordinate class to avoid
+    ``coords`` may pass the word's class from ``markov_class`` to avoid
     solving twice when the caller already has it.
     """
     check_caps(word, max_degree, max_strands)
     if coords is None:
-        coords = markov_class(word)
+        factored = factored_coordinates(word)
+    elif coords.factored is None:
+        raise ValueError("coords must be the word's class from markov_class")
+    else:
+        factored = coords.factored
     n = word.strands
     writhe = exponent_sum(word)
-    out: dict[tuple[int, int], RationalFunction] = {}
-    for (a, b), coeff in coords.coeffs.items():
-        image = embed_qz_to_su(coeff * _Z ** (a + b - n + 1))
-        out[(a, b)] = image * _U ** (a + writhe - n + 1)
-    return SkeinClass(out)
+    return SkeinClass(
+        {
+            (a, b): _closure_coefficient(c, a + b - n + 1, a + writhe - n + 1)
+            for (a, b), c in factored.items()
+        }
+    )
+
+
+# (x^2 y - 1, y - 1, x - 1, x y - 1) with x = s^2, y = u^2: each has
+# graded-lex leading coefficient 1, so every product of their powers does
+_DENOMINATOR_FACTORS = tuple(
+    MultivariatePolynomial(SU, {mono: 1, (0, 0): -1}) for mono in ((4, 2), (0, 2), (2, 0), (2, 2))
+)
+
+
+@lru_cache(maxsize=1024)
+def _denominator(powers: tuple[int, int, int, int]) -> tuple:
+    """Terms of the product of the _DENOMINATOR_FACTORS to the given powers.
+
+    The key leaves out the powers of s and u, which vary with q-shifts and
+    writhes; the degree and strand caps bound the four powers it keeps."""
+    out = MultivariatePolynomial.one(SU)
+    for factor, power in zip(_DENOMINATOR_FACTORS, powers):
+        out = out * factor**power
+    return tuple(out.terms.items())
+
+
+def _closure_coefficient(c: FactoredCoordinate, m: int, k: int) -> RationalFunction:
+    """embed(c * z^m) * u^k in canonical form (see the module docstring)."""
+    r = max(-m, 0)  # z^m for m < 0 puts (x - 1)^r in the denominator
+    den_level = c.alpha + c.beta + r  # z-degree of the denominator
+    rows = [[] for _ in range(m)] + c.rows
+    level = max(len(rows) - 1, den_level)
+    num = _embed_rows(rows, level)
+    (num,), stripped = _strip_root([num], 1, 0, r)
+    left = level - den_level  # factors 1 - x y left in the denominator
+    sign = c.sign * (-1) ** (c.beta + left)
+    # common power of s: x^(p + beta) against the numerator's empty low rows
+    low = min(next(i for i, row in enumerate(num) if row), c.p + c.beta)
+    # common power of u: u^(-k) against the numerator's lowest power of y
+    y_low = min(next(j for j, v in enumerate(row) if v) for row in num if row)
+    cut = min(2 * y_low, max(-k, 0))
+    u_num, u_den = max(k, 0) - cut, max(-k, 0) - cut
+    x_den = 2 * (c.p + c.beta - low)
+    num_terms = {
+        (2 * i, 2 * j + u_num): sign * v
+        for i, row in enumerate(num[low:])
+        for j, v in enumerate(row)
+        if v
+    }
+    den_terms = {
+        (e0 + x_den, e1 + u_den): v
+        for (e0, e1), v in _denominator((c.alpha, c.beta, r - stripped, left))
+    }
+    return RationalFunction._raw(
+        MultivariatePolynomial(SU, num_terms), MultivariatePolynomial(SU, den_terms)
+    )
 
 
 def skein_triple_check(word: SingularBraidWord, i: int, **caps) -> SkeinTripleResult:

@@ -6,6 +6,7 @@ import pytest
 
 from singskein import cli
 from singskein.braid import parse
+from singskein.coeff import QZ, RationalFunction
 from singskein.cli import main
 
 
@@ -117,6 +118,31 @@ def test_verify_failure_exits_3(capsys, monkeypatch):
     )
     assert code == 3
     assert json.loads(out)["verify"]["failed"] > 0
+
+
+def test_verify_and_skein_check_build_no_qz_fractions(capsys, monkeypatch):
+    # only the given word's (q, z) class is shown, so the move and skein-check
+    # classes must go from the fold straight to (s, u)
+    built = []
+    raw, init = RationalFunction._raw.__func__, RationalFunction.__init__
+
+    def counting_raw(cls, num, den):
+        built.append(num.variables)
+        return raw(cls, num, den)
+
+    def counting_init(self, num, den=None):
+        built.append(num.variables)
+        init(self, num, den)
+
+    monkeypatch.setattr(RationalFunction, "_raw", classmethod(counting_raw))
+    monkeypatch.setattr(RationalFunction, "__init__", counting_init)
+    word = ["--word", "t1 s2 S1 t2 s1", "--strands", "3"]
+    assert invoke(capsys, *word)[0] == 0
+    plain = built.count(QZ)
+    built.clear()
+    assert invoke(capsys, *word, "--verify", "--moves", "9", "--skein-check", "1")[0] == 0
+    assert built.count(QZ) == plain > 0
+    assert built.count(("s", "u")) > 0
 
 
 def test_negative_moves_rejected_before_any_work(capsys, monkeypatch):

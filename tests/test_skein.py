@@ -3,7 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from singskein import cli
 from singskein.braid import (
     Generator,
     SIGMA,
@@ -16,11 +19,11 @@ from singskein.braid import (
     stack,
     with_strands,
 )
-from singskein.coeff import SU, RationalFunction, embed_qz_to_su
-from singskein.coeff import QZ
-from singskein.markov import markov_class
+from singskein.coeff import QZ, SU, MultivariatePolynomial, RationalFunction, embed_qz_to_su
+from singskein.markov import MarkovClass, _over_det_power, markov_class
 from singskein.skein import (
     SkeinClass,
+    _closure_coefficient,
     closure_product,
     disjoint_union_coefficient,
     skein_class,
@@ -174,6 +177,92 @@ def test_coefficients_match_products_in_the_image_field():
                 num, den = num * f.numerator, den * f.denominator
             expected[(a, b)] = RationalFunction(num, den)
         assert skein_class(w) == SkeinClass(expected)
+
+
+def test_closed_form_matches_embedding_of_the_general_fraction():
+    # factored coordinates of numerators carrying z^t, (q - 1)^v, (z - q)^i,
+    # (z + 1)^j and (z - q + 1)^w over D^d, D = -(z - q)(z + 1), with a Laurent
+    # q shift; every coefficient embed(c * z^m) * u^e against the oracle
+    # embedding of the fraction formed by the general constructor.  (q - 1)^v
+    # with v > -m > 0 takes the s^2 - 1 strip to its limit, and (z - q + 1)^w
+    # makes the numerator's image divisible by u^2, so e < 0 cancels powers of u.
+    rng = random.Random(1009)
+
+    def poly(terms):
+        return MultivariatePolynomial(QZ, terms)
+
+    z, q_minus_1 = poly({(0, 1): 1}), poly({(1, 0): 1, (0, 0): -1})
+    z_minus_q, z_plus_1 = poly({(0, 1): 1, (1, 0): -1}), poly({(0, 1): 1, (0, 0): 1})
+    z_minus_q_plus_1 = poly({(0, 1): 1, (1, 0): -1, (0, 0): 1})
+    det = -(z_minus_q * z_plus_1)
+    at_limit = u_cut = 0
+    for d in range(4):
+        for _ in range(6):
+            while True:  # a cofactor nonzero at z = q, z = -1, z = q - 1 and q = 1
+                f = poly({(rng.randint(0, 2), rng.randint(0, 2)): rng.randint(-4, 4) for _ in range(3)})
+                if all(f.evaluate(pt) for pt in ((3, 3), (3, -1), (3, 2), (1, 5))):
+                    break
+            t, v, w = rng.randint(0, 2), rng.randint(0, 3), rng.randint(0, 2)
+            i, j = rng.randint(0, d + 2), rng.randint(0, d + 2)
+            num = f * z**t * q_minus_1**v * z_minus_q**i * z_plus_1**j * z_minus_q_plus_1**w
+            shift = rng.randint(-3, 2)
+            p = max(0, -shift)
+            laurent = {(e0 + shift, e1): c for (e0, e1), c in num.terms.items()}
+            num = poly({(e0 + shift + p, e1): c for (e0, e1), c in num.terms.items()})
+            den = det**d * MultivariatePolynomial.monomial(QZ, (p, 0))
+            factored = _over_det_power(laurent, d)
+            assert factored.in_qz() == RationalFunction(num, den)
+            for m in range(-3, 3):
+                num_m = num * z**m if m >= 0 else num
+                den_m = den if m >= 0 else den * z**-m
+                image = embed_qz_to_su(RationalFunction(num_m, den_m))
+                for e in range(-3, 3):
+                    expected = image * U**e
+                    got = _closure_coefficient(factored, m, e)
+                    assert got.numerator == expected.numerator, (d, t, v, i, j, w, m, e)
+                    assert got.denominator == expected.denominator, (d, t, v, i, j, w, m, e)
+                    at_limit += v > -m > 0
+                    u_cut += w > 0 and e < 0
+    assert at_limit and u_cut, (at_limit, u_cut)
+
+
+def test_coords_must_come_from_markov_class():
+    w = parse("t1 s1 S1 t1", 2)
+    assert skein_class(w, coords=markov_class(w)) == skein_class(w)
+    with pytest.raises(ValueError):
+        skein_class(w, coords=MarkovClass(markov_class(w).coeffs))
+
+
+@st.composite
+def mixed_sign_words(draw):
+    """1-7 strands, at most 10 letters, at most 4 double points, crossings
+    positive or negative with equal odds."""
+    n = draw(st.integers(1, 7))
+    if n == 1:
+        return SingularBraidWord(1, ())
+    index = st.integers(1, n - 1)
+    kind = st.sampled_from((SIGMA, SIGMA_INV))
+    letters = draw(st.lists(st.builds(Generator, kind, index), max_size=6))
+    for _ in range(draw(st.integers(0, 4))):
+        letters.insert(draw(st.integers(0, len(letters))), Generator(TAU, draw(index)))
+    return SingularBraidWord(n, tuple(letters))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(mixed_sign_words())
+def test_classes_are_canonical_and_match_the_cli(w):
+    # every coefficient is a fixed point of the general constructor, and the
+    # class solved from scratch is the one the command line renders
+    markov, skein = markov_class(w), skein_class(w)
+    for c in list(markov.coeffs.values()) + list(skein.coeffs.values()):
+        rebuilt = RationalFunction(c.numerator, c.denominator)
+        assert rebuilt.numerator == c.numerator
+        assert rebuilt.denominator == c.denominator
+    args = cli.build_parser().parse_args(["--word", w.display(), "--strands", str(w.strands)])
+    report = cli.run(args)
+    assert report.skein == skein
+    assert report.markov == markov
+    assert str(report.skein) == str(skein)
 
 
 # -- algebra structure ---------------------------------------------------------------------
