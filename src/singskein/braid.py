@@ -38,7 +38,6 @@ __all__ = [
     "StabilizeUp",
     "StabilizeDown",
     "RelationMove",
-    "RELATION_RULES",
     "parse",
     "exponent_sum",
     "underlying_permutation",
@@ -265,17 +264,6 @@ R_SIGMA_SIGMA_TAU = "singular_braid_relation"
 R_FAR_SIGMA_SIGMA = "commute_far_sigma_sigma"
 R_FAR_SIGMA_TAU = "commute_far_sigma_tau"
 R_FAR_TAU_TAU = "commute_far_tau_tau"
-
-RELATION_RULES = (
-    R_CANCEL,
-    R_INSERT,
-    R_SIGMA_TAU_SAME,
-    R_BRAID,
-    R_SIGMA_SIGMA_TAU,
-    R_FAR_SIGMA_SIGMA,
-    R_FAR_SIGMA_TAU,
-    R_FAR_TAU_TAU,
-)
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,7 @@ from .markov import (
     HARD_MAX_STRANDS,
     CapExceededError,
     MarkovClass,
+    check_caps,
     markov_class,
 )
 from .skein import SkeinClass, skein_class, skein_triple_check
@@ -137,23 +138,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(args: argparse.Namespace) -> RunReport:
     word = parse(args.word, args.strands)
+    check_caps(word, args.max_degree, args.max_strands)
     if args.skein_check is not None and not 0 < args.skein_check < word.strands:
         raise ValueError(f"crossing index {args.skein_check} out of range for {word.strands} strands")
     start = time.perf_counter()
-    markov = markov_class(word, args.max_degree, args.max_strands)
-    skein = skein_class(word, args.max_degree, args.max_strands, coords=markov)
+    markov = markov_class(word)
+    skein = skein_class(word, coords=markov)
     verify: dict | None = None
     if args.verify or args.skein_check is not None:
         verify = {}
         if args.verify:
             verify.update(_verify_moves(word, skein, args))
         if args.skein_check is not None:
-            result = skein_triple_check(
-                word,
-                args.skein_check,
-                max_degree=args.max_degree,
-                max_strands=args.max_strands,
-            )
+            result = skein_triple_check(word, args.skein_check)
             verify["skein_check"] = {
                 "index": args.skein_check,
                 "holds": result.holds,
@@ -175,6 +172,8 @@ def run(args: argparse.Namespace) -> RunReport:
 
 
 def _verify_moves(word: SingularBraidWord, reference, args: argparse.Namespace) -> dict:
+    # The move words need no cap check of their own: every move keeps the
+    # degree, and random_move_sequence keeps the strand count within the cap.
     strand_cap = args.max_strands if args.max_strands else HARD_MAX_STRANDS
     passed = 0
     failures: list[str] = []
@@ -182,7 +181,7 @@ def _verify_moves(word: SingularBraidWord, reference, args: argparse.Namespace) 
         word, args.moves, seed=args.seed, max_strands=strand_cap
     )
     for step_number, (move, step_word) in enumerate(steps, start=1):
-        if skein_class(step_word, args.max_degree, args.max_strands) == reference:
+        if skein_class(step_word) == reference:
             passed += 1
         else:
             failures.append(f"step {step_number}: {move!r} changed the class")

@@ -289,7 +289,8 @@ class MultivariatePolynomial:
 # ---------------------------------------------------------------------------
 
 
-def _u_trim(f: list[int]) -> list[int]:
+def _u_trim(f: list) -> list:
+    """Drop trailing zeros, or trailing empty rows of a bivariate list."""
     while f and not f[-1]:
         f.pop()
     return f
@@ -390,12 +391,6 @@ def _u_divexact(f: list[int], g: list[int]) -> list[int]:
     return _u_trim(out)
 
 
-def _b_trim(F: list[list[int]]) -> list[list[int]]:
-    while F and not F[-1]:
-        F.pop()
-    return F
-
-
 def _b_content(F: list[list[int]]) -> list[int]:
     c: list[int] = []
     for row in F:
@@ -424,13 +419,13 @@ def _b_prem(F: list[list[int]], G: list[list[int]]) -> list[list[int]]:
             if row:
                 nF[off + k] = _u_sub(nF[off + k], _u_mul(row, lF))
         nF.pop()
-        F = _b_trim(nF)
+        F = _u_trim(nF)
     return F
 
 
 def _b_gcd(F: list[list[int]], G: list[list[int]]) -> list[list[int]]:
-    F = _b_trim([list(r) for r in F])
-    G = _b_trim([list(r) for r in G])
+    F = _u_trim([list(r) for r in F])
+    G = _u_trim([list(r) for r in G])
     if not F:
         F, G = G, F
     if not G:
@@ -462,7 +457,7 @@ def _to_rec(terms: Mapping[Monomial, int]) -> list[list[int]]:
             out.append(lst)
         else:
             out.append([])
-    return _b_trim(out)
+    return _u_trim(out)
 
 
 def _from_rec(F: list[list[int]]) -> dict[Monomial, int]:
@@ -519,7 +514,7 @@ def _divexact_terms(a: Mapping[Monomial, int], b: Mapping[Monomial, int]) -> dic
         for k, g_row in enumerate(G):
             if g_row:
                 F[off + k] = _u_sub(F[off + k], _u_mul(g_row, row))
-        _b_trim(F)
+        _u_trim(F)
     if F:
         raise ExactDivisionError("nonzero remainder")
     return _from_rec(out)
@@ -885,7 +880,7 @@ def _embed_rows(by_z: list[list[int]], level: int) -> list[list[int]]:
         rows += [[] for _ in range(len(term) - len(rows))]
         for i, c in enumerate(term):
             rows[i] = _u_trim([(rows[i][0] if rows[i] else 0) + c] + rows[i][1:])
-    return _b_trim(rows)
+    return _u_trim(rows)
 
 
 def _z_rows(poly: MultivariatePolynomial) -> list[list[int]]:

@@ -23,8 +23,9 @@ packed value, so ``clear_caches`` may empty it at any time and
 ``cache_info`` reports its entries, hits and misses.
 
 ``trace_components`` folds a word once for all 2^d desingularisations: a
-singular letter branches into a "delete" and a "resolve to crossing" copy,
-and the copy's resolution count r rides in the coefficient.  Each
+double point is the identity plus the crossing rule one digit up: the
+deleted copy is the state itself, and in the copy resolved to a crossing the
+resolution count r rides in the coefficient.  Each
 permutation's coefficient, a polynomial in q and r, is one Python int P_w,
 its value at q = 2^(R*B) and r = 2^B with R = d + 1: the signed (balanced)
 B-bit digit in slot R*e + r is the coefficient of q^e with r resolutions.
@@ -45,7 +46,7 @@ slots never collide because r < R.  Decoding is exact when every digit is
 below 2^(B-1) in absolute value, and B is set from one bound on L1 norms
 (sums of absolute coefficients): every fold or peel step at most triples
 L1 (``(q-1) T_w + q T_ws`` or ``T_ws + (1-q) T_w``) and a double point at
-most quadruples it (the deleted copy plus the resolved crossing).  A word
+most quadruples it (the identity plus the crossing rule one digit up).  A word
 with c crossings and d double points folds to L1 at most 3^c 4^d, and a
 coefficient passes through at most sum_{m=2..n} (m - 2) = (n-1)(n-2)/2
 peel steps on n strands, so every digit is at most
@@ -109,6 +110,7 @@ _FIELD = 5  # bits per point of a packed permutation
 _MASK = (1 << _FIELD) - 1  # also the largest strand count a field can hold
 _TAU_NEG = 2  # a double point resolved to a negative crossing (mirror fold)
 _MIRROR = {SIGMA: SIGMA_INV, SIGMA_INV: SIGMA, TAU: _TAU_NEG}
+_RESOLVE = {TAU: SIGMA, _TAU_NEG: SIGMA_INV}  # the crossing a double point resolves to
 
 
 def _pack(values: Iterable[int]) -> int:
@@ -143,11 +145,23 @@ def clear_caches() -> None:
 
 def _step(state: dict[int, int], i: int, kind: int, q_shift: int, bits: int) -> dict[int, int]:
     """Right-multiply a packed state by ``T_i`` (SIGMA), ``q T_i^{-1}``
-    (SIGMA_INV) or a double point's delete-plus-resolve, to ``T_i`` (TAU) or
-    to ``q T_i^{-1}`` (_TAU_NEG).
+    (SIGMA_INV) or a double point (TAU, _TAU_NEG).
 
     With a = w(i) and b = w(i+1), w s_i swaps the two fields, that is XORs
-    a ^ b into both, and the length goes up iff a < b."""
+    a ^ b into both, and the length goes up iff a < b.  A double point is
+    the identity plus the crossing rule one digit up: the deleted copy is
+    the state itself, and its resolution to ``T_i`` (TAU) or to
+    ``q T_i^{-1}`` (_TAU_NEG) is that crossing's rule applied to the
+    coefficients shifted one resolution digit (``<< bits``)."""
+    if kind in _RESOLVE:
+        new = _step({w: p << bits for w, p in state.items()}, i, _RESOLVE[kind], q_shift, bits)
+        for w, p in state.items():  # no p is 0: a zero sum means w is in new
+            v = new.get(w, 0) + p
+            if v:
+                new[w] = v
+            else:
+                del new[w]
+        return new
     lo = _FIELD * (i - 1)
     hi = lo + _FIELD
     both = (1 << lo) | (1 << hi)
@@ -164,7 +178,7 @@ def _step(state: dict[int, int], i: int, kind: int, q_shift: int, bits: int) -> 
                 pq = p << q_shift
                 new[w] = get(w, 0) + pq - p
                 new[v] = get(v, 0) + pq
-    elif kind == SIGMA_INV:  # times q: T_i + (1 - q)
+    else:  # SIGMA_INV, times q: T_i + (1 - q)
         for w, p in state.items():
             a = ((w >> lo) & _MASK) ^ i
             b = ((w >> hi) & _MASK) ^ (i + 1)
@@ -174,31 +188,6 @@ def _step(state: dict[int, int], i: int, kind: int, q_shift: int, bits: int) -> 
                 new[w] = get(w, 0) + p - (p << q_shift)
             else:
                 new[v] = get(v, 0) + (p << q_shift)
-    elif kind == TAU:  # delete + resolve
-        for w, p in state.items():
-            new[w] = get(w, 0) + p
-            pr = p << bits
-            a = ((w >> lo) & _MASK) ^ i
-            b = ((w >> hi) & _MASK) ^ (i + 1)
-            v = w ^ ((a ^ b) * both)
-            if a < b:
-                new[v] = get(v, 0) + pr
-            else:
-                pq = pr << q_shift
-                new[w] = get(w, 0) + pq - pr
-                new[v] = get(v, 0) + pq
-    else:  # _TAU_NEG: delete + resolve, times q: T_i + (1 - q)
-        for w, p in state.items():
-            pr = p << bits
-            a = ((w >> lo) & _MASK) ^ i
-            b = ((w >> hi) & _MASK) ^ (i + 1)
-            v = w ^ ((a ^ b) * both)
-            if a < b:
-                new[v] = get(v, 0) + pr
-                new[w] = get(w, 0) + p + pr - (pr << q_shift)
-            else:
-                new[w] = get(w, 0) + p
-                new[v] = get(v, 0) + (pr << q_shift)
     return {w: p for w, p in new.items() if p}
 
 

@@ -44,8 +44,11 @@ The one-step deletion/resolution maps act on coordinates as
 
 which the test suite cross-checks against the word-level maps.
 
-Hard caps (degree <= 8, strands <= 12) apply to the words given to
-``markov_class``.
+``factored_coordinates``, and so ``markov_class`` and ``skein_class``,
+refuses a word above the hard caps (degree <= 8, strands <= 12).  The CLI
+checks the given word once against its lowered caps (``--max-degree``,
+``--max-strands``) with ``check_caps``, right after parsing and before any
+fold.
 """
 
 from __future__ import annotations
@@ -452,14 +455,11 @@ class FactoredCoordinate(NamedTuple):
         )
 
 
-def factored_coordinates(
-    word: SingularBraidWord,
-    max_degree: int | None = None,
-    max_strands: int | None = None,
-) -> dict[tuple[int, int], FactoredCoordinate]:
+def factored_coordinates(word: SingularBraidWord) -> dict[tuple[int, int], FactoredCoordinate]:
     """The word's nonzero coordinates in factored form, by the change of
-    variables T0 = wA - zB, T1 = B - zA in its trace components, over D^d."""
-    check_caps(word, max_degree, max_strands)
+    variables T0 = wA - zB, T1 = B - zA in its trace components, over D^d.
+    ``CapExceededError`` if the word is above the hard caps."""
+    check_caps(word)
     d = word.degree
     table = _substitution(d)
     comps = trace_components(word)
@@ -480,14 +480,10 @@ def factored_coordinates(
     return out
 
 
-def markov_class(
-    word: SingularBraidWord,
-    max_degree: int | None = None,
-    max_strands: int | None = None,
-) -> MarkovClass:
+def markov_class(word: SingularBraidWord) -> MarkovClass:
     """Coordinates of the word's class over Q(q, z), from its factored
     coordinates, which the class keeps."""
-    factored = factored_coordinates(word, max_degree, max_strands)
+    factored = factored_coordinates(word)
     return MarkovClass({ab: c.in_qz() for ab, c in factored.items()}, factored)
 
 

@@ -45,13 +45,7 @@ from functools import lru_cache
 
 from .braid import Generator, SIGMA, SIGMA_INV, SingularBraidWord, exponent_sum
 from .coeff import SU, MultivariatePolynomial, RationalFunction, _embed_rows, _strip_root
-from .markov import (
-    ClassPolynomial,
-    FactoredCoordinate,
-    MarkovClass,
-    check_caps,
-    factored_coordinates,
-)
+from .markov import ClassPolynomial, FactoredCoordinate, MarkovClass, factored_coordinates
 
 __all__ = [
     "SkeinClass",
@@ -91,18 +85,12 @@ class SkeinTripleResult:
     rhs: SkeinClass
 
 
-def skein_class(
-    word: SingularBraidWord,
-    max_degree: int | None = None,
-    max_strands: int | None = None,
-    coords: MarkovClass | None = None,
-) -> SkeinClass:
+def skein_class(word: SingularBraidWord, coords: MarkovClass | None = None) -> SkeinClass:
     """Class of the word's closure in the basis {Xhat^a Yhat^b}.
 
     ``coords`` may pass the word's class from ``markov_class`` to avoid
     solving twice when the caller already has it.
     """
-    check_caps(word, max_degree, max_strands)
     if coords is None:
         factored = factored_coordinates(word)
     elif coords.factored is None:
@@ -170,18 +158,17 @@ def _closure_coefficient(c: FactoredCoordinate, m: int, k: int) -> RationalFunct
     )
 
 
-def skein_triple_check(word: SingularBraidWord, i: int, **caps) -> SkeinTripleResult:
+def skein_triple_check(word: SingularBraidWord, i: int) -> SkeinTripleResult:
     """Check t^{-1}[closure(w s_i)] - t[closure(w S_i)] = x[closure(w)]."""
     if not 1 <= i <= word.strands - 1:
         raise ValueError(f"crossing index {i} out of range for {word.strands} strands")
     positive = skein_class(
-        SingularBraidWord(word.strands, word.letters + (Generator(SIGMA, i),)), **caps
+        SingularBraidWord(word.strands, word.letters + (Generator(SIGMA, i),))
     )
     negative = skein_class(
-        SingularBraidWord(word.strands, word.letters + (Generator(SIGMA_INV, i),)),
-        **caps,
+        SingularBraidWord(word.strands, word.letters + (Generator(SIGMA_INV, i),))
     )
-    smoothed = skein_class(word, **caps)
+    smoothed = skein_class(word)
     lhs = positive.scaled(VAR_T.inverse()) - negative.scaled(VAR_T)
     rhs = smoothed.scaled(VAR_X)
     return SkeinTripleResult(lhs == rhs, positive, negative, smoothed, lhs, rhs)

@@ -166,6 +166,16 @@ def test_skein_check_index_rejected_before_any_work(capsys, monkeypatch):
     assert "crossing index 5 out of range for 2 strands" in err
 
 
+def test_lowered_cap_rejected_before_any_work(capsys, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the class was computed before --max-degree was checked")
+
+    monkeypatch.setattr(cli, "markov_class", unreachable)
+    code, _, err = invoke(capsys, "--word", "t1 t1", "--strands", "2", "--max-degree", "1")
+    assert code == 4
+    assert "word has 2 double points, cap is 1" in err
+
+
 def test_syntax_error_exits_2(capsys):
     code, _, err = invoke(capsys, "--word", "s1 x9")
     assert code == 2

@@ -23,6 +23,7 @@ from singskein.markov import (
     FormalWordSum,
     MarkovClass,
     basis_word,
+    check_caps,
     class_product,
     desing_delete,
     desing_resolve,
@@ -240,7 +241,7 @@ def test_markov_class_caps():
     with pytest.raises(CapExceededError):
         markov_class(deep)
     with pytest.raises(CapExceededError):
-        markov_class(parse("t1 t1", 2), max_degree=1)
+        check_caps(parse("t1 t1", 2), max_degree=1)
 
 
 # -- operators ------------------------------------------------------------------------
