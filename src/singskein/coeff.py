@@ -8,9 +8,11 @@ polynomials in one of two variable pairs:
   indeterminates model square roots, ``q = s**2`` and ``y = u**2``, so no
   numeric branch of a root is ever chosen.
 
-A :class:`RationalFunction` is always kept in canonical form: numerator and
-denominator have integer coefficients, their polynomial gcd and any shared
-integer content are removed, and the leading coefficient of the denominator
+Polynomials hold int coefficients only; a rational constant enters through
+``RationalFunction.constant``, which splits it into an int numerator and an
+int denominator.  A :class:`RationalFunction` is always kept in canonical
+form: the polynomial gcd of numerator and denominator and any shared integer
+content are removed, and the leading coefficient of the denominator
 is positive under graded-lex order (total degree first, ties broken by the
 first variable).  Canonical form is unique, so structural equality ``==``
 decides mathematical equality.
@@ -38,7 +40,6 @@ __all__ = [
     "RationalFunction",
     "poly_gcd",
     "poly_divexact",
-    "poly_lcm",
     "embed_qz_to_su",
 ]
 
@@ -66,29 +67,22 @@ def _monomial_key(mono: Monomial) -> tuple[int, int]:
     return (mono[0] + mono[1], mono[0])
 
 
-def _as_coeff(value):
-    """Normalise a coefficient to int when possible, else Fraction."""
-    if isinstance(value, int):
-        return value
-    frac = Fraction(value)
-    return frac.numerator if frac.denominator == 1 else frac
-
-
 class MultivariatePolynomial:
-    """Sparse polynomial in two named variables with exact coefficients.
+    """Sparse polynomial in two named variables with integer coefficients.
 
-    Terms map exponent pairs to nonzero coefficients (ints, or Fractions for
-    transient values; canonical rational functions only ever hold ints).
+    Terms map exponent pairs to nonzero ints; any other coefficient type
+    raises TypeError.  Rational scalars live in :class:`RationalFunction`.
     """
 
     __slots__ = ("variables", "terms", "_hash")
 
-    def __init__(self, variables: tuple[str, str], terms: Mapping[Monomial, object]):
+    def __init__(self, variables: tuple[str, str], terms: Mapping[Monomial, int]):
         if len(variables) != 2:
             raise ValueError("exactly two variables expected")
-        clean: dict[Monomial, object] = {}
+        clean: dict[Monomial, int] = {}
         for mono, coeff in terms.items():
-            coeff = _as_coeff(coeff)
+            if not isinstance(coeff, int):
+                raise TypeError(f"coefficient {coeff!r} is not an int")
             if coeff:
                 if mono[0] < 0 or mono[1] < 0:
                     raise ValueError(f"negative exponent in monomial {mono}")
@@ -194,7 +188,7 @@ class MultivariatePolynomial:
         self._check(other)
         if not self.terms or not other.terms:
             return MultivariatePolynomial(self.variables, {})
-        out: dict[Monomial, object] = {}
+        out: dict[Monomial, int] = {}
         for (a0, a1), ca in self.terms.items():
             for (b0, b1), cb in other.terms.items():
                 mono = (a0 + b0, a1 + b1)
@@ -217,8 +211,7 @@ class MultivariatePolynomial:
             exponent >>= 1
         return result
 
-    def scaled(self, factor) -> "MultivariatePolynomial":
-        factor = _as_coeff(factor)
+    def scaled(self, factor: int) -> "MultivariatePolynomial":
         if not factor:
             return MultivariatePolynomial(self.variables, {})
         return MultivariatePolynomial(
@@ -231,7 +224,7 @@ class MultivariatePolynomial:
         v1 = Fraction(point[1])
         total = Fraction(0)
         for (e0, e1), coeff in self.terms.items():
-            total += Fraction(coeff) * v0**e0 * v1**e1
+            total += coeff * v0**e0 * v1**e1
         return total
 
     # -- comparison / rendering --------------------------------------------
@@ -248,7 +241,7 @@ class MultivariatePolynomial:
             object.__setattr__(self, "_hash", h)
         return h
 
-    def sorted_terms(self) -> list[tuple[Monomial, object]]:
+    def sorted_terms(self) -> list[tuple[Monomial, int]]:
         """Terms in descending graded-lex order (the rendering order)."""
         return sorted(self.terms.items(), key=lambda kv: _monomial_key(kv[0]), reverse=True)
 
@@ -566,45 +559,13 @@ def poly_divexact(a: MultivariatePolynomial, b: MultivariatePolynomial) -> Multi
     return MultivariatePolynomial(a.variables, _divexact_terms(a.terms, b.terms))
 
 
-def poly_lcm(a: MultivariatePolynomial, b: MultivariatePolynomial) -> MultivariatePolynomial:
-    if a.is_zero or b.is_zero:
-        return MultivariatePolynomial.zero(a.variables)
-    g = poly_gcd(a, b)
-    out = poly_divexact(a * b, g)
-    lead = out.leading_coefficient()
-    if lead < 0:
-        out = -out
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Rational functions
 # ---------------------------------------------------------------------------
 
 
-def _clear_fractions(num: dict, den: dict) -> tuple[dict, dict]:
-    """Scale both term dicts by one rational so coefficients become ints."""
-    lcm = 1
-    for terms in (num, den):
-        for coeff in terms.values():
-            if isinstance(coeff, Fraction):
-                d = coeff.denominator
-                lcm = lcm // _int_gcd(lcm, d) * d
-    if lcm == 1:
-        return num, den
-
-    def scale(terms: dict) -> dict:
-        out = {}
-        for mono, coeff in terms.items():
-            scaled = coeff * lcm
-            out[mono] = int(scaled)
-        return out
-
-    return scale(num), scale(den)
-
-
 def _canonical_pair(num: dict, den: dict) -> tuple[dict, dict]:
-    """Reduce an (integer-coefficient) numerator/denominator pair."""
+    """Reduce a numerator/denominator pair of int-coefficient term dicts."""
     if not den:
         raise ZeroDivisionError("zero denominator")
     if not num:
@@ -635,8 +596,7 @@ class RationalFunction:
             raise MixedVariablesError(
                 f"cannot mix {numerator.variables} and {denominator.variables}"
             )
-        num, den = _clear_fractions(numerator.terms, denominator.terms)
-        num, den = _canonical_pair(num, den)
+        num, den = _canonical_pair(numerator.terms, denominator.terms)
         object.__setattr__(
             self, "numerator", MultivariatePolynomial(numerator.variables, num)
         )

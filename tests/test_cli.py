@@ -1,9 +1,13 @@
 """Front-end behaviour: formats, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import singskein
 from singskein import cli
 from singskein.braid import parse
 from singskein.coeff import QZ, RationalFunction
@@ -210,3 +214,11 @@ def test_strands_inferred(capsys):
     code, out, _ = invoke(capsys, "--word", "s1 S2 t1")
     assert code == 0
     assert "strands:      3" in out
+
+
+def test_cli_import_leaves_the_linalg_oracle_out():
+    # the linear-algebra engine is a test oracle; the CLI path never loads it
+    src = os.path.dirname(os.path.dirname(singskein.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, singskein.cli; sys.exit('singskein.linalg' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
