@@ -314,7 +314,7 @@ _RF_ONE = RationalFunction.one(QZ)
 _RF_Q = RationalFunction.coordinate(QZ, "q")
 _RF_Q_MINUS_1 = _RF_Q - _RF_ONE
 _RF_Q_INV = _RF_Q.inverse()
-_RF_Q_INV_MINUS_1 = _RF_Q_INV - _RF_ONE
+_RF_Q_INV_MINUS_1 = RationalFunction._raw(-_RF_Q_MINUS_1.numerator, _RF_Q.numerator)  # (1 - q)/q
 
 
 class HeckeElement:

@@ -22,15 +22,15 @@ coordinates x_ab with
 and the inverse change of variables T0 = (wA - zB)/D, T1 = (B - zA)/D with
 D = w - z^2 = -(z - q)(z + 1) reads x_ab off as the coefficient of A^a B^b
 in sum_k C_k (wA - zB)^(d-k) (B - zA)^k, divided by D^d.  The k!(d-k)!
-weights scale whole functionals and cancel.  The only factors a coordinate's
-denominator can have are q (from the Laurent trace), z - q and z + 1, so
-a shift of the q-exponents and ``coeff._strip_root`` (synthetic division by
-z - q and z + 1) put it in lowest terms as a ``FactoredCoordinate``,
-(-1)^d R / (q^p (z - q)^alpha (z + 1)^beta).  ``factored_coordinates``
-returns these, and ``skein`` maps them straight into Q(s, u);
-``markov_class`` writes each one down in canonical form, (-1)^(d + alpha) R
-over q^p (q - z)^alpha (z + 1)^beta, whose coefficients are products of
-binomials and whose leading coefficient is 1.
+weights scale whole functionals and cancel (``coordinate_numerators``).  The
+only factors a coordinate's denominator can have are q (from the Laurent
+trace), z - q and z + 1, so a shift of the q-exponents and
+``coeff._strip_root`` (synthetic division by z - q and z + 1) put it in
+lowest terms as a ``FactoredCoordinate``, (-1)^d R / (q^p (z - q)^alpha
+(z + 1)^beta); ``factored_coordinates`` runs both steps.  ``skein`` maps
+these straight into Q(s, u); ``markov_class`` writes each one down in
+canonical form, (-1)^(d + alpha) R over q^p (q - z)^alpha (z + 1)^beta,
+whose coefficients are products of binomials and leading coefficient 1.
 
 ``pairing_matrix`` evaluates the same expansion on the explicit basis words
 (``basis_word``: ``t1 t3 ... t(2k-1)`` followed by ``(t s)`` blocks at the
@@ -44,9 +44,9 @@ The one-step deletion/resolution maps act on coordinates as
 
 which the test suite cross-checks against the word-level maps.
 
-``factored_coordinates``, and so ``markov_class`` and ``skein_class``,
-refuses a word above the hard caps (degree <= 8, strands <= 12).  The CLI
-checks the given word once against its lowered caps (``--max-degree``,
+``coordinate_numerators``, and so every class and skein check, refuses a
+word above the hard caps (degree <= 8, strands <= 12).  The CLI checks the
+given word once against its lowered caps (``--max-degree``,
 ``--max-strands``) with ``check_caps``, right after parsing and before any
 fold.
 """
@@ -81,6 +81,7 @@ __all__ = [
     "trace_vector",
     "basis_word",
     "pairing_matrix",
+    "coordinate_numerators",
     "factored_coordinates",
     "markov_class",
     "markov_class_of_sum",
@@ -399,23 +400,25 @@ class ClassPolynomial:
 class MarkovClass(ClassPolynomial):
     """Class of a braid in the commutative stacking algebra over (q, z).
 
-    A class computed by ``markov_class`` keeps the factored coordinates it
-    was built from in ``factored`` (None for any other class), so that
-    ``skein_class`` can reuse them without solving the word again.
+    A class computed by ``markov_class`` keeps the word it was solved for and
+    its factored coordinates in ``word`` and ``factored`` (None for any other
+    class), so that ``skein_class`` can reuse them without solving again.
     """
 
     variable_names = ("X", "Y")
     field_variables = QZ
 
-    __slots__ = ("factored",)
+    __slots__ = ("factored", "word")
 
     def __init__(
         self,
         coeffs: Mapping[tuple[int, int], RationalFunction],
         factored: "Mapping[tuple[int, int], FactoredCoordinate] | None" = None,
+        word: SingularBraidWord | None = None,
     ):
         super().__init__(coeffs)
         object.__setattr__(self, "factored", factored)
+        object.__setattr__(self, "word", word)
 
 
 class FactoredCoordinate(NamedTuple):
@@ -455,9 +458,9 @@ class FactoredCoordinate(NamedTuple):
         )
 
 
-def factored_coordinates(word: SingularBraidWord) -> dict[tuple[int, int], FactoredCoordinate]:
-    """The word's nonzero coordinates in factored form, by the change of
-    variables T0 = wA - zB, T1 = B - zA in its trace components, over D^d.
+def coordinate_numerators(word: SingularBraidWord) -> dict[tuple[int, int], dict]:
+    """The word's nonzero coordinates as Laurent numerators over D^d, by the
+    change of variables T0 = wA - zB, T1 = B - zA in its trace components.
     ``CapExceededError`` if the word is above the hard caps."""
     check_caps(word)
     d = word.degree
@@ -476,15 +479,25 @@ def factored_coordinates(word: SingularBraidWord) -> dict[tuple[int, int], Facto
                     else:
                         del acc[key]
         if acc:
-            out[(d - b, b)] = _over_det_power(acc, d)
+            out[(d - b, b)] = acc
     return out
+
+
+def factored_coordinates(word: SingularBraidWord) -> dict[tuple[int, int], FactoredCoordinate]:
+    """The word's nonzero coordinates in factored form."""
+    return _factored(coordinate_numerators(word), word.degree)
+
+
+def _factored(numerators: Mapping, d: int) -> dict[tuple[int, int], FactoredCoordinate]:
+    """Each nonzero numerator over D^d in factored form (``_over_det_power``)."""
+    return {ab: _over_det_power(num, d) for ab, num in numerators.items()}
 
 
 def markov_class(word: SingularBraidWord) -> MarkovClass:
     """Coordinates of the word's class over Q(q, z), from its factored
     coordinates, which the class keeps."""
     factored = factored_coordinates(word)
-    return MarkovClass({ab: c.in_qz() for ab, c in factored.items()}, factored)
+    return MarkovClass({ab: c.in_qz() for ab, c in factored.items()}, factored, word)
 
 
 def _over_det_power(laurent: dict[tuple[int, int], int], d: int) -> FactoredCoordinate:

@@ -20,19 +20,30 @@ c = sign * R / (q^p (z - q)^alpha (z + 1)^beta) (``markov.FactoredCoordinate``),
 with no (q, z) fraction in between.  Write x = s^2, y = u^2.  Then
 z - q -> (x^2 y - 1)/(1 - x y) and z + 1 -> x (1 - y)/(1 - x y), and with
 L the z-degree of R and Rtilde = sum_b R_b(x) (x - 1)^b (1 - x y)^(L - b)
-(``coeff._embed_rows``):
+(``coeff._embed_rows``), with j = 0 for classes and j = -1 for the check:
 
-    embed(c z^m) u^k = sign * Rtilde * (x - 1)^m * (1 - x y)^(alpha + beta - L - m) * u^k
-                       / (x^(p + beta) (x^2 y - 1)^alpha (1 - y)^beta).
+    embed(c z^m) u^k s^j = sign * Rtilde * (x - 1)^m * (1 - x y)^(alpha + beta - L - m) * u^k s^j
+                           / (x^(p + beta) (x^2 y - 1)^alpha (1 - y)^beta).
 
-Only three kinds of factor can cancel: the common power of s; x - 1, at
-most max(-m, 0) times, by synthetic division; and the common power of u,
-when k < 0.  Rtilde mod (1 - x y) is R_L(x) (x - 1)^L, which is not zero, so
-no factor 1 - x y cancels, and R's own lowest terms keep x^2 y - 1 and
-1 - y from cancelling.  The denominator is a product of primitive
-polynomials, so no integer content cancels either, and its graded-lex
-leading coefficient has the sign (-1)^(beta + j) when 1 - x y is left in it
-j times.
+Only three kinds of factor can cancel: the common power of s, which s^j
+shifts; x - 1, at most max(-m, 0) times, by synthetic division; and the
+common power of u, when k < 0.  Rtilde mod (1 - x y) is R_L(x) (x - 1)^L,
+which is not zero, so no factor 1 - x y cancels, and R's own lowest terms
+keep x^2 y - 1 and 1 - y from cancelling.  The denominator is a product of
+primitive polynomials, so no integer content cancels either, and its
+graded-lex leading coefficient has the sign (-1)^(beta + l) when 1 - x y is
+left in it l times.
+
+The skein check: w s_i, w S_i and w have writhes e + 1, e - 1, e and
+coordinate numerators num_P, num_N, num_S over D^d.  As t = s u,
+x = s^-1 embed(q - 1) and embed(q) = s^2, on Xhat^a Yhat^b (m, k as for w)
+
+    t^-1 P - t N = s^-1 u^k embed((num_P - q num_N) z^m / D^d),
+    x S          = s^-1 u^k embed((q - 1) num_S z^m / D^d),
+
+each rendered from one numerator with j = -1; the relation holds iff they
+are equal.  This checks three independent folds and coordinate solves and
+the closed-form rendering of both sides, not products of the printed classes.
 
 Adding a free strand multiplies a class by (1 - s^2 u^2)/(u (s^2 - 1)),
 the disjoint-union coefficient (t^{-1} - t)/x.
@@ -45,7 +56,8 @@ from functools import lru_cache
 
 from .braid import Generator, SIGMA, SIGMA_INV, SingularBraidWord, exponent_sum
 from .coeff import SU, MultivariatePolynomial, RationalFunction, _embed_rows, _strip_root
-from .markov import ClassPolynomial, FactoredCoordinate, MarkovClass, factored_coordinates
+from .markov import ClassPolynomial, FactoredCoordinate, MarkovClass, coordinate_numerators
+from .markov import _factored, factored_coordinates
 
 __all__ = [
     "SkeinClass",
@@ -58,12 +70,11 @@ __all__ = [
     "VAR_X",
 ]
 
-_S = RationalFunction.coordinate(SU, "s")
-_U = RationalFunction.coordinate(SU, "u")
-
-# the skein-relation constants: t = s*u and x = s - 1/s
-VAR_T = _S * _U
-VAR_X = _S - _S.inverse()
+# the skein-relation constants in canonical form: t = s*u and x = s - 1/s = (s^2 - 1)/s
+VAR_T = RationalFunction.coordinate(SU, "s") * RationalFunction.coordinate(SU, "u")
+VAR_X = RationalFunction._raw(
+    MultivariatePolynomial(SU, {(2, 0): 1, (0, 0): -1}), MultivariatePolynomial(SU, {(1, 0): 1})
+)
 
 
 class SkeinClass(ClassPolynomial):
@@ -88,20 +99,20 @@ class SkeinTripleResult:
 def skein_class(word: SingularBraidWord, coords: MarkovClass | None = None) -> SkeinClass:
     """Class of the word's closure in the basis {Xhat^a Yhat^b}.
 
-    ``coords`` may pass the word's class from ``markov_class`` to avoid
-    solving twice when the caller already has it.
+    ``coords`` may pass this word's class from ``markov_class`` (else
+    ``ValueError``) to avoid solving twice when the caller already has it.
     """
-    if coords is None:
-        factored = factored_coordinates(word)
-    elif coords.factored is None:
+    if coords is not None and (coords.factored is None or coords.word != word):
         raise ValueError("coords must be the word's class from markov_class")
-    else:
-        factored = coords.factored
-    n = word.strands
-    writhe = exponent_sum(word)
+    factored = factored_coordinates(word) if coords is None else coords.factored
+    return _rendered(factored, word.strands, exponent_sum(word))
+
+
+def _rendered(factored: dict, n: int, writhe: int, j: int = 0) -> SkeinClass:
+    """The coefficients embed(c z^m) u^k s^j of a word's factored coordinates."""
     return SkeinClass(
         {
-            (a, b): _closure_coefficient(c, a + b - n + 1, a + writhe - n + 1)
+            (a, b): _closure_coefficient(c, a + b - n + 1, a + writhe - n + 1, j)
             for (a, b), c in factored.items()
         }
     )
@@ -126,8 +137,8 @@ def _denominator(powers: tuple[int, int, int, int]) -> tuple:
     return tuple(out.terms.items())
 
 
-def _closure_coefficient(c: FactoredCoordinate, m: int, k: int) -> RationalFunction:
-    """embed(c * z^m) * u^k in canonical form (see the module docstring)."""
+def _closure_coefficient(c: FactoredCoordinate, m: int, k: int, j: int = 0) -> RationalFunction:
+    """embed(c * z^m) * u^k * s^j in canonical form (see the module docstring)."""
     r = max(-m, 0)  # z^m for m < 0 puts (x - 1)^r in the denominator
     den_level = c.alpha + c.beta + r  # z-degree of the denominator
     rows = [[] for _ in range(m)] + c.rows
@@ -136,21 +147,21 @@ def _closure_coefficient(c: FactoredCoordinate, m: int, k: int) -> RationalFunct
     (num,), stripped = _strip_root([num], 1, 0, r)
     left = level - den_level  # factors 1 - x y left in the denominator
     sign = c.sign * (-1) ** (c.beta + left)
-    # common power of s: x^(p + beta) against the numerator's empty low rows
-    low = min(next(i for i, row in enumerate(num) if row), c.p + c.beta)
+    # common power of s: x^(p + beta) and s^j against the numerator's lowest x
+    s_den = 2 * (c.p + c.beta) + max(-j, 0)
+    s_cut = min(2 * next(i for i, row in enumerate(num) if row) + max(j, 0), s_den)
     # common power of u: u^(-k) against the numerator's lowest power of y
-    y_low = min(next(j for j, v in enumerate(row) if v) for row in num if row)
+    y_low = min(next(h for h, v in enumerate(row) if v) for row in num if row)
     cut = min(2 * y_low, max(-k, 0))
     u_num, u_den = max(k, 0) - cut, max(-k, 0) - cut
-    x_den = 2 * (c.p + c.beta - low)
     num_terms = {
-        (2 * i, 2 * j + u_num): sign * v
-        for i, row in enumerate(num[low:])
-        for j, v in enumerate(row)
+        (2 * i + max(j, 0) - s_cut, 2 * h + u_num): sign * v
+        for i, row in enumerate(num)
+        for h, v in enumerate(row)
         if v
     }
     den_terms = {
-        (e0 + x_den, e1 + u_den): v
+        (e0 + s_den - s_cut, e1 + u_den): v
         for (e0, e1), v in _denominator((c.alpha, c.beta, r - stripped, left))
     }
     return RationalFunction._raw(
@@ -159,19 +170,29 @@ def _closure_coefficient(c: FactoredCoordinate, m: int, k: int) -> RationalFunct
 
 
 def skein_triple_check(word: SingularBraidWord, i: int) -> SkeinTripleResult:
-    """Check t^{-1}[closure(w s_i)] - t[closure(w S_i)] = x[closure(w)]."""
-    if not 1 <= i <= word.strands - 1:
-        raise ValueError(f"crossing index {i} out of range for {word.strands} strands")
-    positive = skein_class(
-        SingularBraidWord(word.strands, word.letters + (Generator(SIGMA, i),))
-    )
-    negative = skein_class(
-        SingularBraidWord(word.strands, word.letters + (Generator(SIGMA_INV, i),))
-    )
-    smoothed = skein_class(word)
-    lhs = positive.scaled(VAR_T.inverse()) - negative.scaled(VAR_T)
-    rhs = smoothed.scaled(VAR_X)
+    """Check t^{-1}[closure(w s_i)] - t[closure(w S_i)] = x[closure(w)] (module docstring)."""
+    n, d, e = word.strands, word.degree, exponent_sum(word)
+    if not 1 <= i <= n - 1:
+        raise ValueError(f"crossing index {i} out of range for {n} strands")
+    extras = ((Generator(SIGMA, i),), (Generator(SIGMA_INV, i),), ())
+    pos, neg, smo = (coordinate_numerators(SingularBraidWord(n, word.letters + x)) for x in extras)
+    lhs = _rendered(_factored(_combined((1, 0, pos), (-1, 1, neg)), d), n, e, -1)
+    rhs = _rendered(_factored(_combined((1, 1, smo), (-1, 0, smo)), d), n, e, -1)
+    positive = _rendered(_factored(pos, d), n, e + 1)
+    negative = _rendered(_factored(neg, d), n, e - 1)
+    smoothed = _rendered(_factored(smo, d), n, e)
     return SkeinTripleResult(lhs == rhs, positive, negative, smoothed, lhs, rhs)
+
+
+def _combined(*pieces: tuple[int, int, dict]) -> dict:
+    """Sum of sign * q^shift * numerators over (sign, shift, numerators), zero sums left out."""
+    out: dict = {}
+    for sign, shift, numerators in pieces:
+        for ab, num in numerators.items():
+            acc = out.setdefault(ab, {})
+            for (eq, ez), v in num.items():
+                acc[eq + shift, ez] = acc.get((eq + shift, ez), 0) + sign * v
+    return {ab: c for ab, acc in out.items() if (c := {t: v for t, v in acc.items() if v})}
 
 
 def disjoint_union_coefficient() -> RationalFunction:

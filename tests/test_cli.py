@@ -1,5 +1,6 @@
 """Front-end behaviour: formats, determinism, exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -222,3 +223,53 @@ def test_cli_import_leaves_the_linalg_oracle_out():
     env = dict(os.environ, PYTHONPATH=src)
     probe = "import sys, singskein.cli; sys.exit('singskein.linalg' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
+
+
+def test_cli_runs_never_enter_the_general_fraction_engine():
+    # every class and both sides of the skein check are written down in
+    # canonical form, so neither the import nor a plain, --verify or
+    # --skein-check run reaches the gcd-based reduction
+    src = os.path.dirname(os.path.dirname(singskein.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = """if True:
+        import contextlib, io, sys
+        calls = 0
+        def count(frame, event, arg):
+            global calls
+            calls += event == "call" and frame.f_code.co_name == "_canonical_pair"
+        sys.setprofile(count)
+        import singskein.cli
+        word = ["--word", "s1 S2 t1 s2 t2"]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            for extra in ([], ["--verify", "--moves", "9"], ["--skein-check", "1"]):
+                assert singskein.cli.main(word + extra) == 0
+        sys.setprofile(None)
+        print(calls)
+    """
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "0"
+
+
+@pytest.mark.parametrize(
+    "word, strands, index, digest",
+    [
+        ("s1 s1", "2", "1", "e62c6e6c4e8dd94f43243f4737ea66a8ff4ff3d095ed8658d5d820028f16a05a"),
+        ("t1", "2", "1", "f1c6daff305e66be04b7764b6cde21388b3bfbc21fb19fa8922c2f37f6cae40d"),
+        # w s_i is folded as given, w S_i as its mirror
+        ("s1 S2 t1", "3", "2", "0a3311af7c2e56bfd57cbaff8fc119cb207dc354e162f3ee276b99b0ef16cd49"),
+        ("s1 S2 t1 s2 t2", "3", "1", "4d20f1db5676ac32c36847724370bb1b957cd08d87c7df83b2fbd2d307bf5cb4"),
+        (
+            "t1 s2 S1 t2 s3 t1 S2 t3",
+            "5",
+            "3",
+            "308aa108d665eef3a6a007e064310cbb4bd8c2d64451ce75a4b927429ef1c1b1",
+        ),
+    ],
+)
+def test_skein_check_json_is_pinned(word, strands, index, digest):
+    # SHA-256 of the JSON report, lhs and rhs included, as the general
+    # fraction arithmetic rendered it
+    argv = ["--word", word, "--strands", strands, "--skein-check", index, "--format", "json"]
+    text = cli.render_json(cli.run(cli.build_parser().parse_args(argv)))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from singskein import cli
+from singskein import cli, hecke
 from singskein.braid import (
     Generator,
     SIGMA,
@@ -22,6 +22,8 @@ from singskein.braid import (
 from singskein.coeff import QZ, SU, MultivariatePolynomial, RationalFunction, embed_qz_to_su
 from singskein.markov import MarkovClass, _over_det_power, markov_class
 from singskein.skein import (
+    VAR_T,
+    VAR_X,
     SkeinClass,
     _closure_coefficient,
     closure_product,
@@ -129,6 +131,28 @@ def test_triple_check_reports_witnesses():
     assert result.positive == skein_class(parse("s1 s1 s1", 2))
 
 
+def test_triple_check_sides_match_the_printed_legs():
+    # the check renders both sides from coordinate numerators; here they are
+    # rebuilt from the printed classes by the general fraction arithmetic
+    rng = random.Random(120501)
+    for _ in range(200):
+        n = rng.randint(2, 5)
+        w = random_singular_word(rng, n, rng.randint(0, 10), rng.randint(0, 2))
+        i = rng.randrange(1, n)
+        result = skein_triple_check(w, i)
+        lhs = result.positive.scaled(VAR_T.inverse()) - result.negative.scaled(VAR_T)
+        rhs = result.smoothed.scaled(VAR_X)
+        assert result.lhs == lhs, (w, i)
+        assert result.rhs == rhs, (w, i)
+        assert result.holds == (lhs == rhs), (w, i)
+
+
+def test_skein_constants_are_canonical():
+    assert VAR_X == S - S.inverse()
+    q = RationalFunction.coordinate(QZ, "q")
+    assert hecke._RF_Q_INV_MINUS_1 == q.inverse() - RationalFunction.one(QZ)
+
+
 def test_triple_check_index_range():
     with pytest.raises(ValueError):
         skein_triple_check(parse("s1", 2), 2)
@@ -182,7 +206,7 @@ def test_coefficients_match_products_in_the_image_field():
 def test_closed_form_matches_embedding_of_the_general_fraction():
     # factored coordinates of numerators carrying z^t, (q - 1)^v, (z - q)^i,
     # (z + 1)^j and (z - q + 1)^w over D^d, D = -(z - q)(z + 1), with a Laurent
-    # q shift; every coefficient embed(c * z^m) * u^e against the oracle
+    # q shift; every coefficient embed(c * z^m) * u^e * s^sj against the oracle
     # embedding of the fraction formed by the general constructor.  (q - 1)^v
     # with v > -m > 0 takes the s^2 - 1 strip to its limit, and (z - q + 1)^w
     # makes the numerator's image divisible by u^2, so e < 0 cancels powers of u.
@@ -217,10 +241,11 @@ def test_closed_form_matches_embedding_of_the_general_fraction():
                 den_m = den if m >= 0 else den * z**-m
                 image = embed_qz_to_su(RationalFunction(num_m, den_m))
                 for e in range(-3, 3):
-                    expected = image * U**e
-                    got = _closure_coefficient(factored, m, e)
-                    assert got.numerator == expected.numerator, (d, t, v, i, j, w, m, e)
-                    assert got.denominator == expected.denominator, (d, t, v, i, j, w, m, e)
+                    for sj in (-1, 0):  # s^-1 as in the skein check
+                        expected = image * U**e * S**sj
+                        got = _closure_coefficient(factored, m, e, sj)
+                        assert got.numerator == expected.numerator, (d, t, v, i, j, w, m, e, sj)
+                        assert got.denominator == expected.denominator, (d, t, v, i, j, w, m, e, sj)
                     at_limit += v > -m > 0
                     u_cut += w > 0 and e < 0
     assert at_limit and u_cut, (at_limit, u_cut)
@@ -231,6 +256,12 @@ def test_coords_must_come_from_markov_class():
     assert skein_class(w, coords=markov_class(w)) == skein_class(w)
     with pytest.raises(ValueError):
         skein_class(w, coords=MarkovClass(markov_class(w).coeffs))
+
+
+def test_coords_of_another_word_are_refused():
+    # t1 s1 closes to Yhat, t1 to Xhat: its coordinates must not pass for t1's
+    with pytest.raises(ValueError):
+        skein_class(parse("t1", 2), coords=markov_class(parse("t1 s1", 2)))
 
 
 @st.composite
