@@ -169,15 +169,7 @@ class MultivariatePolynomial:
         return MultivariatePolynomial(self.variables, out)
 
     def __sub__(self, other: "MultivariatePolynomial") -> "MultivariatePolynomial":
-        self._check(other)
-        out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            acc = out.get(mono, 0) - coeff
-            if acc:
-                out[mono] = acc
-            else:
-                out.pop(mono, None)
-        return MultivariatePolynomial(self.variables, out)
+        return self + (-other)
 
     def __neg__(self) -> "MultivariatePolynomial":
         return MultivariatePolynomial(

@@ -66,12 +66,17 @@ s and S and resolves a double point by the negative rule
 ``q T_i^{-1} = T_i + (1 - q)``, one more factor q per resolution, so its
 component k carries q^(#s + k) where the direct fold's carries q^#S.  As
 component k of the word is (-1)^(c + k) q^(#s - #S + k) times the mirror's
-at z', the mirror fold is decoded exactly as the direct one (q-exponents
-shifted down by #S) and then only needs z -> q - 1 - z and the sign
-(-1)^(c + k): integer binomials on a z-degree of at most n - 1.  The digit
-bound holds unchanged: a negative step at most triples L1 in either
-orientation, and delete plus negative resolve, ``1 + T_i + (1 - q)``, at
-most quadruples it.
+at z', the packed ints left on the identity, P_u for each power z'^u, are
+mapped back before the decode: z^t takes (-1)^t sum_{u >= t} C(u, t)
+(q - 1)^(u - t) P_u, by Horner's rule in q - 1 a shift, a subtraction and an
+add per step, at most n(n + 1)/2 steps.  The sums, taken without their
+(-1)^t, are the direct fold's packed values with each digit of z^t and k
+resolutions signed by (-1)^(t + c + k), so one decode serves both
+orientations (q-exponents shifted down by #S) and applies that sign to each
+value it stores.  The decoded values are the direct fold's, which the bound
+above covers; the P_u and the ints in between may hold digits above
+2^(B-1), as evaluation at q = 2^(R*B), r = 2^B is a ring homomorphism and
+packed shifts and adds are exact.
 """
 
 from __future__ import annotations
@@ -191,32 +196,6 @@ def _step(state: dict[int, int], i: int, kind: int, q_shift: int, bits: int) -> 
     return {w: p for w, p in new.items() if p}
 
 
-def _mirror(comp: dict[tuple[int, int], int], negate: bool) -> dict[tuple[int, int], int]:
-    """``comp`` at z -> q - 1 - z, negated if ``negate``.  Keys come in decode
-    order (z-exponent, then q-exponent), so both orientations return the
-    same dicts in the same order."""
-    if not comp:
-        return {}
-    low = min(e for e, _ in comp)
-    top = max(t for _, t in comp)
-    width = max(e for e, _ in comp) - low + top + 1  # room for (q - 1)^top
-    polys = [[0] * width for _ in range(top + 1)]  # polys[t][e - low]: q^e z^t
-    for (e, t), a in comp.items():
-        polys[t][e - low] = -a if negate else a
-    out: dict[tuple[int, int], int] = {}
-    for tz in range(top + 1):
-        # (q - 1 - z)^t holds (-1)^tz C(t, tz) (q - 1)^(t - tz) z^tz: Horner in q - 1
-        acc = [0] * width
-        for t in range(top, tz - 1, -1):
-            c, poly = comb(t, tz), polys[t]
-            acc = [(acc[e - 1] if e else 0) - acc[e] + c * poly[e] for e in range(width)]
-        sign = -1 if tz & 1 else 1
-        for e, a in enumerate(acc):
-            if a:
-                out[(e + low, tz)] = sign * a
-    return out
-
-
 def _trace(
     state: dict[int, int], letters: tuple, strands: int, degree: int, mirror: bool = False
 ) -> list[dict[tuple[int, int], int]]:
@@ -224,7 +203,9 @@ def _trace(
     peel the result down to the identity and decode it: for each resolution
     count 0..degree, an integer Laurent dict over (q-exponent, z-exponent).
 
-    With ``mirror`` the word is folded as its mirror and mapped back (module
+    With ``mirror`` the word is folded as its mirror, and the ints left on
+    the identity are mapped back by z' -> q - 1 - z before the one decode, so
+    only the decoded values, the direct fold's, need the digit bound (module
     docstring); ``state`` must then be the identity ``{0: 1}``.  ``state`` is
     consumed: each z-slice is dropped once it is partitioned, so the caller
     must keep no reference to it.
@@ -271,11 +252,19 @@ def _trace(
                     acc = _step(acc, i, SIGMA, q_shift, bits)
             out.append(acc)  # the terms carrying z^(k+1)
         slices = out
+    totals = [part.get(0, 0) for part in slices]  # only the identity is left
+    if mirror:  # z' -> q - 1 - z, Horner in q - 1; the sign (-1)^t waits for the decode
+        mapped = []
+        for t in range(len(totals)):
+            acc = 0
+            for u in range(len(totals) - 1, t - 1, -1):
+                acc = (acc << q_shift) - acc + comb(u, t) * totals[u]
+            mapped.append(acc)
+        totals = mapped
     comps: list[dict[tuple[int, int], int]] = [{} for _ in range(stride)]
     mask = (1 << bits) - 1
     half = 1 << (bits - 1)
-    for tz, part in enumerate(slices):
-        total = part.get(0, 0)  # only the identity is left
+    for tz, total in enumerate(totals):
         slot = 0
         while total:
             digit = total & mask
@@ -283,11 +272,10 @@ def _trace(
                 digit -= 1 << bits
             if digit:
                 qe, re = divmod(slot, stride)
-                comps[re][(qe - negatives, tz)] = digit  # undo q^#S
+                flip = mirror and (tz + crossings + re) & 1  # the mirror's (-1)^(t + c + k)
+                comps[re][(qe - negatives, tz)] = -digit if flip else digit  # undo q^#S
             total = (total - digit) >> bits
             slot += 1
-    if mirror:
-        return [_mirror(comp, (crossings + k) % 2 == 1) for k, comp in enumerate(comps)]
     return comps
 
 

@@ -52,6 +52,10 @@ def random_rf(rng: random.Random, variables=QZ, max_terms=3) -> RationalFunction
 def test_poly_drops_zero_coefficients():
     p = MultivariatePolynomial(QZ, {(1, 0): 0, (0, 1): 2})
     assert p.terms == {(0, 1): 2}
+    r = MultivariatePolynomial(QZ, {(0, 1): 5, (2, 0): -1})
+    assert (p - p).terms == {}
+    assert (p - r).terms == {(0, 1): -3, (2, 0): 1}
+    assert (p - r) + r == p
 
 
 def test_poly_rejects_negative_exponents():

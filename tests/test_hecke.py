@@ -6,7 +6,7 @@ from itertools import permutations
 from math import factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from singskein import cli, hecke
@@ -322,6 +322,11 @@ def mixed_sign_words(draw):
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(mixed_sign_words())
+# 12 strands: traces up to z^11, so mapping the mirror back takes binomials
+# up to C(11, 5) = 462, beyond the strategy's 6 strands and z^5
+@example(parse(" ".join(f"s{i}" for i in range(1, 12)), 12))
+@example(parse(" ".join(f"S{i}" for i in range(1, 12)), 12))
+@example(parse("t1 S2 s3 S4 S5 S6 S7 t8 S9 S10 S11 S6", 12))
 def test_both_orientations_give_equal_components(w):
     assert forced(w, False) == forced(w, True)
 
