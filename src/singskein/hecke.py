@@ -51,6 +51,9 @@ with c crossings and d double points folds to L1 at most 3^c 4^d, and a
 coefficient passes through at most sum_{m=2..n} (m - 2) = (n-1)(n-2)/2
 peel steps on n strands, so every digit is at most
 3^(c + (n-1)(n-2)/2) 4^d; B is that bound's bit length plus one.
+``_trace_tails`` folds a word once and steps that state by each of a few
+tails of crossing letters (the skein check's s_i, S_i and nothing), peeling
+and decoding each result, with B set for the word's c plus the longest tail.
 
 Each word is folded in one of two orientations, chosen per word.  The map
 ``iota: T_i -> -q T_i^{-1} = q - 1 - T_i`` is an involutive automorphism of
@@ -210,19 +213,50 @@ def _trace(
     consumed: each z-slice is dropped once it is partitioned, so the caller
     must keep no reference to it.
     """
+    return _traces(state, letters, strands, degree, mirror, ((),))[0]
+
+
+def _traces(
+    state: dict[int, int], letters: tuple, strands: int, degree: int, mirror: bool, tails: tuple
+) -> list[list[dict[tuple[int, int], int]]]:
+    """``_trace`` of ``letters`` followed by each tail of crossing letters,
+    folding ``letters`` once: each tail is stepped from the shared state, and
+    the digit width covers the longest tail.  The last tail consumes the
+    state."""
     if strands > _MASK:
         raise ValueError(f"{strands} strands do not fit a {_FIELD}-bit field (at most {_MASK})")
     stride = degree + 1  # slots per power of q: resolution counts 0..degree
-    negatives = sum(1 for g in letters if g.kind == SIGMA_INV)
     crossings = len(letters) - degree
     # Digit width from the L1 bound in the module docstring.
-    bound = 3 ** (crossings + (strands - 1) * (strands - 2) // 2) * 4**degree
+    bound = 3 ** (crossings + max(map(len, tails)) + (strands - 1) * (strands - 2) // 2) * 4**degree
     bits = bound.bit_length() + 1
     q_shift = stride * bits
     for g in letters:
         state = _step(state, g.index, _MIRROR[g.kind] if mirror else g.kind, q_shift, bits)
-    slices = [state]  # slices[k]: the terms carrying z^k
-    del state
+    traces = []
+    for index, tail in enumerate(tails):
+        end = state
+        if index == len(tails) - 1:
+            del state
+        for g in tail:
+            end = _step(end, g.index, _MIRROR[g.kind] if mirror else g.kind, q_shift, bits)
+        negatives = sum(1 for g in letters + tail if g.kind == SIGMA_INV)
+        slices = [end]
+        del end
+        traces.append(
+            _peel(slices, strands, stride, mirror, bits, crossings + len(tail), negatives)
+        )
+    return traces
+
+
+def _peel(
+    slices: list, strands: int, stride: int, mirror: bool, bits: int, crossings: int, negatives: int
+) -> list[dict[tuple[int, int], int]]:
+    """Peel a folded state, passed as ``[state]``, down to the identity and
+    decode it (module docstring); ``crossings`` and ``negatives`` count the
+    folded word's crossings and negative crossings.  The list is emptied as
+    it is read, so a state that only it holds is dropped slice by slice."""
+    q_shift = stride * bits
     for m in range(strands, 1, -1):
         below = 1 << (_FIELD * (m - 1))  # w < below: largest moved point below m
         out: list[dict[int, int]] = [{}]
@@ -285,6 +319,13 @@ def trace_components(word: SingularBraidWord) -> list[dict[tuple[int, int], int]
     integer Laurent dict over (q-exponent, z-exponent).  A word with more
     negative than positive crossings is folded as its mirror."""
     return _trace({0: 1}, word.letters, word.strands, word.degree, exponent_sum(word) < 0)
+
+
+def _trace_tails(word: SingularBraidWord, tails: tuple) -> list[list[dict[tuple[int, int], int]]]:
+    """``trace_components`` of the word followed by each tail of crossing
+    letters, the word's letters folded once and in the word's orientation
+    for every tail (both orientations decode to the same components)."""
+    return _traces({0: 1}, word.letters, word.strands, word.degree, exponent_sum(word) < 0, tails)
 
 
 def permutation_trace(perm: Permutation) -> RationalFunction:

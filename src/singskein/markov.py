@@ -24,13 +24,37 @@ D = w - z^2 = -(z - q)(z + 1) reads x_ab off as the coefficient of A^a B^b
 in sum_k C_k (wA - zB)^(d-k) (B - zA)^k, divided by D^d.  The k!(d-k)!
 weights scale whole functionals and cancel (``coordinate_numerators``).  The
 only factors a coordinate's denominator can have are q (from the Laurent
-trace), z - q and z + 1, so a shift of the q-exponents and
-``coeff._strip_root`` (synthetic division by z - q and z + 1) put it in
-lowest terms as a ``FactoredCoordinate``, (-1)^d R / (q^p (z - q)^alpha
-(z + 1)^beta); ``factored_coordinates`` runs both steps.  ``skein`` maps
-these straight into Q(s, u); ``markov_class`` writes each one down in
-canonical form, (-1)^(d + alpha) R over q^p (q - z)^alpha (z + 1)^beta,
-whose coefficients are products of binomials and leading coefficient 1.
+trace), z - q and z + 1, so a shift of the q-exponents and synthetic
+division by z - q and z + 1 put it in lowest terms as a
+``FactoredCoordinate``, (-1)^d R / (q^p (z - q)^alpha (z + 1)^beta);
+``factored_coordinates`` runs both steps.  ``skein`` maps these straight
+into Q(s, u); ``markov_class`` writes each one down in canonical form,
+(-1)^(d + alpha) R over q^p (q - z)^alpha (z + 1)^beta, whose coefficients
+are products of binomials and leading coefficient 1.
+
+All of it runs on packed ints (``coeff`` module docstring), from the
+decoded trace components to the factored coordinates, which are decoded
+only by ``FactoredCoordinate.in_qz`` and ``skein``.  Each component C_k and
+each entry T_kb of the substitution table is packed as rows over z, with
+the coefficient of q^(q0 + e) in digit e of a row at q -> 2^W (q0 the
+lowest q-exponent of the word's components or 0, whichever is lower; the
+table's q0 is 0).  Numerator b is then sum_k T_kb C_k, one big-int
+multiply-add per pair of z-rows (``_numerators``).  Its q-shift p comes
+from the lowest set bit of its rows, q -> 2^W makes division by z - q
+``Q_(t-1) = R_t + (Q_t << W)`` and division by z + 1 ``Q_(t-1) = R_t - Q_t``,
+and each stops at the first nonzero remainder (``_over_det_power``).
+``_layout`` gives ``coeff._packed_width`` these bounds for one word:
+
+* l1 = sum_k 4^(d-k) 2^k L1(C_k), as wA - zB has L1 4 and B - zA has L1 2,
+  so the entries of row k of the table have L1 at most 4^(d-k) 2^k in all;
+* L = n - 1 + d, as a trace on n strands has z-degree below n (each peeled
+  strand takes one z) and T_kb has z-degree at most d;
+* D = the spread of the components' q-exponents and 0, plus d, as T_kb has
+  q-degree at most d;
+* m = d - n + 1, the same for every coordinate (a + b = d).
+
+The skein check packs its three words at one layout, with l1 doubled and D
+raised by one for its sums num_P - q num_N and (q - 1) num_S.
 
 ``pairing_matrix`` evaluates the same expansion on the explicit basis words
 (``basis_word``: ``t1 t3 ... t(2k-1)`` followed by ``(t s)`` blocks at the
@@ -54,14 +78,16 @@ fold.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache, reduce
 from itertools import combinations
 from math import comb, factorial
+from operator import or_
 from typing import Iterable, Mapping, NamedTuple
 
 from .braid import Generator, SIGMA, TAU, SingularBraidWord
-from .coeff import MultivariatePolynomial, QZ, RationalFunction, _strip_root, _to_rec
-from .hecke import evaluate_word, ocneanu_trace, trace_components
+from .coeff import MultivariatePolynomial, QZ, RationalFunction
+from .coeff import _digits, _divide_linear, _pack, _packed_width
+from .hecke import _trace_tails, evaluate_word, ocneanu_trace, trace_components
 
 __all__ = [
     "HARD_MAX_DEGREE",
@@ -73,6 +99,7 @@ __all__ = [
     "ClassPolynomial",
     "MarkovClass",
     "FactoredCoordinate",
+    "PackedNumerators",
     "check_caps",
     "desing_delete",
     "desing_resolve",
@@ -274,6 +301,15 @@ def _substitution(d: int) -> tuple[tuple[MultivariatePolynomial, ...], ...]:
     )
 
 
+@lru_cache(maxsize=256)
+def _packed_substitution(d: int, width: int) -> tuple[tuple[list[int], ...], ...]:
+    """``_substitution(d)`` transposed, column b holding entry b of each row,
+    with each entry as rows over z, q -> 2^width."""
+    return tuple(zip(*(
+        [_pack(poly.terms, 0, width) for poly in row] for row in _substitution(d)
+    )))
+
+
 def pairing_matrix(d: int) -> list[list[RationalFunction]]:
     """Functional values on the basis words; rows by functional index, columns
     by descending X-exponent.  Entry [k][c] is k!(d-k)! times the coefficient
@@ -425,16 +461,18 @@ class FactoredCoordinate(NamedTuple):
     """A nonzero coordinate sign * R / (q^p (z - q)^alpha (z + 1)^beta) in
     lowest terms, sign = (-1)^d.
 
-    R is given as rows over z of int lists over q (``rows``), and is divisible
-    by none of q (if p > 0), z - q (if alpha > 0) and z + 1 (if beta > 0).
-    The rows are shared, not copied: read them, never write them.
+    R is given as rows over z (``rows``), each an int whose balanced digit e
+    at q -> 2^``width`` is R's coefficient of q^e (module docstring).  R is
+    divisible by none of q (if p > 0), z - q (if alpha > 0) and z + 1 (if
+    beta > 0).
     """
 
-    rows: list[list[int]]
+    rows: tuple[int, ...]
     p: int
     alpha: int
     beta: int
     sign: int
+    width: int
 
     def in_qz(self) -> RationalFunction:
         """Canonical form: sign * (-1)^alpha * R over q^p (q - z)^alpha
@@ -445,8 +483,7 @@ class FactoredCoordinate(NamedTuple):
         num = {
             (eq, ez): sign * v
             for ez, row in enumerate(self.rows)
-            for eq, v in enumerate(row)
-            if v
+            for eq, v in _digits(row, self.width)
         }
         den = {
             (self.p + self.alpha - i, i + j): (-1) ** i * comb(self.alpha, i) * comb(self.beta, j)
@@ -454,33 +491,78 @@ class FactoredCoordinate(NamedTuple):
             for j in range(self.beta + 1)
         }
         return RationalFunction._raw(
-            MultivariatePolynomial(QZ, num), MultivariatePolynomial(QZ, den)
+            MultivariatePolynomial._raw(QZ, num), MultivariatePolynomial._raw(QZ, den)
         )
 
 
-def coordinate_numerators(word: SingularBraidWord) -> dict[tuple[int, int], dict]:
-    """The word's nonzero coordinates as Laurent numerators over D^d, by the
-    change of variables T0 = wA - zB, T1 = B - zA in its trace components.
+class PackedNumerators(NamedTuple):
+    """A word's nonzero coordinate numerators over D^d: for each coordinate
+    (a, b), rows over z, each an int whose balanced digit e at q -> 2^width
+    is the coefficient of q^(q0 + e) (module docstring)."""
+
+    rows: dict[tuple[int, int], list[int]]
+    q0: int
+    width: int
+
+
+def coordinate_numerators(word: SingularBraidWord) -> PackedNumerators:
+    """The word's nonzero coordinates as numerators over D^d, by the change
+    of variables T0 = wA - zB, T1 = B - zA in its trace components.
     ``CapExceededError`` if the word is above the hard caps."""
     check_caps(word)
-    d = word.degree
-    table = _substitution(d)
     comps = trace_components(word)
+    return _numerators(comps, word.degree, *_layout([comps], word))
+
+
+def _tail_numerators(word: SingularBraidWord, tails: tuple) -> list[PackedNumerators]:
+    """``coordinate_numerators`` of the word followed by each tail of
+    crossing letters, from one fold of the word (``hecke._trace_tails``), all
+    at one layout, which also covers the sums num_i - q num_j and
+    (q - 1) num_i (the skein check's)."""
+    check_caps(word)
+    comp_sets = _trace_tails(word, tails)
+    layout = _layout(comp_sets, word, sums=True)
+    return [_numerators(comps, word.degree, *layout) for comps in comp_sets]
+
+
+def _layout(comp_sets: list, word: SingularBraidWord, sums: bool = False) -> tuple[int, int]:
+    """(q0, width) for the numerators of these sets of the word's trace
+    components: q0 the lowest q-exponent or 0, whichever is lower, and width
+    proved by ``coeff._packed_width`` for rendering the word's coordinates
+    (module docstring)."""
+    d = word.degree
+    l1, low, high = 0, [0], [0]
+    for comps in comp_sets:
+        norms = [sum(map(abs, comp.values())) for comp in comps]
+        l1 = max(l1, sum(norm << (2 * d - k) for k, norm in enumerate(norms)))
+        low += [min(comp)[0] for comp in comps if comp]
+        high += [max(comp)[0] for comp in comps if comp]
+    q0, q_top = min(low), max(high) + d
+    if sums:  # a sum of two at most doubles L1, and q num raises the q-degree by one
+        l1, q_top = 2 * l1, q_top + 1
+    # the trace has z-degree below the strand count: one z per peeled strand
+    z_top = word.strands - 1 + d
+    return q0, _packed_width(l1, z_top, q_top - q0, d, d - word.strands + 1)
+
+
+def _numerators(comps: list, d: int, q0: int, width: int) -> PackedNumerators:
+    """The coordinate numerators of these trace components: the B^b
+    coefficient of sum_k C_k (wA - zB)^(d-k) (B - zA)^k, one big-int product
+    per pair of z-rows of a table entry and a component."""
+    packed = [_pack(comp, q0, width) for comp in comps]
+    size = d + max(map(len, packed))  # a table entry has z-degree at most d
     out = {}
-    for b in range(d + 1):
-        acc: dict[tuple[int, int], int] = {}
-        for k, comp in enumerate(comps):
-            for (a0, a1), ca in table[k][b].terms.items():
-                for (b0, b1), cb in comp.items():
-                    key = (a0 + b0, a1 + b1)
-                    v = acc.get(key, 0) + ca * cb
-                    if v:
-                        acc[key] = v
-                    else:
-                        del acc[key]
-        if acc:
-            out[(d - b, b)] = acc
-    return out
+    for b, column in enumerate(_packed_substitution(d, width)):
+        rows = [0] * size
+        for entry, comp in zip(column, packed):
+            for i, t in enumerate(entry):
+                for j, c in enumerate(comp, i):
+                    rows[j] += t * c
+        while rows and not rows[-1]:
+            rows.pop()
+        if rows:
+            out[(d - b, b)] = rows
+    return PackedNumerators(out, q0, width)
 
 
 def factored_coordinates(word: SingularBraidWord) -> dict[tuple[int, int], FactoredCoordinate]:
@@ -488,9 +570,10 @@ def factored_coordinates(word: SingularBraidWord) -> dict[tuple[int, int], Facto
     return _factored(coordinate_numerators(word), word.degree)
 
 
-def _factored(numerators: Mapping, d: int) -> dict[tuple[int, int], FactoredCoordinate]:
+def _factored(numerators: PackedNumerators, d: int) -> dict[tuple[int, int], FactoredCoordinate]:
     """Each nonzero numerator over D^d in factored form (``_over_det_power``)."""
-    return {ab: _over_det_power(num, d) for ab, num in numerators.items()}
+    q0, width = numerators.q0, numerators.width
+    return {ab: _over_det_power(rows, q0, width, d) for ab, rows in numerators.rows.items()}
 
 
 def markov_class(word: SingularBraidWord) -> MarkovClass:
@@ -500,21 +583,24 @@ def markov_class(word: SingularBraidWord) -> MarkovClass:
     return MarkovClass({ab: c.in_qz() for ab, c in factored.items()}, factored, word)
 
 
-def _over_det_power(laurent: dict[tuple[int, int], int], d: int) -> FactoredCoordinate:
-    """Factor a nonzero (laurent numerator)/D^d, where D = w - z^2 =
-    -(z - q)(z + 1) is the determinant of the degree-1 pairing matrix.
+def _over_det_power(rows: list[int], q0: int, width: int, d: int) -> FactoredCoordinate:
+    """Factor a nonzero numerator over D^d, where D = w - z^2 = -(z - q)(z + 1)
+    is the determinant of the degree-1 pairing matrix; the numerator is given
+    as z-rows whose digit e at q -> 2^width is the coefficient of q^(q0 + e).
 
-    Every common factor must be q, z - q or z + 1: q by the Laurent shift p,
-    the others by ``coeff._strip_root`` on the numerator's rows over z, at
-    most d times each.  After j and k divisions the value is
-    (-1)^d R / (q^p (z - q)^(d - j) (z + 1)^(d - k)).
+    Every common factor must be q, z - q or z + 1: q by the shift p, read off
+    the lowest set bit, the others by synthetic division on the rows
+    (``coeff._divide_linear``), at most d times each.  After j and k
+    divisions the value is (-1)^d R / (q^p (z - q)^(d - j) (z + 1)^(d - k)).
     """
-    q_power = max(0, -min(e0 for e0, _ in laurent))
-    rows = _to_rec({(ez, eq + q_power): v for (eq, ez), v in laurent.items()})
-    # z - q is z - 1*q^1 and z + 1 is z - (-1)*q^0 over rows in z
-    (rows,), j = _strip_root([rows], 1, 1, d)
-    (rows,), k = _strip_root([rows], -1, 0, d)
-    return FactoredCoordinate(rows, q_power, d - j, d - k, (-1) ** d)
+    bits = reduce(or_, rows)  # its lowest set bit is the rows' lowest
+    low = ((bits & -bits).bit_length() - 1) // width + q0
+    p = max(0, -low)
+    shift = width * (q0 + p)  # R's digit e holds q^e
+    rows = [v << shift for v in rows] if shift >= 0 else [v >> -shift for v in rows]
+    rows, j = _divide_linear(rows, width, 1, d)  # z - q
+    rows, k = _divide_linear(rows, 0, -1, d)  # z + 1
+    return FactoredCoordinate(tuple(rows), p, d - j, d - k, (-1) ** d, width)
 
 
 def markov_class_of_sum(words: FormalWordSum) -> MarkovClass:

@@ -19,8 +19,8 @@ Each coefficient is formed in closed form from the factored coordinate
 c = sign * R / (q^p (z - q)^alpha (z + 1)^beta) (``markov.FactoredCoordinate``),
 with no (q, z) fraction in between.  Write x = s^2, y = u^2.  Then
 z - q -> (x^2 y - 1)/(1 - x y) and z + 1 -> x (1 - y)/(1 - x y), and with
-L the z-degree of R and Rtilde = sum_b R_b(x) (x - 1)^b (1 - x y)^(L - b)
-(``coeff._embed_rows``), with j = 0 for classes and j = -1 for the check:
+L the z-degree of R and Rtilde = sum_b R_b(x) (x - 1)^b (1 - x y)^(L - b),
+with j = 0 for classes and j = -1 for the check:
 
     embed(c z^m) u^k s^j = sign * Rtilde * (x - 1)^m * (1 - x y)^(alpha + beta - L - m) * u^k s^j
                            / (x^(p + beta) (x^2 y - 1)^alpha (1 - y)^beta).
@@ -34,6 +34,14 @@ primitive polynomials, so no integer content cancels either, and its
 graded-lex leading coefficient has the sign (-1)^(beta + l) when 1 - x y is
 left in it l times.
 
+The numerator is formed on one int (``coeff`` module docstring): x -> 2^W,
+the width R is packed at, so R's rows over z are the R_b(x) as they stand,
+and y -> 2^S outer, S = W times the x-slots.  By Horner's rule
+(``coeff._embed_packed``), times 1 - x y is ``acc - (acc << (W + S))`` and
+the next (x - 1)^b is ``(a << W) - a``.  The y-rows are split once, x - 1 is
+stripped from each with ``divmod(row, 2^W - 1)`` (``coeff._divide_x_minus_one``),
+and each row is decoded once, straight into the canonical term dict.
+
 The skein check: w s_i, w S_i and w have writhes e + 1, e - 1, e and
 coordinate numerators num_P, num_N, num_S over D^d.  As t = s u,
 x = s^-1 embed(q - 1) and embed(q) = s^2, on Xhat^a Yhat^b (m, k as for w)
@@ -42,8 +50,12 @@ x = s^-1 embed(q - 1) and embed(q) = s^2, on Xhat^a Yhat^b (m, k as for w)
     x S          = s^-1 u^k embed((q - 1) num_S z^m / D^d),
 
 each rendered from one numerator with j = -1; the relation holds iff they
-are equal.  This checks three independent folds and coordinate solves and
-the closed-form rendering of both sides, not products of the printed classes.
+are equal.  The three words share w's letters, so w is folded once and the
+fold state stepped by s_i, by S_i and by nothing (``hecke._trace_tails``),
+all in w's orientation, as both orientations decode to the same
+components; the three numerators are packed at one width, proved for the
+two sums as well.  This checks the fold, three coordinate solves and the
+closed-form rendering of both sides, not products of the printed classes.
 
 Adding a free strand multiplies a class by (1 - s^2 u^2)/(u (s^2 - 1)),
 the disjoint-union coefficient (t^{-1} - t)/x.
@@ -52,12 +64,14 @@ the disjoint-union coefficient (t^{-1} - t)/x.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import or_
 
 from .braid import Generator, SIGMA, SIGMA_INV, SingularBraidWord, exponent_sum
-from .coeff import SU, MultivariatePolynomial, RationalFunction, _embed_rows, _strip_root
-from .markov import ClassPolynomial, FactoredCoordinate, MarkovClass, coordinate_numerators
-from .markov import _factored, factored_coordinates
+from .coeff import SU, MultivariatePolynomial, RationalFunction
+from .coeff import _digits, _divide_x_minus_one, _embed_packed
+from .markov import ClassPolynomial, FactoredCoordinate, MarkovClass, PackedNumerators
+from .markov import _factored, _tail_numerators, factored_coordinates
 
 __all__ = [
     "SkeinClass",
@@ -139,33 +153,36 @@ def _denominator(powers: tuple[int, int, int, int]) -> tuple:
 
 def _closure_coefficient(c: FactoredCoordinate, m: int, k: int, j: int = 0) -> RationalFunction:
     """embed(c * z^m) * u^k * s^j in canonical form (see the module docstring)."""
+    width = c.width
     r = max(-m, 0)  # z^m for m < 0 puts (x - 1)^r in the denominator
     den_level = c.alpha + c.beta + r  # z-degree of the denominator
-    rows = [[] for _ in range(m)] + c.rows
+    rows = (0,) * m + c.rows
     level = max(len(rows) - 1, den_level)
-    num = _embed_rows(rows, level)
-    (num,), stripped = _strip_root([num], 1, 0, r)
+    value, stride = _embed_packed(rows, level, width)
+    ys, num = zip(*_digits(value, stride))  # the nonzero rows over y
+    num, stripped = _divide_x_minus_one(num, width, r)
     left = level - den_level  # factors 1 - x y left in the denominator
     sign = c.sign * (-1) ** (c.beta + left)
     # common power of s: x^(p + beta) and s^j against the numerator's lowest x
     s_den = 2 * (c.p + c.beta) + max(-j, 0)
-    s_cut = min(2 * next(i for i, row in enumerate(num) if row) + max(j, 0), s_den)
+    bits = reduce(or_, num)  # its lowest set bit is the rows' lowest
+    x_low = ((bits & -bits).bit_length() - 1) // width
+    s_cut = min(2 * x_low + max(j, 0), s_den)
     # common power of u: u^(-k) against the numerator's lowest power of y
-    y_low = min(next(h for h, v in enumerate(row) if v) for row in num if row)
-    cut = min(2 * y_low, max(-k, 0))
+    cut = min(2 * ys[0], max(-k, 0))
     u_num, u_den = max(k, 0) - cut, max(-k, 0) - cut
+    s_num = max(j, 0) - s_cut
     num_terms = {
-        (2 * i + max(j, 0) - s_cut, 2 * h + u_num): sign * v
-        for i, row in enumerate(num)
-        for h, v in enumerate(row)
-        if v
+        (2 * i + s_num, 2 * h + u_num): sign * v
+        for h, row in zip(ys, num)
+        for i, v in _digits(row, width)
     }
     den_terms = {
         (e0 + s_den - s_cut, e1 + u_den): v
         for (e0, e1), v in _denominator((c.alpha, c.beta, r - stripped, left))
     }
     return RationalFunction._raw(
-        MultivariatePolynomial(SU, num_terms), MultivariatePolynomial(SU, den_terms)
+        MultivariatePolynomial._raw(SU, num_terms), MultivariatePolynomial._raw(SU, den_terms)
     )
 
 
@@ -174,8 +191,8 @@ def skein_triple_check(word: SingularBraidWord, i: int) -> SkeinTripleResult:
     n, d, e = word.strands, word.degree, exponent_sum(word)
     if not 1 <= i <= n - 1:
         raise ValueError(f"crossing index {i} out of range for {n} strands")
-    extras = ((Generator(SIGMA, i),), (Generator(SIGMA_INV, i),), ())
-    pos, neg, smo = (coordinate_numerators(SingularBraidWord(n, word.letters + x)) for x in extras)
+    tails = ((Generator(SIGMA, i),), (Generator(SIGMA_INV, i),), ())
+    pos, neg, smo = _tail_numerators(word, tails)
     lhs = _rendered(_factored(_combined((1, 0, pos), (-1, 1, neg)), d), n, e, -1)
     rhs = _rendered(_factored(_combined((1, 1, smo), (-1, 0, smo)), d), n, e, -1)
     positive = _rendered(_factored(pos, d), n, e + 1)
@@ -184,15 +201,21 @@ def skein_triple_check(word: SingularBraidWord, i: int) -> SkeinTripleResult:
     return SkeinTripleResult(lhs == rhs, positive, negative, smoothed, lhs, rhs)
 
 
-def _combined(*pieces: tuple[int, int, dict]) -> dict:
-    """Sum of sign * q^shift * numerators over (sign, shift, numerators), zero sums left out."""
+def _combined(*pieces: tuple[int, int, PackedNumerators]) -> PackedNumerators:
+    """Sum of sign * q^shift * numerators over (sign, shift, numerators), all
+    at one layout, zero sums left out: q^shift is a shift by shift * width."""
+    q0, width = pieces[0][2].q0, pieces[0][2].width
     out: dict = {}
     for sign, shift, numerators in pieces:
-        for ab, num in numerators.items():
-            acc = out.setdefault(ab, {})
-            for (eq, ez), v in num.items():
-                acc[eq + shift, ez] = acc.get((eq + shift, ez), 0) + sign * v
-    return {ab: c for ab, acc in out.items() if (c := {t: v for t, v in acc.items() if v})}
+        for ab, rows in numerators.rows.items():
+            acc = out.setdefault(ab, [])
+            acc += [0] * (len(rows) - len(acc))
+            for t, v in enumerate(rows):
+                acc[t] += sign * (v << (shift * width))
+    for acc in out.values():
+        while acc and not acc[-1]:
+            acc.pop()
+    return PackedNumerators({ab: acc for ab, acc in out.items() if acc}, q0, width)
 
 
 def disjoint_union_coefficient() -> RationalFunction:

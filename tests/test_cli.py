@@ -225,18 +225,18 @@ def test_cli_import_leaves_the_linalg_oracle_out():
     assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
 
 
-def test_cli_runs_never_enter_the_general_fraction_engine():
-    # every class and both sides of the skein check are written down in
-    # canonical form, so neither the import nor a plain, --verify or
-    # --skein-check run reaches the gcd-based reduction
+def _calls_in_cli_runs(names):
+    """Calls to functions of these names, counted by ``sys.setprofile`` in a
+    fresh interpreter, over the import and a plain, a --verify and a
+    --skein-check run on one word."""
     src = os.path.dirname(os.path.dirname(singskein.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    probe = """if True:
+    probe = f"""if True:
         import contextlib, io, sys
         calls = 0
         def count(frame, event, arg):
             global calls
-            calls += event == "call" and frame.f_code.co_name == "_canonical_pair"
+            calls += event == "call" and frame.f_code.co_name in {sorted(names)!r}
         sys.setprofile(count)
         import singskein.cli
         word = ["--word", "s1 S2 t1 s2 t2"]
@@ -248,7 +248,21 @@ def test_cli_runs_never_enter_the_general_fraction_engine():
     """
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "0"
+    return int(out.stdout)
+
+
+def test_cli_runs_never_enter_the_general_fraction_engine():
+    # every class and both sides of the skein check are written down in
+    # canonical form, so neither the import nor a plain, --verify or
+    # --skein-check run reaches the gcd-based reduction
+    assert _calls_in_cli_runs({"_canonical_pair"}) == 0
+
+
+def test_cli_runs_use_only_the_packed_coefficient_kernel():
+    # coefficients stay packed ints from the fold's decode to the skein
+    # coefficients; the dense-list helpers serve only the oracles
+    dense = {"_to_rec", "_embed_rows", "_u_sub", "_u_mul", "_strip_root"}
+    assert _calls_in_cli_runs(dense) == 0
 
 
 @pytest.mark.parametrize(

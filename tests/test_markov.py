@@ -14,7 +14,7 @@ from singskein.braid import (
     stack,
     with_strands,
 )
-from singskein.coeff import QZ, MultivariatePolynomial, RationalFunction
+from singskein.coeff import QZ, MultivariatePolynomial, RationalFunction, _pack, _packed_width
 from singskein.linalg import determinant, solve
 from singskein.markov import (
     HARD_MAX_DEGREE,
@@ -373,30 +373,46 @@ def test_trace_vector_invariant_under_strand_preserving_moves():
             assert trace_vector(apply_move(w, CyclicShift(1))) == reference
 
 
+def _packed(laurent, d, ms=(0,)):
+    """A Laurent numerator over D^d as ``_over_det_power``'s (rows, q0, width),
+    at the width proved for rendering it with z^m for each m in ms."""
+    q0 = min(e0 for e0, _ in laurent)
+    q_top = max(e0 for e0, _ in laurent)
+    z_top = max(e1 for _, e1 in laurent)
+    l1 = sum(map(abs, laurent.values()))
+    width = max(_packed_width(l1, z_top, q_top - min(q0, 0), d, m) for m in ms)
+    return _pack(laurent, q0, width), q0, width
+
+
 def test_over_det_power_matches_general_constructor():
     # numerators carrying (z - q)^i (z + 1)^j with i, j up to d + 2, past the
-    # limit of d divisions each, and a Laurent shift in q
+    # limit of d divisions each, and a Laurent shift in q; a second pass takes
+    # cofactor coefficients near 2^70, so packed digits span machine words
     rng = random.Random(4242)
     z_minus_q = MultivariatePolynomial(QZ, {(0, 1): 1, (1, 0): -1})
     z_plus_1 = MultivariatePolynomial(QZ, {(0, 1): 1, (0, 0): 1})
     det = -(z_minus_q * z_plus_1)
-    for d in range(4):
-        for i in range(d + 3):
-            for j in range(d + 3):
-                while True:  # a cofactor nonzero at z = q and at z = -1
-                    terms = {(rng.randint(0, 2), rng.randint(0, 2)): rng.randint(-4, 4) for _ in range(3)}
-                    f = MultivariatePolynomial(QZ, terms)
-                    if f.evaluate((3, 3)) and f.evaluate((3, -1)):
-                        break
-                num = f * z_minus_q**i * z_plus_1**j
-                shift = rng.randint(-3, 2)
-                laurent = {(e0 + shift, e1): c for (e0, e1), c in num.terms.items()}
-                p = max(0, -shift)
-                shifted = {(e0 + shift + p, e1): c for (e0, e1), c in num.terms.items()}
-                expected = RationalFunction(
-                    MultivariatePolynomial(QZ, shifted),
-                    det**d * MultivariatePolynomial.monomial(QZ, (p, 0)),
-                )
-                got = _over_det_power(laurent, d).in_qz()
-                assert got.numerator == expected.numerator
-                assert got.denominator == expected.denominator
+    for scale in (1, 2**70):
+        for d in range(4):
+            for i in range(d + 3):
+                for j in range(d + 3):
+                    while True:  # a cofactor nonzero at z = q and at z = -1
+                        terms = {
+                            (rng.randint(0, 2), rng.randint(0, 2)): rng.randint(-4 * scale, 4 * scale)
+                            for _ in range(3)
+                        }
+                        f = MultivariatePolynomial(QZ, terms)
+                        if f.evaluate((3, 3)) and f.evaluate((3, -1)):
+                            break
+                    num = f * z_minus_q**i * z_plus_1**j
+                    shift = rng.randint(-3, 2)
+                    laurent = {(e0 + shift, e1): c for (e0, e1), c in num.terms.items()}
+                    p = max(0, -shift)
+                    shifted = {(e0 + shift + p, e1): c for (e0, e1), c in num.terms.items()}
+                    expected = RationalFunction(
+                        MultivariatePolynomial(QZ, shifted),
+                        det**d * MultivariatePolynomial.monomial(QZ, (p, 0)),
+                    )
+                    got = _over_det_power(*_packed(laurent, d), d).in_qz()
+                    assert got.numerator == expected.numerator
+                    assert got.denominator == expected.denominator

@@ -20,6 +20,7 @@ from singskein.braid import (
     with_strands,
 )
 from singskein.coeff import QZ, SU, MultivariatePolynomial, RationalFunction, embed_qz_to_su
+from singskein.coeff import _pack, _packed_width
 from singskein.markov import MarkovClass, _over_det_power, markov_class
 from singskein.skein import (
     VAR_T,
@@ -203,6 +204,17 @@ def test_coefficients_match_products_in_the_image_field():
         assert skein_class(w) == SkeinClass(expected)
 
 
+def _packed(laurent, d, ms=(0,)):
+    """A Laurent numerator over D^d as ``_over_det_power``'s (rows, q0, width),
+    at the width proved for rendering it with z^m for each m in ms."""
+    q0 = min(e0 for e0, _ in laurent)
+    q_top = max(e0 for e0, _ in laurent)
+    z_top = max(e1 for _, e1 in laurent)
+    l1 = sum(map(abs, laurent.values()))
+    width = max(_packed_width(l1, z_top, q_top - min(q0, 0), d, m) for m in ms)
+    return _pack(laurent, q0, width), q0, width
+
+
 def test_closed_form_matches_embedding_of_the_general_fraction():
     # factored coordinates of numerators carrying z^t, (q - 1)^v, (z - q)^i,
     # (z + 1)^j and (z - q + 1)^w over D^d, D = -(z - q)(z + 1), with a Laurent
@@ -210,6 +222,8 @@ def test_closed_form_matches_embedding_of_the_general_fraction():
     # embedding of the fraction formed by the general constructor.  (q - 1)^v
     # with v > -m > 0 takes the s^2 - 1 strip to its limit, and (z - q + 1)^w
     # makes the numerator's image divisible by u^2, so e < 0 cancels powers of u.
+    # A second pass takes cofactor coefficients near 2^70, so packed digits
+    # span machine words.
     rng = random.Random(1009)
 
     def poly(terms):
@@ -220,34 +234,38 @@ def test_closed_form_matches_embedding_of_the_general_fraction():
     z_minus_q_plus_1 = poly({(0, 1): 1, (1, 0): -1, (0, 0): 1})
     det = -(z_minus_q * z_plus_1)
     at_limit = u_cut = 0
-    for d in range(4):
-        for _ in range(6):
-            while True:  # a cofactor nonzero at z = q, z = -1, z = q - 1 and q = 1
-                f = poly({(rng.randint(0, 2), rng.randint(0, 2)): rng.randint(-4, 4) for _ in range(3)})
-                if all(f.evaluate(pt) for pt in ((3, 3), (3, -1), (3, 2), (1, 5))):
-                    break
-            t, v, w = rng.randint(0, 2), rng.randint(0, 3), rng.randint(0, 2)
-            i, j = rng.randint(0, d + 2), rng.randint(0, d + 2)
-            num = f * z**t * q_minus_1**v * z_minus_q**i * z_plus_1**j * z_minus_q_plus_1**w
-            shift = rng.randint(-3, 2)
-            p = max(0, -shift)
-            laurent = {(e0 + shift, e1): c for (e0, e1), c in num.terms.items()}
-            num = poly({(e0 + shift + p, e1): c for (e0, e1), c in num.terms.items()})
-            den = det**d * MultivariatePolynomial.monomial(QZ, (p, 0))
-            factored = _over_det_power(laurent, d)
-            assert factored.in_qz() == RationalFunction(num, den)
-            for m in range(-3, 3):
-                num_m = num * z**m if m >= 0 else num
-                den_m = den if m >= 0 else den * z**-m
-                image = embed_qz_to_su(RationalFunction(num_m, den_m))
-                for e in range(-3, 3):
-                    for sj in (-1, 0):  # s^-1 as in the skein check
-                        expected = image * U**e * S**sj
-                        got = _closure_coefficient(factored, m, e, sj)
-                        assert got.numerator == expected.numerator, (d, t, v, i, j, w, m, e, sj)
-                        assert got.denominator == expected.denominator, (d, t, v, i, j, w, m, e, sj)
-                    at_limit += v > -m > 0
-                    u_cut += w > 0 and e < 0
+    for scale in (1, 2**70):
+        for d in range(4):
+            for _ in range(6):
+                while True:  # a cofactor nonzero at z = q, z = -1, z = q - 1 and q = 1
+                    f = poly({
+                        (rng.randint(0, 2), rng.randint(0, 2)): rng.randint(-4 * scale, 4 * scale)
+                        for _ in range(3)
+                    })
+                    if all(f.evaluate(pt) for pt in ((3, 3), (3, -1), (3, 2), (1, 5))):
+                        break
+                t, v, w = rng.randint(0, 2), rng.randint(0, 3), rng.randint(0, 2)
+                i, j = rng.randint(0, d + 2), rng.randint(0, d + 2)
+                num = f * z**t * q_minus_1**v * z_minus_q**i * z_plus_1**j * z_minus_q_plus_1**w
+                shift = rng.randint(-3, 2)
+                p = max(0, -shift)
+                laurent = {(e0 + shift, e1): c for (e0, e1), c in num.terms.items()}
+                num = poly({(e0 + shift + p, e1): c for (e0, e1), c in num.terms.items()})
+                den = det**d * MultivariatePolynomial.monomial(QZ, (p, 0))
+                factored = _over_det_power(*_packed(laurent, d, range(-3, 3)), d)
+                assert factored.in_qz() == RationalFunction(num, den)
+                for m in range(-3, 3):
+                    num_m = num * z**m if m >= 0 else num
+                    den_m = den if m >= 0 else den * z**-m
+                    image = embed_qz_to_su(RationalFunction(num_m, den_m))
+                    for e in range(-3, 3):
+                        for sj in (-1, 0):  # s^-1 as in the skein check
+                            expected = image * U**e * S**sj
+                            got = _closure_coefficient(factored, m, e, sj)
+                            assert got.numerator == expected.numerator, (d, t, v, i, j, w, m, e, sj)
+                            assert got.denominator == expected.denominator, (d, t, v, i, j, w, m, e, sj)
+                        at_limit += v > -m > 0
+                        u_cut += w > 0 and e < 0
     assert at_limit and u_cut, (at_limit, u_cut)
 
 
