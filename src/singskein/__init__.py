@@ -6,7 +6,9 @@ in X, Y over Q(q, z) off its Markov-trace functionals by a closed-form
 change of variables, then rescale into the closure invariant over Q(s, u).
 
 The package root exports the entry points; every other name is imported
-from its module (``singskein.braid``, ``singskein.hecke``, ...).
+from its module (``singskein.braid``, ``singskein.hecke``, ...).  The
+reference engines the tests compare against live in ``singskein.oracle``,
+which the command line never imports.
 """
 
 from .braid import parse

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
 
 from .permutations import Permutation
 
@@ -73,16 +72,32 @@ class InapplicableMoveError(ValueError):
     """The move's applicability condition fails on this word."""
 
 
-@dataclass(frozen=True)
 class Generator:
-    kind: int  # SIGMA, SIGMA_INV or TAU
-    index: int  # 1-based strand position
+    """One letter: a crossing (SIGMA, SIGMA_INV) or a double point (TAU)
+    between strand positions ``index`` and ``index + 1`` (1-based)."""
 
-    def __post_init__(self):
-        if self.kind not in (SIGMA, SIGMA_INV, TAU):
-            raise ValueError(f"unknown generator kind {self.kind}")
-        if self.index < 1:
-            raise ValueError(f"generator index must be >= 1, got {self.index}")
+    __slots__ = ("kind", "index")
+
+    def __init__(self, kind: int, index: int):
+        if kind not in (SIGMA, SIGMA_INV, TAU):
+            raise ValueError(f"unknown generator kind {kind}")
+        if index < 1:
+            raise ValueError(f"generator index must be >= 1, got {index}")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "index", index)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.kind == other.kind and self.index == other.index
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.index))
 
     @property
     def token(self) -> str:
@@ -97,20 +112,35 @@ class Generator:
         return self.token
 
 
-@dataclass(frozen=True)
 class SingularBraidWord:
-    strands: int
-    letters: tuple[Generator, ...]
+    """A tuple of letters on a strand count; every index fits the strands."""
 
-    def __post_init__(self):
-        if self.strands < 1:
-            raise ValueError(f"strand count must be >= 1, got {self.strands}")
-        for letter in self.letters:
-            if letter.index > self.strands - 1:
+    __slots__ = ("strands", "letters")
+
+    def __init__(self, strands: int, letters: tuple[Generator, ...]):
+        if strands < 1:
+            raise ValueError(f"strand count must be >= 1, got {strands}")
+        for letter in letters:
+            if letter.index > strands - 1:
                 raise StrandIndexError(
                     f"generator {letter.token} needs at least {letter.index + 1} "
-                    f"strands, word has {self.strands}"
+                    f"strands, word has {strands}"
                 )
+        object.__setattr__(self, "strands", strands)
+        object.__setattr__(self, "letters", letters)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.strands == other.strands and self.letters == other.letters
+
+    def __hash__(self) -> int:
+        return hash((self.strands, self.letters))
 
     @property
     def degree(self) -> int:
@@ -196,15 +226,39 @@ def inverse_word(word: SingularBraidWord) -> SingularBraidWord:
 
 
 class MarkovMove:
-    """Base class; every move rewrites a word without changing its closure."""
+    """Base class; every move rewrites a word without changing its closure.
+
+    Moves are immutable values: equal when of one class with equal fields,
+    and their reprs (``RelationMove(rule='cancel_inverse_pair', position=0,
+    index=0, sign=1)``) are the text of ``--verify`` failure lines."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
 
     def apply(self, word: SingularBraidWord) -> SingularBraidWord:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
 class CyclicShift(MarkovMove):
-    amount: int
+    __slots__ = ("amount",)
+
+    def __init__(self, amount: int):
+        object.__setattr__(self, "amount", amount)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.amount == other.amount
+
+    def __hash__(self) -> int:
+        return hash((self.amount,))
+
+    def __repr__(self) -> str:
+        return f"CyclicShift(amount={self.amount!r})"
 
     def apply(self, word: SingularBraidWord) -> SingularBraidWord:
         n = len(word.letters)
@@ -214,9 +268,22 @@ class CyclicShift(MarkovMove):
         return SingularBraidWord(word.strands, word.letters[k:] + word.letters[:k])
 
 
-@dataclass(frozen=True)
 class Conjugate(MarkovMove):
-    by: SingularBraidWord
+    __slots__ = ("by",)
+
+    def __init__(self, by: SingularBraidWord):
+        object.__setattr__(self, "by", by)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.by == other.by
+
+    def __hash__(self) -> int:
+        return hash((self.by,))
+
+    def __repr__(self) -> str:
+        return f"Conjugate(by={self.by!r})"
 
     def apply(self, word: SingularBraidWord) -> SingularBraidWord:
         if self.by.strands != word.strands:
@@ -229,9 +296,22 @@ class Conjugate(MarkovMove):
         )
 
 
-@dataclass(frozen=True)
 class StabilizeUp(MarkovMove):
-    sign: int  # +1 or -1
+    __slots__ = ("sign",)
+
+    def __init__(self, sign: int):  # +1 or -1
+        object.__setattr__(self, "sign", sign)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.sign == other.sign
+
+    def __hash__(self) -> int:
+        return hash((self.sign,))
+
+    def __repr__(self) -> str:
+        return f"StabilizeUp(sign={self.sign!r})"
 
     def apply(self, word: SingularBraidWord) -> SingularBraidWord:
         if self.sign not in (1, -1):
@@ -242,8 +322,20 @@ class StabilizeUp(MarkovMove):
         )
 
 
-@dataclass(frozen=True)
 class StabilizeDown(MarkovMove):
+    __slots__ = ()
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return True
+
+    def __hash__(self) -> int:
+        return hash(())
+
+    def __repr__(self) -> str:
+        return "StabilizeDown()"
+
     def apply(self, word: SingularBraidWord) -> SingularBraidWord:
         n = word.strands
         if n < 2 or not word.letters:
@@ -266,7 +358,6 @@ R_FAR_SIGMA_TAU = "commute_far_sigma_tau"
 R_FAR_TAU_TAU = "commute_far_tau_tau"
 
 
-@dataclass(frozen=True)
 class RelationMove(MarkovMove):
     """One application of a defining monoid relation at a fixed position.
 
@@ -274,10 +365,29 @@ class RelationMove(MarkovMove):
     pattern to match in the word itself.
     """
 
-    rule: str
-    position: int
-    index: int = 0
-    sign: int = 1
+    __slots__ = ("rule", "position", "index", "sign")
+
+    def __init__(self, rule: str, position: int, index: int = 0, sign: int = 1):
+        object.__setattr__(self, "rule", rule)
+        object.__setattr__(self, "position", position)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "sign", sign)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.rule, self.position, self.index, self.sign) == (
+            other.rule, other.position, other.index, other.sign
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.rule, self.position, self.index, self.sign))
+
+    def __repr__(self) -> str:
+        return (
+            f"RelationMove(rule={self.rule!r}, position={self.position!r}, "
+            f"index={self.index!r}, sign={self.sign!r})"
+        )
 
     def apply(self, word: SingularBraidWord) -> SingularBraidWord:
         letters = word.letters

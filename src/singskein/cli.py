@@ -15,7 +15,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 
 from .braid import (
     BraidSyntaxError,
@@ -45,17 +44,49 @@ EXIT_THEORY = 3
 EXIT_CAPS = 4
 
 
-@dataclass
 class RunReport:
-    word: SingularBraidWord
-    strands: int
-    degree: int
-    writhe: int
-    components: int
-    markov: MarkovClass
-    skein: SkeinClass
-    elapsed_seconds: float
-    verify: dict | None = None
+    """One run's word, its invariants, its classes and its checks."""
+
+    __slots__ = (
+        "word", "strands", "degree", "writhe", "components",
+        "markov", "skein", "elapsed_seconds", "verify",
+    )
+
+    def __init__(
+        self,
+        word: SingularBraidWord,
+        strands: int,
+        degree: int,
+        writhe: int,
+        components: int,
+        markov: MarkovClass,
+        skein: SkeinClass,
+        elapsed_seconds: float,
+        verify: dict | None = None,
+    ):
+        self.word = word
+        self.strands = strands
+        self.degree = degree
+        self.writhe = writhe
+        self.components = components
+        self.markov = markov
+        self.skein = skein
+        self.elapsed_seconds = elapsed_seconds
+        self.verify = verify
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None  # mutable
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"RunReport({fields})"
 
 
 def _positive_cap(limit: int, label: str):

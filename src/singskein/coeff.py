@@ -10,12 +10,22 @@ polynomials in one of two variable pairs:
 
 Polynomials hold int coefficients only; a rational constant enters through
 ``RationalFunction.constant``, which splits it into an int numerator and an
-int denominator.  A :class:`RationalFunction` is always kept in canonical
-form: the polynomial gcd of numerator and denominator and any shared integer
-content are removed, and the leading coefficient of the denominator
-is positive under graded-lex order (total degree first, ties broken by the
-first variable).  Canonical form is unique, so structural equality ``==``
-decides mathematical equality.
+int denominator (``fractions`` is imported only for a non-int constant).  A
+:class:`RationalFunction` is always kept in canonical form: the polynomial
+gcd of numerator and denominator and any shared integer content are
+removed, and the leading coefficient of the denominator is positive under
+graded-lex order (total degree first, ties broken by the first variable).
+Canonical form is unique, so structural equality ``==`` decides
+mathematical equality.
+
+The production path writes every value down in canonical form and builds it
+with the trusted ``_raw`` constructors, or reduces it in closed form
+(``_times_monomial``).  The general gcd engine (``poly_gcd``,
+``poly_divexact`` and ``_canonical_pair``, on primitive pseudo-remainder
+sequences) and the dense embedding ``embed_qz_to_su`` live in
+``singskein.oracle``, which no CLI run imports.  ``RationalFunction``'s
+general constructor imports ``_canonical_pair`` when it is called, and the
+three public names still resolve here, loading the oracle on first use.
 
 Negative powers (Laurent-style scalars such as ``q**-2``) are ordinary
 rational functions with monomial denominators; a product with a monomial
@@ -61,7 +71,6 @@ and W is that bound's bit length plus one.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd as _int_gcd
 from operator import itemgetter
 from typing import Mapping
@@ -74,10 +83,18 @@ __all__ = [
     "ExactDivisionError",
     "MultivariatePolynomial",
     "RationalFunction",
-    "poly_gcd",
-    "poly_divexact",
-    "embed_qz_to_su",
 ]
+
+# the general gcd engine and the dense embedding, in ``singskein.oracle``
+_ORACLE_NAMES = frozenset({"poly_gcd", "poly_divexact", "embed_qz_to_su"})
+
+
+def __getattr__(name):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 QZ = ("q", "z")
 SU = ("s", "u")
@@ -257,6 +274,8 @@ class MultivariatePolynomial:
 
     def evaluate(self, point: tuple) -> Fraction:
         """Evaluate at a pair of exact rational values."""
+        from fractions import Fraction
+
         v0 = Fraction(point[0])
         v1 = Fraction(point[1])
         total = Fraction(0)
@@ -311,192 +330,8 @@ class MultivariatePolynomial:
 
 
 # ---------------------------------------------------------------------------
-# Integer-polynomial gcd via primitive pseudo-remainder sequences.
-#
-# Univariate polynomials are little-endian int lists; bivariate ones are
-# lists over the main variable whose entries are univariate lists in the
-# second variable.  Everything stays in Z throughout.
+# Rational functions
 # ---------------------------------------------------------------------------
-
-
-def _u_trim(f: list) -> list:
-    """Drop trailing zeros, or trailing empty rows of a bivariate list."""
-    while f and not f[-1]:
-        f.pop()
-    return f
-
-
-def _u_content(f: list[int]) -> int:
-    c = 0
-    for a in f:
-        c = _int_gcd(c, abs(a))
-    return c
-
-
-def _u_pp(f: list[int]) -> list[int]:
-    c = _u_content(f)
-    if c > 1:
-        return [a // c for a in f]
-    return f
-
-
-def _u_mul(f: list[int], g: list[int]) -> list[int]:
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] += a * b
-    return _u_trim(out)
-
-
-def _u_sub(f: list[int], g: list[int]) -> list[int]:
-    out = list(f) + [0] * (len(g) - len(f))
-    for j, b in enumerate(g):
-        out[j] -= b
-    return _u_trim(out)
-
-
-def _u_prem(f: list[int], g: list[int]) -> list[int]:
-    """A scalar multiple of f mod g; enough for a primitive PRS."""
-    f = list(f)
-    dg = len(g) - 1
-    lg = g[-1]
-    while f and len(f) - 1 >= dg:
-        lf = f[-1]
-        nf = [lg * a for a in f]
-        off = len(f) - 1 - dg
-        for k, b in enumerate(g):
-            nf[off + k] -= lf * b
-        nf.pop()
-        f = _u_trim(nf)
-    return f
-
-
-def _u_gcd(f: list[int], g: list[int]) -> list[int]:
-    f = _u_trim(list(f))
-    g = _u_trim(list(g))
-    if not f:
-        f, g = g, f
-    if not g:
-        if f and f[-1] < 0:
-            return [-a for a in f]
-        return f
-    cf, cg = _u_content(f), _u_content(g)
-    f = [a // cf for a in f]
-    g = [a // cg for a in g]
-    while g:
-        r = _u_prem(f, g)
-        f, g = g, _u_pp(r)
-    if f[-1] < 0:
-        f = [-a for a in f]
-    c = _int_gcd(cf, cg)
-    return [a * c for a in f] if c != 1 else f
-
-
-def _u_divexact(f: list[int], g: list[int]) -> list[int]:
-    if not f:
-        return []
-    if not g:
-        raise ExactDivisionError("division by zero polynomial")
-    dg = len(g) - 1
-    lg = g[-1]
-    if len(f) - 1 < dg:
-        raise ExactDivisionError("quotient is not a polynomial")
-    out = [0] * (len(f) - dg)
-    r = list(f)
-    while r and len(r) - 1 >= dg:
-        lr = r[-1]
-        if lr % lg:
-            raise ExactDivisionError("inexact coefficient division")
-        qc = lr // lg
-        off = len(r) - 1 - dg
-        out[off] = qc
-        for k, b in enumerate(g):
-            r[off + k] -= qc * b
-        _u_trim(r)
-    if r:
-        raise ExactDivisionError("nonzero remainder")
-    return _u_trim(out)
-
-
-def _b_content(F: list[list[int]]) -> list[int]:
-    c: list[int] = []
-    for row in F:
-        if row:
-            c = _u_gcd(c, row)
-            if c == [1]:
-                break
-    return c
-
-
-def _b_div_rows(F: list[list[int]], c: list[int]) -> list[list[int]]:
-    if c == [1]:
-        return F
-    return [_u_divexact(row, c) if row else [] for row in F]
-
-
-def _b_prem(F: list[list[int]], G: list[list[int]]) -> list[list[int]]:
-    F = [list(row) for row in F]
-    dG = len(G) - 1
-    lG = G[-1]
-    while F and len(F) - 1 >= dG:
-        lF = F[-1]
-        nF = [_u_mul(row, lG) for row in F]
-        off = len(F) - 1 - dG
-        for k, row in enumerate(G):
-            if row:
-                nF[off + k] = _u_sub(nF[off + k], _u_mul(row, lF))
-        nF.pop()
-        F = _u_trim(nF)
-    return F
-
-
-def _b_gcd(F: list[list[int]], G: list[list[int]]) -> list[list[int]]:
-    F = _u_trim([list(r) for r in F])
-    G = _u_trim([list(r) for r in G])
-    if not F:
-        F, G = G, F
-    if not G:
-        return F
-    cF, cG = _b_content(F), _b_content(G)
-    F = _b_div_rows(F, cF)
-    G = _b_div_rows(G, cG)
-    while G:
-        R = _b_prem(F, G)
-        cR = _b_content(R)
-        F, G = G, _b_div_rows(R, cR)
-    cc = _u_gcd(cF, cG)
-    if cc != [1]:
-        F = [_u_mul(row, cc) for row in F]
-    return F
-
-
-def _to_rec(terms: Mapping[Monomial, int]) -> list[list[int]]:
-    d0 = max(e0 for e0, _ in terms)
-    rows: list[dict[int, int]] = [dict() for _ in range(d0 + 1)]
-    for (e0, e1), coeff in terms.items():
-        rows[e0][e1] = coeff
-    out: list[list[int]] = []
-    for row in rows:
-        if row:
-            lst = [0] * (max(row) + 1)
-            for e1, coeff in row.items():
-                lst[e1] = coeff
-            out.append(lst)
-        else:
-            out.append([])
-    return _u_trim(out)
-
-
-def _from_rec(F: list[list[int]]) -> dict[Monomial, int]:
-    terms: dict[Monomial, int] = {}
-    for e0, row in enumerate(F):
-        for e1, coeff in enumerate(row):
-            if coeff:
-                terms[(e0, e1)] = coeff
-    return terms
 
 
 def _terms_content(terms: Mapping[Monomial, int]) -> int:
@@ -504,117 +339,6 @@ def _terms_content(terms: Mapping[Monomial, int]) -> int:
     for coeff in terms.values():
         c = _int_gcd(c, abs(coeff))
     return c
-
-
-def _gcd_terms(a: Mapping[Monomial, int], b: Mapping[Monomial, int]) -> dict[Monomial, int]:
-    """Gcd of integer-coefficient term dicts, positive leading coefficient."""
-    if not a:
-        g = dict(b)
-    elif not b:
-        g = dict(a)
-    elif len(a) == 1 or len(b) == 1:
-        mono_terms, other = (a, b) if len(a) == 1 else (b, a)
-        (m0, m1), mc = next(iter(mono_terms.items()))
-        g0 = min(m0, min(e0 for e0, _ in other))
-        g1 = min(m1, min(e1 for _, e1 in other))
-        g = {(g0, g1): _int_gcd(abs(mc), _terms_content(other))}
-    else:
-        g = _from_rec(_b_gcd(_to_rec(a), _to_rec(b)))
-    if not g:
-        return g
-    lead = max(g, key=_monomial_key)
-    if g[lead] < 0:
-        g = {mono: -coeff for mono, coeff in g.items()}
-    return g
-
-
-def _divexact_terms(a: Mapping[Monomial, int], b: Mapping[Monomial, int]) -> dict[Monomial, int]:
-    """Exact division of term dicts by long division on the dense form, one
-    row at a time; raises if inexact.  An exact quotient is unique."""
-    if not b:
-        raise ExactDivisionError("division by zero polynomial")
-    if not a:
-        return {}
-    F, G = _to_rec(a), _to_rec(b)
-    dG = len(G) - 1
-    out: list[list[int]] = [[] for _ in range(len(F) - dG)]
-    while len(F) > dG:
-        off = len(F) - 1 - dG
-        row = out[off] = _u_divexact(F[-1], G[-1])
-        for k, g_row in enumerate(G):
-            if g_row:
-                F[off + k] = _u_sub(F[off + k], _u_mul(g_row, row))
-        _u_trim(F)
-    if F:
-        raise ExactDivisionError("nonzero remainder")
-    return _from_rec(out)
-
-
-def _strip_root(
-    polys: list[list[list[int]]], root: int, shift: int, limit: int
-) -> tuple[list[list[list[int]]], int]:
-    """Divide every polynomial, given as dense rows over x of int lists over
-    y, by x - root*y^shift as often as all of them allow, at most limit times;
-    returns the quotients and the number of divisions made.
-
-    Synthetic division (Horner's rule): walking down from the top row, each
-    quotient row is the input row plus root*y^shift times the row above it,
-    and the last such sum is the remainder.
-    """
-    times = 0
-    while times < limit:
-        quotients = []
-        for rows in polys:
-            carry: list[int] = []
-            out = []
-            for row in reversed(rows):
-                acc = list(row) + [0] * (len(carry) + shift - len(row))
-                for i, c in enumerate(carry):
-                    acc[i + shift] += root * c
-                carry = _u_trim(acc)
-                out.append(carry)
-            if carry:
-                return polys, times
-            # out holds the quotient rows top row first, then the remainder
-            quotients.append(out[-2::-1])
-        polys = quotients
-        times += 1
-    return polys, times
-
-
-def poly_gcd(a: MultivariatePolynomial, b: MultivariatePolynomial) -> MultivariatePolynomial:
-    """Gcd of two integer-coefficient polynomials (positive leading coeff)."""
-    if a.variables != b.variables:
-        raise MixedVariablesError(f"cannot mix {a.variables} and {b.variables}")
-    return MultivariatePolynomial(a.variables, _gcd_terms(a.terms, b.terms))
-
-
-def poly_divexact(a: MultivariatePolynomial, b: MultivariatePolynomial) -> MultivariatePolynomial:
-    """Exact quotient a / b; raises ExactDivisionError when b does not divide a."""
-    if a.variables != b.variables:
-        raise MixedVariablesError(f"cannot mix {a.variables} and {b.variables}")
-    return MultivariatePolynomial(a.variables, _divexact_terms(a.terms, b.terms))
-
-
-# ---------------------------------------------------------------------------
-# Rational functions
-# ---------------------------------------------------------------------------
-
-
-def _canonical_pair(num: dict, den: dict) -> tuple[dict, dict]:
-    """Reduce a numerator/denominator pair of int-coefficient term dicts."""
-    if not den:
-        raise ZeroDivisionError("zero denominator")
-    if not num:
-        return {}, {(0, 0): 1}
-    g = _gcd_terms(num, den)
-    if g and g != {(0, 0): 1}:
-        num = _divexact_terms(num, g)
-        den = _divexact_terms(den, g)
-    if den[max(den, key=_monomial_key)] < 0:
-        num = {mono: -c for mono, c in num.items()}
-        den = {mono: -c for mono, c in den.items()}
-    return num, den
 
 
 class RationalFunction:
@@ -633,6 +357,8 @@ class RationalFunction:
             raise MixedVariablesError(
                 f"cannot mix {numerator.variables} and {denominator.variables}"
             )
+        from .oracle import _canonical_pair  # the general gcd engine; no CLI run calls it
+
         num, den = _canonical_pair(numerator.terms, denominator.terms)
         object.__setattr__(
             self, "numerator", MultivariatePolynomial(numerator.variables, num)
@@ -658,10 +384,17 @@ class RationalFunction:
 
     @classmethod
     def constant(cls, variables, value) -> "RationalFunction":
-        frac = Fraction(value)
-        num = MultivariatePolynomial.constant(variables, frac.numerator)
-        den = MultivariatePolynomial.constant(variables, frac.denominator)
-        return cls._raw(num, den)
+        if isinstance(value, int):
+            num, den = int(value), 1
+        else:  # a Fraction or a float
+            from fractions import Fraction
+
+            frac = Fraction(value)
+            num, den = frac.numerator, frac.denominator
+        return cls._raw(
+            MultivariatePolynomial.constant(variables, num),
+            MultivariatePolynomial.constant(variables, den),
+        )
 
     @classmethod
     def zero(cls, variables) -> "RationalFunction":
@@ -838,75 +571,6 @@ def _times_monomial(f: RationalFunction, m: RationalFunction) -> RationalFunctio
     den = {(e0 + b0 - t0, e1 + b1 - t1): c * b // g for (e0, e1), c in den.items()}
     return RationalFunction._raw(
         MultivariatePolynomial(f.variables, num), MultivariatePolynomial(f.variables, den)
-    )
-
-
-# ---------------------------------------------------------------------------
-# The field embedding
-# ---------------------------------------------------------------------------
-
-# The embedding kernel.  A polynomial N of z-degree at most L maps to
-# Ntilde / (1 - s^2*u^2)^L with Ntilde = sum_b N_b(x) (x - 1)^b (1 - x*y)^(L - b),
-# x = s^2, y = u^2 and N_b the coefficient of z^b; ``_embed_rows`` forms
-# Ntilde by Horner's rule in 1 - x*y.  ``skein`` applies it to factored
-# coordinates, whose denominators it knows in closed form; ``embed_qz_to_su``
-# applies it to both sides of any fraction and is the oracle for that path.
-#
-# For coprime N and D the images can share only factors that the
-# substitution collapses to a point: s, from (q, z) = (0, -1), and s - 1 and
-# s + 1, both from (1, 0).  The images are polynomials in s^2, so s - 1 and
-# s + 1 come with equal multiplicity and cancel together as s^2 - 1, and the
-# common power of s cancels by an exponent shift.  The image of whichever of
-# N, D has z-degree L carries no power of 1 - s^2*u^2, so s*u - 1 and
-# s*u + 1 never cancel.  s^2 - 1 is stripped from the two images together by
-# synthetic division.
-
-
-def _embed_rows(by_z: list[list[int]], level: int) -> list[list[int]]:
-    """Image of N times (1 - s^2*u^2)^level, N given as rows over z of int
-    lists over q, as rows over x = s^2 of int lists over y = u^2:
-    sum_b N_b(x) (x - 1)^b (1 - x*y)^(level - b), by Horner's rule in 1 - x*y."""
-    rows: list[list[int]] = []
-    a_pow = [1]
-    for b in range(level + 1):
-        if b:
-            a_pow = _u_sub([0] + a_pow, a_pow)  # (x - 1)^b
-            # rows * (1 - x*y): row i loses row i - 1 times y
-            rows = [_u_sub(row, [0] + below) for row, below in zip(rows + [[]], [[]] + rows)]
-        term = _u_mul(by_z[b], a_pow) if b < len(by_z) else []
-        rows += [[] for _ in range(len(term) - len(rows))]
-        for i, c in enumerate(term):
-            rows[i] = _u_trim([(rows[i][0] if rows[i] else 0) + c] + rows[i][1:])
-    return _u_trim(rows)
-
-
-def _z_rows(poly: MultivariatePolynomial) -> list[list[int]]:
-    """A (q, z) polynomial as rows over z of int lists over q."""
-    return _to_rec({(ez, eq): c for (eq, ez), c in poly.terms.items()})
-
-
-def embed_qz_to_su(a: RationalFunction) -> RationalFunction:
-    """Ring embedding of Q(q, z) into Q(s, u): q -> s^2, z -> (s^2-1)/(1-s^2*u^2)."""
-    if a.variables != QZ:
-        raise MixedVariablesError(f"embedding expects variables {QZ}, got {a.variables}")
-    if a.is_zero:
-        return RationalFunction.zero(SU)
-    level = max(a.numerator.degree_in(1), a.denominator.degree_in(1), 0)
-    num = _embed_rows(_z_rows(a.numerator), level)
-    den = _embed_rows(_z_rows(a.denominator), level)
-    (num, den), _ = _strip_root([num, den], 1, 0, len(den))
-    low = min(next(i for i, row in enumerate(rows) if row) for rows in (num, den))
-    num = {(2 * i, 2 * j): c for i, row in enumerate(num[low:]) for j, c in enumerate(row) if c}
-    den = {(2 * i, 2 * j): c for i, row in enumerate(den[low:]) for j, c in enumerate(row) if c}
-    g = _int_gcd(_terms_content(num), _terms_content(den))
-    if g > 1:
-        num = {mono: c // g for mono, c in num.items()}
-        den = {mono: c // g for mono, c in den.items()}
-    if den[max(den, key=_monomial_key)] < 0:
-        num = {mono: -c for mono, c in num.items()}
-        den = {mono: -c for mono, c in den.items()}
-    return RationalFunction._raw(
-        MultivariatePolynomial(SU, num), MultivariatePolynomial(SU, den)
     )
 
 

@@ -7,13 +7,16 @@ rule: ``T_w T_i = T_{w s_i}`` when the length goes up, and
 ``(q - 1) T_w + q T_{w s_i}`` otherwise; the inverse generator acts through
 ``T_i^{-1} = q^{-1} T_i + (q^{-1} - 1)``.
 
-``ocneanu_trace`` is the unique linear functional with ``tr(1) = 1``,
+The Markov trace ``tr`` is the unique linear functional with ``tr(1) = 1``,
 ``tr(ab) = tr(ba)`` and ``tr(x T_{s_n} y) = z tr(x y)`` for x, y supported
 on the first n strands.
 
-Internally a small kernel works with packed permutations and exact integer
-coefficients; the public operations wrap everything in ``RationalFunction``
-scalars.  A permutation w is one int whose field k - 1, 5 bits wide, holds
+This module is the kernel the CLI runs: packed permutations and exact
+integer coefficients.  The algebra with ``RationalFunction`` coefficients
+(``HeckeElement``, ``mul_by_generator``, ``evaluate_word``, ``multiply``,
+``ocneanu_trace`` and ``permutation_trace``), the tests' oracle, lives in
+``singskein.oracle``; those names still resolve here, loading it on first
+use.  A permutation w is one int whose field k - 1, 5 bits wide, holds
 w(k) XOR k: a fixed point is a zero field, so trailing fixed points vanish,
 the identity is 0 and w's largest moved point is its bit length over 5,
 rounded up.  Right multiplication by s_i swaps two fields in closed form.
@@ -86,24 +89,29 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import comb
-from typing import Iterable, Mapping
 
-from .braid import SIGMA, SIGMA_INV, TAU, SingularBraidWord, StrandIndexError, exponent_sum
-from .coeff import QZ, RationalFunction
-from .permutations import Permutation
+from .braid import SIGMA, SIGMA_INV, TAU, SingularBraidWord, exponent_sum
 
 __all__ = [
-    "HeckeElement",
     "SingularLetterError",
     "cache_info",
     "clear_caches",
-    "mul_by_generator",
-    "evaluate_word",
-    "multiply",
-    "ocneanu_trace",
-    "permutation_trace",
     "trace_components",
 ]
+
+# the oracle's Hecke algebra over Q(q, z), in ``singskein.oracle``
+_ORACLE_NAMES = frozenset({
+    "HeckeElement", "mul_by_generator", "evaluate_word", "multiply", "ocneanu_trace",
+    "permutation_trace", "_RF_ONE", "_RF_Q", "_RF_Q_MINUS_1", "_RF_Q_INV", "_RF_Q_INV_MINUS_1",
+})
+
+
+def __getattr__(name):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class SingularLetterError(ValueError):
@@ -121,23 +129,27 @@ _MIRROR = {SIGMA: SIGMA_INV, SIGMA_INV: SIGMA, TAU: _TAU_NEG}
 _RESOLVE = {TAU: SIGMA, _TAU_NEG: SIGMA_INV}  # the crossing a double point resolves to
 
 
-def _pack(values: Iterable[int]) -> int:
-    """The permutation with images ``values`` (of 1, 2, ...) as one int."""
-    w = 0
-    for k, v in enumerate(values):
-        w |= (v ^ (k + 1)) << (_FIELD * k)
-    return w
+# _IDS[m] packs the identity on m points without the XOR: field k - 1 holds k
+_IDS = [sum(k << (_FIELD * (k - 1)) for k in range(1, m + 1)) for m in range(_MASK + 1)]
 
 
 @lru_cache(maxsize=None)
 def _coset(w: int) -> tuple[int, int]:
     """(j, c) with w = s_j ... s_{m-1} c, lengths adding up, where m is w's
-    largest moved point, j = w(m) and c fixes m."""
+    largest moved point, j = w(m) and c fixes m.
+
+    ``w ^ _IDS[m]`` holds the images w(k) in its fields, j = w(m) on top.
+    c = L_j^{-1} w, L_j = s_j ... s_{m-1}, takes m to m (a zero field) and
+    each image v of the m - 1 fields below to v - 1 if v > j, else v."""
     m = (w.bit_length() + _FIELD - 1) // _FIELD
-    values = [((w >> (_FIELD * k)) & _MASK) ^ (k + 1) for k in range(m)]
-    j = values[-1]
-    # c = L_j^{-1} w where L_j = s_j ... s_{m-1}; relabel values accordingly
-    return j, _pack([m if v == j else (v - 1 if v > j else v) for v in values])
+    top = _FIELD * (m - 1)
+    images = w ^ _IDS[m]
+    j = images >> top
+    c = 0
+    for shift in range(0, top, _FIELD):
+        v = (images >> shift) & _MASK
+        c |= (v - 1 if v > j else v) << shift
+    return j, c ^ _IDS[m - 1]
 
 
 def cache_info() -> dict[str, int]:
@@ -326,143 +338,3 @@ def _trace_tails(word: SingularBraidWord, tails: tuple) -> list[list[dict[tuple[
     letters, the word's letters folded once and in the word's orientation
     for every tail (both orientations decode to the same components)."""
     return _traces({0: 1}, word.letters, word.strands, word.degree, exponent_sum(word) < 0, tails)
-
-
-def permutation_trace(perm: Permutation) -> RationalFunction:
-    """Markov trace of the basis element indexed by ``perm`` (any strand count;
-    ``ValueError`` if it moves a point above 31)."""
-    comps = _trace({_pack(perm.image): 1}, (), perm.largest_moved_point(), 0)
-    return RationalFunction.from_laurent_terms(QZ, comps[0])
-
-
-# ---------------------------------------------------------------------------
-# Public elements
-# ---------------------------------------------------------------------------
-
-_RF_ONE = RationalFunction.one(QZ)
-_RF_Q = RationalFunction.coordinate(QZ, "q")
-_RF_Q_MINUS_1 = _RF_Q - _RF_ONE
-_RF_Q_INV = _RF_Q.inverse()
-_RF_Q_INV_MINUS_1 = RationalFunction._raw(-_RF_Q_MINUS_1.numerator, _RF_Q.numerator)  # (1 - q)/q
-
-
-class HeckeElement:
-    """Finite linear combination of permutation basis elements."""
-
-    __slots__ = ("strands", "terms")
-
-    def __init__(self, strands: int, terms: Mapping[Permutation, RationalFunction]):
-        clean: dict[Permutation, RationalFunction] = {}
-        for perm, coeff in terms.items():
-            if perm.size != strands:
-                raise ValueError(
-                    f"permutation of size {perm.size} in an element on {strands} strands"
-                )
-            if coeff.variables != QZ:
-                raise ValueError("coefficients must live over (q, z)")
-            if not coeff.is_zero:
-                clean[perm] = coeff
-        object.__setattr__(self, "strands", strands)
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard rail
-        raise AttributeError("HeckeElement is immutable")
-
-    @classmethod
-    def identity(cls, strands: int) -> "HeckeElement":
-        return cls(strands, {Permutation.identity(strands): _RF_ONE})
-
-    def scaled(self, factor: RationalFunction) -> "HeckeElement":
-        return HeckeElement(
-            self.strands, {w: c * factor for w, c in self.terms.items()}
-        )
-
-    def __add__(self, other: "HeckeElement") -> "HeckeElement":
-        if self.strands != other.strands:
-            raise ValueError("strand counts differ")
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            acc = out.get(w)
-            out[w] = c if acc is None else acc + c
-        return HeckeElement(self.strands, out)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, HeckeElement):
-            return NotImplemented
-        return self.strands == other.strands and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash((self.strands, tuple(sorted(self.terms.items(), key=lambda kv: kv[0].image))))
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "<hecke 0>"
-        bits = [f"({c})*T{w.image}" for w, c in sorted(self.terms.items(), key=lambda kv: kv[0].image)]
-        return "<hecke " + " + ".join(bits) + ">"
-
-
-def mul_by_generator(h: HeckeElement, i: int, sign: int = 1) -> HeckeElement:
-    """Right-multiply by ``T_i`` (sign +1) or ``T_i^{-1}`` (sign -1)."""
-    if not 1 <= i <= h.strands - 1:
-        raise StrandIndexError(f"generator index {i} out of range for {h.strands} strands")
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    out: dict[Permutation, RationalFunction] = {}
-
-    def add(w: Permutation, c: RationalFunction) -> None:
-        acc = out.get(w)
-        out[w] = c if acc is None else acc + c
-
-    for w, c in h.terms.items():
-        ws = w.right_multiplied(i)
-        ascent = not w.has_right_descent(i)
-        if sign > 0:
-            if ascent:
-                add(ws, c)
-            else:
-                add(w, c * _RF_Q_MINUS_1)
-                add(ws, c * _RF_Q)
-        else:
-            if ascent:
-                add(ws, c * _RF_Q_INV)
-                add(w, c * _RF_Q_INV_MINUS_1)
-            else:
-                add(ws, c)
-    return HeckeElement(h.strands, out)
-
-
-def evaluate_word(word: SingularBraidWord) -> HeckeElement:
-    """Image of a crossing-only word: a left-to-right generator fold."""
-    h = HeckeElement.identity(word.strands)
-    for g in word.letters:
-        if g.kind == TAU:
-            raise SingularLetterError(
-                "cannot evaluate a singular crossing in the ordinary algebra"
-            )
-        h = mul_by_generator(h, g.index, g.kind)
-    return h
-
-
-def multiply(a: HeckeElement, b: HeckeElement) -> HeckeElement:
-    """Product a*b, folding a reduced word for each basis permutation of b."""
-    if a.strands != b.strands:
-        raise ValueError("strand counts differ")
-    out = HeckeElement(a.strands, {})
-    for v, cv in b.terms.items():
-        piece = a
-        for i in v.reduced_word():
-            piece = mul_by_generator(piece, i)
-        out = out + piece.scaled(cv)
-    return out
-
-
-def ocneanu_trace(h: HeckeElement) -> RationalFunction:
-    """The Markov trace, extended linearly from the basis elements."""
-    total = RationalFunction.zero(QZ)
-    for w, c in h.terms.items():
-        total = total + c * permutation_trace(w)
-    return total

@@ -56,17 +56,14 @@ and each stops at the first nonzero remainder (``_over_det_power``).
 The skein check packs its three words at one layout, with l1 doubled and D
 raised by one for its sums num_P - q num_N and (q - 1) num_S.
 
-``pairing_matrix`` evaluates the same expansion on the explicit basis words
-(``basis_word``: ``t1 t3 ... t(2k-1)`` followed by ``(t s)`` blocks at the
-remaining odd indices), columns ordered by descending X-exponent; the
-degree-1 matrix reads [[1, z], [z, (q-1)z + q]] and has determinant D.
-
-The one-step deletion/resolution maps act on coordinates as
-
-    g0(X^k Y^{d-k}) = k X^{k-1} Y^{d-k} + z (d-k) X^k Y^{d-k-1}
-    g1(X^k Y^{d-k}) = k z X^{k-1} Y^{d-k} + (d-k)((q-1)z + q) X^k Y^{d-k-1}
-
-which the test suite cross-checks against the word-level maps.
+The oracles live in ``singskein.oracle``, which no CLI run imports: the
+literal expansion (``FormalWordSum``, ``desing_delete``,
+``desing_resolve``, ``subset_expansion``, ``trace_functional``), the
+functionals as ``RationalFunction``s (``TraceVector``, ``trace_vector``),
+the pairing matrix on the basis words (``basis_word``, ``pairing_matrix``),
+``markov_class_of_sum``, the g-operators (``g0_apply``, ``g1_apply``) and
+``class_product``.  Those names still resolve here, loading the oracle on
+first use.
 
 ``coordinate_numerators``, and so every class and skein check, refuses a
 word above the hard caps (degree <= 8, strands <= 12).  The CLI checks the
@@ -77,53 +74,54 @@ fold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, lru_cache, reduce
-from itertools import combinations
-from math import comb, factorial
+from math import comb
 from operator import or_
-from typing import Iterable, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
-from .braid import Generator, SIGMA, TAU, SingularBraidWord
+from .braid import SingularBraidWord
 from .coeff import MultivariatePolynomial, QZ, RationalFunction
 from .coeff import _digits, _divide_linear, _pack, _packed_width
-from .hecke import _trace_tails, evaluate_word, ocneanu_trace, trace_components
+from .hecke import _trace_tails, trace_components
 
 __all__ = [
     "HARD_MAX_DEGREE",
     "HARD_MAX_STRANDS",
     "CapExceededError",
     "DegreeError",
-    "FormalWordSum",
-    "TraceVector",
     "ClassPolynomial",
     "MarkovClass",
     "FactoredCoordinate",
     "PackedNumerators",
     "check_caps",
-    "desing_delete",
-    "desing_resolve",
-    "subset_expansion",
-    "trace_functional",
-    "trace_vector",
-    "basis_word",
-    "pairing_matrix",
     "coordinate_numerators",
     "factored_coordinates",
     "markov_class",
-    "markov_class_of_sum",
-    "g0_apply",
-    "g1_apply",
-    "class_product",
 ]
+
+# the literal expansion, the pairing matrix and the g-operators, in ``singskein.oracle``
+_ORACLE_NAMES = frozenset({
+    "FormalWordSum", "desing_delete", "desing_resolve", "subset_expansion", "trace_functional",
+    "TraceVector", "trace_vector", "basis_word", "pairing_matrix", "markov_class_of_sum",
+    "g0_apply", "g1_apply", "class_product",
+})
+
+
+def __getattr__(name):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 HARD_MAX_DEGREE = 8
 HARD_MAX_STRANDS = 12
 
-_ONE = RationalFunction.one(QZ)
-_Z = RationalFunction.coordinate(QZ, "z")
-_Q = RationalFunction.coordinate(QZ, "q")
-_Z_SLIDE = (_Q - _ONE) * _Z + _Q  # value of a resolved-and-closed double point
+_P_ONE = MultivariatePolynomial.one(QZ)
+_P_Z = MultivariatePolynomial.variable(QZ, "z")
+_P_Q = MultivariatePolynomial.variable(QZ, "q")
+_P_W = (_P_Q - _P_ONE) * _P_Z + _P_Q  # value of a resolved-and-closed double point
 
 
 class CapExceededError(ValueError):
@@ -151,131 +149,6 @@ def check_caps(
         )
     if word.strands > strand_cap:
         raise CapExceededError(f"word has {word.strands} strands, cap is {strand_cap}")
-
-
-@dataclass(frozen=True)
-class FormalWordSum:
-    """Nonnegative-integer combination of words of one strand count and degree."""
-
-    terms: tuple[tuple[SingularBraidWord, int], ...]
-
-    @classmethod
-    def from_terms(
-        cls, items: Iterable[tuple[SingularBraidWord, int]]
-    ) -> "FormalWordSum":
-        merged: dict[SingularBraidWord, int] = {}
-        for word, mult in items:
-            if mult <= 0:
-                raise ValueError("multiplicities must be positive")
-            merged[word] = merged.get(word, 0) + mult
-        words = list(merged)
-        if words:
-            strands = words[0].strands
-            degree = words[0].degree
-            for w in words[1:]:
-                if w.strands != strands or w.degree != degree:
-                    raise ValueError("summands must share strand count and degree")
-        ordered = sorted(merged.items(), key=lambda kv: (kv[0].display(),))
-        return cls(tuple(ordered))
-
-    def items(self) -> tuple[tuple[SingularBraidWord, int], ...]:
-        return self.terms
-
-
-def _tau_positions(word: SingularBraidWord) -> list[int]:
-    return [p for p, g in enumerate(word.letters) if g.kind == TAU]
-
-
-def desing_delete(word: SingularBraidWord) -> FormalWordSum:
-    """Delete each double point in turn and sum the results."""
-    positions = _tau_positions(word)
-    if not positions:
-        raise DegreeError("deletion needs at least one double point")
-    out = []
-    for p in positions:
-        letters = word.letters[:p] + word.letters[p + 1 :]
-        out.append((SingularBraidWord(word.strands, letters), 1))
-    return FormalWordSum.from_terms(out)
-
-
-def desing_resolve(word: SingularBraidWord) -> FormalWordSum:
-    """Resolve each double point to a positive crossing in turn."""
-    positions = _tau_positions(word)
-    if not positions:
-        raise DegreeError("resolution needs at least one double point")
-    out = []
-    for p in positions:
-        letters = list(word.letters)
-        letters[p] = Generator(SIGMA, letters[p].index)
-        out.append((SingularBraidWord(word.strands, tuple(letters)), 1))
-    return FormalWordSum.from_terms(out)
-
-
-def subset_expansion(word: SingularBraidWord, k: int) -> FormalWordSum:
-    """All ways to resolve k double points and delete the rest, each with
-    multiplicity k!(d-k)!: the fully expanded k-th desingularisation."""
-    positions = _tau_positions(word)
-    d = len(positions)
-    if not 0 <= k <= d:
-        raise DegreeError(f"k = {k} out of range for degree {d}")
-    mult = factorial(k) * factorial(d - k)
-    out = []
-    for resolved in combinations(positions, k):
-        keep = set(resolved)
-        letters = []
-        for p, g in enumerate(word.letters):
-            if g.kind != TAU:
-                letters.append(g)
-            elif p in keep:
-                letters.append(Generator(SIGMA, g.index))
-        out.append((SingularBraidWord(word.strands, tuple(letters)), mult))
-    return FormalWordSum.from_terms(out)
-
-
-def trace_functional(word: SingularBraidWord, k: int) -> RationalFunction:
-    """Value of the k-th degree-d functional, via the literal expansion."""
-    total = RationalFunction.zero(QZ)
-    for term, mult in subset_expansion(word, k).items():
-        total = total + ocneanu_trace(evaluate_word(term)).scaled(mult)
-    return total
-
-
-@dataclass(frozen=True)
-class TraceVector:
-    degree: int
-    values: tuple[RationalFunction, ...]
-
-    def __post_init__(self):
-        if len(self.values) != self.degree + 1:
-            raise ValueError("a degree-d trace vector has d+1 entries")
-
-
-def trace_vector(word: SingularBraidWord) -> TraceVector:
-    """All d+1 functional values in one fused pass over the word."""
-    d = word.degree
-    comps = trace_components(word)
-    values = []
-    for k, comp in enumerate(comps):
-        rf = RationalFunction.from_laurent_terms(QZ, comp)
-        values.append(rf.scaled(factorial(k) * factorial(d - k)))
-    return TraceVector(d, tuple(values))
-
-
-def basis_word(d: int, k: int) -> SingularBraidWord:
-    """Representative word for X^k Y^{d-k}: k lone double points then d-k
-    (double point, crossing) blocks, all on disjoint strand pairs."""
-    if not 0 <= k <= d:
-        raise DegreeError(f"k = {k} out of range for degree {d}")
-    letters: list[Generator] = []
-    for block in range(k):
-        letters.append(Generator(TAU, 2 * block + 1))
-    for block in range(k, d):
-        letters.append(Generator(TAU, 2 * block + 1))
-        letters.append(Generator(SIGMA, 2 * block + 1))
-    return SingularBraidWord(max(2 * d, 1), tuple(letters))
-
-
-_P_ONE, _P_Z, _P_W = _ONE.numerator, _Z.numerator, _Z_SLIDE.numerator
 
 
 def _expand(
@@ -308,20 +181,6 @@ def _packed_substitution(d: int, width: int) -> tuple[tuple[list[int], ...], ...
     return tuple(zip(*(
         [_pack(poly.terms, 0, width) for poly in row] for row in _substitution(d)
     )))
-
-
-def pairing_matrix(d: int) -> list[list[RationalFunction]]:
-    """Functional values on the basis words; rows by functional index, columns
-    by descending X-exponent.  Entry [k][c] is k!(d-k)! times the coefficient
-    of T1^k in (T0 + z T1)^(d-c) (z T0 + w T1)^c."""
-    if d < 0:
-        raise DegreeError("degree must be >= 0")
-    columns = [_expand([(_P_ONE, _P_Z)] * (d - c) + [(_P_Z, _P_W)] * c) for c in range(d + 1)]
-    weights = [factorial(k) * factorial(d - k) for k in range(d + 1)]
-    return [
-        [RationalFunction(col[k].scaled(weights[k])) for col in columns]
-        for k in range(d + 1)
-    ]
 
 
 class ClassPolynomial:
@@ -601,52 +460,3 @@ def _over_det_power(rows: list[int], q0: int, width: int, d: int) -> FactoredCoo
     rows, j = _divide_linear(rows, width, 1, d)  # z - q
     rows, k = _divide_linear(rows, 0, -1, d)  # z + 1
     return FactoredCoordinate(tuple(rows), p, d - j, d - k, (-1) ** d, width)
-
-
-def markov_class_of_sum(words: FormalWordSum) -> MarkovClass:
-    total = MarkovClass.zero()
-    for word, mult in words.items():
-        total = total.add(markov_class(word).scaled(RationalFunction.constant(QZ, mult)))
-    return total
-
-
-def g0_apply(cls: MarkovClass) -> MarkovClass:
-    """Deletion operator on coordinates."""
-    return _g_apply(cls, resolve=False)
-
-
-def g1_apply(cls: MarkovClass) -> MarkovClass:
-    """Resolution operator on coordinates."""
-    return _g_apply(cls, resolve=True)
-
-
-def _g_apply(cls: MarkovClass, resolve: bool) -> MarkovClass:
-    d = cls.homogeneous_degree()
-    if d < 1:
-        raise DegreeError("operators act on degree >= 1 classes")
-    out: dict[tuple[int, int], RationalFunction] = {}
-
-    def push(expo, piece):
-        if piece.is_zero:
-            return
-        acc = out.get(expo)
-        out[expo] = piece if acc is None else acc + piece
-
-    for (a, b), coeff in cls.coeffs.items():
-        # a copies of X, b copies of Y, a + b = d
-        if resolve:
-            if a:
-                push((a - 1, b), coeff.scaled(a) * _Z)
-            if b:
-                push((a, b - 1), coeff.scaled(b) * _Z_SLIDE)
-        else:
-            if a:
-                push((a - 1, b), coeff.scaled(a))
-            if b:
-                push((a, b - 1), coeff.scaled(b) * _Z)
-    return MarkovClass(out)
-
-
-def class_product(a: MarkovClass, b: MarkovClass) -> MarkovClass:
-    """Product in the commutative stacking algebra (plain polynomial product)."""
-    return a.multiply(b)

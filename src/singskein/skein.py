@@ -63,7 +63,6 @@ the disjoint-union coefficient (t^{-1} - t)/x.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from operator import or_
 
@@ -78,11 +77,20 @@ __all__ = [
     "SkeinTripleResult",
     "skein_class",
     "skein_triple_check",
-    "disjoint_union_coefficient",
-    "closure_product",
     "VAR_T",
     "VAR_X",
 ]
+
+# classes of stacked words from their factors', in ``singskein.oracle``
+_ORACLE_NAMES = frozenset({"disjoint_union_coefficient", "closure_product"})
+
+
+def __getattr__(name):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 # the skein-relation constants in canonical form: t = s*u and x = s - 1/s = (s^2 - 1)/s
 VAR_T = RationalFunction.coordinate(SU, "s") * RationalFunction.coordinate(SU, "u")
@@ -98,16 +106,42 @@ class SkeinClass(ClassPolynomial):
     field_variables = SU
 
 
-@dataclass(frozen=True)
 class SkeinTripleResult:
     """Outcome of one skein-relation check at a chosen crossing site."""
 
-    holds: bool
-    positive: SkeinClass
-    negative: SkeinClass
-    smoothed: SkeinClass
-    lhs: SkeinClass
-    rhs: SkeinClass
+    __slots__ = ("holds", "positive", "negative", "smoothed", "lhs", "rhs")
+
+    def __init__(
+        self,
+        holds: bool,
+        positive: SkeinClass,
+        negative: SkeinClass,
+        smoothed: SkeinClass,
+        lhs: SkeinClass,
+        rhs: SkeinClass,
+    ):
+        for name, value in zip(self.__slots__, (holds, positive, negative, smoothed, lhs, rhs)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"SkeinTripleResult({fields})"
 
 
 def skein_class(word: SingularBraidWord, coords: MarkovClass | None = None) -> SkeinClass:
@@ -216,20 +250,3 @@ def _combined(*pieces: tuple[int, int, PackedNumerators]) -> PackedNumerators:
         while acc and not acc[-1]:
             acc.pop()
     return PackedNumerators({ab: acc for ab, acc in out.items() if acc}, q0, width)
-
-
-def disjoint_union_coefficient() -> RationalFunction:
-    """Effect of a split unknotted component: (t^{-1} - t)/x over (s, u)."""
-    return (VAR_T.inverse() - VAR_T) / VAR_X
-
-
-def closure_product(a: SkeinClass, b: SkeinClass) -> SkeinClass:
-    """Class of the closure of a stacked word, given the factors' classes.
-
-    Stacking braids side by side closes up to a split union, so the result
-    is the polynomial product weighted once by the disjoint-union
-    coefficient: ``skein_class(stack(wa, wb)) == closure_product(
-    skein_class(wa), skein_class(wb))``.  The trivial one-strand word is
-    absorbed into the coefficient, matching the free-strand rule.
-    """
-    return a.multiply(b).scaled(disjoint_union_coefficient())

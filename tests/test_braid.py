@@ -204,6 +204,56 @@ def test_inverse_word():
         inverse_word(word("t1", 2))
 
 
+def test_records_keep_their_value_semantics():
+    # the move reprs are the text of --verify failure lines
+    moves = {
+        "CyclicShift(amount=2)": CyclicShift(2),
+        "Conjugate(by=<word s1 S2 on 3>)": Conjugate(word("s1 S2", 3)),
+        "StabilizeUp(sign=-1)": StabilizeUp(-1),
+        "StabilizeDown()": StabilizeDown(),
+        "RelationMove(rule='insert_inverse_pair', position=1, index=1, sign=-1)": RelationMove(
+            R_INSERT, 1, index=1, sign=-1
+        ),
+        "RelationMove(rule='braid_relation', position=0, index=0, sign=1)": RelationMove(R_BRAID, 0),
+    }
+    for text, move in moves.items():
+        assert repr(move) == text
+    assert repr(Generator(TAU, 2)) == "t2"
+    assert repr(word("s1 S2 t1", 3)) == "<word s1 S2 t1 on 3>"
+    assert repr(SingularBraidWord(2, ())) == "<word empty on 2>"
+    twins = [  # two equal values and one of their fields
+        (Generator(SIGMA, 2), Generator(SIGMA, 2), "kind"),
+        (word("s1 S2 t1", 3), parse("s1  S2 t1", 3), "letters"),
+        (CyclicShift(2), CyclicShift(2), "amount"),
+        (Conjugate(word("s1", 2)), Conjugate(word("s1", 2)), "by"),
+        (StabilizeUp(1), StabilizeUp(1), "sign"),
+        (StabilizeDown(), StabilizeDown(), None),
+        (RelationMove(R_CANCEL, 3), RelationMove(R_CANCEL, 3, 0, 1), "position"),
+    ]
+    for a, b, field in twins:
+        assert a == b and not a != b and hash(a) == hash(b)
+        for name in (field, "extra"):
+            if name is not None:
+                with pytest.raises(AttributeError):
+                    setattr(a, name, 0)
+                with pytest.raises(AttributeError):
+                    delattr(a, name)
+    assert Generator(SIGMA, 2) != (SIGMA, 2)
+    assert Generator(SIGMA, 2) != Generator(SIGMA_INV, 2)
+    assert word("s1", 2) != word("s1", 3)
+    assert CyclicShift(1) != StabilizeUp(1)
+    assert StabilizeDown() != CyclicShift(0)
+    assert RelationMove(R_INSERT, 0, 1, 1) != RelationMove(R_INSERT, 0, 1, -1)
+    with pytest.raises(ValueError):
+        Generator(5, 1)
+    with pytest.raises(ValueError):
+        Generator(SIGMA, 0)
+    with pytest.raises(ValueError):
+        SingularBraidWord(0, ())
+    with pytest.raises(StrandIndexError):
+        SingularBraidWord(2, (Generator(SIGMA, 2),))
+
+
 # -- move invariants -----------------------------------------------------------
 
 

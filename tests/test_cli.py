@@ -218,11 +218,26 @@ def test_strands_inferred(capsys):
 
 
 def test_cli_import_leaves_the_linalg_oracle_out():
-    # the linear-algebra engine is a test oracle; the CLI path never loads it
+    # the CLI path loads no dataclass machinery, no fractions and no oracle
+    # code (linalg and singskein.oracle serve the tests): checked in a fresh
+    # interpreter after the import and after a plain, a --verify and a
+    # --skein-check run
     src = os.path.dirname(os.path.dirname(singskein.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    probe = "import sys, singskein.cli; sys.exit('singskein.linalg' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
+    probe = """if True:
+        import contextlib, io, sys
+        banned = {"dataclasses", "inspect", "fractions", "decimal", "singskein.linalg", "singskein.oracle"}
+        import singskein.cli
+        print(sorted(banned & set(sys.modules)))
+        word = ["--word", "s1 S2 t1 s2 t2"]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            for extra in ([], ["--verify", "--moves", "9"], ["--skein-check", "1"]):
+                assert singskein.cli.main(word + extra) == 0
+        print(sorted(banned & set(sys.modules)))
+    """
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == ["[]", "[]"]
 
 
 def _calls_in_cli_runs(names):
@@ -287,3 +302,24 @@ def test_skein_check_json_is_pinned(word, strands, index, digest):
     argv = ["--word", word, "--strands", strands, "--skein-check", index, "--format", "json"]
     text = cli.render_json(cli.run(cli.build_parser().parse_args(argv)))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_run_report_is_a_plain_mutable_record():
+    w = parse("s1 S2 t1", 3)
+    report = cli.RunReport(w, 3, 1, 0, 1, None, None, 0.5)
+    assert report.verify is None
+    assert repr(report) == (
+        "RunReport(word=<word s1 S2 t1 on 3>, strands=3, degree=1, writhe=0, "
+        "components=1, markov=None, skein=None, elapsed_seconds=0.5, verify=None)"
+    )
+    assert report == cli.RunReport(w, 3, 1, 0, 1, None, None, 0.5, verify=None)
+    report.verify = {}
+    assert report != cli.RunReport(w, 3, 1, 0, 1, None, None, 0.5)
+    with pytest.raises(TypeError):
+        hash(report)
+    full = cli.run(cli.build_parser().parse_args(["--word", "t1 s1", "--strands", "2"]))
+    full.elapsed_seconds = 0.25
+    assert repr(full) == (
+        "RunReport(word=<word t1 s1 on 2>, strands=2, degree=1, writhe=1, components=2, "
+        "markov=<MarkovClass Y>, skein=<SkeinClass Yhat>, elapsed_seconds=0.25, verify=None)"
+    )

@@ -13,12 +13,11 @@ from singskein.coeff import (
     MultivariatePolynomial,
     PoleError,
     RationalFunction,
-    _strip_root,
-    _to_rec,
     embed_qz_to_su,
     poly_divexact,
     poly_gcd,
 )
+from singskein.oracle import _strip_root, _to_rec
 
 Q = RationalFunction.coordinate(QZ, "q")
 Z = RationalFunction.coordinate(QZ, "z")

@@ -469,3 +469,31 @@ def test_permutation_trace_matches_coset_recursion():
         rng.shuffle(image)
         w = Permutation(image)
         assert permutation_trace(w) == _reference_trace(w, memo), image
+
+
+def test_coset_split_matches_the_list_formula():
+    # the list formula the XOR-table split replaced, kept here as its oracle:
+    # unpack the images, relabel them (m -> m, v -> v - 1 above j) and repack
+    def pack(values):
+        return sum((v ^ k) << (5 * (k - 1)) for k, v in enumerate(values, 1))
+
+    def by_lists(w):
+        m = (w.bit_length() + 4) // 5
+        values = [((w >> (5 * k)) & 31) ^ (k + 1) for k in range(m)]
+        j = values[-1]
+        return j, pack([m if v == j else (v - 1 if v > j else v) for v in values])
+
+    checked = 0
+    for n in range(2, 8):
+        for image in permutations(range(1, n + 1)):
+            w = pack(image)
+            if w:
+                assert hecke._coset(w) == by_lists(w), image
+                checked += 1
+    assert checked == 5906
+    rng = random.Random(31)  # and at the kernel's 31 strands
+    for _ in range(200):
+        image = list(range(1, rng.randint(8, 31) + 1))
+        rng.shuffle(image)
+        w = pack(image)
+        assert hecke._coset(w) == by_lists(w), image

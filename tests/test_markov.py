@@ -416,3 +416,24 @@ def test_over_det_power_matches_general_constructor():
                     got = _over_det_power(*_packed(laurent, d), d).in_qz()
                     assert got.numerator == expected.numerator
                     assert got.denominator == expected.denominator
+
+
+def test_oracle_names_still_resolve_from_their_old_modules():
+    from singskein import coeff, hecke, markov, oracle, skein
+
+    assert markov.pairing_matrix is oracle.pairing_matrix
+    moved = {
+        markov: ("FormalWordSum", "trace_functional", "trace_vector", "g0_apply", "class_product"),
+        hecke: ("HeckeElement", "ocneanu_trace", "permutation_trace", "_RF_Q_INV_MINUS_1"),
+        coeff: ("poly_gcd", "poly_divexact", "embed_qz_to_su"),
+        skein: ("closure_product", "disjoint_union_coefficient"),
+    }
+    for module, names in moved.items():
+        for name in names:
+            assert getattr(module, name) is getattr(oracle, name), (module.__name__, name)
+        with pytest.raises(AttributeError):
+            module.no_such_name
+    # names that never lived in these modules stay missing
+    assert getattr(markov, "invert", None) is None
+    assert getattr(markov, "poly_divexact", None) is None
+    assert getattr(skein, "embed_qz_to_su", None) is None

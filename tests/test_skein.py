@@ -148,6 +148,21 @@ def test_triple_check_sides_match_the_printed_legs():
         assert result.holds == (lhs == rhs), (w, i)
 
 
+def test_skein_triple_result_is_a_frozen_record():
+    result = skein_triple_check(parse("t1", 2), 1)
+    assert repr(result) == (
+        "SkeinTripleResult(holds=True, positive=<SkeinClass Yhat>, "
+        "negative=<SkeinClass ((-s^2 + 1)/(s^2*u))*Xhat + (1/(s^2*u^2))*Yhat>, "
+        "smoothed=<SkeinClass Xhat>, lhs=<SkeinClass ((s^2 - 1)/s)*Xhat>, "
+        "rhs=<SkeinClass ((s^2 - 1)/s)*Xhat>)"
+    )
+    again = skein_triple_check(parse("t1", 2), 1)
+    assert result == again and hash(result) == hash(again)
+    assert result != skein_triple_check(parse("s1 s1", 2), 1)
+    with pytest.raises(AttributeError):
+        result.holds = False
+
+
 def test_skein_constants_are_canonical():
     assert VAR_X == S - S.inverse()
     q = RationalFunction.coordinate(QZ, "q")
