@@ -72,7 +72,43 @@ class InapplicableMoveError(ValueError):
     """The move's applicability condition fails on this word."""
 
 
-class Generator:
+class Record:
+    """Base of the package's plain records: the fields are ``__slots__``,
+    which a subclass's ``__init__`` sets in that order with ``_set``.  A
+    record is immutable, equal only to a record of its own class with equal
+    fields, hashed by its fields and shown as ``Name(field=value, ...)``.  A
+    subclass keeps its own validation, defaults and keyword arguments, and
+    may override the repr or, like ``cli.RunReport``, the immutability and
+    the hash."""
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class Generator(Record):
     """One letter: a crossing (SIGMA, SIGMA_INV) or a double point (TAU)
     between strand positions ``index`` and ``index + 1`` (1-based)."""
 
@@ -83,21 +119,7 @@ class Generator:
             raise ValueError(f"unknown generator kind {kind}")
         if index < 1:
             raise ValueError(f"generator index must be >= 1, got {index}")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "index", index)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.kind == other.kind and self.index == other.index
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.index))
+        self._set(kind, index)
 
     @property
     def token(self) -> str:
@@ -112,7 +134,7 @@ class Generator:
         return self.token
 
 
-class SingularBraidWord:
+class SingularBraidWord(Record):
     """A tuple of letters on a strand count; every index fits the strands."""
 
     __slots__ = ("strands", "letters")
@@ -126,21 +148,7 @@ class SingularBraidWord:
                     f"generator {letter.token} needs at least {letter.index + 1} "
                     f"strands, word has {strands}"
                 )
-        object.__setattr__(self, "strands", strands)
-        object.__setattr__(self, "letters", letters)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.strands == other.strands and self.letters == other.letters
-
-    def __hash__(self) -> int:
-        return hash((self.strands, self.letters))
+        self._set(strands, letters)
 
     @property
     def degree(self) -> int:
@@ -225,7 +233,7 @@ def inverse_word(word: SingularBraidWord) -> SingularBraidWord:
 # ---------------------------------------------------------------------------
 
 
-class MarkovMove:
+class MarkovMove(Record):
     """Base class; every move rewrites a word without changing its closure.
 
     Moves are immutable values: equal when of one class with equal fields,
@@ -233,11 +241,6 @@ class MarkovMove:
     index=0, sign=1)``) are the text of ``--verify`` failure lines."""
 
     __slots__ = ()
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    __delattr__ = __setattr__
 
     def apply(self, word: SingularBraidWord) -> SingularBraidWord:
         raise NotImplementedError
@@ -247,18 +250,7 @@ class CyclicShift(MarkovMove):
     __slots__ = ("amount",)
 
     def __init__(self, amount: int):
-        object.__setattr__(self, "amount", amount)
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.amount == other.amount
-
-    def __hash__(self) -> int:
-        return hash((self.amount,))
-
-    def __repr__(self) -> str:
-        return f"CyclicShift(amount={self.amount!r})"
+        self._set(amount)
 
     def apply(self, word: SingularBraidWord) -> SingularBraidWord:
         n = len(word.letters)
@@ -272,18 +264,7 @@ class Conjugate(MarkovMove):
     __slots__ = ("by",)
 
     def __init__(self, by: SingularBraidWord):
-        object.__setattr__(self, "by", by)
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.by == other.by
-
-    def __hash__(self) -> int:
-        return hash((self.by,))
-
-    def __repr__(self) -> str:
-        return f"Conjugate(by={self.by!r})"
+        self._set(by)
 
     def apply(self, word: SingularBraidWord) -> SingularBraidWord:
         if self.by.strands != word.strands:
@@ -300,18 +281,7 @@ class StabilizeUp(MarkovMove):
     __slots__ = ("sign",)
 
     def __init__(self, sign: int):  # +1 or -1
-        object.__setattr__(self, "sign", sign)
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.sign == other.sign
-
-    def __hash__(self) -> int:
-        return hash((self.sign,))
-
-    def __repr__(self) -> str:
-        return f"StabilizeUp(sign={self.sign!r})"
+        self._set(sign)
 
     def apply(self, word: SingularBraidWord) -> SingularBraidWord:
         if self.sign not in (1, -1):
@@ -324,17 +294,6 @@ class StabilizeUp(MarkovMove):
 
 class StabilizeDown(MarkovMove):
     __slots__ = ()
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return True
-
-    def __hash__(self) -> int:
-        return hash(())
-
-    def __repr__(self) -> str:
-        return "StabilizeDown()"
 
     def apply(self, word: SingularBraidWord) -> SingularBraidWord:
         n = word.strands
@@ -368,26 +327,7 @@ class RelationMove(MarkovMove):
     __slots__ = ("rule", "position", "index", "sign")
 
     def __init__(self, rule: str, position: int, index: int = 0, sign: int = 1):
-        object.__setattr__(self, "rule", rule)
-        object.__setattr__(self, "position", position)
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "sign", sign)
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return (self.rule, self.position, self.index, self.sign) == (
-            other.rule, other.position, other.index, other.sign
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.rule, self.position, self.index, self.sign))
-
-    def __repr__(self) -> str:
-        return (
-            f"RelationMove(rule={self.rule!r}, position={self.position!r}, "
-            f"index={self.index!r}, sign={self.sign!r})"
-        )
+        self._set(rule, position, index, sign)
 
     def apply(self, word: SingularBraidWord) -> SingularBraidWord:
         letters = word.letters

@@ -6,7 +6,8 @@ theory violation (a ``--verify`` move changed the class, or the
 ``--skein-check`` relation failed), 4 size caps exceeded.
 
 stdout is byte-identical for identical (input, flags, seed); wall-clock
-timing goes to stderr.
+timing goes to stderr.  ``--moves`` is at most ``HARD_MAX_MOVES`` (10,000),
+as every move's word is held until the classes are checked.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import time
 from .braid import (
     BraidSyntaxError,
     InapplicableMoveError,
+    Record,
     SingularBraidWord,
     StrandIndexError,
     exponent_sum,
@@ -43,14 +45,20 @@ EXIT_USAGE = 2
 EXIT_THEORY = 3
 EXIT_CAPS = 4
 
+HARD_MAX_MOVES = 10_000
 
-class RunReport:
-    """One run's word, its invariants, its classes and its checks."""
+
+class RunReport(Record):
+    """One run's word, its invariants, its classes and its checks; unlike
+    the other records it may be changed, so it has no hash."""
 
     __slots__ = (
         "word", "strands", "degree", "writhe", "components",
         "markov", "skein", "elapsed_seconds", "verify",
     )
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
 
     def __init__(
         self,
@@ -64,29 +72,9 @@ class RunReport:
         elapsed_seconds: float,
         verify: dict | None = None,
     ):
-        self.word = word
-        self.strands = strands
-        self.degree = degree
-        self.writhe = writhe
-        self.components = components
-        self.markov = markov
-        self.skein = skein
-        self.elapsed_seconds = elapsed_seconds
-        self.verify = verify
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    __hash__ = None  # mutable
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"RunReport({fields})"
+        self._set(
+            word, strands, degree, writhe, components, markov, skein, elapsed_seconds, verify
+        )
 
 
 def _positive_cap(limit: int, label: str):
@@ -111,6 +99,8 @@ def _move_count(text: str) -> int:
         raise argparse.ArgumentTypeError("--moves must be an integer") from exc
     if value < 0:
         raise argparse.ArgumentTypeError("--moves must be >= 0")
+    if value > HARD_MAX_MOVES:
+        raise argparse.ArgumentTypeError(f"--moves must be at most {HARD_MAX_MOVES} (hard cap)")
     return value
 
 

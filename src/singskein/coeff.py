@@ -33,46 +33,13 @@ ratio is reduced in closed form.
 
 All values are immutable and safe to share across threads.
 
-The packed kernel.  From the trace components to the skein coefficients,
-``markov`` and ``skein`` keep every polynomial as Python ints (Kronecker
-substitution).  A polynomial in q and z is a list of rows over z, each row
-the value of its polynomial in q at q = 2^W: one balanced W-bit digit per
-power of q.  A polynomial in x = s^2 and y = u^2 is one int, x -> 2^W and
-y -> 2^S, S = W times the x-slots, so q -> x needs no repacking.
-Evaluation at a power of two is a ring homomorphism, so shifts, adds and
-products of these ints are exact at any W.  Only the zero tests, the
-lowest set bits, the remainder tests and the one decode per coefficient
-read digits, and they are exact when every digit is below 2^(W-1) in
-absolute value: an int is then 0 iff every digit is, its lowest set bit
-lies in its lowest nonzero digit, and its top digit is its bit length over
-W.  ``_packed_width`` proves W for one word from L1 norms (sums of absolute
-coefficients), which bound every digit.  Start from a numerator over D^d
-of L1 at most l1 and z-degree at most L, to be rendered with z^m; let
-r = max(-m, 0).
-
-* Division by z - rho, rho = q or -1 (``_divide_linear``), at most d times
-  each: Q_(t-1) = sum_(s >= t) rho^(s-t) R_s and the remainder is
-  sum_s rho^s R_s.  A digit of either is a diagonal partial sum of the
-  dividend's digits, so it is at most the dividend's L1, and
-  L1(Q) <= sum_s s L1(R_s) <= L L1(R).  So every L1 stays within
-  l1 L^(2d), and so does that of R, the numerator left in lowest terms.
-* The embedding (``_embed_packed``): Rtilde = sum_b R_b(x) (x - 1)^b
-  (1 - x y)^(level - b), where each factor product has L1 2^level, so
-  L1(Rtilde) <= 2^level L1(R), with level <= max(L + max(m, 0), 2d + r).
-  Its x-degree is at most D + level, D the q-degree of R, and the x-slots
-  are D + level + 1, so no y-row spills into the next.
-* Division by x - 1 (``_divide_x_minus_one``), at most r times: a quotient
-  digit is a partial sum sum_(s >= i) P_s of the dividend's digits and the
-  remainder is P(1), so one division raises L1 by at most the x-slot count.
-
-So every digit that is read is at most l1 L^(2d) 2^level (D + level + 1)^r,
-and W is that bound's bit length plus one.
+The production path keeps its polynomials as packed ints, whose format and
+widths ``singskein.packed`` owns; this module holds only the value types.
 """
 
 from __future__ import annotations
 
 from math import gcd as _int_gcd
-from operator import itemgetter
 from typing import Mapping
 
 __all__ = [
@@ -572,96 +539,3 @@ def _times_monomial(f: RationalFunction, m: RationalFunction) -> RationalFunctio
     return RationalFunction._raw(
         MultivariatePolynomial(f.variables, num), MultivariatePolynomial(f.variables, den)
     )
-
-
-# ---------------------------------------------------------------------------
-# The packed kernel (module docstring): polynomials as ints, q -> 2^W
-# ---------------------------------------------------------------------------
-
-
-def _packed_width(l1: int, z_degree: int, q_degree: int, d: int, m: int) -> int:
-    """Digit width W proved for a numerator over D^d with L1 at most ``l1``,
-    z-degree at most ``z_degree`` and, once its q-shift is taken out, q-degree
-    at most ``q_degree``, rendered with z^m (bound in the module docstring)."""
-    r = max(-m, 0)
-    level = max(z_degree + max(m, 0), 2 * d + r)
-    bound = l1 * max(z_degree, 1) ** (2 * d) * 2**level * (q_degree + level + 1) ** r
-    return bound.bit_length() + 1
-
-
-def _pack(laurent: Mapping[Monomial, int], q0: int, width: int) -> list[int]:
-    """Laurent terms over (q, z) as rows over z, each an int with the
-    coefficient of q^e in digit e - q0 (q -> 2^width)."""
-    rows = [0] * (max(map(itemgetter(1), laurent), default=-1) + 1)
-    for (eq, ez), v in laurent.items():
-        rows[ez] += v << (width * (eq - q0))
-    return rows
-
-
-def _digits(v: int, width: int):
-    """(index, digit) for each nonzero balanced width-bit digit of v, lowest
-    first; the digits are v's coefficients when each is below 2^(width-1)."""
-    mask = (1 << width) - 1
-    half = 1 << (width - 1)
-    i = 0
-    while v:
-        digit = v & mask
-        if digit >= half:
-            digit -= mask + 1
-        if digit:
-            yield i, digit
-        v = (v - digit) >> width
-        i += 1
-
-
-def _divide_linear(rows: list[int], shift: int, sign: int, limit: int) -> tuple[list[int], int]:
-    """Divide sum_t rows[t] z^t by z - sign * 2^shift (z - q: shift W, sign 1;
-    z + 1: shift 0, sign -1) as often as it divides, at most limit times;
-    returns the quotient rows and the number of divisions.  Synthetic
-    division: Q_(t-1) = R_t + sign * (Q_t << shift), and the last such sum is
-    the remainder, so a division stops at the first nonzero remainder."""
-    times = 0
-    while times < limit:
-        carry = 0
-        out = []
-        for v in reversed(rows):
-            carry = v + sign * (carry << shift)
-            out.append(carry)
-        if carry:
-            break
-        rows = out[-2::-1]
-        times += 1
-    return rows, times
-
-
-def _embed_packed(rows: tuple[int, ...], level: int, width: int) -> tuple[int, int]:
-    """(value, stride): sum_b R_b(x) (x - 1)^b (1 - x*y)^(level - b) for the
-    z-rows of R, packed at x -> 2^width (so R_b(q) is R_b(x) as it stands) and
-    y -> 2^stride, with stride = width times the x-slots the value needs."""
-    slots = max(abs(v).bit_length() for v in rows) // width + level + 1
-    stride = width * slots
-    xy = width + stride
-    acc, a_pow = 0, 1
-    for b in range(level + 1):
-        if b:
-            acc -= acc << xy  # times 1 - x*y
-            a_pow = (a_pow << width) - a_pow  # (x - 1)^b
-        if b < len(rows) and rows[b]:
-            acc += rows[b] * a_pow
-    return acc, stride
-
-
-def _divide_x_minus_one(rows: list[int], width: int, limit: int) -> tuple[list[int], int]:
-    """Divide every polynomial in x (packed at x -> 2^width) by x - 1 as
-    often as all of them allow, at most limit times.  P(2^W) = (2^W - 1)
-    Q(2^W) + P(1), and |P(1)| < 2^(W - 1), so x - 1 divides P iff the int
-    remainder mod 2^W - 1 is 0, and the int quotient is then Q packed."""
-    modulus = (1 << width) - 1
-    times = 0
-    while times < limit:
-        split = [divmod(v, modulus) for v in rows]
-        if any(rem for _, rem in split):
-            break
-        rows = [quo for quo, _ in split]
-        times += 1
-    return rows, times

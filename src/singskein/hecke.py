@@ -44,16 +44,16 @@ replaced by ``z P_w T_c T_j ... T_{m-2}``.  That has the same trace: the
 Markov property takes out ``T_{m-1}`` as a factor z, and cyclicity moves
 ``T_v`` to the right.  At one level and one power of z, all the c are
 folded together in one positive fold, each joining just before the step
-s_j.  What is left on the identity is one int per power of z, decoded once;
-slots never collide because r < R.  Decoding is exact when every digit is
-below 2^(B-1) in absolute value, and B is set from one bound on L1 norms
-(sums of absolute coefficients): every fold or peel step at most triples
-L1 (``(q-1) T_w + q T_ws`` or ``T_ws + (1-q) T_w``) and a double point at
-most quadruples it (the identity plus the crossing rule one digit up).  A word
-with c crossings and d double points folds to L1 at most 3^c 4^d, and a
-coefficient passes through at most sum_{m=2..n} (m - 2) = (n-1)(n-2)/2
-peel steps on n strands, so every digit is at most
-3^(c + (n-1)(n-2)/2) 4^d; B is that bound's bit length plus one.
+s_j.  What is left on the identity is one int per power of z, decoded once
+(``packed._digits``); slots never collide because r < R.  The decode is
+exact by the lemma in ``singskein.packed`` once B is ``packed._width`` of a
+bound on every digit, taken from L1 norms (sums of absolute coefficients):
+every fold or peel step at most triples L1 (``(q-1) T_w + q T_ws`` or
+``T_ws + (1-q) T_w``) and a double point at most quadruples it (the
+identity plus the crossing rule one digit up).  A word with c crossings and
+d double points folds to L1 at most 3^c 4^d, and a coefficient passes
+through at most sum_{m=2..n} (m - 2) = (n-1)(n-2)/2 peel steps on n
+strands, so every digit is at most 3^(c + (n-1)(n-2)/2) 4^d.
 ``_trace_tails`` folds a word once and steps that state by each of a few
 tails of crossing letters (the skein check's s_i, S_i and nothing), peeling
 and decoding each result, with B set for the word's c plus the longest tail.
@@ -91,6 +91,7 @@ from functools import lru_cache
 from math import comb
 
 from .braid import SIGMA, SIGMA_INV, TAU, SingularBraidWord, exponent_sum
+from .packed import _digits, _width
 
 __all__ = [
     "SingularLetterError",
@@ -241,7 +242,7 @@ def _traces(
     crossings = len(letters) - degree
     # Digit width from the L1 bound in the module docstring.
     bound = 3 ** (crossings + max(map(len, tails)) + (strands - 1) * (strands - 2) // 2) * 4**degree
-    bits = bound.bit_length() + 1
+    bits = _width(bound)
     q_shift = stride * bits
     for g in letters:
         state = _step(state, g.index, _MIRROR[g.kind] if mirror else g.kind, q_shift, bits)
@@ -308,20 +309,11 @@ def _peel(
             mapped.append(acc)
         totals = mapped
     comps: list[dict[tuple[int, int], int]] = [{} for _ in range(stride)]
-    mask = (1 << bits) - 1
-    half = 1 << (bits - 1)
     for tz, total in enumerate(totals):
-        slot = 0
-        while total:
-            digit = total & mask
-            if digit >= half:
-                digit -= 1 << bits
-            if digit:
-                qe, re = divmod(slot, stride)
-                flip = mirror and (tz + crossings + re) & 1  # the mirror's (-1)^(t + c + k)
-                comps[re][(qe - negatives, tz)] = -digit if flip else digit  # undo q^#S
-            total = (total - digit) >> bits
-            slot += 1
+        for slot, digit in _digits(total, bits):
+            qe, re = divmod(slot, stride)
+            flip = mirror and (tz + crossings + re) & 1  # the mirror's (-1)^(t + c + k)
+            comps[re][(qe - negatives, tz)] = -digit if flip else digit  # undo q^#S
     return comps
 
 

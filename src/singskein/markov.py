@@ -32,7 +32,7 @@ into Q(s, u); ``markov_class`` writes each one down in canonical form,
 (-1)^(d + alpha) R over q^p (q - z)^alpha (z + 1)^beta, whose coefficients
 are products of binomials and leading coefficient 1.
 
-All of it runs on packed ints (``coeff`` module docstring), from the
+All of it runs on packed ints (``singskein.packed``), from the
 decoded trace components to the factored coordinates, which are decoded
 only by ``FactoredCoordinate.in_qz`` and ``skein``.  Each component C_k and
 each entry T_kb of the substitution table is packed as rows over z, with
@@ -40,10 +40,10 @@ the coefficient of q^(q0 + e) in digit e of a row at q -> 2^W (q0 the
 lowest q-exponent of the word's components or 0, whichever is lower; the
 table's q0 is 0).  Numerator b is then sum_k T_kb C_k, one big-int
 multiply-add per pair of z-rows (``_numerators``).  Its q-shift p comes
-from the lowest set bit of its rows, q -> 2^W makes division by z - q
+from the lowest nonzero digit of its rows, q -> 2^W makes division by z - q
 ``Q_(t-1) = R_t + (Q_t << W)`` and division by z + 1 ``Q_(t-1) = R_t - Q_t``,
 and each stops at the first nonzero remainder (``_over_det_power``).
-``_layout`` gives ``coeff._packed_width`` these bounds for one word:
+``_layout`` gives ``packed._packed_width`` these bounds for one word:
 
 * l1 = sum_k 4^(d-k) 2^k L1(C_k), as wA - zB has L1 4 and B - zA has L1 2,
   so the entries of row k of the table have L1 at most 4^(d-k) 2^k in all;
@@ -74,15 +74,14 @@ fold.
 
 from __future__ import annotations
 
-from functools import cache, lru_cache, reduce
+from functools import cache, lru_cache
 from math import comb
-from operator import or_
 from typing import Mapping, NamedTuple
 
 from .braid import SingularBraidWord
 from .coeff import MultivariatePolynomial, QZ, RationalFunction
-from .coeff import _digits, _divide_linear, _pack, _packed_width
 from .hecke import _trace_tails, trace_components
+from .packed import _digits, _divide_linear, _low_digit, _pack, _packed_width
 
 __all__ = [
     "HARD_MAX_DEGREE",
@@ -387,7 +386,7 @@ def _tail_numerators(word: SingularBraidWord, tails: tuple) -> list[PackedNumera
 def _layout(comp_sets: list, word: SingularBraidWord, sums: bool = False) -> tuple[int, int]:
     """(q0, width) for the numerators of these sets of the word's trace
     components: q0 the lowest q-exponent or 0, whichever is lower, and width
-    proved by ``coeff._packed_width`` for rendering the word's coordinates
+    proved by ``packed._packed_width`` for rendering the word's coordinates
     (module docstring)."""
     d = word.degree
     l1, low, high = 0, [0], [0]
@@ -448,13 +447,11 @@ def _over_det_power(rows: list[int], q0: int, width: int, d: int) -> FactoredCoo
     as z-rows whose digit e at q -> 2^width is the coefficient of q^(q0 + e).
 
     Every common factor must be q, z - q or z + 1: q by the shift p, read off
-    the lowest set bit, the others by synthetic division on the rows
-    (``coeff._divide_linear``), at most d times each.  After j and k
+    the lowest nonzero digit, the others by synthetic division on the rows
+    (``packed._divide_linear``), at most d times each.  After j and k
     divisions the value is (-1)^d R / (q^p (z - q)^(d - j) (z + 1)^(d - k)).
     """
-    bits = reduce(or_, rows)  # its lowest set bit is the rows' lowest
-    low = ((bits & -bits).bit_length() - 1) // width + q0
-    p = max(0, -low)
+    p = max(0, -(_low_digit(rows, width) + q0))
     shift = width * (q0 + p)  # R's digit e holds q^e
     rows = [v << shift for v in rows] if shift >= 0 else [v >> -shift for v in rows]
     rows, j = _divide_linear(rows, width, 1, d)  # z - q

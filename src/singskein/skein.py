@@ -34,12 +34,12 @@ primitive polynomials, so no integer content cancels either, and its
 graded-lex leading coefficient has the sign (-1)^(beta + l) when 1 - x y is
 left in it l times.
 
-The numerator is formed on one int (``coeff`` module docstring): x -> 2^W,
+The numerator is formed on one int (``singskein.packed``): x -> 2^W,
 the width R is packed at, so R's rows over z are the R_b(x) as they stand,
 and y -> 2^S outer, S = W times the x-slots.  By Horner's rule
-(``coeff._embed_packed``), times 1 - x y is ``acc - (acc << (W + S))`` and
+(``packed._embed_packed``), times 1 - x y is ``acc - (acc << (W + S))`` and
 the next (x - 1)^b is ``(a << W) - a``.  The y-rows are split once, x - 1 is
-stripped from each with ``divmod(row, 2^W - 1)`` (``coeff._divide_x_minus_one``),
+stripped from each with ``divmod(row, 2^W - 1)`` (``packed._divide_x_minus_one``),
 and each row is decoded once, straight into the canonical term dict.
 
 The skein check: w s_i, w S_i and w have writhes e + 1, e - 1, e and
@@ -63,14 +63,13 @@ the disjoint-union coefficient (t^{-1} - t)/x.
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
-from operator import or_
+from functools import lru_cache
 
-from .braid import Generator, SIGMA, SIGMA_INV, SingularBraidWord, exponent_sum
+from .braid import Generator, Record, SIGMA, SIGMA_INV, SingularBraidWord, exponent_sum
 from .coeff import SU, MultivariatePolynomial, RationalFunction
-from .coeff import _digits, _divide_x_minus_one, _embed_packed
 from .markov import ClassPolynomial, FactoredCoordinate, MarkovClass, PackedNumerators
 from .markov import _factored, _tail_numerators, factored_coordinates
+from .packed import _digits, _divide_x_minus_one, _embed_packed, _low_digit
 
 __all__ = [
     "SkeinClass",
@@ -106,7 +105,7 @@ class SkeinClass(ClassPolynomial):
     field_variables = SU
 
 
-class SkeinTripleResult:
+class SkeinTripleResult(Record):
     """Outcome of one skein-relation check at a chosen crossing site."""
 
     __slots__ = ("holds", "positive", "negative", "smoothed", "lhs", "rhs")
@@ -120,28 +119,7 @@ class SkeinTripleResult:
         lhs: SkeinClass,
         rhs: SkeinClass,
     ):
-        for name, value in zip(self.__slots__, (holds, positive, negative, smoothed, lhs, rhs)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    __delattr__ = __setattr__
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"SkeinTripleResult({fields})"
+        self._set(holds, positive, negative, smoothed, lhs, rhs)
 
 
 def skein_class(word: SingularBraidWord, coords: MarkovClass | None = None) -> SkeinClass:
@@ -199,9 +177,7 @@ def _closure_coefficient(c: FactoredCoordinate, m: int, k: int, j: int = 0) -> R
     sign = c.sign * (-1) ** (c.beta + left)
     # common power of s: x^(p + beta) and s^j against the numerator's lowest x
     s_den = 2 * (c.p + c.beta) + max(-j, 0)
-    bits = reduce(or_, num)  # its lowest set bit is the rows' lowest
-    x_low = ((bits & -bits).bit_length() - 1) // width
-    s_cut = min(2 * x_low + max(j, 0), s_den)
+    s_cut = min(2 * _low_digit(num, width) + max(j, 0), s_den)
     # common power of u: u^(-k) against the numerator's lowest power of y
     cut = min(2 * ys[0], max(-k, 0))
     u_num, u_den = max(k, 0) - cut, max(-k, 0) - cut

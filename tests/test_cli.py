@@ -161,6 +161,23 @@ def test_negative_moves_rejected_before_any_work(capsys, monkeypatch):
     assert "--moves must be >= 0" in capsys.readouterr().err
 
 
+def test_moves_above_the_hard_cap_rejected_before_any_work(capsys, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the class was computed before --moves was checked")
+
+    monkeypatch.setattr(cli, "markov_class", unreachable)
+    with pytest.raises(SystemExit) as exc:
+        main(["--word", "t1", "--strands", "2", "--verify", "--moves", str(cli.HARD_MAX_MOVES + 1)])
+    assert exc.value.code == 2
+    assert "--moves must be at most 10000 (hard cap)" in capsys.readouterr().err
+
+
+def test_moves_at_the_hard_cap_parse():
+    assert cli.HARD_MAX_MOVES == 10_000
+    args = cli.build_parser().parse_args(["--word", "t1", "--verify", "--moves", "10000"])
+    assert args.moves == 10_000
+
+
 def test_skein_check_index_rejected_before_any_work(capsys, monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("the class was computed before --skein-check was checked")

@@ -14,7 +14,8 @@ from singskein.braid import (
     stack,
     with_strands,
 )
-from singskein.coeff import QZ, MultivariatePolynomial, RationalFunction, _pack, _packed_width
+from singskein.coeff import QZ, MultivariatePolynomial, RationalFunction
+from singskein.packed import _pack, _packed_width
 from singskein.linalg import determinant, solve
 from singskein.markov import (
     HARD_MAX_DEGREE,

@@ -20,7 +20,7 @@ from singskein.braid import (
     with_strands,
 )
 from singskein.coeff import QZ, SU, MultivariatePolynomial, RationalFunction, embed_qz_to_su
-from singskein.coeff import _pack, _packed_width
+from singskein.packed import _pack, _packed_width
 from singskein.markov import MarkovClass, _over_det_power, markov_class
 from singskein.skein import (
     VAR_T,
