@@ -3,7 +3,8 @@
 Reads one braid word, runs the full pipeline, and prints a report as text
 or JSON.  Exit codes: 0 success, 2 parse/validation error, 3 internal
 theory violation (a ``--verify`` move changed the class, or the
-``--skein-check`` relation failed), 4 size caps exceeded.
+``--skein-check`` relation failed), 4 size caps exceeded or memory
+exhausted (a word inside the caps can still run out of memory).
 
 stdout is byte-identical for identical (input, flags, seed); wall-clock
 timing goes to stderr.  ``--moves`` is at most ``HARD_MAX_MOVES`` (10,000),
@@ -268,6 +269,9 @@ def main(argv: list[str] | None = None) -> int:
         report = run(args)
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CAPS
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_CAPS
     except (BraidSyntaxError, StrandIndexError, InapplicableMoveError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

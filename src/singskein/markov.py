@@ -34,27 +34,42 @@ are products of binomials and leading coefficient 1.
 
 All of it runs on packed ints (``singskein.packed``), from the
 decoded trace components to the factored coordinates, which are decoded
-only by ``FactoredCoordinate.in_qz`` and ``skein``.  Each component C_k and
-each entry T_kb of the substitution table is packed as rows over z, with
-the coefficient of q^(q0 + e) in digit e of a row at q -> 2^W (q0 the
-lowest q-exponent of the word's components or 0, whichever is lower; the
-table's q0 is 0).  Numerator b is then sum_k T_kb C_k, one big-int
-multiply-add per pair of z-rows (``_numerators``).  Its q-shift p comes
-from the lowest nonzero digit of its rows, q -> 2^W makes division by z - q
-``Q_(t-1) = R_t + (Q_t << W)`` and division by z + 1 ``Q_(t-1) = R_t - Q_t``,
-and each stops at the first nonzero remainder (``_over_det_power``).
-``_layout`` gives ``packed._packed_width`` these bounds for one word:
+only by ``FactoredCoordinate.in_qz`` and ``skein``.  At A = 1 numerator b is
+the B^b coefficient of
 
-* l1 = sum_k 4^(d-k) 2^k L1(C_k), as wA - zB has L1 4 and B - zA has L1 2,
-  so the entries of row k of the table have L1 at most 4^(d-k) 2^k in all;
-* L = n - 1 + d, as a trace on n strands has z-degree below n (each peeled
-  strand takes one z) and T_kb has z-degree at most d;
-* D = the spread of the components' q-exponents and 0, plus d, as T_kb has
-  q-degree at most d;
+    N(q, z, B) = sum_k C_k F0^(d-k) F1^k,  F0 = w - zB,  F1 = B - z,
+
+and all of them are one int (``PackedNumerators``): q -> 2^W is the inner
+digit, with the coefficient of q^(q0 + e) in digit e (q0 the lowest
+q-exponent of the word's components or 0, whichever is lower); z -> 2^Z
+with Z = W (q_top - q0 + 1); and B -> 2^S with S = Z (z_top + 1), where
+q_top and z_top bound the numerators' q- and z-degrees.  By Horner's rule
+in k, acc = acc F0 + C_k F1^k, every step is a shift and an add
+(``_numerators``): times F0 = (q - 1)z + q - zB is
+``(a << W+Z) - (a << Z) + (a << W) - (a << Z+S)`` and times F1 is
+``(c << S) - (c << Z)``.  The int is exact at any strides, as evaluation at
+powers of two is a ring homomorphism.  ``_factored`` splits it once with
+``packed._digits``, at S into the numerators and each of those at Z into
+rows over z.  Both splits are exact: a row has at most q_top - q0 + 1
+balanced digits, each below 2^(W-1), so |row| < 2^(Z-1), and a numerator
+has at most z_top + 1 such rows, so |N_b| < 2^(S-1).  A numerator's
+q-shift p comes from the lowest nonzero digit of its rows, q -> 2^W makes
+division by z - q ``Q_(t-1) = R_t + (Q_t << W)`` and division by z + 1
+``Q_(t-1) = R_t - Q_t``, and each stops at the first nonzero remainder
+(``_over_det_power``).  ``_layout`` gives ``packed._packed_width`` these
+bounds for one word:
+
+* l1 = sum_k 4^(d-k) 2^k L1(C_k), as F0 has L1 4 and F1 has L1 2, so
+  C_k F0^(d-k) F1^k has L1 at most 4^(d-k) 2^k L1(C_k) over all b;
+* L = z_top = n - 1 + d, as a trace on n strands has z-degree below n (each
+  peeled strand takes one z) and F0, F1 have z-degree 1;
+* D = q_top - q0, with q_top the components' top q-exponent (or 0) plus d,
+  as F0 has q-degree 1;
 * m = d - n + 1, the same for every coordinate (a + b = d).
 
-The skein check packs its three words at one layout, with l1 doubled and D
-raised by one for its sums num_P - q num_N and (q - 1) num_S.
+The skein check packs its three words at one layout, with l1 doubled and
+q_top raised by one for its sums num_P - q num_N and (q - 1) num_S, which
+are ``P - (N << W)`` and ``(S << W) - S`` on the packed ints.
 
 The oracles live in ``singskein.oracle``, which no CLI run imports: the
 literal expansion (``FormalWordSum``, ``desing_delete``,
@@ -74,14 +89,13 @@ fold.
 
 from __future__ import annotations
 
-from functools import cache, lru_cache
 from math import comb
 from typing import Mapping, NamedTuple
 
 from .braid import SingularBraidWord
 from .coeff import MultivariatePolynomial, QZ, RationalFunction
 from .hecke import _trace_tails, trace_components
-from .packed import _digits, _divide_linear, _low_digit, _pack, _packed_width
+from .packed import _dense, _digits, _divide_linear, _low_digit, _pack, _packed_width
 
 __all__ = [
     "HARD_MAX_DEGREE",
@@ -117,12 +131,6 @@ def __getattr__(name):
 HARD_MAX_DEGREE = 8
 HARD_MAX_STRANDS = 12
 
-_P_ONE = MultivariatePolynomial.one(QZ)
-_P_Z = MultivariatePolynomial.variable(QZ, "z")
-_P_Q = MultivariatePolynomial.variable(QZ, "q")
-_P_W = (_P_Q - _P_ONE) * _P_Z + _P_Q  # value of a resolved-and-closed double point
-
-
 class CapExceededError(ValueError):
     """Input word exceeds the interactive-size caps."""
 
@@ -148,38 +156,6 @@ def check_caps(
         )
     if word.strands > strand_cap:
         raise CapExceededError(f"word has {word.strands} strands, cap is {strand_cap}")
-
-
-def _expand(
-    forms: list[tuple[MultivariatePolynomial, MultivariatePolynomial]],
-) -> list[MultivariatePolynomial]:
-    """Coefficients of V^0, V^1, ... in the product of the linear forms
-    u*U + v*V, each given as the pair (u, v)."""
-    coeffs = [_P_ONE]
-    for u, v in forms:
-        out = [c * u for c in coeffs] + [MultivariatePolynomial.zero(QZ)]
-        for j, c in enumerate(coeffs):
-            out[j + 1] = out[j + 1] + c * v
-        coeffs = out
-    return coeffs
-
-
-@cache
-def _substitution(d: int) -> tuple[tuple[MultivariatePolynomial, ...], ...]:
-    """Row k: coefficients of B^0 .. B^d in (wA - zB)^(d-k) (B - zA)^k."""
-    return tuple(
-        tuple(_expand([(_P_W, -_P_Z)] * (d - k) + [(-_P_Z, _P_ONE)] * k))
-        for k in range(d + 1)
-    )
-
-
-@lru_cache(maxsize=256)
-def _packed_substitution(d: int, width: int) -> tuple[tuple[list[int], ...], ...]:
-    """``_substitution(d)`` transposed, column b holding entry b of each row,
-    with each entry as rows over z, q -> 2^width."""
-    return tuple(zip(*(
-        [_pack(poly.terms, 0, width) for poly in row] for row in _substitution(d)
-    )))
 
 
 class ClassPolynomial:
@@ -354,22 +330,24 @@ class FactoredCoordinate(NamedTuple):
 
 
 class PackedNumerators(NamedTuple):
-    """A word's nonzero coordinate numerators over D^d: for each coordinate
-    (a, b), rows over z, each an int whose balanced digit e at q -> 2^width
-    is the coefficient of q^(q0 + e) (module docstring)."""
+    """A word's coordinate numerators over D^d as one int: the coefficient
+    of q^(q0 + e) z^t B^b, numerator b's, in its balanced digit at
+    q -> 2^width, z -> 2^z_stride, B -> 2^b_stride (module docstring)."""
 
-    rows: dict[tuple[int, int], list[int]]
+    value: int
     q0: int
     width: int
+    z_stride: int
+    b_stride: int
 
 
 def coordinate_numerators(word: SingularBraidWord) -> PackedNumerators:
-    """The word's nonzero coordinates as numerators over D^d, by the change
-    of variables T0 = wA - zB, T1 = B - zA in its trace components.
+    """The word's coordinates as numerators over D^d, by the change of
+    variables T0 = wA - zB, T1 = B - zA in its trace components.
     ``CapExceededError`` if the word is above the hard caps."""
     check_caps(word)
     comps = trace_components(word)
-    return _numerators(comps, word.degree, *_layout([comps], word))
+    return _numerators(comps, _layout([comps], word))
 
 
 def _tail_numerators(word: SingularBraidWord, tails: tuple) -> list[PackedNumerators]:
@@ -379,15 +357,16 @@ def _tail_numerators(word: SingularBraidWord, tails: tuple) -> list[PackedNumera
     (q - 1) num_i (the skein check's)."""
     check_caps(word)
     comp_sets = _trace_tails(word, tails)
-    layout = _layout(comp_sets, word, sums=True)
-    return [_numerators(comps, word.degree, *layout) for comps in comp_sets]
+    layout = _layout(comp_sets, word)
+    return [_numerators(comps, layout) for comps in comp_sets]
 
 
-def _layout(comp_sets: list, word: SingularBraidWord, sums: bool = False) -> tuple[int, int]:
-    """(q0, width) for the numerators of these sets of the word's trace
-    components: q0 the lowest q-exponent or 0, whichever is lower, and width
-    proved by ``packed._packed_width`` for rendering the word's coordinates
-    (module docstring)."""
+def _layout(comp_sets: list, word: SingularBraidWord) -> tuple[int, int, int, int]:
+    """(q0, W, Z, S) for the numerators of these sets of the word's trace
+    components: q0 the lowest q-exponent or 0, whichever is lower, W proved
+    by ``packed._packed_width`` for rendering the word's coordinates, and
+    the z- and B-strides that fit them (module docstring).  More than one
+    set also covers the skein check's sums."""
     d = word.degree
     l1, low, high = 0, [0], [0]
     for comps in comp_sets:
@@ -396,31 +375,30 @@ def _layout(comp_sets: list, word: SingularBraidWord, sums: bool = False) -> tup
         low += [min(comp)[0] for comp in comps if comp]
         high += [max(comp)[0] for comp in comps if comp]
     q0, q_top = min(low), max(high) + d
-    if sums:  # a sum of two at most doubles L1, and q num raises the q-degree by one
+    if len(comp_sets) > 1:  # a sum of two at most doubles L1, and q num raises the q-degree by one
         l1, q_top = 2 * l1, q_top + 1
     # the trace has z-degree below the strand count: one z per peeled strand
     z_top = word.strands - 1 + d
-    return q0, _packed_width(l1, z_top, q_top - q0, d, d - word.strands + 1)
+    width = _packed_width(l1, z_top, q_top - q0, d, d - word.strands + 1)
+    z_stride = width * (q_top - q0 + 1)
+    return q0, width, z_stride, z_stride * (z_top + 1)
 
 
-def _numerators(comps: list, d: int, q0: int, width: int) -> PackedNumerators:
-    """The coordinate numerators of these trace components: the B^b
-    coefficient of sum_k C_k (wA - zB)^(d-k) (B - zA)^k, one big-int product
-    per pair of z-rows of a table entry and a component."""
-    packed = [_pack(comp, q0, width) for comp in comps]
-    size = d + max(map(len, packed))  # a table entry has z-degree at most d
-    out = {}
-    for b, column in enumerate(_packed_substitution(d, width)):
-        rows = [0] * size
-        for entry, comp in zip(column, packed):
-            for i, t in enumerate(entry):
-                for j, c in enumerate(comp, i):
-                    rows[j] += t * c
-        while rows and not rows[-1]:
-            rows.pop()
-        if rows:
-            out[(d - b, b)] = rows
-    return PackedNumerators(out, q0, width)
+def _numerators(comps: list, layout: tuple[int, int, int, int]) -> PackedNumerators:
+    """sum_k C_k F0^(d-k) F1^k for these trace components, packed at this
+    layout, by Horner's rule in k (module docstring)."""
+    q0, q_bits, z_bits, b_bits = layout  # the shift of one power of q, of z and of B
+    acc = 0
+    for k, comp in enumerate(comps):
+        c = sum(row << (z_bits * t) for t, row in enumerate(_pack(comp, q0, q_bits)))
+        for _ in range(k):
+            c = (c << b_bits) - (c << z_bits)  # times F1 = B - z
+        # times F0 = (q - 1)z + q - zB, plus C_k F1^k
+        acc = (
+            (acc << (q_bits + z_bits)) - (acc << z_bits) + (acc << q_bits)
+            - (acc << (z_bits + b_bits)) + c
+        )
+    return PackedNumerators(acc, *layout)
 
 
 def factored_coordinates(word: SingularBraidWord) -> dict[tuple[int, int], FactoredCoordinate]:
@@ -429,9 +407,13 @@ def factored_coordinates(word: SingularBraidWord) -> dict[tuple[int, int], Facto
 
 
 def _factored(numerators: PackedNumerators, d: int) -> dict[tuple[int, int], FactoredCoordinate]:
-    """Each nonzero numerator over D^d in factored form (``_over_det_power``)."""
-    q0, width = numerators.q0, numerators.width
-    return {ab: _over_det_power(rows, q0, width, d) for ab, rows in numerators.rows.items()}
+    """Each nonzero numerator over D^d in factored form (``_over_det_power``),
+    split off the packed int at B and then at z."""
+    value, q0, width, z_stride, b_stride = numerators
+    return {
+        (d - b, b): _over_det_power(_dense(n_b, z_stride), q0, width, d)
+        for b, n_b in _digits(value, b_stride)
+    }
 
 
 def markov_class(word: SingularBraidWord) -> MarkovClass:

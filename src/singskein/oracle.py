@@ -18,7 +18,10 @@ singskein.markov import pairing_matrix`` loads this module on first use).
   ``markov`` on the explicit basis words (``basis_word``: ``t1 t3 ...
   t(2k-1)`` followed by ``(t s)`` blocks at the remaining odd indices),
   columns ordered by descending X-exponent; the degree-1 matrix reads
-  [[1, z], [z, (q-1)z + q]] and has determinant D.
+  [[1, z], [z, (q-1)z + q]] and has determinant D.  Its entries are
+  products of linear forms expanded in ``MultivariatePolynomial``
+  arithmetic (``_expand``), which also writes out the substitution table
+  that the tests check ``markov``'s packed numerators against.
 * The one-step deletion/resolution maps on coordinates,
 
       g0(X^k Y^{d-k}) = k X^{k-1} Y^{d-k} + z (d-k) X^k Y^{d-k-1}
@@ -48,7 +51,7 @@ from .braid import SIGMA, TAU, Generator, SingularBraidWord, StrandIndexError
 from .coeff import QZ, SU, ExactDivisionError, MixedVariablesError, Monomial
 from .coeff import MultivariatePolynomial, RationalFunction, _monomial_key, _terms_content
 from .hecke import _FIELD, SingularLetterError, _trace, trace_components
-from .markov import _P_ONE, _P_W, _P_Z, DegreeError, MarkovClass, _expand, markov_class
+from .markov import DegreeError, MarkovClass, markov_class
 from .permutations import Permutation
 from .skein import VAR_T, VAR_X, SkeinClass
 
@@ -227,8 +230,12 @@ def ocneanu_trace(h: HeckeElement) -> RationalFunction:
 # Desingularisation, trace functionals and the pairing matrix
 # ---------------------------------------------------------------------------
 
+_P_ONE = MultivariatePolynomial.one(QZ)
+_P_Z = MultivariatePolynomial.variable(QZ, "z")
+_P_Q = MultivariatePolynomial.variable(QZ, "q")
+_P_W = (_P_Q - _P_ONE) * _P_Z + _P_Q  # value of a resolved-and-closed double point
 _Z = RationalFunction.coordinate(QZ, "z")
-_Z_SLIDE = RationalFunction._raw(_P_W, _P_ONE)  # value of a resolved-and-closed double point
+_Z_SLIDE = RationalFunction._raw(_P_W, _P_ONE)
 
 
 @dataclass(frozen=True)
@@ -351,6 +358,20 @@ def basis_word(d: int, k: int) -> SingularBraidWord:
         letters.append(Generator(TAU, 2 * block + 1))
         letters.append(Generator(SIGMA, 2 * block + 1))
     return SingularBraidWord(max(2 * d, 1), tuple(letters))
+
+
+def _expand(
+    forms: list[tuple[MultivariatePolynomial, MultivariatePolynomial]],
+) -> list[MultivariatePolynomial]:
+    """Coefficients of V^0, V^1, ... in the product of the linear forms
+    u*U + v*V, each given as the pair (u, v)."""
+    coeffs = [_P_ONE]
+    for u, v in forms:
+        out = [c * u for c in coeffs] + [MultivariatePolynomial.zero(QZ)]
+        for j, c in enumerate(coeffs):
+            out[j + 1] = out[j + 1] + c * v
+        coeffs = out
+    return coeffs
 
 
 def pairing_matrix(d: int) -> list[list[RationalFunction]]:

@@ -6,8 +6,15 @@ W-bit digit per power of a variable set to 2^W; ``hecke``, ``markov`` and
 ``skein`` read digits only through ``_digits`` and ``_low_digit`` and take
 every width from ``_width``.  A polynomial in q and z is a list of rows
 over z, each row the value of its polynomial in q at q = 2^W: one digit per
-power of q.  A polynomial in x = s^2 and y = u^2 is one int, x -> 2^W and
-y -> 2^S, S = W times the x-slots, so q -> x needs no repacking.
+power of q.  A word's coordinate numerators, polynomials in q, z and B
+(``markov``), are one int: q -> 2^W, z -> 2^Z with Z = W times the
+q-slots, and B -> 2^S with S = Z times the z-slots.  It is split once, at S
+and then at Z, into those rows (``_dense``).  Both splits are exact when
+every digit at W is below 2^(W-1): a row then has at most Z/W such
+balanced digits, so |row| < 2^(Z-1), and the same sum over at most S/Z rows
+gives |N_b| < 2^(S-1).  A polynomial in x = s^2 and y = u^2 is one int,
+x -> 2^W and y -> 2^S, S = W times the x-slots, so q -> x needs no
+repacking.
 
 The exactness lemma.  Evaluation at a power of two is a ring homomorphism,
 so shifts, adds and products of these ints are exact at any W.  Only the
@@ -68,6 +75,15 @@ def _digits(v: int, width: int):
             yield i, digit
         v = (v - digit) >> width
         i += 1
+
+
+def _dense(v: int, width: int) -> list[int]:
+    """v's balanced width-bit digits as a list, lowest first, up to its top
+    nonzero one."""
+    out = []
+    for i, digit in _digits(v, width):
+        out += [0] * (i - len(out)) + [digit]
+    return out
 
 
 def _low_digit(rows, width: int) -> int:

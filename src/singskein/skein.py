@@ -67,7 +67,7 @@ from functools import lru_cache
 
 from .braid import Generator, Record, SIGMA, SIGMA_INV, SingularBraidWord, exponent_sum
 from .coeff import SU, MultivariatePolynomial, RationalFunction
-from .markov import ClassPolynomial, FactoredCoordinate, MarkovClass, PackedNumerators
+from .markov import ClassPolynomial, FactoredCoordinate, MarkovClass
 from .markov import _factored, _tail_numerators, factored_coordinates
 from .packed import _digits, _divide_x_minus_one, _embed_packed, _low_digit
 
@@ -203,26 +203,11 @@ def skein_triple_check(word: SingularBraidWord, i: int) -> SkeinTripleResult:
         raise ValueError(f"crossing index {i} out of range for {n} strands")
     tails = ((Generator(SIGMA, i),), (Generator(SIGMA_INV, i),), ())
     pos, neg, smo = _tail_numerators(word, tails)
-    lhs = _rendered(_factored(_combined((1, 0, pos), (-1, 1, neg)), d), n, e, -1)
-    rhs = _rendered(_factored(_combined((1, 1, smo), (-1, 0, smo)), d), n, e, -1)
+    q = pos.width  # the three share one layout, where times q is a shift by W
+    lhs = _rendered(_factored(pos._replace(value=pos.value - (neg.value << q)), d), n, e, -1)
+    rhs = _rendered(_factored(smo._replace(value=(smo.value << q) - smo.value), d), n, e, -1)
     positive = _rendered(_factored(pos, d), n, e + 1)
     negative = _rendered(_factored(neg, d), n, e - 1)
     smoothed = _rendered(_factored(smo, d), n, e)
     return SkeinTripleResult(lhs == rhs, positive, negative, smoothed, lhs, rhs)
 
-
-def _combined(*pieces: tuple[int, int, PackedNumerators]) -> PackedNumerators:
-    """Sum of sign * q^shift * numerators over (sign, shift, numerators), all
-    at one layout, zero sums left out: q^shift is a shift by shift * width."""
-    q0, width = pieces[0][2].q0, pieces[0][2].width
-    out: dict = {}
-    for sign, shift, numerators in pieces:
-        for ab, rows in numerators.rows.items():
-            acc = out.setdefault(ab, [])
-            acc += [0] * (len(rows) - len(acc))
-            for t, v in enumerate(rows):
-                acc[t] += sign * (v << (shift * width))
-    for acc in out.values():
-        while acc and not acc[-1]:
-            acc.pop()
-    return PackedNumerators({ab: acc for ab, acc in out.items() if acc}, q0, width)

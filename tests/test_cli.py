@@ -216,6 +216,17 @@ def test_cap_exceeded_exits_4(capsys):
     assert "double points" in err
 
 
+def test_memory_exhausted_exits_4_with_one_error_line(capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "markov_class", exhausted)
+    code, out, err = invoke(capsys, "--word", "t1", "--strands", "2")
+    assert code == 4
+    assert out == ""
+    assert err.splitlines() == ["error: out of memory"]
+
+
 def test_lowered_cap_applies(capsys):
     code, _, _ = invoke(capsys, "--word", "t1 t1", "--strands", "2", "--max-degree", "1")
     assert code == 4

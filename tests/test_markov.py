@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from singskein.braid import (
     Generator,
@@ -15,7 +17,10 @@ from singskein.braid import (
     with_strands,
 )
 from singskein.coeff import QZ, MultivariatePolynomial, RationalFunction
-from singskein.packed import _pack, _packed_width
+from singskein.braid import exponent_sum
+from singskein.hecke import trace_components
+from singskein.oracle import _P_ONE, _P_W, _P_Z, _expand
+from singskein.packed import _digits, _pack, _packed_width
 from singskein.linalg import determinant, solve
 from singskein.markov import (
     HARD_MAX_DEGREE,
@@ -33,6 +38,8 @@ from singskein.markov import (
     markov_class,
     markov_class_of_sum,
     _over_det_power,
+    _tail_numerators,
+    coordinate_numerators,
     pairing_matrix,
     subset_expansion,
     trace_functional,
@@ -438,3 +445,91 @@ def test_oracle_names_still_resolve_from_their_old_modules():
     assert getattr(markov, "invert", None) is None
     assert getattr(markov, "poly_divexact", None) is None
     assert getattr(skein, "embed_qz_to_su", None) is None
+
+
+def _table_numerators(comps, d, shift):
+    """sum_k C_k T_kb for each coordinate (d - b, b), with T_kb the B^b
+    coefficient of (w - zB)^(d-k) (B - z)^k, all in MultivariatePolynomial
+    arithmetic, everything times q^shift so that no exponent is negative."""
+    table = [_expand([(_P_W, -_P_Z)] * (d - k) + [(-_P_Z, _P_ONE)] * k) for k in range(d + 1)]
+    polys = [
+        MultivariatePolynomial(QZ, {(eq + shift, ez): v for (eq, ez), v in comp.items()})
+        for comp in comps
+    ]
+    out = {}
+    for b in range(d + 1):
+        total = MultivariatePolynomial.zero(QZ)
+        for k, poly in enumerate(polys):
+            total = total + poly * table[k][b]
+        out[(d - b, b)] = total
+    return out
+
+
+def _decoded(value, numerators, d, shift):
+    """A packed int at the layout of these numerators, read digit by digit
+    into one MultivariatePolynomial per nonzero coordinate, times q^shift."""
+    q0, width, z_stride, b_stride = numerators[1:]
+    return {
+        (d - b, b): MultivariatePolynomial(QZ, {
+            (q0 + shift + eq, ez): v
+            for ez, row in _digits(n_b, z_stride)
+            for eq, v in _digits(row, width)
+        })
+        for b, n_b in _digits(value, b_stride)
+    }
+
+
+def _nonzero(polys):
+    return {ab: poly for ab, poly in polys.items() if not poly.is_zero}
+
+
+@st.composite
+def mixed_sign_words(draw):
+    """A word on 2-6 strands with at most 10 letters, at most 4 of them
+    double points, crossings positive or negative with equal odds, so that
+    words are folded in both orientations (as given or as their mirror);
+    and a crossing site."""
+    n = draw(st.integers(2, 6))
+    index = st.integers(1, n - 1)
+    kind = st.sampled_from((SIGMA, SIGMA_INV))
+    letters = draw(st.lists(st.builds(Generator, kind, index), max_size=6))
+    for _ in range(draw(st.integers(0, 4))):
+        letters.insert(draw(st.integers(0, len(letters))), Generator(TAU, draw(index)))
+    return SingularBraidWord(n, tuple(letters)), draw(index)
+
+
+# 12 strands: z-degree up to 11 + d; the first is folded as given, the second as its mirror
+_TWELVE_STRANDS = ("t1 s2 s3 s4 s5 s6 s7 t8 s9 s10 s11 S6", "t1 S2 s3 S4 S5 S6 S7 t8 S9 S10 S11 S6")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(mixed_sign_words())
+# degree 8, the hard cap: every F0^(8-k) F1^k of the Horner steps
+@example((parse(" ".join(["t1"] * 8), 2), 1))
+@example((parse(_TWELVE_STRANDS[0], 12), 11))
+@example((parse(_TWELVE_STRANDS[1], 12), 6))
+def test_packed_numerators_match_the_substitution_table(case):
+    w, i = case
+    d = w.degree
+    # the skein check's three words w s_i, w S_i and w, each folded on its own
+    tails = ((Generator(SIGMA, i),), (Generator(SIGMA_INV, i),), ())
+    comp_sets = [trace_components(SingularBraidWord(w.strands, w.letters + t)) for t in tails]
+    shift = -min([0] + [eq for comps in comp_sets for comp in comps for eq, _ in comp])
+    p_t, n_t, s_t = (_table_numerators(comps, d, shift) for comps in comp_sets)
+    num = coordinate_numerators(w)
+    assert _decoded(num.value, num, d, shift) == _nonzero(s_t)
+    # the sums num_P - q num_N and (q - 1) num_S at the one layout of the
+    # check's three numerators, folded from one state
+    pos, neg, smo = _tail_numerators(w, tails)
+    assert neg[1:] == smo[1:] == pos[1:]
+    q = MultivariatePolynomial.variable(QZ, "q")
+    sums = [
+        (pos.value - (neg.value << pos.width), {ab: p_t[ab] - q * n_t[ab] for ab in p_t}),
+        ((smo.value << smo.width) - smo.value, {ab: q * s_t[ab] - s_t[ab] for ab in s_t}),
+    ]
+    for value, expected in sums:
+        assert _decoded(value, pos, d, shift) == _nonzero(expected)
+
+
+def test_numerator_examples_cover_both_orientations():
+    assert [exponent_sum(parse(text, 12)) < 0 for text in _TWELVE_STRANDS] == [False, True]
