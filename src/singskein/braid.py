@@ -1,24 +1,20 @@
-"""Singular braid words and the moves that preserve their closure.
+"""Singular braid words.
 
 A word on ``n`` strands is a sequence of letters ``s<i>`` (positive
 crossing), ``S<i>`` (negative crossing) and ``t<i>`` (singular crossing,
 a double point) with ``1 <= i <= n-1``.  Words are the data model; no
 attempt is made to decide word equivalence syntactically.  Instead, the
-move generators below produce words with isotopic closures, and downstream
-invariants are checked for invariance under them:
-
-* the defining monoid relations (inverse cancellation, braid relations,
-  singular braid relations, far commutations);
-* cyclic shifts and conjugation by invertible (crossing-only) words;
-* stabilisation by a crossing on a fresh top strand, and its inverse.
-
-``random_move_sequence`` drives a seeded fuzzer over these moves.
+moves of ``singskein.moves`` produce words with isotopic closures, and
+downstream invariants are checked for invariance under them; those names
+still resolve here, loading that module on first use.  The one rewriting
+done here is ``_reduced``, the free cancellation that the Hecke fold runs
+before it folds a word.
 """
 
 from __future__ import annotations
 
-import random
 import re
+from collections import deque
 
 from .permutations import Permutation
 
@@ -31,23 +27,31 @@ __all__ = [
     "BraidSyntaxError",
     "StrandIndexError",
     "InapplicableMoveError",
-    "MarkovMove",
-    "CyclicShift",
-    "Conjugate",
-    "StabilizeUp",
-    "StabilizeDown",
-    "RelationMove",
     "parse",
     "exponent_sum",
     "underlying_permutation",
     "stack",
     "with_strands",
     "inverse_word",
-    "apply_move",
-    "relation_move_candidates",
-    "random_move_sequence",
     "shuffle_braid",
 ]
+
+# the closure-preserving moves and their fuzzer, in ``singskein.moves``
+_MOVE_NAMES = frozenset({
+    "MarkovMove", "CyclicShift", "Conjugate", "StabilizeUp", "StabilizeDown", "RelationMove",
+    "R_CANCEL", "R_INSERT", "R_SIGMA_TAU_SAME", "R_BRAID", "R_SIGMA_SIGMA_TAU",
+    "R_FAR_SIGMA_SIGMA", "R_FAR_SIGMA_TAU", "R_FAR_TAU_TAU", "apply_move",
+    "relation_move_candidates", "random_move_sequence", "_sample_move",
+})
+
+
+def __getattr__(name):
+    if name in _MOVE_NAMES:
+        from . import moves
+
+        return getattr(moves, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 SIGMA = 1
 SIGMA_INV = -1
@@ -228,274 +232,71 @@ def inverse_word(word: SingularBraidWord) -> SingularBraidWord:
     )
 
 
-# ---------------------------------------------------------------------------
-# Moves
-# ---------------------------------------------------------------------------
+def _reduced(letters: tuple, cyclic: bool = True) -> tuple:
+    """``letters`` with every pair s_i^e ... s_i^-e cancelled whose letters
+    in between all commute with s_i (index at least 2 away, or t_i): one
+    pass left to right, then, with ``cyclic``, the pairs that meet across the
+    wrap, a letter s_i^e that commutes with every letter before it and an
+    s_i^-e that commutes with every letter after it.  Without ``cyclic`` the
+    result equals the word in the singular braid monoid; with it, it is
+    equal to a conjugate of the word.  Double points are never cancelled and
+    the exponent sum is kept.
 
+    Each letter looks only at its own index and the two next to it:
+    ``crossings[i]`` holds the positions of the kept crossings at index i in
+    order, and ``near[i]`` those of every letter at i, which block i - 1 and
+    i + 1.  A cancelled letter becomes None in ``out`` and is dropped from
+    the ends of ``near`` as it is met, so the pass is linear."""
+    out: list = []
+    crossings: dict[int, deque] = {}
+    near: dict[int, deque] = {}
 
-class MarkovMove(Record):
-    """Base class; every move rewrites a word without changing its closure.
+    def last(i: int) -> int:  # the position of the last letter at i, or -1
+        seen = near.get(i)
+        while seen and out[seen[-1]] is None:
+            seen.pop()
+        return seen[-1] if seen else -1
 
-    Moves are immutable values: equal when of one class with equal fields,
-    and their reprs (``RelationMove(rule='cancel_inverse_pair', position=0,
-    index=0, sign=1)``) are the text of ``--verify`` failure lines."""
-
-    __slots__ = ()
-
-    def apply(self, word: SingularBraidWord) -> SingularBraidWord:
-        raise NotImplementedError
-
-
-class CyclicShift(MarkovMove):
-    __slots__ = ("amount",)
-
-    def __init__(self, amount: int):
-        self._set(amount)
-
-    def apply(self, word: SingularBraidWord) -> SingularBraidWord:
-        n = len(word.letters)
-        if n == 0:
-            return word
-        k = self.amount % n
-        return SingularBraidWord(word.strands, word.letters[k:] + word.letters[:k])
-
-
-class Conjugate(MarkovMove):
-    __slots__ = ("by",)
-
-    def __init__(self, by: SingularBraidWord):
-        self._set(by)
-
-    def apply(self, word: SingularBraidWord) -> SingularBraidWord:
-        if self.by.strands != word.strands:
-            raise InapplicableMoveError("conjugator must share the strand count")
-        if any(g.kind == TAU for g in self.by.letters):
-            raise InapplicableMoveError("conjugator must be invertible (no double points)")
-        return SingularBraidWord(
-            word.strands,
-            self.by.letters + word.letters + inverse_word(self.by).letters,
-        )
-
-
-class StabilizeUp(MarkovMove):
-    __slots__ = ("sign",)
-
-    def __init__(self, sign: int):  # +1 or -1
-        self._set(sign)
-
-    def apply(self, word: SingularBraidWord) -> SingularBraidWord:
-        if self.sign not in (1, -1):
-            raise InapplicableMoveError("stabilisation sign must be +1 or -1")
-        n = word.strands
-        return SingularBraidWord(
-            n + 1, word.letters + (Generator(SIGMA if self.sign > 0 else SIGMA_INV, n),)
-        )
-
-
-class StabilizeDown(MarkovMove):
-    __slots__ = ()
-
-    def apply(self, word: SingularBraidWord) -> SingularBraidWord:
-        n = word.strands
-        if n < 2 or not word.letters:
-            raise InapplicableMoveError("nothing to destabilise")
-        last = word.letters[-1]
-        if last.index != n - 1 or last.kind == TAU:
-            raise InapplicableMoveError("word must end with a crossing on the top strand")
-        if sum(1 for g in word.letters if g.index == n - 1) != 1:
-            raise InapplicableMoveError("top index must occur exactly once")
-        return SingularBraidWord(n - 1, word.letters[:-1])
-
-
-R_CANCEL = "cancel_inverse_pair"
-R_INSERT = "insert_inverse_pair"
-R_SIGMA_TAU_SAME = "commute_sigma_tau_same_index"
-R_BRAID = "braid_relation"
-R_SIGMA_SIGMA_TAU = "singular_braid_relation"
-R_FAR_SIGMA_SIGMA = "commute_far_sigma_sigma"
-R_FAR_SIGMA_TAU = "commute_far_sigma_tau"
-R_FAR_TAU_TAU = "commute_far_tau_tau"
-
-
-class RelationMove(MarkovMove):
-    """One application of a defining monoid relation at a fixed position.
-
-    ``index``/``sign`` are only read by the insert rule, which has no
-    pattern to match in the word itself.
-    """
-
-    __slots__ = ("rule", "position", "index", "sign")
-
-    def __init__(self, rule: str, position: int, index: int = 0, sign: int = 1):
-        self._set(rule, position, index, sign)
-
-    def apply(self, word: SingularBraidWord) -> SingularBraidWord:
-        letters = word.letters
-        p = self.position
-        rule = self.rule
-
-        if rule == R_INSERT:
-            if not 0 <= p <= len(letters):
-                raise InapplicableMoveError("insert position out of range")
-            if not 1 <= self.index <= word.strands - 1:
-                raise InapplicableMoveError("insert index out of range")
-            if self.sign not in (1, -1):
-                raise InapplicableMoveError("insert sign must be +1 or -1")
-            kind = SIGMA if self.sign > 0 else SIGMA_INV
-            pair = (Generator(kind, self.index), Generator(-kind, self.index))
-            return SingularBraidWord(word.strands, letters[:p] + pair + letters[p:])
-
-        if rule in _PAIR_RULES:
-            if not 0 <= p <= len(letters) - 2:
-                raise InapplicableMoveError(f"{rule} position out of range")
-            a, b = letters[p], letters[p + 1]
-            if not _pair_matches(rule, a, b):
-                raise InapplicableMoveError(f"{rule} does not match at position {p}")
-            replaced = () if rule == R_CANCEL else (b, a)
-            return SingularBraidWord(
-                word.strands, letters[:p] + replaced + letters[p + 2 :]
-            )
-
-        if rule in _TRIPLE_RULES:
-            if not 0 <= p <= len(letters) - 3:
-                raise InapplicableMoveError(f"{rule} position out of range")
-            a, b, c = letters[p], letters[p + 1], letters[p + 2]
-            if not _triple_matches(rule, a, b, c):
-                raise InapplicableMoveError(f"{rule} does not match at position {p}")
-            if rule == R_BRAID:
-                replaced = (b, a, b)
-            elif a.kind == SIGMA:  # sigma_k sigma_l tau_k -> tau_l sigma_k sigma_l
-                replaced = (Generator(TAU, b.index), a, b)
-            else:  # tau_k sigma_l sigma_k -> sigma_l sigma_k tau_l
-                replaced = (b, c, Generator(TAU, b.index))
-            return SingularBraidWord(
-                word.strands, letters[:p] + replaced + letters[p + 3 :]
-            )
-
-        raise InapplicableMoveError(f"unknown relation rule {rule!r}")
-
-
-# Rules matched on two or three adjacent letters, in candidate order.
-_PAIR_RULES = (R_CANCEL, R_SIGMA_TAU_SAME, R_FAR_SIGMA_SIGMA, R_FAR_SIGMA_TAU, R_FAR_TAU_TAU)
-_TRIPLE_RULES = (R_BRAID, R_SIGMA_SIGMA_TAU)
-
-
-def _pair_matches(rule: str, a: Generator, b: Generator) -> bool:
-    if rule == R_CANCEL:
-        return a.kind != TAU and b.kind == -a.kind and b.index == a.index
-    if rule == R_SIGMA_TAU_SAME:
-        return a.index == b.index and {a.kind, b.kind} == {SIGMA, TAU}
-    if abs(a.index - b.index) < 2:
-        return False
-    kinds = (a.kind, b.kind)
-    if rule == R_FAR_SIGMA_SIGMA:
-        return kinds == (SIGMA, SIGMA)
-    if rule == R_FAR_SIGMA_TAU:
-        return kinds in ((SIGMA, TAU), (TAU, SIGMA))
-    if rule == R_FAR_TAU_TAU:
-        return kinds == (TAU, TAU)
-    return False
-
-
-def _triple_matches(rule: str, a: Generator, b: Generator, c: Generator) -> bool:
-    # every triple rule reads k l k with |k - l| = 1
-    if a.index != c.index or abs(a.index - b.index) != 1:
-        return False
-    kinds = (a.kind, b.kind, c.kind)
-    if rule == R_BRAID:
-        return kinds == (SIGMA, SIGMA, SIGMA)
-    if rule == R_SIGMA_SIGMA_TAU:
-        return kinds in ((SIGMA, SIGMA, TAU), (TAU, SIGMA, SIGMA))
-    return False
-
-
-def apply_move(word: SingularBraidWord, move: MarkovMove) -> SingularBraidWord:
-    return move.apply(word)
-
-
-def relation_move_candidates(word: SingularBraidWord) -> list[RelationMove]:
-    """All in-place relation instances (everything except inserts)."""
-    letters = word.letters
-    out: list[RelationMove] = []
-    for p in range(len(letters) - 1):
-        a, b = letters[p], letters[p + 1]
-        out.extend(RelationMove(rule, p) for rule in _PAIR_RULES if _pair_matches(rule, a, b))
-    for p in range(len(letters) - 2):
-        a, b, c = letters[p], letters[p + 1], letters[p + 2]
-        out.extend(
-            RelationMove(rule, p) for rule in _TRIPLE_RULES if _triple_matches(rule, a, b, c)
-        )
-    return out
-
-
-def random_move_sequence(
-    word: SingularBraidWord,
-    length: int,
-    seed: int,
-    max_strands: int | None = None,
-    max_length: int | None = None,
-) -> list[tuple[MarkovMove, SingularBraidWord]]:
-    """Seeded sequence of applicable moves; each entry is (move, resulting word)."""
-    if length < 0:
-        raise ValueError("length must be >= 0")
-    if max_strands is None:
-        max_strands = word.strands + 2
-    if max_length is None:
-        max_length = len(word.letters) + 16
-    rng = random.Random(seed)
-    out: list[tuple[MarkovMove, SingularBraidWord]] = []
-    current = word
-    for _ in range(length):
-        move = _sample_move(rng, current, max_strands, max_length)
-        current = move.apply(current)
-        out.append((move, current))
-    return out
-
-
-def _sample_move(
-    rng: random.Random,
-    word: SingularBraidWord,
-    max_strands: int,
-    max_length: int,
-) -> MarkovMove:
-    n = word.strands
-    length = len(word.letters)
-    for _ in range(32):
-        roll = rng.random()
-        if roll < 0.35:
-            candidates = relation_move_candidates(word)
-            if candidates:
-                return rng.choice(candidates)
-        elif roll < 0.50:
-            if length >= 2:
-                return CyclicShift(rng.randrange(1, length))
-        elif roll < 0.62:
-            if n >= 2 and length + 2 <= max_length:
-                return RelationMove(
-                    R_INSERT,
-                    rng.randrange(length + 1),
-                    index=rng.randrange(1, n),
-                    sign=rng.choice((1, -1)),
-                )
-        elif roll < 0.76:
-            if n >= 2 and length + 4 <= max_length:
-                size = rng.randint(1, 2)
-                letters = tuple(
-                    Generator(rng.choice((SIGMA, SIGMA_INV)), rng.randrange(1, n))
-                    for _ in range(size)
-                )
-                return Conjugate(SingularBraidWord(n, letters))
-        elif roll < 0.88:
-            if n + 1 <= max_strands and length + 1 <= max_length:
-                return StabilizeUp(rng.choice((1, -1)))
-        else:
-            move = StabilizeDown()
-            try:
-                move.apply(word)
-            except InapplicableMoveError:
+    for g in letters:
+        i = g.index
+        if g.kind != TAU:
+            mine = crossings.get(i)
+            if mine is None:
+                mine = crossings[i] = deque()
+            elif mine and out[mine[-1]].kind == -g.kind and last(i - 1) < mine[-1] > last(i + 1):
+                out[mine.pop()] = None
                 continue
-            return move
-    return CyclicShift(1 if length >= 2 else 0)
+            mine.append(len(out))
+        seen = near.get(i)
+        if seen is None:
+            seen = near[i] = deque()
+        seen.append(len(out))
+        out.append(g)
+    if cyclic:
+
+        def first(i: int) -> int:  # the position of the first letter at i, or len(out)
+            seen = near.get(i)
+            while seen and out[seen[0]] is None:
+                seen.popleft()
+            return seen[0] if seen else len(out)
+
+        # a cancellation can only free the pairs at its own index and the
+        # two next to it, so those are looked at again, and nothing else
+        work = list(crossings)
+        while work:
+            i = work.pop()
+            mine = crossings.get(i)
+            if mine is None or len(mine) < 2:
+                continue
+            a, b = mine[0], mine[-1]
+            if (
+                out[a].kind == -out[b].kind
+                and a < min(first(i - 1), first(i + 1))
+                and b > max(last(i - 1), last(i + 1))
+            ):
+                out[mine.popleft()] = out[mine.pop()] = None
+                work += (i - 1, i, i + 1)
+    return tuple(g for g in out if g is not None)
 
 
 def shuffle_braid(n: int, m: int) -> SingularBraidWord:

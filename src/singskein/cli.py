@@ -26,7 +26,6 @@ from .braid import (
     StrandIndexError,
     exponent_sum,
     parse,
-    random_move_sequence,
     underlying_permutation,
 )
 from .markov import (
@@ -191,6 +190,14 @@ def run(args: argparse.Namespace) -> RunReport:
         elapsed_seconds=elapsed,
         verify=verify,
     )
+
+
+def random_move_sequence(*args, **kwargs):
+    """``singskein.moves.random_move_sequence``; the move machinery is
+    imported only when ``--verify`` first asks for moves."""
+    from .moves import random_move_sequence
+
+    return random_move_sequence(*args, **kwargs)
 
 
 def _verify_moves(word: SingularBraidWord, reference, args: argparse.Namespace) -> dict:

@@ -20,9 +20,9 @@ use.  A permutation w is one int whose field k - 1, 5 bits wide, holds
 w(k) XOR k: a fixed point is a zero field, so trailing fixed points vanish,
 the identity is 0 and w's largest moved point is its bit length over 5,
 rounded up.  Right multiplication by s_i swaps two fields in closed form.
-Points up to 31 XOR into 5 bits and 32 does not, so the kernel takes at most
-31 strands.  Its one memo, the coset split of a permutation, is keyed by the
-packed value, so ``clear_caches`` may empty it at any time and
+Points up to 31 XOR into 5 bits and 32 does not, so the kernel folds on at
+most 31 strands.  Its one memo, the coset split of a permutation, is keyed
+by the packed value, so ``clear_caches`` may empty it at any time and
 ``cache_info`` reports its entries, hits and misses.
 
 ``trace_components`` folds a word once for all 2^d desingularisations: a
@@ -58,6 +58,25 @@ strands, so every digit is at most 3^(c + (n-1)(n-2)/2) 4^d.
 tails of crossing letters (the skein check's s_i, S_i and nothing), peeling
 and decoding each result, with B set for the word's c plus the longest tail.
 
+``trace_components`` does not fold the word as given but its cyclic
+reduction (``braid._reduced``): every pair s_i^e ... s_i^-e is cancelled
+whose letters in between, going round the word, all commute with s_i (an
+index at least 2 away, or t_i).  That is exact: T_i T_i^-1 = 1, far
+generators commute, both images of a double point (the identity when
+deleted, T_i when resolved) commute with T_i^(+-1), and tr(ab) = tr(ba), so
+every desingularisation of the reduced word has the trace of the word's.
+Double points are never cancelled and the exponent sum is kept, so the
+degree and the orientation rule below are those of the word.  The reduced
+word is folded on the strands it spans, its indices moved down so that the
+lowest is 1: max - min + 2 strands, 1 for no letter.  That is exact too:
+tr does not depend on the strand count, and tr o sh with sh(T_i) = T_(i+1)
+is a Markov trace (sh is a homomorphism and sh(x T_n) = sh(x) T_(n+1)), so
+it is tr.  The fold only sees the reduced word, so c and n in B are its
+crossings and its strands.  ``_trace_tails`` reduces the word without the
+wrap, as a conjugate of w followed by s_i is not a conjugate of w s_i, and
+the tails count towards the strands spanned.  ``_trace`` itself folds the
+letters it is given, as given.
+
 Each word is folded in one of two orientations, chosen per word.  The map
 ``iota: T_i -> -q T_i^{-1} = q - 1 - T_i`` is an involutive automorphism of
 the algebra, and ``tr_z o iota`` is the Markov trace with parameter
@@ -90,7 +109,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb
 
-from .braid import SIGMA, SIGMA_INV, TAU, SingularBraidWord, exponent_sum
+from .braid import SIGMA, SIGMA_INV, TAU, Generator, SingularBraidWord, _reduced, exponent_sum
 from .packed import _digits, _width
 
 __all__ = [
@@ -317,16 +336,38 @@ def _peel(
     return comps
 
 
+def _compact(letters: tuple, tails: tuple = ()) -> tuple[tuple, tuple, int]:
+    """The letters and the tails moved down so that the lowest index of
+    either is 1, and the strand count their indices span (1 for no letter):
+    the trace does not see unused strands (module docstring)."""
+    indices = [g.index for g in letters] + [g.index for tail in tails for g in tail]
+    if not indices:
+        return letters, tails, 1
+    low = min(indices)
+    if low > 1:
+
+        def moved(part: tuple) -> tuple:
+            return tuple(Generator(g.kind, g.index - low + 1) for g in part)
+
+        letters, tails = moved(letters), tuple(map(moved, tails))
+    return letters, tails, max(indices) - low + 2
+
+
 def trace_components(word: SingularBraidWord) -> list[dict[tuple[int, int], int]]:
     """For each k in 0..degree, the sum over k-subsets S of the singular
     letters of ``tr`` of the word with S resolved and the rest deleted, as an
-    integer Laurent dict over (q-exponent, z-exponent).  A word with more
-    negative than positive crossings is folded as its mirror."""
-    return _trace({0: 1}, word.letters, word.strands, word.degree, exponent_sum(word) < 0)
+    integer Laurent dict over (q-exponent, z-exponent).  The word's cyclic
+    reduction is folded on the strands it spans, as its mirror when it has
+    more negative than positive crossings."""
+    letters, _, strands = _compact(_reduced(word.letters))
+    return _trace({0: 1}, letters, strands, word.degree, exponent_sum(word) < 0)
 
 
 def _trace_tails(word: SingularBraidWord, tails: tuple) -> list[list[dict[tuple[int, int], int]]]:
     """``trace_components`` of the word followed by each tail of crossing
     letters, the word's letters folded once and in the word's orientation
-    for every tail (both orientations decode to the same components)."""
-    return _traces({0: 1}, word.letters, word.strands, word.degree, exponent_sum(word) < 0, tails)
+    for every tail (both orientations decode to the same components).  The
+    word is reduced without the wrap, as a conjugate of it followed by a
+    tail is not a conjugate of the word followed by that tail."""
+    letters, tails, strands = _compact(_reduced(word.letters, cyclic=False), tails)
+    return _traces({0: 1}, letters, strands, word.degree, exponent_sum(word) < 0, tails)

@@ -342,6 +342,16 @@ def test_random_move_sequence_empty():
     assert random_move_sequence(word("t1", 2), 0, seed=0) == []
 
 
+def test_move_names_still_resolve_from_braid():
+    import singskein.braid as braid
+    import singskein.moves as moves
+
+    for name in moves.__all__ + ["R_INSERT", "_sample_move"]:
+        assert getattr(braid, name) is getattr(moves, name)
+    with pytest.raises(AttributeError):
+        braid.no_such_move
+
+
 # -- shuffle braid ---------------------------------------------------------------
 
 

@@ -248,24 +248,29 @@ def test_strands_inferred(capsys):
 def test_cli_import_leaves_the_linalg_oracle_out():
     # the CLI path loads no dataclass machinery, no fractions and no oracle
     # code (linalg and singskein.oracle serve the tests): checked in a fresh
-    # interpreter after the import and after a plain, a --verify and a
-    # --skein-check run
+    # interpreter after the import and after a plain, a --skein-check and a
+    # --verify run.  The move machinery (singskein.moves) waits for --verify:
+    # neither the import nor the plain and --skein-check runs load it
     src = os.path.dirname(os.path.dirname(singskein.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     probe = """if True:
         import contextlib, io, sys
         banned = {"dataclasses", "inspect", "fractions", "decimal", "singskein.linalg", "singskein.oracle"}
+        moves = banned | {"singskein.moves"}
         import singskein.cli
-        print(sorted(banned & set(sys.modules)))
+        print(sorted(moves & set(sys.modules)))
         word = ["--word", "s1 S2 t1 s2 t2"]
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            for extra in ([], ["--verify", "--moves", "9"], ["--skein-check", "1"]):
+            for extra in ([], ["--skein-check", "1"]):
                 assert singskein.cli.main(word + extra) == 0
+            print(sorted(moves & set(sys.modules)), file=sys.__stdout__)
+            assert singskein.cli.main(word + ["--verify", "--moves", "9"]) == 0
         print(sorted(banned & set(sys.modules)))
+        print("singskein.moves" in sys.modules)
     """
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines() == ["[]", "[]"]
+    assert out.stdout.splitlines() == ["[]", "[]", "[]", "True"]
 
 
 def _calls_in_cli_runs(names):

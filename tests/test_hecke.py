@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import time
 from itertools import permutations
 from math import factorial
 
@@ -10,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from singskein import cli, hecke
-from singskein.braid import SIGMA, SIGMA_INV, TAU, Generator, SingularBraidWord, parse
+from singskein.braid import SIGMA, SIGMA_INV, TAU, Generator, SingularBraidWord, _reduced, parse
 from singskein.coeff import QZ, RationalFunction
 from singskein.hecke import (
     HeckeElement,
@@ -25,7 +26,9 @@ from singskein.hecke import (
     trace_components,
 )
 from singskein.markov import trace_functional
+from singskein.moves import R_INSERT, Conjugate, RelationMove
 from singskein.permutations import Permutation
+from singskein.skein import skein_class, skein_triple_check
 
 ONE = RationalFunction.one(QZ)
 Q = RationalFunction.coordinate(QZ, "q")
@@ -266,10 +269,12 @@ def test_evaluate_word_agrees_with_kernel():
 
 def test_kernel_refuses_more_than_31_strands():
     # a point above 31 does not fit a 5-bit field: unchecked, the
-    # transposition (31 32) would trace to 0 instead of z
+    # transposition (31 32) would trace to 0 instead of z.  The kernel folds
+    # only the strands a word spans, so s31 alone folds as s1 on 2 strands;
+    # s1 s31 spans all 32.
     assert permutation_trace(Permutation.adjacent_transposition(31, 30)) == Z
     with pytest.raises(ValueError):
-        trace_components(SingularBraidWord(32, (Generator(SIGMA, 31),)))
+        trace_components(SingularBraidWord(32, (Generator(SIGMA, 1), Generator(SIGMA, 31))))
     with pytest.raises(ValueError):
         permutation_trace(Permutation.adjacent_transposition(32, 31))
 
@@ -329,6 +334,104 @@ def mixed_sign_words(draw):
 @example(parse("t1 S2 s3 S4 S5 S6 S7 t8 S9 S10 S11 S6", 12))
 def test_both_orientations_give_equal_components(w):
     assert forced(w, False) == forced(w, True)
+
+
+# -- the cyclic reduction before the fold ---------------------------------------------
+
+
+@st.composite
+def conjugated_words(draw):
+    """A mixed-sign word conjugated by up to 3 crossings, with up to 3
+    inverse pairs s_i^e s_i^-e inserted anywhere: letters the reduction can
+    cancel, across the wrap or not."""
+    w = draw(mixed_sign_words())
+    n = w.strands
+    index = st.integers(1, n - 1)
+    sign = st.sampled_from((SIGMA, SIGMA_INV))
+    by = draw(st.lists(st.builds(Generator, sign, index), max_size=3))
+    w = Conjugate(SingularBraidWord(n, tuple(by))).apply(w)
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(w.letters)))
+        w = RelationMove(R_INSERT, at, index=draw(index), sign=draw(sign)).apply(w)
+    return w
+
+
+def spy_on_folds(monkeypatch):
+    """The letters (as text) and the strand count of every ``_trace`` call."""
+    seen = []
+    real = hecke._trace
+
+    def spy(state, letters, strands, degree, mirror=False):
+        seen.append((" ".join(g.token for g in letters), strands))
+        return real(state, letters, strands, degree, mirror)
+
+    monkeypatch.setattr(hecke, "_trace", spy)
+    return seen
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.one_of(mixed_sign_words(), conjugated_words()))
+def test_reduced_fold_matches_the_unreduced_fold(w):
+    # forced folds exactly the letters it is given, on all the word's strands
+    assert trace_components(w) == forced(w, False)
+
+
+@pytest.mark.parametrize(
+    "text, cyclic, kept",
+    [
+        ("s1 s3 S1", True, "s3"),  # across a far letter
+        ("s2 t2 S2", True, "t2"),  # across a double point at the same index
+        ("S1 s2 s1", True, "s2"),  # across the wrap
+        ("s1 s2 S1", True, "s2"),  # across the wrap
+        ("s1 s2 S1", False, "s1 s2 S1"),  # s2 does not commute with s1
+        ("s1 s2 S1 s2 s1 S2", True, "s1 s2 S1 s2 s1 S2"),
+        ("t1 s2 t1 S2", True, "t1 s2 t1 S2"),  # t1 does not commute with s2
+        ("s1 s1 S1 s3 S1", True, "s3"),  # the nearest partner, then across s3
+        ("s2 s1 S1 S2 t1", True, "t1"),  # a cancellation frees the next pair
+        ("s1 s1 s2", True, "s1 s1 s2"),
+    ],
+)
+def test_reduction_examples(text, cyclic, kept):
+    assert " ".join(g.token for g in _reduced(parse(text).letters, cyclic)) == kept
+
+
+def test_fold_takes_the_reduction_on_the_strands_it_spans(monkeypatch):
+    seen = spy_on_folds(monkeypatch)
+    cases = {
+        "s3 s5 S3": ("s1", 2),  # s5 alone, moved down to index 1
+        "S4 s5 s4 t6": ("s1 t2", 3),
+        "s2 s4 s3": ("s1 s3 s2", 4),
+        "s1 S1": ("", 1),
+        "": ("", 1),
+    }
+    for text, fold in cases.items():
+        trace_components(parse(text, 8))
+        assert seen.pop() == fold, text
+
+
+def test_skein_check_reduces_the_prefix_without_the_wrap():
+    # across the wrap s1 s2 S1 reduces to s2, but s1 s2 S1 s2 is not a
+    # conjugate of s2 s2: the prefix keeps all three letters
+    w = parse("s1 s2 S1", 3)
+    tails = ((Generator(SIGMA, 2),), (Generator(SIGMA_INV, 2),), ())
+    unreduced = [SingularBraidWord(3, w.letters + tail) for tail in tails]
+    assert hecke._trace_tails(w, tails) == [forced(v, False) for v in unreduced]
+    result = skein_triple_check(w, 2)
+    assert result.holds
+    assert (result.positive, result.negative, result.smoothed) == tuple(map(skein_class, unreduced))
+
+
+def test_long_cancelling_words_reduce_quickly():
+    # (s1 s3)^5000 (S3 S1)^5000 cancels to nothing, and s1^5000 s3^5000
+    # S1^5000 to s3^5000, each S1 passing 5000 letters s3: every letter looks
+    # only at its own index and the two next to it, so neither is quadratic
+    start = time.perf_counter()
+    w = parse(" ".join(["s1 s3"] * 5000 + ["S3 S1"] * 5000), 4)
+    assert _reduced(w.letters) == ()
+    assert trace_components(w) == [{(0, 0): 1}]
+    ladder = parse(" ".join(["s1"] * 5000 + ["s3"] * 5000 + ["S1"] * 5000), 4)
+    assert _reduced(ladder.letters) == parse(" ".join(["s3"] * 5000)).letters
+    assert time.perf_counter() - start < 2.0
 
 
 def test_packed_components_on_long_generator_runs():
