@@ -232,15 +232,15 @@ def inverse_word(word: SingularBraidWord) -> SingularBraidWord:
     )
 
 
-def _reduced(letters: tuple, cyclic: bool = True) -> tuple:
+def _reduced(letters: tuple) -> tuple:
     """``letters`` with every pair s_i^e ... s_i^-e cancelled whose letters
-    in between all commute with s_i (index at least 2 away, or t_i): one
-    pass left to right, then, with ``cyclic``, the pairs that meet across the
-    wrap, a letter s_i^e that commutes with every letter before it and an
-    s_i^-e that commutes with every letter after it.  Without ``cyclic`` the
-    result equals the word in the singular braid monoid; with it, it is
-    equal to a conjugate of the word.  Double points are never cancelled and
-    the exponent sum is kept.
+    in between, going round the word, all commute with s_i (index at least 2
+    away, or t_i): one pass left to right, then the pairs that meet across
+    the wrap, a letter s_i^e that commutes with every letter before it and
+    an s_i^-e that commutes with every letter after it.  The result is equal
+    to a conjugate of the word in the singular braid monoid, so its closure
+    is the word's.  Double points are never cancelled and the exponent sum
+    is kept.
 
     Each letter looks only at its own index and the two next to it:
     ``crossings[i]`` holds the positions of the kept crossings at index i in
@@ -272,30 +272,29 @@ def _reduced(letters: tuple, cyclic: bool = True) -> tuple:
             seen = near[i] = deque()
         seen.append(len(out))
         out.append(g)
-    if cyclic:
 
-        def first(i: int) -> int:  # the position of the first letter at i, or len(out)
-            seen = near.get(i)
-            while seen and out[seen[0]] is None:
-                seen.popleft()
-            return seen[0] if seen else len(out)
+    def first(i: int) -> int:  # the position of the first letter at i, or len(out)
+        seen = near.get(i)
+        while seen and out[seen[0]] is None:
+            seen.popleft()
+        return seen[0] if seen else len(out)
 
-        # a cancellation can only free the pairs at its own index and the
-        # two next to it, so those are looked at again, and nothing else
-        work = list(crossings)
-        while work:
-            i = work.pop()
-            mine = crossings.get(i)
-            if mine is None or len(mine) < 2:
-                continue
-            a, b = mine[0], mine[-1]
-            if (
-                out[a].kind == -out[b].kind
-                and a < min(first(i - 1), first(i + 1))
-                and b > max(last(i - 1), last(i + 1))
-            ):
-                out[mine.popleft()] = out[mine.pop()] = None
-                work += (i - 1, i, i + 1)
+    # a cancellation can only free the pairs at its own index and the
+    # two next to it, so those are looked at again, and nothing else
+    work = list(crossings)
+    while work:
+        i = work.pop()
+        mine = crossings.get(i)
+        if mine is None or len(mine) < 2:
+            continue
+        a, b = mine[0], mine[-1]
+        if (
+            out[a].kind == -out[b].kind
+            and a < min(first(i - 1), first(i + 1))
+            and b > max(last(i - 1), last(i + 1))
+        ):
+            out[mine.popleft()] = out[mine.pop()] = None
+            work += (i - 1, i, i + 1)
     return tuple(g for g in out if g is not None)
 
 

@@ -54,9 +54,6 @@ identity plus the crossing rule one digit up).  A word with c crossings and
 d double points folds to L1 at most 3^c 4^d, and a coefficient passes
 through at most sum_{m=2..n} (m - 2) = (n-1)(n-2)/2 peel steps on n
 strands, so every digit is at most 3^(c + (n-1)(n-2)/2) 4^d.
-``_trace_tails`` folds a word once and steps that state by each of a few
-tails of crossing letters (the skein check's s_i, S_i and nothing), peeling
-and decoding each result, with B set for the word's c plus the longest tail.
 
 ``trace_components`` does not fold the word as given but its cyclic
 reduction (``braid._reduced``): every pair s_i^e ... s_i^-e is cancelled
@@ -72,10 +69,9 @@ lowest is 1: max - min + 2 strands, 1 for no letter.  That is exact too:
 tr does not depend on the strand count, and tr o sh with sh(T_i) = T_(i+1)
 is a Markov trace (sh is a homomorphism and sh(x T_n) = sh(x) T_(n+1)), so
 it is tr.  The fold only sees the reduced word, so c and n in B are its
-crossings and its strands.  ``_trace_tails`` reduces the word without the
-wrap, as a conjugate of w followed by s_i is not a conjugate of w s_i, and
-the tails count towards the strands spanned.  ``_trace`` itself folds the
-letters it is given, as given.
+crossings and its strands.  Every word is folded this way, the skein
+check's w s_i, w S_i and w too, each on its own.  ``_trace`` itself folds
+the letters it is given, as given.
 
 Each word is folded in one of two orientations, chosen per word.  The map
 ``iota: T_i -> -q T_i^{-1} = q - 1 - T_i`` is an involutive automorphism of
@@ -245,40 +241,19 @@ def _trace(
     consumed: each z-slice is dropped once it is partitioned, so the caller
     must keep no reference to it.
     """
-    return _traces(state, letters, strands, degree, mirror, ((),))[0]
-
-
-def _traces(
-    state: dict[int, int], letters: tuple, strands: int, degree: int, mirror: bool, tails: tuple
-) -> list[list[dict[tuple[int, int], int]]]:
-    """``_trace`` of ``letters`` followed by each tail of crossing letters,
-    folding ``letters`` once: each tail is stepped from the shared state, and
-    the digit width covers the longest tail.  The last tail consumes the
-    state."""
     if strands > _MASK:
         raise ValueError(f"{strands} strands do not fit a {_FIELD}-bit field (at most {_MASK})")
     stride = degree + 1  # slots per power of q: resolution counts 0..degree
     crossings = len(letters) - degree
     # Digit width from the L1 bound in the module docstring.
-    bound = 3 ** (crossings + max(map(len, tails)) + (strands - 1) * (strands - 2) // 2) * 4**degree
-    bits = _width(bound)
+    bits = _width(3 ** (crossings + (strands - 1) * (strands - 2) // 2) * 4**degree)
     q_shift = stride * bits
     for g in letters:
         state = _step(state, g.index, _MIRROR[g.kind] if mirror else g.kind, q_shift, bits)
-    traces = []
-    for index, tail in enumerate(tails):
-        end = state
-        if index == len(tails) - 1:
-            del state
-        for g in tail:
-            end = _step(end, g.index, _MIRROR[g.kind] if mirror else g.kind, q_shift, bits)
-        negatives = sum(1 for g in letters + tail if g.kind == SIGMA_INV)
-        slices = [end]
-        del end
-        traces.append(
-            _peel(slices, strands, stride, mirror, bits, crossings + len(tail), negatives)
-        )
-    return traces
+    negatives = sum(1 for g in letters if g.kind == SIGMA_INV)
+    slices = [state]
+    del state
+    return _peel(slices, strands, stride, mirror, bits, crossings, negatives)
 
 
 def _peel(
@@ -336,21 +311,17 @@ def _peel(
     return comps
 
 
-def _compact(letters: tuple, tails: tuple = ()) -> tuple[tuple, tuple, int]:
-    """The letters and the tails moved down so that the lowest index of
-    either is 1, and the strand count their indices span (1 for no letter):
-    the trace does not see unused strands (module docstring)."""
-    indices = [g.index for g in letters] + [g.index for tail in tails for g in tail]
-    if not indices:
-        return letters, tails, 1
+def _compact(letters: tuple) -> tuple[tuple, int]:
+    """The letters moved down so that the lowest index is 1, and the strand
+    count their indices span (1 for no letter): the trace does not see
+    unused strands (module docstring)."""
+    if not letters:
+        return letters, 1
+    indices = [g.index for g in letters]
     low = min(indices)
     if low > 1:
-
-        def moved(part: tuple) -> tuple:
-            return tuple(Generator(g.kind, g.index - low + 1) for g in part)
-
-        letters, tails = moved(letters), tuple(map(moved, tails))
-    return letters, tails, max(indices) - low + 2
+        letters = tuple(Generator(g.kind, g.index - low + 1) for g in letters)
+    return letters, max(indices) - low + 2
 
 
 def trace_components(word: SingularBraidWord) -> list[dict[tuple[int, int], int]]:
@@ -359,15 +330,6 @@ def trace_components(word: SingularBraidWord) -> list[dict[tuple[int, int], int]
     integer Laurent dict over (q-exponent, z-exponent).  The word's cyclic
     reduction is folded on the strands it spans, as its mirror when it has
     more negative than positive crossings."""
-    letters, _, strands = _compact(_reduced(word.letters))
+    letters, strands = _compact(_reduced(word.letters))
     return _trace({0: 1}, letters, strands, word.degree, exponent_sum(word) < 0)
 
-
-def _trace_tails(word: SingularBraidWord, tails: tuple) -> list[list[dict[tuple[int, int], int]]]:
-    """``trace_components`` of the word followed by each tail of crossing
-    letters, the word's letters folded once and in the word's orientation
-    for every tail (both orientations decode to the same components).  The
-    word is reduced without the wrap, as a conjugate of it followed by a
-    tail is not a conjugate of the word followed by that tail."""
-    letters, tails, strands = _compact(_reduced(word.letters, cyclic=False), tails)
-    return _traces({0: 1}, letters, strands, word.degree, exponent_sum(word) < 0, tails)

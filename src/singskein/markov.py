@@ -67,9 +67,11 @@ bounds for one word:
   as F0 has q-degree 1;
 * m = d - n + 1, the same for every coordinate (a + b = d).
 
-The skein check packs its three words at one layout, with l1 doubled and
-q_top raised by one for its sums num_P - q num_N and (q - 1) num_S, which
-are ``P - (N << W)`` and ``(S << W) - S`` on the packed ints.
+The skein check's three words, w s_i, w S_i and w, are each folded on
+their own and packed at one layout (``_joint_numerators``, of which
+``coordinate_numerators`` is the one-word case), with l1 doubled and q_top
+raised by one for its sums num_P - q num_N and (q - 1) num_S, which are
+``P - (N << W)`` and ``(S << W) - S`` on the packed ints.
 
 The oracles live in ``singskein.oracle``, which no CLI run imports: the
 literal expansion (``FormalWordSum``, ``desing_delete``,
@@ -94,7 +96,7 @@ from typing import Mapping, NamedTuple
 
 from .braid import SingularBraidWord
 from .coeff import MultivariatePolynomial, QZ, RationalFunction
-from .hecke import _trace_tails, trace_components
+from .hecke import trace_components
 from .packed import _dense, _digits, _divide_linear, _low_digit, _pack, _packed_width
 
 __all__ = [
@@ -345,28 +347,28 @@ def coordinate_numerators(word: SingularBraidWord) -> PackedNumerators:
     """The word's coordinates as numerators over D^d, by the change of
     variables T0 = wA - zB, T1 = B - zA in its trace components.
     ``CapExceededError`` if the word is above the hard caps."""
-    check_caps(word)
-    comps = trace_components(word)
-    return _numerators(comps, _layout([comps], word))
+    return _joint_numerators((word,))[0]
 
 
-def _tail_numerators(word: SingularBraidWord, tails: tuple) -> list[PackedNumerators]:
-    """``coordinate_numerators`` of the word followed by each tail of
-    crossing letters, from one fold of the word (``hecke._trace_tails``), all
-    at one layout, which also covers the sums num_i - q num_j and
-    (q - 1) num_i (the skein check's)."""
-    check_caps(word)
-    comp_sets = _trace_tails(word, tails)
-    layout = _layout(comp_sets, word)
+def _joint_numerators(words: tuple) -> list[PackedNumerators]:
+    """``coordinate_numerators`` of each of these words, which share their
+    degree and strand count, all at one layout; more than one word's layout
+    also covers the sums num_i - q num_j and (q - 1) num_i (the skein
+    check's).  ``CapExceededError`` if a word is above the hard caps."""
+    for word in words:
+        check_caps(word)
+    comp_sets = [trace_components(word) for word in words]
+    layout = _layout(comp_sets, words[0])
     return [_numerators(comps, layout) for comps in comp_sets]
 
 
 def _layout(comp_sets: list, word: SingularBraidWord) -> tuple[int, int, int, int]:
-    """(q0, W, Z, S) for the numerators of these sets of the word's trace
-    components: q0 the lowest q-exponent or 0, whichever is lower, W proved
-    by ``packed._packed_width`` for rendering the word's coordinates, and
-    the z- and B-strides that fit them (module docstring).  More than one
-    set also covers the skein check's sums."""
+    """(q0, W, Z, S) for the numerators of these sets of trace components,
+    of words with the degree and strand count of ``word``: q0 the lowest
+    q-exponent or 0, whichever is lower, W proved by
+    ``packed._packed_width`` for rendering the words' coordinates, and the
+    z- and B-strides that fit them (module docstring).  More than one set
+    also covers the skein check's sums."""
     d = word.degree
     l1, low, high = 0, [0], [0]
     for comps in comp_sets:

@@ -50,12 +50,12 @@ x = s^-1 embed(q - 1) and embed(q) = s^2, on Xhat^a Yhat^b (m, k as for w)
     x S          = s^-1 u^k embed((q - 1) num_S z^m / D^d),
 
 each rendered from one numerator with j = -1; the relation holds iff they
-are equal.  The three words share w's letters, so w is folded once and the
-fold state stepped by s_i, by S_i and by nothing (``hecke._trace_tails``),
-all in w's orientation, as both orientations decode to the same
-components; the three numerators are packed at one width, proved for the
-two sums as well.  This checks the fold, three coordinate solves and the
-closed-form rendering of both sides, not products of the printed classes.
+are equal.  Each of the three words is folded as a word of its own, just as
+``skein_class`` folds it, and their numerators are packed at one width,
+proved for the two sums as well (``markov._joint_numerators``); so the
+check's legs are the classes of w s_i, w S_i and w.  This checks the fold,
+three coordinate solves and the closed-form rendering of both sides, not
+products of the printed classes.
 
 Adding a free strand multiplies a class by (1 - s^2 u^2)/(u (s^2 - 1)),
 the disjoint-union coefficient (t^{-1} - t)/x.
@@ -68,7 +68,7 @@ from functools import lru_cache
 from .braid import Generator, Record, SIGMA, SIGMA_INV, SingularBraidWord, exponent_sum
 from .coeff import SU, MultivariatePolynomial, RationalFunction
 from .markov import ClassPolynomial, FactoredCoordinate, MarkovClass
-from .markov import _factored, _tail_numerators, factored_coordinates
+from .markov import _factored, _joint_numerators, factored_coordinates
 from .packed import _digits, _divide_x_minus_one, _embed_packed, _low_digit
 
 __all__ = [
@@ -106,7 +106,10 @@ class SkeinClass(ClassPolynomial):
 
 
 class SkeinTripleResult(Record):
-    """Outcome of one skein-relation check at a chosen crossing site."""
+    """Outcome of one skein-relation check of a word w at a crossing site i:
+    ``positive``, ``negative`` and ``smoothed`` are the classes
+    (``skein_class``) of w s_i, w S_i and w, and ``lhs`` and ``rhs`` the two
+    sides t^{-1} positive - t negative and x smoothed."""
 
     __slots__ = ("holds", "positive", "negative", "smoothed", "lhs", "rhs")
 
@@ -201,8 +204,12 @@ def skein_triple_check(word: SingularBraidWord, i: int) -> SkeinTripleResult:
     n, d, e = word.strands, word.degree, exponent_sum(word)
     if not 1 <= i <= n - 1:
         raise ValueError(f"crossing index {i} out of range for {n} strands")
-    tails = ((Generator(SIGMA, i),), (Generator(SIGMA_INV, i),), ())
-    pos, neg, smo = _tail_numerators(word, tails)
+    words = (
+        SingularBraidWord(n, word.letters + (Generator(SIGMA, i),)),
+        SingularBraidWord(n, word.letters + (Generator(SIGMA_INV, i),)),
+        word,
+    )
+    pos, neg, smo = _joint_numerators(words)
     q = pos.width  # the three share one layout, where times q is a shift by W
     lhs = _rendered(_factored(pos._replace(value=pos.value - (neg.value << q)), d), n, e, -1)
     rhs = _rendered(_factored(smo._replace(value=(smo.value << q) - smo.value), d), n, e, -1)

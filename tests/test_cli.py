@@ -321,6 +321,8 @@ def test_cli_runs_use_only_the_packed_coefficient_kernel():
         # w s_i is folded as given, w S_i as its mirror
         ("s1 S2 t1", "3", "2", "0a3311af7c2e56bfd57cbaff8fc119cb207dc354e162f3ee276b99b0ef16cd49"),
         ("s1 S2 t1 s2 t2", "3", "1", "4d20f1db5676ac32c36847724370bb1b957cd08d87c7df83b2fbd2d307bf5cb4"),
+        # the smoothed leg w reduces across the wrap (to s2); w s_i and w S_i do not
+        ("s1 s2 S1", "3", "2", "6072a434d4ab0092694c7a4d375c55a91c87ec255044cfe28c60d0187f269c49"),
         (
             "t1 s2 S1 t2 s3 t1 S2 t3",
             "5",

@@ -22,6 +22,7 @@ from singskein.hecke import trace_components
 from singskein.oracle import _P_ONE, _P_W, _P_Z, _expand
 from singskein.packed import _digits, _pack, _packed_width
 from singskein.linalg import determinant, solve
+from singskein.skein import skein_class, skein_triple_check
 from singskein.markov import (
     HARD_MAX_DEGREE,
     CapExceededError,
@@ -37,8 +38,8 @@ from singskein.markov import (
     g1_apply,
     markov_class,
     markov_class_of_sum,
+    _joint_numerators,
     _over_det_power,
-    _tail_numerators,
     coordinate_numerators,
     pairing_matrix,
     subset_expansion,
@@ -511,17 +512,20 @@ _TWELVE_STRANDS = ("t1 s2 s3 s4 s5 s6 s7 t8 s9 s10 s11 S6", "t1 S2 s3 S4 S5 S6 S
 def test_packed_numerators_match_the_substitution_table(case):
     w, i = case
     d = w.degree
-    # the skein check's three words w s_i, w S_i and w, each folded on its own
+    # the skein check's three words w s_i, w S_i and w
     tails = ((Generator(SIGMA, i),), (Generator(SIGMA_INV, i),), ())
-    comp_sets = [trace_components(SingularBraidWord(w.strands, w.letters + t)) for t in tails]
+    words = tuple(SingularBraidWord(w.strands, w.letters + t) for t in tails)
+    comp_sets = [trace_components(v) for v in words]
     shift = -min([0] + [eq for comps in comp_sets for comp in comps for eq, _ in comp])
     p_t, n_t, s_t = (_table_numerators(comps, d, shift) for comps in comp_sets)
     num = coordinate_numerators(w)
     assert _decoded(num.value, num, d, shift) == _nonzero(s_t)
     # the sums num_P - q num_N and (q - 1) num_S at the one layout of the
-    # check's three numerators, folded from one state
-    pos, neg, smo = _tail_numerators(w, tails)
+    # check's three numerators
+    pos, neg, smo = _joint_numerators(words)
     assert neg[1:] == smo[1:] == pos[1:]
+    for packed, table in ((pos, p_t), (neg, n_t), (smo, s_t)):
+        assert _decoded(packed.value, pos, d, shift) == _nonzero(table)
     q = MultivariatePolynomial.variable(QZ, "q")
     sums = [
         (pos.value - (neg.value << pos.width), {ab: p_t[ab] - q * n_t[ab] for ab in p_t}),
@@ -529,6 +533,24 @@ def test_packed_numerators_match_the_substitution_table(case):
     ]
     for value, expected in sums:
         assert _decoded(value, pos, d, shift) == _nonzero(expected)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(mixed_sign_words())
+@example((parse(_TWELVE_STRANDS[0], 12), 11))
+@example((parse(_TWELVE_STRANDS[1], 12), 6))
+def test_skein_check_legs_are_the_classes_of_its_three_words(case):
+    # the relation holds at any site, so only the legs tell whether the check
+    # was built at i, with s_i on the positive leg and S_i on the negative
+    w, i = case
+    result = skein_triple_check(w, i)
+    assert result.holds
+    positive, negative = (
+        SingularBraidWord(w.strands, w.letters + (Generator(kind, i),)) for kind in (SIGMA, SIGMA_INV)
+    )
+    assert result.positive == skein_class(positive)
+    assert result.negative == skein_class(negative)
+    assert result.smoothed == skein_class(w)
 
 
 def test_numerator_examples_cover_both_orientations():
