@@ -18,16 +18,7 @@ import json
 import sys
 import time
 
-from .braid import (
-    BraidSyntaxError,
-    InapplicableMoveError,
-    Record,
-    SingularBraidWord,
-    StrandIndexError,
-    exponent_sum,
-    parse,
-    underlying_permutation,
-)
+from .braid import Record, SingularBraidWord, exponent_sum, parse, underlying_permutation
 from .markov import (
     HARD_MAX_DEGREE,
     HARD_MAX_STRANDS,
@@ -280,7 +271,7 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
         return EXIT_CAPS
-    except (BraidSyntaxError, StrandIndexError, InapplicableMoveError, ValueError) as exc:
+    except ValueError as exc:  # the braid errors subclass it
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

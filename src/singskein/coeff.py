@@ -18,18 +18,19 @@ graded-lex order (total degree first, ties broken by the first variable).
 Canonical form is unique, so structural equality ``==`` decides
 mathematical equality.
 
-The production path writes every value down in canonical form and builds it
-with the trusted ``_raw`` constructors, or reduces it in closed form
-(``_times_monomial``).  The general gcd engine (``poly_gcd``,
+The production path forms every value on packed ints, writes it down in
+canonical form and builds it with the trusted ``_raw`` constructors; a CLI
+run then only compares and renders values.  The arithmetic here serves the
+oracle's and the tests' values.  The general gcd engine (``poly_gcd``,
 ``poly_divexact`` and ``_canonical_pair``, on primitive pseudo-remainder
-sequences) and the dense embedding ``embed_qz_to_su`` live in
-``singskein.oracle``, which no CLI run imports.  ``RationalFunction``'s
-general constructor imports ``_canonical_pair`` when it is called, and the
-three public names still resolve here, loading the oracle on first use.
+sequences), its ``ExactDivisionError`` and the dense embedding
+``embed_qz_to_su`` live in ``singskein.oracle``, which no CLI run imports;
+``RationalFunction``'s general constructor imports ``_canonical_pair`` when
+it is called.
 
 Negative powers (Laurent-style scalars such as ``q**-2``) are ordinary
 rational functions with monomial denominators; a product with a monomial
-ratio is reduced in closed form.
+ratio is reduced in closed form (``_times_monomial``).
 
 All values are immutable and safe to share across threads.
 
@@ -47,21 +48,9 @@ __all__ = [
     "SU",
     "MixedVariablesError",
     "PoleError",
-    "ExactDivisionError",
     "MultivariatePolynomial",
     "RationalFunction",
 ]
-
-# the general gcd engine and the dense embedding, in ``singskein.oracle``
-_ORACLE_NAMES = frozenset({"poly_gcd", "poly_divexact", "embed_qz_to_su"})
-
-
-def __getattr__(name):
-    if name in _ORACLE_NAMES:
-        from . import oracle
-
-        return getattr(oracle, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 QZ = ("q", "z")
 SU = ("s", "u")
@@ -76,10 +65,6 @@ class MixedVariablesError(ValueError):
 
 class PoleError(ZeroDivisionError):
     """A rational function was evaluated at a zero of its denominator."""
-
-
-class ExactDivisionError(ArithmeticError):
-    """An exact polynomial division left a remainder."""
 
 
 def _monomial_key(mono: Monomial) -> tuple[int, int]:

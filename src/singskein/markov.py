@@ -79,8 +79,9 @@ literal expansion (``FormalWordSum``, ``desing_delete``,
 functionals as ``RationalFunction``s (``TraceVector``, ``trace_vector``),
 the pairing matrix on the basis words (``basis_word``, ``pairing_matrix``),
 ``markov_class_of_sum``, the g-operators (``g0_apply``, ``g1_apply``) and
-``class_product``.  Those names still resolve here, loading the oracle on
-first use.
+``class_product``.  All but ``FormalWordSum``, ``subset_expansion``,
+``TraceVector`` and ``basis_word`` still resolve here, as the acceptance
+tests and the benchmark import them from here.
 
 ``coordinate_numerators``, and so every class and skein check, refuses a
 word above the hard caps (degree <= 8, strands <= 12).  The CLI checks the
@@ -116,9 +117,8 @@ __all__ = [
 
 # the literal expansion, the pairing matrix and the g-operators, in ``singskein.oracle``
 _ORACLE_NAMES = frozenset({
-    "FormalWordSum", "desing_delete", "desing_resolve", "subset_expansion", "trace_functional",
-    "TraceVector", "trace_vector", "basis_word", "pairing_matrix", "markov_class_of_sum",
-    "g0_apply", "g1_apply", "class_product",
+    "desing_delete", "desing_resolve", "trace_functional", "trace_vector", "pairing_matrix",
+    "markov_class_of_sum", "g0_apply", "g1_apply", "class_product",
 })
 
 

@@ -9,8 +9,10 @@ closure:
 * stabilisation by a crossing on a fresh top strand, and its inverse.
 
 ``random_move_sequence`` drives a seeded fuzzer over these moves.  Only
-``--verify`` needs them, so the CLI loads this module on first use; the
-names also resolve from ``singskein.braid``.
+``--verify`` needs them, so the CLI loads this module on first use;
+``RelationMove`` and ``random_move_sequence`` also resolve from
+``singskein.braid``, as the acceptance tests and the benchmark import them
+from there.
 """
 
 from __future__ import annotations

@@ -1,9 +1,10 @@
 """The reference engines: slow, literal paths that the tests check the
 production path against.  No CLI run imports this module.
 
-``hecke``, ``markov``, ``coeff`` and ``skein`` forward the public names
-that moved here, so their old import lines still resolve (``from
-singskein.markov import pairing_matrix`` loads this module on first use).
+``hecke``, ``markov`` and ``skein`` forward only the names that the
+acceptance tests and the benchmark import from them (``from singskein.markov
+import pairing_matrix`` loads this module on first use); import the rest,
+its two exceptions among them, from here.
 
 * The Hecke algebra with ``RationalFunction`` coefficients: ``HeckeElement``,
   ``mul_by_generator``, ``evaluate_word`` and ``multiply`` fold words one
@@ -48,9 +49,9 @@ from math import gcd as _int_gcd
 from typing import Iterable, Mapping
 
 from .braid import SIGMA, TAU, Generator, SingularBraidWord, StrandIndexError
-from .coeff import QZ, SU, ExactDivisionError, MixedVariablesError, Monomial
+from .coeff import QZ, SU, MixedVariablesError, Monomial
 from .coeff import MultivariatePolynomial, RationalFunction, _monomial_key, _terms_content
-from .hecke import _FIELD, SingularLetterError, _trace, trace_components
+from .hecke import _FIELD, _trace, trace_components
 from .markov import DegreeError, MarkovClass, markov_class
 from .permutations import Permutation
 from .skein import VAR_T, VAR_X, SkeinClass
@@ -80,7 +81,17 @@ __all__ = [
     "embed_qz_to_su",
     "disjoint_union_coefficient",
     "closure_product",
+    "SingularLetterError",
+    "ExactDivisionError",
 ]
+
+
+class SingularLetterError(ValueError):
+    """An ordinary-algebra operation met a singular crossing."""
+
+
+class ExactDivisionError(ArithmeticError):
+    """An exact polynomial division left a remainder."""
 
 
 # ---------------------------------------------------------------------------

@@ -64,12 +64,13 @@ the disjoint-union coefficient (t^{-1} - t)/x.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import prod
 
 from .braid import Generator, Record, SIGMA, SIGMA_INV, SingularBraidWord, exponent_sum
 from .coeff import SU, MultivariatePolynomial, RationalFunction
 from .markov import ClassPolynomial, FactoredCoordinate, MarkovClass
 from .markov import _factored, _joint_numerators, factored_coordinates
-from .packed import _digits, _divide_x_minus_one, _embed_packed, _low_digit
+from .packed import _digits, _divide_x_minus_one, _embed_packed, _low_digit, _width
 
 __all__ = [
     "SkeinClass",
@@ -92,9 +93,12 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 # the skein-relation constants in canonical form: t = s*u and x = s - 1/s = (s^2 - 1)/s
-VAR_T = RationalFunction.coordinate(SU, "s") * RationalFunction.coordinate(SU, "u")
+VAR_T = RationalFunction._raw(
+    MultivariatePolynomial._raw(SU, {(1, 1): 1}), MultivariatePolynomial._raw(SU, {(0, 0): 1})
+)
 VAR_X = RationalFunction._raw(
-    MultivariatePolynomial(SU, {(2, 0): 1, (0, 0): -1}), MultivariatePolynomial(SU, {(1, 0): 1})
+    MultivariatePolynomial._raw(SU, {(2, 0): 1, (0, 0): -1}),
+    MultivariatePolynomial._raw(SU, {(1, 0): 1}),
 )
 
 
@@ -147,23 +151,29 @@ def _rendered(factored: dict, n: int, writhe: int, j: int = 0) -> SkeinClass:
     )
 
 
-# (x^2 y - 1, y - 1, x - 1, x y - 1) with x = s^2, y = u^2: each has
-# graded-lex leading coefficient 1, so every product of their powers does
-_DENOMINATOR_FACTORS = tuple(
-    MultivariatePolynomial(SU, {mono: 1, (0, 0): -1}) for mono in ((4, 2), (0, 2), (2, 0), (2, 2))
-)
+# x^2 y - 1, y - 1, x - 1 and x y - 1 by the (x, y)-exponents of their monomials:
+# each has graded-lex leading coefficient 1, so every product of their powers does
+_DENOMINATOR_FACTORS = ((2, 1), (0, 1), (1, 0), (1, 1))
 
 
 @lru_cache(maxsize=1024)
 def _denominator(powers: tuple[int, int, int, int]) -> tuple:
-    """Terms of the product of the _DENOMINATOR_FACTORS to the given powers.
-
-    The key leaves out the powers of s and u, which vary with q-shifts and
-    writhes; the degree and strand caps bound the four powers it keeps."""
-    out = MultivariatePolynomial.one(SU)
-    for factor, power in zip(_DENOMINATOR_FACTORS, powers):
-        out = out * factor**power
-    return tuple(out.terms.items())
+    """Terms over (s, u) of (x^2 y - 1)^alpha (y - 1)^beta (x - 1)^r (x y - 1)^l
+    for powers (alpha, beta, r, l), x = s^2, y = u^2.  The caps give
+    alpha, beta <= d <= 8, r <= n - 1 <= 11 and l <= 2d <= 16; the key leaves
+    out the powers of s and u, which vary with q-shifts and writhes.  The
+    product is one packed int, x -> 2^W, y -> 2^S: every factor has L1 2, so
+    W is ``_width(2^(alpha + beta + r + l))``, and S is W times the x-slots,
+    the x-degree 2 alpha + r + l plus one."""
+    width = _width(1 << sum(powers))
+    stride = width * (2 * powers[0] + powers[2] + powers[3] + 1)
+    value = prod(
+        ((1 << (width * i + stride * h)) - 1) ** power
+        for (i, h), power in zip(_DENOMINATOR_FACTORS, powers)
+    )
+    return tuple(
+        ((2 * i, 2 * h), v) for h, row in _digits(value, stride) for i, v in _digits(row, width)
+    )
 
 
 def _closure_coefficient(c: FactoredCoordinate, m: int, k: int, j: int = 0) -> RationalFunction:

@@ -1,5 +1,6 @@
 """Front-end behaviour: formats, determinism, exit codes."""
 
+import functools
 import hashlib
 import json
 import os
@@ -273,18 +274,23 @@ def test_cli_import_leaves_the_linalg_oracle_out():
     assert out.stdout.splitlines() == ["[]", "[]", "[]", "True"]
 
 
-def _calls_in_cli_runs(names):
-    """Calls to functions of these names, counted by ``sys.setprofile`` in a
-    fresh interpreter, over the import and a plain, a --verify and a
-    --skein-check run on one word."""
-    src = os.path.dirname(os.path.dirname(singskein.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
+@functools.lru_cache(maxsize=None)
+def _cli_run_calls() -> dict:
+    """Calls to singskein's functions, counted by ``sys.setprofile`` in a
+    fresh interpreter over the import and a plain, a --verify and a
+    --skein-check run on one word: {module file: {function name: calls}}.
+    Module and class bodies, which have no CO_OPTIMIZED flag, are left out."""
+    package = os.path.dirname(singskein.__file__)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(package))
     probe = f"""if True:
-        import contextlib, io, sys
-        calls = 0
+        import collections, contextlib, inspect, io, json, os, sys
+        calls = collections.defaultdict(collections.Counter)
         def count(frame, event, arg):
-            global calls
-            calls += event == "call" and frame.f_code.co_name in {sorted(names)!r}
+            code = frame.f_code
+            if event == "call" and code.co_flags & inspect.CO_OPTIMIZED:
+                head, tail = os.path.split(code.co_filename)
+                if head == {package!r}:
+                    calls[tail][code.co_name] += 1
         sys.setprofile(count)
         import singskein.cli
         word = ["--word", "s1 S2 t1 s2 t2"]
@@ -292,25 +298,41 @@ def _calls_in_cli_runs(names):
             for extra in ([], ["--verify", "--moves", "9"], ["--skein-check", "1"]):
                 assert singskein.cli.main(word + extra) == 0
         sys.setprofile(None)
-        print(calls)
+        print(json.dumps(calls))
     """
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
-    return int(out.stdout)
+    return json.loads(out.stdout)
+
+
+def _calls_in_cli_runs(module_file: str) -> set:
+    """Names of the functions of this singskein module file that the CLI
+    runs of ``_cli_run_calls`` call."""
+    return set(_cli_run_calls().get(module_file, ()))
 
 
 def test_cli_runs_never_enter_the_general_fraction_engine():
     # every class and both sides of the skein check are written down in
     # canonical form, so neither the import nor a plain, --verify or
     # --skein-check run reaches the gcd-based reduction
-    assert _calls_in_cli_runs({"_canonical_pair"}) == 0
+    assert "_canonical_pair" not in _calls_in_cli_runs("oracle.py")
 
 
 def test_cli_runs_use_only_the_packed_coefficient_kernel():
     # coefficients stay packed ints from the fold's decode to the skein
     # coefficients; the dense-list helpers serve only the oracles
     dense = {"_to_rec", "_embed_rows", "_u_sub", "_u_mul", "_strip_root"}
-    assert _calls_in_cli_runs(dense) == 0
+    assert not dense & _calls_in_cli_runs("oracle.py")
+
+
+def test_cli_runs_call_only_the_trusted_constructors_and_reads_of_coeff():
+    # every coefficient, the skein constants and the denominators among
+    # them, is built on packed ints and written down with the _raw
+    # constructors; the CLI then only compares and renders values.  wrap, the
+    # sort key and _monomial_key are what __str__ and sorted_terms call.
+    read_only = {"_raw", "__eq__", "__str__", "sorted_terms", "is_zero", "is_one", "variables"}
+    helpers = {"wrap", "<lambda>", "_monomial_key"}
+    assert _calls_in_cli_runs("coeff.py") - read_only - helpers == set()
 
 
 @pytest.mark.parametrize(

@@ -8,16 +8,19 @@ import pytest
 from singskein.coeff import (
     QZ,
     SU,
-    ExactDivisionError,
     MixedVariablesError,
     MultivariatePolynomial,
     PoleError,
     RationalFunction,
+)
+from singskein.oracle import (
+    ExactDivisionError,
+    _strip_root,
+    _to_rec,
     embed_qz_to_su,
     poly_divexact,
     poly_gcd,
 )
-from singskein.oracle import _strip_root, _to_rec
 
 Q = RationalFunction.coordinate(QZ, "q")
 Z = RationalFunction.coordinate(QZ, "z")

@@ -13,20 +13,18 @@ from hypothesis import strategies as st
 from singskein import cli, hecke
 from singskein.braid import SIGMA, SIGMA_INV, TAU, Generator, SingularBraidWord, _reduced, parse
 from singskein.coeff import QZ, RationalFunction
-from singskein.hecke import (
+from singskein.hecke import cache_info, clear_caches, trace_components
+from singskein.moves import R_INSERT, Conjugate, RelationMove
+from singskein.oracle import (
     HeckeElement,
     SingularLetterError,
-    cache_info,
-    clear_caches,
     evaluate_word,
     mul_by_generator,
     multiply,
     ocneanu_trace,
     permutation_trace,
-    trace_components,
+    trace_functional,
 )
-from singskein.markov import trace_functional
-from singskein.moves import R_INSERT, Conjugate, RelationMove
 from singskein.permutations import Permutation
 from singskein.skein import skein_class, skein_triple_check
 
@@ -217,7 +215,7 @@ def test_trace_components_subset_semantics():
 
 
 def test_evaluate_word_respects_relation_moves():
-    from singskein.braid import apply_move, relation_move_candidates
+    from singskein.moves import apply_move, relation_move_candidates
 
     rng = random.Random(67)
     checked = 0

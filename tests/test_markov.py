@@ -19,7 +19,24 @@ from singskein.braid import (
 from singskein.coeff import QZ, MultivariatePolynomial, RationalFunction
 from singskein.braid import exponent_sum
 from singskein.hecke import trace_components
-from singskein.oracle import _P_ONE, _P_W, _P_Z, _expand
+from singskein.oracle import (
+    _P_ONE,
+    _P_W,
+    _P_Z,
+    FormalWordSum,
+    _expand,
+    basis_word,
+    class_product,
+    desing_delete,
+    desing_resolve,
+    g0_apply,
+    g1_apply,
+    markov_class_of_sum,
+    pairing_matrix,
+    subset_expansion,
+    trace_functional,
+    trace_vector,
+)
 from singskein.packed import _digits, _pack, _packed_width
 from singskein.linalg import determinant, solve
 from singskein.skein import skein_class, skein_triple_check
@@ -27,24 +44,12 @@ from singskein.markov import (
     HARD_MAX_DEGREE,
     CapExceededError,
     DegreeError,
-    FormalWordSum,
     MarkovClass,
-    basis_word,
     check_caps,
-    class_product,
-    desing_delete,
-    desing_resolve,
-    g0_apply,
-    g1_apply,
     markov_class,
-    markov_class_of_sum,
     _joint_numerators,
     _over_det_power,
     coordinate_numerators,
-    pairing_matrix,
-    subset_expansion,
-    trace_functional,
-    trace_vector,
 )
 
 ONE = RationalFunction.one(QZ)
@@ -326,7 +331,8 @@ def test_markov_class_invariant_under_stack_commutation():
 def test_shuffle_braid_conjugation_swaps_stack_order():
     # conjugating stack(b, a) by the block-shuffle braid gives a word with
     # the same class as stack(a, b)
-    from singskein.braid import Conjugate, apply_move, shuffle_braid
+    from singskein.braid import shuffle_braid
+    from singskein.moves import Conjugate, apply_move
 
     rng = random.Random(2031)
     for _ in range(5):
@@ -369,7 +375,7 @@ def test_trace_functional_equals_iterated_one_step_maps():
 
 
 def test_trace_vector_invariant_under_strand_preserving_moves():
-    from singskein.braid import CyclicShift, apply_move, relation_move_candidates
+    from singskein.moves import CyclicShift, apply_move, relation_move_candidates
 
     rng = random.Random(2041)
     for _ in range(10):
@@ -427,25 +433,80 @@ def test_over_det_power_matches_general_constructor():
                     assert got.denominator == expected.denominator
 
 
-def test_oracle_names_still_resolve_from_their_old_modules():
-    from singskein import coeff, hecke, markov, oracle, skein
+# the oracle names each production module still forwards: those that the
+# acceptance tests and the benchmark import from it
+_FORWARDED = {
+    "coeff": (),
+    "hecke": ("HeckeElement", "multiply", "permutation_trace"),
+    "markov": (
+        "class_product", "desing_delete", "desing_resolve", "g0_apply", "g1_apply",
+        "markov_class_of_sum", "pairing_matrix", "trace_functional", "trace_vector",
+    ),
+    "skein": ("closure_product", "disjoint_union_coefficient"),
+}
 
-    assert markov.pairing_matrix is oracle.pairing_matrix
-    moved = {
-        markov: ("FormalWordSum", "trace_functional", "trace_vector", "g0_apply", "class_product"),
-        hecke: ("HeckeElement", "ocneanu_trace", "permutation_trace", "_RF_Q_INV_MINUS_1"),
-        coeff: ("poly_gcd", "poly_divexact", "embed_qz_to_su"),
-        skein: ("closure_product", "disjoint_union_coefficient"),
-    }
-    for module, names in moved.items():
-        for name in names:
-            assert getattr(module, name) is getattr(oracle, name), (module.__name__, name)
+
+def test_oracle_names_still_resolve_from_their_old_modules():
+    import importlib
+
+    from singskein import coeff, hecke, markov, oracle
+
+    for module_name, kept in _FORWARDED.items():
+        module = importlib.import_module(f"singskein.{module_name}")
+        for name in kept:
+            assert getattr(module, name) is getattr(oracle, name), (module_name, name)
+        # every other oracle name, its exceptions and constants among them, stays home
+        for name in set(oracle.__all__) - set(kept) | {"_RF_ONE", "_RF_Q", "_RF_Q_INV_MINUS_1"}:
+            assert not hasattr(module, name), (module_name, name)
+    assert not hasattr(coeff, "__getattr__")
+    for module, name in [
+        (hecke, "ocneanu_trace"),
+        (hecke, "_RF_Q"),
+        (coeff, "embed_qz_to_su"),
+        (markov, "basis_word"),
+    ]:
         with pytest.raises(AttributeError):
-            module.no_such_name
+            getattr(module, name)
     # names that never lived in these modules stay missing
     assert getattr(markov, "invert", None) is None
     assert getattr(markov, "poly_divexact", None) is None
-    assert getattr(skein, "embed_qz_to_su", None) is None
+
+
+def _frozen_imports():
+    """(module, name) for every singskein name that the acceptance tests and
+    the benchmark's scripts import: from-imports, and attributes read off a
+    singskein module they from-import (``markov.pairing_matrix``)."""
+    import ast
+    import importlib.util
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    out = set()
+    for path in [root / "tests" / "test_acceptance.py", *sorted((root / "perfbench").glob("*.py"))]:
+        tree = ast.parse(path.read_text())
+        modules = {}  # local name -> the singskein module it is bound to
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("singskein"):
+                for alias in node.names:
+                    full = f"{node.module}.{alias.name}"
+                    if node.module == "singskein" and importlib.util.find_spec(full):
+                        modules[alias.asname or alias.name] = full
+                    else:
+                        out.add((node.module, alias.name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                if node.value.id in modules:
+                    out.add((modules[node.value.id], node.attr))
+    return out
+
+
+def test_every_name_the_acceptance_tests_and_the_benchmark_import_resolves():
+    import importlib
+
+    names = _frozen_imports()
+    assert {("singskein.markov", "pairing_matrix"), ("singskein.braid", "RelationMove")} <= names
+    for module_name, name in sorted(names):
+        assert hasattr(importlib.import_module(module_name), name), (module_name, name)
 
 
 def _table_numerators(comps, d, shift):

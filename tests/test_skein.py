@@ -1,12 +1,13 @@
 """Skein classes of closures: anchors, skein relation, algebra structure."""
 
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from singskein import cli, hecke
+from singskein import cli
 from singskein.braid import (
     Generator,
     SIGMA,
@@ -15,11 +16,17 @@ from singskein.braid import (
     TAU,
     exponent_sum,
     parse,
-    random_move_sequence,
     stack,
     with_strands,
 )
-from singskein.coeff import QZ, SU, MultivariatePolynomial, RationalFunction, embed_qz_to_su
+from singskein.coeff import QZ, SU, MultivariatePolynomial, RationalFunction
+from singskein.moves import random_move_sequence
+from singskein.oracle import (
+    _RF_Q_INV_MINUS_1,
+    closure_product,
+    disjoint_union_coefficient,
+    embed_qz_to_su,
+)
 from singskein.packed import _pack, _packed_width
 from singskein.markov import MarkovClass, _over_det_power, markov_class
 from singskein.skein import (
@@ -27,8 +34,7 @@ from singskein.skein import (
     VAR_X,
     SkeinClass,
     _closure_coefficient,
-    closure_product,
-    disjoint_union_coefficient,
+    _denominator,
     skein_class,
     skein_triple_check,
 )
@@ -164,9 +170,32 @@ def test_skein_triple_result_is_a_frozen_record():
 
 
 def test_skein_constants_are_canonical():
+    assert VAR_T == S * U
     assert VAR_X == S - S.inverse()
     q = RationalFunction.coordinate(QZ, "q")
-    assert hecke._RF_Q_INV_MINUS_1 == q.inverse() - RationalFunction.one(QZ)
+    assert _RF_Q_INV_MINUS_1 == q.inverse() - RationalFunction.one(QZ)
+
+
+def test_packed_denominators_are_the_products_of_their_factors():
+    # The key (alpha, beta, r, l) on a grid up to the caps' extremes.
+    # alpha, beta <= d <= 8: each is d less the divisions by z - q or z + 1.
+    # r = max(-m, 0) with m = d - n + 1, so r <= n - 1 <= 11.  l = level -
+    # den_level in _closure_coefficient, where level is at most max(m, 0) + L
+    # for the numerator's z-degree L <= n - 1 + d (markov) and den_level =
+    # alpha + beta + r >= r, so l <= max(m, 0) - max(-m, 0) + n - 1 + d
+    # = m + n - 1 + d = 2d <= 16.
+    small = (0, 1, 2, 3, 5, 8)
+    grid = itertools.product(small, small, (0, 1, 2, 5, 11), (0, 1, 2, 3, 16))
+    s2, u2 = MultivariatePolynomial(SU, {(2, 0): 1}), MultivariatePolynomial(SU, {(0, 2): 1})
+    one = MultivariatePolynomial.one(SU)
+    factors = (s2 * s2 * u2 - one, u2 - one, s2 - one, s2 * u2 - one)
+    for powers in grid:
+        expected = one
+        for factor, power in zip(factors, powers):
+            expected = expected * factor**power
+        got = _denominator(powers)
+        assert dict(got) == expected.terms, powers
+        assert _denominator(powers) is got  # memoised
 
 
 def test_triple_check_index_range():
