@@ -17,8 +17,6 @@ from __future__ import annotations
 import re
 from collections import deque
 
-from .permutations import Permutation
-
 __all__ = [
     "SIGMA",
     "SIGMA_INV",
@@ -31,6 +29,7 @@ __all__ = [
     "parse",
     "exponent_sum",
     "underlying_permutation",
+    "component_count",
     "stack",
     "with_strands",
     "inverse_word",
@@ -194,8 +193,11 @@ def exponent_sum(word: SingularBraidWord) -> int:
     return sum(g.kind for g in word.letters if g.kind != TAU)
 
 
-def underlying_permutation(word: SingularBraidWord) -> Permutation:
-    """Strand start -> strand end; every letter (tau included) swaps strands."""
+def underlying_permutation(word: SingularBraidWord):
+    """Strand start -> strand end, a ``permutations.Permutation``; every
+    letter (tau included) swaps strands."""
+    from .permutations import Permutation
+
     position_of = list(range(word.strands + 1))  # strand k sits at position_of[k]
     strand_at = list(range(word.strands + 1))  # inverse table
     for g in word.letters:
@@ -204,6 +206,24 @@ def underlying_permutation(word: SingularBraidWord) -> Permutation:
         strand_at[i], strand_at[i + 1] = b, a
         position_of[a], position_of[b] = i + 1, i
     return Permutation(position_of[1:])
+
+
+def component_count(word: SingularBraidWord) -> int:
+    """Components of the word's closure: the cycles of the strand table
+    (position -> strand ending there), the inverse of
+    ``underlying_permutation``, so they have the same number of cycles."""
+    strand_at = list(range(word.strands))
+    for g in word.letters:
+        i = g.index
+        strand_at[i - 1], strand_at[i] = strand_at[i], strand_at[i - 1]
+    count = 0
+    for start in range(word.strands):
+        if strand_at[start] is not None:
+            count += 1
+            k = start
+            while strand_at[k] is not None:
+                strand_at[k], k = None, strand_at[k]
+    return count
 
 
 def stack(a: SingularBraidWord, b: SingularBraidWord) -> SingularBraidWord:

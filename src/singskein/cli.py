@@ -8,7 +8,8 @@ exhausted (a word inside the caps can still run out of memory).
 
 stdout is byte-identical for identical (input, flags, seed); wall-clock
 timing goes to stderr.  ``--moves`` is at most ``HARD_MAX_MOVES`` (10,000),
-as every move's word is held until the classes are checked.
+as every move's word is held until the classes are checked; a run classes
+each distinct (strand count, cyclic reduction) of those words once.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import json
 import sys
 import time
 
-from .braid import Record, SingularBraidWord, exponent_sum, parse, underlying_permutation
+from .braid import Record, SingularBraidWord, _reduced, component_count, exponent_sum, parse
 from .markov import (
     HARD_MAX_DEGREE,
     HARD_MAX_STRANDS,
@@ -175,7 +176,7 @@ def run(args: argparse.Namespace) -> RunReport:
         strands=word.strands,
         degree=word.degree,
         writhe=exponent_sum(word),
-        components=underlying_permutation(word).cycle_count(),
+        components=component_count(word),
         markov=markov,
         skein=skein,
         elapsed_seconds=elapsed,
@@ -200,8 +201,20 @@ def _verify_moves(word: SingularBraidWord, reference, args: argparse.Namespace) 
     steps = random_move_sequence(
         word, args.moves, seed=args.seed, max_strands=strand_cap
     )
+    # skein_class reads the word's strands, degree and exponent sum, and
+    # trace_components, which folds _compact(_reduced(letters)); the
+    # reduction keeps the degree and the exponent sum.  So words with equal
+    # (strands, reduction) run the same computation on the same input, and
+    # each key's verdict is computed once.  The key is not made
+    # rotation-canonical: a rotation folds other letters, and its class is
+    # equal only by the theory this run checks.
+    verdicts = {(word.strands, _reduced(word.letters)): True}
     for step_number, (move, step_word) in enumerate(steps, start=1):
-        if skein_class(step_word) == reference:
+        key = (step_word.strands, _reduced(step_word.letters))
+        verdict = verdicts.get(key)
+        if verdict is None:
+            verdict = verdicts[key] = skein_class(step_word) == reference
+        if verdict:
             passed += 1
         else:
             failures.append(f"step {step_number}: {move!r} changed the class")

@@ -15,6 +15,7 @@ from singskein.braid import (
     BraidSyntaxError,
     StrandIndexError,
     TAU,
+    component_count,
     exponent_sum,
     inverse_word,
     parse,
@@ -97,6 +98,21 @@ def test_underlying_permutation():
     assert underlying_permutation(word("s1", 2)) == Permutation((2, 1))
     assert underlying_permutation(word("t1 s1", 2)) == Permutation((1, 2))
     assert underlying_permutation(word("", 2)) == Permutation((1, 2))
+
+
+@st.composite
+def mixed_words(draw):
+    """1-8 strands, at most 12 letters of every kind."""
+    n = draw(st.integers(1, 8))
+    kind, index = st.sampled_from((SIGMA, SIGMA_INV, TAU)), st.integers(1, max(n - 1, 1))
+    letters = draw(st.lists(st.builds(Generator, kind, index), max_size=12 if n > 1 else 0))
+    return SingularBraidWord(n, tuple(letters))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(mixed_words())
+def test_component_count_is_the_cycle_count(w):
+    assert component_count(w) == underlying_permutation(w).cycle_count()
 
 
 def test_underlying_permutation_of_stack_is_block_sum():

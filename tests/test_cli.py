@@ -8,12 +8,15 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import singskein
 from singskein import cli
-from singskein.braid import parse
+from singskein.braid import SIGMA, SIGMA_INV, TAU, Generator, SingularBraidWord, _reduced, parse
 from singskein.coeff import QZ, RationalFunction
 from singskein.cli import main
+from singskein.moves import random_move_sequence
 
 
 def invoke(capsys, *argv):
@@ -124,6 +127,96 @@ def test_verify_failure_exits_3(capsys, monkeypatch):
     )
     assert code == 3
     assert json.loads(out)["verify"]["failed"] > 0
+
+
+def recomputed_verify(word: SingularBraidWord, moves: int, seed: int) -> dict:
+    """The ``verify`` dict of a run that classes every move's word anew."""
+    reference = cli.skein_class(word)
+    failures = [
+        f"step {k}: {move!r} changed the class"
+        for k, (move, step_word) in enumerate(
+            random_move_sequence(word, moves, seed=seed, max_strands=cli.HARD_MAX_STRANDS), 1
+        )
+        if cli.skein_class(step_word) != reference
+    ]
+    return {
+        "moves": moves,
+        "seed": seed,
+        "passed": moves - len(failures),
+        "failed": len(failures),
+        "failures": failures,
+    }
+
+
+@st.composite
+def small_words(draw):
+    """At most 6 strands, at most 8 crossings and 3 double points."""
+    n = draw(st.integers(1, 6))
+    if n == 1:
+        return SingularBraidWord(1, ())
+    index = st.integers(1, n - 1)
+    letters = draw(st.lists(st.builds(Generator, st.sampled_from((SIGMA, SIGMA_INV)), index), max_size=8))
+    for _ in range(draw(st.integers(0, 3))):
+        letters.insert(draw(st.integers(0, len(letters))), Generator(TAU, draw(index)))
+    return SingularBraidWord(n, tuple(letters))
+
+
+TRUE_CLASS = cli.skein_class
+
+
+def reduction_skewed(word, *args, **kwargs):
+    """The class, doubled for about half of the (strands, cyclic reduction)
+    pairs, picked by a digest of the pair: wrong, but a function of the
+    pair, so a run that classes each pair once must still report exactly
+    the recomputed failures."""
+    cls = TRUE_CLASS(word, *args, **kwargs)
+    key = repr((word.strands, _reduced(word.letters))).encode()
+    return cls.add(cls) if hashlib.sha256(key).digest()[0] % 2 else cls
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(small_words(), st.integers(0, 2**16), st.integers(0, 12))
+def test_verify_matches_recomputing_every_class(word, seed, moves):
+    argv = ["--word", word.display(), "--strands", str(word.strands), "--verify"]
+    args = cli.build_parser().parse_args(argv + ["--moves", str(moves), "--seed", str(seed)])
+    for skein_class in (TRUE_CLASS, reduction_skewed):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "skein_class", skein_class)
+            verify = cli._verify_moves(word, cli.skein_class(word), args)
+            assert verify == recomputed_verify(word, moves, seed)
+
+
+def test_verify_classes_each_new_reduction_once(monkeypatch):
+    # a scripted move sequence, classed by the real skein_class: the given
+    # letters on one more strand change the class (the key holds the strand
+    # count), a class-changing word fails at both its steps, and the given
+    # word with an inserted inverse pair reduces to the given word and passes
+    start = parse("t1 s1", 2)
+    wider = SingularBraidWord(3, start.letters)
+    other = parse("s1", 2)
+    inserted = parse("t1 s1 S1 s1", 2)
+    script = [("widen", wider), ("swap", other), ("insert", inserted), ("swap", other)]
+    monkeypatch.setattr(cli, "random_move_sequence", lambda *args, **kwargs: list(script))
+    classed = []
+
+    def counted(word, *args, **kwargs):
+        classed.append(word)
+        return TRUE_CLASS(word, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "skein_class", counted)
+    args = cli.build_parser().parse_args(["--word", "t1 s1", "--verify", "--moves", "4"])
+    assert cli._verify_moves(start, TRUE_CLASS(start), args) == {
+        "moves": 4,
+        "seed": 0,
+        "passed": 1,
+        "failed": 3,
+        "failures": [
+            "step 1: 'widen' changed the class",
+            "step 2: 'swap' changed the class",
+            "step 4: 'swap' changed the class",
+        ],
+    }
+    assert classed == [wider, other]
 
 
 def test_verify_and_skein_check_build_no_qz_fractions(capsys, monkeypatch):
@@ -247,8 +340,10 @@ def test_strands_inferred(capsys):
 
 
 def test_cli_import_leaves_the_linalg_oracle_out():
-    # the CLI path loads no dataclass machinery, no fractions and no oracle
-    # code (linalg and singskein.oracle serve the tests): checked in a fresh
+    # the CLI path loads no dataclass machinery, no fractions, no oracle
+    # code (linalg and singskein.oracle serve the tests) and no
+    # singskein.permutations (braid counts components on its strand
+    # table): checked in a fresh
     # interpreter after the import and after a plain, a --skein-check and a
     # --verify run.  The move machinery (singskein.moves) waits for --verify:
     # neither the import nor the plain and --skein-check runs load it
@@ -256,7 +351,10 @@ def test_cli_import_leaves_the_linalg_oracle_out():
     env = dict(os.environ, PYTHONPATH=src)
     probe = """if True:
         import contextlib, io, sys
-        banned = {"dataclasses", "inspect", "fractions", "decimal", "singskein.linalg", "singskein.oracle"}
+        banned = {
+            "dataclasses", "inspect", "fractions", "decimal",
+            "singskein.linalg", "singskein.oracle", "singskein.permutations",
+        }
         moves = banned | {"singskein.moves"}
         import singskein.cli
         print(sorted(moves & set(sys.modules)))
