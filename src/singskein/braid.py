@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import re
 from collections import deque
+from operator import attrgetter
 
 __all__ = [
     "SIGMA",
@@ -82,6 +83,18 @@ class Record:
 
     __slots__ = ()
 
+    def __init_subclass__(cls, **kwargs):
+        # _fields(record), the tuple of its fields, is one C call for two or
+        # more fields, as records key the CLI's memos; attrgetter returns a
+        # bare value for one name, so that case is wrapped
+        super().__init_subclass__(**kwargs)
+        names = cls.__slots__
+        if len(names) == 1:
+            get = attrgetter(names[0])
+            cls._fields = staticmethod(lambda record: (get(record),))
+        else:
+            cls._fields = staticmethod(attrgetter(*names) if names else lambda record: ())
+
     def _set(self, *values) -> None:
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
@@ -91,16 +104,13 @@ class Record:
 
     __delattr__ = __setattr__
 
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
             return NotImplemented
-        return self._fields() == other._fields()
+        return self._fields(self) == other._fields(other)
 
     def __hash__(self) -> int:
-        return hash(self._fields())
+        return hash(self._fields(self))
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)

@@ -8,8 +8,11 @@ exhausted (a word inside the caps can still run out of memory).
 
 stdout is byte-identical for identical (input, flags, seed); wall-clock
 timing goes to stderr.  ``--moves`` is at most ``HARD_MAX_MOVES`` (10,000),
-as every move's word is held until the classes are checked; a run classes
-each distinct (strand count, cyclic reduction) of those words once.
+as every move's word is held until the classes are checked.  A run folds
+each distinct (strand count, cyclic reduction) of those words once, the
+given word's included, and builds a full class only for the first word of
+each new (strand count, writhe) shape; every other word is decided on its
+trace components.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import json
 import sys
 import time
 
+from . import markov
 from .braid import Record, SingularBraidWord, _reduced, component_count, exponent_sum, parse
 from .markov import (
     HARD_MAX_DEGREE,
@@ -28,7 +32,7 @@ from .markov import (
     check_caps,
     markov_class,
 )
-from .skein import SkeinClass, skein_class, skein_triple_check
+from .skein import SkeinClass, _class_from_components, skein_class, skein_triple_check
 
 __all__ = ["main", "run", "RunReport"]
 
@@ -155,13 +159,13 @@ def run(args: argparse.Namespace) -> RunReport:
     if args.skein_check is not None and not 0 < args.skein_check < word.strands:
         raise ValueError(f"crossing index {args.skein_check} out of range for {word.strands} strands")
     start = time.perf_counter()
-    markov = markov_class(word)
-    skein = skein_class(word, coords=markov)
+    coords = markov_class(word)
+    skein = skein_class(word, coords=coords)
     verify: dict | None = None
     if args.verify or args.skein_check is not None:
         verify = {}
         if args.verify:
-            verify.update(_verify_moves(word, skein, args))
+            verify.update(_verify_moves(coords, skein, args))
         if args.skein_check is not None:
             result = skein_triple_check(word, args.skein_check)
             verify["skein_check"] = {
@@ -177,7 +181,7 @@ def run(args: argparse.Namespace) -> RunReport:
         degree=word.degree,
         writhe=exponent_sum(word),
         components=component_count(word),
-        markov=markov,
+        markov=coords,
         skein=skein,
         elapsed_seconds=elapsed,
         verify=verify,
@@ -192,16 +196,19 @@ def random_move_sequence(*args, **kwargs):
     return random_move_sequence(*args, **kwargs)
 
 
-def _verify_moves(word: SingularBraidWord, reference, args: argparse.Namespace) -> dict:
+def _verify_moves(coords: MarkovClass, reference: SkeinClass, args: argparse.Namespace) -> dict:
+    """Check ``args.moves`` random moves of the word of ``coords``, its
+    ``markov_class``, against ``reference``, its ``skein_class``."""
     # The move words need no cap check of their own: every move keeps the
     # degree, and random_move_sequence keeps the strand count within the cap.
+    word = coords.word
     strand_cap = args.max_strands if args.max_strands else HARD_MAX_STRANDS
     passed = 0
     failures: list[str] = []
     steps = random_move_sequence(
         word, args.moves, seed=args.seed, max_strands=strand_cap
     )
-    # skein_class reads the word's strands, degree and exponent sum, and
+    # A class reads the word's strands, degree and exponent sum, and
     # trace_components, which folds _compact(_reduced(letters)); the
     # reduction keeps the degree and the exponent sum.  So words with equal
     # (strands, reduction) run the same computation on the same input, and
@@ -209,11 +216,34 @@ def _verify_moves(word: SingularBraidWord, reference, args: argparse.Namespace) 
     # rotation-canonical: a rotation folds other letters, and its class is
     # equal only by the theory this run checks.
     verdicts = {(word.strands, _reduced(word.letters)): True}
+    # A new key is folded once and decided on its components where it can
+    # be.  Moves keep the degree d, and for fixed (n, e, d) the class is
+    # components -> numerators -> factored coordinates -> embed(c z^m) u^k,
+    # each step injective: the change of variables T0 = wA - zB,
+    # T1 = B - zA is invertible, as D = -(z - q)(z + 1) != 0; lowest terms
+    # are canonical; the embedding is a field embedding, and z^m and u^k
+    # are nonzero.  So within a shape (n, e), equal components (Laurent
+    # dicts without zero entries) <=> equal classes, and good maps a shape
+    # to the components of a word of it whose class is the reference.  The
+    # first word of each new shape, and the next word of a shape whose known
+    # word failed, takes the full class: that keeps the normalisation by n
+    # and e under check, which no scaling of components derived here would.
+    good = {(word.strands, exponent_sum(word)): coords.components}
     for step_number, (move, step_word) in enumerate(steps, start=1):
         key = (step_word.strands, _reduced(step_word.letters))
         verdict = verdicts.get(key)
         if verdict is None:
-            verdict = verdicts[key] = skein_class(step_word) == reference
+            # through the module, the seam where the fold is wrapped or replaced
+            comps = markov.trace_components(step_word)
+            shape = (step_word.strands, exponent_sum(step_word))
+            known = good.get(shape)
+            if known is not None:
+                verdict = comps == known
+            else:
+                verdict = _class_from_components(comps, step_word) == reference
+                if verdict:
+                    good[shape] = comps
+            verdicts[key] = verdict
         if verdict:
             passed += 1
         else:

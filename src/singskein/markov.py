@@ -83,11 +83,18 @@ the pairing matrix on the basis words (``basis_word``, ``pairing_matrix``),
 ``TraceVector`` and ``basis_word`` still resolve here, as the acceptance
 tests and the benchmark import them from here.
 
-``coordinate_numerators``, and so every class and skein check, refuses a
+For a fixed degree and strand count, a word's coordinates are a function
+of its trace components alone, and ``_factored_from`` is the one way from
+components to factored coordinates: ``factored_coordinates``,
+``markov_class`` (whose class keeps the components it was built from) and
+the skein classes all go through it, and it folds nothing.
+
+``_components``, the fold behind every class and skein check, refuses a
 word above the hard caps (degree <= 8, strands <= 12).  The CLI checks the
 given word once against its lowered caps (``--max-degree``,
 ``--max-strands``) with ``check_caps``, right after parsing and before any
-fold.
+fold; ``--verify`` folds its move words, which keep the degree and the
+strand cap, with ``trace_components`` itself.
 """
 
 from __future__ import annotations
@@ -272,25 +279,28 @@ class ClassPolynomial:
 class MarkovClass(ClassPolynomial):
     """Class of a braid in the commutative stacking algebra over (q, z).
 
-    A class computed by ``markov_class`` keeps the word it was solved for and
-    its factored coordinates in ``word`` and ``factored`` (None for any other
-    class), so that ``skein_class`` can reuse them without solving again.
+    A class computed by ``markov_class`` keeps the word it was solved for,
+    its factored coordinates and its trace components in ``word``,
+    ``factored`` and ``components`` (None for any other class), so that
+    ``skein_class`` and ``--verify`` can reuse them without folding again.
     """
 
     variable_names = ("X", "Y")
     field_variables = QZ
 
-    __slots__ = ("factored", "word")
+    __slots__ = ("factored", "word", "components")
 
     def __init__(
         self,
         coeffs: Mapping[tuple[int, int], RationalFunction],
         factored: "Mapping[tuple[int, int], FactoredCoordinate] | None" = None,
         word: SingularBraidWord | None = None,
+        components: list | None = None,
     ):
         super().__init__(coeffs)
         object.__setattr__(self, "factored", factored)
         object.__setattr__(self, "word", word)
+        object.__setattr__(self, "components", components)
 
 
 class FactoredCoordinate(NamedTuple):
@@ -355,11 +365,16 @@ def _joint_numerators(words: tuple) -> list[PackedNumerators]:
     degree and strand count, all at one layout; more than one word's layout
     also covers the sums num_i - q num_j and (q - 1) num_i (the skein
     check's).  ``CapExceededError`` if a word is above the hard caps."""
-    for word in words:
-        check_caps(word)
-    comp_sets = [trace_components(word) for word in words]
+    comp_sets = [_components(word) for word in words]
     layout = _layout(comp_sets, words[0])
     return [_numerators(comps, layout) for comps in comp_sets]
+
+
+def _components(word: SingularBraidWord) -> list:
+    """The word's trace components; ``CapExceededError`` if the word is
+    above the hard caps."""
+    check_caps(word)
+    return trace_components(word)
 
 
 def _layout(comp_sets: list, word: SingularBraidWord) -> tuple[int, int, int, int]:
@@ -405,7 +420,14 @@ def _numerators(comps: list, layout: tuple[int, int, int, int]) -> PackedNumerat
 
 def factored_coordinates(word: SingularBraidWord) -> dict[tuple[int, int], FactoredCoordinate]:
     """The word's nonzero coordinates in factored form."""
-    return _factored(coordinate_numerators(word), word.degree)
+    return _factored_from(_components(word), word)
+
+
+def _factored_from(comps: list, word: SingularBraidWord) -> dict[tuple[int, int], FactoredCoordinate]:
+    """The nonzero coordinates in factored form of a word with the degree and
+    strand count of ``word`` whose trace components are ``comps``: the one
+    way from components to a class, which folds nothing."""
+    return _factored(_numerators(comps, _layout([comps], word)), word.degree)
 
 
 def _factored(numerators: PackedNumerators, d: int) -> dict[tuple[int, int], FactoredCoordinate]:
@@ -420,9 +442,10 @@ def _factored(numerators: PackedNumerators, d: int) -> dict[tuple[int, int], Fac
 
 def markov_class(word: SingularBraidWord) -> MarkovClass:
     """Coordinates of the word's class over Q(q, z), from its factored
-    coordinates, which the class keeps."""
-    factored = factored_coordinates(word)
-    return MarkovClass({ab: c.in_qz() for ab, c in factored.items()}, factored, word)
+    coordinates; the class keeps them and the trace components."""
+    comps = _components(word)
+    factored = _factored_from(comps, word)
+    return MarkovClass({ab: c.in_qz() for ab, c in factored.items()}, factored, word, comps)
 
 
 def _over_det_power(rows: list[int], q0: int, width: int, d: int) -> FactoredCoordinate:

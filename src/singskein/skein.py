@@ -27,12 +27,14 @@ with j = 0 for classes and j = -1 for the check:
 
 Only three kinds of factor can cancel: the common power of s, which s^j
 shifts; x - 1, at most max(-m, 0) times, by synthetic division; and the
-common power of u, when k < 0.  Rtilde mod (1 - x y) is R_L(x) (x - 1)^L,
-which is not zero, so no factor 1 - x y cancels, and R's own lowest terms
-keep x^2 y - 1 and 1 - y from cancelling.  The denominator is a product of
-primitive polynomials, so no integer content cancels either, and its
-graded-lex leading coefficient has the sign (-1)^(beta + l) when 1 - x y is
-left in it l times.
+common power of u, when k < 0.  No factor 1 - x y is left in the
+denominator: L is at most n - 1 - d + alpha + beta, the numerators'
+z-degree n - 1 + d (``markov``) less one for each of the 2d - alpha - beta
+divisions by z - q and z + 1, so the power alpha + beta - L - m of 1 - x y
+is never negative (the skein check's sums do not raise the z-degree).  R's
+own lowest terms keep x^2 y - 1 and 1 - y from cancelling.  The denominator
+is a product of primitive polynomials, so no integer content cancels
+either, and its graded-lex leading coefficient has the sign (-1)^beta.
 
 The numerator is formed on one int (``singskein.packed``): x -> 2^W,
 the width R is packed at, so R's rows over z are the R_b(x) as they stand,
@@ -69,7 +71,7 @@ from math import prod
 from .braid import Generator, Record, SIGMA, SIGMA_INV, SingularBraidWord, exponent_sum
 from .coeff import SU, MultivariatePolynomial, RationalFunction
 from .markov import ClassPolynomial, FactoredCoordinate, MarkovClass
-from .markov import _factored, _joint_numerators, factored_coordinates
+from .markov import _factored, _factored_from, _joint_numerators, factored_coordinates
 from .packed import _digits, _divide_x_minus_one, _embed_packed, _low_digit, _width
 
 __all__ = [
@@ -141,6 +143,12 @@ def skein_class(word: SingularBraidWord, coords: MarkovClass | None = None) -> S
     return _rendered(factored, word.strands, exponent_sum(word))
 
 
+def _class_from_components(comps: list, word: SingularBraidWord) -> SkeinClass:
+    """``skein_class`` of a word whose trace components are ``comps``, built
+    from them with no fold and no cap check."""
+    return _rendered(_factored_from(comps, word), word.strands, exponent_sum(word))
+
+
 def _rendered(factored: dict, n: int, writhe: int, j: int = 0) -> SkeinClass:
     """The coefficients embed(c z^m) u^k s^j of a word's factored coordinates."""
     return SkeinClass(
@@ -151,22 +159,22 @@ def _rendered(factored: dict, n: int, writhe: int, j: int = 0) -> SkeinClass:
     )
 
 
-# x^2 y - 1, y - 1, x - 1 and x y - 1 by the (x, y)-exponents of their monomials:
-# each has graded-lex leading coefficient 1, so every product of their powers does
-_DENOMINATOR_FACTORS = ((2, 1), (0, 1), (1, 0), (1, 1))
+# x^2 y - 1, y - 1 and x - 1 by the (x, y)-exponents of their monomials: each
+# has graded-lex leading coefficient 1, so every product of their powers does
+_DENOMINATOR_FACTORS = ((2, 1), (0, 1), (1, 0))
 
 
 @lru_cache(maxsize=1024)
-def _denominator(powers: tuple[int, int, int, int]) -> tuple:
-    """Terms over (s, u) of (x^2 y - 1)^alpha (y - 1)^beta (x - 1)^r (x y - 1)^l
-    for powers (alpha, beta, r, l), x = s^2, y = u^2.  The caps give
-    alpha, beta <= d <= 8, r <= n - 1 <= 11 and l <= 2d <= 16; the key leaves
-    out the powers of s and u, which vary with q-shifts and writhes.  The
-    product is one packed int, x -> 2^W, y -> 2^S: every factor has L1 2, so
-    W is ``_width(2^(alpha + beta + r + l))``, and S is W times the x-slots,
-    the x-degree 2 alpha + r + l plus one."""
+def _denominator(powers: tuple[int, int, int]) -> tuple:
+    """Terms over (s, u) of (x^2 y - 1)^alpha (y - 1)^beta (x - 1)^r for
+    powers (alpha, beta, r), x = s^2, y = u^2.  The caps give
+    alpha, beta <= d <= 8 and r <= n - 1 <= 11; the key leaves out the powers
+    of s and u, which vary with q-shifts and writhes.  The product is one
+    packed int, x -> 2^W, y -> 2^S: every factor has L1 2, so W is
+    ``_width(2^(alpha + beta + r))``, and S is W times the x-slots, the
+    x-degree 2 alpha + r plus one."""
     width = _width(1 << sum(powers))
-    stride = width * (2 * powers[0] + powers[2] + powers[3] + 1)
+    stride = width * (2 * powers[0] + powers[2] + 1)
     value = prod(
         ((1 << (width * i + stride * h)) - 1) ** power
         for (i, h), power in zip(_DENOMINATOR_FACTORS, powers)
@@ -180,14 +188,14 @@ def _closure_coefficient(c: FactoredCoordinate, m: int, k: int, j: int = 0) -> R
     """embed(c * z^m) * u^k * s^j in canonical form (see the module docstring)."""
     width = c.width
     r = max(-m, 0)  # z^m for m < 0 puts (x - 1)^r in the denominator
-    den_level = c.alpha + c.beta + r  # z-degree of the denominator
+    level = c.alpha + c.beta + r  # z-degree of the denominator
     rows = (0,) * m + c.rows
-    level = max(len(rows) - 1, den_level)
+    if len(rows) - 1 > level:  # _embed_packed would drop the rows above level
+        raise RuntimeError(f"numerator z-degree {len(rows) - 1} above the denominator's {level}")
     value, stride = _embed_packed(rows, level, width)
     ys, num = zip(*_digits(value, stride))  # the nonzero rows over y
     num, stripped = _divide_x_minus_one(num, width, r)
-    left = level - den_level  # factors 1 - x y left in the denominator
-    sign = c.sign * (-1) ** (c.beta + left)
+    sign = c.sign * (-1) ** c.beta
     # common power of s: x^(p + beta) and s^j against the numerator's lowest x
     s_den = 2 * (c.p + c.beta) + max(-j, 0)
     s_cut = min(2 * _low_digit(num, width) + max(j, 0), s_den)
@@ -202,7 +210,7 @@ def _closure_coefficient(c: FactoredCoordinate, m: int, k: int, j: int = 0) -> R
     }
     den_terms = {
         (e0 + s_den - s_cut, e1 + u_den): v
-        for (e0, e1), v in _denominator((c.alpha, c.beta, r - stripped, left))
+        for (e0, e1), v in _denominator((c.alpha, c.beta, r - stripped))
     }
     return RationalFunction._raw(
         MultivariatePolynomial._raw(SU, num_terms), MultivariatePolynomial._raw(SU, den_terms)

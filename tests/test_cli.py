@@ -12,11 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import singskein
-from singskein import cli
+from singskein import cli, markov
 from singskein.braid import SIGMA, SIGMA_INV, TAU, Generator, SingularBraidWord, _reduced, parse
 from singskein.coeff import QZ, RationalFunction
 from singskein.cli import main
 from singskein.moves import random_move_sequence
+
+TRUE_FOLD = markov.trace_components
+TRUE_CLASS_FROM_COMPONENTS = cli._class_from_components
 
 
 def invoke(capsys, *argv):
@@ -104,15 +107,23 @@ def test_timing_goes_to_stderr_only(capsys):
     assert "elapsed" in err
 
 
+def doubled(comps: list) -> list:
+    """Trace components whose class is twice theirs: the class is linear in
+    them."""
+    return [{expo: 2 * v for expo, v in comp.items()} for comp in comps]
+
+
 def test_verify_failure_exits_3(capsys, monkeypatch):
+    # every folded word but the given one gets doubled components, so a
+    # class that the run builds, or that a comparison of components stands
+    # for, is wrong for each of them
     start = parse("t1 s1", 2)
-    true_class = cli.skein_class
 
-    def skewed_class(word, *args, **kwargs):
-        cls = true_class(word, *args, **kwargs)
-        return cls if word == start else cls.add(cls)
+    def skewed_fold(word):
+        comps = TRUE_FOLD(word)
+        return comps if word == start else doubled(comps)
 
-    monkeypatch.setattr(cli, "skein_class", skewed_class)
+    monkeypatch.setattr(markov, "trace_components", skewed_fold)
     code, out, _ = invoke(
         capsys,
         "--word",
@@ -161,17 +172,15 @@ def small_words(draw):
     return SingularBraidWord(n, tuple(letters))
 
 
-TRUE_CLASS = cli.skein_class
-
-
-def reduction_skewed(word, *args, **kwargs):
-    """The class, doubled for about half of the (strands, cyclic reduction)
-    pairs, picked by a digest of the pair: wrong, but a function of the
-    pair, so a run that classes each pair once must still report exactly
-    the recomputed failures."""
-    cls = TRUE_CLASS(word, *args, **kwargs)
+def reduction_skewed(word):
+    """The trace components, doubled for about half of the (strands, cyclic
+    reduction) pairs, picked by a digest of the pair: wrong, but a function
+    of the pair, so a run that folds each pair once and decides a word on
+    its components must still report exactly the failures of classing
+    every word anew from the same skewed components."""
+    comps = TRUE_FOLD(word)
     key = repr((word.strands, _reduced(word.letters))).encode()
-    return cls.add(cls) if hashlib.sha256(key).digest()[0] % 2 else cls
+    return doubled(comps) if hashlib.sha256(key).digest()[0] % 2 else comps
 
 
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
@@ -179,44 +188,67 @@ def reduction_skewed(word, *args, **kwargs):
 def test_verify_matches_recomputing_every_class(word, seed, moves):
     argv = ["--word", word.display(), "--strands", str(word.strands), "--verify"]
     args = cli.build_parser().parse_args(argv + ["--moves", str(moves), "--seed", str(seed)])
-    for skein_class in (TRUE_CLASS, reduction_skewed):
+    for fold in (TRUE_FOLD, reduction_skewed):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(cli, "skein_class", skein_class)
-            verify = cli._verify_moves(word, cli.skein_class(word), args)
+            patch.setattr(markov, "trace_components", fold)
+            coords = markov.markov_class(word)
+            verify = cli._verify_moves(coords, cli.skein_class(word, coords), args)
             assert verify == recomputed_verify(word, moves, seed)
 
 
 def test_verify_classes_each_new_reduction_once(monkeypatch):
-    # a scripted move sequence, classed by the real skein_class: the given
-    # letters on one more strand change the class (the key holds the strand
-    # count), a class-changing word fails at both its steps, and the given
-    # word with an inserted inverse pair reduces to the given word and passes
-    start = parse("t1 s1", 2)
-    wider = SingularBraidWord(3, start.letters)
-    other = parse("s1", 2)
-    inserted = parse("t1 s1 S1 s1", 2)
-    script = [("widen", wider), ("swap", other), ("insert", inserted), ("swap", other)]
+    # a scripted move sequence through cli.run: each new (strands, cyclic
+    # reduction) is folded once, the given word's by markov_class, and a
+    # full class is built only for the first word of a new (strands,
+    # writhe) shape, or for the next one of a shape whose first word failed
+    start = parse("t1 s1 s2", 3)
+    split = parse("t1 s1 s1", 3)  # the given shape, other components: fails
+    stabilised = parse("t1 s1 s2 s3", 4)  # a new shape: full class, passes
+    widened = parse("t1 s1 s2", 4)  # a new shape: full class, fails
+    widened_rotated = parse("s2 t1 s1", 4)  # no good word of the shape: full class
+    script = [
+        ("insert", parse("t1 s1 S1 s1 s2", 3)),  # reduces to the given word
+        ("split", split),
+        ("rotate", parse("s2 t1 s1", 3)),  # the given shape and components: passes
+        ("stabilise", stabilised),
+        ("rotate stabilised", parse("s3 t1 s1 s2", 4)),  # decided on components
+        ("widen", widened),
+        ("rotate widened", widened_rotated),
+        ("split", split),  # seen: neither folded nor classed
+    ]
     monkeypatch.setattr(cli, "random_move_sequence", lambda *args, **kwargs: list(script))
-    classed = []
+    folded, classed = [], []
 
-    def counted(word, *args, **kwargs):
+    def counted_fold(word):
+        folded.append(word)
+        return TRUE_FOLD(word)
+
+    def counted_class(comps, word):
         classed.append(word)
-        return TRUE_CLASS(word, *args, **kwargs)
+        return TRUE_CLASS_FROM_COMPONENTS(comps, word)
 
-    monkeypatch.setattr(cli, "skein_class", counted)
-    args = cli.build_parser().parse_args(["--word", "t1 s1", "--verify", "--moves", "4"])
-    assert cli._verify_moves(start, TRUE_CLASS(start), args) == {
-        "moves": 4,
+    monkeypatch.setattr(markov, "trace_components", counted_fold)
+    monkeypatch.setattr(cli, "_class_from_components", counted_class)
+    args = cli.build_parser().parse_args(["--word", "t1 s1 s2", "--verify", "--moves", "8"])
+    assert cli.run(args).verify == {
+        "moves": 8,
         "seed": 0,
-        "passed": 1,
-        "failed": 3,
+        "passed": 4,
+        "failed": 4,
         "failures": [
-            "step 1: 'widen' changed the class",
-            "step 2: 'swap' changed the class",
-            "step 4: 'swap' changed the class",
+            "step 2: 'split' changed the class",
+            "step 6: 'widen' changed the class",
+            "step 7: 'rotate widened' changed the class",
+            "step 8: 'split' changed the class",
         ],
     }
-    assert classed == [wider, other]
+    assert folded == [start] + [word for _, word in script[1:7]]
+    assert classed == [stabilised, widened, widened_rotated]
+    # the verdicts are those of classing every word anew
+    reference = cli.skein_class(start)
+    assert [cli.skein_class(word) == reference for _, word in script] == [
+        True, False, True, True, True, False, False, False
+    ]
 
 
 def test_verify_and_skein_check_build_no_qz_fractions(capsys, monkeypatch):
