@@ -26,6 +26,17 @@ most 31 strands.  Its one memo, the coset split of a permutation, is keyed
 by the packed value, so ``clear_caches`` may empty it at any time and
 ``cache_info`` reports its entries, hits and misses.
 
+A step (``_step``) walks the state in s_i-orbits {u, u s_i}, u with an
+ascent at i, and writes each orbit's new coefficients in closed form from
+its two old ones: with T_i, ``T_u -> T_us`` and
+``T_us -> (q - 1) T_us + q T_u``; with q T_i^{-1}, ``T_u -> T_us + (1 - q)
+T_u`` and ``T_us -> q T_u``.  So each new coefficient is stored once, and
+the zero rule holds: no state stores a 0.  A single term is never 0, only a
+sum can be, and every sum that vanishes is dropped where it is formed, in
+the step and in the peel's merges alike.  The coset split (``_coset``)
+relabels every field at once by a carry lemma: for a field value v <= 31,
+v + 31 - j carries out of its 5 bits iff v > j.
+
 ``trace_components`` folds a word once for all 2^d desingularisations: a
 double point is the identity plus the crossing rule one digit up: the
 deleted copy is the state itself, and in the copy resolved to a crossing the
@@ -140,6 +151,9 @@ _RESOLVE = {TAU: SIGMA, _TAU_NEG: SIGMA_INV}  # the crossing a double point reso
 
 # _IDS[m] packs the identity on m points without the XOR: field k - 1 holds k
 _IDS = [sum(k << (_FIELD * (k - 1)) for k in range(1, m + 1)) for m in range(_MASK + 1)]
+# bit 0 of every even field (0, 2, ..., 30), and all 5 bits of each
+_EVEN_LOW = sum(1 << (2 * _FIELD * k) for k in range((_MASK + 1) // 2))
+_EVEN = _EVEN_LOW * _MASK
 
 
 @lru_cache(maxsize=None)
@@ -149,16 +163,22 @@ def _coset(w: int) -> tuple[int, int]:
 
     ``w ^ _IDS[m]`` holds the images w(k) in its fields, j = w(m) on top.
     c = L_j^{-1} w, L_j = s_j ... s_{m-1}, takes m to m (a zero field) and
-    each image v of the m - 1 fields below to v - 1 if v > j, else v."""
+    each image v of the m - 1 fields below to v - 1 if v > j, else v.  All
+    fields are split at once by the carry lemma: for 1 <= j, v <= 31,
+    v + (31 - j) carries out of its 5 bits iff v > j, and is at most 61.
+    So the even fields, with the odd ones zeroed, take 31 - j each, and
+    every carry lands in bit 0 of the zeroed field above; then the odd
+    fields, moved down one field, the same way.  The carries, moved back
+    to bit 0 of their own fields, are the ones subtracted."""
     m = (w.bit_length() + _FIELD - 1) // _FIELD
     top = _FIELD * (m - 1)
     images = w ^ _IDS[m]
     j = images >> top
-    c = 0
-    for shift in range(0, top, _FIELD):
-        v = (images >> shift) & _MASK
-        c |= (v - 1 if v > j else v) << shift
-    return j, c ^ _IDS[m - 1]
+    below = images ^ (j << top)
+    spread = (_MASK - j) * _EVEN_LOW
+    even = ((below & _EVEN) + spread) >> _FIELD & _EVEN_LOW
+    odd = (((below >> _FIELD) & _EVEN) + spread) >> _FIELD & _EVEN_LOW
+    return j, (below - even - (odd << _FIELD)) ^ _IDS[m - 1]
 
 
 def cache_info() -> dict[str, int]:
@@ -172,52 +192,85 @@ def clear_caches() -> None:
     _coset.cache_clear()
 
 
+def _merge(dst: dict[int, int], src: dict[int, int]) -> None:
+    """Add the terms of ``src`` into ``dst``, dropping each sum that is 0."""
+    get = dst.get
+    for w, p in src.items():
+        old = get(w)
+        if old is not None:
+            p += old
+            if not p:
+                del dst[w]
+                continue
+        dst[w] = p
+
+
 def _step(state: dict[int, int], i: int, kind: int, q_shift: int, bits: int) -> dict[int, int]:
     """Right-multiply a packed state by ``T_i`` (SIGMA), ``q T_i^{-1}``
-    (SIGMA_INV) or a double point (TAU, _TAU_NEG).
+    (SIGMA_INV) or a double point (TAU, _TAU_NEG).  No coefficient of the
+    state or of the result is 0.
 
     With a = w(i) and b = w(i+1), w s_i swaps the two fields, that is XORs
-    a ^ b into both, and the length goes up iff a < b.  A double point is
-    the identity plus the crossing rule one digit up: the deleted copy is
-    the state itself, and its resolution to ``T_i`` (TAU) or to
-    ``q T_i^{-1}`` (_TAU_NEG) is that crossing's rule applied to the
-    coefficients shifted one resolution digit (``<< bits``)."""
+    a ^ b into both, and u = w has an ascent at i iff a < b.  The state is
+    walked in s_i-orbits {u, us}, and each orbit's new coefficients have a
+    closed form in its old ones, p_u and p_us:
+
+    * ``T_i``: ``T_u T_i = T_us`` and ``T_us T_i = (q - 1) T_us + q T_u``,
+      so us gets p_u + (q - 1) p_us and u gets q p_us;
+    * ``q T_i^{-1} = T_i + (1 - q)``: ``T_u -> T_us + (1 - q) T_u`` and
+      ``T_us -> q T_u``, so us gets p_u and u gets (1 - q) p_u + q p_us.
+
+    An orbit is done where its ascent u is met, after one ``get`` of us; a
+    descent is skipped when u is in the state, and otherwise taken with
+    p_u = 0.  So each new coefficient is stored once.  A single term is not
+    0, as q = 2^q_shift is not 1; only the two-term sum can vanish, and it is
+    dropped where it is formed.  A double point is the identity plus the
+    crossing rule one digit up: the deleted copy is the state itself, and
+    its resolution to ``T_i`` (TAU) or to ``q T_i^{-1}`` (_TAU_NEG) is that
+    crossing's rule applied to the coefficients shifted one resolution
+    digit (``<< bits``)."""
     if kind in _RESOLVE:
         new = _step({w: p << bits for w, p in state.items()}, i, _RESOLVE[kind], q_shift, bits)
-        for w, p in state.items():  # no p is 0: a zero sum means w is in new
-            v = new.get(w, 0) + p
-            if v:
-                new[w] = v
-            else:
-                del new[w]
+        _merge(new, state)
         return new
     lo = _FIELD * (i - 1)
     hi = lo + _FIELD
     both = (1 << lo) | (1 << hi)
     new: dict[int, int] = {}
-    get = new.get
+    get = state.get
     if kind == SIGMA:
         for w, p in state.items():
             a = ((w >> lo) & _MASK) ^ i
             b = ((w >> hi) & _MASK) ^ (i + 1)
             v = w ^ ((a ^ b) * both)
-            if a < b:
-                new[v] = get(v, 0) + p
-            else:
+            if a < b:  # w = u, v = us
+                r = get(v)
+                if r is None:
+                    new[v] = p
+                else:
+                    rq = r << q_shift
+                    s = p + rq - r
+                    if s:
+                        new[v] = s
+                    new[w] = rq
+            elif v not in state:  # w = us, p_u = 0
                 pq = p << q_shift
-                new[w] = get(w, 0) + pq - p
-                new[v] = get(v, 0) + pq
+                new[w] = pq - p
+                new[v] = pq
     else:  # SIGMA_INV, times q: T_i + (1 - q)
         for w, p in state.items():
             a = ((w >> lo) & _MASK) ^ i
             b = ((w >> hi) & _MASK) ^ (i + 1)
             v = w ^ ((a ^ b) * both)
-            if a < b:
-                new[v] = get(v, 0) + p
-                new[w] = get(w, 0) + p - (p << q_shift)
-            else:
-                new[v] = get(v, 0) + (p << q_shift)
-    return {w: p for w, p in new.items() if p}
+            if a < b:  # w = u, v = us
+                new[v] = p
+                r = get(v)
+                s = p - (p << q_shift) if r is None else p + ((r - p) << q_shift)
+                if s:
+                    new[w] = s
+            elif v not in state:  # w = us, p_u = 0
+                new[v] = p << q_shift
+    return new
 
 
 def _trace(
@@ -262,26 +315,28 @@ def _peel(
         out: list[dict[int, int]] = [{}]
         for k in range(len(slices)):
             part, slices[k] = slices[k], None
-            rest = out[k]
+            rest: dict[int, int] = {}
             groups: dict[int, dict[int, int]] = {}  # j -> {c: P_w}
-            # a first entry keeps p itself: ``0 + p`` would copy a big int
             for w, p in part.items():
                 if w < below:
-                    dst, key = rest, w
-                else:
-                    j, key = _coset(w)
+                    rest[w] = p
+                else:  # (j, c) determines w, so no c repeats within its j
+                    j, c = _coset(w)
                     dst = groups.get(j)
                     if dst is None:
-                        dst = groups[j] = {}
-                old = dst.get(key)
-                dst[key] = p if old is None else old + p
+                        groups[j] = {c: p}
+                    else:
+                        dst[c] = p
             del part
+            _merge(out[k], rest)  # the terms below m, carrying z^k
             # z * P_w * T_c T_j ... T_{m-2}: each c joins just before step s_j
             acc: dict[int, int] = {}
             for i in range(min(groups, default=m), m):
-                for c, p in groups.pop(i, {}).items():
-                    old = acc.get(c)
-                    acc[c] = p if old is None else old + p
+                group = groups.pop(i, None)
+                if group:
+                    if len(group) > len(acc):
+                        acc, group = group, acc
+                    _merge(acc, group)
                 if i < m - 1:
                     acc = _step(acc, i, SIGMA, q_shift, bits)
             out.append(acc)  # the terms carrying z^(k+1)

@@ -25,6 +25,7 @@ from singskein.oracle import (
     permutation_trace,
     trace_functional,
 )
+from singskein.packed import _digits
 from singskein.permutations import Permutation
 from singskein.skein import skein_class, skein_triple_check
 
@@ -334,6 +335,123 @@ def test_both_orientations_give_equal_components(w):
     assert forced(w, False) == forced(w, True)
 
 
+# -- the step kernel against the oracle ------------------------------------------------
+
+STEP_BITS = 12  # digit width of the step tests' packed coefficients
+STEP_STRIDE = 4  # slots per power of q: resolution digits 0..3
+STEP_Q = STEP_STRIDE * STEP_BITS
+
+
+def pack(image):
+    """A permutation in one-line notation, packed: field k - 1 holds w(k) ^ k."""
+    return sum((v ^ k) << (5 * (k - 1)) for k, v in enumerate(image, 1))
+
+
+def packed_poly(terms):
+    """{(q-exponent, resolutions): coefficient} at q = 2^STEP_Q, r = 2^STEP_BITS."""
+    return sum(c << (STEP_Q * e + STEP_BITS * r) for (e, r), c in terms.items())
+
+
+def as_element(state, n):
+    """A packed state as an oracle element, the resolution count r read as z."""
+    terms = {}
+    for w, p in state.items():
+        image = [((w >> (5 * (k - 1))) & 31) ^ k for k in range(1, n + 1)]
+        digits = {divmod(slot, STEP_STRIDE): d for slot, d in _digits(p, STEP_BITS)}
+        terms[Permutation(image)] = RationalFunction.from_laurent_terms(QZ, digits)
+    return HeckeElement(n, terms)
+
+
+def oracle_step(h, i, kind):
+    """``_step``'s product by the oracle: T_i, q T_i^-1, or a double point,
+    the identity plus r times that crossing."""
+    crossing = mul_by_generator(h, i) if kind in (SIGMA, TAU) else mul_by_generator(h, i, -1).scaled(Q)
+    return crossing if kind in (SIGMA, SIGMA_INV) else h + crossing.scaled(Z)
+
+
+# (p_u, p_us) for an ascent u at i whose orbit gets a new coefficient that is
+# a vanishing sum, each a multiple of a packed x:
+CANCELLING = {
+    SIGMA: lambda x: (x - (x << STEP_Q), x),  # us: p_u + (q - 1) p_us
+    SIGMA_INV: lambda x: (x << STEP_Q, (x << STEP_Q) - x),  # u: (1 - q) p_u + q p_us
+    TAU: lambda x: (-(x << (STEP_Q + STEP_BITS)), x),  # u: p_u + r q p_us
+    hecke._TAU_NEG: lambda x: (x, -(x << STEP_BITS)),  # us: p_us + r p_u
+}
+
+
+@st.composite
+def packed_steps(draw):
+    """(strands, i, kind, state): up to 12 random terms on 2-5 strands, and
+    up to 3 orbits {u, us} set to cancel in the product by the kind drawn."""
+    n = draw(st.integers(2, 5))
+    i = draw(st.integers(1, n - 1))
+    kind = draw(st.sampled_from(tuple(CANCELLING)))
+    coefficient = st.builds(
+        packed_poly,
+        st.dictionaries(
+            st.tuples(st.integers(0, 2), st.integers(0, 1)),
+            st.integers(-3, 3).filter(bool),
+            min_size=1,
+            max_size=3,
+        ),
+    )
+    perm = st.permutations(range(1, n + 1))
+    state = {pack(image): draw(coefficient) for image in draw(st.lists(perm, max_size=12))}
+    for image in draw(st.lists(perm, max_size=3)):
+        image = list(image)
+        if image[i - 1] > image[i]:
+            image[i - 1], image[i] = image[i], image[i - 1]
+        swapped = image[:]
+        swapped[i - 1], swapped[i] = image[i], image[i - 1]
+        state[pack(image)], state[pack(swapped)] = CANCELLING[kind](draw(coefficient))
+    return n, i, kind, state
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(packed_steps())
+def test_step_matches_the_oracle_and_stores_no_zero(case):
+    n, i, kind, state = case
+    new = hecke._step(dict(state), i, kind, STEP_Q, STEP_BITS)
+    assert 0 not in new.values()
+    assert as_element(new, n) == oracle_step(as_element(state, n), i, kind)
+
+
+@pytest.mark.parametrize("kind", list(CANCELLING), ids=["sigma", "sigma_inv", "tau", "tau_neg"])
+def test_step_drops_the_vanishing_orbit_sum(kind):
+    # the orbit {1, s_1} on 2 strands, set to cancel: one term is left
+    pu, pus = CANCELLING[kind](1)
+    new = hecke._step({0: pu, pack((2, 1)): pus}, 1, kind, STEP_Q, STEP_BITS)
+    assert len(new) == 1 and 0 not in new.values()
+    assert as_element(new, 2) == oracle_step(as_element({0: pu, pack((2, 1)): pus}, 2), 1, kind)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(mixed_sign_words())
+# two of the rare words whose peel sums a term below the top strand to 0
+# where a slice's terms merge with those peeled from the slice before it,
+# at a permutation a later level peels again
+@example(parse("s3 t1 s2 s4 s4 S3", 5))
+@example(parse("S2 s3 s4 t1 S2 s3 s2 s4 s3 s4", 5))
+def test_no_state_of_the_fold_or_the_peel_stores_a_zero(w):
+    # every state _step takes or returns, the peel's Horner states included,
+    # which the peel's merges build
+    seen = []
+    real = hecke._step
+
+    def spy(state, i, kind, q_shift, bits):
+        new = real(state, i, kind, q_shift, bits)
+        seen.append(0 in state.values() or 0 in new.values())
+        return new
+
+    hecke._step = spy
+    try:
+        for mirror in (False, True):
+            forced(w, mirror)
+    finally:
+        hecke._step = real
+    assert not any(seen)
+
+
 # -- the cyclic reduction before the fold ---------------------------------------------
 
 
@@ -582,11 +700,9 @@ def test_permutation_trace_matches_coset_recursion():
 
 
 def test_coset_split_matches_the_list_formula():
-    # the list formula the XOR-table split replaced, kept here as its oracle:
-    # unpack the images, relabel them (m -> m, v -> v - 1 above j) and repack
-    def pack(values):
-        return sum((v ^ k) << (5 * (k - 1)) for k, v in enumerate(values, 1))
-
+    # the list formula the bit-parallel split replaced, kept here as its
+    # oracle: unpack the images, relabel them (m -> m, v -> v - 1 above j)
+    # and repack
     def by_lists(w):
         m = (w.bit_length() + 4) // 5
         values = [((w >> (5 * k)) & 31) ^ (k + 1) for k in range(m)]
@@ -601,9 +717,19 @@ def test_coset_split_matches_the_list_formula():
                 assert hecke._coset(w) == by_lists(w), image
                 checked += 1
     assert checked == 5906
-    rng = random.Random(31)  # and at the kernel's 31 strands
-    for _ in range(200):
-        image = list(range(1, rng.randint(8, 31) + 1))
-        rng.shuffle(image)
-        w = pack(image)
-        assert hecke._coset(w) == by_lists(w), image
+    # every largest moved point m up to the kernel's 31 strands: j = 1, where
+    # every other field carries; j = m - 1; the reversal; and random
+    # permutations moving m.  At m = 31 a field below the top holds 31, and
+    # with j = 1 it reaches the carry lemma's largest sum, 31 + 30 = 61.
+    rng = random.Random(31)
+    for m in range(2, 32):
+        cases = [[*range(2, m + 1), 1], [*range(1, m - 1), m, m - 1], list(range(m, 0, -1))]
+        while len(cases) < 12:
+            image = list(range(1, m + 1))
+            rng.shuffle(image)
+            if image[-1] != m:
+                cases.append(image)
+        for image in cases:
+            w = pack(image)
+            assert (w.bit_length() + 4) // 5 == m
+            assert hecke._coset(w) == by_lists(w), image
