@@ -17,14 +17,16 @@ integer coefficients.  The algebra with ``RationalFunction`` coefficients
 ``ocneanu_trace`` and ``permutation_trace``), the tests' oracle, lives in
 ``singskein.oracle``; the acceptance tests import ``HeckeElement``,
 ``multiply`` and ``permutation_trace`` from here, so those still resolve
-here.  A permutation w is one int whose field k - 1, 5 bits wide, holds
-w(k) XOR k: a fixed point is a zero field, so trailing fixed points vanish,
-the identity is 0 and w's largest moved point is its bit length over 5,
-rounded up.  Right multiplication by s_i swaps two fields in closed form.
-Points up to 31 XOR into 5 bits and 32 does not, so the kernel folds on at
-most 31 strands.  Its one memo, the coset split of a permutation, is keyed
-by the packed value, so ``clear_caches`` may empty it at any time and
-``cache_info`` reports its entries, hits and misses.
+here.  A permutation w is one int, its inversion table: field k - 1, 5
+bits wide, holds d_k = #{l < k : w(l) > w(k)} (``_pack_perm`` and
+``_unpack_perm`` convert from and to images).  d_k = 0 above w's largest
+moved point m and d_m = m - w(m) > 0, so trailing fixed points vanish, the
+identity is 0, m is the bit length over 5, rounded up, and the fields sum
+to w's length.  As d_k <= k - 1, 5-bit fields hold the tables of up to
+32 points; the kernel folds on at most 31 strands (``_MASK``).  w has an
+ascent at i iff d_i >= d_{i+1}, and right multiplication by s_i changes
+only those two fields, in closed form (``_step``).  The kernel holds no
+memo.
 
 A step (``_step``) walks the state in s_i-orbits {u, u s_i}, u with an
 ascent at i, and writes each orbit's new coefficients in closed form from
@@ -33,9 +35,7 @@ its two old ones: with T_i, ``T_u -> T_us`` and
 T_u`` and ``T_us -> q T_u``.  So each new coefficient is stored once, and
 the zero rule holds: no state stores a 0.  A single term is never 0, only a
 sum can be, and every sum that vanishes is dropped where it is formed, in
-the step and in the peel's merges alike.  The coset split (``_coset``)
-relabels every field at once by a carry lemma: for a field value v <= 31,
-v + 31 - j carries out of its 5 bits iff v > j.
+the step and in the peel's merges alike.
 
 ``trace_components`` folds a word once for all 2^d desingularisations: a
 double point is the identity plus the crossing rule one digit up: the
@@ -54,7 +54,11 @@ largest moved point is m is written ``T_w = T_v T_{m-1} T_c`` with
 j = w(m), ``v = s_j ... s_{m-2}`` and c fixing m, lengths adding up, and is
 replaced by ``z P_w T_c T_j ... T_{m-2}``.  That has the same trace: the
 Markov property takes out ``T_{m-1}`` as a factor z, and cyclicity moves
-``T_v`` to the right.  At one level and one power of z, all the c are
+``T_v`` to the right.  The split is read off the fields (the split lemma):
+j = m - d_m, from the top field, and c = L_j^{-1} w with
+L_j = s_j ... s_{m-1} sends m to m and each w(k) > j to w(k) - 1, which
+keeps the order of w(1), ..., w(m-1), so c's fields are w's below the top
+one.  At one level and one power of z, all the c are
 folded together in one positive fold, each joining just before the step
 s_j.  What is left on the identity is one int per power of z, decoded once
 (``packed._digits``); slots never collide because r < R.  The decode is
@@ -114,17 +118,12 @@ packed shifts and adds are exact.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import comb
 
 from .braid import SIGMA, SIGMA_INV, TAU, Generator, SingularBraidWord, _reduced, exponent_sum
 from .packed import _digits, _width
 
-__all__ = [
-    "cache_info",
-    "clear_caches",
-    "trace_components",
-]
+__all__ = ["trace_components"]
 
 # the oracle's Hecke algebra over Q(q, z), in ``singskein.oracle``
 _ORACLE_NAMES = frozenset({"HeckeElement", "multiply", "permutation_trace"})
@@ -143,53 +142,26 @@ def __getattr__(name):
 # ---------------------------------------------------------------------------
 
 _FIELD = 5  # bits per point of a packed permutation
-_MASK = (1 << _FIELD) - 1  # also the largest strand count a field can hold
+_MASK = (1 << _FIELD) - 1  # also the largest strand count the kernel folds on
 _TAU_NEG = 2  # a double point resolved to a negative crossing (mirror fold)
 _MIRROR = {SIGMA: SIGMA_INV, SIGMA_INV: SIGMA, TAU: _TAU_NEG}
-_RESOLVE = {TAU: SIGMA, _TAU_NEG: SIGMA_INV}  # the crossing a double point resolves to
 
 
-# _IDS[m] packs the identity on m points without the XOR: field k - 1 holds k
-_IDS = [sum(k << (_FIELD * (k - 1)) for k in range(1, m + 1)) for m in range(_MASK + 1)]
-# bit 0 of every even field (0, 2, ..., 30), and all 5 bits of each
-_EVEN_LOW = sum(1 << (2 * _FIELD * k) for k in range((_MASK + 1) // 2))
-_EVEN = _EVEN_LOW * _MASK
+def _pack_perm(image) -> int:
+    """The permutation with images ``image`` = (w(1), ..., w(n)), packed:
+    field k - 1 holds d_k = #{l < k : w(l) > w(k)}."""
+    return sum(sum(x > v for x in image[:k]) << (_FIELD * k) for k, v in enumerate(image))
 
 
-@lru_cache(maxsize=None)
-def _coset(w: int) -> tuple[int, int]:
-    """(j, c) with w = s_j ... s_{m-1} c, lengths adding up, where m is w's
-    largest moved point, j = w(m) and c fixes m.
-
-    ``w ^ _IDS[m]`` holds the images w(k) in its fields, j = w(m) on top.
-    c = L_j^{-1} w, L_j = s_j ... s_{m-1}, takes m to m (a zero field) and
-    each image v of the m - 1 fields below to v - 1 if v > j, else v.  All
-    fields are split at once by the carry lemma: for 1 <= j, v <= 31,
-    v + (31 - j) carries out of its 5 bits iff v > j, and is at most 61.
-    So the even fields, with the odd ones zeroed, take 31 - j each, and
-    every carry lands in bit 0 of the zeroed field above; then the odd
-    fields, moved down one field, the same way.  The carries, moved back
-    to bit 0 of their own fields, are the ones subtracted."""
-    m = (w.bit_length() + _FIELD - 1) // _FIELD
-    top = _FIELD * (m - 1)
-    images = w ^ _IDS[m]
-    j = images >> top
-    below = images ^ (j << top)
-    spread = (_MASK - j) * _EVEN_LOW
-    even = ((below & _EVEN) + spread) >> _FIELD & _EVEN_LOW
-    odd = (((below >> _FIELD) & _EVEN) + spread) >> _FIELD & _EVEN_LOW
-    return j, (below - even - (odd << _FIELD)) ^ _IDS[m - 1]
-
-
-def cache_info() -> dict[str, int]:
-    """Entries, hits and misses of the kernel's one memo, the coset split."""
-    info = _coset.cache_info()
-    return {"entries": info.currsize, "hits": info.hits, "misses": info.misses}
-
-
-def clear_caches() -> None:
-    """Empty the coset memo; safe at any time, as it is keyed by value."""
-    _coset.cache_clear()
+def _unpack_perm(w: int, n: int) -> tuple[int, ...]:
+    """The images (w(1), ..., w(n)) of a packed permutation on n points:
+    from k = n down, w(k) is the value with d_k larger ones among those
+    not yet taken."""
+    values = list(range(1, n + 1))
+    image = [0] * n
+    for k in range(n, 0, -1):
+        image[k - 1] = values.pop(k - 1 - ((w >> (_FIELD * (k - 1))) & _MASK))
+    return tuple(image)
 
 
 def _merge(dst: dict[int, int], src: dict[int, int]) -> None:
@@ -210,40 +182,40 @@ def _step(state: dict[int, int], i: int, kind: int, q_shift: int, bits: int) -> 
     (SIGMA_INV) or a double point (TAU, _TAU_NEG).  No coefficient of the
     state or of the result is 0.
 
-    With a = w(i) and b = w(i+1), w s_i swaps the two fields, that is XORs
-    a ^ b into both, and u = w has an ascent at i iff a < b.  The state is
-    walked in s_i-orbits {u, us}, and each orbit's new coefficients have a
-    closed form in its old ones, p_u and p_us:
+    With (a, b) = (d_i, d_{i+1}), the fields at lo and hi, w has an ascent
+    at i iff a >= b, and w s_i differs from w in those two fields only: it
+    holds (b, a + 1) there after an ascent and (b - 1, a) after a descent,
+    so with b - a = e it is w + e (2^lo - 2^hi) + 2^hi, or the same sum
+    with - 2^lo in place of + 2^hi.  The state is walked in s_i-orbits
+    {u, us}, u the ascent, and each orbit's new coefficients have a closed
+    form in its old ones, p_u and p_us:
 
     * ``T_i``: ``T_u T_i = T_us`` and ``T_us T_i = (q - 1) T_us + q T_u``,
       so us gets p_u + (q - 1) p_us and u gets q p_us;
     * ``q T_i^{-1} = T_i + (1 - q)``: ``T_u -> T_us + (1 - q) T_u`` and
-      ``T_us -> q T_u``, so us gets p_u and u gets (1 - q) p_u + q p_us.
+      ``T_us -> q T_u``, so us gets p_u and u gets (1 - q) p_u + q p_us;
+    * a double point is the identity (the deleted copy) plus the crossing
+      it resolves to, ``T_i`` (TAU) or ``q T_i^{-1}`` (_TAU_NEG), one
+      resolution digit up: u and us each get p + (c << bits), p the old
+      coefficient and c the crossing's new one.
 
     An orbit is done where its ascent u is met, after one ``get`` of us; a
     descent is skipped when u is in the state, and otherwise taken with
-    p_u = 0.  So each new coefficient is stored once.  A single term is not
-    0, as q = 2^q_shift is not 1; only the two-term sum can vanish, and it is
-    dropped where it is formed.  A double point is the identity plus the
-    crossing rule one digit up: the deleted copy is the state itself, and
-    its resolution to ``T_i`` (TAU) or to ``q T_i^{-1}`` (_TAU_NEG) is that
-    crossing's rule applied to the coefficients shifted one resolution
-    digit (``<< bits``)."""
-    if kind in _RESOLVE:
-        new = _step({w: p << bits for w, p in state.items()}, i, _RESOLVE[kind], q_shift, bits)
-        _merge(new, state)
-        return new
+    p_u = 0.  So each new coefficient is stored once.  A crossing's single
+    term is not 0, as q = 2^q_shift is not 1; only a sum can vanish, and
+    each is dropped where it is formed."""
     lo = _FIELD * (i - 1)
     hi = lo + _FIELD
-    both = (1 << lo) | (1 << hi)
+    swap = (1 << lo) - (1 << hi)
+    up = 1 << hi
+    down = 1 << lo
     new: dict[int, int] = {}
     get = state.get
     if kind == SIGMA:
         for w, p in state.items():
-            a = ((w >> lo) & _MASK) ^ i
-            b = ((w >> hi) & _MASK) ^ (i + 1)
-            v = w ^ ((a ^ b) * both)
-            if a < b:  # w = u, v = us
+            e = ((w >> hi) & _MASK) - ((w >> lo) & _MASK)
+            if e <= 0:  # w = u, v = us
+                v = w + e * swap + up
                 r = get(v)
                 if r is None:
                     new[v] = p
@@ -253,23 +225,49 @@ def _step(state: dict[int, int], i: int, kind: int, q_shift: int, bits: int) -> 
                     if s:
                         new[v] = s
                     new[w] = rq
-            elif v not in state:  # w = us, p_u = 0
-                pq = p << q_shift
-                new[w] = pq - p
-                new[v] = pq
-    else:  # SIGMA_INV, times q: T_i + (1 - q)
+            else:
+                v = w + e * swap - down
+                if v not in state:  # w = us, p_u = 0
+                    pq = p << q_shift
+                    new[w] = pq - p
+                    new[v] = pq
+    elif kind == SIGMA_INV:  # times q: T_i + (1 - q)
         for w, p in state.items():
-            a = ((w >> lo) & _MASK) ^ i
-            b = ((w >> hi) & _MASK) ^ (i + 1)
-            v = w ^ ((a ^ b) * both)
-            if a < b:  # w = u, v = us
+            e = ((w >> hi) & _MASK) - ((w >> lo) & _MASK)
+            if e <= 0:  # w = u, v = us
+                v = w + e * swap + up
                 new[v] = p
                 r = get(v)
                 s = p - (p << q_shift) if r is None else p + ((r - p) << q_shift)
                 if s:
                     new[w] = s
-            elif v not in state:  # w = us, p_u = 0
-                new[v] = p << q_shift
+            else:
+                v = w + e * swap - down
+                if v not in state:  # w = us, p_u = 0
+                    new[v] = p << q_shift
+    else:  # TAU resolves by T_i, _TAU_NEG by q T_i^{-1}
+        for w, p in state.items():
+            e = ((w >> hi) & _MASK) - ((w >> lo) & _MASK)
+            if e <= 0:  # w = u
+                u, us, pu = w, w + e * swap + up, p
+                pus = get(us, 0)
+            else:
+                u, us, pus = w + e * swap - down, w, p
+                if u in state:
+                    continue
+                pu = 0
+            if kind == TAU:
+                ru = pus << q_shift
+                rus = pu + ru - pus
+            else:
+                ru = pu + ((pus - pu) << q_shift)
+                rus = pu
+            s = pu + (ru << bits)
+            if s:
+                new[u] = s
+            s = pus + (rus << bits)
+            if s:
+                new[us] = s
     return new
 
 
@@ -311,33 +309,30 @@ def _peel(
     it is read, so a state that only it holds is dropped slice by slice."""
     q_shift = stride * bits
     for m in range(strands, 1, -1):
-        below = 1 << (_FIELD * (m - 1))  # w < below: largest moved point below m
+        top = _FIELD * (m - 1)
+        below = 1 << top  # w < below: largest moved point below m
+        low = below - 1  # the fields below m: c's, by the split lemma
         out: list[dict[int, int]] = [{}]
         for k in range(len(slices)):
             part, slices[k] = slices[k], None
             rest: dict[int, int] = {}
-            groups: dict[int, dict[int, int]] = {}  # j -> {c: P_w}
+            groups: list[dict[int, int]] = [{} for _ in range(m)]  # groups[j] = {c: P_w}
             for w, p in part.items():
                 if w < below:
                     rest[w] = p
                 else:  # (j, c) determines w, so no c repeats within its j
-                    j, c = _coset(w)
-                    dst = groups.get(j)
-                    if dst is None:
-                        groups[j] = {c: p}
-                    else:
-                        dst[c] = p
+                    groups[m - (w >> top)][w & low] = p
             del part
             _merge(out[k], rest)  # the terms below m, carrying z^k
             # z * P_w * T_c T_j ... T_{m-2}: each c joins just before step s_j
             acc: dict[int, int] = {}
-            for i in range(min(groups, default=m), m):
-                group = groups.pop(i, None)
+            for i in range(1, m):
+                group, groups[i] = groups[i], None
                 if group:
                     if len(group) > len(acc):
                         acc, group = group, acc
                     _merge(acc, group)
-                if i < m - 1:
+                if acc and i < m - 1:
                     acc = _step(acc, i, SIGMA, q_shift, bits)
             out.append(acc)  # the terms carrying z^(k+1)
         slices = out

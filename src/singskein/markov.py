@@ -22,7 +22,7 @@ coordinates x_ab with
 and the inverse change of variables T0 = (wA - zB)/D, T1 = (B - zA)/D with
 D = w - z^2 = -(z - q)(z + 1) reads x_ab off as the coefficient of A^a B^b
 in sum_k C_k (wA - zB)^(d-k) (B - zA)^k, divided by D^d.  The k!(d-k)!
-weights scale whole functionals and cancel (``coordinate_numerators``).  The
+weights scale whole functionals and cancel (``_numerators``).  The
 only factors a coordinate's denominator can have are q (from the Laurent
 trace), z - q and z + 1, so a shift of the q-exponents and synthetic
 division by z - q and z + 1 put it in lowest terms as a
@@ -68,10 +68,10 @@ bounds for one word:
 * m = d - n + 1, the same for every coordinate (a + b = d).
 
 The skein check's three words, w s_i, w S_i and w, are each folded on
-their own and packed at one layout (``_joint_numerators``, of which
-``coordinate_numerators`` is the one-word case), with l1 doubled and q_top
-raised by one for its sums num_P - q num_N and (q - 1) num_S, which are
-``P - (N << W)`` and ``(S << W) - S`` on the packed ints.
+their own and packed at one layout (``_joint_numerators``), with l1
+doubled and q_top raised by one for its sums num_P - q num_N and
+(q - 1) num_S, which are ``P - (N << W)`` and ``(S << W) - S`` on the
+packed ints.
 
 The oracles live in ``singskein.oracle``, which no CLI run imports: the
 literal expansion (``FormalWordSum``, ``desing_delete``,
@@ -117,7 +117,6 @@ __all__ = [
     "FactoredCoordinate",
     "PackedNumerators",
     "check_caps",
-    "coordinate_numerators",
     "factored_coordinates",
     "markov_class",
 ]
@@ -353,18 +352,13 @@ class PackedNumerators(NamedTuple):
     b_stride: int
 
 
-def coordinate_numerators(word: SingularBraidWord) -> PackedNumerators:
-    """The word's coordinates as numerators over D^d, by the change of
-    variables T0 = wA - zB, T1 = B - zA in its trace components.
-    ``CapExceededError`` if the word is above the hard caps."""
-    return _joint_numerators((word,))[0]
-
-
 def _joint_numerators(words: tuple) -> list[PackedNumerators]:
-    """``coordinate_numerators`` of each of these words, which share their
-    degree and strand count, all at one layout; more than one word's layout
-    also covers the sums num_i - q num_j and (q - 1) num_i (the skein
-    check's).  ``CapExceededError`` if a word is above the hard caps."""
+    """Each of these words' coordinates as numerators over D^d, by the
+    change of variables T0 = wA - zB, T1 = B - zA in its trace components.
+    The words share their degree and strand count and are packed at one
+    layout, which for more than one word also covers the sums
+    num_i - q num_j and (q - 1) num_i (the skein check's).
+    ``CapExceededError`` if a word is above the hard caps."""
     comp_sets = [_components(word) for word in words]
     layout = _layout(comp_sets, words[0])
     return [_numerators(comps, layout) for comps in comp_sets]

@@ -51,7 +51,7 @@ from typing import Iterable, Mapping
 from .braid import SIGMA, TAU, Generator, SingularBraidWord, StrandIndexError
 from .coeff import QZ, SU, MixedVariablesError, Monomial
 from .coeff import MultivariatePolynomial, RationalFunction, _monomial_key, _terms_content
-from .hecke import _FIELD, _trace, trace_components
+from .hecke import _pack_perm, _trace, trace_components
 from .markov import DegreeError, MarkovClass, markov_class
 from .permutations import Permutation
 from .skein import VAR_T, VAR_X, SkeinClass
@@ -102,9 +102,7 @@ class ExactDivisionError(ArithmeticError):
 def permutation_trace(perm: Permutation) -> RationalFunction:
     """Markov trace of the basis element indexed by ``perm`` (any strand count;
     ``ValueError`` if it moves a point above 31)."""
-    # packed as ``hecke`` packs a permutation: field k - 1 holds w(k) XOR k
-    w = sum((v ^ k) << (_FIELD * (k - 1)) for k, v in enumerate(perm.image, 1))
-    comps = _trace({w: 1}, (), perm.largest_moved_point(), 0)
+    comps = _trace({_pack_perm(perm.image): 1}, (), perm.largest_moved_point(), 0)
     return RationalFunction.from_laurent_terms(QZ, comps[0])
 
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from singskein import cli, hecke
 from singskein.braid import SIGMA, SIGMA_INV, TAU, Generator, SingularBraidWord, _reduced, parse
 from singskein.coeff import QZ, RationalFunction
-from singskein.hecke import cache_info, clear_caches, trace_components
+from singskein.hecke import trace_components
 from singskein.moves import R_INSERT, Conjugate, RelationMove
 from singskein.oracle import (
     HeckeElement,
@@ -267,10 +267,12 @@ def test_evaluate_word_agrees_with_kernel():
 
 
 def test_kernel_refuses_more_than_31_strands():
-    # a point above 31 does not fit a 5-bit field: unchecked, the
-    # transposition (31 32) would trace to 0 instead of z.  The kernel folds
-    # only the strands a word spans, so s31 alone folds as s1 on 2 strands;
-    # s1 s31 spans all 32.
+    # the kernel folds on at most 31 strands, the largest value of a 5-bit
+    # field.  A field holds d_k <= k - 1, so 32 strands would still fit, but
+    # not 33: the transposition (1 33) has d_33 = 32, which carries into the
+    # field above; the refusal keeps one documented limit, far above the
+    # CLI's 12-strand cap.  The kernel folds only the strands a word spans,
+    # so s31 alone folds as s1 on 2 strands; s1 s31 spans all 32.
     assert permutation_trace(Permutation.adjacent_transposition(31, 30)) == Z
     with pytest.raises(ValueError):
         trace_components(SingularBraidWord(32, (Generator(SIGMA, 1), Generator(SIGMA, 31))))
@@ -342,9 +344,7 @@ STEP_STRIDE = 4  # slots per power of q: resolution digits 0..3
 STEP_Q = STEP_STRIDE * STEP_BITS
 
 
-def pack(image):
-    """A permutation in one-line notation, packed: field k - 1 holds w(k) ^ k."""
-    return sum((v ^ k) << (5 * (k - 1)) for k, v in enumerate(image, 1))
+pack = hecke._pack_perm
 
 
 def packed_poly(terms):
@@ -356,7 +356,7 @@ def as_element(state, n):
     """A packed state as an oracle element, the resolution count r read as z."""
     terms = {}
     for w, p in state.items():
-        image = [((w >> (5 * (k - 1))) & 31) ^ k for k in range(1, n + 1)]
+        image = hecke._unpack_perm(w, n)
         digits = {divmod(slot, STEP_STRIDE): d for slot, d in _digits(p, STEP_BITS)}
         terms[Permutation(image)] = RationalFunction.from_laurent_terms(QZ, digits)
     return HeckeElement(n, terms)
@@ -423,6 +423,19 @@ def test_step_drops_the_vanishing_orbit_sum(kind):
     new = hecke._step({0: pu, pack((2, 1)): pus}, 1, kind, STEP_Q, STEP_BITS)
     assert len(new) == 1 and 0 not in new.values()
     assert as_element(new, 2) == oracle_step(as_element({0: pu, pack((2, 1)): pus}, 2), 1, kind)
+
+
+@pytest.mark.parametrize("kind", list(CANCELLING), ids=["sigma", "sigma_inv", "tau", "tau_neg"])
+def test_step_matches_the_oracle_on_all_of_s5(kind):
+    # every index and every permutation of S_5: each alone, so that its
+    # orbit partner is absent, and all 120 at once, so that every orbit is full
+    images = permutations(range(1, 6))
+    full = {pack(image): packed_poly({(0, 0): t + 1, (1, 1): t % 7 - 3}) for t, image in enumerate(images)}
+    for i in range(1, 5):
+        for state in [{w: p} for w, p in full.items()] + [full]:
+            new = hecke._step(dict(state), i, kind, STEP_Q, STEP_BITS)
+            assert 0 not in new.values()
+            assert as_element(new, 5) == oracle_step(as_element(state, 5), i, kind)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -626,18 +639,6 @@ def test_seed4_word_renders_pinned_digest_through_the_mirror(monkeypatch):
     assert digest == "23bfaf2fb9f1d1c1ea7425764637efdb7ce5d3298a9d8a76e1eb521ba07266d5"
 
 
-def test_clear_caches_leaves_components_unchanged():
-    w = parse("S1 s2 t3 S2 s1 S3 t1 s3 S2 s1", 4)
-    first = trace_components(w)
-    assert cache_info()["entries"] > 0
-    clear_caches()
-    assert cache_info() == {"entries": 0, "hits": 0, "misses": 0}
-    second = trace_components(w)
-    assert second == first
-    info = cache_info()
-    assert info["entries"] == info["misses"] > 0
-
-
 def test_trace_l1_within_digit_bound():
     # The digit-width lemma with no letters: the peel of T_w, w in S_n,
     # takes at most (n-1)(n-2)/2 steps, so L1(tr T_w) <= 3^((n-1)(n-2)/2);
@@ -699,28 +700,30 @@ def test_permutation_trace_matches_coset_recursion():
         assert permutation_trace(w) == _reference_trace(w, memo), image
 
 
-def test_coset_split_matches_the_list_formula():
-    # the list formula the bit-parallel split replaced, kept here as its
-    # oracle: unpack the images, relabel them (m -> m, v -> v - 1 above j)
-    # and repack
-    def by_lists(w):
-        m = (w.bit_length() + 4) // 5
-        values = [((w >> (5 * k)) & 31) ^ (k + 1) for k in range(m)]
-        j = values[-1]
-        return j, pack([m if v == j else (v - 1 if v > j else v) for v in values])
+def test_split_lemma_reads_the_coset_off_the_fields():
+    # the peel's split of w with largest moved point m and j = w(m):
+    # w = L_j c with L_j = s_j ... s_{m-1} and c = L_j^-1 w fixing m.  The
+    # top field is m - j and the fields below it are c's, as L_j^-1 keeps
+    # the order of w(1..m-1); the fields sum to w's length.  Every w on
+    # 2-7 points, and for every m up to the kernel's 31 strands j = 1,
+    # j = m - 1, the reversal and random permutations moving m.
+    def check(image):
+        m, w = len(image), pack(image)
+        j = image[-1]
+        c = [v - 1 if v > j else v for v in image[:-1]]
+        assert (w.bit_length() + 4) // 5 == m
+        assert w >> (5 * (m - 1)) == m - j
+        assert w & ((1 << (5 * (m - 1))) - 1) == pack(c)
+        assert sum((w >> (5 * k)) & 31 for k in range(m)) == Permutation(image).inversions()
+        assert hecke._unpack_perm(w, m) == tuple(image)
 
     checked = 0
     for n in range(2, 8):
         for image in permutations(range(1, n + 1)):
-            w = pack(image)
-            if w:
-                assert hecke._coset(w) == by_lists(w), image
+            if image[-1] != n:
+                check(image)
                 checked += 1
-    assert checked == 5906
-    # every largest moved point m up to the kernel's 31 strands: j = 1, where
-    # every other field carries; j = m - 1; the reversal; and random
-    # permutations moving m.  At m = 31 a field below the top holds 31, and
-    # with j = 1 it reaches the carry lemma's largest sum, 31 + 30 = 61.
+    assert checked == 5039
     rng = random.Random(31)
     for m in range(2, 32):
         cases = [[*range(2, m + 1), 1], [*range(1, m - 1), m, m - 1], list(range(m, 0, -1))]
@@ -730,6 +733,4 @@ def test_coset_split_matches_the_list_formula():
             if image[-1] != m:
                 cases.append(image)
         for image in cases:
-            w = pack(image)
-            assert (w.bit_length() + 4) // 5 == m
-            assert hecke._coset(w) == by_lists(w), image
+            check(image)

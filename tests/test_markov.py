@@ -49,7 +49,6 @@ from singskein.markov import (
     markov_class,
     _joint_numerators,
     _over_det_power,
-    coordinate_numerators,
 )
 
 ONE = RationalFunction.one(QZ)
@@ -579,7 +578,7 @@ def test_packed_numerators_match_the_substitution_table(case):
     comp_sets = [trace_components(v) for v in words]
     shift = -min([0] + [eq for comps in comp_sets for comp in comps for eq, _ in comp])
     p_t, n_t, s_t = (_table_numerators(comps, d, shift) for comps in comp_sets)
-    num = coordinate_numerators(w)
+    num = _joint_numerators((w,))[0]
     assert _decoded(num.value, num, d, shift) == _nonzero(s_t)
     # the sums num_P - q num_N and (q - 1) num_S at the one layout of the
     # check's three numerators
