@@ -12,7 +12,9 @@ as every move's word is held until the classes are checked.  A run folds
 each distinct (strand count, cyclic reduction) of those words once, the
 given word's included, and builds a full class only for the first word of
 each new (strand count, writhe) shape; every other word is decided on its
-trace components.
+trace components.  A fold of a word on 7 strands or more may go in pieces
+cut at thin strand indices; the pieces are a function of the cyclic
+reduction, so that key still fixes the computation.
 """
 
 from __future__ import annotations
@@ -209,8 +211,9 @@ def _verify_moves(coords: MarkovClass, reference: SkeinClass, args: argparse.Nam
         word, args.moves, seed=args.seed, max_strands=strand_cap
     )
     # A class reads the word's strands, degree and exponent sum, and
-    # trace_components, which folds _compact(_reduced(letters)); the
-    # reduction keeps the degree and the exponent sum.  So words with equal
+    # trace_components, which folds _compact(_reduced(letters)), or the
+    # pieces hecke._split cuts it into, a function of those letters alone;
+    # the reduction keeps the degree and the exponent sum.  So words with equal
     # (strands, reduction) run the same computation on the same input, and
     # each key's verdict is computed once.  The key is not made
     # rotation-canonical: a rotation folds other letters, and its class is

@@ -79,26 +79,67 @@ generators commute, both images of a double point (the identity when
 deleted, T_i when resolved) commute with T_i^(+-1), and tr(ab) = tr(ba), so
 every desingularisation of the reduced word has the trace of the word's.
 Double points are never cancelled and the exponent sum is kept, so the
-degree and the orientation rule below are those of the word.  The reduced
+degree and the exponent sum are those of the word.  The reduced
 word is folded on the strands it spans, its indices moved down so that the
 lowest is 1: max - min + 2 strands, 1 for no letter.  That is exact too:
 tr does not depend on the strand count, and tr o sh with sh(T_i) = T_(i+1)
 is a Markov trace (sh is a homomorphism and sh(x T_n) = sh(x) T_(n+1)), so
-it is tr.  The fold only sees the reduced word, so c and n in B are its
-crossings and its strands.  Every word is folded this way, the skein
-check's w s_i, w S_i and w too, each on its own.  ``_trace`` itself folds
-the letters it is given, as given.
+it is tr.  Every word is folded this way, the skein check's w s_i, w S_i
+and w too, each on its own.  ``_trace`` itself folds the letters it is
+given, as given: it is the whole-word fold, which the tests and CI keep as
+an independent path.
 
-Each word is folded in one of two orientations, chosen per word.  The map
+A reduced word that spans at least ``_SPLIT_STRANDS`` (7) strands is cut
+into pieces at thin strand indices (``_split``); on fewer, re-reducing the
+pieces, one fold per piece and the product cost more than the fold they
+save.  The trace is multiplicative over the split union and the connected
+sum of closures, the stacking product of acceptance criterion 7
+(``oracle.closure_product``).  The cut lemma: for a in H_n and b in H_k,
+tr(a sh^n(b)) = tr(a) tr(b) and tr(a T_n sh^n(b)) = z tr(a) tr(b).  By
+induction on k, as H_k = H_(k-1) + H_(k-1) T_(k-1) H_(k-1) (for k = 1, b is
+a scalar and tr(a T_n) = z tr(a)): for b = u T_(k-1) v with u, v in
+H_(k-1), the Markov property tr(x T_m y) = z tr(x y) takes one factor z
+out of each side, and leaves the case uv.  So let i be an index the word uses at
+most once.  If it uses i once, rotate that lone letter x to the end
+(tr(ab) = tr(ba)).  Every other letter has an index below i, in piece a,
+or above i, in piece b moved down by i; a and b commute, as their indices
+differ by at least 2.  So the element is a sh^i(b) x = sh^i(b) a x, whose
+trace is tr(a x sh^i(b)) by cyclicity, and the lemma gives tr(a) tr(b)
+times x's factor, written in r (resolutions), q and z:
+
+* no letter at i: 1 (the split union);
+* s_i: z (the connected sum);
+* S_i: q T_i^-1 = T_i + (1 - q) gives q^-1 (z + 1) - 1;
+* t_i: 1 + r z, the deleted copy plus the copy resolved to T_i.
+
+Each desingularisation of the word is one of a's times one of b's, so the
+component generating functions, polynomials in r, multiply too.  Dropping
+x can free pairs at i +- 1 (in ``s1 s2 S1`` the two index-1 letters cancel
+once s2 is gone), so each piece is reduced again and compacted before it
+is cut in turn.  A piece with no index used at most once is folded with
+``_trace`` on the strands it spans, in its own orientation (below) and at
+its own B: c and n in B are the piece's crossings and strands.  The
+product is taken on packed ints (``packed._product``): each piece's
+components and each factor are packed with r in R = d + 1 digits, then q
+over the product's q-range, then z, so no slot spills into the next (the
+r-degrees sum to d).  Every coefficient of the product is a sum of
+products of one coefficient of each factor, so it is at most the product
+of the factors' L1 norms, and ``packed._width`` of that product reads it
+exactly; the ints are multiplied and decoded once.  The split is a
+function of the reduced letters, so words with equal reductions still run
+the same computation.
+
+Each piece is folded in one of two orientations, chosen per piece.  The map
 ``iota: T_i -> -q T_i^{-1} = q - 1 - T_i`` is an involutive automorphism of
 the algebra, and ``tr_z o iota`` is the Markov trace with parameter
 ``z' = q - 1 - z``, so ``tr_z(x) = tr_{z'}(iota(x))`` (Jones, Ann. Math. 126,
 1987).  iota sends ``s_i`` and a resolved double point to ``-q T_i^{-1}`` and
 ``S_i`` to ``-q^{-1} T_i``.  A positive letter branches only where w has a
 descent at i, a negative one where it has an ascent, and ascents are the
-common case while w is short; so a word with more negative than positive
+common case while w is short; so a piece with more negative than positive
 crossings (#S > #s) is folded as its mirror (a count rule, which need not
-pick the cheaper fold when the signs are nearly balanced).  That fold swaps the rules of
+pick the cheaper fold when the signs are nearly balanced; as each piece is
+judged on its own counts, it errs only per piece).  That fold swaps the rules of
 s and S and resolves a double point by the negative rule
 ``q T_i^{-1} = T_i + (1 - q)``, one more factor q per resolution, so its
 component k carries q^(#s + k) where the direct fold's carries q^#S.  As
@@ -120,8 +161,8 @@ from __future__ import annotations
 
 from math import comb
 
-from .braid import SIGMA, SIGMA_INV, TAU, Generator, SingularBraidWord, _reduced, exponent_sum
-from .packed import _digits, _width
+from .braid import SIGMA, SIGMA_INV, TAU, Generator, SingularBraidWord, _reduced
+from .packed import _digits, _product, _width
 
 __all__ = ["trace_components"]
 
@@ -145,6 +186,17 @@ _FIELD = 5  # bits per point of a packed permutation
 _MASK = (1 << _FIELD) - 1  # also the largest strand count the kernel folds on
 _TAU_NEG = 2  # a double point resolved to a negative crossing (mirror fold)
 _MIRROR = {SIGMA: SIGMA_INV, SIGMA_INV: SIGMA, TAU: _TAU_NEG}
+# a reduced word is cut into pieces only if it spans this many strands; on
+# fewer, re-reducing the pieces, one fold each and the product cost more
+# than the whole fold they save
+_SPLIT_STRANDS = 7
+# the factor a lone letter cut out contributes, as components over (q, z):
+# s_i: z; S_i: q^-1 (z + 1) - 1; t_i: 1 + r z
+_LONE = {
+    SIGMA: [{(0, 1): 1}],
+    SIGMA_INV: [{(-1, 1): 1, (-1, 0): 1, (0, 0): -1}],
+    TAU: [{(0, 0): 1}, {(0, 1): 1}],
+}
 
 
 def _pack_perm(image) -> int:
@@ -271,6 +323,12 @@ def _step(state: dict[int, int], i: int, kind: int, q_shift: int, bits: int) -> 
     return new
 
 
+def _check_strands(strands: int) -> None:
+    """Refuse a strand count the 5-bit fields cannot hold."""
+    if strands > _MASK:
+        raise ValueError(f"{strands} strands do not fit a {_FIELD}-bit field (at most {_MASK})")
+
+
 def _trace(
     state: dict[int, int], letters: tuple, strands: int, degree: int, mirror: bool = False
 ) -> list[dict[tuple[int, int], int]]:
@@ -285,8 +343,7 @@ def _trace(
     consumed: each z-slice is dropped once it is partitioned, so the caller
     must keep no reference to it.
     """
-    if strands > _MASK:
-        raise ValueError(f"{strands} strands do not fit a {_FIELD}-bit field (at most {_MASK})")
+    _check_strands(strands)
     stride = degree + 1  # slots per power of q: resolution counts 0..degree
     crossings = len(letters) - degree
     # Digit width from the L1 bound in the module docstring.
@@ -367,12 +424,56 @@ def _compact(letters: tuple) -> tuple[tuple, int]:
     return letters, max(indices) - low + 2
 
 
+def _split(letters: tuple, strands: int) -> tuple[list[tuple[tuple, int]], list[int]]:
+    """The pieces of a cyclically reduced word compacted on ``strands``,
+    each compacted with its strand count, and the kinds of the lone letters
+    cut out, whose trace is the product of the pieces' traces and the lone
+    letters' factors (module docstring).  A word on fewer than
+    ``_SPLIT_STRANDS`` strands is its own one piece.  A word on more strands
+    than the kernel folds on is refused, whatever its pieces span."""
+    _check_strands(strands)
+    if strands < _SPLIT_STRANDS:
+        return [(letters, strands)], []
+    pieces: list[tuple[tuple, int]] = []
+    lone: list[int] = []
+    work = [(letters, strands)]
+    while work:
+        letters, strands = work.pop()
+        indices = [g.index for g in letters]
+        uses = [indices.count(i) for i in range(1, strands)]
+        if min(uses) > 1:
+            pieces.append((letters, strands))
+            continue
+        cut = uses.index(min(uses)) + 1  # an unused index, else the lowest lone one
+        if cut in indices:  # rotate the lone letter to the end and drop it
+            k = indices.index(cut)
+            lone.append(letters[k].kind)
+            letters = letters[k + 1 :] + letters[:k]
+        # dropping the lone letter can free pairs at cut +- 1: reduce again
+        below = _reduced(tuple(g for g in letters if g.index < cut))
+        above = _reduced(tuple(g for g in letters if g.index > cut))
+        work += [_compact(side) for side in (below, above) if side]
+    return pieces, lone
+
+
+def _fold(letters: tuple, strands: int) -> list[dict[tuple[int, int], int]]:
+    """``_trace`` of compacted letters from the identity, as their mirror
+    when they hold more negative than positive crossings."""
+    degree = sum(1 for g in letters if g.kind == TAU)
+    mirror = sum(g.kind for g in letters if g.kind != TAU) < 0
+    return _trace({0: 1}, letters, strands, degree, mirror)
+
+
 def trace_components(word: SingularBraidWord) -> list[dict[tuple[int, int], int]]:
     """For each k in 0..degree, the sum over k-subsets S of the singular
     letters of ``tr`` of the word with S resolved and the rest deleted, as an
     integer Laurent dict over (q-exponent, z-exponent).  The word's cyclic
-    reduction is folded on the strands it spans, as its mirror when it has
-    more negative than positive crossings."""
-    letters, strands = _compact(_reduced(word.letters))
-    return _trace({0: 1}, letters, strands, word.degree, exponent_sum(word) < 0)
-
+    reduction, compacted, is cut into pieces at thin strand indices, and each
+    piece is folded on the strands it spans, as its mirror when it has more
+    negative than positive crossings; the pieces' traces and the lone
+    letters' factors are multiplied as packed ints."""
+    pieces, lone = _split(*_compact(_reduced(word.letters)))
+    if lone or len(pieces) > 1:
+        factors = [_fold(*piece) for piece in pieces] + [_LONE[kind] for kind in lone]
+        return _product(factors, word.degree + 1)
+    return _fold(*pieces[0])

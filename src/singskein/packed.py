@@ -14,7 +14,9 @@ every digit at W is below 2^(W-1): a row then has at most Z/W such
 balanced digits, so |row| < 2^(Z-1), and the same sum over at most S/Z rows
 gives |N_b| < 2^(S-1).  A polynomial in x = s^2 and y = u^2 is one int,
 x -> 2^W and y -> 2^S, S = W times the x-slots, so q -> x needs no
-repacking.
+repacking.  The split fold's product of trace components, polynomials in
+r (resolutions), q and z, is one int per factor (``_product``): r in the
+lowest digits, then q, then z.
 
 The exactness lemma.  Evaluation at a power of two is a ring homomorphism,
 so shifts, adds and products of these ints are exact at any W.  Only the
@@ -100,6 +102,44 @@ def _packed_width(l1: int, z_degree: int, q_degree: int, d: int, m: int) -> int:
     r = max(-m, 0)
     level = max(z_degree + max(m, 0), 2 * d + r)
     return _width(l1 * max(z_degree, 1) ** (2 * d) * 2**level * (q_degree + level + 1) ** r)
+
+
+def _product(
+    factors: list[list[dict[tuple[int, int], int]]], slots: int
+) -> list[dict[tuple[int, int], int]]:
+    """The product of polynomials in r, q^(+-1) and z, each given as its
+    components (a Laurent dict over (q-exponent, z-exponent) per power of
+    r), as components for r^0 .. r^(slots - 1); the r-degrees must sum to
+    less than ``slots``.  Each factor is packed in one layout: r in
+    ``slots`` digits, then q over the q-range of the product, then z.  So no
+    slot of the product spills into the next, the ints are multiplied, and
+    the product is decoded once.  Every coefficient of a product is at most
+    the product of the factors' L1 norms, so ``_width`` of that bound reads
+    it exactly (the exactness lemma)."""
+    lows, span, bound = [], 1, 1
+    for factor in factors:
+        qs = [qe for comp in factor for qe, _ in comp]
+        if not qs:  # a zero factor
+            return [{} for _ in range(slots)]
+        lows.append(min(qs))
+        span += max(qs) - lows[-1]
+        bound *= sum(abs(v) for comp in factor for v in comp.values())
+    width = _width(bound)
+    z_shift = width * slots * span
+    total = 1
+    for factor, low in zip(factors, lows):
+        value = 0
+        for r, comp in enumerate(factor):
+            for (qe, ze), v in comp.items():
+                value += v << (width * (r + slots * (qe - low)) + z_shift * ze)
+        total *= value
+    out: list[dict[tuple[int, int], int]] = [{} for _ in range(slots)]
+    low = sum(lows)
+    for slot, digit in _digits(total, width):
+        ze, rest = divmod(slot, slots * span)
+        qe, r = divmod(rest, slots)
+        out[r][(qe + low, ze)] = digit
+    return out
 
 
 def _pack(laurent: Mapping[tuple[int, int], int], q0: int, width: int) -> list[int]:

@@ -4,8 +4,10 @@ import functools
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -510,3 +512,25 @@ def test_run_report_is_a_plain_mutable_record():
         "RunReport(word=<word t1 s1 on 2>, strands=2, degree=1, writhe=1, components=2, "
         "markov=<MarkovClass Y>, skein=<SkeinClass Yhat>, elapsed_seconds=0.25, verify=None)"
     )
+
+
+def cap_word(c, seed):
+    """ROADMAP item 5's recipe: c crossings on 12 strands, then 8 double points."""
+    rng = random.Random(seed)
+    letters = [rng.choice("sS") + str(rng.randrange(1, 12)) for _ in range(c)]
+    for _ in range(8):
+        letters.insert(rng.randint(0, len(letters)), f"t{rng.randrange(1, 12)}")
+    return " ".join(letters)
+
+
+def test_cap_reference_outputs_match_their_digests():
+    # tests/cap_reference.json: every word of c = 22 and c = 30 at seeds
+    # 1-10 and c = 50 at seed 3, rendered as JSON by the whole-word fold
+    corpus = json.loads(Path(__file__).with_name("cap_reference.json").read_text())
+    expected = [(22, s) for s in range(1, 11)] + [(30, s) for s in range(1, 11)] + [(50, 3)]
+    assert [(e["c"], e["seed"]) for e in corpus["words"]] == expected
+    for entry in corpus["words"]:
+        assert entry["word"] == cap_word(entry["c"], entry["seed"])
+        argv = ["--word", entry["word"], "--strands", "12", "--format", "json"]
+        text = cli.render_json(cli.run(cli.build_parser().parse_args(argv)))
+        assert hashlib.sha256(text.encode()).hexdigest() == entry["sha256"], (entry["c"], entry["seed"])

@@ -3,11 +3,12 @@
 import hashlib
 import random
 import time
+from collections import Counter
 from itertools import permutations
 from math import factorial
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from singskein import cli, hecke
@@ -654,6 +655,77 @@ def test_trace_l1_within_digit_bound():
         if n >= 2:
             assert worst == 3 ** (n - 2)
             assert l1[(n, *range(2, n), 1)] == worst
+
+
+# -- the split at thin strand indices ------------------------------------------------
+
+
+@st.composite
+def thin_words(draw):
+    """(word, kinds): 7-8 strands with a lone s, a lone S and a lone t
+    planted at three distinct indices, sometimes an unused inner index, and
+    2-4 crossings of either sign at every other index, in a random order;
+    ``kinds`` are the planted lone letters' kinds."""
+    n = draw(st.integers(7, 8))
+    indices = draw(st.permutations(range(1, n)))
+    planted = dict(zip(indices, (SIGMA, SIGMA_INV, TAU)))
+    unused = indices[3] if 1 < indices[3] < n - 1 and draw(st.booleans()) else None
+    letters = [Generator(kind, i) for i, kind in planted.items()]
+    sign = st.sampled_from((SIGMA, SIGMA_INV))
+    for i in indices[3:]:
+        if i != unused:
+            letters += [Generator(draw(sign), i) for _ in range(draw(st.integers(2, 4)))]
+    order = draw(st.permutations(range(len(letters))))
+    return SingularBraidWord(n, tuple(letters[k] for k in order)), sorted(planted.values())
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(thin_words())
+def test_split_fold_matches_the_whole_fold_in_both_orientations(case):
+    w, kinds = case
+    letters, strands = hecke._compact(_reduced(w.letters))
+    assume(strands >= hecke._SPLIT_STRANDS)  # no pair at an end index cancelled
+    lone = hecke._split(letters, strands)[1]
+    assert not Counter(kinds) - Counter(lone)  # each planted lone letter is cut out
+    comps = trace_components(w)
+    for mirror in (False, True):
+        assert comps == hecke._trace({0: 1}, letters, strands, w.degree, mirror)
+
+
+def test_a_piece_is_reduced_again_once_its_lone_letter_is_cut_out():
+    # s3 is the lone letter; rotated to the end it leaves S2 s1 s2 s1 s2 s1
+    # s2 below it, whose first and last letters cancel across the wrap, which
+    # s3 blocks in the whole word.  Without the rotation the piece would read
+    # s2 s1 s1 s2 s1, the same trace in other letters.
+    w = parse("s2 s1 s2 s3 S2 s1 s2 s1 s4 s5 s6 s4 s5 s6")
+    letters, strands = hecke._compact(_reduced(w.letters))
+    assert (letters, strands) == (w.letters, 7)
+    pieces = [(parse("s1 s2 s3 s1 s2 s3").letters, 4), (parse("s1 s2 s1 s2 s1").letters, 3)]
+    assert hecke._split(letters, strands) == (pieces, [SIGMA])
+    assert trace_components(w) == forced(w, False) == forced(w, True)
+
+
+@pytest.mark.parametrize("strands, pieces", [(6, 1), (7, 2)])
+def test_only_words_on_at_least_seven_strands_are_split(monkeypatch, strands, pieces):
+    # one shape on each side of the gate: a lone S3 between two blocks
+    top = " ".join(f"s{i}" for i in range(4, strands))
+    w = parse(f"s1 s2 s1 s2 S3 {top} {top}")
+    assert w.strands == strands
+    expected = forced(w, False)
+    seen = spy_on_folds(monkeypatch)
+    assert trace_components(w) == expected
+    assert len(seen) == pieces
+    assert hecke._split(w.letters, strands)[1] == ([SIGMA_INV] if pieces > 1 else [])
+
+
+def test_lone_letters_alone_multiply_their_factors():
+    # every index used once: no piece is folded, and the trace is the
+    # product z^3 (q^-1 (z + 1) - 1)^2 (1 + r z)^2, here checked against the
+    # whole fold
+    w = parse("s1 S2 t3 s4 t5 S6 s7")
+    pieces, lone = hecke._split(*hecke._compact(_reduced(w.letters)))
+    assert pieces == [] and sorted(lone) == [SIGMA_INV, SIGMA_INV, TAU, TAU, SIGMA, SIGMA, SIGMA]
+    assert trace_components(w) == forced(w, False) == forced(w, True)
 
 
 # -- the peel against an independent coset recursion ---------------------------------

@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from singskein.packed import _digits, _low_digit, _width
+from singskein.packed import _digits, _low_digit, _product, _width
 
 
 @st.composite
@@ -42,3 +42,52 @@ def test_width_covers_its_bound():
     for bound in (0, 1, 7, 8, 2**64 - 1):
         half = 1 << (_width(bound) - 1)
         assert bound < half and 2 * bound >= half - 1
+
+
+def test_product_reads_coefficients_at_its_width_bound():
+    # monomials far from 0: the product's one coefficient is the product of
+    # the factors' L1 norms, the bound the width comes from, with no slack;
+    # a width one bit short reads -315 as a digit of 197 and a carry
+    factors = [[{(1, 1): 7}], [{(-3, 0): -9}], [{}, {(0, 2): 5}]]
+    assert _product(factors, 3) == [{}, {(-2, 3): -315}, {}]
+    # the three lone-letter factors of the split: z (q^-1 (z + 1) - 1) (1 + r z)
+    lone = [[{(0, 1): 1}], [{(-1, 1): 1, (-1, 0): 1, (0, 0): -1}], [{(0, 0): 1}, {(0, 1): 1}]]
+    assert _product(lone, 2) == [
+        {(-1, 2): 1, (-1, 1): 1, (0, 1): -1},
+        {(-1, 3): 1, (-1, 2): 1, (0, 2): -1},
+    ]
+
+
+@st.composite
+def laurent_factors(draw):
+    """(slots, factors): 1-3 polynomials in r, q^(+-1) and z as components,
+    their r-degrees summing to less than ``slots``, nonzero coefficients up
+    to 2^40 in absolute value, as components store no 0."""
+    slots = draw(st.integers(1, 4))
+    coefficient = st.integers(-(2**40), 2**40).filter(bool)
+    term = st.tuples(st.tuples(st.integers(-4, 4), st.integers(0, 3)), coefficient)
+    factors = []
+    room = slots
+    for _ in range(draw(st.integers(1, 3))):
+        degree = draw(st.integers(0, room - 1))
+        room -= degree
+        factors.append([dict(draw(st.lists(term, max_size=4))) for _ in range(degree + 1)])
+    return slots, factors
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(laurent_factors())
+def test_product_matches_the_convolution_of_the_components(case):
+    slots, factors = case
+    expected = [{(0, 0): 1}] + [{} for _ in range(slots - 1)]
+    for factor in factors:
+        out = [{} for _ in range(slots)]
+        for r, comp in enumerate(expected):
+            for s, other in enumerate(factor):
+                for (qa, za), a in comp.items():
+                    for (qb, zb), b in other.items():
+                        key = (qa + qb, za + zb)
+                        out[r + s][key] = out[r + s].get(key, 0) + a * b
+        expected = out
+    expected = [{k: v for k, v in comp.items() if v} for comp in expected]
+    assert _product(factors, slots) == expected
