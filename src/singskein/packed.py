@@ -65,7 +65,11 @@ def _width(bound: int) -> int:
 
 def _digits(v: int, width: int):
     """(index, digit) for each nonzero balanced width-bit digit of v, lowest
-    first; the digits are v's coefficients when each is below 2^(width-1)."""
+    first; the digits are v's coefficients when each is below 2^(width-1).
+    A width below 2 holds no nonzero balanced digit, so a nonzero v there is
+    a ValueError, not an endless run of -1s."""
+    if width < 2 and v:
+        raise ValueError(f"a nonzero int has no balanced digits of width {width}")
     mask = (1 << width) - 1
     half = 1 << (width - 1)
     i = 0

@@ -1,0 +1,305 @@
+"""The check battery: the cross-checks CI runs besides the tests, runnable
+locally; standard library only.
+
+    PYTHONPATH=src python3 tests/battery.py           # every step, CI's order
+    PYTHONPATH=src python3 tests/battery.py <step>    # one step, as CI calls it
+
+Each step pins singskein's classes to an independent path: the README's
+library example, the recorded digests of perfbench/reference.json, the
+fold in both orientations, the skein relation, --verify against
+recomputation, the packed coefficients against the dense oracle, and the
+12-strand cap words.  A failed check prints its line; the script exits 1
+if any step fails.  Whatever ``singskein`` the interpreter imports is the
+one checked, so PYTHONPATH may point at a copy of ``src/``.
+"""
+
+import hashlib
+import json
+import random
+import resource
+import subprocess
+import sys
+import time
+import traceback
+from pathlib import Path
+from typing import NamedTuple
+
+from singskein import cli, hecke, markov, markov_class, parse, skein_class, skein_triple_check
+from singskein.braid import SingularBraidWord, _reduced, exponent_sum
+from singskein.coeff import QZ, SU, RationalFunction
+from singskein.moves import random_move_sequence
+from singskein.oracle import embed_qz_to_su
+from singskein.skein import _closure_coefficient
+
+HERE = Path(__file__).resolve().parent
+REFERENCE = HERE.parent / "perfbench" / "reference.json"
+
+
+class Reference(NamedTuple):
+    workload: str
+    argv: list
+    args: object  # the CLI's parsed arguments
+    word: SingularBraidWord
+    sha256: str
+
+
+def reference_words(parts=("strata", "warmup"), workloads=None):
+    """The words of perfbench/reference.json, each workload's strata words
+    and then its warm-up words (those of ``parts``), parsed as the CLI
+    parses them."""
+    for name, pool in json.loads(REFERENCE.read_text())["workloads"].items():
+        if workloads and name not in workloads:
+            continue
+        entries = []
+        if "strata" in parts:
+            entries += [w for s in pool["strata"] for w in s["words"]]
+        if "warmup" in parts:
+            entries += pool["warmup"]
+        for entry in entries:
+            args = cli.build_parser().parse_args(entry["argv"])
+            yield Reference(name, entry["argv"], args, parse(args.word, args.strands), entry["sha256"])
+
+
+class Tally:
+    """One step's checks: each failed one prints its line."""
+
+    def __init__(self):
+        self.total = self.failed = 0
+
+    def __call__(self, ok, *line):
+        self.total += 1
+        if not ok:
+            self.failed += 1
+            if line:
+                print(*line)
+
+    def report(self, what):
+        print(f"{self.total - self.failed}/{self.total} {what}")
+
+
+def readme_library(tally):
+    # the README's "Library" snippet, with the values its comments name;
+    # skein_class(word) solves the word itself, without coordinates
+    word = parse("t1 s1", 2)
+    checks = {
+        "markov_class": str(markov_class(word)) == "Y",
+        "skein_class": str(skein_class(word)) == "Yhat",
+        "skein_triple_check": skein_triple_check(word, 1).holds,
+    }
+    print(checks)
+    for ok in checks.values():
+        tally(ok)
+
+
+def reference_outputs(tally):
+    # re-render every reference word in process and compare its SHA-256
+    # with the recorded digest
+    for ref in reference_words():
+        text = cli.render_json(cli.run(ref.args))
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        tally(digest == ref.sha256, "mismatch:", ref.workload, " ".join(ref.argv))
+    tally.report("reference outputs match")
+
+
+def both_orientations(tally):
+    # fold every reference word as given and as its mirror mapped back by
+    # z -> q - 1 - z; the direct fold never runs that map, so it is an
+    # independent check of it.  Both folds are the unsplit hecke._trace on
+    # the letters as given, so they are also the cross-check of
+    # hecke.trace_components, which folds the word's cyclic reduction on
+    # the strands it spans and, on 7 strands or more, cuts it into pieces at
+    # thin strand indices and multiplies their traces; the letter totals
+    # before and after that reduction, and the number of words that split,
+    # are printed
+    given = reduced = split = 0
+    for ref in reference_words():
+        w = ref.word
+        folds = [hecke._trace({0: 1}, w.letters, w.strands, w.degree, m) for m in (False, True)]
+        given += len(w.letters)
+        reduced += len(_reduced(w.letters))
+        pieces, lone = hecke._split(*hecke._compact(_reduced(w.letters)))
+        split += len(pieces) + len(lone) > 1
+        ok = folds[0] == folds[1] == hecke.trace_components(w)
+        tally(ok, "folds differ:", ref.workload, " ".join(ref.argv))
+    print(f"letters: {given} as given, {reduced} after cyclic reduction")
+    print(f"{split}/{tally.total} reference words split at a thin strand index")
+    tally.report("reference words agree in both orientations, reduced and split")
+
+
+def skein_check(tally):
+    # the skein relation t^-1 P - t N = x S at the first and the last
+    # crossing site of every reference word: both sides come from the
+    # packed sums of the numerators of w s_i, w S_i and w, each word folded
+    # on its own
+    for ref in reference_words():
+        for i in sorted({1, ref.word.strands - 1}):
+            holds = skein_triple_check(ref.word, i).holds
+            tally(holds, "relation fails:", ref.workload, " ".join(ref.argv), i)
+    tally.report("skein checks hold")
+
+
+def verify_recompute(tally):
+    # cli.run's verify dict for every verify-fuzz word against a loop that
+    # classes every move's word anew.  Inside cli.run the folds
+    # (markov.trace_components) and the full classes
+    # (cli._class_from_components) are counted: a run folds each distinct
+    # (strand count, cyclic reduction) once, the given word's included, and
+    # builds a full class only for a new (strands, writhe) shape with no
+    # word known to be good.  On the strata words: 4320 move words, 1745
+    # folded, 598 full classes, 0 mismatches
+    fold, full_class = markov.trace_components, cli._class_from_components
+    folded, classed = [], []
+
+    def counted_fold(word):
+        folded.append(word)
+        return fold(word)
+
+    def counted_class(comps, word):
+        classed.append(word)
+        return full_class(comps, word)
+
+    for label, part in (("strata", "strata"), ("warm-up", "warmup")):
+        refs = list(reference_words((part,), ("verify-fuzz",)))
+        steps = folds = classes = shapes = 0
+        failed_before = tally.failed
+        for ref in refs:
+            w, args = ref.word, ref.args
+            reference = skein_class(w)
+            moves = random_move_sequence(w, args.moves, seed=args.seed, max_strands=args.max_strands or cli.HARD_MAX_STRANDS)
+            failures = [f"step {k}: {move!r} changed the class" for k, (move, step) in enumerate(moves, 1) if skein_class(step) != reference]
+            steps += len(moves)
+            expected = {"moves": args.moves, "seed": args.seed, "passed": args.moves - len(failures), "failed": len(failures), "failures": failures}
+            folded.clear()
+            classed.clear()
+            markov.trace_components, cli._class_from_components = counted_fold, counted_class
+            try:
+                verify = cli.run(args).verify
+            finally:
+                markov.trace_components, cli._class_from_components = fold, full_class
+            keys = {(s.strands, _reduced(s.letters)) for s in folded}
+            shape = (w.strands, exponent_sum(w))
+            new_shapes = {(s.strands, exponent_sum(s)) for s in folded[1:]} - {shape}
+            # the given word first, then each move word once; a full class
+            # for each new shape, and for no word that the given one's shape holds
+            ok = (
+                verify == expected
+                and folded[0] == w
+                and len(keys) == len(folded)
+                and new_shapes <= {(s.strands, exponent_sum(s)) for s in classed}
+                and all((s.strands, exponent_sum(s)) != shape for s in classed)
+            )
+            tally(ok, "verify differs:", " ".join(ref.argv))
+            folds += len(folded) - 1
+            classes += len(classed)
+            shapes += len(new_shapes)
+        mismatches = tally.failed - failed_before
+        print(f"{label}: {len(refs)} words, {steps} move words, {folds} folded, {classes} full classes, {shapes} new shapes, {mismatches} mismatches")
+
+
+def packed_vs_oracle(tally):
+    # write down every skein coefficient of every strata word with the
+    # packed kernel and compare it with the dense-list oracle embedding of
+    # its Q(q, z) coordinate, embed(c z^m) u^k, which shares no code with
+    # the packed kernel
+    z = RationalFunction.coordinate(QZ, "z")
+    u = RationalFunction.coordinate(SU, "u")
+    for ref in reference_words(("strata",)):
+        n, e = ref.word.strands, exponent_sum(ref.word)
+        for (a, b), c in markov.factored_coordinates(ref.word).items():
+            m, k = a + b - n + 1, a + e - n + 1
+            ok = _closure_coefficient(c, m, k) == embed_qz_to_su(c.in_qz() * z**m) * u**k
+            tally(ok, "differs:", ref.workload, " ".join(ref.argv), (a, b))
+    tally.report("packed coefficients match the dense oracle")
+
+
+def cap_word(c, seed):
+    """ROADMAP item 5's recipe: c crossings on 12 strands, then 8 double points."""
+    rng = random.Random(seed)
+    letters = [rng.choice("sS") + str(rng.randrange(1, 12)) for _ in range(c)]
+    for _ in range(8):
+        letters.insert(rng.randint(0, len(letters)), f"t{rng.randrange(1, 12)}")
+    return " ".join(letters)
+
+
+# (c, seed, SHA-256 of trace_components), recorded before the orbit step
+# kernel: c = 40 and c = 50 at seed 1 do not split, and c = 50 at seed 3
+# folds as two pieces of 8 and 4 strands, cut at thin strand indices
+CAP_WORDS = (
+    (40, 1, "fe73153871557e7f63bd75e107f6ff93f7651baf3475ca0e696ce1f9e81bb145"),
+    (50, 1, "0eff38f89cfb195f769b9c71c8f46e05d9f06730b8622016bed2f00b3c4b5d3a"),
+    (50, 3, "30d9de9aa22150a8391d670cb87025a181df8d6d5a85a9f47fa266efa88c6dba"),
+)
+CAP_ADDRESS_SPACE = 2097152 * 1024  # bytes, as `ulimit -v 2097152`
+_CAP_CHILD = f"import sys; sys.path.insert(0, {str(HERE)!r}); import battery; battery.fold_cap_word(*sys.argv[1:])"
+
+
+def fold_cap_word(c, seed, expected):
+    """Fold one cap word by trace_components and print its digest check,
+    CPU time and peak RSS; the process exits 1 if the digest differs."""
+    c, seed = int(c), int(seed)
+    word = parse(cap_word(c, seed), 12)
+    start = time.process_time()
+    comps = hecke.trace_components(word)
+    cpu = time.process_time() - start
+    digest = hashlib.sha256(repr([sorted(comp.items()) for comp in comps]).encode()).hexdigest()
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(f"c = {c}, seed {seed}: {'digest matches' if digest == expected else 'DIGEST DIFFERS'}, CPU {cpu:.2f} s, peak RSS {peak:.0f} MB")
+    sys.exit(digest != expected)
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (CAP_ADDRESS_SPACE, CAP_ADDRESS_SPACE))
+
+
+def cap_words(tally):
+    # each cap word folded in its own process under a 2 GB address-space
+    # limit (set in that process only), so a fold blow-up fails this check
+    # instead of the machine
+    for c, seed, digest in CAP_WORDS:
+        child = subprocess.run([sys.executable, "-c", _CAP_CHILD, str(c), str(seed), digest], preexec_fn=_limit_address_space)
+        tally(child.returncode == 0)
+
+
+STEPS = {
+    "readme-library": readme_library,
+    "reference-outputs": reference_outputs,
+    "both-orientations": both_orientations,
+    "skein-check": skein_check,
+    "verify-recompute": verify_recompute,
+    "packed-vs-oracle": packed_vs_oracle,
+    "cap-words": cap_words,
+}
+
+
+def run(name):
+    """Run one step; True if every check in it holds."""
+    tally = Tally()
+    try:
+        STEPS[name](tally)
+    except Exception:  # a step that raises has failed; the others still run
+        traceback.print_exc()
+        tally(False)
+    sys.stdout.flush()
+    return not tally.failed
+
+
+def main(argv):
+    if len(argv) > 1 or not set(argv) <= STEPS.keys():
+        print(f"usage: battery.py [{'|'.join(STEPS)}]", file=sys.stderr)
+        return 2
+    if argv:
+        return 0 if run(argv[0]) else 1
+    failed = []
+    for name in STEPS:
+        print(f"== {name}", flush=True)
+        start = time.perf_counter()
+        ok = run(name)
+        if not ok:
+            failed.append(name)
+        print(f"   {'passed' if ok else 'FAILED'} in {time.perf_counter() - start:.1f} s", flush=True)
+    print(f"battery: {len(STEPS) - len(failed)}/{len(STEPS)} steps pass" + (f"; failed: {', '.join(failed)}" if failed else ""))
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

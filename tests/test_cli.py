@@ -4,7 +4,6 @@ import functools
 import hashlib
 import json
 import os
-import random
 import subprocess
 import sys
 from pathlib import Path
@@ -19,6 +18,8 @@ from singskein.braid import SIGMA, SIGMA_INV, TAU, Generator, SingularBraidWord,
 from singskein.coeff import QZ, RationalFunction
 from singskein.cli import main
 from singskein.moves import random_move_sequence
+
+from battery import cap_word  # tests/ is on sys.path under pytest's default import mode
 
 TRUE_FOLD = markov.trace_components
 TRUE_CLASS_FROM_COMPONENTS = cli._class_from_components
@@ -512,15 +513,6 @@ def test_run_report_is_a_plain_mutable_record():
         "RunReport(word=<word t1 s1 on 2>, strands=2, degree=1, writhe=1, components=2, "
         "markov=<MarkovClass Y>, skein=<SkeinClass Yhat>, elapsed_seconds=0.25, verify=None)"
     )
-
-
-def cap_word(c, seed):
-    """ROADMAP item 5's recipe: c crossings on 12 strands, then 8 double points."""
-    rng = random.Random(seed)
-    letters = [rng.choice("sS") + str(rng.randrange(1, 12)) for _ in range(c)]
-    for _ in range(8):
-        letters.insert(rng.randint(0, len(letters)), f"t{rng.randrange(1, 12)}")
-    return " ".join(letters)
 
 
 def test_cap_reference_outputs_match_their_digests():

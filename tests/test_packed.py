@@ -1,5 +1,6 @@
 """The one decoder of the packed format: balanced digits back out of an int."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -36,6 +37,17 @@ def test_digit_bound_is_strict():
     width = 4
     value = _packed([1 << (width - 1)], width)
     assert list(_digits(value, width)) == [(0, -8), (1, 1)]
+
+
+def test_a_width_below_two_is_refused_not_looped():
+    # at width 1 the balanced digits are 0 and -1, so v = (v - digit) >> 1
+    # maps 1 to 1 and the generator would yield -1 forever; next() keeps the
+    # test finite either way.  Zero has no digits at any width.
+    with pytest.raises(ValueError):
+        next(_digits(1, 1))
+    with pytest.raises(ValueError):
+        next(_digits(-5, 0))
+    assert list(_digits(0, 1)) == []
 
 
 def test_width_covers_its_bound():
