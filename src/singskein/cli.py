@@ -7,8 +7,11 @@ theory violation (a ``--verify`` move changed the class, or the
 exhausted (a word inside the caps can still run out of memory).
 
 stdout is byte-identical for identical (input, flags, seed); wall-clock
-timing goes to stderr.  ``--moves`` is at most ``HARD_MAX_MOVES`` (10,000),
-as every move's word is held until the classes are checked.  A run folds
+timing goes to stderr.  ``--moves`` is at most ``HARD_MAX_MOVES`` (10,000).
+The moves are generated one at a time and each word is dropped once it is
+checked, so the cap does not bound a list of words: it bounds the run's
+time, linear in the move count, and the verdict memo, which keeps one
+cyclic reduction for each distinct word folded.  A run folds
 each distinct (strand count, cyclic reduction) of those words once, the
 given word's included, and builds a full class only for the first word of
 each new (strand count, writhe) shape; every other word is decided on its
@@ -191,8 +194,8 @@ def run(args: argparse.Namespace) -> RunReport:
 
 
 def random_move_sequence(*args, **kwargs):
-    """``singskein.moves.random_move_sequence``; the move machinery is
-    imported only when ``--verify`` first asks for moves."""
+    """``singskein.moves.random_move_sequence``, imported on first call.
+    ``--verify`` does not call it: it reads the same moves one at a time."""
     from .moves import random_move_sequence
 
     return random_move_sequence(*args, **kwargs)
@@ -202,14 +205,17 @@ def _verify_moves(coords: MarkovClass, reference: SkeinClass, args: argparse.Nam
     """Check ``args.moves`` random moves of the word of ``coords``, its
     ``markov_class``, against ``reference``, its ``skein_class``."""
     # The move words need no cap check of their own: every move keeps the
-    # degree, and random_move_sequence keeps the strand count within the cap.
+    # degree, and the move stream keeps the strand count within the cap.
+    # The moves are those of random_move_sequence, read one at a time, so
+    # only the current word is held; the move machinery is imported here,
+    # on the first --verify.
+    from .moves import _move_stream
+
     word = coords.word
     strand_cap = args.max_strands if args.max_strands else HARD_MAX_STRANDS
     passed = 0
     failures: list[str] = []
-    steps = random_move_sequence(
-        word, args.moves, seed=args.seed, max_strands=strand_cap
-    )
+    steps = _move_stream(word, args.moves, seed=args.seed, max_strands=strand_cap)
     # A class reads the word's strands, degree and exponent sum, and
     # trace_components, which folds _compact(_reduced(letters)), or the
     # pieces hecke._split cuts it into, a function of those letters alone;

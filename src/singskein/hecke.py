@@ -125,7 +125,9 @@ over the product's q-range, then z, so no slot spills into the next (the
 r-degrees sum to d).  Every coefficient of the product is a sum of
 products of one coefficient of each factor, so it is at most the product
 of the factors' L1 norms, and ``packed._width`` of that product reads it
-exactly; the ints are multiplied and decoded once.  The split is a
+exactly.  The ints are multiplied, and the product is split at z and each
+z-row at that width: a row holds R times the q-span such digits, so it
+too is read exactly (the lemma in ``singskein.packed``).  The split is a
 function of the reduced letters, so words with equal reductions still run
 the same computation.
 

@@ -18,6 +18,7 @@ from there.
 from __future__ import annotations
 
 import random
+from typing import Iterator
 
 from .braid import (
     SIGMA,
@@ -246,6 +247,18 @@ def random_move_sequence(
     max_length: int | None = None,
 ) -> list[tuple[MarkovMove, SingularBraidWord]]:
     """Seeded sequence of applicable moves; each entry is (move, resulting word)."""
+    return list(_move_stream(word, length, seed, max_strands, max_length))
+
+
+def _move_stream(
+    word: SingularBraidWord,
+    length: int,
+    seed: int,
+    max_strands: int | None = None,
+    max_length: int | None = None,
+) -> Iterator[tuple[MarkovMove, SingularBraidWord]]:
+    """The entries of ``random_move_sequence`` one at a time, so a caller
+    that reads each once holds one word, not ``length`` of them."""
     if length < 0:
         raise ValueError("length must be >= 0")
     if max_strands is None:
@@ -253,13 +266,11 @@ def random_move_sequence(
     if max_length is None:
         max_length = len(word.letters) + 16
     rng = random.Random(seed)
-    out: list[tuple[MarkovMove, SingularBraidWord]] = []
     current = word
     for _ in range(length):
         move = _sample_move(rng, current, max_strands, max_length)
         current = move.apply(current)
-        out.append((move, current))
-    return out
+        yield move, current
 
 
 def _sample_move(

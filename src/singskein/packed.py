@@ -16,7 +16,9 @@ gives |N_b| < 2^(S-1).  A polynomial in x = s^2 and y = u^2 is one int,
 x -> 2^W and y -> 2^S, S = W times the x-slots, so q -> x needs no
 repacking.  The split fold's product of trace components, polynomials in
 r (resolutions), q and z, is one int per factor (``_product``): r in the
-lowest digits, then q, then z.
+lowest digits, then q, then z -> 2^Z with Z = W times the r- and q-slots.
+The product is split at Z into z-rows, and each row at W: a row holds at
+most Z/W balanced digits, so again |row| < 2^(Z-1).
 
 The exactness lemma.  Evaluation at a power of two is a ring homomorphism,
 so shifts, adds and products of these ints are exact at any W.  Only the
@@ -116,10 +118,12 @@ def _product(
     r), as components for r^0 .. r^(slots - 1); the r-degrees must sum to
     less than ``slots``.  Each factor is packed in one layout: r in
     ``slots`` digits, then q over the q-range of the product, then z.  So no
-    slot of the product spills into the next, the ints are multiplied, and
-    the product is decoded once.  Every coefficient of a product is at most
-    the product of the factors' L1 norms, so ``_width`` of that bound reads
-    it exactly (the exactness lemma)."""
+    slot of the product spills into the next, and the ints are multiplied.
+    Every coefficient of a product is at most the product of the factors'
+    L1 norms, so at ``_width`` of that bound every digit is below
+    2^(width-1).  The product is split at z, then each z-row at ``width``:
+    a row holds ``slots`` times the q-span such digits, so |row| <
+    2^(z_shift-1), and both splits are exact (the exactness lemma)."""
     lows, span, bound = [], 1, 1
     for factor in factors:
         qs = [qe for comp in factor for qe, _ in comp]
@@ -139,10 +143,10 @@ def _product(
         total *= value
     out: list[dict[tuple[int, int], int]] = [{} for _ in range(slots)]
     low = sum(lows)
-    for slot, digit in _digits(total, width):
-        ze, rest = divmod(slot, slots * span)
-        qe, r = divmod(rest, slots)
-        out[r][(qe + low, ze)] = digit
+    for ze, row in _digits(total, z_shift):
+        for slot, digit in _digits(row, width):
+            qe, r = divmod(slot, slots)
+            out[r][(qe + low, ze)] = digit
     return out
 
 

@@ -7,8 +7,9 @@ locally; standard library only.
 Each step pins singskein's classes to an independent path: the README's
 library example, the recorded digests of perfbench/reference.json, the
 fold in both orientations, the skein relation, --verify against
-recomputation, the packed coefficients against the dense oracle, and the
-12-strand cap words.  A failed check prints its line; the script exits 1
+recomputation and its recorded counts, the packed coefficients against the
+dense oracle, the 12-strand cap words, and the recorded digests of
+tests/cap_reference.json.  A failed check prints its line; the script exits 1
 if any step fails.  Whatever ``singskein`` the interpreter imports is the
 one checked, so PYTHONPATH may point at a copy of ``src/``.
 """
@@ -33,6 +34,7 @@ from singskein.skein import _closure_coefficient
 
 HERE = Path(__file__).resolve().parent
 REFERENCE = HERE.parent / "perfbench" / "reference.json"
+CAP_REFERENCE = HERE / "cap_reference.json"
 
 
 class Reference(NamedTuple):
@@ -138,6 +140,14 @@ def skein_check(tally):
     tally.report("skein checks hold")
 
 
+# verify_recompute's (words, move words, folded, full classes, new shapes)
+# on working code.  The planted fold mutants that --verify cannot see
+# printed 661 (the S_i lone-letter factor with +1 for -1) and 647 (the
+# decoded trace negated in hecke._peel) strata full classes, against 598,
+# and passed the step while these counts went unchecked.
+RECORDED_COUNTS = {"strata": (480, 4320, 1745, 598, 598), "warm-up": (6, 54, 17, 7, 7)}
+
+
 def verify_recompute(tally):
     # cli.run's verify dict for every verify-fuzz word against a loop that
     # classes every move's word anew.  Inside cli.run the folds
@@ -145,8 +155,10 @@ def verify_recompute(tally):
     # (cli._class_from_components) are counted: a run folds each distinct
     # (strand count, cyclic reduction) once, the given word's included, and
     # builds a full class only for a new (strands, writhe) shape with no
-    # word known to be good.  On the strata words: 4320 move words, 1745
-    # folded, 598 full classes, 0 mismatches
+    # word known to be good.  Every verify dict must report no failed move,
+    # and the counts must be the recorded ones (RECORDED_COUNTS): --verify
+    # checks the engine against itself, so a fold that is wrong in the same
+    # way for every word of a class passes it, but it moves the counts
     fold, full_class = markov.trace_components, cli._class_from_components
     folded, classed = [], []
 
@@ -183,6 +195,7 @@ def verify_recompute(tally):
             # for each new shape, and for no word that the given one's shape holds
             ok = (
                 verify == expected
+                and verify["failed"] == 0
                 and folded[0] == w
                 and len(keys) == len(folded)
                 and new_shapes <= {(s.strands, exponent_sum(s)) for s in classed}
@@ -194,6 +207,8 @@ def verify_recompute(tally):
             shapes += len(new_shapes)
         mismatches = tally.failed - failed_before
         print(f"{label}: {len(refs)} words, {steps} move words, {folds} folded, {classes} full classes, {shapes} new shapes, {mismatches} mismatches")
+        counts = (len(refs), steps, folds, classes, shapes)
+        tally(counts == RECORDED_COUNTS[label], f"{label}: counts differ from the recorded {RECORDED_COUNTS[label]}")
 
 
 def packed_vs_oracle(tally):
@@ -221,13 +236,18 @@ def cap_word(c, seed):
     return " ".join(letters)
 
 
-# (c, seed, SHA-256 of trace_components), recorded before the orbit step
-# kernel: c = 40 and c = 50 at seed 1 do not split, and c = 50 at seed 3
-# folds as two pieces of 8 and 4 strands, cut at thin strand indices
+# (c, seed, SHA-256 of trace_components), the first three recorded before
+# the orbit step kernel: c = 40 and c = 50 at seed 1 do not split, and
+# c = 50 at seed 3 folds as two pieces of 8 and 4 strands, cut at thin
+# strand indices.  Its two pieces' signs cancel in the product, and it cuts
+# out no S_i, so c = 30 at seed 12 (recorded before the product's row-by-row
+# decode) pins both: it folds as three pieces of 5, 2 and 5 strands, each
+# as its mirror, and cuts out one s_i and one S_i
 CAP_WORDS = (
     (40, 1, "fe73153871557e7f63bd75e107f6ff93f7651baf3475ca0e696ce1f9e81bb145"),
     (50, 1, "0eff38f89cfb195f769b9c71c8f46e05d9f06730b8622016bed2f00b3c4b5d3a"),
     (50, 3, "30d9de9aa22150a8391d670cb87025a181df8d6d5a85a9f47fa266efa88c6dba"),
+    (30, 12, "cfb895150d3e228c1ec5723b05813f058d46d56e57860c495bac2a51aaa30cd8"),
 )
 CAP_ADDRESS_SPACE = 2097152 * 1024  # bytes, as `ulimit -v 2097152`
 _CAP_CHILD = f"import sys; sys.path.insert(0, {str(HERE)!r}); import battery; battery.fold_cap_word(*sys.argv[1:])"
@@ -260,6 +280,27 @@ def cap_words(tally):
         tally(child.returncode == 0)
 
 
+def cap_reference(tally):
+    # re-render every word of tests/cap_reference.json (c = 22 and c = 30
+    # at seeds 1-10, c = 50 at seed 3; 12 strands, 8 double points) and
+    # compare its SHA-256 with the recorded digest; the words that split at
+    # a thin strand index, which go through packed._product, and the total
+    # CPU time are printed
+    start = time.process_time()
+    entries = json.loads(CAP_REFERENCE.read_text())["words"]
+    split = 0
+    for entry in entries:
+        argv = ["--word", entry["word"], "--strands", "12", "--format", "json"]
+        report = cli.run(cli.build_parser().parse_args(argv))
+        pieces, lone = hecke._split(*hecke._compact(_reduced(report.word.letters)))
+        split += len(pieces) + len(lone) > 1
+        digest = hashlib.sha256(cli.render_json(report).encode()).hexdigest()
+        ok = entry["word"] == cap_word(entry["c"], entry["seed"]) and digest == entry["sha256"]
+        tally(ok, "mismatch:", f"c = {entry['c']}, seed {entry['seed']}")
+    print(f"{split}/{len(entries)} cap reference words split at a thin strand index")
+    tally.report(f"cap reference outputs match, CPU {time.process_time() - start:.2f} s")
+
+
 STEPS = {
     "readme-library": readme_library,
     "reference-outputs": reference_outputs,
@@ -268,6 +309,7 @@ STEPS = {
     "verify-recompute": verify_recompute,
     "packed-vs-oracle": packed_vs_oracle,
     "cap-words": cap_words,
+    "cap-reference": cap_reference,
 }
 
 

@@ -219,7 +219,7 @@ def test_verify_classes_each_new_reduction_once(monkeypatch):
         ("rotate widened", widened_rotated),
         ("split", split),  # seen: neither folded nor classed
     ]
-    monkeypatch.setattr(cli, "random_move_sequence", lambda *args, **kwargs: list(script))
+    monkeypatch.setattr("singskein.moves._move_stream", lambda *args, **kwargs: iter(script))
     folded, classed = [], []
 
     def counted_fold(word):

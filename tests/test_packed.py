@@ -70,6 +70,20 @@ def test_product_reads_coefficients_at_its_width_bound():
     ]
 
 
+def test_product_splits_rows_that_end_in_a_negative_digit():
+    # M q^-2 (1 + z) (1 - r q): two z-rows, each of r-slots 0, 1 over q^-2
+    # and q^-1, and each ending in its top digit -M, so each row is negative
+    # and the split at z must borrow from the row above.  Every digit is +-M,
+    # a quarter of the L1 bound 4M the width is taken from.  A split one
+    # digit short of z reads each row's top digit as the next row's first
+    big = (1 << 61) - 1
+    factors = [[{(0, 0): 1, (0, 1): 1}], [{(0, 0): 1}, {(1, 0): -1}], [{(-2, 0): big}]]
+    assert _product(factors, 2) == [
+        {(-2, 0): big, (-2, 1): big},
+        {(-1, 0): -big, (-1, 1): -big},
+    ]
+
+
 @st.composite
 def laurent_factors(draw):
     """(slots, factors): 1-3 polynomials in r, q^(+-1) and z as components,
