@@ -49,7 +49,7 @@ exponent is negative: a negative crossing multiplies by
 ``q T_i^{-1} = T_i + (1 - q)`` and every rule is a shift and an add.
 
 The trace then acts on the whole folded element, one strand at a time, by
-peeling: for m from the strand count down to 2, each term P_w T_w whose
+peeling: for m from the strand count down to 4, each term P_w T_w whose
 largest moved point is m is written ``T_w = T_v T_{m-1} T_c`` with
 j = w(m), ``v = s_j ... s_{m-2}`` and c fixing m, lengths adding up, and is
 replaced by ``z P_w T_c T_j ... T_{m-2}``.  That has the same trace: the
@@ -58,18 +58,39 @@ Markov property takes out ``T_{m-1}`` as a factor z, and cyclicity moves
 j = m - d_m, from the top field, and c = L_j^{-1} w with
 L_j = s_j ... s_{m-1} sends m to m and each w(k) > j to w(k) - 1, which
 keeps the order of w(1), ..., w(m-1), so c's fields are w's below the top
-one.  At one level and one power of z, all the c are
-folded together in one positive fold, each joining just before the step
-s_j.  What is left on the identity is one int per power of z, decoded once
-(``packed._digits``); slots never collide because r < R.  The decode is
-exact by the lemma in ``singskein.packed`` once B is ``packed._width`` of a
-bound on every digit, taken from L1 norms (sums of absolute coefficients):
-every fold or peel step at most triples L1 (``(q-1) T_w + q T_ws`` or
-``T_ws + (1-q) T_w``) and a double point at most quadruples it (the
-identity plus the crossing rule one digit up).  A word with c crossings and
-d double points folds to L1 at most 3^c 4^d, and a coefficient passes
-through at most sum_{m=2..n} (m - 2) = (n-1)(n-2)/2 peel steps on n
-strands, so every digit is at most 3^(c + (n-1)(n-2)/2) 4^d.
+one.  At one level and one power of z, all the c are folded together in
+one positive fold, each joining just before the step s_j; a group is
+built only for each j that occurs, and the terms below m join the slice
+carried down for that power of z, the smaller dict merged into the larger.
+
+The peel's base is S_3, whose six traces are known in closed form:
+tr(1) = 1, tr(T_1) = tr(T_2) = z, tr(T_1 T_2) = tr(T_2 T_1) = z^2 and
+tr(T_1 T_2 T_1) = z tr(T_1^2) = z ((q - 1) z + q) = (q - 1) z^2 + q z.  So
+z-slice k adds each of its six coefficients, times its trace, into the ints
+of z^k, z^(k+1) and z^(k+2), with q a shift: one int per power of z,
+decoded once (``packed._digits``); slots never collide because r < R.
+
+The width lemma.  The decode is exact by the lemma in ``singskein.packed``
+once B is ``packed._width`` of a bound on every digit, taken from L1 norms
+(sums of absolute coefficients).  Every fold step at most triples L1
+(``(q-1) T_w + q T_ws`` or ``T_ws + (1-q) T_w``) and a double point at most
+quadruples it (the identity plus the crossing rule one digit up), so a word
+with c crossings and d double points folds to L1 at most 3^c 4^d.  tr is
+linear, so L1(tr x) <= L1(x) M_n on n strands, M_n the largest
+L1(tr T_w) over w in S_n, and every digit is at most 3^c 4^d M_n.  M_n is
+exactly 3^(n-2) for n = 2..8, reached at the transposition (1 n), as found
+on every permutation (the tests up to S_7, the battery's ``trace-bound``
+step for S_8):
+
+    n    1  2  3  4   5   6    7    8
+    M_n  1  1  3  9  27  81  243  729
+
+Above 8 strands, a peel level m at most triples L1 m - 2 times, as a term
+passes through at most m - 2 steps there, and the levels n..9 carry the
+state down to S_8.  So M_n <= 3^e(n) with e(n) = max(n - 2, 0) up to 8
+and e(n) = 6 + sum_{m=9..n} (m - 2) above (``_peel_exponent``), and every
+digit is at most 3^(c + e(n)) 4^d.  The per-level bound alone gives
+(n-1)(n-2)/2 in place of e(n), 15 more on 8 strands or more.
 
 ``trace_components`` does not fold the word as given but its cyclic
 reduction (``braid._reduced``): every pair s_i^e ... s_i^-e is cancelled
@@ -218,6 +239,11 @@ def _unpack_perm(w: int, n: int) -> tuple[int, ...]:
     return tuple(image)
 
 
+# the peel's base (module docstring): the elements of S_3 but 1, packed; their
+# traces are z (s1, s2), z^2 (s1 s2, s2 s1) and (q - 1) z^2 + q z (s1 s2 s1)
+_S1, _S2, _S1S2, _S2S1, _W0 = map(_pack_perm, ((2, 1), (1, 3, 2), (2, 3, 1), (3, 1, 2), (3, 2, 1)))
+
+
 def _merge(dst: dict[int, int], src: dict[int, int]) -> None:
     """Add the terms of ``src`` into ``dst``, dropping each sum that is 0."""
     get = dst.get
@@ -331,6 +357,15 @@ def _check_strands(strands: int) -> None:
         raise ValueError(f"{strands} strands do not fit a {_FIELD}-bit field (at most {_MASK})")
 
 
+def _peel_exponent(strands: int) -> int:
+    """e(n): L1(tr T_w) <= 3^e(n) for every w in S_n (the width lemma in the
+    module docstring).  The largest L1 is 3^(n - 2) up to S_8; above, each
+    level m > 8 of the peel may triple L1 m - 2 times."""
+    if strands <= 8:
+        return max(strands - 2, 0)
+    return 6 + sum(range(7, strands - 1))  # sum over m = 9..n of m - 2
+
+
 def _trace(
     state: dict[int, int], letters: tuple, strands: int, degree: int, mirror: bool = False
 ) -> list[dict[tuple[int, int], int]]:
@@ -349,7 +384,7 @@ def _trace(
     stride = degree + 1  # slots per power of q: resolution counts 0..degree
     crossings = len(letters) - degree
     # Digit width from the L1 bound in the module docstring.
-    bits = _width(3 ** (crossings + (strands - 1) * (strands - 2) // 2) * 4**degree)
+    bits = _width(3 ** (crossings + _peel_exponent(strands)) * 4**degree)
     q_shift = stride * bits
     for g in letters:
         state = _step(state, g.index, _MIRROR[g.kind] if mirror else g.kind, q_shift, bits)
@@ -362,12 +397,13 @@ def _trace(
 def _peel(
     slices: list, strands: int, stride: int, mirror: bool, bits: int, crossings: int, negatives: int
 ) -> list[dict[tuple[int, int], int]]:
-    """Peel a folded state, passed as ``[state]``, down to the identity and
-    decode it (module docstring); ``crossings`` and ``negatives`` count the
-    folded word's crossings and negative crossings.  The list is emptied as
-    it is read, so a state that only it holds is dropped slice by slice."""
+    """Peel a folded state, passed as ``[state]``, down to S_3, finish each
+    z-slice from the traces of S_3 and decode (module docstring);
+    ``crossings`` and ``negatives`` count the folded word's crossings and
+    negative crossings.  The list is emptied as it is read, so a state that
+    only it holds is dropped slice by slice."""
     q_shift = stride * bits
-    for m in range(strands, 1, -1):
+    for m in range(strands, 3, -1):
         top = _FIELD * (m - 1)
         below = 1 << top  # w < below: largest moved point below m
         low = below - 1  # the fields below m: c's, by the split lemma
@@ -375,27 +411,40 @@ def _peel(
         for k in range(len(slices)):
             part, slices[k] = slices[k], None
             rest: dict[int, int] = {}
-            groups: list[dict[int, int]] = [{} for _ in range(m)]  # groups[j] = {c: P_w}
+            groups: dict[int, dict[int, int]] = {}  # groups[j] = {c: P_w}
             for w, p in part.items():
                 if w < below:
                     rest[w] = p
                 else:  # (j, c) determines w, so no c repeats within its j
-                    groups[m - (w >> top)][w & low] = p
+                    j = m - (w >> top)
+                    group = groups.get(j)
+                    if group is None:
+                        groups[j] = group = {}
+                    group[w & low] = p
             del part
-            _merge(out[k], rest)  # the terms below m, carrying z^k
+            if len(rest) > len(out[k]):  # the terms below m, carrying z^k
+                out[k], rest = rest, out[k]
+            _merge(out[k], rest)
             # z * P_w * T_c T_j ... T_{m-2}: each c joins just before step s_j
             acc: dict[int, int] = {}
-            for i in range(1, m):
-                group, groups[i] = groups[i], None
+            for i in range(min(groups, default=m), m):
+                group = groups.pop(i, None)
                 if group:
                     if len(group) > len(acc):
                         acc, group = group, acc
                     _merge(acc, group)
-                if acc and i < m - 1:
+                if i < m - 1:
                     acc = _step(acc, i, SIGMA, q_shift, bits)
             out.append(acc)  # the terms carrying z^(k+1)
         slices = out
-    totals = [part.get(0, 0) for part in slices]  # only the identity is left
+    # only S_3 is left: z-slice k adds tr(T_w) z^k for each of its terms
+    totals = [0] * (len(slices) + 2)
+    for k, part in enumerate(slices):
+        get = part.get
+        w0 = get(_W0, 0)
+        totals[k] += get(0, 0)
+        totals[k + 1] += get(_S1, 0) + get(_S2, 0) + (w0 << q_shift)
+        totals[k + 2] += get(_S1S2, 0) + get(_S2S1, 0) + (w0 << q_shift) - w0
     if mirror:  # z' -> q - 1 - z, Horner in q - 1; the sign (-1)^t waits for the decode
         mapped = []
         for t in range(len(totals)):

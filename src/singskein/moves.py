@@ -224,19 +224,52 @@ def apply_move(word: SingularBraidWord, move: MarkovMove) -> SingularBraidWord:
     return move.apply(word)
 
 
+# The rule two adjacent letters match, keyed by their kinds, at one index
+# (_SAME_INDEX) and at indices at least 2 apart (_FAR_INDEX); the rule three
+# letters at indices k l k with |k - l| = 1 match (_TRIPLE)
+_SAME_INDEX = {
+    (SIGMA, SIGMA_INV): R_CANCEL,
+    (SIGMA_INV, SIGMA): R_CANCEL,
+    (SIGMA, TAU): R_SIGMA_TAU_SAME,
+    (TAU, SIGMA): R_SIGMA_TAU_SAME,
+}
+_FAR_INDEX = {
+    (SIGMA, SIGMA): R_FAR_SIGMA_SIGMA,
+    (SIGMA, TAU): R_FAR_SIGMA_TAU,
+    (TAU, SIGMA): R_FAR_SIGMA_TAU,
+    (TAU, TAU): R_FAR_TAU_TAU,
+}
+_TRIPLE = {
+    (SIGMA, SIGMA, SIGMA): R_BRAID,
+    (SIGMA, SIGMA, TAU): R_SIGMA_SIGMA_TAU,
+    (TAU, SIGMA, SIGMA): R_SIGMA_SIGMA_TAU,
+}
+
+
 def relation_move_candidates(word: SingularBraidWord) -> list[RelationMove]:
-    """All in-place relation instances (everything except inserts)."""
-    letters = word.letters
-    out: list[RelationMove] = []
-    for p in range(len(letters) - 1):
-        a, b = letters[p], letters[p + 1]
-        out.extend(RelationMove(rule, p) for rule in _PAIR_RULES if _pair_matches(rule, a, b))
-    for p in range(len(letters) - 2):
-        a, b, c = letters[p], letters[p + 1], letters[p + 2]
-        out.extend(
-            RelationMove(rule, p) for rule in _TRIPLE_RULES if _triple_matches(rule, a, b, c)
-        )
-    return out
+    """All in-place relation instances (everything except inserts): the pair
+    rules position by position, then the triple rules.  One pass reads each
+    letter once; at most one pair rule and one triple rule match at a
+    position, and ``_pair_matches`` and ``_triple_matches`` accept exactly
+    the moves listed here."""
+    pairs: list[RelationMove] = []
+    triples: list[RelationMove] = []
+    # the two letters before position p; the sentinels match no rule
+    ka = kb = None
+    ia = ib = -2
+    for p, g in enumerate(word.letters):
+        kc, ic = g.kind, g.index
+        gap = abs(ic - ib)
+        if gap != 1:
+            rule = (_FAR_INDEX if gap else _SAME_INDEX).get((kb, kc))
+            if rule:
+                pairs.append(RelationMove(rule, p - 1))
+        elif ic == ia:
+            rule = _TRIPLE.get((ka, kb, kc))
+            if rule:
+                triples.append(RelationMove(rule, p - 2))
+        ka, ia, kb, ib = kb, ib, kc, ic
+    return pairs + triples
 
 
 def random_move_sequence(

@@ -28,6 +28,12 @@ value: an int is then 0 iff every digit is, its lowest set bit lies in its
 lowest nonzero digit, and its top digit is its bit length over W.  So a
 width is a bound on every digit that is read, plus one bit (``_width``).
 
+The one decoder, ``_digits``, reads the low W bits of v as a digit d,
+shifts v down by W, and, when d is at least 2^(W-1), takes 2^W off d and
+carries 1 into what is left: v = d + 2^W v' = (d - 2^W) + 2^W (v' + 1).
+So a digit costs a mask and a shift of v, and a negative digit the add of
+its carry besides.
+
 ``_packed_width`` proves W for one word's coordinates from L1 norms (sums
 of absolute coefficients), which bound every digit.  Start from a numerator
 over D^d of L1 at most l1 and z-degree at most L, to be rendered with z^m;
@@ -67,21 +73,24 @@ def _width(bound: int) -> int:
 
 def _digits(v: int, width: int):
     """(index, digit) for each nonzero balanced width-bit digit of v, lowest
-    first; the digits are v's coefficients when each is below 2^(width-1).
+    first, a negative digit carrying 1 into the rest (module docstring); the
+    digits are v's coefficients when each is below 2^(width-1).
     A width below 2 holds no nonzero balanced digit, so a nonzero v there is
     a ValueError, not an endless run of -1s."""
     if width < 2 and v:
         raise ValueError(f"a nonzero int has no balanced digits of width {width}")
-    mask = (1 << width) - 1
-    half = 1 << (width - 1)
+    full = 1 << width
+    mask = full - 1
+    half = full >> 1
     i = 0
     while v:
         digit = v & mask
-        if digit >= half:
-            digit -= mask + 1
+        v >>= width
+        if digit >= half:  # negative: d - 2^W, with 1 carried into the rest
+            digit -= full
+            v += 1
         if digit:
             yield i, digit
-        v = (v - digit) >> width
         i += 1
 
 

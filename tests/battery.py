@@ -8,7 +8,8 @@ Each step pins singskein's classes to an independent path: the README's
 library example, the recorded digests of perfbench/reference.json, the
 fold in both orientations, the skein relation, --verify against
 recomputation and its recorded counts, the packed coefficients against the
-dense oracle, the 12-strand cap words, and the recorded digests of
+dense oracle, the trace's L1 bound behind the fold's digit width on every
+permutation up to S_8, the 12-strand cap words, and the recorded digests of
 tests/cap_reference.json.  A failed check prints its line; the script exits 1
 if any step fails.  Whatever ``singskein`` the interpreter imports is the
 one checked, so PYTHONPATH may point at a copy of ``src/``.
@@ -22,6 +23,7 @@ import subprocess
 import sys
 import time
 import traceback
+from itertools import permutations
 from pathlib import Path
 from typing import NamedTuple
 
@@ -30,6 +32,7 @@ from singskein.braid import SingularBraidWord, _reduced, exponent_sum
 from singskein.coeff import QZ, SU, RationalFunction
 from singskein.moves import random_move_sequence
 from singskein.oracle import embed_qz_to_su
+from singskein.packed import _width
 from singskein.skein import _closure_coefficient
 
 HERE = Path(__file__).resolve().parent
@@ -227,6 +230,33 @@ def packed_vs_oracle(tally):
     tally.report("packed coefficients match the dense oracle")
 
 
+def trace_l1(n):
+    """{image: L1(tr T_w)} for every w in S_n, each trace peeled by
+    hecke._peel at the width of the per-level bound 3^((n-1)(n-2)/2), which
+    holds without the width lemma that these values check."""
+    bits = _width(3 ** ((n - 1) * (n - 2) // 2))
+    l1 = {}
+    for image in permutations(range(1, n + 1)):
+        comps = hecke._peel([{hecke._pack_perm(image): 1}], n, 1, False, bits, 0, 0)
+        l1[image] = sum(abs(v) for v in comps[0].values())
+    return l1
+
+
+def trace_bound(tally):
+    # the width lemma of hecke._trace, exhaustively up to S_8: the largest
+    # L1(tr T_w) over S_n is 3^(n-2) for n = 2..8, reached at the
+    # transposition (1 n), and within 3^e(n) (hecke._peel_exponent) for
+    # n = 1..8; above 8 the lemma rests on the per-level bound alone
+    for n in range(1, 9):
+        l1 = trace_l1(n)
+        worst = max(l1.values())
+        exact = n < 2 or (worst == 3 ** (n - 2) and l1[(n, *range(2, n), 1)] == worst)
+        e = hecke._peel_exponent(n)
+        print(f"S_{n}: {len(l1)} permutations, largest L1(tr T_w) {worst}, bound 3^{e}")
+        tally(exact and worst <= 3**e, f"S_{n}: the width lemma fails")
+    tally.report("symmetric groups within the width lemma")
+
+
 def cap_word(c, seed):
     """ROADMAP item 5's recipe: c crossings on 12 strands, then 8 double points."""
     rng = random.Random(seed)
@@ -308,6 +338,7 @@ STEPS = {
     "skein-check": skein_check,
     "verify-recompute": verify_recompute,
     "packed-vs-oracle": packed_vs_oracle,
+    "trace-bound": trace_bound,
     "cap-words": cap_words,
     "cap-reference": cap_reference,
 }

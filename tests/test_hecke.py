@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from battery import trace_l1  # tests/ is on sys.path under pytest's default import mode
 from singskein import cli, hecke
 from singskein.braid import SIGMA, SIGMA_INV, TAU, Generator, SingularBraidWord, _reduced, parse
 from singskein.coeff import QZ, RationalFunction
@@ -641,20 +642,37 @@ def test_seed4_word_renders_pinned_digest_through_the_mirror(monkeypatch):
 
 
 def test_trace_l1_within_digit_bound():
-    # The digit-width lemma with no letters: the peel of T_w, w in S_n,
-    # takes at most (n-1)(n-2)/2 steps, so L1(tr T_w) <= 3^((n-1)(n-2)/2);
-    # the largest values for n = 2..6 are exactly 3^(n-2) (1, 3, 9, 27, 81),
-    # reached at the transposition (1 n).
-    for n in range(1, 7):
-        l1 = {
-            p: sum(abs(c) for c in permutation_trace(Permutation(p)).numerator.terms.values())
-            for p in permutations(range(1, n + 1))
-        }
+    # The width lemma of hecke._trace: L1(tr T_w) <= 3^e(n) for w in S_n; the
+    # largest values for n = 2..7 are exactly 3^(n-2) (1, 3, 9, 27, 81,
+    # 243), reached at the transposition (1 n).  S_8 is the battery's
+    # trace-bound step.  Each trace is peeled at the width of the per-level
+    # bound, so the check does not lean on the lemma it checks.
+    for n in range(1, 8):
+        l1 = trace_l1(n)
         worst = max(l1.values())
-        assert worst <= 3 ** ((n - 1) * (n - 2) // 2)
+        assert worst <= 3 ** hecke._peel_exponent(n)
         if n >= 2:
             assert worst == 3 ** (n - 2)
             assert l1[(n, *range(2, n), 1)] == worst
+
+
+@pytest.mark.parametrize(
+    "image, trace",
+    [
+        ((1, 2, 3), {(0, 0): 1}),
+        ((2, 1, 3), {(0, 1): 1}),
+        ((1, 3, 2), {(0, 1): 1}),
+        ((2, 3, 1), {(0, 2): 1}),
+        ((3, 1, 2), {(0, 2): 1}),
+        ((3, 2, 1), {(1, 2): 1, (0, 2): -1, (1, 1): 1}),  # z tr(T_1^2)
+    ],
+)
+def test_peel_base_is_the_trace_of_each_element_of_s3(image, trace):
+    # the peel finishes every z-slice from these closed forms, over
+    # (q-exponent, z-exponent); each against the coset recursion, and the
+    # kernel on 3 strands, where the peel is its base alone
+    assert _reference_trace(Permutation(image), {}) == RationalFunction.from_laurent_terms(QZ, trace)
+    assert hecke._trace({pack(image): 1}, (), 3, 0) == [trace]
 
 
 # -- the split at thin strand indices ------------------------------------------------
