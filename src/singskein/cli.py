@@ -26,6 +26,7 @@ import argparse
 import json
 import sys
 import time
+from json.encoder import encode_basestring_ascii as _json_string
 
 from . import markov
 from .braid import Record, SingularBraidWord, _reduced, component_count, exponent_sum, parse
@@ -242,8 +243,9 @@ def _verify_moves(coords: MarkovClass, reference: SkeinClass, args: argparse.Nam
         key = (step_word.strands, _reduced(step_word.letters))
         verdict = verdicts.get(key)
         if verdict is None:
-            # through the module, the seam where the fold is wrapped or replaced
-            comps = markov.trace_components(step_word)
+            # through the module, the seam where the fold is wrapped or
+            # replaced, from the reduction the key already holds
+            comps = markov.trace_components(step_word, key[1])
             shape = (step_word.strands, exponent_sum(step_word))
             known = good.get(shape)
             if known is not None:
@@ -266,25 +268,33 @@ def _verify_moves(coords: MarkovClass, reference: SkeinClass, args: argparse.Nam
     }
 
 
-def _class_terms(cls, key_a: str, key_b: str) -> list[dict]:
-    return [
-        {key_a: a, key_b: b, "coeff": str(coeff)}
+def _class_json(cls, key_a: str, key_b: str) -> str:
+    """The class's terms as the JSON list ``json.dumps(..., indent=2)``
+    writes one level down: an object of both exponents and the coefficient's
+    text per term, in the rendering order."""
+    terms = [
+        f'    {{\n      "{key_a}": {a},\n      "{key_b}": {b},\n'
+        f'      "coeff": {_json_string(str(coeff))}\n    }}'
         for (a, b), coeff in cls.sorted_terms()
     ]
+    return "[\n" + ",\n".join(terms) + "\n  ]" if terms else "[]"
 
 
 def render_json(report: RunReport) -> str:
-    payload: dict = {
-        "strands": report.strands,
-        "degree": report.degree,
-        "writhe": report.writhe,
-        "components": report.components,
-        "markov_class": _class_terms(report.markov, "x", "y"),
-        "skein_class": _class_terms(report.skein, "xhat", "yhat"),
-    }
+    """The report as ``json.dumps(payload, indent=2)`` writes it: the fixed
+    fields written here, and the ``verify`` object, when there is one, by
+    ``json.dumps`` one level down."""
+    fields = [
+        f'"strands": {report.strands}',
+        f'"degree": {report.degree}',
+        f'"writhe": {report.writhe}',
+        f'"components": {report.components}',
+        f'"markov_class": {_class_json(report.markov, "x", "y")}',
+        f'"skein_class": {_class_json(report.skein, "xhat", "yhat")}',
+    ]
     if report.verify is not None:
-        payload["verify"] = report.verify
-    return json.dumps(payload, indent=2)
+        fields.append('"verify": ' + json.dumps(report.verify, indent=2).replace("\n", "\n  "))
+    return "{\n  " + ",\n  ".join(fields) + "\n}"
 
 
 def render_text(report: RunReport) -> str:

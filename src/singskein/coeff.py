@@ -40,6 +40,7 @@ widths ``singskein.packed`` owns; this module holds only the value types.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import gcd as _int_gcd
 from typing import Mapping
 
@@ -70,6 +71,17 @@ class PoleError(ZeroDivisionError):
 def _monomial_key(mono: Monomial) -> tuple[int, int]:
     # graded lex, first variable above the second
     return (mono[0] + mono[1], mono[0])
+
+
+@lru_cache(maxsize=4096)
+def _monomial_text(var0: str, var1: str, e0: int, e1: int) -> str:
+    """var0^e0 * var1^e1 as rendered, an exponent 1 left out, "" for 1."""
+    factors = []
+    if e0:
+        factors.append(var0 if e0 == 1 else f"{var0}^{e0}")
+    if e1:
+        factors.append(var1 if e1 == 1 else f"{var1}^{e1}")
+    return "*".join(factors)
 
 
 class MultivariatePolynomial:
@@ -249,33 +261,32 @@ class MultivariatePolynomial:
             object.__setattr__(self, "_hash", h)
         return h
 
-    def sorted_terms(self) -> list[tuple[Monomial, int]]:
-        """Terms in descending graded-lex order (the rendering order)."""
-        return sorted(self.terms.items(), key=lambda kv: _monomial_key(kv[0]), reverse=True)
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"
         var0, var1 = self.variables
+        # one sort in the rendering order: (e0 + e1, e0) is distinct per
+        # term, so the coefficient at the end of the key is never compared
+        decorated = []
+        for (e0, e1), coeff in self.terms.items():
+            decorated.append((e0 + e1, e0, e1, coeff))
+        decorated.sort(reverse=True)
         pieces: list[str] = []
-        for (e0, e1), coeff in self.sorted_terms():
-            factors = []
-            if e0:
-                factors.append(var0 if e0 == 1 else f"{var0}^{e0}")
-            if e1:
-                factors.append(var1 if e1 == 1 else f"{var1}^{e1}")
-            mag = abs(coeff)
-            if not factors:
-                body = str(mag)
-            elif mag == 1:
-                body = "*".join(factors)
+        for _, e0, e1, coeff in decorated:
+            mono = _monomial_text(var0, var1, e0, e1)
+            if coeff < 0:
+                pieces.append(" - ")
+                coeff = -coeff
             else:
-                body = "*".join([str(mag)] + factors)
-            if not pieces:
-                pieces.append(f"-{body}" if coeff < 0 else body)
+                pieces.append(" + ")
+            if not mono:
+                pieces.append(str(coeff))
+            elif coeff == 1:
+                pieces.append(mono)
             else:
-                pieces.append(f"- {body}" if coeff < 0 else f"+ {body}")
-        return " ".join(pieces)
+                pieces.append(f"{coeff}*{mono}")
+        pieces[0] = "-" if pieces[0] == " - " else ""
+        return "".join(pieces)
 
     def __repr__(self) -> str:
         return f"<poly {self}>"

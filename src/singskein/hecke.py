@@ -145,12 +145,14 @@ components and each factor are packed with r in R = d + 1 digits, then q
 over the product's q-range, then z, so no slot spills into the next (the
 r-degrees sum to d).  Every coefficient of the product is a sum of
 products of one coefficient of each factor, so it is at most the product
-of the factors' L1 norms, and ``packed._width`` of that product reads it
-exactly.  The ints are multiplied, and the product is split at z and each
-z-row at that width: a row holds R times the q-span such digits, so it
-too is read exactly (the lemma in ``singskein.packed``).  The split is a
-function of the reduced letters, so words with equal reductions still run
-the same computation.
+of the factors' L1 norms, and ``packed._width`` of that product, rounded
+up to whole bytes, reads it exactly.  The ints are multiplied.
+``trace_components`` decodes the product, split at z and each z-row at
+that width: a row holds R times the q-span such digits, so it too is read
+exactly (the lemma in ``singskein.packed``).  ``_split_product`` hands it
+on undecoded, for ``markov`` to re-lay out at its own width.  The split is
+a function of the reduced letters, so words with equal reductions still
+run the same computation.
 
 Each piece is folded in one of two orientations, chosen per piece.  The map
 ``iota: T_i -> -q T_i^{-1} = q - 1 - T_i`` is an involutive automorphism of
@@ -185,7 +187,7 @@ from __future__ import annotations
 from math import comb
 
 from .braid import SIGMA, SIGMA_INV, TAU, Generator, SingularBraidWord, _reduced
-from .packed import _digits, _product, _width
+from .packed import PackedProduct, _digits, _product, _width
 
 __all__ = ["trace_components"]
 
@@ -515,16 +517,38 @@ def _fold(letters: tuple, strands: int) -> list[dict[tuple[int, int], int]]:
     return _trace({0: 1}, letters, strands, degree, mirror)
 
 
-def trace_components(word: SingularBraidWord) -> list[dict[tuple[int, int], int]]:
+def _pieces(word: SingularBraidWord, reduced: tuple | None) -> tuple[list[tuple[tuple, int]], list[int]]:
+    """``_split`` of the word's compacted cyclic reduction, ``reduced`` when
+    the caller has it."""
+    return _split(*_compact(_reduced(word.letters) if reduced is None else reduced))
+
+
+def _multiplied(pieces: list, lone: list, degree: int) -> PackedProduct:
+    """The product of the pieces' traces and the lone letters' factors."""
+    factors = [_fold(*piece) for piece in pieces] + [_LONE[kind] for kind in lone]
+    return _product(factors, degree + 1)
+
+
+def _split_product(word: SingularBraidWord, reduced: tuple | None = None) -> PackedProduct | None:
+    """The trace components of a word that is cut into pieces, as their
+    product undecoded, or None for a word folded whole; ``reduced`` is the
+    word's cyclic reduction, when the caller has it."""
+    pieces, lone = _pieces(word, reduced)
+    return _multiplied(pieces, lone, word.degree) if lone or len(pieces) > 1 else None
+
+
+def trace_components(
+    word: SingularBraidWord, reduced: tuple | None = None
+) -> list[dict[tuple[int, int], int]]:
     """For each k in 0..degree, the sum over k-subsets S of the singular
     letters of ``tr`` of the word with S resolved and the rest deleted, as an
     integer Laurent dict over (q-exponent, z-exponent).  The word's cyclic
-    reduction, compacted, is cut into pieces at thin strand indices, and each
-    piece is folded on the strands it spans, as its mirror when it has more
-    negative than positive crossings; the pieces' traces and the lone
-    letters' factors are multiplied as packed ints."""
-    pieces, lone = _split(*_compact(_reduced(word.letters)))
+    reduction (``reduced``, when the caller has it), compacted, is cut into
+    pieces at thin strand indices, and each piece is folded on the strands it
+    spans, as its mirror when it has more negative than positive crossings;
+    the pieces' traces and the lone letters' factors are multiplied as
+    packed ints."""
+    pieces, lone = _pieces(word, reduced)
     if lone or len(pieces) > 1:
-        factors = [_fold(*piece) for piece in pieces] + [_LONE[kind] for kind in lone]
-        return _product(factors, word.degree + 1)
+        return _multiplied(pieces, lone, word.degree).decoded()
     return _fold(*pieces[0])

@@ -32,9 +32,9 @@ into Q(s, u); ``markov_class`` writes each one down in canonical form,
 (-1)^(d + alpha) R over q^p (q - z)^alpha (z + 1)^beta, whose coefficients
 are products of binomials and leading coefficient 1.
 
-All of it runs on packed ints (``singskein.packed``), from the
-decoded trace components to the factored coordinates, which are decoded
-only by ``FactoredCoordinate.in_qz`` and ``skein``.  At A = 1 numerator b is
+All of it runs on packed ints (``singskein.packed``), from the trace
+components to the factored coordinates, which are decoded only by
+``FactoredCoordinate.in_qz`` and ``skein``.  At A = 1 numerator b is
 the B^b coefficient of
 
     N(q, z, B) = sum_k C_k F0^(d-k) F1^k,  F0 = w - zB,  F1 = B - z,
@@ -48,11 +48,19 @@ in k, acc = acc F0 + C_k F1^k, every step is a shift and an add
 (``_numerators``): times F0 = (q - 1)z + q - zB is
 ``(a << W+Z) - (a << Z) + (a << W) - (a << Z+S)`` and times F1 is
 ``(c << S) - (c << Z)``.  The int is exact at any strides, as evaluation at
-powers of two is a ring homomorphism.  ``_factored`` splits it once with
-``packed._digits``, at S into the numerators and each of those at Z into
-rows over z.  Both splits are exact: a row has at most q_top - q0 + 1
-balanced digits, each below 2^(W-1), so |row| < 2^(Z-1), and a numerator
-has at most z_top + 1 such rows, so |N_b| < 2^(S-1).  A numerator's
+powers of two is a ring homomorphism.  Each C_k enters as one int, packed
+at q -> 2^W and z -> 2^Z from one of two sources.  Components given as
+Laurent dicts (a word folded whole, ``--verify``'s move words, the skein
+check's three words) are packed term by term (``packed._pack``).  A word
+cut into pieces hands over the pieces' product undecoded
+(``hecke._split_product``), and each C_k is re-laid out from it by byte
+copies (``PackedProduct.relaid``, the re-layout lemma in
+``singskein.packed``), so its terms are never read one by one.
+``_factored`` splits the numerators' int once with ``packed._digits``, at
+S into the numerators and each of those at Z into rows over z.  Both
+splits are exact: a row has at most q_top - q0 + 1 balanced digits, each
+below 2^(W-1), so |row| < 2^(Z-1), and a numerator has at most z_top + 1
+such rows, so |N_b| < 2^(S-1).  A numerator's
 q-shift p comes from the lowest nonzero digit of its rows, q -> 2^W makes
 division by z - q ``Q_(t-1) = R_t + (Q_t << W)`` and division by z + 1
 ``Q_(t-1) = R_t - Q_t``, and each stops at the first nonzero remainder
@@ -60,7 +68,11 @@ division by z - q ``Q_(t-1) = R_t + (Q_t << W)`` and division by z + 1
 bounds for one word:
 
 * l1 = sum_k 4^(d-k) 2^k L1(C_k), as F0 has L1 4 and F1 has L1 2, so
-  C_k F0^(d-k) F1^k has L1 at most 4^(d-k) 2^k L1(C_k) over all b;
+  C_k F0^(d-k) F1^k has L1 at most 4^(d-k) 2^k L1(C_k) over all b; for a
+  product, L1(C_k) is bounded by the convolution of its factors' per-k L1
+  norms, and its q-range by the sum of theirs.  Both are bounds, so W stays
+  proved, and it is rounded up to whole bytes (and to at least the
+  product's width) for the re-layout;
 * L = z_top = n - 1 + d, as a trace on n strands has z-degree below n (each
   peeled strand takes one z) and F0, F1 have z-degree 1;
 * D = q_top - q0, with q_top the components' top q-exponent (or 0) plus d,
@@ -89,12 +101,16 @@ components to factored coordinates: ``factored_coordinates``,
 ``markov_class`` (whose class keeps the components it was built from) and
 the skein classes all go through it, and it folds nothing.
 
-``_components``, the fold behind every class and skein check, refuses a
-word above the hard caps (degree <= 8, strands <= 12).  The CLI checks the
-given word once against its lowered caps (``--max-degree``,
-``--max-strands``) with ``check_caps``, right after parsing and before any
-fold; ``--verify`` folds its move words, which keep the degree and the
-strand cap, with ``trace_components`` itself.
+``_traces`` (behind every class) and ``_components`` (behind the skein
+check) refuse a word above the hard caps (degree <= 8, strands <= 12).
+``_traces`` reduces the word once, folds a word that is cut into pieces
+with ``hecke._split_product``, and any other word with
+``trace_components``, given that reduction.  The CLI checks the given word
+once against its lowered caps (``--max-degree``, ``--max-strands``) with
+``check_caps``, right after parsing and before any fold; ``--verify``
+folds its move words, which keep the degree and the strand cap, with
+``trace_components`` itself, from the cyclic reduction that each word's
+verdict key already holds.
 """
 
 from __future__ import annotations
@@ -102,10 +118,19 @@ from __future__ import annotations
 from math import comb
 from typing import Mapping, NamedTuple
 
-from .braid import SingularBraidWord
+from .braid import SingularBraidWord, _reduced
 from .coeff import MultivariatePolynomial, QZ, RationalFunction
-from .hecke import trace_components
-from .packed import _dense, _digits, _divide_linear, _low_digit, _pack, _packed_width
+from .hecke import _split_product, trace_components
+from .packed import (
+    PackedProduct,
+    _dense,
+    _digits,
+    _divide_linear,
+    _low_digit,
+    _pack,
+    _packed_width,
+    _whole_bytes,
+)
 
 __all__ = [
     "HARD_MAX_DEGREE",
@@ -282,24 +307,34 @@ class MarkovClass(ClassPolynomial):
     its factored coordinates and its trace components in ``word``,
     ``factored`` and ``components`` (None for any other class), so that
     ``skein_class`` and ``--verify`` can reuse them without folding again.
+    The components of a word that is cut into pieces are kept as their
+    product, undecoded, and decoded when ``components`` is first read.
     """
 
     variable_names = ("X", "Y")
     field_variables = QZ
 
-    __slots__ = ("factored", "word", "components")
+    __slots__ = ("factored", "word", "_components")
 
     def __init__(
         self,
         coeffs: Mapping[tuple[int, int], RationalFunction],
         factored: "Mapping[tuple[int, int], FactoredCoordinate] | None" = None,
         word: SingularBraidWord | None = None,
-        components: list | None = None,
+        components: "list | PackedProduct | None" = None,
     ):
         super().__init__(coeffs)
         object.__setattr__(self, "factored", factored)
         object.__setattr__(self, "word", word)
-        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "_components", components)
+
+    @property
+    def components(self) -> list | None:
+        comps = self._components
+        if isinstance(comps, PackedProduct):
+            comps = comps.decoded()
+            object.__setattr__(self, "_components", comps)
+        return comps
 
 
 class FactoredCoordinate(NamedTuple):
@@ -371,37 +406,63 @@ def _components(word: SingularBraidWord) -> list:
     return trace_components(word)
 
 
+def _traces(word: SingularBraidWord) -> "list | PackedProduct":
+    """The word's trace components, or, for a word that is cut into pieces,
+    their product undecoded; ``CapExceededError`` if the word is above the
+    hard caps.  A word folded whole goes through ``trace_components``."""
+    check_caps(word)
+    reduced = _reduced(word.letters)
+    product = _split_product(word, reduced)
+    return trace_components(word, reduced) if product is None else product
+
+
 def _layout(comp_sets: list, word: SingularBraidWord) -> tuple[int, int, int, int]:
     """(q0, W, Z, S) for the numerators of these sets of trace components,
     of words with the degree and strand count of ``word``: q0 the lowest
     q-exponent or 0, whichever is lower, W proved by
     ``packed._packed_width`` for rendering the words' coordinates, and the
     z- and B-strides that fit them (module docstring).  More than one set
-    also covers the skein check's sums."""
+    also covers the skein check's sums.  A set given as a product is
+    bounded by the product's per-k L1 bounds and q-range, and W is then
+    rounded up to whole bytes and to at least the product's width, so that
+    the product can be re-laid out at W."""
     d = word.degree
-    l1, low, high = 0, [0], [0]
+    l1, low, high, lanes = 0, [0], [0], 0
     for comps in comp_sets:
-        norms = [sum(map(abs, comp.values())) for comp in comps]
+        if isinstance(comps, PackedProduct):
+            norms, lanes = comps.norms, comps.width
+            low.append(comps.low)
+            high.append(comps.low + comps.span - 1)
+        else:
+            norms = [sum(map(abs, comp.values())) for comp in comps]
+            low += [min(comp)[0] for comp in comps if comp]
+            high += [max(comp)[0] for comp in comps if comp]
         l1 = max(l1, sum(norm << (2 * d - k) for k, norm in enumerate(norms)))
-        low += [min(comp)[0] for comp in comps if comp]
-        high += [max(comp)[0] for comp in comps if comp]
     q0, q_top = min(low), max(high) + d
     if len(comp_sets) > 1:  # a sum of two at most doubles L1, and q num raises the q-degree by one
         l1, q_top = 2 * l1, q_top + 1
     # the trace has z-degree below the strand count: one z per peeled strand
     z_top = word.strands - 1 + d
     width = _packed_width(l1, z_top, q_top - q0, d, d - word.strands + 1)
+    if lanes:
+        width = max(_whole_bytes(width), lanes)
     z_stride = width * (q_top - q0 + 1)
     return q0, width, z_stride, z_stride * (z_top + 1)
 
 
-def _numerators(comps: list, layout: tuple[int, int, int, int]) -> PackedNumerators:
+def _numerators(comps: "list | PackedProduct", layout: tuple[int, int, int, int]) -> PackedNumerators:
     """sum_k C_k F0^(d-k) F1^k for these trace components, packed at this
-    layout, by Horner's rule in k (module docstring)."""
+    layout, by Horner's rule in k (module docstring); each C_k is packed
+    from its Laurent dict, or re-laid out from the product."""
     q0, q_bits, z_bits, b_bits = layout  # the shift of one power of q, of z and of B
+    if isinstance(comps, PackedProduct):
+        ints = comps.relaid(q0, q_bits, z_bits)
+    else:
+        ints = [
+            sum(row << (z_bits * t) for t, row in enumerate(_pack(comp, q0, q_bits))) for comp in comps
+        ]
     acc = 0
-    for k, comp in enumerate(comps):
-        c = sum(row << (z_bits * t) for t, row in enumerate(_pack(comp, q0, q_bits)))
+    for k, c in enumerate(ints):
         for _ in range(k):
             c = (c << b_bits) - (c << z_bits)  # times F1 = B - z
         # times F0 = (q - 1)z + q - zB, plus C_k F1^k
@@ -414,13 +475,16 @@ def _numerators(comps: list, layout: tuple[int, int, int, int]) -> PackedNumerat
 
 def factored_coordinates(word: SingularBraidWord) -> dict[tuple[int, int], FactoredCoordinate]:
     """The word's nonzero coordinates in factored form."""
-    return _factored_from(_components(word), word)
+    return _factored_from(_traces(word), word)
 
 
-def _factored_from(comps: list, word: SingularBraidWord) -> dict[tuple[int, int], FactoredCoordinate]:
+def _factored_from(
+    comps: "list | PackedProduct", word: SingularBraidWord
+) -> dict[tuple[int, int], FactoredCoordinate]:
     """The nonzero coordinates in factored form of a word with the degree and
-    strand count of ``word`` whose trace components are ``comps``: the one
-    way from components to a class, which folds nothing."""
+    strand count of ``word`` whose trace components are ``comps``, Laurent
+    dicts or their product: the one way from components to a class, which
+    folds nothing."""
     return _factored(_numerators(comps, _layout([comps], word)), word.degree)
 
 
@@ -437,7 +501,7 @@ def _factored(numerators: PackedNumerators, d: int) -> dict[tuple[int, int], Fac
 def markov_class(word: SingularBraidWord) -> MarkovClass:
     """Coordinates of the word's class over Q(q, z), from its factored
     coordinates; the class keeps them and the trace components."""
-    comps = _components(word)
+    comps = _traces(word)
     factored = _factored_from(comps, word)
     return MarkovClass({ab: c.in_qz() for ab, c in factored.items()}, factored, word, comps)
 

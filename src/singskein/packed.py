@@ -17,8 +17,10 @@ x -> 2^W and y -> 2^S, S = W times the x-slots, so q -> x needs no
 repacking.  The split fold's product of trace components, polynomials in
 r (resolutions), q and z, is one int per factor (``_product``): r in the
 lowest digits, then q, then z -> 2^Z with Z = W times the r- and q-slots.
-The product is split at Z into z-rows, and each row at W: a row holds at
-most Z/W balanced digits, so again |row| < 2^(Z-1).
+It is handed on undecoded, as a ``PackedProduct``.  Its decode splits it
+at Z into z-rows, and each row at W: a row holds at most Z/W balanced
+digits, so again |row| < 2^(Z-1).  ``markov`` decodes nothing: it re-lays
+each power of r out at the numerators' layout (``PackedProduct.relaid``).
 
 The exactness lemma.  Evaluation at a power of two is a ring homomorphism,
 so shifts, adds and products of these ints are exact at any W.  Only the
@@ -33,6 +35,23 @@ shifts v down by W, and, when d is at least 2^(W-1), takes 2^W off d and
 carries 1 into what is left: v = d + 2^W v' = (d - 2^W) + 2^W (v' + 1).
 So a digit costs a mask and a shift of v, and a negative digit the add of
 its carry besides.
+
+The re-layout lemma.  Let v hold balanced digits d_j at w bits, w a whole
+number of bytes, each in [-2^(w-1), 2^(w-1)) and all in its first N
+lanes.  With the offset O = 2^(w-1) sum_(j<N) 2^(wj), v + O is
+sum_j (d_j + 2^(w-1)) 2^(wj), and every lane d_j + 2^(w-1) lies in
+[0, 2^w): no lane borrows from the next or carries into it, so the
+little-endian bytes of v + O are its lanes side by side, w/8 bytes each.
+Copy them into the low bytes of lanes of W >= w bits, W a whole number of
+bytes too, at any lane positions pos(j), with the bytes above left 0
+(strided ``bytearray`` slice assignments, run in C): that is the int
+sum_j (d_j + 2^(w-1)) 2^(W pos(j)).  The same copy of O's lanes gives
+sum_j 2^(w-1) 2^(W pos(j)), and the difference is sum_j d_j 2^(W pos(j)),
+v's digits laid out anew at W.  The copies need whole bytes, so the
+product's width and the W it is re-laid out at are rounded up to whole
+bytes, and only those: a wider width only widens the range of digits
+that are read exactly (the exactness lemma), so every decode stays exact.
+The product's digits are below its L1 bound, so they lie in that range.
 
 ``_packed_width`` proves W for one word's coordinates from L1 norms (sums
 of absolute coefficients), which bound every digit.  Start from a numerator
@@ -62,7 +81,7 @@ from __future__ import annotations
 
 from functools import reduce
 from operator import itemgetter, or_
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 
 def _width(bound: int) -> int:
@@ -119,29 +138,101 @@ def _packed_width(l1: int, z_degree: int, q_degree: int, d: int, m: int) -> int:
     return _width(l1 * max(z_degree, 1) ** (2 * d) * 2**level * (q_degree + level + 1) ** r)
 
 
-def _product(
-    factors: list[list[dict[tuple[int, int], int]]], slots: int
-) -> list[dict[tuple[int, int], int]]:
+def _whole_bytes(width: int) -> int:
+    """``width`` rounded up to a whole number of bytes."""
+    return -(-width // 8) * 8
+
+
+class PackedProduct(NamedTuple):
+    """A product of polynomials in r, q^(+-1) and z, undecoded (``_product``):
+    the coefficient of r^k q^(low + i) z^t in the balanced digit
+    k + slots (i + span t) of ``value`` at ``width`` bits, a whole number of
+    bytes, for k < slots, i < span and t < rows.  ``norms[k]`` bounds the
+    L1 norm of the coefficient of r^k, and low .. low + span - 1 bounds its
+    q-exponents."""
+
+    value: int
+    width: int
+    slots: int
+    span: int
+    rows: int
+    low: int
+    norms: tuple[int, ...]
+
+    def decoded(self) -> list[dict[tuple[int, int], int]]:
+        """The coefficients of r^0 .. r^(slots - 1), each a Laurent dict over
+        (q-exponent, z-exponent): split at z, then each z-row at the width
+        (module docstring)."""
+        out: list[dict[tuple[int, int], int]] = [{} for _ in range(self.slots)]
+        width, slots, low = self.width, self.slots, self.low
+        for ze, row in _digits(self.value, width * slots * self.span):
+            for slot, digit in _digits(row, width):
+                qe, r = divmod(slot, slots)
+                out[r][(qe + low, ze)] = digit
+        return out
+
+    def relaid(self, q0: int, width: int, z_stride: int) -> list[int]:
+        """The coefficient of each r^k as one int with the coefficient of
+        q^(q0 + e) z^t in its balanced digit e at ``width`` bits, a whole
+        number of bytes and at least the product's, and z -> 2^z_stride,
+        which must hold the q-range from q0 <= low: the re-layout lemma in
+        the module docstring, by strided byte copies."""
+        lane, wide = self.width // 8, width // 8
+        rows, span = self.rows, self.span
+        pad = (self.low - q0) * wide  # bytes below a z-row's first lane
+        row = span * wide  # bytes of a z-row's lanes
+        if width % 8 or lane > wide or pad < 0 or pad + row > z_stride // 8:
+            raise ValueError("the target layout does not hold the product's lanes")
+        gap = bytes(z_stride // 8 - row)  # between one z-row's lanes and the next's
+
+        def laid(flat: bytearray) -> int:  # a z-row of span lanes at a time
+            view = memoryview(flat)
+            return int.from_bytes(
+                bytes(pad) + gap.join([view[row * t : row * (t + 1)] for t in range(rows)]), "little"
+            )
+
+        half = (1 << (self.width - 1)).to_bytes(lane, "little")
+        lanes = self.slots * span * rows
+        src = (self.value + int.from_bytes(half * lanes, "little")).to_bytes(lane * lanes, "little")
+        offset = laid(bytearray((half + bytes(wide - lane)) * (span * rows)))
+        step = self.slots * lane  # bytes from one lane of r^k to the next
+        out = []
+        for k in range(self.slots):
+            flat = bytearray(row * rows)
+            for b in range(lane):
+                flat[b::wide] = src[k * lane + b :: step]
+            out.append(laid(flat) - offset)
+        return out
+
+
+def _product(factors: list[list[dict[tuple[int, int], int]]], slots: int) -> PackedProduct:
     """The product of polynomials in r, q^(+-1) and z, each given as its
     components (a Laurent dict over (q-exponent, z-exponent) per power of
-    r), as components for r^0 .. r^(slots - 1); the r-degrees must sum to
-    less than ``slots``.  Each factor is packed in one layout: r in
-    ``slots`` digits, then q over the q-range of the product, then z.  So no
-    slot of the product spills into the next, and the ints are multiplied.
-    Every coefficient of a product is at most the product of the factors'
-    L1 norms, so at ``_width`` of that bound every digit is below
-    2^(width-1).  The product is split at z, then each z-row at ``width``:
-    a row holds ``slots`` times the q-span such digits, so |row| <
-    2^(z_shift-1), and both splits are exact (the exactness lemma)."""
-    lows, span, bound = [], 1, 1
+    r), undecoded; the r-degrees must sum to less than ``slots``.  Each
+    factor is packed in one layout: r in ``slots`` digits, then q over the
+    q-range of the product, then z.  So no slot of the product spills into
+    the next, and the ints are multiplied.  The coefficient of r^k of the
+    product is a sum of products of one coefficient of each factor, so its
+    L1 norm is at most the convolution of the factors' per-r L1 norms at k,
+    and each of its coefficients at most the product of the factors' L1
+    norms, the sum of that convolution.  At ``_width`` of that bound, rounded
+    up to whole bytes, every digit is below 2^(width-1), so the product is
+    read exactly (``PackedProduct.decoded``, the module docstring)."""
+    lows, span, rows, norms = [], 1, 1, [1] + [0] * (slots - 1)
     for factor in factors:
         qs = [qe for comp in factor for qe, _ in comp]
         if not qs:  # a zero factor
-            return [{} for _ in range(slots)]
+            return PackedProduct(0, 8, slots, 1, 1, 0, (0,) * slots)
         lows.append(min(qs))
         span += max(qs) - lows[-1]
-        bound *= sum(abs(v) for comp in factor for v in comp.values())
-    width = _width(bound)
+        rows += max(ze for comp in factor for _, ze in comp)
+        convolved = [0] * slots
+        for r, comp in enumerate(factor):
+            b = sum(map(abs, comp.values()))
+            for i in range(slots - r):
+                convolved[i + r] += norms[i] * b
+        norms = convolved
+    width = _whole_bytes(_width(sum(norms)))
     z_shift = width * slots * span
     total = 1
     for factor, low in zip(factors, lows):
@@ -150,13 +241,7 @@ def _product(
             for (qe, ze), v in comp.items():
                 value += v << (width * (r + slots * (qe - low)) + z_shift * ze)
         total *= value
-    out: list[dict[tuple[int, int], int]] = [{} for _ in range(slots)]
-    low = sum(lows)
-    for ze, row in _digits(total, z_shift):
-        for slot, digit in _digits(row, width):
-            qe, r = divmod(slot, slots)
-            out[r][(qe + low, ze)] = digit
-    return out
+    return PackedProduct(total, width, slots, span, rows, sum(lows), tuple(norms))
 
 
 def _pack(laurent: Mapping[tuple[int, int], int], q0: int, width: int) -> list[int]:

@@ -6,7 +6,8 @@ locally; standard library only.
 
 Each step pins singskein's classes to an independent path: the README's
 library example, the recorded digests of perfbench/reference.json, the
-fold in both orientations, the skein relation, --verify against
+fold in both orientations, the split words' coordinates from their
+undecoded product against those from its decode, the skein relation, --verify against
 recomputation and its recorded counts, the packed coefficients against the
 dense oracle, the trace's L1 bound behind the fold's digit width on every
 permutation up to S_8, the 12-strand cap words, and the recorded digests of
@@ -131,6 +132,28 @@ def both_orientations(tally):
     tally.report("reference words agree in both orientations, reduced and split")
 
 
+def packed_handoff(tally):
+    # every reference word and every cap reference word that is cut into
+    # pieces: the factored coordinates from the pieces' product, handed to
+    # the numerators undecoded and re-laid out at their width, against those
+    # from the decoded components, packed one term at a time.  Coordinates
+    # are compared in Q(q, z), as the two paths may pack at different widths
+    words = [ref.word for ref in reference_words()]
+    words += [parse(entry["word"], 12) for entry in json.loads(CAP_REFERENCE.read_text())["words"]]
+    handed = 0
+    for w in words:
+        product = hecke._split_product(w)
+        if product is None:
+            continue
+        handed += 1
+        from_product = markov._factored_from(product, w)
+        decoded = markov._factored_from(hecke.trace_components(w), w)
+        ok = {ab: c.in_qz() for ab, c in from_product.items()} == {ab: c.in_qz() for ab, c in decoded.items()}
+        tally(ok, "coordinates differ:", w)
+    print(f"{handed}/{len(words)} reference and cap reference words split at a thin strand index")
+    tally.report("split words' coordinates agree from the product and from its decode")
+
+
 def skein_check(tally):
     # the skein relation t^-1 P - t N = x S at the first and the last
     # crossing site of every reference word: both sides come from the
@@ -165,9 +188,9 @@ def verify_recompute(tally):
     fold, full_class = markov.trace_components, cli._class_from_components
     folded, classed = [], []
 
-    def counted_fold(word):
+    def counted_fold(word, reduced=None):
         folded.append(word)
-        return fold(word)
+        return fold(word, reduced)
 
     def counted_class(comps, word):
         classed.append(word)
@@ -335,6 +358,7 @@ STEPS = {
     "readme-library": readme_library,
     "reference-outputs": reference_outputs,
     "both-orientations": both_orientations,
+    "packed-handoff": packed_handoff,
     "skein-check": skein_check,
     "verify-recompute": verify_recompute,
     "packed-vs-oracle": packed_vs_oracle,

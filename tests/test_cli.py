@@ -122,8 +122,8 @@ def test_verify_failure_exits_3(capsys, monkeypatch):
     # for, is wrong for each of them
     start = parse("t1 s1", 2)
 
-    def skewed_fold(word):
-        comps = TRUE_FOLD(word)
+    def skewed_fold(word, reduced=None):
+        comps = TRUE_FOLD(word, reduced)
         return comps if word == start else doubled(comps)
 
     monkeypatch.setattr(markov, "trace_components", skewed_fold)
@@ -143,15 +143,16 @@ def test_verify_failure_exits_3(capsys, monkeypatch):
     assert json.loads(out)["verify"]["failed"] > 0
 
 
-def recomputed_verify(word: SingularBraidWord, moves: int, seed: int) -> dict:
-    """The ``verify`` dict of a run that classes every move's word anew."""
-    reference = cli.skein_class(word)
+def recomputed_verify(word: SingularBraidWord, moves: int, seed: int, class_of=cli.skein_class) -> dict:
+    """The ``verify`` dict of a run that classes every move's word anew, by
+    ``class_of``."""
+    reference = class_of(word)
     failures = [
         f"step {k}: {move!r} changed the class"
         for k, (move, step_word) in enumerate(
             random_move_sequence(word, moves, seed=seed, max_strands=cli.HARD_MAX_STRANDS), 1
         )
-        if cli.skein_class(step_word) != reference
+        if class_of(step_word) != reference
     ]
     return {
         "moves": moves,
@@ -175,15 +176,22 @@ def small_words(draw):
     return SingularBraidWord(n, tuple(letters))
 
 
-def reduction_skewed(word):
+def reduction_skewed(word, reduced=None):
     """The trace components, doubled for about half of the (strands, cyclic
     reduction) pairs, picked by a digest of the pair: wrong, but a function
     of the pair, so a run that folds each pair once and decides a word on
     its components must still report exactly the failures of classing
     every word anew from the same skewed components."""
-    comps = TRUE_FOLD(word)
+    comps = TRUE_FOLD(word, reduced)
     key = repr((word.strands, _reduced(word.letters))).encode()
     return doubled(comps) if hashlib.sha256(key).digest()[0] % 2 else comps
+
+
+def class_from_the_seam(word: SingularBraidWord):
+    """The word's class from the components of ``markov.trace_components``,
+    whatever is patched there: ``skein_class`` takes the components of a
+    word cut into pieces from their product, which that seam does not see."""
+    return TRUE_CLASS_FROM_COMPONENTS(markov.trace_components(word), word)
 
 
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
@@ -191,12 +199,12 @@ def reduction_skewed(word):
 def test_verify_matches_recomputing_every_class(word, seed, moves):
     argv = ["--word", word.display(), "--strands", str(word.strands), "--verify"]
     args = cli.build_parser().parse_args(argv + ["--moves", str(moves), "--seed", str(seed)])
-    for fold in (TRUE_FOLD, reduction_skewed):
+    for fold, class_of in ((TRUE_FOLD, cli.skein_class), (reduction_skewed, class_from_the_seam)):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(markov, "trace_components", fold)
             coords = markov.markov_class(word)
             verify = cli._verify_moves(coords, cli.skein_class(word, coords), args)
-            assert verify == recomputed_verify(word, moves, seed)
+            assert verify == recomputed_verify(word, moves, seed, class_of)
 
 
 def test_verify_classes_each_new_reduction_once(monkeypatch):
@@ -222,9 +230,9 @@ def test_verify_classes_each_new_reduction_once(monkeypatch):
     monkeypatch.setattr("singskein.moves._move_stream", lambda *args, **kwargs: iter(script))
     folded, classed = [], []
 
-    def counted_fold(word):
+    def counted_fold(word, reduced=None):
         folded.append(word)
-        return TRUE_FOLD(word)
+        return TRUE_FOLD(word, reduced)
 
     def counted_class(comps, word):
         classed.append(word)
@@ -461,10 +469,10 @@ def test_cli_runs_use_only_the_packed_coefficient_kernel():
 def test_cli_runs_call_only_the_trusted_constructors_and_reads_of_coeff():
     # every coefficient, the skein constants and the denominators among
     # them, is built on packed ints and written down with the _raw
-    # constructors; the CLI then only compares and renders values.  wrap, the
-    # sort key and _monomial_key are what __str__ and sorted_terms call.
-    read_only = {"_raw", "__eq__", "__str__", "sorted_terms", "is_zero", "is_one", "variables"}
-    helpers = {"wrap", "<lambda>", "_monomial_key"}
+    # constructors; the CLI then only compares and renders values.  wrap and
+    # _monomial_text are what the two __str__ call.
+    read_only = {"_raw", "__eq__", "__str__", "is_zero", "is_one", "variables"}
+    helpers = {"wrap", "_monomial_text"}
     assert _calls_in_cli_runs("coeff.py") - read_only - helpers == set()
 
 
@@ -526,3 +534,50 @@ def test_cap_reference_outputs_match_their_digests():
         argv = ["--word", entry["word"], "--strands", "12", "--format", "json"]
         text = cli.render_json(cli.run(cli.build_parser().parse_args(argv)))
         assert hashlib.sha256(text.encode()).hexdigest() == entry["sha256"], (entry["c"], entry["seed"])
+
+
+def dumped(report: cli.RunReport) -> str:
+    """The JSON report as ``json.dumps(payload, indent=2)`` wrote it before
+    ``render_json`` wrote the fixed fields itself, kept as its oracle."""
+
+    def terms(cls, key_a, key_b):
+        return [{key_a: a, key_b: b, "coeff": str(coeff)} for (a, b), coeff in cls.sorted_terms()]
+
+    payload = {
+        "strands": report.strands,
+        "degree": report.degree,
+        "writhe": report.writhe,
+        "components": report.components,
+        "markov_class": terms(report.markov, "x", "y"),
+        "skein_class": terms(report.skein, "xhat", "yhat"),
+    }
+    if report.verify is not None:
+        payload["verify"] = report.verify
+    return json.dumps(payload, indent=2)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(small_words(), st.booleans(), st.booleans(), st.integers(0, 3))
+def test_render_json_matches_json_dumps(word, verify, skein_check, moves):
+    # reports with and without a verify object, and with and without its
+    # skein_check entry
+    argv = ["--word", word.display(), "--strands", str(word.strands), "--format", "json"]
+    if verify:
+        argv += ["--verify", "--moves", str(moves)]
+    if skein_check and word.strands > 1:
+        argv += ["--skein-check", str(word.strands - 1)]
+    report = cli.run(cli.build_parser().parse_args(argv))
+    assert cli.render_json(report) == dumped(report)
+
+
+def test_render_json_matches_json_dumps_on_empty_classes_and_escapes():
+    # a zero class renders as [], and the verify object's strings are
+    # escaped as json.dumps escapes them, non-ASCII included
+    word = parse("t1", 2)
+    verify = {
+        "moves": 2, "seed": -1, "passed": 1, "failed": 1,
+        "failures": ["step 2: 'q\"\u00e9\n' changed the class"], "nested": {"empty": [], "also": {}},
+    }
+    for extra in (None, verify, {}):
+        report = cli.RunReport(word, 2, 1, 0, 1, markov.MarkovClass({}), cli.SkeinClass({}), 0.0, extra)
+        assert cli.render_json(report) == dumped(report)

@@ -4,6 +4,8 @@ from fractions import Fraction
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from singskein.coeff import (
     QZ,
@@ -417,3 +419,50 @@ def test_rendering_laurent():
 def test_from_laurent_terms_matches_arithmetic():
     f = RationalFunction.from_laurent_terms(QZ, {(-1, 1): 3, (2, 0): 1})
     assert f == Z.scaled(3) / Q + Q**2
+
+
+def _formatted(poly: MultivariatePolynomial) -> str:
+    """The formatter ``MultivariatePolynomial.__str__`` replaced, kept as its
+    oracle: terms sorted by a graded-lex key function, and each monomial's
+    text built anew."""
+    if not poly.terms:
+        return "0"
+    var0, var1 = poly.variables
+    pieces = []
+    for (e0, e1), coeff in sorted(poly.terms.items(), key=lambda kv: (kv[0][0] + kv[0][1], kv[0][0]), reverse=True):
+        factors = []
+        if e0:
+            factors.append(var0 if e0 == 1 else f"{var0}^{e0}")
+        if e1:
+            factors.append(var1 if e1 == 1 else f"{var1}^{e1}")
+        mag = abs(coeff)
+        if not factors:
+            body = str(mag)
+        elif mag == 1:
+            body = "*".join(factors)
+        else:
+            body = "*".join([str(mag)] + factors)
+        if not pieces:
+            pieces.append(f"-{body}" if coeff < 0 else body)
+        else:
+            pieces.append(f"- {body}" if coeff < 0 else f"+ {body}")
+    return " ".join(pieces)
+
+
+_exponents = st.tuples(st.integers(0, 12), st.integers(0, 12))
+_coefficients = st.one_of(st.sampled_from([1, -1]), st.integers(-(10**6), 10**6)).filter(bool)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from([QZ, SU]),
+    st.dictionaries(_exponents, _coefficients, max_size=12),
+    st.one_of(st.none(), _coefficients),
+)
+def test_rendering_matches_the_previous_formatter(variables, terms, constant):
+    # exponents 0-12, coefficients +-1 and others, with and without a
+    # constant term, and the zero polynomial
+    if constant is not None:
+        terms[(0, 0)] = constant
+    poly = MultivariatePolynomial(variables, terms)
+    assert str(poly) == _formatted(poly)
