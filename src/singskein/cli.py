@@ -15,9 +15,9 @@ cyclic reduction for each distinct word folded.  A run folds
 each distinct (strand count, cyclic reduction) of those words once, the
 given word's included, and builds a full class only for the first word of
 each new (strand count, writhe) shape; every other word is decided on its
-trace components.  A fold of a word on 7 strands or more may go in pieces
-cut at thin strand indices; the pieces are a function of the cyclic
-reduction, so that key still fixes the computation.
+trace components.  A fold of a word on 7 strands or more may go in pieces,
+cut at strand indices whose letters sit together; the pieces are a function
+of the cyclic reduction, so that key still fixes the computation.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from json.encoder import encode_basestring_ascii as _json_string
 
 from . import markov
 from .braid import Record, SingularBraidWord, _reduced, component_count, exponent_sum, parse
+from .hecke import _pieces
 from .markov import (
     HARD_MAX_DEGREE,
     HARD_MAX_STRANDS,
@@ -194,22 +195,14 @@ def run(args: argparse.Namespace) -> RunReport:
     )
 
 
-def random_move_sequence(*args, **kwargs):
-    """``singskein.moves.random_move_sequence``, imported on first call.
-    ``--verify`` does not call it: it reads the same moves one at a time."""
-    from .moves import random_move_sequence
-
-    return random_move_sequence(*args, **kwargs)
-
-
 def _verify_moves(coords: MarkovClass, reference: SkeinClass, args: argparse.Namespace) -> dict:
     """Check ``args.moves`` random moves of the word of ``coords``, its
     ``markov_class``, against ``reference``, its ``skein_class``."""
     # The move words need no cap check of their own: every move keeps the
     # degree, and the move stream keeps the strand count within the cap.
-    # The moves are those of random_move_sequence, read one at a time, so
-    # only the current word is held; the move machinery is imported here,
-    # on the first --verify.
+    # The moves are those of moves.random_move_sequence, read one at a
+    # time, so only the current word is held; the move machinery is
+    # imported here, on the first --verify.
     from .moves import _move_stream
 
     word = coords.word
@@ -219,12 +212,12 @@ def _verify_moves(coords: MarkovClass, reference: SkeinClass, args: argparse.Nam
     steps = _move_stream(word, args.moves, seed=args.seed, max_strands=strand_cap)
     # A class reads the word's strands, degree and exponent sum, and
     # trace_components, which folds _compact(_reduced(letters)), or the
-    # pieces hecke._split cuts it into, a function of those letters alone;
-    # the reduction keeps the degree and the exponent sum.  So words with equal
-    # (strands, reduction) run the same computation on the same input, and
-    # each key's verdict is computed once.  The key is not made
-    # rotation-canonical: a rotation folds other letters, and its class is
-    # equal only by the theory this run checks.
+    # pieces and blocks hecke._split cuts it into, a function of those
+    # letters alone; the reduction keeps the degree and the exponent sum.
+    # So words with equal (strands, reduction) run the same computation on
+    # the same input, and each key's verdict is computed once.  The key is
+    # not made rotation-canonical: a rotation folds other letters, and its
+    # class is equal only by the theory this run checks.
     verdicts = {(word.strands, _reduced(word.letters)): True}
     # A new key is folded once and decided on its components where it can
     # be.  Moves keep the degree d, and for fixed (n, e, d) the class is
@@ -244,8 +237,8 @@ def _verify_moves(coords: MarkovClass, reference: SkeinClass, args: argparse.Nam
         verdict = verdicts.get(key)
         if verdict is None:
             # through the module, the seam where the fold is wrapped or
-            # replaced, from the reduction the key already holds
-            comps = markov.trace_components(step_word, key[1])
+            # replaced, cut from the reduction the key already holds
+            comps = markov.trace_components(step_word, _pieces(step_word, key[1]))
             shape = (step_word.strands, exponent_sum(step_word))
             known = good.get(shape)
             if known is not None:

@@ -111,48 +111,70 @@ given, as given: it is the whole-word fold, which the tests and CI keep as
 an independent path.
 
 A reduced word that spans at least ``_SPLIT_STRANDS`` (7) strands is cut
-into pieces at thin strand indices (``_split``); on fewer, re-reducing the
-pieces, one fold per piece and the product cost more than the fold they
-save.  The trace is multiplicative over the split union and the connected
-sum of closures, the stacking product of acceptance criterion 7
-(``oracle.closure_product``).  The cut lemma: for a in H_n and b in H_k,
-tr(a sh^n(b)) = tr(a) tr(b) and tr(a T_n sh^n(b)) = z tr(a) tr(b).  By
-induction on k, as H_k = H_(k-1) + H_(k-1) T_(k-1) H_(k-1) (for k = 1, b is
-a scalar and tr(a T_n) = z tr(a)): for b = u T_(k-1) v with u, v in
-H_(k-1), the Markov property tr(x T_m y) = z tr(x y) takes one factor z
-out of each side, and leaves the case uv.  So let i be an index the word uses at
-most once.  If it uses i once, rotate that lone letter x to the end
-(tr(ab) = tr(ba)).  Every other letter has an index below i, in piece a,
-or above i, in piece b moved down by i; a and b commute, as their indices
-differ by at least 2.  So the element is a sh^i(b) x = sh^i(b) a x, whose
-trace is tr(a x sh^i(b)) by cyclicity, and the lemma gives tr(a) tr(b)
-times x's factor, written in r (resolutions), q and z:
+into pieces and blocks at its block indices (``_split``); on fewer,
+re-reducing the pieces, one fold per piece and the product cost more than
+the fold they save.  The trace is multiplicative over the split union and
+the connected sum of closures, the stacking product of acceptance
+criterion 7 (``oracle.closure_product``).  The cut lemma: for a in H_n, b
+in H_k and x in the algebra generated by T_n, tr(a x sh^n(b)) =
+tr(a) tr(b) (alpha + beta z), where x = alpha + beta T_n.  Every such x has
+that form, as T_n^2 = (q - 1) T_n + q and T_n^-1 = q^-1 T_n + q^-1 - 1,
+so by linearity it is enough that tr(a sh^n(b)) = tr(a) tr(b) and
+tr(a T_n sh^n(b)) = z tr(a) tr(b).  By induction on k, as H_k = H_(k-1) +
+H_(k-1) T_(k-1) H_(k-1) (for k = 1, b is a scalar and tr(a T_n) =
+z tr(a)): for b = u T_(k-1) v with u, v in H_(k-1), the Markov property
+tr(x T_m y) = z tr(x y) takes one factor z out of each side, and leaves
+the case uv.
+
+So let i be a block index: the word's letters at i form one run, going
+round the word, among its letters at i - 1, i and i + 1.  An unused index
+and the index of a lone letter are blocks.  Rotate the run to the end
+(tr(ab) = tr(ba)).  Each letter between two of the run's letters has an
+index at least 2 away from i, so it commutes with T_i^(+-1) and with both
+images of t_i (1 and T_i), and the run's letters gather at the end into
+x, in the algebra of T_i.  Every other letter has an index below i, in
+piece a, or above i, in piece b moved down by i; a and b commute, as their
+indices differ by at least 2.  So the element is a sh^i(b) x =
+sh^i(b) a x, whose trace is tr(a x sh^i(b)) by cyclicity, and the lemma
+gives tr(a) tr(b) times x's factor alpha + beta z, written in r
+(resolutions), q and z.  The letters of x commute, so x = T_i^m
+(1 + r T_i)^c, with m the exponent sum of its crossings and c its double
+points, each the deleted copy plus the copy resolved to T_i.  For every
+integer n, T_i^n = (-1)^n + b_n (T_i + 1) with b_n = (q^n - (-1)^n) /
+(q + 1), a Laurent polynomial: both sides agree at T_i = q and at
+T_i = -1, the roots of T_i^2 = (q - 1) T_i + q, and alpha + beta T_i is
+fixed by alpha + beta q and alpha - beta, as q + 1 is not a zero divisor.
+So the block's factor (``_block_factor``) is sum_k C(c, k) r^k ((-1)^n +
+b_n (z + 1)), n = m + k; for one letter it is
 
 * no letter at i: 1 (the split union);
 * s_i: z (the connected sum);
-* S_i: q T_i^-1 = T_i + (1 - q) gives q^-1 (z + 1) - 1;
-* t_i: 1 + r z, the deleted copy plus the copy resolved to T_i.
+* S_i: T_i^-1 gives q^-1 (z + 1) - 1;
+* t_i: 1 + r z.
 
-Each desingularisation of the word is one of a's times one of b's, so the
-component generating functions, polynomials in r, multiply too.  Dropping
-x can free pairs at i +- 1 (in ``s1 s2 S1`` the two index-1 letters cancel
-once s2 is gone), so each piece is reduced again and compacted before it
-is cut in turn.  A piece with no index used at most once is folded with
-``_trace`` on the strands it spans, in its own orientation (below) and at
-its own B: c and n in B are the piece's crossings and strands.  The
-product is taken on packed ints (``packed._product``): each piece's
-components and each factor are packed with r in R = d + 1 digits, then q
-over the product's q-range, then z, so no slot spills into the next (the
-r-degrees sum to d).  Every coefficient of the product is a sum of
-products of one coefficient of each factor, so it is at most the product
-of the factors' L1 norms, and ``packed._width`` of that product, rounded
-up to whole bytes, reads it exactly.  The ints are multiplied.
-``trace_components`` decodes the product, split at z and each z-row at
-that width: a row holds R times the q-span such digits, so it too is read
-exactly (the lemma in ``singskein.packed``).  ``_split_product`` hands it
-on undecoded, for ``markov`` to re-lay out at its own width.  The split is
-a function of the reduced letters, so words with equal reductions still
-run the same computation.
+Each desingularisation of the word is one of a's times one of b's times
+one of x's, so the component generating functions, polynomials in r,
+multiply too.  ``_split`` cuts at an unused index, else at the lowest
+index used once, else at the lowest block index, found for every index
+by one pass round the word (``_block``).  Dropping x can free pairs at
+i +- 1 (in ``s1 s2 S1`` the two index-1 letters cancel once s2 is gone),
+so each piece is reduced again and compacted before it is cut in turn.  A
+piece with no block index is folded with ``_trace`` on the strands it
+spans, in its own orientation (below) and at its own B: c and n in B are
+the piece's crossings and strands.  The product is taken on packed ints
+(``packed._product``): each piece's components and each factor are
+packed with r in R = d + 1 digits, then q over the product's q-range,
+then z, so no slot spills into the next (the r-degrees sum to d).  Every
+coefficient of the product is a sum of products of one coefficient of
+each factor, so it is at most the product of the factors' L1 norms, and
+``packed._width`` of that product, rounded up to whole bytes, reads it
+exactly.  The ints are multiplied.  ``trace_components`` decodes the
+product, split at z and each z-row at that width: a row holds R times the
+q-span such digits, so it too is read exactly (the lemma in
+``singskein.packed``).  ``_multiplied`` hands it on undecoded, for
+``markov`` to re-lay out at its own width.  The split is a function of
+the reduced letters, so words with equal reductions still run the same
+computation.
 
 Each piece is folded in one of two orientations, chosen per piece.  The map
 ``iota: T_i -> -q T_i^{-1} = q - 1 - T_i`` is an involutive automorphism of
@@ -215,13 +237,6 @@ _MIRROR = {SIGMA: SIGMA_INV, SIGMA_INV: SIGMA, TAU: _TAU_NEG}
 # fewer, re-reducing the pieces, one fold each and the product cost more
 # than the whole fold they save
 _SPLIT_STRANDS = 7
-# the factor a lone letter cut out contributes, as components over (q, z):
-# s_i: z; S_i: q^-1 (z + 1) - 1; t_i: 1 + r z
-_LONE = {
-    SIGMA: [{(0, 1): 1}],
-    SIGMA_INV: [{(-1, 1): 1, (-1, 0): 1, (0, 0): -1}],
-    TAU: [{(0, 0): 1}, {(0, 1): 1}],
-}
 
 
 def _pack_perm(image) -> int:
@@ -477,36 +492,101 @@ def _compact(letters: tuple) -> tuple[tuple, int]:
     return letters, max(indices) - low + 2
 
 
-def _split(letters: tuple, strands: int) -> tuple[list[tuple[tuple, int]], list[int]]:
+def _block(indices: list[int], low: int, high: int) -> tuple[int, int]:
+    """The lowest block index of letters at ``indices``, all in low..high
+    (module docstring): an index i whose letters form one run, going round
+    the word, among the letters at i - 1, i and i + 1; and the position of
+    that run's last letter, -1 when no letter sits at i +- 1.  (0, -1) if
+    there is none.  A first lap leaves ``open_[i]`` true iff the last of
+    those letters is at i; a second counts each run as the letter at i +- 1
+    that ends it is met."""
+    open_ = [False] * (high + 2)
+    last = [-1] * (high + 2)
+    for pos, j in enumerate(indices):
+        open_[j - 1] = open_[j + 1] = False
+        open_[j] = True
+        last[j] = pos
+    runs = [0] * (high + 2)
+    ends = [-1] * (high + 2)
+    for pos, j in enumerate(indices):
+        for k in (j - 1, j + 1):
+            if open_[k]:
+                open_[k] = False
+                runs[k] += 1
+                ends[k] = last[k]
+        open_[j] = True
+        last[j] = pos
+    for i in range(low, high + 1):
+        if runs[i] <= 1:
+            return i, ends[i]
+    return 0, -1
+
+
+def _split(letters: tuple, strands: int) -> tuple[list[tuple[tuple, int]], list[tuple[int, int]]]:
     """The pieces of a cyclically reduced word compacted on ``strands``,
-    each compacted with its strand count, and the kinds of the lone letters
-    cut out, whose trace is the product of the pieces' traces and the lone
-    letters' factors (module docstring).  A word on fewer than
-    ``_SPLIT_STRANDS`` strands is its own one piece.  A word on more strands
-    than the kernel folds on is refused, whatever its pieces span."""
+    each compacted with its strand count, and the blocks cut out, each as
+    (exponent sum, double points) of its letters, whose trace is the
+    product of the pieces' traces and the blocks' factors (module
+    docstring).  A word on fewer than ``_SPLIT_STRANDS`` strands is its own
+    one piece.  A word on more strands than the kernel folds on is refused,
+    whatever its pieces span.  The sides of a cut keep their indices until
+    they are pieces: cutting does not depend on a shift of every index."""
     _check_strands(strands)
     if strands < _SPLIT_STRANDS:
         return [(letters, strands)], []
     pieces: list[tuple[tuple, int]] = []
-    lone: list[int] = []
-    work = [(letters, strands)]
+    blocks: list[tuple[int, int]] = []
+    work = [letters]
     while work:
-        letters, strands = work.pop()
+        letters = work.pop()
         indices = [g.index for g in letters]
-        uses = [indices.count(i) for i in range(1, strands)]
-        if min(uses) > 1:
-            pieces.append((letters, strands))
-            continue
-        cut = uses.index(min(uses)) + 1  # an unused index, else the lowest lone one
-        if cut in indices:  # rotate the lone letter to the end and drop it
-            k = indices.index(cut)
-            lone.append(letters[k].kind)
-            letters = letters[k + 1 :] + letters[:k]
-        # dropping the lone letter can free pairs at cut +- 1: reduce again
-        below = _reduced(tuple(g for g in letters if g.index < cut))
-        above = _reduced(tuple(g for g in letters if g.index > cut))
-        work += [_compact(side) for side in (below, above) if side]
-    return pieces, lone
+        low, high = min(indices), max(indices)
+        uses = [indices.count(i) for i in range(low, high + 1)]
+        fewest = min(uses)
+        if fewest > 1:  # no thin index: the lowest block index, if any
+            cut, end = _block(indices, low, high)
+            if not cut:
+                pieces.append(_compact(letters))
+                continue
+        else:  # an unused index, else the lowest lone letter
+            cut = low + uses.index(fewest)
+            end = indices.index(cut) if fewest else None
+        if end is not None:  # rotate the block's run to the end and drop it
+            letters = letters[end + 1 :] + letters[: end + 1]
+            kinds = [g.kind for g in letters if g.index == cut]
+            blocks.append((sum(kinds), kinds.count(TAU)))
+        # dropping the block can free pairs at cut +- 1, and only there, so
+        # a side is reduced again where its crossings next to the cut hold
+        # both signs
+        below = tuple(g for g in letters if g.index < cut)
+        above = tuple(g for g in letters if g.index > cut)
+        for side, i in ((below, cut - 1), (above, cut + 1)):
+            if side:
+                signs = {g.kind for g in side if g.index == i}
+                work.append(_reduced(side) if SIGMA in signs and SIGMA_INV in signs else side)
+    return pieces, blocks
+
+
+def _block_factor(exponent: int, doubles: int) -> list[dict[tuple[int, int], int]]:
+    """The factor of a block T_i^m (1 + r T_i)^c, m = ``exponent`` and c =
+    ``doubles``, as components over (q, z): by T_i^2 = (q - 1) T_i + q,
+    T_i^n = (-1)^n + b_n (T_i + 1) with b_n = (q^n - (-1)^n) / (q + 1), so
+    r^k has C(c, k) ((-1)^n + b_n (z + 1)) with n = m + k (module
+    docstring).  b_n is sum_{0 <= e < n} (-1)^(n-1-e) q^e for n > 0, 0 for
+    n = 0, and -sum_{n <= e < 0} (-1)^(n-1-e) q^e for n < 0; for n > 0 its
+    q^0 term cancels (-1)^n."""
+    comps = []
+    for k in range(doubles + 1):
+        n, b = exponent + k, comb(doubles, k)
+        comp = {} if n > 0 else {(0, 0): -b if n & 1 else b}
+        sign = b if n > 0 else -b
+        for e in range(min(n, 0), max(n, 0)):
+            v = sign if (n - e) & 1 else -sign  # sign (-1)^(n-1-e)
+            comp[(e, 1)] = v
+            if e:
+                comp[(e, 0)] = v
+        comps.append(comp)
+    return comps
 
 
 def _fold(letters: tuple, strands: int) -> list[dict[tuple[int, int], int]]:
@@ -517,38 +597,33 @@ def _fold(letters: tuple, strands: int) -> list[dict[tuple[int, int], int]]:
     return _trace({0: 1}, letters, strands, degree, mirror)
 
 
-def _pieces(word: SingularBraidWord, reduced: tuple | None) -> tuple[list[tuple[tuple, int]], list[int]]:
+def _pieces(word: SingularBraidWord, reduced: tuple | None) -> tuple[list[tuple[tuple, int]], list[tuple[int, int]]]:
     """``_split`` of the word's compacted cyclic reduction, ``reduced`` when
-    the caller has it."""
+    the caller has it: the word's pieces and blocks."""
     return _split(*_compact(_reduced(word.letters) if reduced is None else reduced))
 
 
-def _multiplied(pieces: list, lone: list, degree: int) -> PackedProduct:
-    """The product of the pieces' traces and the lone letters' factors."""
-    factors = [_fold(*piece) for piece in pieces] + [_LONE[kind] for kind in lone]
+def _multiplied(cut: tuple, degree: int) -> PackedProduct | None:
+    """The product of the pieces' traces and the blocks' factors of a word
+    cut as ``cut`` (``_pieces``), undecoded, or None for a word that is its
+    own one piece."""
+    pieces, blocks = cut
+    if not blocks and len(pieces) == 1:
+        return None
+    factors = [_fold(*piece) for piece in pieces] + [_block_factor(*block) for block in blocks]
     return _product(factors, degree + 1)
 
 
-def _split_product(word: SingularBraidWord, reduced: tuple | None = None) -> PackedProduct | None:
-    """The trace components of a word that is cut into pieces, as their
-    product undecoded, or None for a word folded whole; ``reduced`` is the
-    word's cyclic reduction, when the caller has it."""
-    pieces, lone = _pieces(word, reduced)
-    return _multiplied(pieces, lone, word.degree) if lone or len(pieces) > 1 else None
-
-
-def trace_components(
-    word: SingularBraidWord, reduced: tuple | None = None
-) -> list[dict[tuple[int, int], int]]:
+def trace_components(word: SingularBraidWord, cut: tuple | None = None) -> list[dict[tuple[int, int], int]]:
     """For each k in 0..degree, the sum over k-subsets S of the singular
     letters of ``tr`` of the word with S resolved and the rest deleted, as an
     integer Laurent dict over (q-exponent, z-exponent).  The word's cyclic
-    reduction (``reduced``, when the caller has it), compacted, is cut into
-    pieces at thin strand indices, and each piece is folded on the strands it
-    spans, as its mirror when it has more negative than positive crossings;
-    the pieces' traces and the lone letters' factors are multiplied as
-    packed ints."""
-    pieces, lone = _pieces(word, reduced)
-    if lone or len(pieces) > 1:
-        return _multiplied(pieces, lone, word.degree).decoded()
-    return _fold(*pieces[0])
+    reduction, compacted, is cut into pieces and blocks (``cut``, the
+    word's ``_pieces``, when the caller has them), and each piece is folded
+    on the strands it spans, as its mirror when it has more negative than
+    positive crossings; the pieces' traces and the blocks' factors are
+    multiplied as packed ints."""
+    if cut is None:
+        cut = _pieces(word, None)
+    product = _multiplied(cut, word.degree)
+    return _fold(*cut[0][0]) if product is None else product.decoded()

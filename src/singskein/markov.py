@@ -53,7 +53,7 @@ at q -> 2^W and z -> 2^Z from one of two sources.  Components given as
 Laurent dicts (a word folded whole, ``--verify``'s move words, the skein
 check's three words) are packed term by term (``packed._pack``).  A word
 cut into pieces hands over the pieces' product undecoded
-(``hecke._split_product``), and each C_k is re-laid out from it by byte
+(``hecke._multiplied``), and each C_k is re-laid out from it by byte
 copies (``PackedProduct.relaid``, the re-layout lemma in
 ``singskein.packed``), so its terms are never read one by one.
 ``_factored`` splits the numerators' int once with ``packed._digits``, at
@@ -103,14 +103,14 @@ the skein classes all go through it, and it folds nothing.
 
 ``_traces`` (behind every class) and ``_components`` (behind the skein
 check) refuse a word above the hard caps (degree <= 8, strands <= 12).
-``_traces`` reduces the word once, folds a word that is cut into pieces
-with ``hecke._split_product``, and any other word with
-``trace_components``, given that reduction.  The CLI checks the given word
-once against its lowered caps (``--max-degree``, ``--max-strands``) with
-``check_caps``, right after parsing and before any fold; ``--verify``
-folds its move words, which keep the degree and the strand cap, with
-``trace_components`` itself, from the cyclic reduction that each word's
-verdict key already holds.
+``_traces`` reduces and cuts the word once (``hecke._pieces``), folds a
+word that is cut into pieces and blocks with ``hecke._multiplied``, and
+any other word with ``trace_components``, given that cut.  The CLI checks
+the given word once against its lowered caps (``--max-degree``,
+``--max-strands``) with ``check_caps``, right after parsing and before any
+fold; ``--verify`` folds its move words, which keep the degree and the
+strand cap, with ``trace_components`` itself, cut from the cyclic
+reduction that each word's verdict key already holds.
 """
 
 from __future__ import annotations
@@ -118,9 +118,9 @@ from __future__ import annotations
 from math import comb
 from typing import Mapping, NamedTuple
 
-from .braid import SingularBraidWord, _reduced
+from .braid import SingularBraidWord
 from .coeff import MultivariatePolynomial, QZ, RationalFunction
-from .hecke import _split_product, trace_components
+from .hecke import _multiplied, _pieces, trace_components
 from .packed import (
     PackedProduct,
     _dense,
@@ -409,11 +409,12 @@ def _components(word: SingularBraidWord) -> list:
 def _traces(word: SingularBraidWord) -> "list | PackedProduct":
     """The word's trace components, or, for a word that is cut into pieces,
     their product undecoded; ``CapExceededError`` if the word is above the
-    hard caps.  A word folded whole goes through ``trace_components``."""
+    hard caps.  The word is cut once, and a word folded whole goes through
+    ``trace_components`` with that cut."""
     check_caps(word)
-    reduced = _reduced(word.letters)
-    product = _split_product(word, reduced)
-    return trace_components(word, reduced) if product is None else product
+    cut = _pieces(word, None)
+    product = _multiplied(cut, word.degree)
+    return trace_components(word, cut) if product is None else product
 
 
 def _layout(comp_sets: list, word: SingularBraidWord) -> tuple[int, int, int, int]:

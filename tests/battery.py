@@ -113,22 +113,22 @@ def both_orientations(tally):
     # independent check of it.  Both folds are the unsplit hecke._trace on
     # the letters as given, so they are also the cross-check of
     # hecke.trace_components, which folds the word's cyclic reduction on
-    # the strands it spans and, on 7 strands or more, cuts it into pieces at
-    # thin strand indices and multiplies their traces; the letter totals
-    # before and after that reduction, and the number of words that split,
-    # are printed
+    # the strands it spans and, on 7 strands or more, cuts it into pieces
+    # and blocks at its block indices and multiplies their traces and
+    # factors; the letter totals before and after that reduction, and the
+    # number of words that split, are printed
     given = reduced = split = 0
     for ref in reference_words():
         w = ref.word
         folds = [hecke._trace({0: 1}, w.letters, w.strands, w.degree, m) for m in (False, True)]
         given += len(w.letters)
         reduced += len(_reduced(w.letters))
-        pieces, lone = hecke._split(*hecke._compact(_reduced(w.letters)))
-        split += len(pieces) + len(lone) > 1
+        pieces, blocks = hecke._split(*hecke._compact(_reduced(w.letters)))
+        split += len(pieces) + len(blocks) > 1
         ok = folds[0] == folds[1] == hecke.trace_components(w)
         tally(ok, "folds differ:", ref.workload, " ".join(ref.argv))
     print(f"letters: {given} as given, {reduced} after cyclic reduction")
-    print(f"{split}/{tally.total} reference words split at a thin strand index")
+    print(f"{split}/{tally.total} reference words split at a block index")
     tally.report("reference words agree in both orientations, reduced and split")
 
 
@@ -142,7 +142,7 @@ def packed_handoff(tally):
     words += [parse(entry["word"], 12) for entry in json.loads(CAP_REFERENCE.read_text())["words"]]
     handed = 0
     for w in words:
-        product = hecke._split_product(w)
+        product = hecke._multiplied(hecke._pieces(w, None), w.degree)
         if product is None:
             continue
         handed += 1
@@ -150,7 +150,7 @@ def packed_handoff(tally):
         decoded = markov._factored_from(hecke.trace_components(w), w)
         ok = {ab: c.in_qz() for ab, c in from_product.items()} == {ab: c.in_qz() for ab, c in decoded.items()}
         tally(ok, "coordinates differ:", w)
-    print(f"{handed}/{len(words)} reference and cap reference words split at a thin strand index")
+    print(f"{handed}/{len(words)} reference and cap reference words split at a block index")
     tally.report("split words' coordinates agree from the product and from its decode")
 
 
@@ -290,17 +290,22 @@ def cap_word(c, seed):
 
 
 # (c, seed, SHA-256 of trace_components), the first three recorded before
-# the orbit step kernel: c = 40 and c = 50 at seed 1 do not split, and
-# c = 50 at seed 3 folds as two pieces of 8 and 4 strands, cut at thin
-# strand indices.  Its two pieces' signs cancel in the product, and it cuts
-# out no S_i, so c = 30 at seed 12 (recorded before the product's row-by-row
-# decode) pins both: it folds as three pieces of 5, 2 and 5 strands, each
-# as its mirror, and cuts out one s_i and one S_i
+# the orbit step kernel, c = 30 at seed 12 before the product's row-by-row
+# decode, and c = 50 at seed 4 before blocks were cut, when it folded whole
+# on 12 strands.  c = 40 at seed 1 does not split.  c = 50 at seeds 1 and 4,
+# recorded while they folded whole, pin the block factors: seed 1 folds one
+# piece of 8 strands and cuts out four blocks, seed 4 pieces of 4 and 7
+# strands, both as mirrors, and two blocks.  c = 50 at seed 3 folds pieces
+# of 4 strands, as its mirror, and 8, so it pins the mirror's sign, which
+# cancels in a product of two mirrored pieces.  c = 30 at seed 12 folds two
+# mirrored pieces of 5 and 3 strands and cuts out a lone s_i, a lone S_i and
+# three blocks
 CAP_WORDS = (
     (40, 1, "fe73153871557e7f63bd75e107f6ff93f7651baf3475ca0e696ce1f9e81bb145"),
     (50, 1, "0eff38f89cfb195f769b9c71c8f46e05d9f06730b8622016bed2f00b3c4b5d3a"),
     (50, 3, "30d9de9aa22150a8391d670cb87025a181df8d6d5a85a9f47fa266efa88c6dba"),
     (30, 12, "cfb895150d3e228c1ec5723b05813f058d46d56e57860c495bac2a51aaa30cd8"),
+    (50, 4, "a0586dd55892ef11477d56b37c8da69a93261fbf2ed396536fbeb7cfc48432b1"),
 )
 CAP_ADDRESS_SPACE = 2097152 * 1024  # bytes, as `ulimit -v 2097152`
 _CAP_CHILD = f"import sys; sys.path.insert(0, {str(HERE)!r}); import battery; battery.fold_cap_word(*sys.argv[1:])"
@@ -337,7 +342,7 @@ def cap_reference(tally):
     # re-render every word of tests/cap_reference.json (c = 22 and c = 30
     # at seeds 1-10, c = 50 at seed 3; 12 strands, 8 double points) and
     # compare its SHA-256 with the recorded digest; the words that split at
-    # a thin strand index, which go through packed._product, and the total
+    # a block index, which go through packed._product, and the total
     # CPU time are printed
     start = time.process_time()
     entries = json.loads(CAP_REFERENCE.read_text())["words"]
@@ -345,12 +350,12 @@ def cap_reference(tally):
     for entry in entries:
         argv = ["--word", entry["word"], "--strands", "12", "--format", "json"]
         report = cli.run(cli.build_parser().parse_args(argv))
-        pieces, lone = hecke._split(*hecke._compact(_reduced(report.word.letters)))
-        split += len(pieces) + len(lone) > 1
+        pieces, blocks = hecke._split(*hecke._compact(_reduced(report.word.letters)))
+        split += len(pieces) + len(blocks) > 1
         digest = hashlib.sha256(cli.render_json(report).encode()).hexdigest()
         ok = entry["word"] == cap_word(entry["c"], entry["seed"]) and digest == entry["sha256"]
         tally(ok, "mismatch:", f"c = {entry['c']}, seed {entry['seed']}")
-    print(f"{split}/{len(entries)} cap reference words split at a thin strand index")
+    print(f"{split}/{len(entries)} cap reference words split at a block index")
     tally.report(f"cap reference outputs match, CPU {time.process_time() - start:.2f} s")
 
 

@@ -4,7 +4,7 @@ import hashlib
 import random
 import time
 from collections import Counter
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
 from math import factorial
 
 import pytest
@@ -675,7 +675,12 @@ def test_peel_base_is_the_trace_of_each_element_of_s3(image, trace):
     assert hecke._trace({pack(image): 1}, (), 3, 0) == [trace]
 
 
-# -- the split at thin strand indices ------------------------------------------------
+# -- the split at block indices -------------------------------------------------------
+
+
+# the block (exponent sum, double points) that ``hecke._split`` cuts out for
+# one lone letter of each kind
+LONE = {SIGMA: (1, 0), SIGMA_INV: (-1, 0), TAU: (0, 1)}
 
 
 @st.composite
@@ -703,8 +708,8 @@ def test_split_fold_matches_the_whole_fold_in_both_orientations(case):
     w, kinds = case
     letters, strands = hecke._compact(_reduced(w.letters))
     assume(strands >= hecke._SPLIT_STRANDS)  # no pair at an end index cancelled
-    lone = hecke._split(letters, strands)[1]
-    assert not Counter(kinds) - Counter(lone)  # each planted lone letter is cut out
+    blocks = hecke._split(letters, strands)[1]
+    assert not Counter(LONE[k] for k in kinds) - Counter(blocks)  # each planted lone letter is cut out
     comps = trace_components(w)
     for mirror in (False, True):
         assert comps == hecke._trace({0: 1}, letters, strands, w.degree, mirror)
@@ -719,7 +724,7 @@ def test_a_piece_is_reduced_again_once_its_lone_letter_is_cut_out():
     letters, strands = hecke._compact(_reduced(w.letters))
     assert (letters, strands) == (w.letters, 7)
     pieces = [(parse("s1 s2 s3 s1 s2 s3").letters, 4), (parse("s1 s2 s1 s2 s1").letters, 3)]
-    assert hecke._split(letters, strands) == (pieces, [SIGMA])
+    assert hecke._split(letters, strands) == (pieces, [LONE[SIGMA]])
     assert trace_components(w) == forced(w, False) == forced(w, True)
 
 
@@ -733,7 +738,7 @@ def test_only_words_on_at_least_seven_strands_are_split(monkeypatch, strands, pi
     seen = spy_on_folds(monkeypatch)
     assert trace_components(w) == expected
     assert len(seen) == pieces
-    assert hecke._split(w.letters, strands)[1] == ([SIGMA_INV] if pieces > 1 else [])
+    assert hecke._split(w.letters, strands)[1] == ([LONE[SIGMA_INV]] if pieces > 1 else [])
 
 
 def test_lone_letters_alone_multiply_their_factors():
@@ -741,8 +746,81 @@ def test_lone_letters_alone_multiply_their_factors():
     # product z^3 (q^-1 (z + 1) - 1)^2 (1 + r z)^2, here checked against the
     # whole fold
     w = parse("s1 S2 t3 s4 t5 S6 s7")
-    pieces, lone = hecke._split(*hecke._compact(_reduced(w.letters)))
-    assert pieces == [] and sorted(lone) == [SIGMA_INV, SIGMA_INV, TAU, TAU, SIGMA, SIGMA, SIGMA]
+    pieces, blocks = hecke._split(*hecke._compact(_reduced(w.letters)))
+    kinds = [SIGMA_INV, SIGMA_INV, TAU, TAU, SIGMA, SIGMA, SIGMA]
+    assert pieces == [] and sorted(blocks) == sorted(LONE[k] for k in kinds)
+    assert trace_components(w) == forced(w, False) == forced(w, True)
+
+
+# every multiset of at most 4 letters from s_1, S_1 and t_1
+BLOCK_LETTERS = [kinds for size in range(5) for kinds in combinations_with_replacement((SIGMA, SIGMA_INV, TAU), size)]
+
+
+@pytest.mark.parametrize("kinds", BLOCK_LETTERS, ids=lambda kinds: "".join(g.token for g in (Generator(k, 1) for k in kinds)) or "empty")
+def test_block_factor_is_the_whole_fold_of_its_letters(kinds):
+    # the closed form alpha + beta z against the kernel's fold of the
+    # block's letters on 2 strands, in both orientations
+    letters = tuple(Generator(kind, 1) for kind in kinds)
+    degree = kinds.count(TAU)
+    factor = hecke._block_factor(sum(kinds), degree)
+    for mirror in (False, True):
+        assert factor == hecke._trace({0: 1}, letters, 2, degree, mirror)
+
+
+@st.composite
+def block_words(draw):
+    """(word, shapes): 7-8 strands, two rounds of one crossing of either
+    sign at each index but two, and a block planted at each of those two:
+    one of 2-3 letters at i_a, a crossing sign and perhaps a t, wrapping
+    round the word's end, and one of s_i and t_i at i_b, 2-4 letters with
+    both kinds, with letters at other indices at least 2 away from i_b
+    between them.
+    ``shapes`` are the planted blocks' (exponent sum, double points)."""
+    n = draw(st.integers(7, 8))
+    i_a, i_b = draw(st.permutations(range(1, n)))[:2]
+    sign = st.sampled_from((SIGMA, SIGMA_INV))
+    base = [Generator(draw(sign), i) for _ in range(2) for i in range(1, n) if i not in (i_a, i_b)]
+    wrap = [draw(sign)] * draw(st.integers(1, 2)) + draw(st.sampled_from(([], [TAU])))
+    wrap = draw(st.permutations(wrap + [wrap[0]]))
+    mixed = draw(st.permutations([SIGMA, TAU] + draw(st.lists(st.sampled_from((SIGMA, TAU)), max_size=2))))
+    far = [i for i in range(1, n) if abs(i - i_b) >= 2 and i != i_a]
+    run = []
+    for kind in mixed:
+        if run and draw(st.booleans()):
+            run.append(Generator(draw(sign), draw(st.sampled_from(far))))
+        run.append(Generator(kind, i_b))
+    at = draw(st.integers(0, len(base)))
+    letters = [Generator(kind, i_a) for kind in wrap] + base[:at] + run + base[at:]
+    cut = draw(st.integers(1, len(wrap) - 1))  # the wrapping block straddles the end
+    letters = letters[cut:] + letters[:cut]
+    shapes = [(sum(wrap), wrap.count(TAU)), (sum(mixed), mixed.count(TAU))]
+    return SingularBraidWord(n, tuple(letters)), shapes
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(block_words())
+def test_planted_blocks_are_cut_and_the_fold_matches_the_whole_fold(case):
+    w, shapes = case
+    letters, strands = hecke._compact(_reduced(w.letters))
+    assume(strands >= hecke._SPLIT_STRANDS)
+    blocks = hecke._split(letters, strands)[1]
+    assert not Counter(shapes) - Counter(blocks)  # each planted block is cut out
+    comps = trace_components(w)
+    for mirror in (False, True):
+        assert comps == hecke._trace({0: 1}, letters, strands, w.degree, mirror)
+
+
+def test_a_word_with_no_thin_index_is_cut_at_its_block():
+    # every index is used at least twice, so no index is thin; the letters
+    # at 1 and 2 are each in two runs, but s3 t3 s3 sit together between s2
+    # and s4: the block T_3^2 (1 + r T_3) is cut out, and the letters below
+    # and above it are folded as pieces of 3 and 4 strands
+    w = parse("s1 s2 s3 t3 s3 s4 s5 s6 s1 s2 s4 s5 s6")
+    letters, strands = hecke._compact(_reduced(w.letters))
+    assert (letters, strands) == (w.letters, 7)
+    assert min(Counter(g.index for g in letters).values()) == 2
+    pieces = [(parse("s1 s2 s3 s1 s2 s3").letters, 4), (parse("s1 s2 s1 s2").letters, 3)]
+    assert hecke._split(letters, strands) == (pieces, [(2, 1)])
     assert trace_components(w) == forced(w, False) == forced(w, True)
 
 
