@@ -158,8 +158,8 @@ multiply too.  ``_split`` cuts at an unused index, else at the lowest
 index used once, else at the lowest block index, found for every index
 by one pass round the word (``_block``).  Dropping x can free pairs at
 i +- 1 (in ``s1 s2 S1`` the two index-1 letters cancel once s2 is gone),
-so each piece is reduced again and compacted before it is cut in turn.  A
-piece with no block index is folded with ``_trace`` on the strands it
+so each side is reduced again before it is cut in turn, and compacted
+once it is a piece.  A piece with no block index is folded with ``_trace`` on the strands it
 spans, in its own orientation (below) and at its own B: c and n in B are
 the piece's crossings and strands.  The product is taken on packed ints
 (``packed._product``): each piece's components and each factor are
@@ -555,15 +555,10 @@ def _split(letters: tuple, strands: int) -> tuple[list[tuple[tuple, int]], list[
             letters = letters[end + 1 :] + letters[: end + 1]
             kinds = [g.kind for g in letters if g.index == cut]
             blocks.append((sum(kinds), kinds.count(TAU)))
-        # dropping the block can free pairs at cut +- 1, and only there, so
-        # a side is reduced again where its crossings next to the cut hold
-        # both signs
-        below = tuple(g for g in letters if g.index < cut)
-        above = tuple(g for g in letters if g.index > cut)
-        for side, i in ((below, cut - 1), (above, cut + 1)):
-            if side:
-                signs = {g.kind for g in side if g.index == i}
-                work.append(_reduced(side) if SIGMA in signs and SIGMA_INV in signs else side)
+        # dropping the block can free pairs at cut +- 1: reduce again
+        below = _reduced(tuple(g for g in letters if g.index < cut))
+        above = _reduced(tuple(g for g in letters if g.index > cut))
+        work += [side for side in (below, above) if side]
     return pieces, blocks
 
 

@@ -188,9 +188,9 @@ def verify_recompute(tally):
     fold, full_class = markov.trace_components, cli._class_from_components
     folded, classed = [], []
 
-    def counted_fold(word, reduced=None):
+    def counted_fold(word, cut=None):
         folded.append(word)
-        return fold(word, reduced)
+        return fold(word, cut)
 
     def counted_class(comps, word):
         classed.append(word)

@@ -122,8 +122,8 @@ def test_verify_failure_exits_3(capsys, monkeypatch):
     # for, is wrong for each of them
     start = parse("t1 s1", 2)
 
-    def skewed_fold(word, reduced=None):
-        comps = TRUE_FOLD(word, reduced)
+    def skewed_fold(word, cut=None):
+        comps = TRUE_FOLD(word, cut)
         return comps if word == start else doubled(comps)
 
     monkeypatch.setattr(markov, "trace_components", skewed_fold)
@@ -176,13 +176,13 @@ def small_words(draw):
     return SingularBraidWord(n, tuple(letters))
 
 
-def reduction_skewed(word, reduced=None):
+def reduction_skewed(word, cut=None):
     """The trace components, doubled for about half of the (strands, cyclic
     reduction) pairs, picked by a digest of the pair: wrong, but a function
     of the pair, so a run that folds each pair once and decides a word on
     its components must still report exactly the failures of classing
     every word anew from the same skewed components."""
-    comps = TRUE_FOLD(word, reduced)
+    comps = TRUE_FOLD(word, cut)
     key = repr((word.strands, _reduced(word.letters))).encode()
     return doubled(comps) if hashlib.sha256(key).digest()[0] % 2 else comps
 
@@ -230,9 +230,9 @@ def test_verify_classes_each_new_reduction_once(monkeypatch):
     monkeypatch.setattr("singskein.moves._move_stream", lambda *args, **kwargs: iter(script))
     folded, classed = [], []
 
-    def counted_fold(word, reduced=None):
+    def counted_fold(word, cut=None):
         folded.append(word)
-        return TRUE_FOLD(word, reduced)
+        return TRUE_FOLD(word, cut)
 
     def counted_class(comps, word):
         classed.append(word)
