@@ -68,7 +68,7 @@ tr(1) = 1, tr(T_1) = tr(T_2) = z, tr(T_1 T_2) = tr(T_2 T_1) = z^2 and
 tr(T_1 T_2 T_1) = z tr(T_1^2) = z ((q - 1) z + q) = (q - 1) z^2 + q z.  So
 z-slice k adds each of its six coefficients, times its trace, into the ints
 of z^k, z^(k+1) and z^(k+2), with q a shift: one int per power of z,
-decoded once (``packed._digits``); slots never collide because r < R.
+decoded once (``packed._laurent``); slots never collide because r < R.
 
 The width lemma.  The decode is exact by the lemma in ``singskein.packed``
 once B is ``packed._width`` of a bound on every digit, taken from L1 norms
@@ -154,9 +154,9 @@ b_n (z + 1)), n = m + k; for one letter it is
 
 Each desingularisation of the word is one of a's times one of b's times
 one of x's, so the component generating functions, polynomials in r,
-multiply too.  ``_split`` cuts at an unused index, else at the lowest
-index used once, else at the lowest block index, found for every index
-by one pass round the word (``_block``).  Dropping x can free pairs at
+multiply too.  ``_split`` cuts every piece at its lowest block index,
+found for every index by two laps round the word (``_block``); an unused
+index is cut there too, with no block.  Dropping x can free pairs at
 i +- 1 (in ``s1 s2 S1`` the two index-1 letters cancel once s2 is gone),
 so each side is reduced again before it is cut in turn, and compacted
 once it is a piece.  A piece with no block index is folded with ``_trace`` on the strands it
@@ -194,14 +194,15 @@ component k of the word is (-1)^(c + k) q^(#s - #S + k) times the mirror's
 at z', the packed ints left on the identity, P_u for each power z'^u, are
 mapped back before the decode: z^t takes (-1)^t sum_{u >= t} C(u, t)
 (q - 1)^(u - t) P_u, by Horner's rule in q - 1 a shift, a subtraction and an
-add per step, at most n(n + 1)/2 steps.  The sums, taken without their
-(-1)^t, are the direct fold's packed values with each digit of z^t and k
-resolutions signed by (-1)^(t + c + k), so one decode serves both
-orientations (q-exponents shifted down by #S) and applies that sign to each
-value it stores.  The decoded values are the direct fold's, which the bound
-above covers; the P_u and the ints in between may hold digits above
-2^(B-1), as evaluation at q = 2^(R*B), r = 2^B is a ring homomorphism and
-packed shifts and adds are exact.
+add per step, at most n(n + 1)/2 steps.  Each sum, taken without its
+(-1)^t, is the direct fold's packed z^t with the digits of k resolutions
+signed by (-1)^(t + c + k): the map negates the sum where t + c is odd, and
+after the decode, which both orientations share (q-exponents shifted down
+by #S), the components of odd k are negated.  The decoded values are the
+direct fold's up to sign, which the bound above covers; the P_u and the
+ints in between may hold digits above 2^(B-1), as evaluation at
+q = 2^(R*B), r = 2^B is a ring homomorphism and packed shifts and adds are
+exact.
 """
 
 from __future__ import annotations
@@ -209,7 +210,7 @@ from __future__ import annotations
 from math import comb
 
 from .braid import SIGMA, SIGMA_INV, TAU, Generator, SingularBraidWord, _reduced
-from .packed import PackedProduct, _digits, _product, _width
+from .packed import PackedProduct, _laurent, _product, _width
 
 __all__ = ["trace_components"]
 
@@ -391,11 +392,11 @@ def _trace(
     count 0..degree, an integer Laurent dict over (q-exponent, z-exponent).
 
     With ``mirror`` the word is folded as its mirror, and the ints left on
-    the identity are mapped back by z' -> q - 1 - z before the one decode, so
-    only the decoded values, the direct fold's, need the digit bound (module
-    docstring); ``state`` must then be the identity ``{0: 1}``.  ``state`` is
-    consumed: each z-slice is dropped once it is partitioned, so the caller
-    must keep no reference to it.
+    the identity are mapped back by z' -> q - 1 - z before the one decode,
+    so only the decoded values, the direct fold's up to sign, need the digit
+    bound (module docstring); ``state`` must then be the identity
+    ``{0: 1}``.  ``state`` is consumed: each z-slice is dropped once it is
+    partitioned, so the caller must keep no reference to it.
     """
     _check_strands(strands)
     stride = degree + 1  # slots per power of q: resolution counts 0..degree
@@ -462,20 +463,17 @@ def _peel(
         totals[k] += get(0, 0)
         totals[k + 1] += get(_S1, 0) + get(_S2, 0) + (w0 << q_shift)
         totals[k + 2] += get(_S1S2, 0) + get(_S2S1, 0) + (w0 << q_shift) - w0
-    if mirror:  # z' -> q - 1 - z, Horner in q - 1; the sign (-1)^t waits for the decode
+    if mirror:  # z' -> q - 1 - z, Horner in q - 1, with the mirror's sign (-1)^(t + c)
         mapped = []
         for t in range(len(totals)):
             acc = 0
             for u in range(len(totals) - 1, t - 1, -1):
                 acc = (acc << q_shift) - acc + comb(u, t) * totals[u]
-            mapped.append(acc)
+            mapped.append(-acc if (t + crossings) & 1 else acc)
         totals = mapped
-    comps: list[dict[tuple[int, int], int]] = [{} for _ in range(stride)]
-    for tz, total in enumerate(totals):
-        for slot, digit in _digits(total, bits):
-            qe, re = divmod(slot, stride)
-            flip = mirror and (tz + crossings + re) & 1  # the mirror's (-1)^(t + c + k)
-            comps[re][(qe - negatives, tz)] = -digit if flip else digit  # undo q^#S
+    comps = _laurent(totals, bits, stride, -negatives)  # undo q^#S
+    if mirror:  # and its sign (-1)^k
+        comps[1::2] = [{key: -v for key, v in comp.items()} for comp in comps[1::2]]
     return comps
 
 
@@ -540,20 +538,14 @@ def _split(letters: tuple, strands: int) -> tuple[list[tuple[tuple, int]], list[
     while work:
         letters = work.pop()
         indices = [g.index for g in letters]
-        low, high = min(indices), max(indices)
-        uses = [indices.count(i) for i in range(low, high + 1)]
-        fewest = min(uses)
-        if fewest > 1:  # no thin index: the lowest block index, if any
-            cut, end = _block(indices, low, high)
-            if not cut:
-                pieces.append(_compact(letters))
-                continue
-        else:  # an unused index, else the lowest lone letter
-            cut = low + uses.index(fewest)
-            end = indices.index(cut) if fewest else None
-        if end is not None:  # rotate the block's run to the end and drop it
-            letters = letters[end + 1 :] + letters[: end + 1]
-            kinds = [g.kind for g in letters if g.index == cut]
+        cut, end = _block(indices, min(indices), max(indices))
+        if not cut:
+            pieces.append(_compact(letters))
+            continue
+        # rotate the block's run to the end and drop it; an unused index is no block
+        letters = letters[end + 1 :] + letters[: end + 1]
+        kinds = [g.kind for g in letters if g.index == cut]
+        if kinds:
             blocks.append((sum(kinds), kinds.count(TAU)))
         # dropping the block can free pairs at cut +- 1: reduce again
         below = _reduced(tuple(g for g in letters if g.index < cut))

@@ -50,12 +50,11 @@ in k, acc = acc F0 + C_k F1^k, every step is a shift and an add
 ``(c << S) - (c << Z)``.  The int is exact at any strides, as evaluation at
 powers of two is a ring homomorphism.  Each C_k enters as one int, packed
 at q -> 2^W and z -> 2^Z from one of two sources.  Components given as
-Laurent dicts (a word folded whole, ``--verify``'s move words, the skein
-check's three words) are packed term by term (``packed._pack``).  A word
-cut into pieces hands over the pieces' product undecoded
-(``hecke._multiplied``), and each C_k is re-laid out from it by byte
-copies (``PackedProduct.relaid``, the re-layout lemma in
-``singskein.packed``), so its terms are never read one by one.
+Laurent dicts (a word folded whole, ``--verify``'s move words) are packed
+term by term (``packed._pack``).  A word cut into pieces hands over the
+pieces' product undecoded (``hecke._multiplied``), and each C_k is re-laid
+out from it by byte copies (``PackedProduct.relaid``, the re-layout lemma
+in ``singskein.packed``), so its terms are never read one by one.
 ``_factored`` splits the numerators' int once with ``packed._digits``, at
 S into the numerators and each of those at Z into rows over z.  Both
 splits are exact: a row has at most q_top - q0 + 1 balanced digits, each
@@ -71,8 +70,8 @@ bounds for one word:
   C_k F0^(d-k) F1^k has L1 at most 4^(d-k) 2^k L1(C_k) over all b; for a
   product, L1(C_k) is bounded by the convolution of its factors' per-k L1
   norms, and its q-range by the sum of theirs.  Both are bounds, so W stays
-  proved, and it is rounded up to whole bytes (and to at least the
-  product's width) for the re-layout;
+  proved, and it is rounded up to whole bytes for the re-layout, which
+  leaves it at least the product's width (``_layout``);
 * L = z_top = n - 1 + d, as a trace on n strands has z-degree below n (each
   peeled strand takes one z) and F0, F1 have z-degree 1;
 * D = q_top - q0, with q_top the components' top q-exponent (or 0) plus d,
@@ -80,10 +79,10 @@ bounds for one word:
 * m = d - n + 1, the same for every coordinate (a + b = d).
 
 The skein check's three words, w s_i, w S_i and w, are each folded on
-their own and packed at one layout (``_joint_numerators``), with l1
-doubled and q_top raised by one for its sums num_P - q num_N and
-(q - 1) num_S, which are ``P - (N << W)`` and ``(S << W) - S`` on the
-packed ints.
+their own, each from its own source, and packed at one layout
+(``_joint_numerators``), with l1 doubled and q_top raised by one for its
+sums num_P - q num_N and (q - 1) num_S, which are ``P - (N << W)`` and
+``(S << W) - S`` on the packed ints.
 
 The oracles live in ``singskein.oracle``, which no CLI run imports: the
 literal expansion (``FormalWordSum``, ``desing_delete``,
@@ -101,16 +100,16 @@ components to factored coordinates: ``factored_coordinates``,
 ``markov_class`` (whose class keeps the components it was built from) and
 the skein classes all go through it, and it folds nothing.
 
-``_traces`` (behind every class) and ``_components`` (behind the skein
-check) refuse a word above the hard caps (degree <= 8, strands <= 12).
-``_traces`` reduces and cuts the word once (``hecke._pieces``), folds a
-word that is cut into pieces and blocks with ``hecke._multiplied``, and
-any other word with ``trace_components``, given that cut.  The CLI checks
-the given word once against its lowered caps (``--max-degree``,
-``--max-strands``) with ``check_caps``, right after parsing and before any
-fold; ``--verify`` folds its move words, which keep the degree and the
-strand cap, with ``trace_components`` itself, cut from the cyclic
-reduction that each word's verdict key already holds.
+``_traces``, behind every class and each of the skein check's words,
+refuses a word above the hard caps (degree <= 8, strands <= 12).  It
+reduces and cuts the word once (``hecke._pieces``), folds a word that is
+cut into pieces and blocks with ``hecke._multiplied``, and any other word
+with ``trace_components``, given that cut.  The CLI checks the given
+word once against its lowered caps (``--max-degree``, ``--max-strands``)
+with ``check_caps``, right after parsing and before any fold;
+``--verify`` folds its move words, which keep the degree and the strand
+cap, with ``trace_components`` itself, cut from the cyclic reduction that
+each word's verdict key already holds.
 """
 
 from __future__ import annotations
@@ -394,16 +393,9 @@ def _joint_numerators(words: tuple) -> list[PackedNumerators]:
     layout, which for more than one word also covers the sums
     num_i - q num_j and (q - 1) num_i (the skein check's).
     ``CapExceededError`` if a word is above the hard caps."""
-    comp_sets = [_components(word) for word in words]
+    comp_sets = [_traces(word) for word in words]
     layout = _layout(comp_sets, words[0])
     return [_numerators(comps, layout) for comps in comp_sets]
-
-
-def _components(word: SingularBraidWord) -> list:
-    """The word's trace components; ``CapExceededError`` if the word is
-    above the hard caps."""
-    check_caps(word)
-    return trace_components(word)
 
 
 def _traces(word: SingularBraidWord) -> "list | PackedProduct":
@@ -425,13 +417,15 @@ def _layout(comp_sets: list, word: SingularBraidWord) -> tuple[int, int, int, in
     z- and B-strides that fit them (module docstring).  More than one set
     also covers the skein check's sums.  A set given as a product is
     bounded by the product's per-k L1 bounds and q-range, and W is then
-    rounded up to whole bytes and to at least the product's width, so that
-    the product can be re-laid out at W."""
+    rounded up to whole bytes for the re-layout.  That W is at least the
+    product's width, which is ``_width`` of the sum of those bounds rounded
+    up alike: l1 is at least that sum, and ``_packed_width`` multiplies it
+    by factors of at least 1 (``relaid`` refuses a narrower W)."""
     d = word.degree
-    l1, low, high, lanes = 0, [0], [0], 0
+    l1, low, high = 0, [0], [0]
     for comps in comp_sets:
         if isinstance(comps, PackedProduct):
-            norms, lanes = comps.norms, comps.width
+            norms = comps.norms
             low.append(comps.low)
             high.append(comps.low + comps.span - 1)
         else:
@@ -445,8 +439,8 @@ def _layout(comp_sets: list, word: SingularBraidWord) -> tuple[int, int, int, in
     # the trace has z-degree below the strand count: one z per peeled strand
     z_top = word.strands - 1 + d
     width = _packed_width(l1, z_top, q_top - q0, d, d - word.strands + 1)
-    if lanes:
-        width = max(_whole_bytes(width), lanes)
+    if any(isinstance(comps, PackedProduct) for comps in comp_sets):
+        width = _whole_bytes(width)
     z_stride = width * (q_top - q0 + 1)
     return q0, width, z_stride, z_stride * (z_top + 1)
 

@@ -3,10 +3,10 @@
 The one module that knows the packed format.  From the Hecke fold to the
 skein coefficients every polynomial is kept as Python ints, one balanced
 W-bit digit per power of a variable set to 2^W; ``hecke``, ``markov`` and
-``skein`` read digits only through ``_digits`` and ``_low_digit`` and take
-every width from ``_width``.  A polynomial in q and z is a list of rows
-over z, each row the value of its polynomial in q at q = 2^W: one digit per
-power of q.  A word's coordinate numerators, polynomials in q, z and B
+``skein`` read digits only through ``_digits``, ``_laurent`` and
+``_low_digit`` and take every width from ``_width``.  A polynomial in q and
+z is a list of rows over z, each row the value of its polynomial in q at
+q = 2^W: one digit per power of q.  A word's coordinate numerators, polynomials in q, z and B
 (``markov``), are one int: q -> 2^W, z -> 2^Z with Z = W times the
 q-slots, and B -> 2^S with S = Z times the z-slots.  It is split once, at S
 and then at Z, into those rows (``_dense``).  Both splits are exact when
@@ -19,8 +19,10 @@ r (resolutions), q and z, is one int per factor (``_product``): r in the
 lowest digits, then q, then z -> 2^Z with Z = W times the r- and q-slots.
 It is handed on undecoded, as a ``PackedProduct``.  Its decode splits it
 at Z into z-rows, and each row at W: a row holds at most Z/W balanced
-digits, so again |row| < 2^(Z-1).  ``markov`` decodes nothing: it re-lays
-each power of r out at the numerators' layout (``PackedProduct.relaid``).
+digits, so again |row| < 2^(Z-1).  The rows' decode, ``_laurent``, also
+reads the fold's rows (``hecke._peel``), which have the same layout with
+r in the lowest digits.  ``markov`` decodes nothing: it re-lays each power
+of r out at the numerators' layout (``PackedProduct.relaid``).
 
 The exactness lemma.  Evaluation at a power of two is a ring homomorphism,
 so shifts, adds and products of these ints are exact at any W.  Only the
@@ -122,6 +124,18 @@ def _dense(v: int, width: int) -> list[int]:
     return out
 
 
+def _laurent(rows: list[int], width: int, slots: int, low: int) -> list[dict[tuple[int, int], int]]:
+    """The coefficients of r^0 .. r^(slots - 1) of sum_t rows[t] z^t, where
+    the balanced width-bit digit k + slots e of a row holds r^k q^(low + e),
+    each a Laurent dict over (q-exponent, z-exponent)."""
+    out: list[dict[tuple[int, int], int]] = [{} for _ in range(slots)]
+    for ze, row in enumerate(rows):
+        for slot, digit in _digits(row, width):
+            qe, r = divmod(slot, slots)
+            out[r][(qe + low, ze)] = digit
+    return out
+
+
 def _low_digit(rows, width: int) -> int:
     """Index of the lowest nonzero digit among these ints, not all zero:
     the lowest set bit of any of them lies in it."""
@@ -163,13 +177,8 @@ class PackedProduct(NamedTuple):
         """The coefficients of r^0 .. r^(slots - 1), each a Laurent dict over
         (q-exponent, z-exponent): split at z, then each z-row at the width
         (module docstring)."""
-        out: list[dict[tuple[int, int], int]] = [{} for _ in range(self.slots)]
-        width, slots, low = self.width, self.slots, self.low
-        for ze, row in _digits(self.value, width * slots * self.span):
-            for slot, digit in _digits(row, width):
-                qe, r = divmod(slot, slots)
-                out[r][(qe + low, ze)] = digit
-        return out
+        rows = _dense(self.value, self.width * self.slots * self.span)
+        return _laurent(rows, self.width, self.slots, self.low)
 
     def relaid(self, q0: int, width: int, z_stride: int) -> list[int]:
         """The coefficient of each r^k as one int with the coefficient of

@@ -824,6 +824,29 @@ def test_a_word_with_no_thin_index_is_cut_at_its_block():
     assert trace_components(w) == forced(w, False) == forced(w, True)
 
 
+def test_every_piece_is_cut_at_its_lowest_block_index():
+    # t1 s1 is a two-letter block at index 1, below the only lone letter,
+    # S4: it is cut out first, then S4, and the pieces between are s2 s3 s2
+    # s3 and s5 s6 s5 s6, each on 3 strands
+    w = parse("t1 s1 s2 s3 s2 s3 S4 s5 s6 s5 s6")
+    letters, strands = hecke._compact(_reduced(w.letters))
+    assert (letters, strands) == (w.letters, 7)
+    piece = (parse("s1 s2 s1 s2").letters, 3)
+    assert hecke._split(letters, strands) == ([piece, piece], [(1, 1), (-1, 0)])
+    assert trace_components(w) == forced(w, False) == forced(w, True)
+
+
+def test_an_unused_index_is_cut_without_a_block():
+    # index 3 is unused: the word is the split union of its two sides, and
+    # the cut there adds no factor
+    w = parse("s1 s2 s1 s2 s4 s5 s6 s4 s5 s6")
+    letters, strands = hecke._compact(_reduced(w.letters))
+    assert (letters, strands) == (w.letters, 7)
+    pieces = [(parse("s1 s2 s3 s1 s2 s3").letters, 4), (parse("s1 s2 s1 s2").letters, 3)]
+    assert hecke._split(letters, strands) == (pieces, [])
+    assert trace_components(w) == forced(w, False) == forced(w, True)
+
+
 # -- the peel against an independent coset recursion ---------------------------------
 
 

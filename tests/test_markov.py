@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from singskein.braid import (
@@ -18,7 +18,8 @@ from singskein.braid import (
 )
 from singskein.coeff import QZ, MultivariatePolynomial, RationalFunction
 from singskein.braid import exponent_sum
-from singskein.hecke import trace_components
+from singskein import markov
+from singskein.hecke import _multiplied, _pieces, trace_components
 from singskein.oracle import (
     _P_ONE,
     _P_W,
@@ -611,6 +612,33 @@ def test_skein_check_legs_are_the_classes_of_its_three_words(case):
     assert result.positive == skein_class(positive)
     assert result.negative == skein_class(negative)
     assert result.smoothed == skein_class(w)
+
+
+@st.composite
+def wide_words(draw):
+    """A word on 7-12 strands with n - 1 to 2n crossings of either sign at
+    random indices and at most 3 double points."""
+    n = draw(st.integers(7, 12))
+    index = st.integers(1, n - 1)
+    kind = st.sampled_from((SIGMA, SIGMA_INV))
+    letters = draw(st.lists(st.builds(Generator, kind, index), min_size=n - 1, max_size=2 * n))
+    for _ in range(draw(st.integers(0, 3))):
+        letters.insert(draw(st.integers(0, len(letters))), Generator(TAU, draw(index)))
+    return SingularBraidWord(n, tuple(letters))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(wide_words())
+def test_the_numerators_width_holds_a_split_words_product(w):
+    # the width lemma in _layout: l1 is at least the sum of the product's
+    # per-k L1 bounds, and _packed_width only multiplies it by factors of at
+    # least 1, so W is never narrower than the product's width, and the
+    # product is re-laid out at W
+    product = _multiplied(_pieces(w, None), w.degree)
+    assume(product is not None)
+    q0, width, z_stride, _ = markov._layout([product], w)
+    assert width >= product.width
+    assert len(product.relaid(q0, width, z_stride)) == w.degree + 1
 
 
 def test_numerator_examples_cover_both_orientations():
