@@ -463,16 +463,12 @@ class RationalFunction:
         return RationalFunction._raw(num, den)
 
     def __pow__(self, exponent: int) -> "RationalFunction":
+        """N^e / D^e is already canonical: N^e and D^e are coprime, so are
+        their contents (Gauss's lemma), and lc(D^e) = lc(D)^e > 0, as graded
+        lex is a monomial order."""
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        result = RationalFunction.one(self.variables)
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            base = base * base if exponent > 1 else base
-            exponent >>= 1
-        return result
+        return RationalFunction._raw(self.numerator**exponent, self.denominator**exponent)
 
     def scaled(self, value) -> "RationalFunction":
         return self * RationalFunction.constant(self.variables, value)

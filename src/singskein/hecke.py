@@ -28,14 +28,16 @@ ascent at i iff d_i >= d_{i+1}, and right multiplication by s_i changes
 only those two fields, in closed form (``_step``).  The kernel holds no
 memo.
 
-A step (``_step``) walks the state in s_i-orbits {u, u s_i}, u with an
-ascent at i, and writes each orbit's new coefficients in closed form from
-its two old ones: with T_i, ``T_u -> T_us`` and
+A crossing's step (``_step``) walks the state in s_i-orbits {u, u s_i}, u
+with an ascent at i, and writes each orbit's new coefficients in closed form
+from its two old ones: with T_i, ``T_u -> T_us`` and
 ``T_us -> (q - 1) T_us + q T_u``; with q T_i^{-1}, ``T_u -> T_us + (1 - q)
-T_u`` and ``T_us -> q T_u``.  So each new coefficient is stored once, and
-the zero rule holds: no state stores a 0.  A single term is never 0, only a
-sum can be, and every sum that vanishes is dropped where it is formed, in
-the step and in the peel's merges alike.
+T_u`` and ``T_us -> q T_u``.  So each new coefficient is stored once.  A
+double point's step is its crossing's step one resolution digit up, plus
+the state: these two orbit rules are the kernel's only ones.  The zero rule
+holds: no state stores a 0.  A single term is never 0, only a sum can be,
+and every sum that vanishes is dropped where it is formed, in the step, in
+the double point's merge and in the peel's merges alike.
 
 ``trace_components`` folds a word once for all 2^d desingularisations: a
 double point is the identity plus the crossing rule one digit up: the
@@ -294,14 +296,16 @@ def _step(state: dict[int, int], i: int, kind: int, q_shift: int, bits: int) -> 
       ``T_us -> q T_u``, so us gets p_u and u gets (1 - q) p_u + q p_us;
     * a double point is the identity (the deleted copy) plus the crossing
       it resolves to, ``T_i`` (TAU) or ``q T_i^{-1}`` (_TAU_NEG), one
-      resolution digit up: u and us each get p + (c << bits), p the old
-      coefficient and c the crossing's new one.
+      resolution digit up: the crossing's step, each value shifted up by
+      ``bits``, with the state merged in.
 
     An orbit is done where its ascent u is met, after one ``get`` of us; a
     descent is skipped when u is in the state, and otherwise taken with
-    p_u = 0.  So each new coefficient is stored once.  A crossing's single
+    p_u = 0.  So a crossing stores each new coefficient once.  Its single
     term is not 0, as q = 2^q_shift is not 1; only a sum can vanish, and
-    each is dropped where it is formed."""
+    each is dropped where it is formed: in the orbit for a crossing, by
+    ``_merge`` for a double point.  The double point's new L1 is at most
+    L1 + 3 L1, the width lemma's factor 4."""
     lo = _FIELD * (i - 1)
     hi = lo + _FIELD
     swap = (1 << lo) - (1 << hi)
@@ -343,29 +347,11 @@ def _step(state: dict[int, int], i: int, kind: int, q_shift: int, bits: int) -> 
                 v = w + e * swap - down
                 if v not in state:  # w = us, p_u = 0
                     new[v] = p << q_shift
-    else:  # TAU resolves by T_i, _TAU_NEG by q T_i^{-1}
-        for w, p in state.items():
-            e = ((w >> hi) & _MASK) - ((w >> lo) & _MASK)
-            if e <= 0:  # w = u
-                u, us, pu = w, w + e * swap + up, p
-                pus = get(us, 0)
-            else:
-                u, us, pus = w + e * swap - down, w, p
-                if u in state:
-                    continue
-                pu = 0
-            if kind == TAU:
-                ru = pus << q_shift
-                rus = pu + ru - pus
-            else:
-                ru = pu + ((pus - pu) << q_shift)
-                rus = pu
-            s = pu + (ru << bits)
-            if s:
-                new[u] = s
-            s = pus + (rus << bits)
-            if s:
-                new[us] = s
+    else:  # the state plus its crossing's step, one resolution digit up
+        new = _step(state, i, SIGMA if kind == TAU else SIGMA_INV, q_shift, bits)
+        for w in new:
+            new[w] <<= bits
+        _merge(new, state)
     return new
 
 

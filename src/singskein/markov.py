@@ -118,7 +118,7 @@ from math import comb
 from typing import Mapping, NamedTuple
 
 from .braid import SingularBraidWord
-from .coeff import MultivariatePolynomial, QZ, RationalFunction
+from .coeff import MultivariatePolynomial, QZ, RationalFunction, _monomial_text
 from .hecke import _multiplied, _pieces, trace_components
 from .packed import (
     PackedProduct,
@@ -278,12 +278,7 @@ class ClassPolynomial:
         na, nb = self.variable_names
         pieces = []
         for (a, b), coeff in self.sorted_terms():
-            factors = []
-            if a:
-                factors.append(na if a == 1 else f"{na}^{a}")
-            if b:
-                factors.append(nb if b == 1 else f"{nb}^{b}")
-            mono = "*".join(factors)
+            mono = _monomial_text(na, nb, a, b)
             text = str(coeff)
             if not mono:
                 pieces.append(text if " " not in text else f"({text})")

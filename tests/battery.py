@@ -10,8 +10,9 @@ fold in both orientations, the split words' coordinates from their
 undecoded product against those from its decode, the skein relation, --verify against
 recomputation and its recorded counts, the packed coefficients against the
 dense oracle, the trace's L1 bound behind the fold's digit width on every
-permutation up to S_8, the 12-strand cap words, and the recorded digests of
-tests/cap_reference.json.  A failed check prints its line; the script exits 1
+permutation up to S_8, the 12-strand cap words, the trace components
+against an independent fold over GF(2^61 - 1) (tests/modp.py), and the
+recorded digests of tests/cap_reference.json.  A failed check prints its line; the script exits 1
 if any step fails.  Whatever ``singskein`` the interpreter imports is the
 one checked, so PYTHONPATH may point at a copy of ``src/``.
 """
@@ -28,6 +29,7 @@ from itertools import permutations
 from pathlib import Path
 from typing import NamedTuple
 
+import modp
 from singskein import cli, hecke, markov, markov_class, parse, skein_class, skein_triple_check
 from singskein.braid import SingularBraidWord, _reduced, exponent_sum
 from singskein.coeff import QZ, SU, RationalFunction
@@ -338,6 +340,31 @@ def cap_words(tally):
         tally(child.returncode == 0)
 
 
+# every MODP_EVERY-th reference word, in the order of perfbench/reference.json
+MODP_EVERY = 16
+
+
+def modp_fold(tally):
+    # hecke.trace_components against tests/modp.py's fold of the word as
+    # given over GF(2^61 - 1), which shares no code with the production
+    # fold, at a fixed point per word (random.Random(23), in this order):
+    # the CAP_WORDS, the words of tests/cap_reference.json and a fixed
+    # sample of the reference words.  Each group's CPU time is printed
+    rng = random.Random(23)
+    groups = {
+        "cap words": [(cap_word(c, seed), 12) for c, seed, _ in CAP_WORDS],
+        "cap reference words": [(entry["word"], 12) for entry in json.loads(CAP_REFERENCE.read_text())["words"]],
+        "reference words": [(ref.args.word, ref.word.strands) for ref in list(reference_words())[::MODP_EVERY]],
+    }
+    for name, words in groups.items():
+        start, failed = time.process_time(), tally.failed
+        for text, strands in words:
+            comps = hecke.trace_components(parse(text, strands))
+            tally(modp.check(text, strands, comps, rng), "differs mod p:", text, strands)
+        print(f"{len(words) - tally.failed + failed}/{len(words)} {name} agree mod p, CPU {time.process_time() - start:.2f} s")
+    tally.report("words agree with the fold mod p")
+
+
 def cap_reference(tally):
     # re-render every word of tests/cap_reference.json (c = 22 and c = 30
     # at seeds 1-10, c = 50 at seed 3; 12 strands, 8 double points) and
@@ -369,6 +396,7 @@ STEPS = {
     "packed-vs-oracle": packed_vs_oracle,
     "trace-bound": trace_bound,
     "cap-words": cap_words,
+    "modp": modp_fold,
     "cap-reference": cap_reference,
 }
 

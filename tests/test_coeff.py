@@ -262,6 +262,28 @@ def test_pow_negative_exponent():
     assert f**0 == ONE_QZ
 
 
+_small_terms = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), st.integers(-4, 4), max_size=3)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([QZ, SU]), _small_terms, _small_terms.filter(lambda t: any(t.values())), st.integers(-3, 4))
+def test_pow_is_the_canonical_power(variables, num, den, k):
+    # f**k is N^k / D^k taken as canonical without a gcd; the oracle is the
+    # same power built with * and inverse(), reduced by the general
+    # constructor's gcd engine
+    f = RationalFunction(MultivariatePolynomial(variables, num), MultivariatePolynomial(variables, den))
+    if f.is_zero and k < 0:
+        with pytest.raises(ZeroDivisionError):
+            f**k
+        return
+    base = f if k >= 0 else f.inverse()
+    n = d = MultivariatePolynomial.one(variables)
+    for _ in range(abs(k)):
+        n, d = n * base.numerator, d * base.denominator
+    p, expected = f**k, RationalFunction(n, d)
+    assert (p.numerator, p.denominator) == (expected.numerator, expected.denominator)
+
+
 # -- evaluation --------------------------------------------------------------
 
 
