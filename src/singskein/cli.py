@@ -30,16 +30,10 @@ from json.encoder import encode_basestring_ascii as _json_string
 
 from . import markov
 from .braid import Record, SingularBraidWord, _reduced, component_count, exponent_sum, parse
-from .hecke import _pieces
-from .markov import (
-    HARD_MAX_DEGREE,
-    HARD_MAX_STRANDS,
-    CapExceededError,
-    MarkovClass,
-    check_caps,
-    markov_class,
-)
-from .skein import SkeinClass, _class_from_components, skein_class, skein_triple_check
+from .hecke import _decoded
+from .markov import HARD_MAX_DEGREE, HARD_MAX_STRANDS, CapExceededError, MarkovClass, check_caps
+from .packed import PackedProduct
+from .skein import SkeinClass, _class_from_components, _rendered, skein_triple_check
 
 __all__ = ["main", "run", "RunReport"]
 
@@ -166,13 +160,15 @@ def run(args: argparse.Namespace) -> RunReport:
     if args.skein_check is not None and not 0 < args.skein_check < word.strands:
         raise ValueError(f"crossing index {args.skein_check} out of range for {word.strands} strands")
     start = time.perf_counter()
-    coords = markov_class(word)
-    skein = skein_class(word, coords=coords)
+    traces = markov._traces(word)
+    factored = markov._factored_from(traces, word)
+    coords = markov._class_of(factored)
+    skein = _rendered(factored, word.strands, exponent_sum(word))
     verify: dict | None = None
     if args.verify or args.skein_check is not None:
         verify = {}
         if args.verify:
-            verify.update(_verify_moves(coords, skein, args))
+            verify.update(_verify_moves(word, traces, skein, args))
         if args.skein_check is not None:
             result = skein_triple_check(word, args.skein_check)
             verify["skein_check"] = {
@@ -195,9 +191,12 @@ def run(args: argparse.Namespace) -> RunReport:
     )
 
 
-def _verify_moves(coords: MarkovClass, reference: SkeinClass, args: argparse.Namespace) -> dict:
-    """Check ``args.moves`` random moves of the word of ``coords``, its
-    ``markov_class``, against ``reference``, its ``skein_class``."""
+def _verify_moves(
+    word: SingularBraidWord, traces: list | PackedProduct, reference: SkeinClass, args: argparse.Namespace
+) -> dict:
+    """Check ``args.moves`` random moves of ``word``, whose traces (from
+    ``markov._traces``) are ``traces``, against ``reference``, its
+    ``skein_class``."""
     # The move words need no cap check of their own: every move keeps the
     # degree, and the move stream keeps the strand count within the cap.
     # The moves are those of moves.random_move_sequence, read one at a
@@ -205,15 +204,15 @@ def _verify_moves(coords: MarkovClass, reference: SkeinClass, args: argparse.Nam
     # imported here, on the first --verify.
     from .moves import _move_stream
 
-    word = coords.word
     strand_cap = args.max_strands if args.max_strands else HARD_MAX_STRANDS
     passed = 0
     failures: list[str] = []
     steps = _move_stream(word, args.moves, seed=args.seed, max_strands=strand_cap)
-    # A class reads the word's strands, degree and exponent sum, and
-    # trace_components, which folds _compact(_reduced(letters)), or the
-    # pieces and blocks hecke._split cuts it into, a function of those
-    # letters alone; the reduction keeps the degree and the exponent sum.
+    # A class reads the word's strands, degree and exponent sum, and its
+    # traces, which hecke._folded folds from _compact(_reduced(letters)),
+    # whole or in the pieces and blocks hecke._split cuts it into, a
+    # function of those letters alone; the reduction keeps the degree and
+    # the exponent sum.
     # So words with equal (strands, reduction) run the same computation on
     # the same input, and each key's verdict is computed once.  The key is
     # not made rotation-canonical: a rotation folds other letters, and its
@@ -229,24 +228,26 @@ def _verify_moves(coords: MarkovClass, reference: SkeinClass, args: argparse.Nam
     # dicts without zero entries) <=> equal classes, and good maps a shape
     # to the components of a word of it whose class is the reference.  The
     # first word of each new shape, and the next word of a shape whose known
-    # word failed, takes the full class: that keeps the normalisation by n
-    # and e under check, which no scaling of components derived here would.
-    good = {(word.strands, exponent_sum(word)): coords.components}
+    # word failed, takes the full class, straight from its traces (a product
+    # stays undecoded): that keeps the normalisation by n and e under check,
+    # which no scaling of components derived here would.  Traces are
+    # decoded only to be compared or kept in good.
+    good = {(word.strands, exponent_sum(word)): _decoded(traces)}
     for step_number, (move, step_word) in enumerate(steps, start=1):
         key = (step_word.strands, _reduced(step_word.letters))
         verdict = verdicts.get(key)
         if verdict is None:
             # through the module, the seam where the fold is wrapped or
-            # replaced, cut from the reduction the key already holds
-            comps = markov.trace_components(step_word, _pieces(step_word, key[1]))
+            # replaced, given the reduction the key already holds
+            step_traces = markov._folded(step_word, key[1])
             shape = (step_word.strands, exponent_sum(step_word))
             known = good.get(shape)
             if known is not None:
-                verdict = comps == known
+                verdict = _decoded(step_traces) == known
             else:
-                verdict = _class_from_components(comps, step_word) == reference
+                verdict = _class_from_components(step_traces, step_word) == reference
                 if verdict:
-                    good[shape] = comps
+                    good[shape] = _decoded(step_traces)
             verdicts[key] = verdict
         if verdict:
             passed += 1

@@ -94,10 +94,12 @@ and e(n) = 6 + sum_{m=9..n} (m - 2) above (``_peel_exponent``), and every
 digit is at most 3^(c + e(n)) 4^d.  The per-level bound alone gives
 (n-1)(n-2)/2 in place of e(n), 15 more on 8 strands or more.
 
-``trace_components`` does not fold the word as given but its cyclic
-reduction (``braid._reduced``): every pair s_i^e ... s_i^-e is cancelled
-whose letters in between, going round the word, all commute with s_i (an
-index at least 2 away, or t_i).  That is exact: T_i T_i^-1 = 1, far
+``_folded`` is the one fold entry, and ``trace_components`` is its
+result decoded.  It does not fold the word as given but its cyclic
+reduction (``braid._reduced``), or the reduction its caller already
+holds: every pair s_i^e ... s_i^-e is cancelled whose letters in between,
+going round the word, all commute with s_i (an index at least 2 away, or
+t_i).  That is exact: T_i T_i^-1 = 1, far
 generators commute, both images of a double point (the identity when
 deleted, T_i when resolved) commute with T_i^(+-1), and tr(ab) = tr(ba), so
 every desingularisation of the reduced word has the trace of the word's.
@@ -108,9 +110,9 @@ lowest is 1: max - min + 2 strands, 1 for no letter.  That is exact too:
 tr does not depend on the strand count, and tr o sh with sh(T_i) = T_(i+1)
 is a Markov trace (sh is a homomorphism and sh(x T_n) = sh(x) T_(n+1)), so
 it is tr.  Every word is folded this way, the skein check's w s_i, w S_i
-and w too, each on its own.  ``_trace`` itself folds the letters it is
-given, as given: it is the whole-word fold, which the tests and CI keep as
-an independent path.
+and w and ``--verify``'s move words too, each on its own.  ``_trace``
+itself folds the letters it is given, as given: it is the whole-word fold,
+which the tests and CI keep as an independent path.
 
 A reduced word that spans at least ``_SPLIT_STRANDS`` (7) strands is cut
 into pieces and blocks at its block indices (``_split``); on fewer,
@@ -170,13 +172,13 @@ then z, so no slot spills into the next (the r-degrees sum to d).  Every
 coefficient of the product is a sum of products of one coefficient of
 each factor, so it is at most the product of the factors' L1 norms, and
 ``packed._width`` of that product, rounded up to whole bytes, reads it
-exactly.  The ints are multiplied.  ``trace_components`` decodes the
-product, split at z and each z-row at that width: a row holds R times the
-q-span such digits, so it too is read exactly (the lemma in
-``singskein.packed``).  ``_multiplied`` hands it on undecoded, for
-``markov`` to re-lay out at its own width.  The split is a function of
-the reduced letters, so words with equal reductions still run the same
-computation.
+exactly.  The ints are multiplied, and ``_folded`` returns the product
+undecoded, for ``markov`` to re-lay out at its own width; a word that is
+its own one piece is returned as its decoded components.  The product's
+decode (``_decoded``) splits it at z and each z-row at that width: a row
+holds R times the q-span such digits, so it too is read exactly (the
+lemma in ``singskein.packed``).  The split is a function of the reduced
+letters, so words with equal reductions still run the same computation.
 
 Each piece is folded in one of two orientations, chosen per piece.  The map
 ``iota: T_i -> -q T_i^{-1} = q - 1 - T_i`` is an involutive automorphism of
@@ -570,33 +572,30 @@ def _fold(letters: tuple, strands: int) -> list[dict[tuple[int, int], int]]:
     return _trace({0: 1}, letters, strands, degree, mirror)
 
 
-def _pieces(word: SingularBraidWord, reduced: tuple | None) -> tuple[list[tuple[tuple, int]], list[tuple[int, int]]]:
-    """``_split`` of the word's compacted cyclic reduction, ``reduced`` when
-    the caller has it: the word's pieces and blocks."""
-    return _split(*_compact(_reduced(word.letters) if reduced is None else reduced))
-
-
-def _multiplied(cut: tuple, degree: int) -> PackedProduct | None:
-    """The product of the pieces' traces and the blocks' factors of a word
-    cut as ``cut`` (``_pieces``), undecoded, or None for a word that is its
-    own one piece."""
-    pieces, blocks = cut
+def _folded(word: SingularBraidWord, reduced: tuple | None = None) -> list | PackedProduct:
+    """The word's trace components, or, for a word cut into pieces and
+    blocks, their product undecoded: the one fold entry.  The word's cyclic
+    reduction (``reduced``, when the caller has it) is compacted and cut
+    (``_split``); a word that is its own one piece is folded whole, on the
+    strands it spans, and otherwise each piece is folded and the pieces'
+    traces and the blocks' factors are multiplied as packed ints."""
+    pieces, blocks = _split(*_compact(_reduced(word.letters) if reduced is None else reduced))
     if not blocks and len(pieces) == 1:
-        return None
+        return _fold(*pieces[0])
     factors = [_fold(*piece) for piece in pieces] + [_block_factor(*block) for block in blocks]
-    return _product(factors, degree + 1)
+    return _product(factors, word.degree + 1)
 
 
-def trace_components(word: SingularBraidWord, cut: tuple | None = None) -> list[dict[tuple[int, int], int]]:
+def _decoded(traces: list | PackedProduct) -> list[dict[tuple[int, int], int]]:
+    """Trace components from ``_folded``'s result: a product decoded."""
+    return traces.decoded() if isinstance(traces, PackedProduct) else traces
+
+
+def trace_components(word: SingularBraidWord) -> list[dict[tuple[int, int], int]]:
     """For each k in 0..degree, the sum over k-subsets S of the singular
     letters of ``tr`` of the word with S resolved and the rest deleted, as an
-    integer Laurent dict over (q-exponent, z-exponent).  The word's cyclic
-    reduction, compacted, is cut into pieces and blocks (``cut``, the
-    word's ``_pieces``, when the caller has them), and each piece is folded
-    on the strands it spans, as its mirror when it has more negative than
-    positive crossings; the pieces' traces and the blocks' factors are
-    multiplied as packed ints."""
-    if cut is None:
-        cut = _pieces(word, None)
-    product = _multiplied(cut, word.degree)
-    return _fold(*cut[0][0]) if product is None else product.decoded()
+    integer Laurent dict over (q-exponent, z-exponent): ``_folded``'s
+    result, decoded.  Each piece of the word's compacted cyclic reduction is
+    folded on the strands it spans, as its mirror when it has more negative
+    than positive crossings."""
+    return _decoded(_folded(word))

@@ -50,11 +50,11 @@ in k, acc = acc F0 + C_k F1^k, every step is a shift and an add
 ``(c << S) - (c << Z)``.  The int is exact at any strides, as evaluation at
 powers of two is a ring homomorphism.  Each C_k enters as one int, packed
 at q -> 2^W and z -> 2^Z from one of two sources.  Components given as
-Laurent dicts (a word folded whole, ``--verify``'s move words) are packed
-term by term (``packed._pack``).  A word cut into pieces hands over the
-pieces' product undecoded (``hecke._multiplied``), and each C_k is re-laid
-out from it by byte copies (``PackedProduct.relaid``, the re-layout lemma
-in ``singskein.packed``), so its terms are never read one by one.
+Laurent dicts (a word folded whole) are packed term by term
+(``packed._pack``).  A word cut into pieces hands over the pieces' product
+undecoded (``hecke._folded``), and each C_k is re-laid out from it by byte
+copies (``PackedProduct.relaid``, the re-layout lemma in
+``singskein.packed``), so its terms are never read one by one.
 ``_factored`` splits the numerators' int once with ``packed._digits``, at
 S into the numerators and each of those at Z into rows over z.  Both
 splits are exact: a row has at most q_top - q0 + 1 balanced digits, each
@@ -97,19 +97,21 @@ tests and the benchmark import them from here.
 For a fixed degree and strand count, a word's coordinates are a function
 of its trace components alone, and ``_factored_from`` is the one way from
 components to factored coordinates: ``factored_coordinates``,
-``markov_class`` (whose class keeps the components it was built from) and
-the skein classes all go through it, and it folds nothing.
+``markov_class``, the CLI's classes and the skein classes all go through
+it, and it folds nothing.  A class holds its coefficients and nothing
+else; the CLI takes the given word's traces once, factors them once and
+builds both of its classes from that (``_class_of`` and
+``skein._rendered``).
 
-``_traces``, behind every class and each of the skein check's words,
-refuses a word above the hard caps (degree <= 8, strands <= 12).  It
-reduces and cuts the word once (``hecke._pieces``), folds a word that is
-cut into pieces and blocks with ``hecke._multiplied``, and any other word
-with ``trace_components``, given that cut.  The CLI checks the given
-word once against its lowered caps (``--max-degree``, ``--max-strands``)
-with ``check_caps``, right after parsing and before any fold;
-``--verify`` folds its move words, which keep the degree and the strand
-cap, with ``trace_components`` itself, cut from the cyclic reduction that
-each word's verdict key already holds.
+Every fold passes one seam, ``_folded`` (``hecke._folded``, looked up in
+this module, where the fold is wrapped or replaced): the given word's,
+the skein check's three words' and each ``--verify`` move word's.
+``_traces``, behind every class and the skein check, refuses a word above
+the hard caps (degree <= 8, strands <= 12) and then folds it.  The CLI checks the given word once against its lowered caps
+(``--max-degree``, ``--max-strands``) with ``check_caps``, right after
+parsing and before any fold; ``--verify`` folds its move words, which
+keep the degree and the strand cap, with ``markov._folded`` itself,
+given the cyclic reduction that each word's verdict key already holds.
 """
 
 from __future__ import annotations
@@ -119,7 +121,7 @@ from typing import Mapping, NamedTuple
 
 from .braid import SingularBraidWord
 from .coeff import MultivariatePolynomial, QZ, RationalFunction, _monomial_text
-from .hecke import _multiplied, _pieces, trace_components
+from .hecke import _folded
 from .packed import (
     PackedProduct,
     _dense,
@@ -295,40 +297,10 @@ class ClassPolynomial:
 
 
 class MarkovClass(ClassPolynomial):
-    """Class of a braid in the commutative stacking algebra over (q, z).
+    """Class of a braid in the commutative stacking algebra over (q, z): its
+    coefficients alone, as for every class."""
 
-    A class computed by ``markov_class`` keeps the word it was solved for,
-    its factored coordinates and its trace components in ``word``,
-    ``factored`` and ``components`` (None for any other class), so that
-    ``skein_class`` and ``--verify`` can reuse them without folding again.
-    The components of a word that is cut into pieces are kept as their
-    product, undecoded, and decoded when ``components`` is first read.
-    """
-
-    variable_names = ("X", "Y")
-    field_variables = QZ
-
-    __slots__ = ("factored", "word", "_components")
-
-    def __init__(
-        self,
-        coeffs: Mapping[tuple[int, int], RationalFunction],
-        factored: "Mapping[tuple[int, int], FactoredCoordinate] | None" = None,
-        word: SingularBraidWord | None = None,
-        components: "list | PackedProduct | None" = None,
-    ):
-        super().__init__(coeffs)
-        object.__setattr__(self, "factored", factored)
-        object.__setattr__(self, "word", word)
-        object.__setattr__(self, "_components", components)
-
-    @property
-    def components(self) -> list | None:
-        comps = self._components
-        if isinstance(comps, PackedProduct):
-            comps = comps.decoded()
-            object.__setattr__(self, "_components", comps)
-        return comps
+    __slots__ = ()
 
 
 class FactoredCoordinate(NamedTuple):
@@ -395,13 +367,10 @@ def _joint_numerators(words: tuple) -> list[PackedNumerators]:
 
 def _traces(word: SingularBraidWord) -> "list | PackedProduct":
     """The word's trace components, or, for a word that is cut into pieces,
-    their product undecoded; ``CapExceededError`` if the word is above the
-    hard caps.  The word is cut once, and a word folded whole goes through
-    ``trace_components`` with that cut."""
+    their product undecoded, from the seam ``_folded``; ``CapExceededError``
+    if the word is above the hard caps."""
     check_caps(word)
-    cut = _pieces(word, None)
-    product = _multiplied(cut, word.degree)
-    return trace_components(word, cut) if product is None else product
+    return _folded(word)
 
 
 def _layout(comp_sets: list, word: SingularBraidWord) -> tuple[int, int, int, int]:
@@ -490,10 +459,13 @@ def _factored(numerators: PackedNumerators, d: int) -> dict[tuple[int, int], Fac
 
 def markov_class(word: SingularBraidWord) -> MarkovClass:
     """Coordinates of the word's class over Q(q, z), from its factored
-    coordinates; the class keeps them and the trace components."""
-    comps = _traces(word)
-    factored = _factored_from(comps, word)
-    return MarkovClass({ab: c.in_qz() for ab, c in factored.items()}, factored, word, comps)
+    coordinates."""
+    return _class_of(factored_coordinates(word))
+
+
+def _class_of(factored: dict[tuple[int, int], FactoredCoordinate]) -> MarkovClass:
+    """The class over Q(q, z) whose factored coordinates are ``factored``."""
+    return MarkovClass({ab: c.in_qz() for ab, c in factored.items()})
 
 
 def _over_det_power(rows: list[int], q0: int, width: int, d: int) -> FactoredCoordinate:

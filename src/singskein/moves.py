@@ -160,7 +160,8 @@ class RelationMove(MarkovMove):
             if not 0 <= p <= len(letters) - 2:
                 raise InapplicableMoveError(f"{rule} position out of range")
             a, b = letters[p], letters[p + 1]
-            if not _pair_matches(rule, a, b):
+            gap = abs(a.index - b.index)
+            if gap == 1 or (_FAR_INDEX if gap else _SAME_INDEX).get((a.kind, b.kind)) != rule:
                 raise InapplicableMoveError(f"{rule} does not match at position {p}")
             replaced = () if rule == R_CANCEL else (b, a)
             return SingularBraidWord(
@@ -171,7 +172,8 @@ class RelationMove(MarkovMove):
             if not 0 <= p <= len(letters) - 3:
                 raise InapplicableMoveError(f"{rule} position out of range")
             a, b, c = letters[p], letters[p + 1], letters[p + 2]
-            if not _triple_matches(rule, a, b, c):
+            kinds = (a.kind, b.kind, c.kind)
+            if a.index != c.index or abs(a.index - b.index) != 1 or _TRIPLE.get(kinds) != rule:
                 raise InapplicableMoveError(f"{rule} does not match at position {p}")
             if rule == R_BRAID:
                 replaced = (b, a, b)
@@ -184,40 +186,6 @@ class RelationMove(MarkovMove):
             )
 
         raise InapplicableMoveError(f"unknown relation rule {rule!r}")
-
-
-# Rules matched on two or three adjacent letters, in candidate order.
-_PAIR_RULES = (R_CANCEL, R_SIGMA_TAU_SAME, R_FAR_SIGMA_SIGMA, R_FAR_SIGMA_TAU, R_FAR_TAU_TAU)
-_TRIPLE_RULES = (R_BRAID, R_SIGMA_SIGMA_TAU)
-
-
-def _pair_matches(rule: str, a: Generator, b: Generator) -> bool:
-    if rule == R_CANCEL:
-        return a.kind != TAU and b.kind == -a.kind and b.index == a.index
-    if rule == R_SIGMA_TAU_SAME:
-        return a.index == b.index and {a.kind, b.kind} == {SIGMA, TAU}
-    if abs(a.index - b.index) < 2:
-        return False
-    kinds = (a.kind, b.kind)
-    if rule == R_FAR_SIGMA_SIGMA:
-        return kinds == (SIGMA, SIGMA)
-    if rule == R_FAR_SIGMA_TAU:
-        return kinds in ((SIGMA, TAU), (TAU, SIGMA))
-    if rule == R_FAR_TAU_TAU:
-        return kinds == (TAU, TAU)
-    return False
-
-
-def _triple_matches(rule: str, a: Generator, b: Generator, c: Generator) -> bool:
-    # every triple rule reads k l k with |k - l| = 1
-    if a.index != c.index or abs(a.index - b.index) != 1:
-        return False
-    kinds = (a.kind, b.kind, c.kind)
-    if rule == R_BRAID:
-        return kinds == (SIGMA, SIGMA, SIGMA)
-    if rule == R_SIGMA_SIGMA_TAU:
-        return kinds in ((SIGMA, SIGMA, TAU), (TAU, SIGMA, SIGMA))
-    return False
 
 
 def apply_move(word: SingularBraidWord, move: MarkovMove) -> SingularBraidWord:
@@ -244,14 +212,17 @@ _TRIPLE = {
     (SIGMA, SIGMA, TAU): R_SIGMA_SIGMA_TAU,
     (TAU, SIGMA, SIGMA): R_SIGMA_SIGMA_TAU,
 }
+# the rules matched on two and on three adjacent letters
+_PAIR_RULES = {*_SAME_INDEX.values(), *_FAR_INDEX.values()}
+_TRIPLE_RULES = set(_TRIPLE.values())
 
 
 def relation_move_candidates(word: SingularBraidWord) -> list[RelationMove]:
     """All in-place relation instances (everything except inserts): the pair
     rules position by position, then the triple rules.  One pass reads each
     letter once; at most one pair rule and one triple rule match at a
-    position, and ``_pair_matches`` and ``_triple_matches`` accept exactly
-    the moves listed here."""
+    position, and ``RelationMove.apply``, which reads the same tables,
+    accepts exactly the moves listed here."""
     pairs: list[RelationMove] = []
     triples: list[RelationMove] = []
     # the two letters before position p; the sentinels match no rule

@@ -70,9 +70,9 @@ from math import prod
 
 from .braid import Generator, Record, SIGMA, SIGMA_INV, SingularBraidWord, exponent_sum
 from .coeff import SU, MultivariatePolynomial, RationalFunction
-from .markov import ClassPolynomial, FactoredCoordinate, MarkovClass
+from .markov import ClassPolynomial, FactoredCoordinate
 from .markov import _factored, _factored_from, _joint_numerators, factored_coordinates
-from .packed import _digits, _divide_x_minus_one, _embed_packed, _low_digit, _width
+from .packed import PackedProduct, _digits, _divide_x_minus_one, _embed_packed, _low_digit, _width
 
 __all__ = [
     "SkeinClass",
@@ -131,21 +131,15 @@ class SkeinTripleResult(Record):
         self._set(holds, positive, negative, smoothed, lhs, rhs)
 
 
-def skein_class(word: SingularBraidWord, coords: MarkovClass | None = None) -> SkeinClass:
-    """Class of the word's closure in the basis {Xhat^a Yhat^b}.
-
-    ``coords`` may pass this word's class from ``markov_class`` (else
-    ``ValueError``) to avoid solving twice when the caller already has it.
-    """
-    if coords is not None and (coords.factored is None or coords.word != word):
-        raise ValueError("coords must be the word's class from markov_class")
-    factored = factored_coordinates(word) if coords is None else coords.factored
-    return _rendered(factored, word.strands, exponent_sum(word))
+def skein_class(word: SingularBraidWord) -> SkeinClass:
+    """Class of the word's closure in the basis {Xhat^a Yhat^b}."""
+    return _rendered(factored_coordinates(word), word.strands, exponent_sum(word))
 
 
-def _class_from_components(comps: list, word: SingularBraidWord) -> SkeinClass:
-    """``skein_class`` of a word whose trace components are ``comps``, built
-    from them with no fold and no cap check."""
+def _class_from_components(comps: list | PackedProduct, word: SingularBraidWord) -> SkeinClass:
+    """``skein_class`` of a word whose trace components are ``comps``,
+    Laurent dicts or their product, built from them with no fold and no cap
+    check."""
     return _rendered(_factored_from(comps, word), word.strands, exponent_sum(word))
 
 

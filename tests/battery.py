@@ -35,7 +35,7 @@ from singskein.braid import SingularBraidWord, _reduced, exponent_sum
 from singskein.coeff import QZ, SU, RationalFunction
 from singskein.moves import random_move_sequence
 from singskein.oracle import embed_qz_to_su
-from singskein.packed import _width
+from singskein.packed import PackedProduct, _width
 from singskein.skein import _closure_coefficient
 
 HERE = Path(__file__).resolve().parent
@@ -87,7 +87,7 @@ class Tally:
 
 def readme_library(tally):
     # the README's "Library" snippet, with the values its comments name;
-    # skein_class(word) solves the word itself, without coordinates
+    # skein_class(word) solves the word itself
     word = parse("t1 s1", 2)
     checks = {
         "markov_class": str(markov_class(word)) == "Y",
@@ -136,16 +136,17 @@ def both_orientations(tally):
 
 def packed_handoff(tally):
     # every reference word and every cap reference word that is cut into
-    # pieces: the factored coordinates from the pieces' product, handed to
-    # the numerators undecoded and re-laid out at their width, against those
-    # from the decoded components, packed one term at a time.  Coordinates
-    # are compared in Q(q, z), as the two paths may pack at different widths
+    # pieces, for which hecke._folded returns the pieces' product: the
+    # factored coordinates from that product, handed to the numerators
+    # undecoded and re-laid out at their width, against those from the
+    # decoded components, packed one term at a time.  Coordinates are
+    # compared in Q(q, z), as the two paths may pack at different widths
     words = [ref.word for ref in reference_words()]
     words += [parse(entry["word"], 12) for entry in json.loads(CAP_REFERENCE.read_text())["words"]]
     handed = 0
     for w in words:
-        product = hecke._multiplied(hecke._pieces(w, None), w.degree)
-        if product is None:
+        product = hecke._folded(w)
+        if not isinstance(product, PackedProduct):
             continue
         handed += 1
         from_product = markov._factored_from(product, w)
@@ -179,7 +180,7 @@ RECORDED_COUNTS = {"strata": (480, 4320, 1745, 598, 598), "warm-up": (6, 54, 17,
 def verify_recompute(tally):
     # cli.run's verify dict for every verify-fuzz word against a loop that
     # classes every move's word anew.  Inside cli.run the folds
-    # (markov.trace_components) and the full classes
+    # (markov._folded, the one fold seam) and the full classes
     # (cli._class_from_components) are counted: a run folds each distinct
     # (strand count, cyclic reduction) once, the given word's included, and
     # builds a full class only for a new (strands, writhe) shape with no
@@ -187,12 +188,12 @@ def verify_recompute(tally):
     # and the counts must be the recorded ones (RECORDED_COUNTS): --verify
     # checks the engine against itself, so a fold that is wrong in the same
     # way for every word of a class passes it, but it moves the counts
-    fold, full_class = markov.trace_components, cli._class_from_components
+    fold, full_class = markov._folded, cli._class_from_components
     folded, classed = [], []
 
-    def counted_fold(word, cut=None):
+    def counted_fold(word, reduced=None):
         folded.append(word)
-        return fold(word, cut)
+        return fold(word, reduced)
 
     def counted_class(comps, word):
         classed.append(word)
@@ -211,11 +212,11 @@ def verify_recompute(tally):
             expected = {"moves": args.moves, "seed": args.seed, "passed": args.moves - len(failures), "failed": len(failures), "failures": failures}
             folded.clear()
             classed.clear()
-            markov.trace_components, cli._class_from_components = counted_fold, counted_class
+            markov._folded, cli._class_from_components = counted_fold, counted_class
             try:
                 verify = cli.run(args).verify
             finally:
-                markov.trace_components, cli._class_from_components = fold, full_class
+                markov._folded, cli._class_from_components = fold, full_class
             keys = {(s.strands, _reduced(s.letters)) for s in folded}
             shape = (w.strands, exponent_sum(w))
             new_shapes = {(s.strands, exponent_sum(s)) for s in folded[1:]} - {shape}

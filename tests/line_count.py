@@ -4,9 +4,10 @@ standard library only.
     python3 tests/line_count.py
 
 Reference code is oracle.py, and linalg.py, which only tests import;
-production is every other module.  For each part it prints its lines and
-its code-only lines: those that are not blank, not a comment and not in a
-module, class or function docstring.  It only reports.
+production is every other module.  For each module, and then for each
+part, it prints its lines and its code-only lines: those that are not
+blank, not a comment and not in a module, class or function docstring.
+It only reports.
 """
 
 import ast
@@ -31,11 +32,13 @@ def code_lines(text: str) -> int:
 def main():
     reference = f"reference ({', '.join(REFERENCE)})"
     parts = {"production": [0, 0], reference: [0, 0]}
-    for path in SRC.glob("*.py"):
+    for path in sorted(SRC.glob("*.py")):
         text = path.read_text()
+        lines, code = len(text.splitlines()), code_lines(text)
+        print(f"{path.name}: {lines} lines, {code} code-only")
         counts = parts[reference if path.name in REFERENCE else "production"]
-        counts[0] += len(text.splitlines())
-        counts[1] += code_lines(text)
+        counts[0] += lines
+        counts[1] += code
     for part, (lines, code) in parts.items():
         print(f"{part}: {lines} lines, {code} code-only")
 

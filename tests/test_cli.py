@@ -13,15 +13,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import singskein
-from singskein import cli, markov
+from singskein import cli, hecke, markov
 from singskein.braid import SIGMA, SIGMA_INV, TAU, Generator, SingularBraidWord, _reduced, parse
 from singskein.coeff import QZ, RationalFunction
 from singskein.cli import main
 from singskein.moves import random_move_sequence
+from singskein.packed import PackedProduct
+from singskein.skein import skein_class, skein_triple_check
 
 from battery import cap_word  # tests/ is on sys.path under pytest's default import mode
 
-TRUE_FOLD = markov.trace_components
+TRUE_FOLD = markov._folded
 TRUE_CLASS_FROM_COMPONENTS = cli._class_from_components
 
 
@@ -110,10 +112,11 @@ def test_timing_goes_to_stderr_only(capsys):
     assert "elapsed" in err
 
 
-def doubled(comps: list) -> list:
-    """Trace components whose class is twice theirs: the class is linear in
+def doubled(traces) -> list:
+    """Trace components whose class is twice those of these traces, Laurent
+    dicts or their product (a move word may split): the class is linear in
     them."""
-    return [{expo: 2 * v for expo, v in comp.items()} for comp in comps]
+    return [{expo: 2 * v for expo, v in comp.items()} for comp in hecke._decoded(traces)]
 
 
 def test_verify_failure_exits_3(capsys, monkeypatch):
@@ -122,11 +125,11 @@ def test_verify_failure_exits_3(capsys, monkeypatch):
     # for, is wrong for each of them
     start = parse("t1 s1", 2)
 
-    def skewed_fold(word, cut=None):
-        comps = TRUE_FOLD(word, cut)
-        return comps if word == start else doubled(comps)
+    def skewed_fold(word, reduced=None):
+        traces = TRUE_FOLD(word, reduced)
+        return traces if word == start else doubled(traces)
 
-    monkeypatch.setattr(markov, "trace_components", skewed_fold)
+    monkeypatch.setattr(markov, "_folded", skewed_fold)
     code, out, _ = invoke(
         capsys,
         "--word",
@@ -143,16 +146,16 @@ def test_verify_failure_exits_3(capsys, monkeypatch):
     assert json.loads(out)["verify"]["failed"] > 0
 
 
-def recomputed_verify(word: SingularBraidWord, moves: int, seed: int, class_of=cli.skein_class) -> dict:
+def recomputed_verify(word: SingularBraidWord, moves: int, seed: int) -> dict:
     """The ``verify`` dict of a run that classes every move's word anew, by
-    ``class_of``."""
-    reference = class_of(word)
+    ``skein_class``."""
+    reference = skein_class(word)
     failures = [
         f"step {k}: {move!r} changed the class"
         for k, (move, step_word) in enumerate(
             random_move_sequence(word, moves, seed=seed, max_strands=cli.HARD_MAX_STRANDS), 1
         )
-        if class_of(step_word) != reference
+        if skein_class(step_word) != reference
     ]
     return {
         "moves": moves,
@@ -176,22 +179,15 @@ def small_words(draw):
     return SingularBraidWord(n, tuple(letters))
 
 
-def reduction_skewed(word, cut=None):
+def reduction_skewed(word, reduced=None):
     """The trace components, doubled for about half of the (strands, cyclic
     reduction) pairs, picked by a digest of the pair: wrong, but a function
     of the pair, so a run that folds each pair once and decides a word on
     its components must still report exactly the failures of classing
     every word anew from the same skewed components."""
-    comps = TRUE_FOLD(word, cut)
+    traces = TRUE_FOLD(word, reduced)
     key = repr((word.strands, _reduced(word.letters))).encode()
-    return doubled(comps) if hashlib.sha256(key).digest()[0] % 2 else comps
-
-
-def class_from_the_seam(word: SingularBraidWord):
-    """The word's class from the components of ``markov.trace_components``,
-    whatever is patched there: ``skein_class`` takes the components of a
-    word cut into pieces from their product, which that seam does not see."""
-    return TRUE_CLASS_FROM_COMPONENTS(markov.trace_components(word), word)
+    return doubled(traces) if hashlib.sha256(key).digest()[0] % 2 else traces
 
 
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
@@ -199,17 +195,16 @@ def class_from_the_seam(word: SingularBraidWord):
 def test_verify_matches_recomputing_every_class(word, seed, moves):
     argv = ["--word", word.display(), "--strands", str(word.strands), "--verify"]
     args = cli.build_parser().parse_args(argv + ["--moves", str(moves), "--seed", str(seed)])
-    for fold, class_of in ((TRUE_FOLD, cli.skein_class), (reduction_skewed, class_from_the_seam)):
+    for fold in (TRUE_FOLD, reduction_skewed):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(markov, "trace_components", fold)
-            coords = markov.markov_class(word)
-            verify = cli._verify_moves(coords, cli.skein_class(word, coords), args)
-            assert verify == recomputed_verify(word, moves, seed, class_of)
+            patch.setattr(markov, "_folded", fold)
+            verify = cli._verify_moves(word, markov._traces(word), skein_class(word), args)
+            assert verify == recomputed_verify(word, moves, seed)
 
 
 def test_verify_classes_each_new_reduction_once(monkeypatch):
     # a scripted move sequence through cli.run: each new (strands, cyclic
-    # reduction) is folded once, the given word's by markov_class, and a
+    # reduction) is folded once, the given word's by cli.run itself, and a
     # full class is built only for the first word of a new (strands,
     # writhe) shape, or for the next one of a shape whose first word failed
     start = parse("t1 s1 s2", 3)
@@ -230,15 +225,15 @@ def test_verify_classes_each_new_reduction_once(monkeypatch):
     monkeypatch.setattr("singskein.moves._move_stream", lambda *args, **kwargs: iter(script))
     folded, classed = [], []
 
-    def counted_fold(word, cut=None):
+    def counted_fold(word, reduced=None):
         folded.append(word)
-        return TRUE_FOLD(word, cut)
+        return TRUE_FOLD(word, reduced)
 
     def counted_class(comps, word):
         classed.append(word)
         return TRUE_CLASS_FROM_COMPONENTS(comps, word)
 
-    monkeypatch.setattr(markov, "trace_components", counted_fold)
+    monkeypatch.setattr(markov, "_folded", counted_fold)
     monkeypatch.setattr(cli, "_class_from_components", counted_class)
     args = cli.build_parser().parse_args(["--word", "t1 s1 s2", "--verify", "--moves", "8"])
     assert cli.run(args).verify == {
@@ -256,10 +251,53 @@ def test_verify_classes_each_new_reduction_once(monkeypatch):
     assert folded == [start] + [word for _, word in script[1:7]]
     assert classed == [stabilised, widened, widened_rotated]
     # the verdicts are those of classing every word anew
-    reference = cli.skein_class(start)
-    assert [cli.skein_class(word) == reference for _, word in script] == [
+    reference = skein_class(start)
+    assert [skein_class(word) == reference for _, word in script] == [
         True, False, True, True, True, False, False, False
     ]
+
+
+def test_every_fold_passes_the_seam_once_per_word(monkeypatch):
+    # a word cut into pieces and blocks: the class functions, the skein
+    # check and cli.run --verify fold each of their words through
+    # markov._folded, once per word (per distinct (strands, cyclic
+    # reduction) for --verify), and no piece is folded outside that seam
+    word = parse("t1 s1 s2 s3 s2 s3 S4 s5 s6 s5 s6", 7)
+    assert isinstance(TRUE_FOLD(word), PackedProduct)
+    folded, open_folds, pieces = [], [], []
+    true_piece_fold = hecke._fold
+
+    def counted_fold(w, reduced=None):
+        folded.append(w)
+        open_folds.append(w)
+        try:
+            return TRUE_FOLD(w, reduced)
+        finally:
+            open_folds.pop()
+
+    def piece_fold(*piece):
+        assert open_folds, "a piece was folded outside markov._folded"
+        pieces.append(piece)
+        return true_piece_fold(*piece)
+
+    monkeypatch.setattr(markov, "_folded", counted_fold)
+    monkeypatch.setattr(hecke, "_fold", piece_fold)
+    legs = [SingularBraidWord(7, word.letters + (Generator(kind, 4),)) for kind in (SIGMA, SIGMA_INV)]
+    for call, expected in (
+        (lambda: markov.markov_class(word), [word]),
+        (lambda: skein_class(word), [word]),
+        (lambda: skein_triple_check(word, 4), legs + [word]),
+    ):
+        folded.clear()
+        call()
+        assert folded == expected
+    folded.clear()
+    args = cli.build_parser().parse_args(["--word", word.display(), "--verify", "--moves", "20", "--seed", "5"])
+    assert cli.run(args).verify["failed"] == 0
+    moved = [step for _, step in random_move_sequence(word, 20, seed=5, max_strands=cli.HARD_MAX_STRANDS)]
+    keys = [(w.strands, _reduced(w.letters)) for w in [word] + moved]
+    assert [(w.strands, _reduced(w.letters)) for w in folded] == list(dict.fromkeys(keys))
+    assert len(pieces) > len(folded)
 
 
 def test_verify_and_skein_check_build_no_qz_fractions(capsys, monkeypatch):
@@ -291,7 +329,7 @@ def test_negative_moves_rejected_before_any_work(capsys, monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("the class was computed before --moves was checked")
 
-    monkeypatch.setattr(cli, "markov_class", unreachable)
+    monkeypatch.setattr(markov, "_folded", unreachable)
     with pytest.raises(SystemExit) as exc:
         main(["--word", "t1", "--strands", "2", "--verify", "--moves", "-1"])
     assert exc.value.code == 2
@@ -302,7 +340,7 @@ def test_moves_above_the_hard_cap_rejected_before_any_work(capsys, monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("the class was computed before --moves was checked")
 
-    monkeypatch.setattr(cli, "markov_class", unreachable)
+    monkeypatch.setattr(markov, "_folded", unreachable)
     with pytest.raises(SystemExit) as exc:
         main(["--word", "t1", "--strands", "2", "--verify", "--moves", str(cli.HARD_MAX_MOVES + 1)])
     assert exc.value.code == 2
@@ -319,7 +357,7 @@ def test_skein_check_index_rejected_before_any_work(capsys, monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("the class was computed before --skein-check was checked")
 
-    monkeypatch.setattr(cli, "markov_class", unreachable)
+    monkeypatch.setattr(markov, "_folded", unreachable)
     code, _, err = invoke(capsys, "--word", "t1", "--strands", "2", "--skein-check", "5")
     assert code == 2
     assert "crossing index 5 out of range for 2 strands" in err
@@ -329,7 +367,7 @@ def test_lowered_cap_rejected_before_any_work(capsys, monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("the class was computed before --max-degree was checked")
 
-    monkeypatch.setattr(cli, "markov_class", unreachable)
+    monkeypatch.setattr(markov, "_folded", unreachable)
     code, _, err = invoke(capsys, "--word", "t1 t1", "--strands", "2", "--max-degree", "1")
     assert code == 4
     assert "word has 2 double points, cap is 1" in err
@@ -357,7 +395,7 @@ def test_memory_exhausted_exits_4_with_one_error_line(capsys, monkeypatch):
     def exhausted(*args, **kwargs):
         raise MemoryError
 
-    monkeypatch.setattr(cli, "markov_class", exhausted)
+    monkeypatch.setattr(markov, "_folded", exhausted)
     code, out, err = invoke(capsys, "--word", "t1", "--strands", "2")
     assert code == 4
     assert out == ""

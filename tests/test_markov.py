@@ -19,7 +19,7 @@ from singskein.braid import (
 from singskein.coeff import QZ, MultivariatePolynomial, RationalFunction
 from singskein.braid import exponent_sum
 from singskein import markov
-from singskein.hecke import _multiplied, _pieces, trace_components
+from singskein.hecke import trace_components
 from singskein.oracle import (
     _P_ONE,
     _P_W,
@@ -38,7 +38,7 @@ from singskein.oracle import (
     trace_functional,
     trace_vector,
 )
-from singskein.packed import _digits, _pack, _packed_width
+from singskein.packed import PackedProduct, _digits, _pack, _packed_width
 from singskein.linalg import determinant, solve
 from singskein.skein import skein_class, skein_triple_check
 from singskein.markov import (
@@ -634,8 +634,8 @@ def test_the_numerators_width_holds_a_split_words_product(w):
     # per-k L1 bounds, and _packed_width only multiplies it by factors of at
     # least 1, so W is never narrower than the product's width, and the
     # product is re-laid out at W
-    product = _multiplied(_pieces(w, None), w.degree)
-    assume(product is not None)
+    product = markov._folded(w)
+    assume(isinstance(product, PackedProduct))
     q0, width, z_stride, _ = markov._layout([product], w)
     assert width >= product.width
     assert len(product.relaid(q0, width, z_stride)) == w.degree + 1

@@ -28,7 +28,7 @@ from singskein.oracle import (
     embed_qz_to_su,
 )
 from singskein.packed import _pack, _packed_width
-from singskein.markov import MarkovClass, _over_det_power, markov_class
+from singskein.markov import _over_det_power, markov_class
 from singskein.skein import (
     VAR_T,
     VAR_X,
@@ -315,19 +315,6 @@ def test_closed_form_matches_embedding_of_the_general_fraction():
                         at_limit += v > -m > 0
                         u_cut += w > 0 and e < 0
     assert at_limit and u_cut and refused, (at_limit, u_cut, refused)
-
-
-def test_coords_must_come_from_markov_class():
-    w = parse("t1 s1 S1 t1", 2)
-    assert skein_class(w, coords=markov_class(w)) == skein_class(w)
-    with pytest.raises(ValueError):
-        skein_class(w, coords=MarkovClass(markov_class(w).coeffs))
-
-
-def test_coords_of_another_word_are_refused():
-    # t1 s1 closes to Yhat, t1 to Xhat: its coordinates must not pass for t1's
-    with pytest.raises(ValueError):
-        skein_class(parse("t1", 2), coords=markov_class(parse("t1 s1", 2)))
 
 
 @st.composite
