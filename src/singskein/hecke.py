@@ -158,12 +158,17 @@ b_n (z + 1)), n = m + k; for one letter it is
 
 Each desingularisation of the word is one of a's times one of b's times
 one of x's, so the component generating functions, polynomials in r,
-multiply too.  ``_split`` cuts every piece at its lowest block index,
-found for every index by two laps round the word (``_block``); an unused
-index is cut there too, with no block.  Dropping x can free pairs at
-i +- 1 (in ``s1 s2 S1`` the two index-1 letters cancel once s2 is gone),
-so each side is reduced again before it is cut in turn, and compacted
-once it is a piece.  A piece with no block index is folded with ``_trace`` on the strands it
+multiply too.  The rotation is in the proof only: a and b, read in the
+word's own order, are rotations of the rotated word's a and b, with the
+same traces.  ``_split`` cuts a word at all of its block indices at once,
+found by two laps round its indices (``_blocks``); an unused index is cut
+too, with no block.  That is the same as cutting at them one after
+another: dropping letters only merges runs, so a block index of the word
+is still one of each side once the other blocks are dropped.  Dropping x
+can free pairs at i +- 1 (in ``s1 s2 S1`` the two index-1 letters cancel
+once s2 is gone), so each stretch between two cuts is reduced again and
+cut again, until no piece has a block index, and compacted once it is a
+piece.  A piece is folded with ``_trace`` on the strands it
 spans, in its own orientation (below) and at its own B: c and n in B are
 the piece's crossings and strands.  The product is taken on packed ints
 (``packed._product``): each piece's components and each factor are
@@ -478,34 +483,25 @@ def _compact(letters: tuple) -> tuple[tuple, int]:
     return letters, max(indices) - low + 2
 
 
-def _block(indices: list[int], low: int, high: int) -> tuple[int, int]:
-    """The lowest block index of letters at ``indices``, all in low..high
-    (module docstring): an index i whose letters form one run, going round
-    the word, among the letters at i - 1, i and i + 1; and the position of
-    that run's last letter, -1 when no letter sits at i +- 1.  (0, -1) if
-    there is none.  A first lap leaves ``open_[i]`` true iff the last of
-    those letters is at i; a second counts each run as the letter at i +- 1
-    that ends it is met."""
+def _blocks(indices: list[int], low: int, high: int) -> list[int]:
+    """The block indices of letters at ``indices``, all in low..high, lowest
+    first (module docstring): each index i whose letters form at most one
+    run, going round the word, among the letters at i - 1, i and i + 1.  A
+    first lap leaves ``open_[i]`` true iff the last of those letters is at
+    i; a second counts each run as the letter at i +- 1 that ends it is
+    met."""
     open_ = [False] * (high + 2)
-    last = [-1] * (high + 2)
-    for pos, j in enumerate(indices):
+    for j in indices:
         open_[j - 1] = open_[j + 1] = False
         open_[j] = True
-        last[j] = pos
     runs = [0] * (high + 2)
-    ends = [-1] * (high + 2)
-    for pos, j in enumerate(indices):
+    for j in indices:
         for k in (j - 1, j + 1):
             if open_[k]:
                 open_[k] = False
                 runs[k] += 1
-                ends[k] = last[k]
         open_[j] = True
-        last[j] = pos
-    for i in range(low, high + 1):
-        if runs[i] <= 1:
-            return i, ends[i]
-    return 0, -1
+    return [i for i in range(low, high + 1) if runs[i] <= 1]
 
 
 def _split(letters: tuple, strands: int) -> tuple[list[tuple[tuple, int]], list[tuple[int, int]]]:
@@ -515,8 +511,9 @@ def _split(letters: tuple, strands: int) -> tuple[list[tuple[tuple, int]], list[
     product of the pieces' traces and the blocks' factors (module
     docstring).  A word on fewer than ``_SPLIT_STRANDS`` strands is its own
     one piece.  A word on more strands than the kernel folds on is refused,
-    whatever its pieces span.  The sides of a cut keep their indices until
-    they are pieces: cutting does not depend on a shift of every index."""
+    whatever its pieces span.  A word is cut at all of its block indices
+    at once; the stretches between them keep their indices until they are
+    pieces: cutting does not depend on a shift of every index."""
     _check_strands(strands)
     if strands < _SPLIT_STRANDS:
         return [(letters, strands)], []
@@ -526,19 +523,19 @@ def _split(letters: tuple, strands: int) -> tuple[list[tuple[tuple, int]], list[
     while work:
         letters = work.pop()
         indices = [g.index for g in letters]
-        cut, end = _block(indices, min(indices), max(indices))
-        if not cut:
+        cuts = _blocks(indices, min(indices), max(indices))
+        if not cuts:
             pieces.append(_compact(letters))
             continue
-        # rotate the block's run to the end and drop it; an unused index is no block
-        letters = letters[end + 1 :] + letters[: end + 1]
-        kinds = [g.kind for g in letters if g.index == cut]
-        if kinds:
-            blocks.append((sum(kinds), kinds.count(TAU)))
-        # dropping the block can free pairs at cut +- 1: reduce again
-        below = _reduced(tuple(g for g in letters if g.index < cut))
-        above = _reduced(tuple(g for g in letters if g.index > cut))
-        work += [side for side in (below, above) if side]
+        bounds = [0, *cuts, strands]  # every index lies in 1..strands - 1
+        for below, cut in zip(bounds, bounds[1:]):
+            # dropping the blocks can free pairs next to them: reduce again
+            side = _reduced(tuple(g for g in letters if below < g.index < cut))
+            if side:
+                work.append(side)
+            kinds = [g.kind for g in letters if g.index == cut]  # none at an unused index
+            if kinds:
+                blocks.append((sum(kinds), kinds.count(TAU)))
     return pieces, blocks
 
 

@@ -216,17 +216,17 @@ class PackedProduct(NamedTuple):
 
 def _product(factors: list[list[dict[tuple[int, int], int]]], slots: int) -> PackedProduct:
     """The product of polynomials in r, q^(+-1) and z, each given as its
-    components (a Laurent dict over (q-exponent, z-exponent) per power of
-    r), undecoded; the r-degrees must sum to less than ``slots``.  Each
-    factor is packed in one layout: r in ``slots`` digits, then q over the
-    q-range of the product, then z.  So no slot of the product spills into
+    components (a Laurent dict over (q-exponent, z-exponent) per power of r),
+    undecoded; the r-degrees must sum to less than ``slots``.  Each component
+    is packed by ``_pack`` in one layout: r in ``slots`` digits, then q over
+    the q-range of the product, then z.  So no slot of the product spills into
     the next, and the ints are multiplied.  The coefficient of r^k of the
-    product is a sum of products of one coefficient of each factor, so its
-    L1 norm is at most the convolution of the factors' per-r L1 norms at k,
-    and each of its coefficients at most the product of the factors' L1
-    norms, the sum of that convolution.  At ``_width`` of that bound, rounded
-    up to whole bytes, every digit is below 2^(width-1), so the product is
-    read exactly (``PackedProduct.decoded``, the module docstring)."""
+    product is a sum of products of one coefficient of each factor, so its L1
+    norm is at most the convolution of the factors' per-r L1 norms at k, and
+    each of its coefficients at most the product of the factors' L1 norms, the
+    sum of that convolution.  At ``_width`` of that bound, rounded up to whole
+    bytes, every digit is below 2^(width-1), so the product is read exactly
+    (``PackedProduct.decoded``, the module docstring)."""
     lows, span, rows, norms = [], 1, 1, [1] + [0] * (slots - 1)
     for factor in factors:
         qs = [qe for comp in factor for qe, _ in comp]
@@ -247,8 +247,8 @@ def _product(factors: list[list[dict[tuple[int, int], int]]], slots: int) -> Pac
     for factor, low in zip(factors, lows):
         value = 0
         for r, comp in enumerate(factor):
-            for (qe, ze), v in comp.items():
-                value += v << (width * (r + slots * (qe - low)) + z_shift * ze)
+            for ze, row in enumerate(_pack(comp, low, width * slots)):
+                value += row << (width * r + z_shift * ze)
         total *= value
     return PackedProduct(total, width, slots, span, rows, sum(lows), tuple(norms))
 

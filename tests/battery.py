@@ -12,7 +12,8 @@ recomputation and its recorded counts, the packed coefficients against the
 dense oracle, the trace's L1 bound behind the fold's digit width on every
 permutation up to S_8, the 12-strand cap words, the trace components
 against an independent fold over GF(2^61 - 1) (tests/modp.py), and the
-recorded digests of tests/cap_reference.json.  A failed check prints its line; the script exits 1
+recorded digests of tests/cap_reference.json; a last step, cap-sweep, only
+reports how the cap recipe's words are cut.  A failed check prints its line; the script exits 1
 if any step fails.  Whatever ``singskein`` the interpreter imports is the
 one checked, so PYTHONPATH may point at a copy of ``src/``.
 """
@@ -25,6 +26,7 @@ import subprocess
 import sys
 import time
 import traceback
+from collections import Counter
 from itertools import permutations
 from pathlib import Path
 from typing import NamedTuple
@@ -387,6 +389,29 @@ def cap_reference(tally):
     tally.report(f"cap reference outputs match, CPU {time.process_time() - start:.2f} s")
 
 
+# the cap recipe's crossing counts and seeds that cap-sweep plans
+CAP_SWEEP = (40, 50, 60, 80, 100)
+CAP_SWEEP_SEEDS = range(1, 41)
+
+
+def cap_sweep(tally):
+    # plan only: each cap_word(c, seed) of CAP_SWEEP is reduced and cut as
+    # hecke._folded cuts it, and nothing is folded.  Per c, the distribution
+    # of the largest piece's strands (0 where every letter is in a block)
+    # and the number of words with a piece of 11 or 12 strands, which fold
+    # for seconds to minutes or run out of memory: the open cap target.  It
+    # reports and gates nothing; the total CPU time is printed
+    start = time.process_time()
+    for c in CAP_SWEEP:
+        largest = Counter()
+        for seed in CAP_SWEEP_SEEDS:
+            pieces, _ = hecke._split(*hecke._compact(_reduced(parse(cap_word(c, seed), 12).letters)))
+            largest[max((n for _, n in pieces), default=0)] += 1
+        spread = ", ".join(f"{n}: {largest[n]}" for n in sorted(largest))
+        print(f"c = {c}: largest piece's strands {{{spread}}}, {largest[11] + largest[12]}/{len(CAP_SWEEP_SEEDS)} with 11-12")
+    print(f"{len(CAP_SWEEP) * len(CAP_SWEEP_SEEDS)} cap recipe words planned, CPU {time.process_time() - start:.2f} s")
+
+
 STEPS = {
     "readme-library": readme_library,
     "reference-outputs": reference_outputs,
@@ -399,6 +424,7 @@ STEPS = {
     "cap-words": cap_words,
     "modp": modp_fold,
     "cap-reference": cap_reference,
+    "cap-sweep": cap_sweep,
 }
 
 

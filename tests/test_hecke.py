@@ -708,22 +708,23 @@ def test_split_fold_matches_the_whole_fold_in_both_orientations(case):
     w, kinds = case
     letters, strands = hecke._compact(_reduced(w.letters))
     assume(strands >= hecke._SPLIT_STRANDS)  # no pair at an end index cancelled
-    blocks = hecke._split(letters, strands)[1]
+    pieces, blocks = hecke._split(letters, strands)
     assert not Counter(LONE[k] for k in kinds) - Counter(blocks)  # each planted lone letter is cut out
+    # no piece keeps a block index: each side is cut again until none is left
+    assert not any(hecke._blocks([g.index for g in piece], 1, n - 1) for piece, n in pieces)
     comps = trace_components(w)
     for mirror in (False, True):
         assert comps == hecke._trace({0: 1}, letters, strands, w.degree, mirror)
 
 
 def test_a_piece_is_reduced_again_once_its_lone_letter_is_cut_out():
-    # s3 is the lone letter; rotated to the end it leaves S2 s1 s2 s1 s2 s1
-    # s2 below it, whose first and last letters cancel across the wrap, which
-    # s3 blocks in the whole word.  Without the rotation the piece would read
-    # s2 s1 s1 s2 s1, the same trace in other letters.
+    # s3 is the lone letter; cut out, it leaves s2 s1 s2 S2 s1 s2 s1 below
+    # it, whose s2 S2 now sit together and cancel, which s3 blocks in the
+    # whole word: the piece is s2 s1 s1 s2 s1, 5 letters, not 7
     w = parse("s2 s1 s2 s3 S2 s1 s2 s1 s4 s5 s6 s4 s5 s6")
     letters, strands = hecke._compact(_reduced(w.letters))
     assert (letters, strands) == (w.letters, 7)
-    pieces = [(parse("s1 s2 s3 s1 s2 s3").letters, 4), (parse("s1 s2 s1 s2 s1").letters, 3)]
+    pieces = [(parse("s1 s2 s3 s1 s2 s3").letters, 4), (parse("s2 s1 s1 s2 s1").letters, 3)]
     assert hecke._split(letters, strands) == (pieces, [LONE[SIGMA]])
     assert trace_components(w) == forced(w, False) == forced(w, True)
 
@@ -824,10 +825,10 @@ def test_a_word_with_no_thin_index_is_cut_at_its_block():
     assert trace_components(w) == forced(w, False) == forced(w, True)
 
 
-def test_every_piece_is_cut_at_its_lowest_block_index():
-    # t1 s1 is a two-letter block at index 1, below the only lone letter,
-    # S4: it is cut out first, then S4, and the pieces between are s2 s3 s2
-    # s3 and s5 s6 s5 s6, each on 3 strands
+def test_a_word_is_cut_at_every_block_index_in_one_lap():
+    # t1 s1 is a two-letter block at index 1, and S4 the only lone letter:
+    # both are cut out in one lap, lowest first, and the stretches between
+    # are s2 s3 s2 s3 and s5 s6 s5 s6, each a piece on 3 strands
     w = parse("t1 s1 s2 s3 s2 s3 S4 s5 s6 s5 s6")
     letters, strands = hecke._compact(_reduced(w.letters))
     assert (letters, strands) == (w.letters, 7)

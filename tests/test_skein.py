@@ -128,6 +128,10 @@ def test_triple_check_randomized():
         i = rng.randrange(1, n)
         result = skein_triple_check(w, i)
         assert result.holds, f"skein relation failed for {w!r} at {i}"
+        # the relation holds for any word, so the legs are pinned to w s_i,
+        # w S_i and w themselves
+        legs = [SingularBraidWord(n, w.letters + (Generator(kind, i),)) for kind in (SIGMA, SIGMA_INV)] + [w]
+        assert [result.positive, result.negative, result.smoothed] == [skein_class(leg) for leg in legs], (w, i)
 
 
 def test_triple_check_reports_witnesses():
