@@ -7,13 +7,15 @@ attempt is made to decide word equivalence syntactically.  Instead, the
 moves of ``singskein.moves`` produce words with isotopic closures, and
 downstream invariants are checked for invariance under them.  The
 acceptance tests and the benchmark import ``RelationMove`` and
-``random_move_sequence`` from here, so those still resolve here.  The one
-rewriting done here is ``_reduced``, the free cancellation that the Hecke
-fold runs before it folds a word.
+``random_move_sequence`` from here, so ``_forward``, which also serves
+``hecke``, ``markov`` and ``skein``, reads those from ``singskein.moves``.
+The one rewriting done here is ``_reduced``, the free cancellation that
+the Hecke fold runs before it folds a word.
 """
 
 from __future__ import annotations
 
+import importlib
 import re
 from collections import deque
 from operator import attrgetter
@@ -37,16 +39,23 @@ __all__ = [
     "shuffle_braid",
 ]
 
-# the closure-preserving moves and their fuzzer, in ``singskein.moves``
-_MOVE_NAMES = frozenset({"RelationMove", "random_move_sequence"})
+
+def _forward(module: str, home: str, names: frozenset):
+    """A PEP 562 ``__getattr__`` for ``module`` that reads each of ``names``
+    from ``singskein.<home>``, imported on first use: names moved to
+    ``home`` that the acceptance tests and the benchmark still import from
+    ``module``."""
+
+    def __getattr__(name):
+        if name in names:
+            return getattr(importlib.import_module(f"singskein.{home}"), name)
+        raise AttributeError(f"module {module!r} has no attribute {name!r}")
+
+    return __getattr__
 
 
-def __getattr__(name):
-    if name in _MOVE_NAMES:
-        from . import moves
-
-        return getattr(moves, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+# the closure-preserving moves and their fuzzer
+__getattr__ = _forward(__name__, "moves", frozenset({"RelationMove", "random_move_sequence"}))
 
 
 SIGMA = 1

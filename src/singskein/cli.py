@@ -74,21 +74,6 @@ class RunReport(Record):
         )
 
 
-def _positive_cap(limit: int, label: str):
-    def convert(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(f"{label} must be an integer") from exc
-        if not 1 <= value <= limit:
-            raise argparse.ArgumentTypeError(
-                f"{label} must lie in 1..{limit} (hard cap)"
-            )
-        return value
-
-    return convert
-
-
 def _move_count(text: str) -> int:
     try:
         value = int(text)
@@ -141,13 +126,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--max-degree",
-        type=_positive_cap(HARD_MAX_DEGREE, "--max-degree"),
+        type=int,
         default=None,
         help=f"lower the double-point cap (hard cap {HARD_MAX_DEGREE})",
     )
     parser.add_argument(
         "--max-strands",
-        type=_positive_cap(HARD_MAX_STRANDS, "--max-strands"),
+        type=int,
         default=None,
         help=f"lower the strand cap (hard cap {HARD_MAX_STRANDS})",
     )

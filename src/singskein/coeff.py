@@ -404,11 +404,7 @@ class RationalFunction:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _check(self, other: "RationalFunction") -> None:
-        if self.variables != other.variables:
-            raise MixedVariablesError(
-                f"cannot mix variables {self.variables} with {other.variables}"
-            )
+    _check = MultivariatePolynomial._check
 
     def __add__(self, other: "RationalFunction") -> "RationalFunction":
         self._check(other)

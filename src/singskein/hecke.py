@@ -16,17 +16,17 @@ integer coefficients.  The algebra with ``RationalFunction`` coefficients
 (``HeckeElement``, ``mul_by_generator``, ``evaluate_word``, ``multiply``,
 ``ocneanu_trace`` and ``permutation_trace``), the tests' oracle, lives in
 ``singskein.oracle``; the acceptance tests import ``HeckeElement``,
-``multiply`` and ``permutation_trace`` from here, so those still resolve
-here.  A permutation w is one int, its inversion table: field k - 1, 5
-bits wide, holds d_k = #{l < k : w(l) > w(k)} (``_pack_perm`` and
-``_unpack_perm`` convert from and to images).  d_k = 0 above w's largest
-moved point m and d_m = m - w(m) > 0, so trailing fixed points vanish, the
-identity is 0, m is the bit length over 5, rounded up, and the fields sum
-to w's length.  As d_k <= k - 1, 5-bit fields hold the tables of up to
-32 points; the kernel folds on at most 31 strands (``_MASK``).  w has an
-ascent at i iff d_i >= d_{i+1}, and right multiplication by s_i changes
-only those two fields, in closed form (``_step``).  The kernel holds no
-memo.
+``multiply`` and ``permutation_trace`` from here, so ``braid._forward``
+reads those from there.  A permutation w is one int, its inversion table:
+field k - 1, 5 bits wide, holds d_k = #{l < k : w(l) > w(k)}
+(``_pack_perm`` and ``_unpack_perm`` convert from and to images).  d_k = 0
+above w's largest moved point m and d_m = m - w(m) > 0, so trailing fixed
+points vanish, the identity is 0, m is the bit length over 5, rounded up,
+and the fields sum to w's length.  As d_k <= k - 1, 5-bit fields hold the
+tables of up to 32 points; the kernel folds on at most 31 strands
+(``_MASK``).  w has an ascent at i iff d_i >= d_{i+1}, and right
+multiplication by s_i changes only those two fields, in closed form
+(``_step``).  The kernel holds no memo.
 
 A crossing's step (``_step``) walks the state in s_i-orbits {u, u s_i}, u
 with an ascent at i, and writes each orbit's new coefficients in closed form
@@ -218,21 +218,13 @@ from __future__ import annotations
 
 from math import comb
 
-from .braid import SIGMA, SIGMA_INV, TAU, Generator, SingularBraidWord, _reduced
+from .braid import SIGMA, SIGMA_INV, TAU, Generator, SingularBraidWord, _forward, _reduced
 from .packed import PackedProduct, _laurent, _product, _width
 
 __all__ = ["trace_components"]
 
-# the oracle's Hecke algebra over Q(q, z), in ``singskein.oracle``
-_ORACLE_NAMES = frozenset({"HeckeElement", "multiply", "permutation_trace"})
-
-
-def __getattr__(name):
-    if name in _ORACLE_NAMES:
-        from . import oracle
-
-        return getattr(oracle, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+# the oracle's Hecke algebra over Q(q, z)
+__getattr__ = _forward(__name__, "oracle", frozenset({"HeckeElement", "multiply", "permutation_trace"}))
 
 
 # ---------------------------------------------------------------------------

@@ -91,8 +91,9 @@ functionals as ``RationalFunction``s (``TraceVector``, ``trace_vector``),
 the pairing matrix on the basis words (``basis_word``, ``pairing_matrix``),
 ``markov_class_of_sum``, the g-operators (``g0_apply``, ``g1_apply``) and
 ``class_product``.  All but ``FormalWordSum``, ``subset_expansion``,
-``TraceVector`` and ``basis_word`` still resolve here, as the acceptance
-tests and the benchmark import them from here.
+``TraceVector`` and ``basis_word`` are read from there by
+``braid._forward``, as the acceptance tests and the benchmark import them
+from here.
 
 For a fixed degree and strand count, a word's coordinates are a function
 of its trace components alone, and ``_factored_from`` is the one way from
@@ -104,14 +105,15 @@ builds both of its classes from that (``_class_of`` and
 ``skein._rendered``).
 
 Every fold passes one seam, ``_folded`` (``hecke._folded``, looked up in
-this module, where the fold is wrapped or replaced): the given word's,
-the skein check's three words' and each ``--verify`` move word's.
-``_traces``, behind every class and the skein check, refuses a word above
-the hard caps (degree <= 8, strands <= 12) and then folds it.  The CLI checks the given word once against its lowered caps
-(``--max-degree``, ``--max-strands``) with ``check_caps``, right after
-parsing and before any fold; ``--verify`` folds its move words, which
-keep the degree and the strand cap, with ``markov._folded`` itself,
-given the cyclic reduction that each word's verdict key already holds.
+this module, where the fold is wrapped or replaced): the given word's, the
+skein check's three words' and each ``--verify`` move word's.  ``_traces``,
+behind every class and the skein check, refuses a word above the hard caps
+(degree <= 8, strands <= 12) and then folds it.  The CLI checks its cap
+flags (``--max-degree``, ``--max-strands``) against the hard caps, and the
+given word once against the caps they set, with ``check_caps``, right after
+parsing and before any fold; ``--verify`` folds its move words, which keep
+the degree and the strand cap, with ``markov._folded`` itself, given the
+cyclic reduction that each word's verdict key already holds.
 """
 
 from __future__ import annotations
@@ -119,7 +121,7 @@ from __future__ import annotations
 from math import comb
 from typing import Mapping, NamedTuple
 
-from .braid import SingularBraidWord
+from .braid import SingularBraidWord, _forward
 from .coeff import MultivariatePolynomial, QZ, RationalFunction, _monomial_text
 from .hecke import _folded
 from .packed import (
@@ -147,19 +149,11 @@ __all__ = [
     "markov_class",
 ]
 
-# the literal expansion, the pairing matrix and the g-operators, in ``singskein.oracle``
-_ORACLE_NAMES = frozenset({
+# the literal expansion, the pairing matrix and the g-operators
+__getattr__ = _forward(__name__, "oracle", frozenset({
     "desing_delete", "desing_resolve", "trace_functional", "trace_vector", "pairing_matrix",
     "markov_class_of_sum", "g0_apply", "g1_apply", "class_product",
-})
-
-
-def __getattr__(name):
-    if name in _ORACLE_NAMES:
-        from . import oracle
-
-        return getattr(oracle, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+}))
 
 
 HARD_MAX_DEGREE = 8

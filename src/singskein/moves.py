@@ -10,9 +10,9 @@ closure:
 
 ``random_move_sequence`` drives a seeded fuzzer over these moves.  Only
 ``--verify`` needs them, so the CLI loads this module on first use;
-``RelationMove`` and ``random_move_sequence`` also resolve from
-``singskein.braid``, as the acceptance tests and the benchmark import them
-from there.
+``braid._forward`` reads ``RelationMove`` and ``random_move_sequence``
+from here for ``singskein.braid``, as the acceptance tests and the
+benchmark import them from there.
 """
 
 from __future__ import annotations

@@ -1,10 +1,9 @@
 """The reference engines: slow, literal paths that the tests check the
 production path against.  No CLI run imports this module.
 
-``hecke``, ``markov`` and ``skein`` forward only the names that the
-acceptance tests and the benchmark import from them (``from singskein.markov
-import pairing_matrix`` loads this module on first use); import the rest,
-its two exceptions among them, from here.
+``hecke``, ``markov`` and ``skein`` forward, with ``braid._forward``, only
+the names that the acceptance tests and the benchmark import from them;
+import the rest, its two exceptions among them, from here.
 
 * The Hecke algebra with ``RationalFunction`` coefficients: ``HeckeElement``,
   ``mul_by_generator``, ``evaluate_word`` and ``multiply`` fold words one

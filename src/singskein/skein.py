@@ -68,7 +68,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import prod
 
-from .braid import Generator, Record, SIGMA, SIGMA_INV, SingularBraidWord, exponent_sum
+from .braid import Generator, Record, SIGMA, SIGMA_INV, SingularBraidWord, _forward, exponent_sum
 from .coeff import SU, MultivariatePolynomial, RationalFunction
 from .markov import ClassPolynomial, FactoredCoordinate
 from .markov import _factored, _factored_from, _joint_numerators, factored_coordinates
@@ -83,16 +83,8 @@ __all__ = [
     "VAR_X",
 ]
 
-# classes of stacked words from their factors', in ``singskein.oracle``
-_ORACLE_NAMES = frozenset({"disjoint_union_coefficient", "closure_product"})
-
-
-def __getattr__(name):
-    if name in _ORACLE_NAMES:
-        from . import oracle
-
-        return getattr(oracle, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+# classes of stacked words from their factors'
+__getattr__ = _forward(__name__, "oracle", frozenset({"disjoint_union_coefficient", "closure_product"}))
 
 # the skein-relation constants in canonical form: t = s*u and x = s - 1/s = (s^2 - 1)/s
 VAR_T = RationalFunction._raw(

@@ -407,11 +407,21 @@ def test_lowered_cap_applies(capsys):
     assert code == 4
 
 
-def test_cap_override_above_hard_cap_rejected(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["--word", "t1", "--max-degree", "99"])
-    assert exc.value.code == 2
-    capsys.readouterr()
+def test_cap_override_above_hard_cap_rejected(capsys, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the class was computed before the cap flags were checked")
+
+    monkeypatch.setattr(markov, "_folded", unreachable)
+    for flag, value, message in [
+        ("--max-degree", "99", "error: degree cap must lie in 1..8"),
+        ("--max-degree", "0", "error: degree cap must lie in 1..8"),
+        ("--max-strands", "13", "error: strand cap must lie in 1..12"),
+        ("--max-strands", "0", "error: strand cap must lie in 1..12"),
+    ]:
+        code, out, err = invoke(capsys, "--word", "t1", flag, value)
+        assert code == 2, (flag, value)
+        assert out == ""
+        assert err.splitlines() == [message], (flag, value)
 
 
 def test_strands_inferred(capsys):

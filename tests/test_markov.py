@@ -433,31 +433,39 @@ def test_over_det_power_matches_general_constructor():
                     assert got.denominator == expected.denominator
 
 
-# the oracle names each production module still forwards: those that the
-# acceptance tests and the benchmark import from it
+# the names each production module still forwards, and their home: those
+# that the acceptance tests and the benchmark import from it
 _FORWARDED = {
-    "coeff": (),
-    "hecke": ("HeckeElement", "multiply", "permutation_trace"),
-    "markov": (
+    "braid": ("moves", ("RelationMove", "random_move_sequence")),
+    "coeff": ("oracle", ()),
+    "hecke": ("oracle", ("HeckeElement", "multiply", "permutation_trace")),
+    "markov": ("oracle", (
         "class_product", "desing_delete", "desing_resolve", "g0_apply", "g1_apply",
         "markov_class_of_sum", "pairing_matrix", "trace_functional", "trace_vector",
-    ),
-    "skein": ("closure_product", "disjoint_union_coefficient"),
+    )),
+    "skein": ("oracle", ("closure_product", "disjoint_union_coefficient")),
 }
 
 
 def test_oracle_names_still_resolve_from_their_old_modules():
     import importlib
 
-    from singskein import coeff, hecke, markov, oracle
+    from singskein import coeff, hecke, markov
 
-    for module_name, kept in _FORWARDED.items():
+    for module_name, (home_name, kept) in _FORWARDED.items():
         module = importlib.import_module(f"singskein.{module_name}")
+        home = importlib.import_module(f"singskein.{home_name}")
         for name in kept:
-            assert getattr(module, name) is getattr(oracle, name), (module_name, name)
-        # every other oracle name, its exceptions and constants among them, stays home
-        for name in set(oracle.__all__) - set(kept) | {"_RF_ONE", "_RF_Q", "_RF_Q_INV_MINUS_1"}:
+            assert getattr(module, name) is getattr(home, name), (module_name, name)
+        # every other name of the home, the oracle's exceptions and
+        # constants among them, stays home
+        for name in set(home.__all__) - set(kept) | {"_RF_ONE", "_RF_Q", "_RF_Q_INV_MINUS_1"}:
             assert not hasattr(module, name), (module_name, name)
+        if kept:
+            # a missing name is reported against the module it was read from
+            with pytest.raises(AttributeError) as exc:
+                getattr(module, "no_such_name")
+            assert str(exc.value) == f"module 'singskein.{module_name}' has no attribute 'no_such_name'"
     assert not hasattr(coeff, "__getattr__")
     for module, name in [
         (hecke, "ocneanu_trace"),
@@ -506,7 +514,13 @@ def test_every_name_the_acceptance_tests_and_the_benchmark_import_resolves():
     names = _frozen_imports()
     assert {("singskein.markov", "pairing_matrix"), ("singskein.braid", "RelationMove")} <= names
     for module_name, name in sorted(names):
-        assert hasattr(importlib.import_module(module_name), name), (module_name, name)
+        module = importlib.import_module(module_name)
+        assert hasattr(module, name), (module_name, name)
+        if name not in vars(module):
+            # a forwarded name, read from its home
+            home_name, kept = _FORWARDED[module_name.removeprefix("singskein.")]
+            assert name in kept, (module_name, name)
+            assert getattr(module, name) is getattr(importlib.import_module(f"singskein.{home_name}"), name)
 
 
 def _table_numerators(comps, d, shift):
