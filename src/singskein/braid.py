@@ -82,13 +82,24 @@ class InapplicableMoveError(ValueError):
 
 
 class Record:
-    """Base of the package's plain records: the fields are ``__slots__``,
-    which a subclass's ``__init__`` sets in that order with ``_set``.  A
-    record is immutable, equal only to a record of its own class with equal
-    fields, hashed by its fields and shown as ``Name(field=value, ...)``.  A
-    subclass keeps its own validation, defaults and keyword arguments, and
-    may override the repr or, like ``cli.RunReport``, the immutability and
-    the hash."""
+    """Base of every value class in the package: the fields are
+    ``__slots__``, which a subclass's ``__init__`` sets in that order with
+    ``_set``.  A record is immutable (setting or deleting any attribute
+    raises ``AttributeError``), equal only to a record of its own class with
+    equal fields, hashed by its fields and shown as
+    ``Name(field=value, ...)``.  A subclass keeps its own validation,
+    defaults and keyword arguments, and may override the repr, the hash
+    (which a dict field needs, being unhashable) or, like ``cli.RunReport``,
+    the immutability.
+
+    The fields are read from ``cls.__slots__``, so a subclass that adds no
+    field declares no ``__slots__``: an empty tuple there would hide its
+    base's fields, and ``_set`` would write nothing and ``==`` compare
+    nothing.  The trusted ``_raw`` constructors of the ``coeff`` values
+    write their two slots with ``object.__setattr__`` rather than ``_set``:
+    they build every value of the production path, and through ``_set`` a
+    ``RationalFunction._raw`` of two ``MultivariatePolynomial._raw`` takes
+    about a third longer."""
 
     __slots__ = ()
 

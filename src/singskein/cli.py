@@ -141,26 +141,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(args: argparse.Namespace) -> RunReport:
     word = parse(args.word, args.strands)
-    check_caps(word, args.max_degree, args.max_strands)
-    if args.skein_check is not None and not 0 < args.skein_check < word.strands:
-        raise ValueError(f"crossing index {args.skein_check} out of range for {word.strands} strands")
+    strand_cap = check_caps(word, args.max_degree, args.max_strands)
     start = time.perf_counter()
+    # before the class, so that an out-of-range index is refused first
+    check = None if args.skein_check is None else skein_triple_check(word, args.skein_check)
     traces = markov._traces(word)
     factored = markov._factored_from(traces, word)
     coords = markov._class_of(factored)
     skein = _rendered(factored, word.strands, exponent_sum(word))
     verify: dict | None = None
-    if args.verify or args.skein_check is not None:
+    if args.verify or check is not None:
         verify = {}
         if args.verify:
-            verify.update(_verify_moves(word, traces, skein, args))
-        if args.skein_check is not None:
-            result = skein_triple_check(word, args.skein_check)
+            verify.update(_verify_moves(word, traces, skein, strand_cap, args))
+        if check is not None:
             verify["skein_check"] = {
                 "index": args.skein_check,
-                "holds": result.holds,
-                "lhs": str(result.lhs),
-                "rhs": str(result.rhs),
+                "holds": check.holds,
+                "lhs": str(check.lhs),
+                "rhs": str(check.rhs),
             }
     elapsed = time.perf_counter() - start
     return RunReport(
@@ -177,11 +176,16 @@ def run(args: argparse.Namespace) -> RunReport:
 
 
 def _verify_moves(
-    word: SingularBraidWord, traces: list | PackedProduct, reference: SkeinClass, args: argparse.Namespace
+    word: SingularBraidWord,
+    traces: list | PackedProduct,
+    reference: SkeinClass,
+    strand_cap: int,
+    args: argparse.Namespace,
 ) -> dict:
     """Check ``args.moves`` random moves of ``word``, whose traces (from
     ``markov._traces``) are ``traces``, against ``reference``, its
-    ``skein_class``."""
+    ``skein_class``; no move takes a word past ``strand_cap`` strands, the
+    cap ``check_caps`` checked it against."""
     # The move words need no cap check of their own: every move keeps the
     # degree, and the move stream keeps the strand count within the cap.
     # The moves are those of moves.random_move_sequence, read one at a
@@ -189,7 +193,6 @@ def _verify_moves(
     # imported here, on the first --verify.
     from .moves import _move_stream
 
-    strand_cap = args.max_strands if args.max_strands else HARD_MAX_STRANDS
     passed = 0
     failures: list[str] = []
     steps = _move_stream(word, args.moves, seed=args.seed, max_strands=strand_cap)

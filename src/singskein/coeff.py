@@ -32,7 +32,8 @@ Negative powers (Laurent-style scalars such as ``q**-2``) are ordinary
 rational functions with monomial denominators; a product with a monomial
 ratio is reduced in closed form (``_times_monomial``).
 
-All values are immutable and safe to share across threads.
+All values are ``braid.Record``s: immutable (setting or deleting an
+attribute raises ``AttributeError``) and safe to share across threads.
 
 The production path keeps its polynomials as packed ints, whose format and
 widths ``singskein.packed`` owns; this module holds only the value types.
@@ -43,6 +44,8 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd as _int_gcd
 from typing import Mapping
+
+from .braid import Record
 
 __all__ = [
     "QZ",
@@ -84,14 +87,14 @@ def _monomial_text(var0: str, var1: str, e0: int, e1: int) -> str:
     return "*".join(factors)
 
 
-class MultivariatePolynomial:
+class MultivariatePolynomial(Record):
     """Sparse polynomial in two named variables with integer coefficients.
 
     Terms map exponent pairs to nonzero ints; any other coefficient type
     raises TypeError.  Rational scalars live in :class:`RationalFunction`.
     """
 
-    __slots__ = ("variables", "terms", "_hash")
+    __slots__ = ("variables", "terms")
 
     def __init__(self, variables: tuple[str, str], terms: Mapping[Monomial, int]):
         if len(variables) != 2:
@@ -104,12 +107,7 @@ class MultivariatePolynomial:
                 if mono[0] < 0 or mono[1] < 0:
                     raise ValueError(f"negative exponent in monomial {mono}")
                 clean[mono] = coeff
-        object.__setattr__(self, "variables", tuple(variables))
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_hash", None)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard rail
-        raise AttributeError("MultivariatePolynomial is immutable")
+        self._set(tuple(variables), clean)
 
     @classmethod
     def _raw(cls, variables: tuple[str, str], terms: dict) -> "MultivariatePolynomial":
@@ -117,7 +115,6 @@ class MultivariatePolynomial:
         self = object.__new__(cls)
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "_hash", None)
         return self
 
     # -- constructors ------------------------------------------------------
@@ -249,17 +246,8 @@ class MultivariatePolynomial:
 
     # -- comparison / rendering --------------------------------------------
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MultivariatePolynomial):
-            return NotImplemented
-        return self.variables == other.variables and self.terms == other.terms
-
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.variables, tuple(sorted(self.terms.items()))))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash((self.variables, tuple(sorted(self.terms.items()))))
 
     def __str__(self) -> str:
         if not self.terms:
@@ -304,10 +292,10 @@ def _terms_content(terms: Mapping[Monomial, int]) -> int:
     return c
 
 
-class RationalFunction:
+class RationalFunction(Record):
     """Quotient of two integer-coefficient bivariate polynomials, canonical."""
 
-    __slots__ = ("numerator", "denominator", "_hash")
+    __slots__ = ("numerator", "denominator")
 
     def __init__(
         self,
@@ -323,16 +311,8 @@ class RationalFunction:
         from .oracle import _canonical_pair  # the general gcd engine; no CLI run calls it
 
         num, den = _canonical_pair(numerator.terms, denominator.terms)
-        object.__setattr__(
-            self, "numerator", MultivariatePolynomial(numerator.variables, num)
-        )
-        object.__setattr__(
-            self, "denominator", MultivariatePolynomial(numerator.variables, den)
-        )
-        object.__setattr__(self, "_hash", None)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard rail
-        raise AttributeError("RationalFunction is immutable")
+        variables = numerator.variables
+        self._set(MultivariatePolynomial(variables, num), MultivariatePolynomial(variables, den))
 
     @classmethod
     def _raw(cls, num: MultivariatePolynomial, den: MultivariatePolynomial) -> "RationalFunction":
@@ -340,7 +320,6 @@ class RationalFunction:
         self = object.__new__(cls)
         object.__setattr__(self, "numerator", num)
         object.__setattr__(self, "denominator", den)
-        object.__setattr__(self, "_hash", None)
         return self
 
     # -- constructors ------------------------------------------------------
@@ -476,18 +455,6 @@ class RationalFunction:
         return self.numerator.evaluate(point) / den_value
 
     # -- comparison / rendering --------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RationalFunction):
-            return NotImplemented
-        return self.numerator == other.numerator and self.denominator == other.denominator
-
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.numerator, self.denominator))
-            object.__setattr__(self, "_hash", h)
-        return h
 
     def __str__(self) -> str:
         if self.numerator.is_zero:

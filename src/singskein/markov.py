@@ -121,7 +121,7 @@ from __future__ import annotations
 from math import comb
 from typing import Mapping, NamedTuple
 
-from .braid import SingularBraidWord, _forward
+from .braid import Record, SingularBraidWord, _forward
 from .coeff import MultivariatePolynomial, QZ, RationalFunction, _monomial_text
 from .hecke import _folded
 from .packed import (
@@ -171,7 +171,9 @@ def check_caps(
     word: SingularBraidWord,
     max_degree: int | None = None,
     max_strands: int | None = None,
-) -> None:
+) -> int:
+    """Raise unless ``word`` is within the caps (``None`` is the hard cap);
+    return the strand cap it was checked against."""
     degree_cap = HARD_MAX_DEGREE if max_degree is None else max_degree
     strand_cap = HARD_MAX_STRANDS if max_strands is None else max_strands
     if not 1 <= degree_cap <= HARD_MAX_DEGREE:
@@ -184,9 +186,10 @@ def check_caps(
         )
     if word.strands > strand_cap:
         raise CapExceededError(f"word has {word.strands} strands, cap is {strand_cap}")
+    return strand_cap
 
 
-class ClassPolynomial:
+class ClassPolynomial(Record):
     """Polynomial in two formal monomial generators with field coefficients."""
 
     variable_names = ("X", "Y")
@@ -203,10 +206,7 @@ class ClassPolynomial:
                 )
             if not coeff.is_zero:
                 clean[tuple(expo)] = coeff
-        object.__setattr__(self, "coeffs", clean)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard rail
-        raise AttributeError(f"{type(self).__name__} is immutable")
+        self._set(clean)
 
     @classmethod
     def zero(cls):
@@ -260,11 +260,6 @@ class ClassPolynomial:
                 out[expo] = piece if acc is None else acc + piece
         return type(self)(out)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ClassPolynomial):
-            return NotImplemented
-        return type(self) is type(other) and self.coeffs == other.coeffs
-
     def __hash__(self) -> int:
         return hash((type(self).__name__, tuple(self.sorted_terms())))
 
@@ -293,8 +288,6 @@ class ClassPolynomial:
 class MarkovClass(ClassPolynomial):
     """Class of a braid in the commutative stacking algebra over (q, z): its
     coefficients alone, as for every class."""
-
-    __slots__ = ()
 
 
 class FactoredCoordinate(NamedTuple):

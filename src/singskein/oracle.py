@@ -41,13 +41,12 @@ import the rest, its two exceptions among them, from here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import factorial
 from math import gcd as _int_gcd
 from typing import Iterable, Mapping
 
-from .braid import SIGMA, TAU, Generator, SingularBraidWord, StrandIndexError
+from .braid import SIGMA, TAU, Generator, Record, SingularBraidWord, StrandIndexError
 from .coeff import QZ, SU, MixedVariablesError, Monomial
 from .coeff import MultivariatePolynomial, RationalFunction, _monomial_key, _terms_content
 from .hecke import _pack_perm, _trace, trace_components
@@ -112,7 +111,7 @@ _RF_Q_INV = _RF_Q.inverse()
 _RF_Q_INV_MINUS_1 = RationalFunction._raw(-_RF_Q_MINUS_1.numerator, _RF_Q.numerator)  # (1 - q)/q
 
 
-class HeckeElement:
+class HeckeElement(Record):
     """Finite linear combination of permutation basis elements."""
 
     __slots__ = ("strands", "terms")
@@ -128,11 +127,7 @@ class HeckeElement:
                 raise ValueError("coefficients must live over (q, z)")
             if not coeff.is_zero:
                 clean[perm] = coeff
-        object.__setattr__(self, "strands", strands)
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard rail
-        raise AttributeError("HeckeElement is immutable")
+        self._set(strands, clean)
 
     @classmethod
     def identity(cls, strands: int) -> "HeckeElement":
@@ -155,11 +150,6 @@ class HeckeElement:
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, HeckeElement):
-            return NotImplemented
-        return self.strands == other.strands and self.terms == other.terms
 
     def __hash__(self) -> int:
         return hash((self.strands, tuple(sorted(self.terms.items(), key=lambda kv: kv[0].image))))
@@ -246,11 +236,13 @@ _Z = RationalFunction.coordinate(QZ, "z")
 _Z_SLIDE = RationalFunction._raw(_P_W, _P_ONE)
 
 
-@dataclass(frozen=True)
-class FormalWordSum:
+class FormalWordSum(Record):
     """Nonnegative-integer combination of words of one strand count and degree."""
 
-    terms: tuple[tuple[SingularBraidWord, int], ...]
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: tuple[tuple[SingularBraidWord, int], ...]):
+        self._set(terms)
 
     @classmethod
     def from_terms(
@@ -333,14 +325,13 @@ def trace_functional(word: SingularBraidWord, k: int) -> RationalFunction:
     return total
 
 
-@dataclass(frozen=True)
-class TraceVector:
-    degree: int
-    values: tuple[RationalFunction, ...]
+class TraceVector(Record):
+    __slots__ = ("degree", "values")
 
-    def __post_init__(self):
-        if len(self.values) != self.degree + 1:
+    def __init__(self, degree: int, values: tuple[RationalFunction, ...]):
+        if len(values) != degree + 1:
             raise ValueError("a degree-d trace vector has d+1 entries")
+        self._set(degree, values)
 
 
 def trace_vector(word: SingularBraidWord) -> TraceVector:

@@ -11,20 +11,19 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from .braid import Record
+
 __all__ = ["Permutation"]
 
 
-class Permutation:
+class Permutation(Record):
     __slots__ = ("image",)
 
     def __init__(self, image: Sequence[int]):
         image = tuple(image)
         if sorted(image) != list(range(1, len(image) + 1)):
             raise ValueError(f"not a permutation of 1..{len(image)}: {image}")
-        object.__setattr__(self, "image", image)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard rail
-        raise AttributeError("Permutation is immutable")
+        self._set(image)
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
@@ -117,14 +116,6 @@ class Permutation:
     def block_sum(self, other: "Permutation") -> "Permutation":
         shift = self.size
         return Permutation(self.image + tuple(v + shift for v in other.image))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Permutation):
-            return NotImplemented
-        return self.image == other.image
-
-    def __hash__(self) -> int:
-        return hash(self.image)
 
     def __repr__(self) -> str:
         return f"Permutation({self.image})"

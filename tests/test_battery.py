@@ -1,9 +1,15 @@
 """CI runs the check battery step by step: no step is dropped or run twice,
 and no check hides in the workflow file.  Production code holds no
-unbounded memo."""
+unbounded memo, and makes its values one way, as ``braid.Record``s."""
 
+import ast
+import importlib
+import pkgutil
 import re
 from pathlib import Path
+
+import singskein
+from singskein.braid import Record
 
 import battery
 import line_count
@@ -53,3 +59,32 @@ def test_no_unbounded_memo_in_production():
         if UNBOUNDED_MEMO.search(line)
     ]
     assert found == []
+
+
+def test_every_value_class_is_a_record():
+    # one way to make an immutable value: a class with fields in __slots__
+    # is a Record, whose __slots__ as the class sees it names every slot
+    # along its MRO (an empty tuple in a subclass would hide its base's
+    # fields from _set, == and the hash), and no module uses dataclasses
+    classes = []
+    for info in pkgutil.iter_modules(singskein.__path__):
+        module = importlib.import_module(f"singskein.{info.name}")
+        classes += [
+            obj for obj in vars(module).values()
+            if isinstance(obj, type) and obj.__module__ == module.__name__
+        ]
+    assert Record in classes
+    for cls in classes:
+        if cls.__dict__.get("__slots__"):
+            assert issubclass(cls, Record), cls
+        if issubclass(cls, Record):
+            along_mro = {name for base in cls.__mro__ for name in base.__dict__.get("__slots__", ())}
+            assert along_mro <= set(cls.__slots__), cls
+    imports = [
+        path.name
+        for path in sorted(line_count.SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if (isinstance(node, ast.Import) and any(a.name.split(".")[0] == "dataclasses" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "dataclasses")
+    ]
+    assert imports == []

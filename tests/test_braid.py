@@ -42,7 +42,11 @@ from singskein.moves import (
     random_move_sequence,
     relation_move_candidates,
 )
+from singskein.coeff import QZ, SU, MultivariatePolynomial, RationalFunction
+from singskein.markov import MarkovClass
+from singskein.oracle import FormalWordSum, HeckeElement, TraceVector
 from singskein.permutations import Permutation
+from singskein.skein import SkeinClass
 
 
 def word(text: str, strands=None) -> SingularBraidWord:
@@ -239,6 +243,7 @@ def test_records_keep_their_value_semantics():
     assert repr(Generator(TAU, 2)) == "t2"
     assert repr(word("s1 S2 t1", 3)) == "<word s1 S2 t1 on 3>"
     assert repr(SingularBraidWord(2, ())) == "<word empty on 2>"
+    q = RationalFunction.coordinate(QZ, "q")
     twins = [  # two equal values and one of their fields
         (Generator(SIGMA, 2), Generator(SIGMA, 2), "kind"),
         (word("s1 S2 t1", 3), parse("s1  S2 t1", 3), "letters"),
@@ -247,6 +252,18 @@ def test_records_keep_their_value_semantics():
         (StabilizeUp(1), StabilizeUp(1), "sign"),
         (StabilizeDown(), StabilizeDown(), None),
         (RelationMove(R_CANCEL, 3), RelationMove(R_CANCEL, 3, 0, 1), "position"),
+        (
+            MultivariatePolynomial(QZ, {(1, 0): 2, (0, 1): 0}),
+            MultivariatePolynomial._raw(QZ, {(1, 0): 2}),
+            "terms",
+        ),
+        (q.inverse(), RationalFunction(MultivariatePolynomial.one(QZ), q.numerator), "numerator"),
+        (MarkovClass({(1, 0): q}), MarkovClass({(1, 0): q, (0, 1): q - q}), "coeffs"),
+        (SkeinClass({(0, 1): RationalFunction.one(SU)}), SkeinClass({(0, 1): RationalFunction.one(SU)}), "coeffs"),
+        (Permutation((2, 1, 3)), Permutation.adjacent_transposition(3, 1), "image"),
+        (HeckeElement.identity(2), HeckeElement(2, {Permutation.identity(2): q / q}), "terms"),
+        (FormalWordSum.from_terms([(word("t1", 2), 1)] * 2), FormalWordSum(((word("t1", 2), 2),)), "terms"),
+        (TraceVector(1, (q, q)), TraceVector(1, (q, q)), "values"),
     ]
     for a, b, field in twins:
         assert a == b and not a != b and hash(a) == hash(b)
@@ -262,6 +279,7 @@ def test_records_keep_their_value_semantics():
     assert CyclicShift(1) != StabilizeUp(1)
     assert StabilizeDown() != CyclicShift(0)
     assert RelationMove(R_INSERT, 0, 1, 1) != RelationMove(R_INSERT, 0, 1, -1)
+    assert MarkovClass({(1, 0): q}) != MarkovClass({(1, 0): q + q})
     with pytest.raises(ValueError):
         Generator(5, 1)
     with pytest.raises(ValueError):

@@ -198,7 +198,9 @@ def test_verify_matches_recomputing_every_class(word, seed, moves):
     for fold in (TRUE_FOLD, reduction_skewed):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(markov, "_folded", fold)
-            verify = cli._verify_moves(word, markov._traces(word), skein_class(word), args)
+            verify = cli._verify_moves(
+                word, markov._traces(word), skein_class(word), markov.HARD_MAX_STRANDS, args
+            )
             assert verify == recomputed_verify(word, moves, seed)
 
 
@@ -371,6 +373,27 @@ def test_lowered_cap_rejected_before_any_work(capsys, monkeypatch):
     code, _, err = invoke(capsys, "--word", "t1 t1", "--strands", "2", "--max-degree", "1")
     assert code == 4
     assert "word has 2 double points, cap is 1" in err
+
+
+def test_verify_keeps_move_words_within_the_strand_cap():
+    # every word --verify folds, the given one's included, has at most the
+    # strands --max-strands allows; at the hard cap this stream goes past it
+    def strands_folded(*flags):
+        seen = []
+
+        def recording_fold(word, reduced=None):
+            seen.append(word.strands)
+            return TRUE_FOLD(word, reduced)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(markov, "_folded", recording_fold)
+            argv = ["--word", "t1 s1 s2", "--verify", "--moves", "40", "--seed", "1", *flags]
+            report = cli.run(cli.build_parser().parse_args(argv))
+        assert report.verify["passed"] == 40
+        return seen
+
+    assert max(strands_folded()) > 5
+    assert max(strands_folded("--max-strands", "5")) == 5
 
 
 def test_syntax_error_exits_2(capsys):
