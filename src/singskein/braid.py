@@ -88,9 +88,8 @@ class Record:
     raises ``AttributeError``), equal only to a record of its own class with
     equal fields, hashed by its fields and shown as
     ``Name(field=value, ...)``.  A subclass keeps its own validation,
-    defaults and keyword arguments, and may override the repr, the hash
-    (which a dict field needs, being unhashable) or, like ``cli.RunReport``,
-    the immutability.
+    defaults and keyword arguments, and may override the repr or the hash
+    (which a dict field needs, being unhashable).
 
     The fields are read from ``cls.__slots__``, so a subclass that adds no
     field declares no ``__slots__``: an empty tuple there would hide its

@@ -46,15 +46,13 @@ HARD_MAX_MOVES = 10_000
 
 
 class RunReport(Record):
-    """One run's word, its invariants, its classes and its checks; unlike
-    the other records it may be changed, so it has no hash."""
+    """One run's word, its invariants, its classes and its checks; its
+    ``verify`` may be a dict, so it has no hash."""
 
     __slots__ = (
         "word", "strands", "degree", "writhe", "components",
         "markov", "skein", "elapsed_seconds", "verify",
     )
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
     __hash__ = None
 
     def __init__(

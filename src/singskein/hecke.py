@@ -81,8 +81,7 @@ with c crossings and d double points folds to L1 at most 3^c 4^d.  tr is
 linear, so L1(tr x) <= L1(x) M_n on n strands, M_n the largest
 L1(tr T_w) over w in S_n, and every digit is at most 3^c 4^d M_n.  M_n is
 exactly 3^(n-2) for n = 2..8, reached at the transposition (1 n), as found
-on every permutation (the tests up to S_7, the battery's ``trace-bound``
-step for S_8):
+on every permutation (the battery's ``trace-bound`` step):
 
     n    1  2  3  4   5   6    7    8
     M_n  1  1  3  9  27  81  243  729
@@ -112,7 +111,7 @@ is a Markov trace (sh is a homomorphism and sh(x T_n) = sh(x) T_(n+1)), so
 it is tr.  Every word is folded this way, the skein check's w s_i, w S_i
 and w and ``--verify``'s move words too, each on its own.  ``_trace``
 itself folds the letters it is given, as given: it is the whole-word fold,
-which the tests and CI keep as an independent path.
+which the tests keep as an independent path.
 
 A reduced word that spans at least ``_SPLIT_STRANDS`` (7) strands is cut
 into pieces and blocks at its block indices (``_split``); on fewer,

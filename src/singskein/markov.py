@@ -39,11 +39,12 @@ the B^b coefficient of
 
     N(q, z, B) = sum_k C_k F0^(d-k) F1^k,  F0 = w - zB,  F1 = B - z,
 
-and all of them are one int (``PackedNumerators``): q -> 2^W is the inner
-digit, with the coefficient of q^(q0 + e) in digit e (q0 the lowest
-q-exponent of the word's components or 0, whichever is lower); z -> 2^Z
-with Z = W (q_top - q0 + 1); and B -> 2^S with S = Z (z_top + 1), where
-q_top and z_top bound the numerators' q- and z-degrees.  By Horner's rule
+and all of them are one int, laid out by (q0, W, Z, S) (``_layout``):
+q -> 2^W is the inner digit, with the coefficient of q^(q0 + e) in digit
+e (q0 the lowest q-exponent of the word's components or 0, whichever is
+lower); z -> 2^Z with Z = W (q_top - q0 + 1); and B -> 2^S with
+S = Z (z_top + 1), where q_top and z_top bound the numerators' q- and
+z-degrees.  By Horner's rule
 in k, acc = acc F0 + C_k F1^k, every step is a shift and an add
 (``_numerators``): times F0 = (q - 1)z + q - zB is
 ``(a << W+Z) - (a << Z) + (a << W) - (a << Z+S)`` and times F1 is
@@ -143,7 +144,6 @@ __all__ = [
     "ClassPolynomial",
     "MarkovClass",
     "FactoredCoordinate",
-    "PackedNumerators",
     "check_caps",
     "factored_coordinates",
     "markov_class",
@@ -328,28 +328,16 @@ class FactoredCoordinate(NamedTuple):
         )
 
 
-class PackedNumerators(NamedTuple):
-    """A word's coordinate numerators over D^d as one int: the coefficient
-    of q^(q0 + e) z^t B^b, numerator b's, in its balanced digit at
-    q -> 2^width, z -> 2^z_stride, B -> 2^b_stride (module docstring)."""
-
-    value: int
-    q0: int
-    width: int
-    z_stride: int
-    b_stride: int
-
-
-def _joint_numerators(words: tuple) -> list[PackedNumerators]:
-    """Each of these words' coordinates as numerators over D^d, by the
-    change of variables T0 = wA - zB, T1 = B - zA in its trace components.
-    The words share their degree and strand count and are packed at one
-    layout, which for more than one word also covers the sums
+def _joint_numerators(words: tuple) -> tuple[tuple[int, int, int, int], list[int]]:
+    """The layout and each of these words' coordinates as numerators over
+    D^d, by the change of variables T0 = wA - zB, T1 = B - zA in its trace
+    components.  The words share their degree and strand count and are
+    packed at one layout, which for more than one word also covers the sums
     num_i - q num_j and (q - 1) num_i (the skein check's).
     ``CapExceededError`` if a word is above the hard caps."""
     comp_sets = [_traces(word) for word in words]
     layout = _layout(comp_sets, words[0])
-    return [_numerators(comps, layout) for comps in comp_sets]
+    return layout, [_numerators(comps, layout) for comps in comp_sets]
 
 
 def _traces(word: SingularBraidWord) -> "list | PackedProduct":
@@ -396,10 +384,12 @@ def _layout(comp_sets: list, word: SingularBraidWord) -> tuple[int, int, int, in
     return q0, width, z_stride, z_stride * (z_top + 1)
 
 
-def _numerators(comps: "list | PackedProduct", layout: tuple[int, int, int, int]) -> PackedNumerators:
+def _numerators(comps: "list | PackedProduct", layout: tuple[int, int, int, int]) -> int:
     """sum_k C_k F0^(d-k) F1^k for these trace components, packed at this
-    layout, by Horner's rule in k (module docstring); each C_k is packed
-    from its Laurent dict, or re-laid out from the product."""
+    layout, by Horner's rule in k (module docstring): the coefficient of
+    q^(q0 + e) z^t B^b, numerator b's, in its balanced digit at q -> 2^W,
+    z -> 2^Z, B -> 2^S.  Each C_k is packed from its Laurent dict, or re-laid
+    out from the product."""
     q0, q_bits, z_bits, b_bits = layout  # the shift of one power of q, of z and of B
     if isinstance(comps, PackedProduct):
         ints = comps.relaid(q0, q_bits, z_bits)
@@ -416,7 +406,7 @@ def _numerators(comps: "list | PackedProduct", layout: tuple[int, int, int, int]
             (acc << (q_bits + z_bits)) - (acc << z_bits) + (acc << q_bits)
             - (acc << (z_bits + b_bits)) + c
         )
-    return PackedNumerators(acc, *layout)
+    return acc
 
 
 def factored_coordinates(word: SingularBraidWord) -> dict[tuple[int, int], FactoredCoordinate]:
@@ -431,13 +421,17 @@ def _factored_from(
     strand count of ``word`` whose trace components are ``comps``, Laurent
     dicts or their product: the one way from components to a class, which
     folds nothing."""
-    return _factored(_numerators(comps, _layout([comps], word)), word.degree)
+    layout = _layout([comps], word)
+    return _factored(_numerators(comps, layout), layout, word.degree)
 
 
-def _factored(numerators: PackedNumerators, d: int) -> dict[tuple[int, int], FactoredCoordinate]:
-    """Each nonzero numerator over D^d in factored form (``_over_det_power``),
-    split off the packed int at B and then at z."""
-    value, q0, width, z_stride, b_stride = numerators
+def _factored(
+    value: int, layout: tuple[int, int, int, int], d: int
+) -> dict[tuple[int, int], FactoredCoordinate]:
+    """Each nonzero numerator over D^d of the packed int ``value`` at this
+    layout in factored form (``_over_det_power``), split off the int at B
+    and then at z."""
+    q0, width, z_stride, b_stride = layout
     return {
         (d - b, b): _over_det_power(_dense(n_b, z_stride), q0, width, d)
         for b, n_b in _digits(value, b_stride)

@@ -213,12 +213,12 @@ def skein_triple_check(word: SingularBraidWord, i: int) -> SkeinTripleResult:
         SingularBraidWord(n, word.letters + (Generator(SIGMA_INV, i),)),
         word,
     )
-    pos, neg, smo = _joint_numerators(words)
-    q = pos.width  # the three share one layout, where times q is a shift by W
-    lhs = _rendered(_factored(pos._replace(value=pos.value - (neg.value << q)), d), n, e, -1)
-    rhs = _rendered(_factored(smo._replace(value=(smo.value << q) - smo.value), d), n, e, -1)
-    positive = _rendered(_factored(pos, d), n, e + 1)
-    negative = _rendered(_factored(neg, d), n, e - 1)
-    smoothed = _rendered(_factored(smo, d), n, e)
+    layout, (pos, neg, smo) = _joint_numerators(words)
+    q = layout[1]  # the three share one layout, where times q is a shift by W
+    lhs = _rendered(_factored(pos - (neg << q), layout, d), n, e, -1)
+    rhs = _rendered(_factored((smo << q) - smo, layout, d), n, e, -1)
+    positive = _rendered(_factored(pos, layout, d), n, e + 1)
+    negative = _rendered(_factored(neg, layout, d), n, e - 1)
+    smoothed = _rendered(_factored(smo, layout, d), n, e)
     return SkeinTripleResult(lhs == rhs, positive, negative, smoothed, lhs, rhs)
 

@@ -1,8 +1,10 @@
-"""The check battery: the cross-checks CI runs besides the tests, runnable
-locally; standard library only.
+"""The check battery: the cross-checks behind singskein's classes, one step
+each; standard library only.  ``python -m pytest`` runs every step as a
+test of its own (``tests/test_battery.py``), and this script runs them
+alone:
 
-    PYTHONPATH=src python3 tests/battery.py           # every step, CI's order
-    PYTHONPATH=src python3 tests/battery.py <step>    # one step, as CI calls it
+    PYTHONPATH=src python3 tests/battery.py           # every step
+    PYTHONPATH=src python3 tests/battery.py <step>    # one step
 
 Each step pins singskein's classes to an independent path: the README's
 library example, the recorded digests of perfbench/reference.json, the
@@ -208,7 +210,8 @@ def verify_recompute(tally):
         for ref in refs:
             w, args = ref.word, ref.args
             reference = skein_class(w)
-            moves = random_move_sequence(w, args.moves, seed=args.seed, max_strands=args.max_strands or cli.HARD_MAX_STRANDS)
+            strand_cap = markov.check_caps(w, args.max_degree, args.max_strands)
+            moves = random_move_sequence(w, args.moves, seed=args.seed, max_strands=strand_cap)
             failures = [f"step {k}: {move!r} changed the class" for k, (move, step) in enumerate(moves, 1) if skein_class(step) != reference]
             steps += len(moves)
             expected = {"moves": args.moves, "seed": args.seed, "passed": args.moves - len(failures), "failed": len(failures), "failures": failures}
@@ -369,14 +372,16 @@ def modp_fold(tally):
 
 
 def cap_reference(tally):
-    # re-render every word of tests/cap_reference.json (c = 22 and c = 30
-    # at seeds 1-10, c = 50 at seed 3; 12 strands, 8 double points) and
-    # compare its SHA-256 with the recorded digest; the words that split at
-    # a block index, which go through packed._product, and the total
-    # CPU time are printed
+    # tests/cap_reference.json must hold c = 22 and c = 30 at seeds 1-10,
+    # then c = 50 at seed 3 (12 strands, 8 double points); re-render every
+    # word and compare its SHA-256 with the recorded digest.  The words
+    # that split at a block index, which go through packed._product, and
+    # the total CPU time are printed
     start = time.process_time()
     entries = json.loads(CAP_REFERENCE.read_text())["words"]
-    split = 0
+    corpus = [(22, seed) for seed in range(1, 11)] + [(30, seed) for seed in range(1, 11)] + [(50, 3)]
+    tally([(entry["c"], entry["seed"]) for entry in entries] == corpus, "the corpus is not c = 22 and 30 at seeds 1-10, then c = 50 at seed 3")
+    split = matched = 0
     for entry in entries:
         argv = ["--word", entry["word"], "--strands", "12", "--format", "json"]
         report = cli.run(cli.build_parser().parse_args(argv))
@@ -384,9 +389,10 @@ def cap_reference(tally):
         split += len(pieces) + len(blocks) > 1
         digest = hashlib.sha256(cli.render_json(report).encode()).hexdigest()
         ok = entry["word"] == cap_word(entry["c"], entry["seed"]) and digest == entry["sha256"]
+        matched += ok
         tally(ok, "mismatch:", f"c = {entry['c']}, seed {entry['seed']}")
     print(f"{split}/{len(entries)} cap reference words split at a block index")
-    tally.report(f"cap reference outputs match, CPU {time.process_time() - start:.2f} s")
+    print(f"{matched}/{len(entries)} cap reference outputs match, CPU {time.process_time() - start:.2f} s")
 
 
 # the cap recipe's crossing counts and seeds that cap-sweep plans

@@ -1,12 +1,17 @@
-"""CI runs the check battery step by step: no step is dropped or run twice,
-and no check hides in the workflow file.  Production code holds no
-unbounded memo, and makes its values one way, as ``braid.Record``s."""
+"""Tier-1 runs the check battery, one test per step, and CI runs it only
+there: the workflow calls ``tests/battery.py`` nowhere, so no step is run
+twice or dropped, and no check hides in the workflow file.  Production
+code holds no unbounded memo, and makes its values one way, as
+``braid.Record``s.  ``python3 tests/battery.py [step]`` runs the battery
+alone."""
 
 import ast
 import importlib
 import pkgutil
 import re
 from pathlib import Path
+
+import pytest
 
 import singskein
 from singskein.braid import Record
@@ -22,9 +27,18 @@ UNBOUNDED_MEMO = re.compile(
 )
 
 
-def test_ci_runs_every_battery_step_once_in_order():
-    steps = re.findall(r"python3 tests/battery\.py (\S+)", WORKFLOW.read_text())
-    assert steps == list(battery.STEPS)
+@pytest.mark.parametrize("step", list(battery.STEPS))
+def test_battery_step(step):
+    assert battery.run(step)
+
+
+def test_ci_runs_the_battery_only_through_tier1():
+    # the tier-1 step runs pytest, and with it every battery step above;
+    # a second call of tests/battery.py would run a step twice
+    workflow = WORKFLOW.read_text()
+    calls = [line for line in workflow.splitlines() if "battery.py" in line and not line.lstrip().startswith("#")]
+    assert calls == []
+    assert re.search(r"- name: Tier-1 tests\n(?:\s+#.*\n)*\s+run: .*python -m pytest", workflow)
 
 
 def test_ci_embeds_no_python():

@@ -11,7 +11,6 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from battery import trace_l1  # tests/ is on sys.path under pytest's default import mode
 from singskein import cli, hecke
 from singskein.braid import SIGMA, SIGMA_INV, TAU, Generator, SingularBraidWord, _reduced, parse
 from singskein.coeff import QZ, RationalFunction
@@ -639,21 +638,6 @@ def test_seed4_word_renders_pinned_digest_through_the_mirror(monkeypatch):
     assert seen == [True]
     digest = hashlib.sha256(text.encode()).hexdigest()
     assert digest == "23bfaf2fb9f1d1c1ea7425764637efdb7ce5d3298a9d8a76e1eb521ba07266d5"
-
-
-def test_trace_l1_within_digit_bound():
-    # The width lemma of hecke._trace: L1(tr T_w) <= 3^e(n) for w in S_n; the
-    # largest values for n = 2..7 are exactly 3^(n-2) (1, 3, 9, 27, 81,
-    # 243), reached at the transposition (1 n).  S_8 is the battery's
-    # trace-bound step.  Each trace is peeled at the width of the per-level
-    # bound, so the check does not lean on the lemma it checks.
-    for n in range(1, 8):
-        l1 = trace_l1(n)
-        worst = max(l1.values())
-        assert worst <= 3 ** hecke._peel_exponent(n)
-        if n >= 2:
-            assert worst == 3 ** (n - 2)
-            assert l1[(n, *range(2, n), 1)] == worst
 
 
 @pytest.mark.parametrize(

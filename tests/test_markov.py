@@ -541,10 +541,10 @@ def _table_numerators(comps, d, shift):
     return out
 
 
-def _decoded(value, numerators, d, shift):
-    """A packed int at the layout of these numerators, read digit by digit
-    into one MultivariatePolynomial per nonzero coordinate, times q^shift."""
-    q0, width, z_stride, b_stride = numerators[1:]
+def _decoded(value, layout, d, shift):
+    """A packed int of numerators at this layout, read digit by digit into
+    one MultivariatePolynomial per nonzero coordinate, times q^shift."""
+    q0, width, z_stride, b_stride = layout
     return {
         (d - b, b): MultivariatePolynomial(QZ, {
             (q0 + shift + eq, ez): v
@@ -593,21 +593,21 @@ def test_packed_numerators_match_the_substitution_table(case):
     comp_sets = [trace_components(v) for v in words]
     shift = -min([0] + [eq for comps in comp_sets for comp in comps for eq, _ in comp])
     p_t, n_t, s_t = (_table_numerators(comps, d, shift) for comps in comp_sets)
-    num = _joint_numerators((w,))[0]
-    assert _decoded(num.value, num, d, shift) == _nonzero(s_t)
+    layout, (num,) = _joint_numerators((w,))
+    assert _decoded(num, layout, d, shift) == _nonzero(s_t)
     # the sums num_P - q num_N and (q - 1) num_S at the one layout of the
     # check's three numerators
-    pos, neg, smo = _joint_numerators(words)
-    assert neg[1:] == smo[1:] == pos[1:]
+    layout, (pos, neg, smo) = _joint_numerators(words)
     for packed, table in ((pos, p_t), (neg, n_t), (smo, s_t)):
-        assert _decoded(packed.value, pos, d, shift) == _nonzero(table)
+        assert _decoded(packed, layout, d, shift) == _nonzero(table)
     q = MultivariatePolynomial.variable(QZ, "q")
+    width = layout[1]
     sums = [
-        (pos.value - (neg.value << pos.width), {ab: p_t[ab] - q * n_t[ab] for ab in p_t}),
-        ((smo.value << smo.width) - smo.value, {ab: q * s_t[ab] - s_t[ab] for ab in s_t}),
+        (pos - (neg << width), {ab: p_t[ab] - q * n_t[ab] for ab in p_t}),
+        ((smo << width) - smo, {ab: q * s_t[ab] - s_t[ab] for ab in s_t}),
     ]
     for value, expected in sums:
-        assert _decoded(value, pos, d, shift) == _nonzero(expected)
+        assert _decoded(value, layout, d, shift) == _nonzero(expected)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
