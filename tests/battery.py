@@ -13,8 +13,9 @@ undecoded product against those from its decode, the skein relation, --verify ag
 recomputation and its recorded counts, the packed coefficients against the
 dense oracle, the trace's L1 bound behind the fold's digit width on every
 permutation up to S_8, the 12-strand cap words, the trace components
-against an independent fold over GF(2^61 - 1) (tests/modp.py), and the
-recorded digests of tests/cap_reference.json; a last step, cap-sweep, only
+against an independent fold over GF(2^61 - 1) (tests/modp.py), the
+recorded digests of tests/cap_reference.json, and the CLI's output for the
+seeded argv lists of tests/cli_transcript.json; a last step, cap-sweep, only
 reports how the cap recipe's words are cut.  A failed check prints its line; the script exits 1
 if any step fails.  Whatever ``singskein`` the interpreter imports is the
 one checked, so PYTHONPATH may point at a copy of ``src/``.
@@ -33,6 +34,7 @@ from itertools import permutations
 from pathlib import Path
 from typing import NamedTuple
 
+import cli_transcript
 import modp
 from singskein import cli, hecke, markov, markov_class, parse, skein_class, skein_triple_check
 from singskein.braid import SingularBraidWord, _reduced, exponent_sum
@@ -395,6 +397,23 @@ def cap_reference(tally):
     print(f"{matched}/{len(entries)} cap reference outputs match, CPU {time.process_time() - start:.2f} s")
 
 
+def transcript(tally):
+    # every argv list of tests/cli_transcript.json through cli.main in
+    # process: the SHA-256 of stdout and of stderr without the elapsed
+    # line, and the exit code, must be the recorded ones, and the lists
+    # those that tests/cli_transcript.py makes from the recorded seed
+    start = time.process_time()
+    recorded = json.loads(cli_transcript.TRANSCRIPT.read_text())
+    entries = recorded["entries"]
+    tally([entry["argv"] for entry in entries] == cli_transcript.argv_lists(recorded["seed"]), "the argv lists are not the generator's")
+    matched = 0
+    for entry in entries:
+        ok = cli_transcript.record(entry["argv"]) == (entry["stdout"], entry["stderr"], entry["exit"])
+        matched += ok
+        tally(ok, "output differs:", entry["argv"])
+    print(f"{matched}/{len(entries)} CLI transcript entries match, CPU {time.process_time() - start:.2f} s")
+
+
 # the cap recipe's crossing counts and seeds that cap-sweep plans
 CAP_SWEEP = (40, 50, 60, 80, 100)
 CAP_SWEEP_SEEDS = range(1, 41)
@@ -430,6 +449,7 @@ STEPS = {
     "cap-words": cap_words,
     "modp": modp_fold,
     "cap-reference": cap_reference,
+    "cli-transcript": transcript,
     "cap-sweep": cap_sweep,
 }
 
