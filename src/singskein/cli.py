@@ -33,7 +33,7 @@ from .braid import Record, SingularBraidWord, _reduced, component_count, exponen
 from .hecke import _decoded
 from .markov import HARD_MAX_DEGREE, HARD_MAX_STRANDS, CapExceededError, MarkovClass, check_caps
 from .packed import PackedProduct
-from .skein import SkeinClass, _class_from_components, _rendered, skein_triple_check
+from .skein import SkeinClass, _class_from_components, _legs, _rendered, _triple_check
 
 __all__ = ["main", "run", "RunReport"]
 
@@ -141,18 +141,19 @@ def run(args: argparse.Namespace) -> RunReport:
     word = parse(args.word, args.strands)
     strand_cap = check_caps(word, args.max_degree, args.max_strands)
     start = time.perf_counter()
-    # before the class, so that an out-of-range index is refused first
-    check = None if args.skein_check is None else skein_triple_check(word, args.skein_check)
+    # before the fold, so that an out-of-range index is refused first
+    legs = None if args.skein_check is None else _legs(word, args.skein_check)
     traces = markov._traces(word)
     factored = markov._factored_from(traces, word)
     coords = markov._class_of(factored)
     skein = _rendered(factored, word.strands, exponent_sum(word))
     verify: dict | None = None
-    if args.verify or check is not None:
+    if args.verify or legs is not None:
         verify = {}
         if args.verify:
             verify.update(_verify_moves(word, traces, skein, strand_cap, args))
-        if check is not None:
+        if legs is not None:  # the check folds the legs and shares the word's traces
+            check = _triple_check(word, legs, traces)
             verify["skein_check"] = {
                 "index": args.skein_check,
                 "holds": check.holds,

@@ -79,8 +79,9 @@ bounds for one word:
   as F0 has q-degree 1;
 * m = d - n + 1, the same for every coordinate (a + b = d).
 
-The skein check's three words, w s_i, w S_i and w, are each folded on
-their own, each from its own source, and packed at one layout
+The skein check's three words, w s_i, w S_i and w, are each folded once,
+each from its own source (the CLI hands the check w's traces, which its
+classes are built from), and packed at one layout
 (``_joint_numerators``), with l1 doubled and q_top raised by one for its
 sums num_P - q num_N and (q - 1) num_S, which are ``P - (N << W)`` and
 ``(S << W) - S`` on the packed ints.
@@ -106,8 +107,9 @@ builds both of its classes from that (``_class_of`` and
 ``skein._rendered``).
 
 Every fold passes one seam, ``_folded`` (``hecke._folded``, looked up in
-this module, where the fold is wrapped or replaced): the given word's, the
-skein check's three words' and each ``--verify`` move word's.  ``_traces``,
+this module, where the fold is wrapped or replaced): the given word's, once
+for its classes and the skein check alike, the skein check's legs w s_i
+and w S_i, and each ``--verify`` move word's.  ``_traces``,
 behind every class and the skein check, refuses a word above the hard caps
 (degree <= 8, strands <= 12) and then folds it.  The CLI checks its cap
 flags (``--max-degree``, ``--max-strands``) against the hard caps, and the
@@ -120,7 +122,7 @@ cyclic reduction that each word's verdict key already holds.
 from __future__ import annotations
 
 from math import comb
-from typing import Mapping, NamedTuple
+from typing import Mapping
 
 from .braid import Record, SingularBraidWord, _forward
 from .coeff import MultivariatePolynomial, QZ, RationalFunction, _monomial_text
@@ -290,7 +292,7 @@ class MarkovClass(ClassPolynomial):
     coefficients alone, as for every class."""
 
 
-class FactoredCoordinate(NamedTuple):
+class FactoredCoordinate(Record):
     """A nonzero coordinate sign * R / (q^p (z - q)^alpha (z + 1)^beta) in
     lowest terms, sign = (-1)^d.
 
@@ -300,12 +302,10 @@ class FactoredCoordinate(NamedTuple):
     beta > 0).
     """
 
-    rows: tuple[int, ...]
-    p: int
-    alpha: int
-    beta: int
-    sign: int
-    width: int
+    __slots__ = ("rows", "p", "alpha", "beta", "sign", "width")
+
+    def __init__(self, rows: tuple[int, ...], p: int, alpha: int, beta: int, sign: int, width: int):
+        self._set(rows, p, alpha, beta, sign, width)
 
     def in_qz(self) -> RationalFunction:
         """Canonical form: sign * (-1)^alpha * R over q^p (q - z)^alpha
@@ -328,15 +328,16 @@ class FactoredCoordinate(NamedTuple):
         )
 
 
-def _joint_numerators(words: tuple) -> tuple[tuple[int, int, int, int], list[int]]:
-    """The layout and each of these words' coordinates as numerators over
-    D^d, by the change of variables T0 = wA - zB, T1 = B - zA in its trace
-    components.  The words share their degree and strand count and are
-    packed at one layout, which for more than one word also covers the sums
-    num_i - q num_j and (q - 1) num_i (the skein check's).
-    ``CapExceededError`` if a word is above the hard caps."""
-    comp_sets = [_traces(word) for word in words]
-    layout = _layout(comp_sets, words[0])
+def _joint_numerators(
+    comp_sets: list, word: SingularBraidWord
+) -> tuple[tuple[int, int, int, int], list[int]]:
+    """The layout and, for each of these sets of trace components (from
+    ``_traces``), the coordinates as numerators over D^d, by the change of
+    variables T0 = wA - zB, T1 = B - zA, of words with the degree and strand
+    count of ``word``.  They are packed at one layout, which for more than
+    one set also covers the sums num_i - q num_j and (q - 1) num_i (the
+    skein check's); nothing is folded here."""
+    layout = _layout(comp_sets, word)
     return layout, [_numerators(comps, layout) for comps in comp_sets]
 
 

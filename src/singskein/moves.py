@@ -38,7 +38,6 @@ __all__ = [
     "StabilizeUp",
     "StabilizeDown",
     "RelationMove",
-    "apply_move",
     "relation_move_candidates",
     "random_move_sequence",
 ]
@@ -186,10 +185,6 @@ class RelationMove(MarkovMove):
             )
 
         raise InapplicableMoveError(f"unknown relation rule {rule!r}")
-
-
-def apply_move(word: SingularBraidWord, move: MarkovMove) -> SingularBraidWord:
-    return move.apply(word)
 
 
 # The rule two adjacent letters match, keyed by their kinds, at one index

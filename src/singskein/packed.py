@@ -83,7 +83,9 @@ from __future__ import annotations
 
 from functools import reduce
 from operator import itemgetter, or_
-from typing import Mapping, NamedTuple
+from typing import Mapping
+
+from .braid import Record
 
 
 def _width(bound: int) -> int:
@@ -157,7 +159,7 @@ def _whole_bytes(width: int) -> int:
     return -(-width // 8) * 8
 
 
-class PackedProduct(NamedTuple):
+class PackedProduct(Record):
     """A product of polynomials in r, q^(+-1) and z, undecoded (``_product``):
     the coefficient of r^k q^(low + i) z^t in the balanced digit
     k + slots (i + span t) of ``value`` at ``width`` bits, a whole number of
@@ -165,13 +167,13 @@ class PackedProduct(NamedTuple):
     L1 norm of the coefficient of r^k, and low .. low + span - 1 bounds its
     q-exponents."""
 
-    value: int
-    width: int
-    slots: int
-    span: int
-    rows: int
-    low: int
-    norms: tuple[int, ...]
+    __slots__ = ("value", "width", "slots", "span", "rows", "low", "norms")
+
+    def __init__(
+        self, value: int, width: int, slots: int, span: int, rows: int, low: int,
+        norms: tuple[int, ...],
+    ):
+        self._set(value, width, slots, span, rows, low, norms)
 
     def decoded(self) -> list[dict[tuple[int, int], int]]:
         """The coefficients of r^0 .. r^(slots - 1), each a Laurent dict over

@@ -52,10 +52,13 @@ x = s^-1 embed(q - 1) and embed(q) = s^2, on Xhat^a Yhat^b (m, k as for w)
     x S          = s^-1 u^k embed((q - 1) num_S z^m / D^d),
 
 each rendered from one numerator with j = -1; the relation holds iff they
-are equal.  Each of the three words is folded as a word of its own, just as
-``skein_class`` folds it, and their numerators are packed at one width,
-proved for the two sums as well (``markov._joint_numerators``); so the
-check's legs are the classes of w s_i, w S_i and w.  This checks the fold,
+are equal.  w s_i and w S_i are each folded as a word of its own, just as
+``skein_class`` folds it, and w is folded once: the CLI hands the check the
+traces it builds w's classes from (``_triple_check``), and
+``skein_triple_check``, called alone, folds w itself.  The three numerators
+are packed at one width, proved for the two sums as well
+(``markov._joint_numerators``); so the check's legs are the classes of
+w s_i, w S_i and w.  This checks the fold,
 three coordinate solves and the closed-form rendering of both sides, not
 products of the printed classes.
 
@@ -71,7 +74,7 @@ from math import prod
 from .braid import Generator, Record, SIGMA, SIGMA_INV, SingularBraidWord, _forward, exponent_sum
 from .coeff import SU, MultivariatePolynomial, RationalFunction
 from .markov import ClassPolynomial, FactoredCoordinate
-from .markov import _factored, _factored_from, _joint_numerators, factored_coordinates
+from .markov import _factored, _factored_from, _joint_numerators, _traces, factored_coordinates
 from .packed import PackedProduct, _digits, _divide_x_minus_one, _embed_packed, _low_digit, _width
 
 __all__ = [
@@ -205,15 +208,29 @@ def _closure_coefficient(c: FactoredCoordinate, m: int, k: int, j: int = 0) -> R
 
 def skein_triple_check(word: SingularBraidWord, i: int) -> SkeinTripleResult:
     """Check t^{-1}[closure(w s_i)] - t[closure(w S_i)] = x[closure(w)] (module docstring)."""
-    n, d, e = word.strands, word.degree, exponent_sum(word)
+    return _triple_check(word, _legs(word, i), _traces(word))
+
+
+def _legs(word: SingularBraidWord, i: int) -> tuple[SingularBraidWord, SingularBraidWord]:
+    """w s_i and w S_i, the skein check's crossing legs, with nothing folded;
+    a ``ValueError`` unless 1 <= i <= n - 1."""
+    n = word.strands
     if not 1 <= i <= n - 1:
         raise ValueError(f"crossing index {i} out of range for {n} strands")
-    words = (
-        SingularBraidWord(n, word.letters + (Generator(SIGMA, i),)),
-        SingularBraidWord(n, word.letters + (Generator(SIGMA_INV, i),)),
-        word,
+    return tuple(
+        SingularBraidWord(n, word.letters + (Generator(kind, i),)) for kind in (SIGMA, SIGMA_INV)
     )
-    layout, (pos, neg, smo) = _joint_numerators(words)
+
+
+def _triple_check(
+    word: SingularBraidWord, legs: tuple, traces: list | PackedProduct
+) -> SkeinTripleResult:
+    """``skein_triple_check`` of ``word`` at the site of its ``_legs``
+    ``legs``, given the word's traces (``markov._traces``): only the legs
+    are folded here."""
+    n, d, e = word.strands, word.degree, exponent_sum(word)
+    comp_sets = [_traces(leg) for leg in legs] + [traces]
+    layout, (pos, neg, smo) = _joint_numerators(comp_sets, word)
     q = layout[1]  # the three share one layout, where times q is a shift by W
     lhs = _rendered(_factored(pos - (neg << q), layout, d), n, e, -1)
     rhs = _rendered(_factored((smo << q) - smo, layout, d), n, e, -1)

@@ -79,7 +79,8 @@ def test_every_value_class_is_a_record():
     # one way to make an immutable value: a class with fields in __slots__
     # is a Record, whose __slots__ as the class sees it names every slot
     # along its MRO (an empty tuple in a subclass would hide its base's
-    # fields from _set, == and the hash), and no module uses dataclasses
+    # fields from _set, == and the hash); no class is a tuple, which a
+    # NamedTuple is, and no module uses dataclasses or NamedTuple
     classes = []
     for info in pkgutil.iter_modules(singskein.__path__):
         module = importlib.import_module(f"singskein.{info.name}")
@@ -89,6 +90,7 @@ def test_every_value_class_is_a_record():
         ]
     assert Record in classes
     for cls in classes:
+        assert not issubclass(cls, tuple), cls
         if cls.__dict__.get("__slots__"):
             assert issubclass(cls, Record), cls
         if issubclass(cls, Record):
@@ -100,5 +102,7 @@ def test_every_value_class_is_a_record():
         for node in ast.walk(ast.parse(path.read_text()))
         if (isinstance(node, ast.Import) and any(a.name.split(".")[0] == "dataclasses" for a in node.names))
         or (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "dataclasses")
+        or (isinstance(node, ast.ImportFrom) and any(a.name == "NamedTuple" for a in node.names))
+        or (isinstance(node, ast.Attribute) and node.attr == "NamedTuple")
     ]
     assert imports == []

@@ -38,7 +38,6 @@ from singskein.moves import (
     RelationMove,
     StabilizeDown,
     StabilizeUp,
-    apply_move,
     random_move_sequence,
     relation_move_candidates,
 )
@@ -153,70 +152,70 @@ def test_stack_mixed():
 
 def test_cyclic_shift():
     w = word("s1 t1", 2)
-    assert apply_move(w, CyclicShift(1)).display() == "t1 s1"
+    assert CyclicShift(1).apply(w).display() == "t1 s1"
 
 
 def test_stabilize_up():
     w = word("t1", 2)
-    up = apply_move(w, StabilizeUp(1))
+    up = StabilizeUp(1).apply(w)
     assert up.strands == 3
     assert up.display() == "t1 s2"
 
 
 def test_stabilize_down():
     w = word("t1 s2", 3)
-    down = apply_move(w, StabilizeDown())
+    down = StabilizeDown().apply(w)
     assert down == word("t1", 2)
 
 
 def test_stabilize_down_requires_single_use():
     with pytest.raises(InapplicableMoveError):
-        apply_move(word("s2 t1 s2", 3), StabilizeDown())
+        StabilizeDown().apply(word("s2 t1 s2", 3))
     with pytest.raises(InapplicableMoveError):
-        apply_move(word("t1 t2", 3), StabilizeDown())
+        StabilizeDown().apply(word("t1 t2", 3))
 
 
 def test_cancel_move():
     w = word("s1 S1 t1", 2)
-    assert apply_move(w, RelationMove(R_CANCEL, 0)) == word("t1", 2)
+    assert RelationMove(R_CANCEL, 0).apply(w) == word("t1", 2)
     with pytest.raises(InapplicableMoveError):
-        apply_move(w, RelationMove(R_CANCEL, 1))
+        RelationMove(R_CANCEL, 1).apply(w)
 
 
 def test_insert_move():
     w = word("t1", 2)
-    inserted = apply_move(w, RelationMove(R_INSERT, 1, index=1, sign=-1))
+    inserted = RelationMove(R_INSERT, 1, index=1, sign=-1).apply(w)
     assert inserted.display() == "t1 S1 s1"
     for sign in (0, 5):
         with pytest.raises(InapplicableMoveError):
-            apply_move(w, RelationMove(R_INSERT, 1, index=1, sign=sign))
+            RelationMove(R_INSERT, 1, index=1, sign=sign).apply(w)
 
 
 def test_sigma_tau_commute_move():
     w = word("s1 t1", 2)
-    assert apply_move(w, RelationMove(R_SIGMA_TAU_SAME, 0)).display() == "t1 s1"
+    assert RelationMove(R_SIGMA_TAU_SAME, 0).apply(w).display() == "t1 s1"
 
 
 def test_braid_relation_move():
     w = word("s1 s2 s1", 3)
-    assert apply_move(w, RelationMove(R_BRAID, 0)).display() == "s2 s1 s2"
+    assert RelationMove(R_BRAID, 0).apply(w).display() == "s2 s1 s2"
 
 
 def test_singular_braid_relation_move_both_directions():
     lhs = word("s1 s2 t1", 3)
     rhs = word("t2 s1 s2", 3)
-    assert apply_move(lhs, RelationMove(R_SIGMA_SIGMA_TAU, 0)) == rhs
-    assert apply_move(rhs, RelationMove(R_SIGMA_SIGMA_TAU, 0)) == lhs
+    assert RelationMove(R_SIGMA_SIGMA_TAU, 0).apply(lhs) == rhs
+    assert RelationMove(R_SIGMA_SIGMA_TAU, 0).apply(rhs) == lhs
 
 
 def test_conjugate_requires_invertible():
     with pytest.raises(InapplicableMoveError):
-        apply_move(word("s1", 2), Conjugate(word("t1", 2)))
+        Conjugate(word("t1", 2)).apply(word("s1", 2))
 
 
 def test_conjugate():
     w = word("t1", 2)
-    out = apply_move(w, Conjugate(word("s1 S1", 2)))
+    out = Conjugate(word("s1 S1", 2)).apply(w)
     assert out.display() == "s1 S1 t1 s1 S1"
 
 
@@ -313,7 +312,7 @@ def test_relation_moves_preserve_counted_invariants():
     for _ in range(120):
         w = _random_word(rng, strands=rng.randint(2, 5), length=rng.randint(2, 10))
         for move in relation_move_candidates(w):
-            out = apply_move(w, move)
+            out = move.apply(w)
             assert exponent_sum(out) == exponent_sum(w)
             assert out.degree == w.degree
             assert underlying_permutation(out) == underlying_permutation(w)
@@ -329,7 +328,7 @@ def _words(draw):
 
 def _applies(w, move):
     try:
-        apply_move(w, move)
+        move.apply(w)
     except InapplicableMoveError:
         return False
     return True
@@ -391,7 +390,7 @@ def test_move_names_still_resolve_from_braid():
     for name in set(moves.__all__) - kept | rules | {"_sample_move"}:
         assert not hasattr(braid, name), name
     with pytest.raises(AttributeError):
-        braid.apply_move
+        braid.relation_move_candidates
     with pytest.raises(AttributeError):
         braid.no_such_move
 

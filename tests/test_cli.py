@@ -285,7 +285,7 @@ def test_every_fold_passes_the_seam_once_per_word(monkeypatch):
     for call, expected in (
         (lambda: markov.markov_class(word), [word]),
         (lambda: skein_class(word), [word]),
-        (lambda: skein_triple_check(word, 4), legs + [word]),
+        (lambda: skein_triple_check(word, 4), [word] + legs),
     ):
         folded.clear()
         call()
@@ -297,6 +297,31 @@ def test_every_fold_passes_the_seam_once_per_word(monkeypatch):
     keys = [(w.strands, _reduced(w.letters)) for w in [word] + moved]
     assert [(w.strands, _reduced(w.letters)) for w in folded] == list(dict.fromkeys(keys))
     assert len(pieces) > len(folded)
+
+
+def test_skein_check_shares_the_given_words_fold(monkeypatch):
+    # cli.run folds the given word once and hands its traces to the skein
+    # check, which folds only w s_i and w S_i; --verify adds its new move
+    # words, and an out-of-range index folds nothing
+    folded = []
+
+    def counted_fold(w, reduced=None):
+        folded.append(w)
+        return TRUE_FOLD(w, reduced)
+
+    monkeypatch.setattr(markov, "_folded", counted_fold)
+    word = parse("s1 S2 t1 s2")
+    legs = [SingularBraidWord(3, word.letters + (Generator(kind, 1),)) for kind in (SIGMA, SIGMA_INV)]
+    for flags, folds in (((), 3), (("--verify", "--moves", "5"), 6)):
+        folded.clear()
+        argv = ["--word", "s1 S2 t1 s2", "--skein-check", "1", *flags]
+        assert cli.run(cli.build_parser().parse_args(argv)).verify["skein_check"]["holds"]
+        assert len(folded) == folds
+        assert folded.count(word) == 1 and all(folded.count(leg) == 1 for leg in legs)
+    folded.clear()
+    with pytest.raises(ValueError, match="crossing index 3 out of range"):
+        cli.run(cli.build_parser().parse_args(["--word", "s1 S2 t1 s2", "--skein-check", "3"]))
+    assert folded == []
 
 
 def test_verify_and_skein_check_build_no_qz_fractions(capsys, monkeypatch):

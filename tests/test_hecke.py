@@ -217,7 +217,7 @@ def test_trace_components_subset_semantics():
 
 
 def test_evaluate_word_respects_relation_moves():
-    from singskein.moves import apply_move, relation_move_candidates
+    from singskein.moves import relation_move_candidates
 
     rng = random.Random(67)
     checked = 0
@@ -233,7 +233,7 @@ def test_evaluate_word_respects_relation_moves():
             continue
         reference = evaluate_word(w)
         for move in moves:
-            assert evaluate_word(apply_move(w, move)) == reference
+            assert evaluate_word(move.apply(w)) == reference
             checked += 1
 
 

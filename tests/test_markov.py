@@ -332,14 +332,14 @@ def test_shuffle_braid_conjugation_swaps_stack_order():
     # conjugating stack(b, a) by the block-shuffle braid gives a word with
     # the same class as stack(a, b)
     from singskein.braid import shuffle_braid
-    from singskein.moves import Conjugate, apply_move
+    from singskein.moves import Conjugate
 
     rng = random.Random(2031)
     for _ in range(5):
         na, nb = rng.randint(1, 3), rng.randint(1, 3)
         a = random_singular_word(rng, na, 3, 1) if na >= 2 else parse("", 1)
         b = random_singular_word(rng, nb, 2, 0) if nb >= 2 else parse("", 1)
-        shuffled = apply_move(stack(b, a), Conjugate(shuffle_braid(na, nb)))
+        shuffled = Conjugate(shuffle_braid(na, nb)).apply(stack(b, a))
         assert markov_class(shuffled) == markov_class(stack(a, b))
 
 
@@ -375,7 +375,7 @@ def test_trace_functional_equals_iterated_one_step_maps():
 
 
 def test_trace_vector_invariant_under_strand_preserving_moves():
-    from singskein.moves import CyclicShift, apply_move, relation_move_candidates
+    from singskein.moves import CyclicShift, relation_move_candidates
 
     rng = random.Random(2041)
     for _ in range(10):
@@ -383,9 +383,9 @@ def test_trace_vector_invariant_under_strand_preserving_moves():
         w = random_singular_word(rng, rng.randint(2, 4), rng.randint(2, 8), d)
         reference = trace_vector(w)
         for move in relation_move_candidates(w):
-            assert trace_vector(apply_move(w, move)) == reference
+            assert trace_vector(move.apply(w)) == reference
         if w.letters:
-            assert trace_vector(apply_move(w, CyclicShift(1))) == reference
+            assert trace_vector(CyclicShift(1).apply(w)) == reference
 
 
 def _packed(laurent, d, ms=(0,)):
@@ -593,11 +593,12 @@ def test_packed_numerators_match_the_substitution_table(case):
     comp_sets = [trace_components(v) for v in words]
     shift = -min([0] + [eq for comps in comp_sets for comp in comps for eq, _ in comp])
     p_t, n_t, s_t = (_table_numerators(comps, d, shift) for comps in comp_sets)
-    layout, (num,) = _joint_numerators((w,))
+    folds = [markov._traces(v) for v in words]  # products for words that split
+    layout, (num,) = _joint_numerators(folds[2:], w)
     assert _decoded(num, layout, d, shift) == _nonzero(s_t)
     # the sums num_P - q num_N and (q - 1) num_S at the one layout of the
     # check's three numerators
-    layout, (pos, neg, smo) = _joint_numerators(words)
+    layout, (pos, neg, smo) = _joint_numerators(folds, w)
     for packed, table in ((pos, p_t), (neg, n_t), (smo, s_t)):
         assert _decoded(packed, layout, d, shift) == _nonzero(table)
     q = MultivariatePolynomial.variable(QZ, "q")
