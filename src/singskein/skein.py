@@ -58,9 +58,8 @@ traces it builds w's classes from (``_triple_check``), and
 ``skein_triple_check``, called alone, folds w itself.  The three numerators
 are packed at one width, proved for the two sums as well
 (``markov._joint_numerators``); so the check's legs are the classes of
-w s_i, w S_i and w.  This checks the fold,
-three coordinate solves and the closed-form rendering of both sides, not
-products of the printed classes.
+w s_i, w S_i and w.  This checks the fold, three coordinate solves and the
+closed-form rendering of both sides, not products of the printed classes.
 
 Adding a free strand multiplies a class by (1 - s^2 u^2)/(u (s^2 - 1)),
 the disjoint-union coefficient (t^{-1} - t)/x.
@@ -225,8 +224,8 @@ def _legs(word: SingularBraidWord, i: int) -> tuple[SingularBraidWord, SingularB
 def _triple_check(
     word: SingularBraidWord, legs: tuple, traces: list | PackedProduct
 ) -> SkeinTripleResult:
-    """``skein_triple_check`` of ``word`` at the site of its ``_legs``
-    ``legs``, given the word's traces (``markov._traces``): only the legs
+    """``skein_triple_check`` of ``word`` at the site of ``legs``, its
+    ``_legs``, given the word's traces (``markov._traces``); only the legs
     are folded here."""
     n, d, e = word.strands, word.degree, exponent_sum(word)
     comp_sets = [_traces(leg) for leg in legs] + [traces]
