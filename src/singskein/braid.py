@@ -6,11 +6,15 @@ a double point) with ``1 <= i <= n-1``.  Words are the data model; no
 attempt is made to decide word equivalence syntactically.  Instead, the
 moves of ``singskein.moves`` produce words with isotopic closures, and
 downstream invariants are checked for invariance under them.  The
-acceptance tests and the benchmark import ``RelationMove`` and
-``random_move_sequence`` from here, so ``_forward``, which also serves
-``hecke``, ``markov`` and ``skein``, reads those from ``singskein.moves``.
-The one rewriting done here is ``_reduced``, the free cancellation that
-the Hecke fold runs before it folds a word.
+one rewriting done here is ``_reduced``, the free cancellation that the
+Hecke fold runs before it folds a word.
+
+The tests and the benchmark import some moved names from here, which
+``_forward`` (it also serves ``hecke``, ``markov`` and ``skein``) reads from
+their homes: ``RelationMove`` and ``random_move_sequence`` from ``moves``,
+and ``underlying_permutation``, ``stack``, ``with_strands`` and
+``shuffle_braid``, which only the tests and the reference engines use, from
+``oracle``.
 """
 
 from __future__ import annotations
@@ -31,31 +35,34 @@ __all__ = [
     "InapplicableMoveError",
     "parse",
     "exponent_sum",
-    "underlying_permutation",
     "component_count",
-    "stack",
-    "with_strands",
     "inverse_word",
-    "shuffle_braid",
 ]
 
 
-def _forward(module: str, home: str, names: frozenset):
-    """A PEP 562 ``__getattr__`` for ``module`` that reads each of ``names``
-    from ``singskein.<home>``, imported on first use: names moved to
-    ``home`` that the acceptance tests and the benchmark still import from
+def _forward(module: str, **homes):
+    """A PEP 562 ``__getattr__`` for ``module`` that reads each name of
+    ``homes[home]`` from ``singskein.<home>``, imported on first use: names
+    moved to ``home`` that the tests and the benchmark still import from
     ``module``."""
+    home_of = {name: home for home, names in homes.items() for name in names}
 
     def __getattr__(name):
-        if name in names:
+        home = home_of.get(name)
+        if home is not None:
             return getattr(importlib.import_module(f"singskein.{home}"), name)
         raise AttributeError(f"module {module!r} has no attribute {name!r}")
 
     return __getattr__
 
 
-# the closure-preserving moves and their fuzzer
-__getattr__ = _forward(__name__, "moves", frozenset({"RelationMove", "random_move_sequence"}))
+# the closure-preserving moves and their fuzzer, and the word helpers of the
+# reference engines
+__getattr__ = _forward(
+    __name__,
+    moves={"RelationMove", "random_move_sequence"},
+    oracle={"underlying_permutation", "stack", "with_strands", "shuffle_braid"},
+)
 
 
 SIGMA = 1
@@ -222,25 +229,11 @@ def exponent_sum(word: SingularBraidWord) -> int:
     return sum(g.kind for g in word.letters if g.kind != TAU)
 
 
-def underlying_permutation(word: SingularBraidWord):
-    """Strand start -> strand end, a ``permutations.Permutation``; every
-    letter (tau included) swaps strands."""
-    from .permutations import Permutation
-
-    position_of = list(range(word.strands + 1))  # strand k sits at position_of[k]
-    strand_at = list(range(word.strands + 1))  # inverse table
-    for g in word.letters:
-        i = g.index
-        a, b = strand_at[i], strand_at[i + 1]
-        strand_at[i], strand_at[i + 1] = b, a
-        position_of[a], position_of[b] = i + 1, i
-    return Permutation(position_of[1:])
-
-
 def component_count(word: SingularBraidWord) -> int:
     """Components of the word's closure: the cycles of the strand table
     (position -> strand ending there), the inverse of
-    ``underlying_permutation``, so they have the same number of cycles."""
+    ``oracle.underlying_permutation``, so they have the same number of
+    cycles."""
     strand_at = list(range(word.strands))
     for g in word.letters:
         i = g.index
@@ -253,21 +246,6 @@ def component_count(word: SingularBraidWord) -> int:
             while strand_at[k] is not None:
                 strand_at[k], k = None, strand_at[k]
     return count
-
-
-def stack(a: SingularBraidWord, b: SingularBraidWord) -> SingularBraidWord:
-    """Disjoint side-by-side product: b's letters shifted past a's strands."""
-    shifted = tuple(Generator(g.kind, g.index + a.strands) for g in b.letters)
-    return SingularBraidWord(a.strands + b.strands, a.letters + shifted)
-
-
-def with_strands(word: SingularBraidWord, strands: int) -> SingularBraidWord:
-    """The same letters viewed on a larger strand count."""
-    if strands < word.strands:
-        raise StrandIndexError(
-            f"cannot view a {word.strands}-strand word on {strands} strands"
-        )
-    return SingularBraidWord(strands, word.letters)
 
 
 def inverse_word(word: SingularBraidWord) -> SingularBraidWord:
@@ -341,18 +319,3 @@ def _reduced(letters: tuple) -> tuple:
             out[mine.popleft()] = out[mine.pop()] = None
             work += (i - 1, i, i + 1)
     return tuple(g for g in out if g is not None)
-
-
-def shuffle_braid(n: int, m: int) -> SingularBraidWord:
-    """Positive permutation braid on n+m strands moving the bottom n-strand
-    block above the m-strand block; a reduced word of length n*m.
-
-    Conjugating ``stack(b, a)`` by this word yields a word relation-equivalent
-    to ``stack(a, b)`` when a has n strands and b has m.
-    """
-    if n < 1 or m < 1:
-        raise ValueError("both block sizes must be >= 1")
-    letters = tuple(
-        Generator(SIGMA, j) for i in range(n, 0, -1) for j in range(i, i + m)
-    )
-    return SingularBraidWord(n + m, letters)

@@ -33,7 +33,7 @@ from .braid import Record, SingularBraidWord, _reduced, component_count, exponen
 from .hecke import _decoded
 from .markov import HARD_MAX_DEGREE, HARD_MAX_STRANDS, CapExceededError, MarkovClass, check_caps
 from .packed import PackedProduct
-from .skein import SkeinClass, _class_from_components, _legs, _rendered, _triple_check
+from .skein import SkeinClass, _check_numerators, _class_from_components, _legs, _rendered, _sides
 
 __all__ = ["main", "run", "RunReport"]
 
@@ -143,7 +143,9 @@ def run(args: argparse.Namespace) -> RunReport:
     start = time.perf_counter()
     # before the fold, so that an out-of-range index is refused first
     legs = None if args.skein_check is None else _legs(word, args.skein_check)
-    traces = markov._traces(word)
+    # reduced once: the fold and the --verify verdict key share it
+    reduced = _reduced(word.letters)
+    traces = markov._traces(word, reduced)
     factored = markov._factored_from(traces, word)
     coords = markov._class_of(factored)
     skein = _rendered(factored, word.strands, exponent_sum(word))
@@ -151,14 +153,14 @@ def run(args: argparse.Namespace) -> RunReport:
     if args.verify or legs is not None:
         verify = {}
         if args.verify:
-            verify.update(_verify_moves(word, traces, skein, strand_cap, args))
+            verify.update(_verify_moves(word, reduced, traces, skein, strand_cap, args))
         if legs is not None:  # the check folds the legs and shares the word's traces
-            check = _triple_check(word, legs, traces)
+            lhs, rhs = _sides(word, *_check_numerators(word, legs, traces))
             verify["skein_check"] = {
                 "index": args.skein_check,
-                "holds": check.holds,
-                "lhs": str(check.lhs),
-                "rhs": str(check.rhs),
+                "holds": lhs == rhs,
+                "lhs": str(lhs),
+                "rhs": str(rhs),
             }
     elapsed = time.perf_counter() - start
     return RunReport(
@@ -176,12 +178,14 @@ def run(args: argparse.Namespace) -> RunReport:
 
 def _verify_moves(
     word: SingularBraidWord,
+    reduced: tuple,
     traces: list | PackedProduct,
     reference: SkeinClass,
     strand_cap: int,
     args: argparse.Namespace,
 ) -> dict:
-    """Check ``args.moves`` random moves of ``word``, whose traces (from
+    """Check ``args.moves`` random moves of ``word``, whose cyclic reduction
+    (``braid._reduced``) is ``reduced`` and whose traces (from
     ``markov._traces``) are ``traces``, against ``reference``, its
     ``skein_class``; no move takes a word past ``strand_cap`` strands, the
     cap ``check_caps`` checked it against."""
@@ -204,7 +208,7 @@ def _verify_moves(
     # the same input, and each key's verdict is computed once.  The key is
     # not made rotation-canonical: a rotation folds other letters, and its
     # class is equal only by the theory this run checks.
-    verdicts = {(word.strands, _reduced(word.letters)): True}
+    verdicts = {(word.strands, reduced): True}
     # A new key is folded once and decided on its components where it can
     # be.  Moves keep the degree d, and for fixed (n, e, d) the class is
     # components -> numerators -> factored coordinates -> embed(c z^m) u^k,

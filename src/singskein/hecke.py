@@ -223,7 +223,7 @@ from .packed import PackedProduct, _laurent, _product, _width
 __all__ = ["trace_components"]
 
 # the oracle's Hecke algebra over Q(q, z)
-__getattr__ = _forward(__name__, "oracle", frozenset({"HeckeElement", "multiply", "permutation_trace"}))
+__getattr__ = _forward(__name__, oracle={"HeckeElement", "multiply", "permutation_trace"})
 
 
 # ---------------------------------------------------------------------------

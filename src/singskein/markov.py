@@ -114,9 +114,11 @@ behind every class and the skein check, refuses a word above the hard caps
 (degree <= 8, strands <= 12) and then folds it.  The CLI checks its cap
 flags (``--max-degree``, ``--max-strands``) against the hard caps, and the
 given word once against the caps they set, with ``check_caps``, right after
-parsing and before any fold; ``--verify`` folds its move words, which keep
-the degree and the strand cap, with ``markov._folded`` itself, given the
-cyclic reduction that each word's verdict key already holds.
+parsing and before any fold.  Every word the CLI folds is reduced once:
+the given word's cyclic reduction keys its ``--verify`` verdict and goes to
+``_traces`` with it, and ``--verify`` folds its move words, which keep the
+degree and the strand cap, with ``markov._folded`` itself, given the cyclic
+reduction that each word's verdict key already holds.
 """
 
 from __future__ import annotations
@@ -152,10 +154,10 @@ __all__ = [
 ]
 
 # the literal expansion, the pairing matrix and the g-operators
-__getattr__ = _forward(__name__, "oracle", frozenset({
+__getattr__ = _forward(__name__, oracle={
     "desing_delete", "desing_resolve", "trace_functional", "trace_vector", "pairing_matrix",
     "markov_class_of_sum", "g0_apply", "g1_apply", "class_product",
-}))
+})
 
 
 HARD_MAX_DEGREE = 8
@@ -341,12 +343,13 @@ def _joint_numerators(
     return layout, [_numerators(comps, layout) for comps in comp_sets]
 
 
-def _traces(word: SingularBraidWord) -> "list | PackedProduct":
+def _traces(word: SingularBraidWord, reduced: tuple | None = None) -> "list | PackedProduct":
     """The word's trace components, or, for a word that is cut into pieces,
-    their product undecoded, from the seam ``_folded``; ``CapExceededError``
-    if the word is above the hard caps."""
+    their product undecoded, from the seam ``_folded``, given the word's
+    cyclic reduction (``reduced``) when the caller has it;
+    ``CapExceededError`` if the word is above the hard caps."""
     check_caps(word)
-    return _folded(word)
+    return _folded(word, reduced)
 
 
 def _layout(comp_sets: list, word: SingularBraidWord) -> tuple[int, int, int, int]:

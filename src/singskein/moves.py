@@ -267,8 +267,7 @@ def _move_stream(
     rng = random.Random(seed)
     current = word
     for _ in range(length):
-        move = _sample_move(rng, current, max_strands, max_length)
-        current = move.apply(current)
+        move, current = _sample_move(rng, current, max_strands, max_length)
         yield move, current
 
 
@@ -277,7 +276,10 @@ def _sample_move(
     word: SingularBraidWord,
     max_strands: int,
     max_length: int,
-) -> MarkovMove:
+) -> tuple[MarkovMove, SingularBraidWord]:
+    """A seeded applicable move of ``word`` and the word it makes, each move
+    applied once: a destabilisation is applied to find out whether it
+    applies, and that word is the one returned."""
     n = word.strands
     length = len(word.letters)
     for _ in range(32):
@@ -285,18 +287,21 @@ def _sample_move(
         if roll < 0.35:
             candidates = relation_move_candidates(word)
             if candidates:
-                return rng.choice(candidates)
+                move = rng.choice(candidates)
+                break
         elif roll < 0.50:
             if length >= 2:
-                return CyclicShift(rng.randrange(1, length))
+                move = CyclicShift(rng.randrange(1, length))
+                break
         elif roll < 0.62:
             if n >= 2 and length + 2 <= max_length:
-                return RelationMove(
+                move = RelationMove(
                     R_INSERT,
                     rng.randrange(length + 1),
                     index=rng.randrange(1, n),
                     sign=rng.choice((1, -1)),
                 )
+                break
         elif roll < 0.76:
             if n >= 2 and length + 4 <= max_length:
                 size = rng.randint(1, 2)
@@ -304,15 +309,18 @@ def _sample_move(
                     Generator(rng.choice((SIGMA, SIGMA_INV)), rng.randrange(1, n))
                     for _ in range(size)
                 )
-                return Conjugate(SingularBraidWord(n, letters))
+                move = Conjugate(SingularBraidWord(n, letters))
+                break
         elif roll < 0.88:
             if n + 1 <= max_strands and length + 1 <= max_length:
-                return StabilizeUp(rng.choice((1, -1)))
+                move = StabilizeUp(rng.choice((1, -1)))
+                break
         else:
             move = StabilizeDown()
             try:
-                move.apply(word)
+                return move, move.apply(word)
             except InapplicableMoveError:
-                continue
-            return move
-    return CyclicShift(1 if length >= 2 else 0)
+                pass
+    else:
+        move = CyclicShift(1 if length >= 2 else 0)
+    return move, move.apply(word)

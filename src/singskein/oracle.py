@@ -1,10 +1,15 @@
 """The reference engines: slow, literal paths that the tests check the
 production path against.  No CLI run imports this module.
 
-``hecke``, ``markov`` and ``skein`` forward, with ``braid._forward``, only
-the names that the acceptance tests and the benchmark import from them;
-import the rest, its two exceptions among them, from here.
+``braid``, ``hecke``, ``markov`` and ``skein`` forward, with
+``braid._forward``, only the names that the tests and the benchmark import
+from them; import the rest, its two exceptions among them, from here.
 
+* The word helpers that only the tests and these engines use:
+  ``underlying_permutation``, ``stack``, ``with_strands`` and
+  ``shuffle_braid``.  The first returns a ``permutations.Permutation``;
+  ``permutations``, like this module and ``linalg``, is reference code
+  that no CLI run imports.
 * The Hecke algebra with ``RationalFunction`` coefficients: ``HeckeElement``,
   ``mul_by_generator``, ``evaluate_word`` and ``multiply`` fold words one
   generator at a time, and ``ocneanu_trace`` takes the Markov trace one
@@ -55,6 +60,10 @@ from .permutations import Permutation
 from .skein import VAR_T, VAR_X, SkeinClass
 
 __all__ = [
+    "underlying_permutation",
+    "stack",
+    "with_strands",
+    "shuffle_braid",
     "HeckeElement",
     "mul_by_generator",
     "evaluate_word",
@@ -90,6 +99,54 @@ class SingularLetterError(ValueError):
 
 class ExactDivisionError(ArithmeticError):
     """An exact polynomial division left a remainder."""
+
+
+# ---------------------------------------------------------------------------
+# Words: the strand permutation, stacking, free strands, the block shuffle
+# ---------------------------------------------------------------------------
+
+
+def underlying_permutation(word: SingularBraidWord):
+    """Strand start -> strand end, a ``Permutation``; every letter (tau
+    included) swaps strands."""
+    position_of = list(range(word.strands + 1))  # strand k sits at position_of[k]
+    strand_at = list(range(word.strands + 1))  # inverse table
+    for g in word.letters:
+        i = g.index
+        a, b = strand_at[i], strand_at[i + 1]
+        strand_at[i], strand_at[i + 1] = b, a
+        position_of[a], position_of[b] = i + 1, i
+    return Permutation(position_of[1:])
+
+
+def stack(a: SingularBraidWord, b: SingularBraidWord) -> SingularBraidWord:
+    """Disjoint side-by-side product: b's letters shifted past a's strands."""
+    shifted = tuple(Generator(g.kind, g.index + a.strands) for g in b.letters)
+    return SingularBraidWord(a.strands + b.strands, a.letters + shifted)
+
+
+def with_strands(word: SingularBraidWord, strands: int) -> SingularBraidWord:
+    """The same letters viewed on a larger strand count."""
+    if strands < word.strands:
+        raise StrandIndexError(
+            f"cannot view a {word.strands}-strand word on {strands} strands"
+        )
+    return SingularBraidWord(strands, word.letters)
+
+
+def shuffle_braid(n: int, m: int) -> SingularBraidWord:
+    """Positive permutation braid on n+m strands moving the bottom n-strand
+    block above the m-strand block; a reduced word of length n*m.
+
+    Conjugating ``stack(b, a)`` by this word yields a word relation-equivalent
+    to ``stack(a, b)`` when a has n strands and b has m.
+    """
+    if n < 1 or m < 1:
+        raise ValueError("both block sizes must be >= 1")
+    letters = tuple(
+        Generator(SIGMA, j) for i in range(n, 0, -1) for j in range(i, i + m)
+    )
+    return SingularBraidWord(n + m, letters)
 
 
 # ---------------------------------------------------------------------------

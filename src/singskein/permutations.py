@@ -5,6 +5,9 @@ adjacent transposition swapping i and i+1 is written ``s_i``; composition
 ``a.compose(b)`` means "b first, then a".  Right multiplication by ``s_i``
 swaps the entries at positions i, i+1 of the one-line notation, and raises
 the inversion count exactly when ``image[i-1] < image[i]``.
+
+Reference code: the oracle's Hecke algebra and the tests use it, and no
+CLI run imports it.
 """
 
 from __future__ import annotations

@@ -54,12 +54,14 @@ x = s^-1 embed(q - 1) and embed(q) = s^2, on Xhat^a Yhat^b (m, k as for w)
 each rendered from one numerator with j = -1; the relation holds iff they
 are equal.  w s_i and w S_i are each folded as a word of its own, just as
 ``skein_class`` folds it, and w is folded once: the CLI hands the check the
-traces it builds w's classes from (``_triple_check``), and
+traces it builds w's classes from (``_check_numerators``), and
 ``skein_triple_check``, called alone, folds w itself.  The three numerators
 are packed at one width, proved for the two sums as well
-(``markov._joint_numerators``); so the check's legs are the classes of
-w s_i, w S_i and w.  This checks the fold, three coordinate solves and the
-closed-form rendering of both sides, not products of the printed classes.
+(``markov._joint_numerators``).  The CLI renders only the two sides
+(``_sides``); ``skein_triple_check`` also renders each numerator alone, so
+its legs are the classes of w s_i, w S_i and w.  This checks the fold,
+three coordinate solves and the closed-form rendering of both sides, not
+products of the printed classes.
 
 Adding a free strand multiplies a class by (1 - s^2 u^2)/(u (s^2 - 1)),
 the disjoint-union coefficient (t^{-1} - t)/x.
@@ -86,7 +88,7 @@ __all__ = [
 ]
 
 # classes of stacked words from their factors'
-__getattr__ = _forward(__name__, "oracle", frozenset({"disjoint_union_coefficient", "closure_product"}))
+__getattr__ = _forward(__name__, oracle={"disjoint_union_coefficient", "closure_product"})
 
 # the skein-relation constants in canonical form: t = s*u and x = s - 1/s = (s^2 - 1)/s
 VAR_T = RationalFunction._raw(
@@ -207,7 +209,12 @@ def _closure_coefficient(c: FactoredCoordinate, m: int, k: int, j: int = 0) -> R
 
 def skein_triple_check(word: SingularBraidWord, i: int) -> SkeinTripleResult:
     """Check t^{-1}[closure(w s_i)] - t[closure(w S_i)] = x[closure(w)] (module docstring)."""
-    return _triple_check(word, _legs(word, i), _traces(word))
+    layout, numerators = _check_numerators(word, _legs(word, i), _traces(word))
+    lhs, rhs = _sides(word, layout, numerators)
+    n, d, e = word.strands, word.degree, exponent_sum(word)
+    # the classes of w s_i, w S_i and w, of writhes e + 1, e - 1 and e
+    legs = (_rendered(_factored(v, layout, d), n, e + de) for v, de in zip(numerators, (1, -1, 0)))
+    return SkeinTripleResult(lhs == rhs, *legs, lhs, rhs)
 
 
 def _legs(word: SingularBraidWord, i: int) -> tuple[SingularBraidWord, SingularBraidWord]:
@@ -221,20 +228,19 @@ def _legs(word: SingularBraidWord, i: int) -> tuple[SingularBraidWord, SingularB
     )
 
 
-def _triple_check(
-    word: SingularBraidWord, legs: tuple, traces: list | PackedProduct
-) -> SkeinTripleResult:
-    """``skein_triple_check`` of ``word`` at the site of ``legs``, its
-    ``_legs``, given the word's traces (``markov._traces``); only the legs
-    are folded here."""
+def _check_numerators(word: SingularBraidWord, legs: tuple, traces: list | PackedProduct) -> tuple:
+    """The layout and the numerators of w s_i, w S_i and w, for ``word`` and
+    its ``_legs``, given the word's traces (``markov._traces``): only the
+    legs are folded here."""
+    return _joint_numerators([_traces(leg) for leg in legs] + [traces], word)
+
+
+def _sides(word: SingularBraidWord, layout: tuple, numerators: list) -> tuple:
+    """The skein check's two sides, t^-1 P - t N and x S, from the layout and
+    numerators of ``_check_numerators``."""
     n, d, e = word.strands, word.degree, exponent_sum(word)
-    comp_sets = [_traces(leg) for leg in legs] + [traces]
-    layout, (pos, neg, smo) = _joint_numerators(comp_sets, word)
+    pos, neg, smo = numerators
     q = layout[1]  # the three share one layout, where times q is a shift by W
     lhs = _rendered(_factored(pos - (neg << q), layout, d), n, e, -1)
     rhs = _rendered(_factored((smo << q) - smo, layout, d), n, e, -1)
-    positive = _rendered(_factored(pos, layout, d), n, e + 1)
-    negative = _rendered(_factored(neg, layout, d), n, e - 1)
-    smoothed = _rendered(_factored(smo, layout, d), n, e)
-    return SkeinTripleResult(lhs == rhs, positive, negative, smoothed, lhs, rhs)
-
+    return lhs, rhs

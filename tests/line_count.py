@@ -3,8 +3,12 @@ standard library only.
 
     python3 tests/line_count.py
 
-Reference code is oracle.py, and linalg.py, which only tests import;
-production is every other module.  For each module, and then for each
+Reference code (``REFERENCE``) is the modules that no CLI run loads:
+oracle.py, the reference engines and the word helpers only they and the
+tests use; linalg.py, which only tests import; and permutations.py, which
+only the oracle and the tests import.  Production is every other module.
+``tests/test_cli.py`` checks that ``REFERENCE`` is exactly the set of
+modules its CLI corpus never loads.  For each module, and then for each
 part, it prints its lines and its code-only lines: those that are not
 blank, not a comment and not in a module, class or function docstring.
 It only reports.
@@ -14,7 +18,7 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "singskein"
-REFERENCE = ("oracle.py", "linalg.py")
+REFERENCE = ("oracle.py", "linalg.py", "permutations.py")
 
 
 def code_lines(text: str) -> int:

@@ -377,11 +377,36 @@ def test_random_move_sequence_empty():
     assert random_move_sequence(word("t1", 2), 0, seed=0) == []
 
 
+def test_a_sampled_destabilisation_is_applied_once(monkeypatch):
+    # _sample_move applies a StabilizeDown to see whether it applies, and the
+    # stream hands on that word instead of applying the move again
+    start = word("s1 S2 t1 s2")
+    applied = []
+    true_apply = StabilizeDown.apply
+
+    def counted(self, w):
+        out = true_apply(self, w)
+        applied.append(w)
+        return out
+
+    monkeypatch.setattr(StabilizeDown, "apply", counted)
+    steps = random_move_sequence(start, 100, seed=0)
+    monkeypatch.undo()
+    downs = [before for (move, _), before in zip(steps, [start] + [w for _, w in steps]) if isinstance(move, StabilizeDown)]
+    assert len(downs) == 5
+    assert applied == downs
+    # every entry is its move applied to the word before it
+    for (move, after), before in zip(steps, [start] + [w for _, w in steps]):
+        assert move.apply(before) == after
+
+
 def test_move_names_still_resolve_from_braid():
     # braid forwards only the move names that the acceptance tests and the
-    # benchmark import from it
+    # benchmark import from it, and the four word helpers that moved to the
+    # oracle, which the tests import from it
     import singskein.braid as braid
     import singskein.moves as moves
+    import singskein.oracle as oracle
 
     kept = {"RelationMove", "random_move_sequence"}
     for name in kept:
@@ -393,6 +418,12 @@ def test_move_names_still_resolve_from_braid():
         braid.relation_move_candidates
     with pytest.raises(AttributeError):
         braid.no_such_move
+    helpers = {"underlying_permutation", "stack", "with_strands", "shuffle_braid"}
+    for name in helpers:
+        assert name not in vars(braid), name
+        assert getattr(braid, name) is vars(oracle)[name], name
+    with pytest.raises(AttributeError, match="module 'singskein.braid' has no attribute 'no_such_helper'"):
+        braid.no_such_helper
 
 
 # -- shuffle braid ---------------------------------------------------------------

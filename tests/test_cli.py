@@ -1,5 +1,6 @@
 """Front-end behaviour: formats, determinism, exit codes."""
 
+import ast
 import functools
 import hashlib
 import json
@@ -19,6 +20,8 @@ from singskein.cli import main
 from singskein.moves import random_move_sequence
 from singskein.packed import PackedProduct
 from singskein.skein import skein_class, skein_triple_check
+
+import line_count
 
 TRUE_FOLD = markov._folded
 TRUE_CLASS_FROM_COMPONENTS = cli._class_from_components
@@ -196,7 +199,8 @@ def test_verify_matches_recomputing_every_class(word, seed, moves):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(markov, "_folded", fold)
             verify = cli._verify_moves(
-                word, markov._traces(word), skein_class(word), markov.HARD_MAX_STRANDS, args
+                word, _reduced(word.letters), markov._traces(word), skein_class(word),
+                markov.HARD_MAX_STRANDS, args,
             )
             assert verify == recomputed_verify(word, moves, seed)
 
@@ -322,6 +326,44 @@ def test_skein_check_shares_the_given_words_fold(monkeypatch):
     with pytest.raises(ValueError, match="crossing index 3 out of range"):
         cli.run(cli.build_parser().parse_args(["--word", "s1 S2 t1 s2", "--skein-check", "3"]))
     assert folded == []
+
+
+def _entries(function, argv) -> int:
+    """How many times ``cli.run`` on ``argv`` enters ``function``, counted on
+    its code object by ``sys.setprofile``, so that every module's binding of
+    the name is seen."""
+    code, count = function.__code__, 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event == "call" and frame.f_code is code:
+            count += 1
+
+    args = cli.build_parser().parse_args(argv)
+    sys.setprofile(profile)
+    try:
+        cli.run(args)
+    finally:
+        sys.setprofile(None)
+    return count
+
+
+def test_skein_check_renders_only_its_two_sides():
+    # the word's class has 5 coefficients, and lhs and rhs 5 each; the three
+    # leg classes that skein_triple_check also builds (15 more) are never
+    # printed, so the CLI does not render them
+    from singskein import skein
+
+    word = ["--word", "t1 s2 S1 t2 s3 t1 S2 t3", "--strands", "5"]
+    assert _entries(skein._closure_coefficient, word) == 5
+    assert _entries(skein._closure_coefficient, word + ["--skein-check", "2"]) == 15
+
+
+def test_the_given_word_is_reduced_once():
+    # the verdict key's cyclic reduction is the one the fold is given
+    from singskein import braid
+
+    assert _entries(braid._reduced, ["--word", "s1 S2 t1 s2", "--verify", "--moves", "0"]) == 1
 
 
 def test_verify_and_skein_check_build_no_qz_fractions(capsys, monkeypatch):
@@ -508,31 +550,59 @@ def test_cli_import_leaves_the_linalg_oracle_out():
     assert out.stdout.splitlines() == ["[]", "[]", "[]", "True"]
 
 
+# The reach guard's CLI calls and their exit codes: text and JSON, --verify,
+# --skein-check and a syntax error.  The second word is cut into pieces and
+# blocks, so its fold is a product, which --verify decodes
+_WORD = ["--word", "s1 S2 t1 s2 t2"]
+_SPLIT = ["--word", "t1 s1 s2 s3 s2 s3 S4 s5 s6 s5 s6"]
+_CORPUS = [
+    (_WORD, 0),
+    (_WORD + ["--verify", "--moves", "9"], 0),
+    (_WORD + ["--skein-check", "1"], 0),
+    (_SPLIT + ["--format", "json", "--verify", "--moves", "20", "--seed", "5", "--skein-check", "4"], 0),
+    (["--word", "s1 x9"], 2),
+]
+
+
 @functools.lru_cache(maxsize=None)
 def _cli_run_calls() -> dict:
-    """Calls to singskein's functions, counted by ``sys.setprofile`` in a
-    fresh interpreter over the import and a plain, a --verify and a
-    --skein-check run on one word: {module file: {function name: calls}}.
-    Module and class bodies, which have no CO_OPTIMIZED flag, are left out."""
+    """What a fresh interpreter runs, under ``sys.setprofile``, over the
+    import, the ``main`` calls of ``_CORPUS`` and one call of each public
+    entry point: "calls", {module file: {function name: calls}}; "entered",
+    {module file: the first lines of the functions called}; and "loaded",
+    the singskein modules imported, by file.  Module and class bodies, which
+    have no CO_OPTIMIZED flag, are left out."""
     package = os.path.dirname(singskein.__file__)
     env = dict(os.environ, PYTHONPATH=os.path.dirname(package))
     probe = f"""if True:
         import collections, contextlib, inspect, io, json, os, sys
         calls = collections.defaultdict(collections.Counter)
+        entered = collections.defaultdict(set)
         def count(frame, event, arg):
             code = frame.f_code
             if event == "call" and code.co_flags & inspect.CO_OPTIMIZED:
                 head, tail = os.path.split(code.co_filename)
                 if head == {package!r}:
                     calls[tail][code.co_name] += 1
+                    entered[tail].add(code.co_firstlineno)
         sys.setprofile(count)
         import singskein.cli
-        word = ["--word", "s1 S2 t1 s2 t2"]
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            for extra in ([], ["--verify", "--moves", "9"], ["--skein-check", "1"]):
-                assert singskein.cli.main(word + extra) == 0
+            for argv, exit_code in {_CORPUS!r}:
+                assert singskein.cli.main(argv) == exit_code, argv
+        word = singskein.parse("t1 s1", 2)
+        singskein.markov_class(word)
+        singskein.skein_class(word)
+        singskein.skein_triple_check(word, 1)
         sys.setprofile(None)
-        print(json.dumps(calls))
+        loaded = [
+            name.partition(".")[2] or "__init__" for name in sys.modules if name.split(".")[0] == "singskein"
+        ]
+        print(json.dumps({{
+            "calls": calls,
+            "entered": {{tail: sorted(lines) for tail, lines in entered.items()}},
+            "loaded": sorted(name + ".py" for name in loaded),
+        }}))
     """
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
@@ -542,7 +612,89 @@ def _cli_run_calls() -> dict:
 def _calls_in_cli_runs(module_file: str) -> set:
     """Names of the functions of this singskein module file that the CLI
     runs of ``_cli_run_calls`` call."""
-    return set(_cli_run_calls().get(module_file, ()))
+    return set(_cli_run_calls()["calls"].get(module_file, ()))
+
+
+def _functions(path) -> dict:
+    """{dotted name: first line} of every function a module defines, methods
+    and nested functions included (``braid._reduced.last``); the first line
+    is the first decorator's, as the function's code object has it."""
+    found = {}
+
+    def walk(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found[prefix + child.name] = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                walk(child, f"{prefix}{child.name}.")
+            elif isinstance(child, ast.ClassDef):
+                walk(child, f"{prefix}{child.name}.")
+            else:
+                walk(child, prefix)
+
+    walk(ast.parse(path.read_text()), f"{path.stem}.")
+    return found
+
+
+_ARITHMETIC = (
+    "value arithmetic that the tests and the oracle reach through operators, classmethods "
+    "and methods of the production value classes; a forwarder serves module names, not methods"
+)
+_REPR = "a repr: --verify failure lines and test messages use it, and no corpus run fails"
+
+# every production function that no run of _CORPUS and no public entry point
+# enters, with the reason it stays in production
+_UNREACHED = {
+    **dict.fromkeys([
+        "coeff._monomial_key",
+        "coeff._terms_content",
+        "coeff._times_monomial",
+        *(f"coeff.MultivariatePolynomial.{name}" for name in (
+            "__init__", "zero", "one", "constant", "variable", "monomial", "degree_in",
+            "total_degree", "leading_monomial", "leading_coefficient", "_check", "__add__",
+            "__sub__", "__neg__", "__mul__", "__pow__", "scaled", "evaluate", "__hash__",
+        )),
+        *(f"coeff.RationalFunction.{name}" for name in (
+            "__init__", "constant", "zero", "one", "coordinate", "from_laurent_terms", "is_one",
+            "__add__", "__sub__", "__neg__", "__mul__", "__truediv__", "inverse", "__pow__",
+            "scaled", "evaluate",
+        )),
+        *(f"markov.ClassPolynomial.{name}" for name in (
+            "zero", "constant", "monomial", "is_zero", "homogeneous_degree", "add", "scaled",
+            "__sub__", "multiply", "__hash__",
+        )),
+    ], _ARITHMETIC),
+    **dict.fromkeys([
+        "braid.Record.__repr__",
+        "braid.Generator.__repr__",
+        "braid.SingularBraidWord.__repr__",
+        "coeff.MultivariatePolynomial.__repr__",
+        "coeff.RationalFunction.__repr__",
+        "markov.ClassPolynomial.__repr__",
+    ], _REPR),
+    "braid.Record.__setattr__": "raises on every write: no value is written after it is built",
+    "moves.MarkovMove.apply": "abstract: every move overrides it",
+    "moves.random_move_sequence": "the list of _move_stream's moves that the tests and the benchmark import",
+    "hecke._unpack_perm": "the inverse of _pack_perm, with which the tests read packed states",
+    "hecke.trace_components": "the decoded fold that the benchmark times and the oracle calls",
+}
+
+
+def test_production_holds_only_what_the_cli_and_the_public_entry_points_reach():
+    # the reach guard: line_count.REFERENCE is exactly the modules that the
+    # corpus never loads, and every function of a production module is
+    # entered by the corpus or named in _UNREACHED with its reason
+    reach = _cli_run_calls()
+    modules = {path.name for path in line_count.SRC.glob("*.py")}
+    assert sorted(modules - set(reach["loaded"])) == sorted(line_count.REFERENCE)
+    unreached = {
+        name
+        for path in sorted(line_count.SRC.glob("*.py"))
+        if path.name not in line_count.REFERENCE
+        for name, line in _functions(path).items()
+        if line not in reach["entered"].get(path.name, ())
+    }
+    assert sorted(unreached - set(_UNREACHED)) == [], "production code that nothing reaches"
+    assert sorted(set(_UNREACHED) - unreached) == [], "_UNREACHED names a reached or missing function"
 
 
 def test_cli_runs_never_enter_the_general_fraction_engine():
