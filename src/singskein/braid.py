@@ -9,12 +9,13 @@ downstream invariants are checked for invariance under them.  The
 one rewriting done here is ``_reduced``, the free cancellation that the
 Hecke fold runs before it folds a word.
 
-The tests and the benchmark import some moved names from here, which
-``_forward`` (it also serves ``hecke``, ``markov`` and ``skein``) reads from
-their homes: ``RelationMove`` and ``random_move_sequence`` from ``moves``,
-and ``underlying_permutation``, ``stack``, ``with_strands`` and
-``shuffle_braid``, which only the tests and the reference engines use, from
-``oracle``.
+The acceptance tests and the benchmark, whose files stay as they are,
+import some moved names from here, which ``_forward`` (it also serves
+``hecke``, ``markov`` and ``skein``) reads from their homes:
+``RelationMove`` and ``random_move_sequence`` from ``moves``, and ``stack``
+and ``with_strands``, which only the tests and the reference engines use,
+from ``oracle``.  Nothing else is forwarded: the other tests import the
+oracle's word helpers from ``oracle``.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ def _forward(module: str, **homes):
 __getattr__ = _forward(
     __name__,
     moves={"RelationMove", "random_move_sequence"},
-    oracle={"underlying_permutation", "stack", "with_strands", "shuffle_braid"},
+    oracle={"stack", "with_strands"},
 )
 
 

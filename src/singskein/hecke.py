@@ -19,14 +19,14 @@ integer coefficients.  The algebra with ``RationalFunction`` coefficients
 ``multiply`` and ``permutation_trace`` from here, so ``braid._forward``
 reads those from there.  A permutation w is one int, its inversion table:
 field k - 1, 5 bits wide, holds d_k = #{l < k : w(l) > w(k)}
-(``_pack_perm`` and ``_unpack_perm`` convert from and to images).  d_k = 0
-above w's largest moved point m and d_m = m - w(m) > 0, so trailing fixed
-points vanish, the identity is 0, m is the bit length over 5, rounded up,
-and the fields sum to w's length.  As d_k <= k - 1, 5-bit fields hold the
-tables of up to 32 points; the kernel folds on at most 31 strands
-(``_MASK``).  w has an ascent at i iff d_i >= d_{i+1}, and right
-multiplication by s_i changes only those two fields, in closed form
-(``_step``).  The kernel holds no memo.
+(``_pack_perm`` converts from images, and ``oracle._unpack_perm``, which
+only the tests use, converts back).  d_k = 0 above w's largest moved point
+m and d_m = m - w(m) > 0, so trailing fixed points vanish, the identity is
+0, m is the bit length over 5, rounded up, and the fields sum to w's
+length.  As d_k <= k - 1, 5-bit fields hold the tables of up to 32 points;
+the kernel folds on at most 31 strands (``_MASK``).  w has an ascent at i
+iff d_i >= d_{i+1}, and right multiplication by s_i changes only those two
+fields, in closed form (``_step``).  The kernel holds no memo.
 
 A crossing's step (``_step``) walks the state in s_i-orbits {u, u s_i}, u
 with an ascent at i, and writes each orbit's new coefficients in closed form
@@ -110,8 +110,9 @@ tr does not depend on the strand count, and tr o sh with sh(T_i) = T_(i+1)
 is a Markov trace (sh is a homomorphism and sh(x T_n) = sh(x) T_(n+1)), so
 it is tr.  Every word is folded this way, the skein check's w s_i, w S_i
 and w and ``--verify``'s move words too, each on its own.  ``_trace``
-itself folds the letters it is given, as given: it is the whole-word fold,
-which the tests keep as an independent path.
+itself folds the letters it is given, as given, from the identity: it is
+the whole-word fold, which the tests keep as an independent path, and
+``_peel`` alone traces a single basis element.
 
 A reduced word that spans at least ``_SPLIT_STRANDS`` (7) strands is cut
 into pieces and blocks at its block indices (``_split``); on fewer,
@@ -246,17 +247,6 @@ def _pack_perm(image) -> int:
     return sum(sum(x > v for x in image[:k]) << (_FIELD * k) for k, v in enumerate(image))
 
 
-def _unpack_perm(w: int, n: int) -> tuple[int, ...]:
-    """The images (w(1), ..., w(n)) of a packed permutation on n points:
-    from k = n down, w(k) is the value with d_k larger ones among those
-    not yet taken."""
-    values = list(range(1, n + 1))
-    image = [0] * n
-    for k in range(n, 0, -1):
-        image[k - 1] = values.pop(k - 1 - ((w >> (_FIELD * (k - 1))) & _MASK))
-    return tuple(image)
-
-
 # the peel's base (module docstring): the elements of S_3 but 1, packed; their
 # traces are z (s1, s2), z^2 (s1 s2, s2 s1) and (q - 1) z^2 + q z (s1 s2 s1)
 _S1, _S2, _S1S2, _S2S1, _W0 = map(_pack_perm, ((2, 1), (1, 3, 2), (2, 3, 1), (3, 1, 2), (3, 2, 1)))
@@ -368,26 +358,24 @@ def _peel_exponent(strands: int) -> int:
     return 6 + sum(range(7, strands - 1))  # sum over m = 9..n of m - 2
 
 
-def _trace(
-    state: dict[int, int], letters: tuple, strands: int, degree: int, mirror: bool = False
-) -> list[dict[tuple[int, int], int]]:
-    """Fold ``letters`` into ``state`` (packed permutations to packed ints),
-    peel the result down to the identity and decode it: for each resolution
-    count 0..degree, an integer Laurent dict over (q-exponent, z-exponent).
+def _trace(letters: tuple, strands: int, mirror: bool = False) -> list[dict[tuple[int, int], int]]:
+    """Fold ``letters`` from the identity (packed permutations to packed
+    ints), peel the result down to the identity and decode it: for each
+    resolution count 0..d, d the letters' double points, an integer Laurent
+    dict over (q-exponent, z-exponent).
 
     With ``mirror`` the word is folded as its mirror, and the ints left on
     the identity are mapped back by z' -> q - 1 - z before the one decode,
     so only the decoded values, the direct fold's up to sign, need the digit
-    bound (module docstring); ``state`` must then be the identity
-    ``{0: 1}``.  ``state`` is consumed: each z-slice is dropped once it is
-    partitioned, so the caller must keep no reference to it.
+    bound (module docstring).
     """
-    _check_strands(strands)
+    degree = sum(1 for g in letters if g.kind == TAU)
     stride = degree + 1  # slots per power of q: resolution counts 0..degree
     crossings = len(letters) - degree
     # Digit width from the L1 bound in the module docstring.
     bits = _width(3 ** (crossings + _peel_exponent(strands)) * 4**degree)
     q_shift = stride * bits
+    state = {0: 1}
     for g in letters:
         state = _step(state, g.index, _MIRROR[g.kind] if mirror else g.kind, q_shift, bits)
     negatives = sum(1 for g in letters if g.kind == SIGMA_INV)
@@ -403,7 +391,9 @@ def _peel(
     z-slice from the traces of S_3 and decode (module docstring);
     ``crossings`` and ``negatives`` count the folded word's crossings and
     negative crossings.  The list is emptied as it is read, so a state that
-    only it holds is dropped slice by slice."""
+    only it holds is dropped slice by slice.  A strand count the fields
+    cannot hold is refused."""
+    _check_strands(strands)
     q_shift = stride * bits
     for m in range(strands, 3, -1):
         top = _FIELD * (m - 1)
@@ -553,11 +543,9 @@ def _block_factor(exponent: int, doubles: int) -> list[dict[tuple[int, int], int
 
 
 def _fold(letters: tuple, strands: int) -> list[dict[tuple[int, int], int]]:
-    """``_trace`` of compacted letters from the identity, as their mirror
-    when they hold more negative than positive crossings."""
-    degree = sum(1 for g in letters if g.kind == TAU)
-    mirror = sum(g.kind for g in letters if g.kind != TAU) < 0
-    return _trace({0: 1}, letters, strands, degree, mirror)
+    """``_trace`` of compacted letters, as their mirror when they hold more
+    negative than positive crossings."""
+    return _trace(letters, strands, sum(g.kind for g in letters if g.kind != TAU) < 0)
 
 
 def _folded(word: SingularBraidWord, reduced: tuple | None = None) -> list | PackedProduct:

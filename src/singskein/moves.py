@@ -52,9 +52,6 @@ class MarkovMove(Record):
 
     __slots__ = ()
 
-    def apply(self, word: SingularBraidWord) -> SingularBraidWord:
-        raise NotImplementedError
-
 
 class CyclicShift(MarkovMove):
     __slots__ = ("amount",)

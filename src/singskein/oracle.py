@@ -2,8 +2,9 @@
 production path against.  No CLI run imports this module.
 
 ``braid``, ``hecke``, ``markov`` and ``skein`` forward, with
-``braid._forward``, only the names that the tests and the benchmark import
-from them; import the rest, its two exceptions among them, from here.
+``braid._forward``, only the names that the acceptance tests and the
+benchmark import from them (``braid``: ``stack`` and ``with_strands``);
+import the rest, its two exceptions among them, from here.
 
 * The word helpers that only the tests and these engines use:
   ``underlying_permutation``, ``stack``, ``with_strands`` and
@@ -13,8 +14,9 @@ from them; import the rest, its two exceptions among them, from here.
 * The Hecke algebra with ``RationalFunction`` coefficients: ``HeckeElement``,
   ``mul_by_generator``, ``evaluate_word`` and ``multiply`` fold words one
   generator at a time, and ``ocneanu_trace`` takes the Markov trace one
-  basis element at a time (``permutation_trace``, through the packed kernel
-  of ``hecke``).
+  basis element at a time (``permutation_trace``, the packed kernel's peel
+  ``hecke._peel`` of that element).  ``_unpack_perm`` reads a packed
+  permutation of ``hecke`` back into its images, for the tests.
 * The literal desingularisation: ``desing_delete``, ``desing_resolve`` and
   ``subset_expansion`` write out the words, and ``trace_functional`` sums
   their traces; ``trace_vector`` reads all d + 1 functionals off the fused
@@ -54,8 +56,9 @@ from typing import Iterable, Mapping
 from .braid import SIGMA, TAU, Generator, Record, SingularBraidWord, StrandIndexError
 from .coeff import QZ, SU, MixedVariablesError, Monomial
 from .coeff import MultivariatePolynomial, RationalFunction, _monomial_key, _terms_content
-from .hecke import _pack_perm, _trace, trace_components
+from .hecke import _FIELD, _MASK, _pack_perm, _peel, _peel_exponent, trace_components
 from .markov import DegreeError, MarkovClass, markov_class
+from .packed import _width
 from .permutations import Permutation
 from .skein import VAR_T, VAR_X, SkeinClass
 
@@ -154,10 +157,24 @@ def shuffle_braid(n: int, m: int) -> SingularBraidWord:
 # ---------------------------------------------------------------------------
 
 
+def _unpack_perm(w: int, n: int) -> tuple[int, ...]:
+    """The images (w(1), ..., w(n)) of a packed permutation on n points
+    (``hecke._pack_perm``): from k = n down, w(k) is the value with d_k
+    larger ones among those not yet taken."""
+    values = list(range(1, n + 1))
+    image = [0] * n
+    for k in range(n, 0, -1):
+        image[k - 1] = values.pop(k - 1 - ((w >> (_FIELD * (k - 1))) & _MASK))
+    return tuple(image)
+
+
 def permutation_trace(perm: Permutation) -> RationalFunction:
     """Markov trace of the basis element indexed by ``perm`` (any strand count;
-    ``ValueError`` if it moves a point above 31)."""
-    comps = _trace({_pack_perm(perm.image): 1}, (), perm.largest_moved_point(), 0)
+    ``ValueError`` if it moves a point above 31): the kernel's peel of that
+    one element, at the width of the peel's L1 bound 3^e(n)."""
+    n = perm.largest_moved_point()
+    bits = _width(3 ** _peel_exponent(n))
+    comps = _peel([{_pack_perm(perm.image): 1}], n, 1, False, bits, 0, 0)
     return RationalFunction.from_laurent_terms(QZ, comps[0])
 
 

@@ -128,7 +128,7 @@ def both_orientations(tally):
     given = reduced = split = 0
     for ref in reference_words():
         w = ref.word
-        folds = [hecke._trace({0: 1}, w.letters, w.strands, w.degree, m) for m in (False, True)]
+        folds = [hecke._trace(w.letters, w.strands, m) for m in (False, True)]
         given += len(w.letters)
         reduced += len(_reduced(w.letters))
         pieces, blocks = hecke._split(*hecke._compact(_reduced(w.letters)))

@@ -19,10 +19,6 @@ from singskein.braid import (
     exponent_sum,
     inverse_word,
     parse,
-    shuffle_braid,
-    stack,
-    underlying_permutation,
-    with_strands,
 )
 from singskein.moves import (
     Conjugate,
@@ -43,7 +39,15 @@ from singskein.moves import (
 )
 from singskein.coeff import QZ, SU, MultivariatePolynomial, RationalFunction
 from singskein.markov import MarkovClass
-from singskein.oracle import FormalWordSum, HeckeElement, TraceVector
+from singskein.oracle import (
+    FormalWordSum,
+    HeckeElement,
+    TraceVector,
+    shuffle_braid,
+    stack,
+    underlying_permutation,
+    with_strands,
+)
 from singskein.permutations import Permutation
 from singskein.skein import SkeinClass
 
@@ -398,32 +402,6 @@ def test_a_sampled_destabilisation_is_applied_once(monkeypatch):
     # every entry is its move applied to the word before it
     for (move, after), before in zip(steps, [start] + [w for _, w in steps]):
         assert move.apply(before) == after
-
-
-def test_move_names_still_resolve_from_braid():
-    # braid forwards only the move names that the acceptance tests and the
-    # benchmark import from it, and the four word helpers that moved to the
-    # oracle, which the tests import from it
-    import singskein.braid as braid
-    import singskein.moves as moves
-    import singskein.oracle as oracle
-
-    kept = {"RelationMove", "random_move_sequence"}
-    for name in kept:
-        assert getattr(braid, name) is getattr(moves, name)
-    rules = {name for name in dir(moves) if name.startswith("R_")}
-    for name in set(moves.__all__) - kept | rules | {"_sample_move"}:
-        assert not hasattr(braid, name), name
-    with pytest.raises(AttributeError):
-        braid.relation_move_candidates
-    with pytest.raises(AttributeError):
-        braid.no_such_move
-    helpers = {"underlying_permutation", "stack", "with_strands", "shuffle_braid"}
-    for name in helpers:
-        assert name not in vars(braid), name
-        assert getattr(braid, name) is vars(oracle)[name], name
-    with pytest.raises(AttributeError, match="module 'singskein.braid' has no attribute 'no_such_helper'"):
-        braid.no_such_helper
 
 
 # -- shuffle braid ---------------------------------------------------------------

@@ -119,17 +119,20 @@ def doubled(traces) -> list:
     return [{expo: 2 * v for expo, v in comp.items()} for comp in hecke._decoded(traces)]
 
 
-def test_verify_failure_exits_3(capsys, monkeypatch):
-    # every folded word but the given one gets doubled components, so a
-    # class that the run builds, or that a comparison of components stands
-    # for, is wrong for each of them
-    start = parse("t1 s1", 2)
+def skew_all_but(start: SingularBraidWord, monkeypatch) -> None:
+    """Give every folded word but ``start`` doubled components, so a class
+    that a run builds, or that a comparison of components stands for, is
+    wrong for each of them."""
 
     def skewed_fold(word, reduced=None):
         traces = TRUE_FOLD(word, reduced)
         return traces if word == start else doubled(traces)
 
     monkeypatch.setattr(markov, "_folded", skewed_fold)
+
+
+def test_verify_failure_exits_3(capsys, monkeypatch):
+    skew_all_but(parse("t1 s1", 2), monkeypatch)
     code, out, _ = invoke(
         capsys,
         "--word",
@@ -144,6 +147,21 @@ def test_verify_failure_exits_3(capsys, monkeypatch):
     )
     assert code == 3
     assert json.loads(out)["verify"]["failed"] > 0
+
+
+def test_text_report_lists_each_failure(capsys, monkeypatch):
+    # when both checks fail, the text report gives the verify line, then
+    # each failure of the same run's JSON report, in order, indented by two
+    # spaces, and the skein check's verdict last
+    skew_all_but(parse("t1 s1", 2), monkeypatch)
+    argv = ("--word", "t1 s1", "--strands", "2", "--verify", "--moves", "5", "--skein-check", "1")
+    code, out, _ = invoke(capsys, *argv)
+    assert code == 3
+    failures = json.loads(invoke(capsys, *argv, "--format", "json")[1])["verify"]["failures"]
+    assert len(failures) == 5
+    lines = out.splitlines()
+    at = lines.index("verify:       5 moves, seed 0, 0 passed, 5 failed")
+    assert lines[at + 1:] == ["  " + failure for failure in failures] + ["skein_check:  index 1, FAILS"]
 
 
 def recomputed_verify(word: SingularBraidWord, moves: int, seed: int) -> dict:
@@ -517,50 +535,18 @@ def test_strands_inferred(capsys):
     assert "strands:      3" in out
 
 
-def test_cli_import_leaves_the_linalg_oracle_out():
-    # the CLI path loads no dataclass machinery, no fractions, no oracle
-    # code (linalg and singskein.oracle serve the tests) and no
-    # singskein.permutations (braid counts components on its strand
-    # table): checked in a fresh
-    # interpreter after the import and after a plain, a --skein-check and a
-    # --verify run.  The move machinery (singskein.moves) waits for --verify:
-    # neither the import nor the plain and --skein-check runs load it
-    src = os.path.dirname(os.path.dirname(singskein.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    probe = """if True:
-        import contextlib, io, sys
-        banned = {
-            "dataclasses", "inspect", "fractions", "decimal",
-            "singskein.linalg", "singskein.oracle", "singskein.permutations",
-        }
-        moves = banned | {"singskein.moves"}
-        import singskein.cli
-        print(sorted(moves & set(sys.modules)))
-        word = ["--word", "s1 S2 t1 s2 t2"]
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            for extra in ([], ["--skein-check", "1"]):
-                assert singskein.cli.main(word + extra) == 0
-            print(sorted(moves & set(sys.modules)), file=sys.__stdout__)
-            assert singskein.cli.main(word + ["--verify", "--moves", "9"]) == 0
-        print(sorted(banned & set(sys.modules)))
-        print("singskein.moves" in sys.modules)
-    """
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines() == ["[]", "[]", "[]", "True"]
-
-
 # The reach guard's CLI calls and their exit codes: text and JSON, --verify,
-# --skein-check and a syntax error.  The second word is cut into pieces and
-# blocks, so its fold is a product, which --verify decodes
+# --skein-check and a syntax error, the runs without --verify first.  The
+# second --verify word is cut into pieces and blocks, so its fold is a
+# product, which --verify decodes
 _WORD = ["--word", "s1 S2 t1 s2 t2"]
 _SPLIT = ["--word", "t1 s1 s2 s3 s2 s3 S4 s5 s6 s5 s6"]
 _CORPUS = [
     (_WORD, 0),
-    (_WORD + ["--verify", "--moves", "9"], 0),
     (_WORD + ["--skein-check", "1"], 0),
-    (_SPLIT + ["--format", "json", "--verify", "--moves", "20", "--seed", "5", "--skein-check", "4"], 0),
     (["--word", "s1 x9"], 2),
+    (_WORD + ["--verify", "--moves", "9"], 0),
+    (_SPLIT + ["--format", "json", "--verify", "--moves", "20", "--seed", "5", "--skein-check", "4"], 0),
 ]
 
 
@@ -569,32 +555,39 @@ def _cli_run_calls() -> dict:
     """What a fresh interpreter runs, under ``sys.setprofile``, over the
     import, the ``main`` calls of ``_CORPUS`` and one call of each public
     entry point: "calls", {module file: {function name: calls}}; "entered",
-    {module file: the first lines of the functions called}; and "loaded",
-    the singskein modules imported, by file.  Module and class bodies, which
-    have no CO_OPTIMIZED flag, are left out."""
+    {module file: the first lines of the functions called}; "loaded", the
+    singskein modules imported, by file; and "modules", every module in
+    ``sys.modules`` after the import ("import"), after the runs without
+    ``--verify`` ("unverified") and at the end ("end").  Module and class
+    bodies, which have no CO_OPTIMIZED flag (0x1, read as a number so that
+    the probe loads no ``inspect``), are left out."""
     package = os.path.dirname(singskein.__file__)
     env = dict(os.environ, PYTHONPATH=os.path.dirname(package))
     probe = f"""if True:
-        import collections, contextlib, inspect, io, json, os, sys
+        import collections, contextlib, io, json, os, sys
         calls = collections.defaultdict(collections.Counter)
         entered = collections.defaultdict(set)
         def count(frame, event, arg):
             code = frame.f_code
-            if event == "call" and code.co_flags & inspect.CO_OPTIMIZED:
+            if event == "call" and code.co_flags & 1:
                 head, tail = os.path.split(code.co_filename)
                 if head == {package!r}:
                     calls[tail][code.co_name] += 1
                     entered[tail].add(code.co_firstlineno)
         sys.setprofile(count)
         import singskein.cli
+        modules = {{"import": sorted(sys.modules)}}
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             for argv, exit_code in {_CORPUS!r}:
+                if "--verify" in argv and "unverified" not in modules:
+                    modules["unverified"] = sorted(sys.modules)
                 assert singskein.cli.main(argv) == exit_code, argv
         word = singskein.parse("t1 s1", 2)
         singskein.markov_class(word)
         singskein.skein_class(word)
         singskein.skein_triple_check(word, 1)
         sys.setprofile(None)
+        modules["end"] = sorted(sys.modules)
         loaded = [
             name.partition(".")[2] or "__init__" for name in sys.modules if name.split(".")[0] == "singskein"
         ]
@@ -602,11 +595,31 @@ def _cli_run_calls() -> dict:
             "calls": calls,
             "entered": {{tail: sorted(lines) for tail, lines in entered.items()}},
             "loaded": sorted(name + ".py" for name in loaded),
+            "modules": modules,
         }}))
     """
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     return json.loads(out.stdout)
+
+
+def test_cli_import_leaves_the_linalg_oracle_out():
+    # the CLI path loads no dataclass machinery, no fractions, no oracle
+    # code (linalg and singskein.oracle serve the tests) and no
+    # singskein.permutations (braid counts components on its strand
+    # table): checked in the reach guard's fresh interpreter after the
+    # import, after the runs without --verify and at the end.  The move
+    # machinery (singskein.moves) waits for --verify: neither the import
+    # nor the runs without it load it
+    banned = {
+        "dataclasses", "inspect", "fractions", "decimal",
+        "singskein.linalg", "singskein.oracle", "singskein.permutations",
+    }
+    modules = _cli_run_calls()["modules"]
+    for when in ("import", "unverified"):
+        assert (banned | {"singskein.moves"}) & set(modules[when]) == set(), when
+    assert banned & set(modules["end"]) == set()
+    assert "singskein.moves" in modules["end"]
 
 
 def _calls_in_cli_runs(module_file: str) -> set:
@@ -672,10 +685,8 @@ _UNREACHED = {
         "markov.ClassPolynomial.__repr__",
     ], _REPR),
     "braid.Record.__setattr__": "raises on every write: no value is written after it is built",
-    "moves.MarkovMove.apply": "abstract: every move overrides it",
     "moves.random_move_sequence": "the list of _move_stream's moves that the tests and the benchmark import",
-    "hecke._unpack_perm": "the inverse of _pack_perm, with which the tests read packed states",
-    "hecke.trace_components": "the decoded fold that the benchmark times and the oracle calls",
+    "hecke.trace_components": "the decoded fold, which the oracle's trace_vector, the battery and the tests call",
 }
 
 

@@ -19,6 +19,7 @@ from singskein.moves import R_INSERT, Conjugate, RelationMove
 from singskein.oracle import (
     HeckeElement,
     SingularLetterError,
+    _unpack_perm,
     evaluate_word,
     mul_by_generator,
     multiply,
@@ -26,7 +27,7 @@ from singskein.oracle import (
     permutation_trace,
     trace_functional,
 )
-from singskein.packed import _digits
+from singskein.packed import _digits, _width
 from singskein.permutations import Permutation
 from singskein.skein import skein_class, skein_triple_check
 
@@ -299,7 +300,7 @@ def singular_words(draw):
 
 def forced(w, mirror):
     """``trace_components`` with the orientation forced: as given or mirrored."""
-    return hecke._trace({0: 1}, w.letters, w.strands, w.degree, mirror)
+    return hecke._trace(w.letters, w.strands, mirror)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -357,7 +358,7 @@ def as_element(state, n):
     """A packed state as an oracle element, the resolution count r read as z."""
     terms = {}
     for w, p in state.items():
-        image = hecke._unpack_perm(w, n)
+        image = _unpack_perm(w, n)
         digits = {divmod(slot, STEP_STRIDE): d for slot, d in _digits(p, STEP_BITS)}
         terms[Permutation(image)] = RationalFunction.from_laurent_terms(QZ, digits)
     return HeckeElement(n, terms)
@@ -491,9 +492,9 @@ def spy_on_folds(monkeypatch):
     seen = []
     real = hecke._trace
 
-    def spy(state, letters, strands, degree, mirror=False):
+    def spy(letters, strands, mirror=False):
         seen.append((" ".join(g.token for g in letters), strands))
-        return real(state, letters, strands, degree, mirror)
+        return real(letters, strands, mirror)
 
     monkeypatch.setattr(hecke, "_trace", spy)
     return seen
@@ -604,9 +605,9 @@ def spy_on_orientation(monkeypatch):
     seen = []
     real = hecke._trace
 
-    def spy(state, letters, strands, degree, mirror=False):
+    def spy(letters, strands, mirror=False):
         seen.append(mirror)
-        return real(state, letters, strands, degree, mirror)
+        return real(letters, strands, mirror)
 
     monkeypatch.setattr(hecke, "_trace", spy)
     return seen
@@ -654,9 +655,10 @@ def test_seed4_word_renders_pinned_digest_through_the_mirror(monkeypatch):
 def test_peel_base_is_the_trace_of_each_element_of_s3(image, trace):
     # the peel finishes every z-slice from these closed forms, over
     # (q-exponent, z-exponent); each against the coset recursion, and the
-    # kernel on 3 strands, where the peel is its base alone
+    # kernel's peel on 3 strands, where it is its base alone
     assert _reference_trace(Permutation(image), {}) == RationalFunction.from_laurent_terms(QZ, trace)
-    assert hecke._trace({pack(image): 1}, (), 3, 0) == [trace]
+    bits = _width(3 ** hecke._peel_exponent(3))
+    assert hecke._peel([{pack(image): 1}], 3, 1, False, bits, 0, 0) == [trace]
 
 
 # -- the split at block indices -------------------------------------------------------
@@ -698,7 +700,7 @@ def test_split_fold_matches_the_whole_fold_in_both_orientations(case):
     assert not any(hecke._blocks([g.index for g in piece], 1, n - 1) for piece, n in pieces)
     comps = trace_components(w)
     for mirror in (False, True):
-        assert comps == hecke._trace({0: 1}, letters, strands, w.degree, mirror)
+        assert comps == hecke._trace(letters, strands, mirror)
 
 
 def test_a_piece_is_reduced_again_once_its_lone_letter_is_cut_out():
@@ -746,10 +748,9 @@ def test_block_factor_is_the_whole_fold_of_its_letters(kinds):
     # the closed form alpha + beta z against the kernel's fold of the
     # block's letters on 2 strands, in both orientations
     letters = tuple(Generator(kind, 1) for kind in kinds)
-    degree = kinds.count(TAU)
-    factor = hecke._block_factor(sum(kinds), degree)
+    factor = hecke._block_factor(sum(kinds), kinds.count(TAU))
     for mirror in (False, True):
-        assert factor == hecke._trace({0: 1}, letters, 2, degree, mirror)
+        assert factor == hecke._trace(letters, 2, mirror)
 
 
 @st.composite
@@ -792,7 +793,7 @@ def test_planted_blocks_are_cut_and_the_fold_matches_the_whole_fold(case):
     assert not Counter(shapes) - Counter(blocks)  # each planted block is cut out
     comps = trace_components(w)
     for mirror in (False, True):
-        assert comps == hecke._trace({0: 1}, letters, strands, w.degree, mirror)
+        assert comps == hecke._trace(letters, strands, mirror)
 
 
 def test_a_word_with_no_thin_index_is_cut_at_its_block():
@@ -891,7 +892,7 @@ def test_split_lemma_reads_the_coset_off_the_fields():
         assert w >> (5 * (m - 1)) == m - j
         assert w & ((1 << (5 * (m - 1))) - 1) == pack(c)
         assert sum((w >> (5 * k)) & 31 for k in range(m)) == Permutation(image).inversions()
-        assert hecke._unpack_perm(w, m) == tuple(image)
+        assert _unpack_perm(w, m) == tuple(image)
 
     checked = 0
     for n in range(2, 8):

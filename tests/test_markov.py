@@ -13,8 +13,6 @@ from singskein.braid import (
     SingularBraidWord,
     TAU,
     parse,
-    stack,
-    with_strands,
 )
 from singskein.coeff import QZ, MultivariatePolynomial, RationalFunction
 from singskein.braid import exponent_sum
@@ -34,9 +32,11 @@ from singskein.oracle import (
     g1_apply,
     markov_class_of_sum,
     pairing_matrix,
+    stack,
     subset_expansion,
     trace_functional,
     trace_vector,
+    with_strands,
 )
 from singskein.packed import PackedProduct, _digits, _pack, _packed_width
 from singskein.linalg import determinant, solve
@@ -331,8 +331,8 @@ def test_markov_class_invariant_under_stack_commutation():
 def test_shuffle_braid_conjugation_swaps_stack_order():
     # conjugating stack(b, a) by the block-shuffle braid gives a word with
     # the same class as stack(a, b)
-    from singskein.braid import shuffle_braid
     from singskein.moves import Conjugate
+    from singskein.oracle import shuffle_braid
 
     rng = random.Random(2031)
     for _ in range(5):
@@ -433,57 +433,6 @@ def test_over_det_power_matches_general_constructor():
                     assert got.denominator == expected.denominator
 
 
-# the names each production module still forwards, by their home: those
-# that the tests and the benchmark import from it
-_FORWARDED = {
-    "braid": {
-        "moves": ("RelationMove", "random_move_sequence"),
-        "oracle": ("shuffle_braid", "stack", "underlying_permutation", "with_strands"),
-    },
-    "coeff": {"oracle": ()},
-    "hecke": {"oracle": ("HeckeElement", "multiply", "permutation_trace")},
-    "markov": {"oracle": (
-        "class_product", "desing_delete", "desing_resolve", "g0_apply", "g1_apply",
-        "markov_class_of_sum", "pairing_matrix", "trace_functional", "trace_vector",
-    )},
-    "skein": {"oracle": ("closure_product", "disjoint_union_coefficient")},
-}
-
-
-def test_oracle_names_still_resolve_from_their_old_modules():
-    import importlib
-
-    from singskein import coeff, hecke, markov
-
-    for module_name, homes in _FORWARDED.items():
-        module = importlib.import_module(f"singskein.{module_name}")
-        for home_name, kept in homes.items():
-            home = importlib.import_module(f"singskein.{home_name}")
-            for name in kept:
-                assert getattr(module, name) is getattr(home, name), (module_name, name)
-            # every other name of the home, the oracle's exceptions and
-            # constants among them, stays home
-            for name in set(home.__all__) - set(kept) | {"_RF_ONE", "_RF_Q", "_RF_Q_INV_MINUS_1"}:
-                assert not hasattr(module, name), (module_name, name)
-        if any(homes.values()):
-            # a missing name is reported against the module it was read from
-            with pytest.raises(AttributeError) as exc:
-                getattr(module, "no_such_name")
-            assert str(exc.value) == f"module 'singskein.{module_name}' has no attribute 'no_such_name'"
-    assert not hasattr(coeff, "__getattr__")
-    for module, name in [
-        (hecke, "ocneanu_trace"),
-        (hecke, "_RF_Q"),
-        (coeff, "embed_qz_to_su"),
-        (markov, "basis_word"),
-    ]:
-        with pytest.raises(AttributeError):
-            getattr(module, name)
-    # names that never lived in these modules stay missing
-    assert getattr(markov, "invert", None) is None
-    assert getattr(markov, "poly_divexact", None) is None
-
-
 def _frozen_imports():
     """(module, name) for every singskein name that the acceptance tests and
     the benchmark's scripts import: from-imports, and attributes read off a
@@ -512,20 +461,38 @@ def _frozen_imports():
     return out
 
 
-def test_every_name_the_acceptance_tests_and_the_benchmark_import_resolves():
+def test_forwarders_serve_exactly_what_the_acceptance_tests_and_the_benchmark_import():
+    # the forwarding spec is read off those files, which stay as they are:
+    # every name they import from a singskein module resolves; one that the
+    # module does not define is its home's own object, read through the
+    # module's __getattr__; and no module forwards any other name defined
+    # anywhere in the package, nor a name defined nowhere
     import importlib
+    import pkgutil
+    import sys
 
-    names = _frozen_imports()
-    assert {("singskein.markov", "pairing_matrix"), ("singskein.braid", "RelationMove")} <= names
-    for module_name, name in sorted(names):
-        module = importlib.import_module(module_name)
-        assert hasattr(module, name), (module_name, name)
-        if name not in vars(module):
-            # a forwarded name, read from its home
-            homes = _FORWARDED[module_name.removeprefix("singskein.")]
-            home_names = [home for home, kept in homes.items() if name in kept]
-            assert len(home_names) == 1, (module_name, name)
-            assert getattr(module, name) is getattr(importlib.import_module(f"singskein.{home_names[0]}"), name)
+    import singskein
+
+    frozen = _frozen_imports()
+    assert {("singskein.markov", "pairing_matrix"), ("singskein.braid", "RelationMove")} <= frozen
+    names = ["singskein"] + [f"singskein.{info.name}" for info in pkgutil.iter_modules(singskein.__path__)]
+    modules = {name: importlib.import_module(name) for name in names}
+    defined = {name for module in modules.values() for name in vars(module) if not name.startswith("__")}
+    for module_name, module in modules.items():
+        expected = {name for home, name in frozen if home == module_name and name not in vars(module)}
+        forwarded = {name for name in defined - set(vars(module)) if hasattr(module, name)}
+        assert forwarded == expected, module_name
+        for name in forwarded:
+            value = getattr(module, name)
+            assert value.__module__ != module_name
+            assert vars(sys.modules[value.__module__])[name] is value, (module_name, name)
+        if forwarded:
+            # a missing name is reported against the module it was read from
+            with pytest.raises(AttributeError) as exc:
+                getattr(module, "no_such_name")
+            assert str(exc.value) == f"module {module_name!r} has no attribute 'no_such_name'"
+    for module_name, name in frozen:
+        assert hasattr(modules[module_name], name), (module_name, name)
 
 
 def _table_numerators(comps, d, shift):

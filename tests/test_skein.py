@@ -16,8 +16,6 @@ from singskein.braid import (
     TAU,
     exponent_sum,
     parse,
-    stack,
-    with_strands,
 )
 from singskein.coeff import QZ, SU, MultivariatePolynomial, RationalFunction
 from singskein.moves import random_move_sequence
@@ -26,6 +24,8 @@ from singskein.oracle import (
     closure_product,
     disjoint_union_coefficient,
     embed_qz_to_su,
+    stack,
+    with_strands,
 )
 from singskein.packed import _pack, _packed_width
 from singskein.markov import _over_det_power, markov_class
