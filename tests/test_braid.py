@@ -51,6 +51,8 @@ from singskein.oracle import (
 from singskein.permutations import Permutation
 from singskein.skein import SkeinClass
 
+from forwarding import forwarding
+
 
 def word(text: str, strands=None) -> SingularBraidWord:
     return parse(text, strands)
@@ -402,6 +404,26 @@ def test_a_sampled_destabilisation_is_applied_once(monkeypatch):
     # every entry is its move applied to the word before it
     for (move, after), before in zip(steps, [start] + [w for _, w in steps]):
         assert move.apply(before) == after
+
+
+def test_move_names_still_resolve_from_braid():
+    # braid forwards exactly the names that the acceptance tests and the
+    # benchmark import from it: the moves' RelationMove and
+    # random_move_sequence, and word helpers of the oracle's; each one is its
+    # home's own object
+    import singskein.braid as braid
+    import singskein.moves as moves
+    import singskein.oracle as oracle
+
+    forwarded, expected = forwarding()["singskein.braid"]
+    assert forwarded == expected
+    assert {"RelationMove", "random_move_sequence"} <= forwarded
+    for name in forwarded:
+        assert name not in vars(braid), name
+        homes = [home for home in (moves, oracle) if getattr(braid, name) is vars(home).get(name)]
+        assert len(homes) == 1, name
+    with pytest.raises(AttributeError, match="module 'singskein.braid' has no attribute 'no_such_helper'"):
+        braid.no_such_helper
 
 
 # -- shuffle braid ---------------------------------------------------------------

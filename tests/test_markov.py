@@ -52,6 +52,8 @@ from singskein.markov import (
     _over_det_power,
 )
 
+from forwarding import forwarding, frozen_imports
+
 ONE = RationalFunction.one(QZ)
 Q = RationalFunction.coordinate(QZ, "q")
 Z = RationalFunction.coordinate(QZ, "z")
@@ -433,66 +435,40 @@ def test_over_det_power_matches_general_constructor():
                     assert got.denominator == expected.denominator
 
 
-def _frozen_imports():
-    """(module, name) for every singskein name that the acceptance tests and
-    the benchmark's scripts import: from-imports, and attributes read off a
-    singskein module they from-import (``markov.pairing_matrix``)."""
-    import ast
-    import importlib.util
-    from pathlib import Path
-
-    root = Path(__file__).resolve().parents[1]
-    out = set()
-    for path in [root / "tests" / "test_acceptance.py", *sorted((root / "perfbench").glob("*.py"))]:
-        tree = ast.parse(path.read_text())
-        modules = {}  # local name -> the singskein module it is bound to
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("singskein"):
-                for alias in node.names:
-                    full = f"{node.module}.{alias.name}"
-                    if node.module == "singskein" and importlib.util.find_spec(full):
-                        modules[alias.asname or alias.name] = full
-                    else:
-                        out.add((node.module, alias.name))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
-                if node.value.id in modules:
-                    out.add((modules[node.value.id], node.attr))
-    return out
-
-
-def test_forwarders_serve_exactly_what_the_acceptance_tests_and_the_benchmark_import():
-    # the forwarding spec is read off those files, which stay as they are:
+def test_every_name_the_acceptance_tests_and_the_benchmark_import_resolves():
     # every name they import from a singskein module resolves; one that the
     # module does not define is its home's own object, read through the
-    # module's __getattr__; and no module forwards any other name defined
-    # anywhere in the package, nor a name defined nowhere
+    # module's __getattr__
     import importlib
-    import pkgutil
     import sys
 
-    import singskein
-
-    frozen = _frozen_imports()
+    frozen = frozen_imports()
     assert {("singskein.markov", "pairing_matrix"), ("singskein.braid", "RelationMove")} <= frozen
-    names = ["singskein"] + [f"singskein.{info.name}" for info in pkgutil.iter_modules(singskein.__path__)]
-    modules = {name: importlib.import_module(name) for name in names}
-    defined = {name for module in modules.values() for name in vars(module) if not name.startswith("__")}
-    for module_name, module in modules.items():
-        expected = {name for home, name in frozen if home == module_name and name not in vars(module)}
-        forwarded = {name for name in defined - set(vars(module)) if hasattr(module, name)}
-        assert forwarded == expected, module_name
-        for name in forwarded:
+    for module_name, name in sorted(frozen):
+        module = importlib.import_module(module_name)
+        assert hasattr(module, name), (module_name, name)
+        if name not in vars(module):
             value = getattr(module, name)
             assert value.__module__ != module_name
             assert vars(sys.modules[value.__module__])[name] is value, (module_name, name)
+
+
+def test_oracle_names_still_resolve_from_their_old_modules():
+    # the spec is read off the acceptance tests and the benchmark: no module
+    # forwards a name defined anywhere in the package that they do not
+    # import from it, nor a name defined nowhere
+    import importlib
+
+    spec = forwarding()
+    assert {"HeckeElement", "multiply", "permutation_trace"} <= spec["singskein.hecke"][1]
+    assert "pairing_matrix" in spec["singskein.markov"][1]
+    for module_name, (forwarded, expected) in spec.items():
+        assert forwarded == expected, module_name
         if forwarded:
             # a missing name is reported against the module it was read from
             with pytest.raises(AttributeError) as exc:
-                getattr(module, "no_such_name")
+                getattr(importlib.import_module(module_name), "no_such_name")
             assert str(exc.value) == f"module {module_name!r} has no attribute 'no_such_name'"
-    for module_name, name in frozen:
-        assert hasattr(modules[module_name], name), (module_name, name)
 
 
 def _table_numerators(comps, d, shift):
