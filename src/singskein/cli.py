@@ -17,7 +17,8 @@ given word's included, and builds a full class only for the first word of
 each new (strand count, writhe) shape; every other word is decided on its
 trace components.  A fold of a word on 7 strands or more may go in pieces,
 cut at strand indices whose letters sit together; the pieces are a function
-of the cyclic reduction, so that key still fixes the computation.
+of the cyclic reduction, so that key still fixes the computation.  Only
+the given word's caps are checked, right after parsing (``markov``).
 """
 
 from __future__ import annotations
@@ -145,7 +146,7 @@ def run(args: argparse.Namespace) -> RunReport:
     legs = None if args.skein_check is None else _legs(word, args.skein_check)
     # reduced once: the fold and the --verify verdict key share it
     reduced = _reduced(word.letters)
-    traces = markov._traces(word, reduced)
+    traces = markov._folded(word, reduced)
     factored = markov._factored_from(traces, word)
     coords = markov._class_of(factored)
     skein = _rendered(factored, word.strands, exponent_sum(word))
@@ -186,19 +187,19 @@ def _verify_moves(
 ) -> dict:
     """Check ``args.moves`` random moves of ``word``, whose cyclic reduction
     (``braid._reduced``) is ``reduced`` and whose traces (from
-    ``markov._traces``) are ``traces``, against ``reference``, its
+    ``markov._folded``) are ``traces``, against ``reference``, its
     ``skein_class``; no move takes a word past ``strand_cap`` strands, the
     cap ``check_caps`` checked it against."""
     # The move words need no cap check of their own: every move keeps the
-    # degree, and the move stream keeps the strand count within the cap.
-    # The moves are those of moves.random_move_sequence, read one at a
-    # time, so only the current word is held; the move machinery is
-    # imported here, on the first --verify.
-    from .moves import _move_stream
+    # degree, and random_move_sequence keeps the strand count within the cap.
+    # random_move_sequence yields the moves one at a time, so only the
+    # current word is held; the move machinery is imported here, on the
+    # first --verify.
+    from .moves import random_move_sequence
 
     passed = 0
     failures: list[str] = []
-    steps = _move_stream(word, args.moves, seed=args.seed, max_strands=strand_cap)
+    steps = random_move_sequence(word, args.moves, seed=args.seed, max_strands=strand_cap)
     # A class reads the word's strands, degree and exponent sum, and its
     # traces, which hecke._folded folds from _compact(_reduced(letters)),
     # whole or in the pieces and blocks hecke._split cuts it into, a

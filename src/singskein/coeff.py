@@ -28,6 +28,9 @@ sequences), its ``ExactDivisionError`` and the dense embedding
 ``RationalFunction``'s general constructor imports ``_canonical_pair`` when
 it is called.
 
+Every sum and product of sparse terms, int or field coefficients, is
+``_summed`` or ``_convolved``; each value's constructor drops zero sums.
+
 Negative powers (Laurent-style scalars such as ``q**-2``) are ordinary
 rational functions with monomial denominators; a product with a monomial
 ratio is reduced in closed form (``_times_monomial``).
@@ -85,6 +88,26 @@ def _monomial_text(var0: str, var1: str, e0: int, e1: int) -> str:
     if e1:
         factors.append(var1 if e1 == 1 else f"{var1}^{e1}")
     return "*".join(factors)
+
+
+def _summed(a: Mapping, b: Mapping) -> dict:
+    """The sum of two term dicts, key to coefficient; zero sums are kept."""
+    out = dict(a)
+    for key, coeff in b.items():
+        acc = out.get(key)
+        out[key] = coeff if acc is None else acc + coeff
+    return out
+
+
+def _convolved(a: Mapping, b: Mapping) -> dict:
+    """The product of two term dicts, exponent pair to coefficient; zero sums are kept."""
+    out: dict = {}
+    for (a0, a1), ca in a.items():
+        for (b0, b1), cb in b.items():
+            mono = (a0 + b0, a1 + b1)
+            acc = out.get(mono)
+            out[mono] = ca * cb if acc is None else acc + ca * cb
+    return out
 
 
 class MultivariatePolynomial(Record):
@@ -182,14 +205,7 @@ class MultivariatePolynomial(Record):
 
     def __add__(self, other: "MultivariatePolynomial") -> "MultivariatePolynomial":
         self._check(other)
-        out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            acc = out.get(mono, 0) + coeff
-            if acc:
-                out[mono] = acc
-            else:
-                out.pop(mono, None)
-        return MultivariatePolynomial(self.variables, out)
+        return MultivariatePolynomial(self.variables, _summed(self.terms, other.terms))
 
     def __sub__(self, other: "MultivariatePolynomial") -> "MultivariatePolynomial":
         return self + (-other)
@@ -201,18 +217,7 @@ class MultivariatePolynomial(Record):
 
     def __mul__(self, other: "MultivariatePolynomial") -> "MultivariatePolynomial":
         self._check(other)
-        if not self.terms or not other.terms:
-            return MultivariatePolynomial(self.variables, {})
-        out: dict[Monomial, int] = {}
-        for (a0, a1), ca in self.terms.items():
-            for (b0, b1), cb in other.terms.items():
-                mono = (a0 + b0, a1 + b1)
-                acc = out.get(mono, 0) + ca * cb
-                if acc:
-                    out[mono] = acc
-                else:
-                    del out[mono]
-        return MultivariatePolynomial(self.variables, out)
+        return MultivariatePolynomial(self.variables, _convolved(self.terms, other.terms))
 
     def __pow__(self, exponent: int) -> "MultivariatePolynomial":
         if exponent < 0:

@@ -39,7 +39,7 @@ holds: no state stores a 0.  A single term is never 0, only a sum can be,
 and every sum that vanishes is dropped where it is formed, in the step, in
 the double point's merge and in the peel's merges alike.
 
-``trace_components`` folds a word once for all 2^d desingularisations: a
+``_folded`` folds a word once for all 2^d desingularisations: a
 double point is the identity plus the crossing rule one digit up: the
 deleted copy is the state itself, and in the copy resolved to a crossing the
 resolution count r rides in the coefficient.  Each
@@ -93,12 +93,12 @@ and e(n) = 6 + sum_{m=9..n} (m - 2) above (``_peel_exponent``), and every
 digit is at most 3^(c + e(n)) 4^d.  The per-level bound alone gives
 (n-1)(n-2)/2 in place of e(n), 15 more on 8 strands or more.
 
-``_folded`` is the one fold entry, and ``trace_components`` is its
-result decoded.  It does not fold the word as given but its cyclic
-reduction (``braid._reduced``), or the reduction its caller already
-holds: every pair s_i^e ... s_i^-e is cancelled whose letters in between,
-going round the word, all commute with s_i (an index at least 2 away, or
-t_i).  That is exact: T_i T_i^-1 = 1, far
+``_folded`` is the one fold entry, and ``_decoded`` decodes its result
+(the oracle's ``trace_components`` is the two together).  It does not
+fold the word as given but its cyclic reduction (``braid._reduced``), or
+the reduction its caller already holds: every pair s_i^e ... s_i^-e is
+cancelled whose letters in between, going round the word, all commute with
+s_i (an index at least 2 away, or t_i).  That is exact: T_i T_i^-1 = 1, far
 generators commute, both images of a double point (the identity when
 deleted, T_i when resolved) commute with T_i^(+-1), and tr(ab) = tr(ba), so
 every desingularisation of the reduced word has the trace of the word's.
@@ -221,7 +221,7 @@ from math import comb
 from .braid import SIGMA, SIGMA_INV, TAU, Generator, SingularBraidWord, _forward, _reduced
 from .packed import PackedProduct, _laurent, _product, _width
 
-__all__ = ["trace_components"]
+__all__ = []
 
 # the oracle's Hecke algebra over Q(q, z)
 __getattr__ = _forward(__name__, oracle={"HeckeElement", "multiply", "permutation_trace"})
@@ -565,13 +565,3 @@ def _folded(word: SingularBraidWord, reduced: tuple | None = None) -> list | Pac
 def _decoded(traces: list | PackedProduct) -> list[dict[tuple[int, int], int]]:
     """Trace components from ``_folded``'s result: a product decoded."""
     return traces.decoded() if isinstance(traces, PackedProduct) else traces
-
-
-def trace_components(word: SingularBraidWord) -> list[dict[tuple[int, int], int]]:
-    """For each k in 0..degree, the sum over k-subsets S of the singular
-    letters of ``tr`` of the word with S resolved and the rest deleted, as an
-    integer Laurent dict over (q-exponent, z-exponent): ``_folded``'s
-    result, decoded.  Each piece of the word's compacted cyclic reduction is
-    folded on the strands it spans, as its mirror when it has more negative
-    than positive crossings."""
-    return _decoded(_folded(word))

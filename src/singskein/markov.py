@@ -14,8 +14,8 @@ crossing (trace z); Y deletes to a crossing (z) and resolves to its square
 (w = (q-1)z + q).  The trace is multiplicative on words split over disjoint
 strand pairs, so the unweighted k-th functional of X^a Y^b is the
 coefficient of T0^(d-k) T1^k in (T0 + z T1)^a (z T0 + w T1)^b.  A word whose
-unweighted functionals are C_k (``trace_components``) therefore has the
-coordinates x_ab with
+unweighted functionals are C_k (``oracle.trace_components``) therefore has
+the coordinates x_ab with
 
     sum_k C_k T0^(d-k) T1^k = sum_ab x_ab A^a B^b,  A = T0 + z T1, B = z T0 + w T1,
 
@@ -106,19 +106,18 @@ else; the CLI takes the given word's traces once, factors them once and
 builds both of its classes from that (``_class_of`` and
 ``skein._rendered``).
 
-Every fold passes one seam, ``_folded`` (``hecke._folded``, looked up in
+Every fold calls one seam, ``_folded`` (``hecke._folded``, looked up in
 this module, where the fold is wrapped or replaced): the given word's, once
 for its classes and the skein check alike, the skein check's legs w s_i
-and w S_i, and each ``--verify`` move word's.  ``_traces``,
-behind every class and the skein check, refuses a word above the hard caps
-(degree <= 8, strands <= 12) and then folds it.  The CLI checks its cap
-flags (``--max-degree``, ``--max-strands``) against the hard caps, and the
-given word once against the caps they set, with ``check_caps``, right after
-parsing and before any fold.  Every word the CLI folds is reduced once:
+and w S_i, and each ``--verify`` move word's.  Caps are checked once, where
+a word enters: ``check_caps`` refuses a word above the hard caps (degree
+<= 8, strands <= 12) in ``factored_coordinates`` (behind ``markov_class``
+and ``skein_class``) and ``skein_triple_check``, and the CLI checks its cap
+flags and, against the caps they set, the given word right after parsing.
+The legs and the move words keep the degree, and the strand count within
+the cap, so they need no check.  Every word the CLI folds is reduced once:
 the given word's cyclic reduction keys its ``--verify`` verdict and goes to
-``_traces`` with it, and ``--verify`` folds its move words, which keep the
-degree and the strand cap, with ``markov._folded`` itself, given the cyclic
-reduction that each word's verdict key already holds.
+``_folded`` with it, as each move word's verdict key goes with its fold.
 """
 
 from __future__ import annotations
@@ -127,7 +126,7 @@ from math import comb
 from typing import Mapping
 
 from .braid import Record, SingularBraidWord, _forward
-from .coeff import MultivariatePolynomial, QZ, RationalFunction, _monomial_text
+from .coeff import MultivariatePolynomial, QZ, RationalFunction, _convolved, _monomial_text, _summed
 from .hecke import _folded
 from .packed import (
     PackedProduct,
@@ -241,11 +240,7 @@ class ClassPolynomial(Record):
         return sorted(self.coeffs.items(), key=lambda kv: kv[0], reverse=True)
 
     def add(self, other: "ClassPolynomial") -> "ClassPolynomial":
-        out = dict(self.coeffs)
-        for expo, coeff in other.coeffs.items():
-            acc = out.get(expo)
-            out[expo] = coeff if acc is None else acc + coeff
-        return type(self)(out)
+        return type(self)(_summed(self.coeffs, other.coeffs))
 
     def scaled(self, factor: RationalFunction) -> "ClassPolynomial":
         return type(self)({e: c * factor for e, c in self.coeffs.items()})
@@ -255,14 +250,7 @@ class ClassPolynomial(Record):
         return self.add(other.scaled(minus_one))
 
     def multiply(self, other: "ClassPolynomial") -> "ClassPolynomial":
-        out: dict[tuple[int, int], RationalFunction] = {}
-        for (a0, b0), c0 in self.coeffs.items():
-            for (a1, b1), c1 in other.coeffs.items():
-                expo = (a0 + a1, b0 + b1)
-                piece = c0 * c1
-                acc = out.get(expo)
-                out[expo] = piece if acc is None else acc + piece
-        return type(self)(out)
+        return type(self)(_convolved(self.coeffs, other.coeffs))
 
     def __hash__(self) -> int:
         return hash((type(self).__name__, tuple(self.sorted_terms())))
@@ -334,22 +322,13 @@ def _joint_numerators(
     comp_sets: list, word: SingularBraidWord
 ) -> tuple[tuple[int, int, int, int], list[int]]:
     """The layout and, for each of these sets of trace components (from
-    ``_traces``), the coordinates as numerators over D^d, by the change of
+    ``_folded``), the coordinates as numerators over D^d, by the change of
     variables T0 = wA - zB, T1 = B - zA, of words with the degree and strand
-    count of ``word``.  They are packed at one layout, which for more than
-    one set also covers the sums num_i - q num_j and (q - 1) num_i (the
-    skein check's); nothing is folded here."""
+    count of ``word``: the one numerator packer.  They are packed at one
+    layout, which for more than one set also covers the sums num_i - q num_j
+    and (q - 1) num_i (the skein check's); nothing is folded here."""
     layout = _layout(comp_sets, word)
     return layout, [_numerators(comps, layout) for comps in comp_sets]
-
-
-def _traces(word: SingularBraidWord, reduced: tuple | None = None) -> "list | PackedProduct":
-    """The word's trace components, or, for a word that is cut into pieces,
-    their product undecoded, from the seam ``_folded``, given the word's
-    cyclic reduction (``reduced``) when the caller has it;
-    ``CapExceededError`` if the word is above the hard caps."""
-    check_caps(word)
-    return _folded(word, reduced)
 
 
 def _layout(comp_sets: list, word: SingularBraidWord) -> tuple[int, int, int, int]:
@@ -414,8 +393,10 @@ def _numerators(comps: "list | PackedProduct", layout: tuple[int, int, int, int]
 
 
 def factored_coordinates(word: SingularBraidWord) -> dict[tuple[int, int], FactoredCoordinate]:
-    """The word's nonzero coordinates in factored form."""
-    return _factored_from(_traces(word), word)
+    """The word's nonzero coordinates in factored form; ``CapExceededError``
+    if the word is above the hard caps."""
+    check_caps(word)
+    return _factored_from(_folded(word), word)
 
 
 def _factored_from(
@@ -425,8 +406,8 @@ def _factored_from(
     strand count of ``word`` whose trace components are ``comps``, Laurent
     dicts or their product: the one way from components to a class, which
     folds nothing."""
-    layout = _layout([comps], word)
-    return _factored(_numerators(comps, layout), layout, word.degree)
+    layout, (value,) = _joint_numerators([comps], word)
+    return _factored(value, layout, word.degree)
 
 
 def _factored(

@@ -8,11 +8,11 @@ closure:
 * cyclic shifts and conjugation by invertible (crossing-only) words;
 * stabilisation by a crossing on a fresh top strand, and its inverse.
 
-``random_move_sequence`` drives a seeded fuzzer over these moves.  Only
-``--verify`` needs them, so the CLI loads this module on first use;
-``braid._forward`` reads ``RelationMove`` and ``random_move_sequence``
-from here for ``singskein.braid``, as the acceptance tests and the
-benchmark import them from there.
+``random_move_sequence`` yields a seeded fuzzer's moves one at a time, as
+``--verify`` reads them.  Only ``--verify`` needs them, so the CLI loads
+this module on first use; ``braid._forward`` reads ``RelationMove`` and
+``random_move_sequence`` from here for ``singskein.braid``, as the
+acceptance tests and the benchmark import them from there.
 """
 
 from __future__ import annotations
@@ -241,20 +241,9 @@ def random_move_sequence(
     seed: int,
     max_strands: int | None = None,
     max_length: int | None = None,
-) -> list[tuple[MarkovMove, SingularBraidWord]]:
-    """Seeded sequence of applicable moves; each entry is (move, resulting word)."""
-    return list(_move_stream(word, length, seed, max_strands, max_length))
-
-
-def _move_stream(
-    word: SingularBraidWord,
-    length: int,
-    seed: int,
-    max_strands: int | None = None,
-    max_length: int | None = None,
 ) -> Iterator[tuple[MarkovMove, SingularBraidWord]]:
-    """The entries of ``random_move_sequence`` one at a time, so a caller
-    that reads each once holds one word, not ``length`` of them."""
+    """Seeded applicable moves, each yielded as (move, resulting word), so a
+    caller holds one word, not ``length``; ``list()`` it to keep them."""
     if length < 0:
         raise ValueError("length must be >= 0")
     if max_strands is None:

@@ -19,8 +19,8 @@ import the rest, its two exceptions among them, from here.
   permutation of ``hecke`` back into its images, for the tests.
 * The literal desingularisation: ``desing_delete``, ``desing_resolve`` and
   ``subset_expansion`` write out the words, and ``trace_functional`` sums
-  their traces; ``trace_vector`` reads all d + 1 functionals off the fused
-  fold instead.
+  their traces; ``trace_components`` decodes the fused fold
+  (``hecke._folded``), and ``trace_vector`` reads all d + 1 functionals off it.
 * The pairing matrix: ``pairing_matrix`` evaluates the expansion of
   ``markov`` on the explicit basis words (``basis_word``: ``t1 t3 ...
   t(2k-1)`` followed by ``(t s)`` blocks at the remaining odd indices),
@@ -55,8 +55,8 @@ from typing import Iterable, Mapping
 
 from .braid import SIGMA, TAU, Generator, Record, SingularBraidWord, StrandIndexError
 from .coeff import QZ, SU, MixedVariablesError, Monomial
-from .coeff import MultivariatePolynomial, RationalFunction, _monomial_key, _terms_content
-from .hecke import _FIELD, _MASK, _pack_perm, _peel, _peel_exponent, trace_components
+from .coeff import MultivariatePolynomial, RationalFunction, _monomial_key, _summed, _terms_content
+from .hecke import _FIELD, _MASK, _decoded, _folded, _pack_perm, _peel, _peel_exponent
 from .markov import DegreeError, MarkovClass, markov_class
 from .packed import _width
 from .permutations import Permutation
@@ -78,6 +78,7 @@ __all__ = [
     "desing_resolve",
     "subset_expansion",
     "trace_functional",
+    "trace_components",
     "TraceVector",
     "trace_vector",
     "basis_word",
@@ -215,11 +216,7 @@ class HeckeElement(Record):
     def __add__(self, other: "HeckeElement") -> "HeckeElement":
         if self.strands != other.strands:
             raise ValueError("strand counts differ")
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            acc = out.get(w)
-            out[w] = c if acc is None else acc + c
-        return HeckeElement(self.strands, out)
+        return HeckeElement(self.strands, _summed(self.terms, other.terms))
 
     @property
     def is_zero(self) -> bool:
@@ -406,6 +403,16 @@ class TraceVector(Record):
         if len(values) != degree + 1:
             raise ValueError("a degree-d trace vector has d+1 entries")
         self._set(degree, values)
+
+
+def trace_components(word: SingularBraidWord) -> list[dict[tuple[int, int], int]]:
+    """For each k in 0..degree, the sum over k-subsets S of the singular
+    letters of ``tr`` of the word with S resolved and the rest deleted, as an
+    integer Laurent dict over (q-exponent, z-exponent): ``hecke._folded``'s
+    result, decoded.  Each piece of the word's compacted cyclic reduction is
+    folded on the strands it spans, as its mirror when it has more negative
+    than positive crossings."""
+    return _decoded(_folded(word))
 
 
 def trace_vector(word: SingularBraidWord) -> TraceVector:
@@ -823,10 +830,15 @@ def _canonical_pair(num: dict, den: dict) -> tuple[dict, dict]:
     if g and g != {(0, 0): 1}:
         num = _divexact_terms(num, g)
         den = _divexact_terms(den, g)
+    return _over(num, den)
+
+
+def _over(num: dict, den: dict, g: int = 1) -> tuple[dict, dict]:
+    """num and den divided by g, which divides both, and both negated if den's
+    graded-lex leading coefficient is negative: the one sign rule."""
     if den[max(den, key=_monomial_key)] < 0:
-        num = {mono: -c for mono, c in num.items()}
-        den = {mono: -c for mono, c in den.items()}
-    return num, den
+        g = -g
+    return {mono: c // g for mono, c in num.items()}, {mono: c // g for mono, c in den.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -886,13 +898,7 @@ def embed_qz_to_su(a: RationalFunction) -> RationalFunction:
     low = min(next(i for i, row in enumerate(rows) if row) for rows in (num, den))
     num = {(2 * i, 2 * j): c for i, row in enumerate(num[low:]) for j, c in enumerate(row) if c}
     den = {(2 * i, 2 * j): c for i, row in enumerate(den[low:]) for j, c in enumerate(row) if c}
-    g = _int_gcd(_terms_content(num), _terms_content(den))
-    if g > 1:
-        num = {mono: c // g for mono, c in num.items()}
-        den = {mono: c // g for mono, c in den.items()}
-    if den[max(den, key=_monomial_key)] < 0:
-        num = {mono: -c for mono, c in num.items()}
-        den = {mono: -c for mono, c in den.items()}
+    num, den = _over(num, den, _int_gcd(_terms_content(num), _terms_content(den)))
     return RationalFunction._raw(
         MultivariatePolynomial(SU, num), MultivariatePolynomial(SU, den)
     )

@@ -55,9 +55,10 @@ each rendered from one numerator with j = -1; the relation holds iff they
 are equal.  w s_i and w S_i are each folded as a word of its own, just as
 ``skein_class`` folds it, and w is folded once: the CLI hands the check the
 traces it builds w's classes from (``_check_numerators``), and
-``skein_triple_check``, called alone, folds w itself.  The three numerators
-are packed at one width, proved for the two sums as well
-(``markov._joint_numerators``).  The CLI renders only the two sides
+``skein_triple_check``, called alone, checks w's caps right after the
+index and folds w itself; each fold calls the seam ``markov._folded``.
+The three numerators are packed at one width, proved for the two sums as
+well (``markov._joint_numerators``).  The CLI renders only the two sides
 (``_sides``); ``skein_triple_check`` also renders each numerator alone, so
 its legs are the classes of w s_i, w S_i and w.  This checks the fold,
 three coordinate solves and the closed-form rendering of both sides, not
@@ -74,8 +75,9 @@ from math import prod
 
 from .braid import Generator, Record, SIGMA, SIGMA_INV, SingularBraidWord, _forward, exponent_sum
 from .coeff import SU, MultivariatePolynomial, RationalFunction
+from . import markov
 from .markov import ClassPolynomial, FactoredCoordinate
-from .markov import _factored, _factored_from, _joint_numerators, _traces, factored_coordinates
+from .markov import _factored, _factored_from, _joint_numerators, check_caps, factored_coordinates
 from .packed import PackedProduct, _digits, _divide_x_minus_one, _embed_packed, _low_digit, _width
 
 __all__ = [
@@ -209,7 +211,9 @@ def _closure_coefficient(c: FactoredCoordinate, m: int, k: int, j: int = 0) -> R
 
 def skein_triple_check(word: SingularBraidWord, i: int) -> SkeinTripleResult:
     """Check t^{-1}[closure(w s_i)] - t[closure(w S_i)] = x[closure(w)] (module docstring)."""
-    layout, numerators = _check_numerators(word, _legs(word, i), _traces(word))
+    legs = _legs(word, i)
+    check_caps(word)
+    layout, numerators = _check_numerators(word, legs, markov._folded(word))
     lhs, rhs = _sides(word, layout, numerators)
     n, d, e = word.strands, word.degree, exponent_sum(word)
     # the classes of w s_i, w S_i and w, of writhes e + 1, e - 1 and e
@@ -230,9 +234,9 @@ def _legs(word: SingularBraidWord, i: int) -> tuple[SingularBraidWord, SingularB
 
 def _check_numerators(word: SingularBraidWord, legs: tuple, traces: list | PackedProduct) -> tuple:
     """The layout and the numerators of w s_i, w S_i and w, for ``word`` and
-    its ``_legs``, given the word's traces (``markov._traces``): only the
-    legs are folded here."""
-    return _joint_numerators([_traces(leg) for leg in legs] + [traces], word)
+    its ``_legs``, given the word's traces (``markov._folded``): only the
+    legs are folded here, with no cap check, as they keep w's."""
+    return _joint_numerators([markov._folded(leg) for leg in legs] + [traces], word)
 
 
 def _sides(word: SingularBraidWord, layout: tuple, numerators: list) -> tuple:

@@ -40,7 +40,7 @@ from singskein import cli, hecke, markov, markov_class, parse, skein_class, skei
 from singskein.braid import SingularBraidWord, _reduced, exponent_sum
 from singskein.coeff import QZ, SU, RationalFunction
 from singskein.moves import random_move_sequence
-from singskein.oracle import embed_qz_to_su
+from singskein.oracle import embed_qz_to_su, trace_components
 from singskein.packed import PackedProduct, _width
 from singskein.skein import _closure_coefficient
 
@@ -120,7 +120,7 @@ def both_orientations(tally):
     # z -> q - 1 - z; the direct fold never runs that map, so it is an
     # independent check of it.  Both folds are the unsplit hecke._trace on
     # the letters as given, so they are also the cross-check of
-    # hecke.trace_components, which folds the word's cyclic reduction on
+    # oracle.trace_components, which folds the word's cyclic reduction on
     # the strands it spans and, on 7 strands or more, cuts it into pieces
     # and blocks at its block indices and multiplies their traces and
     # factors; the letter totals before and after that reduction, and the
@@ -133,7 +133,7 @@ def both_orientations(tally):
         reduced += len(_reduced(w.letters))
         pieces, blocks = hecke._split(*hecke._compact(_reduced(w.letters)))
         split += len(pieces) + len(blocks) > 1
-        ok = folds[0] == folds[1] == hecke.trace_components(w)
+        ok = folds[0] == folds[1] == trace_components(w)
         tally(ok, "folds differ:", ref.workload, " ".join(ref.argv))
     print(f"letters: {given} as given, {reduced} after cyclic reduction")
     print(f"{split}/{tally.total} reference words split at a block index")
@@ -156,7 +156,7 @@ def packed_handoff(tally):
             continue
         handed += 1
         from_product = markov._factored_from(product, w)
-        decoded = markov._factored_from(hecke.trace_components(w), w)
+        decoded = markov._factored_from(trace_components(w), w)
         ok = {ab: c.in_qz() for ab, c in from_product.items()} == {ab: c.in_qz() for ab, c in decoded.items()}
         tally(ok, "coordinates differ:", w)
     print(f"{handed}/{len(words)} reference and cap reference words split at a block index")
@@ -213,7 +213,7 @@ def verify_recompute(tally):
             w, args = ref.word, ref.args
             reference = skein_class(w)
             strand_cap = markov.check_caps(w, args.max_degree, args.max_strands)
-            moves = random_move_sequence(w, args.moves, seed=args.seed, max_strands=strand_cap)
+            moves = list(random_move_sequence(w, args.moves, seed=args.seed, max_strands=strand_cap))
             failures = [f"step {k}: {move!r} changed the class" for k, (move, step) in enumerate(moves, 1) if skein_class(step) != reference]
             steps += len(moves)
             expected = {"moves": args.moves, "seed": args.seed, "passed": args.moves - len(failures), "failed": len(failures), "failures": failures}
@@ -327,7 +327,7 @@ def fold_cap_word(c, seed, expected):
     c, seed = int(c), int(seed)
     word = parse(cap_word(c, seed), 12)
     start = time.process_time()
-    comps = hecke.trace_components(word)
+    comps = trace_components(word)
     cpu = time.process_time() - start
     digest = hashlib.sha256(repr([sorted(comp.items()) for comp in comps]).encode()).hexdigest()
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
@@ -367,7 +367,7 @@ def modp_fold(tally):
     for name, words in groups.items():
         start, failed = time.process_time(), tally.failed
         for text, strands in words:
-            comps = hecke.trace_components(parse(text, strands))
+            comps = trace_components(parse(text, strands))
             tally(modp.check(text, strands, comps, rng), "differs mod p:", text, strands)
         print(f"{len(words) - tally.failed + failed}/{len(words)} {name} agree mod p, CPU {time.process_time() - start:.2f} s")
     tally.report("words agree with the fold mod p")

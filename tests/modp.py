@@ -4,7 +4,7 @@ standard library only.
     PYTHONPATH=src python3 tests/battery.py modp    # the battery's step
 
 Evaluation at a point is a ring homomorphism, so the trace components
-C_k(q, z) of ``hecke.trace_components`` can be checked at a point
+C_k(q, z) of ``oracle.trace_components`` can be checked at a point
 (q0, z0): sum_k C_k(q0, z0) rho0^k must be the trace of the word's image
 in the Hecke algebra at q0, with each double point t_i sent to
 1 + rho0 T_i (the deleted copy plus the copy resolved to T_i), and that

@@ -365,8 +365,8 @@ def test_relation_move_rejects_negative_position():
 
 def test_random_move_sequence_deterministic():
     w = word("t1 s1 S2", 3)
-    a = random_move_sequence(w, 30, seed=42)
-    b = random_move_sequence(w, 30, seed=42)
+    a = list(random_move_sequence(w, 30, seed=42))
+    b = list(random_move_sequence(w, 30, seed=42))
     assert a == b
     assert len(a) == 30
 
@@ -380,7 +380,7 @@ def test_random_move_sequence_respects_caps():
 
 
 def test_random_move_sequence_empty():
-    assert random_move_sequence(word("t1", 2), 0, seed=0) == []
+    assert list(random_move_sequence(word("t1", 2), 0, seed=0)) == []
 
 
 def test_a_sampled_destabilisation_is_applied_once(monkeypatch):
@@ -396,7 +396,7 @@ def test_a_sampled_destabilisation_is_applied_once(monkeypatch):
         return out
 
     monkeypatch.setattr(StabilizeDown, "apply", counted)
-    steps = random_move_sequence(start, 100, seed=0)
+    steps = list(random_move_sequence(start, 100, seed=0))
     monkeypatch.undo()
     downs = [before for (move, _), before in zip(steps, [start] + [w for _, w in steps]) if isinstance(move, StabilizeDown)]
     assert len(downs) == 5

@@ -217,7 +217,7 @@ def test_verify_matches_recomputing_every_class(word, seed, moves):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(markov, "_folded", fold)
             verify = cli._verify_moves(
-                word, _reduced(word.letters), markov._traces(word), skein_class(word),
+                word, _reduced(word.letters), markov._folded(word), skein_class(word),
                 markov.HARD_MAX_STRANDS, args,
             )
             assert verify == recomputed_verify(word, moves, seed)
@@ -243,7 +243,7 @@ def test_verify_classes_each_new_reduction_once(monkeypatch):
         ("rotate widened", widened_rotated),
         ("split", split),  # seen: neither folded nor classed
     ]
-    monkeypatch.setattr("singskein.moves._move_stream", lambda *args, **kwargs: iter(script))
+    monkeypatch.setattr("singskein.moves.random_move_sequence", lambda *args, **kwargs: iter(script))
     folded, classed = [], []
 
     def counted_fold(word, reduced=None):
@@ -346,10 +346,10 @@ def test_skein_check_shares_the_given_words_fold(monkeypatch):
     assert folded == []
 
 
-def _entries(function, argv) -> int:
-    """How many times ``cli.run`` on ``argv`` enters ``function``, counted on
-    its code object by ``sys.setprofile``, so that every module's binding of
-    the name is seen."""
+def _calls(function, call) -> int:
+    """How many times ``call()`` enters ``function``, counted on its code
+    object by ``sys.setprofile``, so that every module's binding of the name
+    is seen."""
     code, count = function.__code__, 0
 
     def profile(frame, event, arg):
@@ -357,13 +357,42 @@ def _entries(function, argv) -> int:
         if event == "call" and frame.f_code is code:
             count += 1
 
-    args = cli.build_parser().parse_args(argv)
     sys.setprofile(profile)
     try:
-        cli.run(args)
+        call()
     finally:
         sys.setprofile(None)
     return count
+
+
+def _entries(function, argv) -> int:
+    """How many times ``cli.run`` on ``argv`` enters ``function`` (``_calls``)."""
+    args = cli.build_parser().parse_args(argv)
+    return _calls(function, lambda: cli.run(args))
+
+
+def test_each_word_is_checked_against_the_caps_once(monkeypatch):
+    # check_caps runs once, where a word enters: once per cli.run, whatever
+    # it folds after parsing, and once per skein_triple_check and
+    # markov_class call; the skein check's legs and the move words keep the
+    # degree and the strand cap, so nothing checks them again
+    argv = ["--word", "s1 S2 t1 s2"]
+    for flags in ([], ["--skein-check", "1"], ["--skein-check", "1", "--verify", "--moves", "5"]):
+        assert _entries(markov.check_caps, argv + flags) == 1, flags
+    word = parse("s1 S2 t1 s2")
+    assert _calls(markov.check_caps, lambda: skein_triple_check(word, 1)) == 1
+    assert _calls(markov.check_caps, lambda: markov.markov_class(word)) == 1
+    # skein_triple_check refuses a word over the caps before any fold, and
+    # an out-of-range index before the caps
+    folded = []
+    monkeypatch.setattr(markov, "_folded", lambda w, reduced=None: folded.append(w))
+    over = parse(" ".join(["t1"] * (markov.HARD_MAX_DEGREE + 1)), 2)
+    with pytest.raises(markov.CapExceededError, match="double points"):
+        skein_triple_check(over, 1)
+    with pytest.raises(ValueError, match="crossing index 2 out of range") as refused:
+        skein_triple_check(over, 2)
+    assert refused.type is ValueError
+    assert folded == []
 
 
 def test_skein_check_renders_only_its_two_sides():
@@ -659,6 +688,8 @@ _REPR = "a repr: --verify failure lines and test messages use it, and no corpus 
 _UNREACHED = {
     **dict.fromkeys([
         "coeff._monomial_key",
+        "coeff._summed",
+        "coeff._convolved",
         "coeff._terms_content",
         "coeff._times_monomial",
         *(f"coeff.MultivariatePolynomial.{name}" for name in (
@@ -685,8 +716,6 @@ _UNREACHED = {
         "markov.ClassPolynomial.__repr__",
     ], _REPR),
     "braid.Record.__setattr__": "raises on every write: no value is written after it is built",
-    "moves.random_move_sequence": "the list of _move_stream's moves that the tests and the benchmark import",
-    "hecke.trace_components": "the decoded fold, which the oracle's trace_vector, the battery and the tests call",
 }
 
 

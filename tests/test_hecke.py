@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from singskein import cli, hecke
 from singskein.braid import SIGMA, SIGMA_INV, TAU, Generator, SingularBraidWord, _reduced, parse
 from singskein.coeff import QZ, RationalFunction
-from singskein.hecke import trace_components
 from singskein.moves import R_INSERT, Conjugate, RelationMove
 from singskein.oracle import (
     HeckeElement,
@@ -25,6 +24,7 @@ from singskein.oracle import (
     multiply,
     ocneanu_trace,
     permutation_trace,
+    trace_components,
     trace_functional,
 )
 from singskein.packed import _digits, _width

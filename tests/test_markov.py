@@ -17,7 +17,6 @@ from singskein.braid import (
 from singskein.coeff import QZ, MultivariatePolynomial, RationalFunction
 from singskein.braid import exponent_sum
 from singskein import markov
-from singskein.hecke import trace_components
 from singskein.oracle import (
     _P_ONE,
     _P_W,
@@ -34,6 +33,7 @@ from singskein.oracle import (
     pairing_matrix,
     stack,
     subset_expansion,
+    trace_components,
     trace_functional,
     trace_vector,
     with_strands,
@@ -541,7 +541,7 @@ def test_packed_numerators_match_the_substitution_table(case):
     comp_sets = [trace_components(v) for v in words]
     shift = -min([0] + [eq for comps in comp_sets for comp in comps for eq, _ in comp])
     p_t, n_t, s_t = (_table_numerators(comps, d, shift) for comps in comp_sets)
-    folds = [markov._traces(v) for v in words]  # products for words that split
+    folds = [markov._folded(v) for v in words]  # products for words that split
     layout, (num,) = _joint_numerators(folds[2:], w)
     assert _decoded(num, layout, d, shift) == _nonzero(s_t)
     # the sums num_P - q num_N and (q - 1) num_S at the one layout of the

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import modp  # tests/ is on sys.path under pytest's default import mode
 from singskein import parse
-from singskein.hecke import trace_components
+from singskein.oracle import trace_components
 
 
 @st.composite

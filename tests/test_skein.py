@@ -27,7 +27,6 @@ from singskein.oracle import (
     stack,
     with_strands,
 )
-from singskein.packed import _pack, _packed_width
 from singskein.markov import _over_det_power, markov_class
 from singskein.skein import (
     VAR_T,
@@ -38,22 +37,11 @@ from singskein.skein import (
     skein_class,
     skein_triple_check,
 )
+from test_markov import _packed, random_singular_word  # the shared test helpers
 
 ONE = RationalFunction.one(SU)
 S = RationalFunction.coordinate(SU, "s")
 U = RationalFunction.coordinate(SU, "u")
-
-
-def random_singular_word(rng, strands, length, degree):
-    letters = [
-        Generator(rng.choice((SIGMA, SIGMA, SIGMA_INV)), rng.randrange(1, strands))
-        for _ in range(max(length - degree, 0))
-    ]
-    for _ in range(degree):
-        letters.insert(
-            rng.randint(0, len(letters)), Generator(TAU, rng.randrange(1, strands))
-        )
-    return SingularBraidWord(strands, tuple(letters))
 
 
 # -- normalisation anchors ------------------------------------------------------
@@ -246,17 +234,6 @@ def test_coefficients_match_products_in_the_image_field():
                 num, den = num * f.numerator, den * f.denominator
             expected[(a, b)] = RationalFunction(num, den)
         assert skein_class(w) == SkeinClass(expected)
-
-
-def _packed(laurent, d, ms=(0,)):
-    """A Laurent numerator over D^d as ``_over_det_power``'s (rows, q0, width),
-    at the width proved for rendering it with z^m for each m in ms."""
-    q0 = min(e0 for e0, _ in laurent)
-    q_top = max(e0 for e0, _ in laurent)
-    z_top = max(e1 for _, e1 in laurent)
-    l1 = sum(map(abs, laurent.values()))
-    width = max(_packed_width(l1, z_top, q_top - min(q0, 0), d, m) for m in ms)
-    return _pack(laurent, q0, width), q0, width
 
 
 def test_closed_form_matches_embedding_of_the_general_fraction():
