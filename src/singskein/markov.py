@@ -294,9 +294,6 @@ class FactoredCoordinate(Record):
 
     __slots__ = ("rows", "p", "alpha", "beta", "sign", "width")
 
-    def __init__(self, rows: tuple[int, ...], p: int, alpha: int, beta: int, sign: int, width: int):
-        self._set(rows, p, alpha, beta, sign, width)
-
     def in_qz(self) -> RationalFunction:
         """Canonical form: sign * (-1)^alpha * R over q^p (q - z)^alpha
         (z + 1)^beta.  Every q-exponent p + alpha - i of the denominator comes

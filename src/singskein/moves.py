@@ -8,11 +8,12 @@ closure:
 * cyclic shifts and conjugation by invertible (crossing-only) words;
 * stabilisation by a crossing on a fresh top strand, and its inverse.
 
-``random_move_sequence`` yields a seeded fuzzer's moves one at a time, as
-``--verify`` reads them.  Only ``--verify`` needs them, so the CLI loads
-this module on first use; ``braid._forward`` reads ``RelationMove`` and
-``random_move_sequence`` from here for ``singskein.braid``, as the
-acceptance tests and the benchmark import them from there.
+``random_move_sequence`` checks its arguments when it is called and then
+yields a seeded fuzzer's moves one at a time, as ``--verify`` reads them.
+Only ``--verify`` needs them, so the CLI loads this module on first use;
+``braid._forward`` reads ``RelationMove`` and ``random_move_sequence`` from
+here for ``singskein.braid``, as the acceptance tests and the benchmark
+import them from there.
 """
 
 from __future__ import annotations
@@ -56,9 +57,6 @@ class MarkovMove(Record):
 class CyclicShift(MarkovMove):
     __slots__ = ("amount",)
 
-    def __init__(self, amount: int):
-        self._set(amount)
-
     def apply(self, word: SingularBraidWord) -> SingularBraidWord:
         n = len(word.letters)
         if n == 0:
@@ -69,9 +67,6 @@ class CyclicShift(MarkovMove):
 
 class Conjugate(MarkovMove):
     __slots__ = ("by",)
-
-    def __init__(self, by: SingularBraidWord):
-        self._set(by)
 
     def apply(self, word: SingularBraidWord) -> SingularBraidWord:
         if self.by.strands != word.strands:
@@ -85,10 +80,7 @@ class Conjugate(MarkovMove):
 
 
 class StabilizeUp(MarkovMove):
-    __slots__ = ("sign",)
-
-    def __init__(self, sign: int):  # +1 or -1
-        self._set(sign)
+    __slots__ = ("sign",)  # +1 or -1
 
     def apply(self, word: SingularBraidWord) -> SingularBraidWord:
         if self.sign not in (1, -1):
@@ -243,7 +235,8 @@ def random_move_sequence(
     max_length: int | None = None,
 ) -> Iterator[tuple[MarkovMove, SingularBraidWord]]:
     """Seeded applicable moves, each yielded as (move, resulting word), so a
-    caller holds one word, not ``length``; ``list()`` it to keep them."""
+    caller holds one word, not ``length``; ``list()`` it to keep them.  The
+    arguments are checked here, at the call, and the moves drawn lazily."""
     if length < 0:
         raise ValueError("length must be >= 0")
     if max_strands is None:
@@ -251,10 +244,13 @@ def random_move_sequence(
     if max_length is None:
         max_length = len(word.letters) + 16
     rng = random.Random(seed)
-    current = word
-    for _ in range(length):
-        move, current = _sample_move(rng, current, max_strands, max_length)
-        yield move, current
+
+    def steps(current):
+        for _ in range(length):
+            move, current = _sample_move(rng, current, max_strands, max_length)
+            yield move, current
+
+    return steps(word)
 
 
 def _sample_move(

@@ -312,9 +312,6 @@ class FormalWordSum(Record):
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: tuple[tuple[SingularBraidWord, int], ...]):
-        self._set(terms)
-
     @classmethod
     def from_terms(
         cls, items: Iterable[tuple[SingularBraidWord, int]]

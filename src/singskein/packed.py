@@ -169,12 +169,6 @@ class PackedProduct(Record):
 
     __slots__ = ("value", "width", "slots", "span", "rows", "low", "norms")
 
-    def __init__(
-        self, value: int, width: int, slots: int, span: int, rows: int, low: int,
-        norms: tuple[int, ...],
-    ):
-        self._set(value, width, slots, span, rows, low, norms)
-
     def decoded(self) -> list[dict[tuple[int, int], int]]:
         """The coefficients of r^0 .. r^(slots - 1), each a Laurent dict over
         (q-exponent, z-exponent): split at z, then each z-row at the width

@@ -117,17 +117,6 @@ class SkeinTripleResult(Record):
 
     __slots__ = ("holds", "positive", "negative", "smoothed", "lhs", "rhs")
 
-    def __init__(
-        self,
-        holds: bool,
-        positive: SkeinClass,
-        negative: SkeinClass,
-        smoothed: SkeinClass,
-        lhs: SkeinClass,
-        rhs: SkeinClass,
-    ):
-        self._set(holds, positive, negative, smoothed, lhs, rhs)
-
 
 def skein_class(word: SingularBraidWord) -> SkeinClass:
     """Class of the word's closure in the basis {Xhat^a Yhat^b}."""

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from singskein.braid import (
     Generator,
     InapplicableMoveError,
+    Record,
     SIGMA,
     SIGMA_INV,
     SingularBraidWord,
@@ -38,7 +39,7 @@ from singskein.moves import (
     relation_move_candidates,
 )
 from singskein.coeff import QZ, SU, MultivariatePolynomial, RationalFunction
-from singskein.markov import MarkovClass
+from singskein.markov import FactoredCoordinate, MarkovClass
 from singskein.oracle import (
     FormalWordSum,
     HeckeElement,
@@ -48,8 +49,9 @@ from singskein.oracle import (
     underlying_permutation,
     with_strands,
 )
+from singskein.packed import PackedProduct, _product
 from singskein.permutations import Permutation
-from singskein.skein import SkeinClass
+from singskein.skein import SkeinClass, SkeinTripleResult
 
 from forwarding import forwarding
 
@@ -249,6 +251,7 @@ def test_records_keep_their_value_semantics():
     assert repr(word("s1 S2 t1", 3)) == "<word s1 S2 t1 on 3>"
     assert repr(SingularBraidWord(2, ())) == "<word empty on 2>"
     q = RationalFunction.coordinate(QZ, "q")
+    one = SkeinClass({(0, 1): RationalFunction.one(SU)})
     twins = [  # two equal values and one of their fields
         (Generator(SIGMA, 2), Generator(SIGMA, 2), "kind"),
         (word("s1 S2 t1", 3), parse("s1  S2 t1", 3), "letters"),
@@ -269,9 +272,19 @@ def test_records_keep_their_value_semantics():
         (HeckeElement.identity(2), HeckeElement(2, {Permutation.identity(2): q / q}), "terms"),
         (FormalWordSum.from_terms([(word("t1", 2), 1)] * 2), FormalWordSum(((word("t1", 2), 2),)), "terms"),
         (TraceVector(1, (q, q)), TraceVector(1, (q, q)), "values"),
+        (PackedProduct(3, 8, 1, 1, 1, 0, (3,)), _product([[{(0, 0): 3}]], 1), "value"),
+        (FactoredCoordinate((1, 2), 0, 1, 0, -1, 8), FactoredCoordinate((1, 2), 0, 1, 0, -1, 8), "rows"),
+        (SkeinTripleResult(True, *[one] * 5), SkeinTripleResult(True, *[one] * 5), "holds"),
     ]
     for a, b, field in twins:
         assert a == b and not a != b and hash(a) == hash(b)
+        if type(a).__init__ is Record.__init__:
+            # a record without its own __init__ takes exactly its fields
+            values = [getattr(a, name) for name in a.__slots__]
+            assert type(a)(*values) == a
+            for wrong in ([values[:-1]] if values else []) + [values + [0]]:
+                with pytest.raises(TypeError, match=type(a).__name__):
+                    type(a)(*wrong)
         for name in (field, "extra"):
             if name is not None:
                 with pytest.raises(AttributeError):
@@ -381,6 +394,12 @@ def test_random_move_sequence_respects_caps():
 
 def test_random_move_sequence_empty():
     assert list(random_move_sequence(word("t1", 2), 0, seed=0)) == []
+
+
+def test_random_move_sequence_checks_its_length_when_called():
+    # no move is drawn, so no iteration is needed to see the refusal
+    with pytest.raises(ValueError):
+        random_move_sequence(parse("t1 s1", 2), -1, seed=0)
 
 
 def test_a_sampled_destabilisation_is_applied_once(monkeypatch):

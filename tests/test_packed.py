@@ -1,10 +1,12 @@
 """The one decoder of the packed format: balanced digits back out of an int."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from singskein.packed import PackedProduct, _digits, _low_digit, _pack, _product, _width
+from singskein.packed import PackedProduct, _digits, _low_digit, _pack, _packed_width, _product, _width
 
 
 @st.composite
@@ -54,6 +56,22 @@ def test_width_covers_its_bound():
     for bound in (0, 1, 7, 8, 2**64 - 1):
         half = 1 << (_width(bound) - 1)
         assert bound < half and 2 * bound >= half - 1
+
+
+def test_packed_width_is_the_least_width_that_holds_the_lemmas_bound():
+    # the module docstring's bound on every digit read, factor by factor:
+    # l1 L^(2d) from the divisions by z - q and z + 1, 2^level from the
+    # embedding, (D + level + 1)^r from the divisions by x - 1; a numerator
+    # constant in z counts as z-degree 1.  W is the least width whose
+    # balanced digits hold it: bound < 2^(W-1) <= 2 bound.
+    for l1, z_degree, q_degree, d, m in itertools.product(
+        (1, 6, 1000), (0, 1, 4), (0, 5), (0, 1, 3), (-3, -1, 0, 2)
+    ):
+        r = max(-m, 0)
+        level = max(z_degree + max(m, 0), 2 * d + r)
+        bound = l1 * max(z_degree, 1) ** (2 * d) * 2**level * (q_degree + level + 1) ** r
+        width = _packed_width(l1, z_degree, q_degree, d, m)
+        assert bound < 1 << (width - 1) <= 2 * bound, (l1, z_degree, q_degree, d, m)
 
 
 def test_product_reads_coefficients_at_its_width_bound():
