@@ -37,7 +37,6 @@ __all__ = [
     "parse",
     "exponent_sum",
     "component_count",
-    "inverse_word",
 ]
 
 
@@ -114,7 +113,7 @@ class Record:
 
     def __init_subclass__(cls, **kwargs):
         # _fields(record), the tuple of its fields, is one C call for two or
-        # more fields, as records key the CLI's memos; attrgetter returns a
+        # more fields, as records key --verify's memo; attrgetter returns a
         # bare value for one name, so that case is wrapped
         super().__init_subclass__(**kwargs)
         names = cls.__slots__
@@ -168,11 +167,6 @@ class Generator(Record):
     @property
     def token(self) -> str:
         return f"{_KIND_TOKEN[self.kind]}{self.index}"
-
-    def inverse(self) -> "Generator":
-        if self.kind == TAU:
-            raise ValueError("a singular crossing has no inverse")
-        return Generator(-self.kind, self.index)
 
     def __repr__(self) -> str:
         return self.token
@@ -255,13 +249,6 @@ def component_count(word: SingularBraidWord) -> int:
             while strand_at[k] is not None:
                 strand_at[k], k = None, strand_at[k]
     return count
-
-
-def inverse_word(word: SingularBraidWord) -> SingularBraidWord:
-    """Inverse of a crossing-only word (letters reversed, signs flipped)."""
-    return SingularBraidWord(
-        word.strands, tuple(g.inverse() for g in reversed(word.letters))
-    )
 
 
 def _reduced(letters: tuple) -> tuple:

@@ -8,17 +8,12 @@ exhausted (a word inside the caps can still run out of memory).
 
 stdout is byte-identical for identical (input, flags, seed); wall-clock
 timing goes to stderr.  ``--moves`` is at most ``HARD_MAX_MOVES`` (10,000).
-The moves are generated one at a time and each word is dropped once it is
-checked, so the cap does not bound a list of words: it bounds the run's
-time, linear in the move count, and the verdict memo, which keeps one
-cyclic reduction for each distinct word folded.  A run folds
-each distinct (strand count, cyclic reduction) of those words once, the
-given word's included, and builds a full class only for the first word of
-each new (strand count, writhe) shape; every other word is decided on its
-trace components.  A fold of a word on 7 strands or more may go in pieces,
-cut at strand indices whose letters sit together; the pieces are a function
-of the cyclic reduction, so that key still fixes the computation.  Only
-the given word's caps are checked, right after parsing (``markov``).
+This module parses, runs the pipeline once on the given word and renders.
+``--verify`` runs in ``singskein.moves`` (``verify_moves``), which holds
+the moves' verdict memo and its rules; it is loaded on the first
+``--verify`` and handed the word's cyclic reduction, traces and skein
+class.  Only the given word's caps are checked, right after parsing
+(``markov``).
 """
 
 from __future__ import annotations
@@ -31,10 +26,8 @@ from json.encoder import encode_basestring_ascii as _json_string
 
 from . import markov
 from .braid import Record, SingularBraidWord, _reduced, component_count, exponent_sum, parse
-from .hecke import _decoded
 from .markov import HARD_MAX_DEGREE, HARD_MAX_STRANDS, CapExceededError, MarkovClass, check_caps
-from .packed import PackedProduct
-from .skein import SkeinClass, _check_numerators, _class_from_components, _legs, _rendered, _sides
+from .skein import SkeinClass, _check_numerators, _legs, _rendered, _sides
 
 __all__ = ["main", "run", "RunReport"]
 
@@ -153,8 +146,10 @@ def run(args: argparse.Namespace) -> RunReport:
     verify: dict | None = None
     if args.verify or legs is not None:
         verify = {}
-        if args.verify:
-            verify.update(_verify_moves(word, reduced, traces, skein, strand_cap, args))
+        if args.verify:  # the move machinery is imported here, on the first --verify
+            from .moves import verify_moves
+
+            verify.update(verify_moves(word, reduced, traces, skein, strand_cap, args.moves, args.seed))
         if legs is not None:  # the check folds the legs and shares the word's traces
             lhs, rhs = _sides(word, *_check_numerators(word, legs, traces))
             verify["skein_check"] = {
@@ -175,83 +170,6 @@ def run(args: argparse.Namespace) -> RunReport:
         elapsed_seconds=elapsed,
         verify=verify,
     )
-
-
-def _verify_moves(
-    word: SingularBraidWord,
-    reduced: tuple,
-    traces: list | PackedProduct,
-    reference: SkeinClass,
-    strand_cap: int,
-    args: argparse.Namespace,
-) -> dict:
-    """Check ``args.moves`` random moves of ``word``, whose cyclic reduction
-    (``braid._reduced``) is ``reduced`` and whose traces (from
-    ``markov._folded``) are ``traces``, against ``reference``, its
-    ``skein_class``; no move takes a word past ``strand_cap`` strands, the
-    cap ``check_caps`` checked it against."""
-    # The move words need no cap check of their own: every move keeps the
-    # degree, and random_move_sequence keeps the strand count within the cap.
-    # random_move_sequence yields the moves one at a time, so only the
-    # current word is held; the move machinery is imported here, on the
-    # first --verify.
-    from .moves import random_move_sequence
-
-    passed = 0
-    failures: list[str] = []
-    steps = random_move_sequence(word, args.moves, seed=args.seed, max_strands=strand_cap)
-    # A class reads the word's strands, degree and exponent sum, and its
-    # traces, which hecke._folded folds from _compact(_reduced(letters)),
-    # whole or in the pieces and blocks hecke._split cuts it into, a
-    # function of those letters alone; the reduction keeps the degree and
-    # the exponent sum.
-    # So words with equal (strands, reduction) run the same computation on
-    # the same input, and each key's verdict is computed once.  The key is
-    # not made rotation-canonical: a rotation folds other letters, and its
-    # class is equal only by the theory this run checks.
-    verdicts = {(word.strands, reduced): True}
-    # A new key is folded once and decided on its components where it can
-    # be.  Moves keep the degree d, and for fixed (n, e, d) the class is
-    # components -> numerators -> factored coordinates -> embed(c z^m) u^k,
-    # each step injective: the change of variables T0 = wA - zB,
-    # T1 = B - zA is invertible, as D = -(z - q)(z + 1) != 0; lowest terms
-    # are canonical; the embedding is a field embedding, and z^m and u^k
-    # are nonzero.  So within a shape (n, e), equal components (Laurent
-    # dicts without zero entries) <=> equal classes, and good maps a shape
-    # to the components of a word of it whose class is the reference.  The
-    # first word of each new shape, and the next word of a shape whose known
-    # word failed, takes the full class, straight from its traces (a product
-    # stays undecoded): that keeps the normalisation by n and e under check,
-    # which no scaling of components derived here would.  Traces are
-    # decoded only to be compared or kept in good.
-    good = {(word.strands, exponent_sum(word)): _decoded(traces)}
-    for step_number, (move, step_word) in enumerate(steps, start=1):
-        key = (step_word.strands, _reduced(step_word.letters))
-        verdict = verdicts.get(key)
-        if verdict is None:
-            # through the module, the seam where the fold is wrapped or
-            # replaced, given the reduction the key already holds
-            step_traces = markov._folded(step_word, key[1])
-            shape = (step_word.strands, exponent_sum(step_word))
-            known = good.get(shape)
-            if known is not None:
-                verdict = _decoded(step_traces) == known
-            else:
-                verdict = _class_from_components(step_traces, step_word) == reference
-                if verdict:
-                    good[shape] = _decoded(step_traces)
-            verdicts[key] = verdict
-        if verdict:
-            passed += 1
-        else:
-            failures.append(f"step {step_number}: {move!r} changed the class")
-    return {
-        "moves": args.moves,
-        "seed": args.seed,
-        "passed": passed,
-        "failed": len(failures),
-        "failures": failures,
-    }
 
 
 def _class_json(cls, key_a: str, key_b: str) -> str:

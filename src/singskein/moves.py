@@ -1,4 +1,5 @@
-"""The moves that preserve a singular braid's closure, and the seeded fuzzer.
+"""The moves that preserve a singular braid's closure, the seeded fuzzer,
+and ``--verify``, which checks a class against the fuzzer's moves.
 
 Every move rewrites a word of ``singskein.braid`` without changing its
 closure:
@@ -9,11 +10,23 @@ closure:
 * stabilisation by a crossing on a fresh top strand, and its inverse.
 
 ``random_move_sequence`` checks its arguments when it is called and then
-yields a seeded fuzzer's moves one at a time, as ``--verify`` reads them.
-Only ``--verify`` needs them, so the CLI loads this module on first use;
-``braid._forward`` reads ``RelationMove`` and ``random_move_sequence`` from
-here for ``singskein.braid``, as the acceptance tests and the benchmark
-import them from there.
+yields a seeded fuzzer's moves one at a time, and ``verify_moves`` checks
+the class of each move's word against the given word's, holding only the
+current word.  Only ``--verify`` needs them, so the CLI loads this module
+on first use, and hands ``verify_moves`` the given word's cyclic
+reduction, traces and class, which it has already built.  ``--moves`` is
+at most ``cli.HARD_MAX_MOVES`` (10,000), which bounds the run's time,
+linear in the move count, and the verdict memo, which keeps one cyclic
+reduction for each distinct word folded.  A run folds each distinct
+(strand count, cyclic reduction) of those words once, the given word's
+included, and builds a full class only for the first word of each new
+(strand count, writhe) shape; every other word is decided on its trace
+components.  A fold of a word on 7 strands or more may go in pieces, cut at
+strand indices whose letters sit together; the pieces are a function of
+the cyclic reduction, so that key still fixes the computation.
+``braid._forward`` reads ``RelationMove`` and ``random_move_sequence``
+from here for ``singskein.braid``, as the acceptance tests and the
+benchmark import them from there.
 """
 
 from __future__ import annotations
@@ -21,6 +34,7 @@ from __future__ import annotations
 import random
 from typing import Iterator
 
+from . import markov, skein
 from .braid import (
     SIGMA,
     SIGMA_INV,
@@ -29,8 +43,11 @@ from .braid import (
     InapplicableMoveError,
     Record,
     SingularBraidWord,
-    inverse_word,
+    _reduced,
+    exponent_sum,
 )
+from .hecke import _decoded
+from .packed import PackedProduct
 
 __all__ = [
     "MarkovMove",
@@ -41,6 +58,7 @@ __all__ = [
     "RelationMove",
     "relation_move_candidates",
     "random_move_sequence",
+    "verify_moves",
 ]
 
 
@@ -73,10 +91,8 @@ class Conjugate(MarkovMove):
             raise InapplicableMoveError("conjugator must share the strand count")
         if any(g.kind == TAU for g in self.by.letters):
             raise InapplicableMoveError("conjugator must be invertible (no double points)")
-        return SingularBraidWord(
-            word.strands,
-            self.by.letters + word.letters + inverse_word(self.by).letters,
-        )
+        inverse = tuple(Generator(-g.kind, g.index) for g in reversed(self.by.letters))
+        return SingularBraidWord(word.strands, self.by.letters + word.letters + inverse)
 
 
 class StabilizeUp(MarkovMove):
@@ -306,3 +322,72 @@ def _sample_move(
     else:
         move = CyclicShift(1 if length >= 2 else 0)
     return move, move.apply(word)
+
+
+def verify_moves(
+    word: SingularBraidWord,
+    reduced: tuple,
+    traces: list | PackedProduct,
+    reference: skein.SkeinClass,
+    strand_cap: int,
+    moves: int,
+    seed: int,
+) -> dict:
+    """``--verify``'s report: ``moves`` seeded moves of ``word``, whose
+    cyclic reduction (``braid._reduced``) is ``reduced`` and whose traces
+    (from ``markov._folded``) are ``traces``, each checked against
+    ``reference``, its ``skein_class``; no move takes a word past
+    ``strand_cap`` strands, the cap ``check_caps`` checked it against."""
+    # The move words need no cap check of their own: every move keeps the
+    # degree, and random_move_sequence keeps the strand count within the cap.
+    # It yields the moves one at a time, so only the current word is held.
+    passed = 0
+    failures: list[str] = []
+    steps = random_move_sequence(word, moves, seed=seed, max_strands=strand_cap)
+    # A class reads the word's strands, degree and exponent sum, and its
+    # traces, which hecke._folded folds from _compact(_reduced(letters)),
+    # whole or in the pieces and blocks hecke._split cuts it into, a
+    # function of those letters alone; the reduction keeps the degree and
+    # the exponent sum.
+    # So words with equal (strands, reduction) run the same computation on
+    # the same input, and each key's verdict is computed once.  The key is
+    # not made rotation-canonical: a rotation folds other letters, and its
+    # class is equal only by the theory this run checks.
+    verdicts = {(word.strands, reduced): True}
+    # A new key is folded once and decided on its components where it can
+    # be.  Moves keep the degree d, and for fixed (n, e, d) the class is
+    # components -> numerators -> factored coordinates -> embed(c z^m) u^k,
+    # each step injective: the change of variables T0 = wA - zB,
+    # T1 = B - zA is invertible, as D = -(z - q)(z + 1) != 0; lowest terms
+    # are canonical; the embedding is a field embedding, and z^m and u^k
+    # are nonzero.  So within a shape (n, e), equal components (Laurent
+    # dicts without zero entries) <=> equal classes, and good maps a shape
+    # to the components of a word of it whose class is the reference.  The
+    # first word of each new shape, and the next word of a shape whose known
+    # word failed, takes the full class, straight from its traces (a product
+    # stays undecoded): that keeps the normalisation by n and e under check,
+    # which no scaling of components derived here would.  Traces are
+    # decoded only to be compared or kept in good.
+    good = {(word.strands, exponent_sum(word)): _decoded(traces)}
+    for step_number, (move, step_word) in enumerate(steps, start=1):
+        key = (step_word.strands, _reduced(step_word.letters))
+        verdict = verdicts.get(key)
+        if verdict is None:
+            # the fold and the full class through their modules, the seams
+            # where they are wrapped or replaced; the fold is given the
+            # reduction the key already holds
+            step_traces = markov._folded(step_word, key[1])
+            shape = (step_word.strands, exponent_sum(step_word))
+            known = good.get(shape)
+            if known is not None:
+                verdict = _decoded(step_traces) == known
+            else:
+                verdict = skein._class_from_components(step_traces, step_word) == reference
+                if verdict:
+                    good[shape] = _decoded(step_traces)
+            verdicts[key] = verdict
+        if verdict:
+            passed += 1
+        else:
+            failures.append(f"step {step_number}: {move!r} changed the class")
+    return {"moves": moves, "seed": seed, "passed": passed, "failed": len(failures), "failures": failures}

@@ -13,7 +13,7 @@ undecoded product against those from its decode, the skein relation, --verify ag
 recomputation and its recorded counts, the packed coefficients against the
 dense oracle, the trace's L1 bound behind the fold's digit width on every
 permutation up to S_8, the 12-strand cap words, the trace components
-against an independent fold over GF(2^61 - 1) (tests/modp.py), the
+and both classes against an independent fold over GF(2^61 - 1) (tests/modp.py), the
 recorded digests of tests/cap_reference.json, and the CLI's output for the
 seeded argv lists of tests/cli_transcript.json; a last step, cap-sweep, only
 reports how the cap recipe's words are cut.  A failed check prints its line; the script exits 1
@@ -36,7 +36,7 @@ from typing import NamedTuple
 
 import cli_transcript
 import modp
-from singskein import cli, hecke, markov, markov_class, parse, skein_class, skein_triple_check
+from singskein import cli, hecke, markov, markov_class, parse, skein, skein_class, skein_triple_check
 from singskein.braid import SingularBraidWord, _reduced, exponent_sum
 from singskein.coeff import QZ, SU, RationalFunction
 from singskein.moves import random_move_sequence
@@ -187,14 +187,14 @@ def verify_recompute(tally):
     # cli.run's verify dict for every verify-fuzz word against a loop that
     # classes every move's word anew.  Inside cli.run the folds
     # (markov._folded, the one fold seam) and the full classes
-    # (cli._class_from_components) are counted: a run folds each distinct
+    # (skein._class_from_components) are counted: a run folds each distinct
     # (strand count, cyclic reduction) once, the given word's included, and
     # builds a full class only for a new (strands, writhe) shape with no
     # word known to be good.  Every verify dict must report no failed move,
     # and the counts must be the recorded ones (RECORDED_COUNTS): --verify
     # checks the engine against itself, so a fold that is wrong in the same
     # way for every word of a class passes it, but it moves the counts
-    fold, full_class = markov._folded, cli._class_from_components
+    fold, full_class = markov._folded, skein._class_from_components
     folded, classed = [], []
 
     def counted_fold(word, reduced=None):
@@ -219,11 +219,11 @@ def verify_recompute(tally):
             expected = {"moves": args.moves, "seed": args.seed, "passed": args.moves - len(failures), "failed": len(failures), "failures": failures}
             folded.clear()
             classed.clear()
-            markov._folded, cli._class_from_components = counted_fold, counted_class
+            markov._folded, skein._class_from_components = counted_fold, counted_class
             try:
                 verify = cli.run(args).verify
             finally:
-                markov._folded, cli._class_from_components = fold, full_class
+                markov._folded, skein._class_from_components = fold, full_class
             keys = {(s.strands, _reduced(s.letters)) for s in folded}
             shape = (w.strands, exponent_sum(w))
             new_shapes = {(s.strands, exponent_sum(s)) for s in folded[1:]} - {shape}
@@ -357,7 +357,11 @@ def modp_fold(tally):
     # given over GF(2^61 - 1), which shares no code with the production
     # fold, at a fixed point per word (random.Random(23), in this order):
     # the CAP_WORDS, the words of tests/cap_reference.json and a fixed
-    # sample of the reference words.  Each group's CPU time is printed
+    # sample of the reference words.  At the same point the class over
+    # Q(q, z) is checked against the fold (check 2), and at a point (s, u)
+    # drawn next each skein coefficient against the class over Q(q, z); both
+    # classes are built from the components checked.  Each group's CPU time
+    # is printed
     rng = random.Random(23)
     groups = {
         "cap words": [(cap_word(c, seed), 12) for c, seed, _ in CAP_WORDS],
@@ -367,10 +371,18 @@ def modp_fold(tally):
     for name, words in groups.items():
         start, failed = time.process_time(), tally.failed
         for text, strands in words:
-            comps = trace_components(parse(text, strands))
-            tally(modp.check(text, strands, comps, rng), "differs mod p:", text, strands)
+            word = parse(text, strands)
+            comps = trace_components(word)
+            factored = markov._factored_from(comps, word)
+            coeffs = modp.class_terms(markov._class_of(factored))
+            skein_coeffs = modp.class_terms(skein._rendered(factored, strands, exponent_sum(word)))
+            checks = {
+                "components and class": modp.check(text, strands, comps, rng, coeffs),
+                "skein class": modp.skein_check(coeffs, skein_coeffs, strands, exponent_sum(word), rng),
+            }
+            tally(all(checks.values()), "differs mod p:", text, strands, [k for k, ok in checks.items() if not ok])
         print(f"{len(words) - tally.failed + failed}/{len(words)} {name} agree mod p, CPU {time.process_time() - start:.2f} s")
-    tally.report("words agree with the fold mod p")
+    tally.report("words agree with the fold mod p, components, class and skein class")
 
 
 def cap_reference(tally):

@@ -22,6 +22,20 @@ j = w(m) < m is T_{s_j ... s_{m-1}} T_c, c = (s_j ... s_{m-1})^-1 w fixing
 m, so tr(T_w) = z tr(T_c T_j ... T_{m-2}) by the Markov property and
 cyclicity.  The c of each j join one sum just before its step s_j (Horner
 in j), and the terms with w(m) = m stay as they are.
+
+Two more checks read the classes (``class_terms``) at points.  Check 2:
+the class over Q(q, z) has trace components sum_k C_k T0^(d-k) T1^k =
+sum_ab x_ab A^a B^b with A = T0 + z T1 and B = z T0 + w T1,
+w = (q - 1) z + q (``singskein.markov``), so at T0 = 1, T1 = rho
+
+    sum_ab x_ab(q, z) (1 + z rho)^a (z + w rho)^b
+
+must be the fold's value at (q, z, rho) (``check``).  The skein class:
+each coefficient of Xhat^a Yhat^b at (s, u) must be
+x_ab(s^2, z) z^m u^k with z = (s^2 - 1)/(1 - s^2 u^2),
+m = a + b - n + 1 and k = a + e - n + 1, n the strands and e the writhe
+(``skein_check``).  Each check draws its point again where a denominator
+vanishes there.
 """
 
 P = 2**61 - 1
@@ -112,9 +126,75 @@ def value(text, strands, q, z, rho):
     return trace(fold(parse_word(text), strands, q, rho), strands, q, z)
 
 
-def check(text, strands, comps, rng):
-    """True iff the components ``comps`` of the word agree with its fold
-    mod P at a point drawn from ``rng``."""
-    q, z, rho = point(rng)
-    return components_at(comps, q, z, rho) == value(text, strands, q, z, rho)
+def class_terms(cls):
+    """A class's coefficients as {(a, b): (numerator, denominator)}, each a
+    {(exponent, exponent): int} dict: what this module reads of a
+    ``ClassPolynomial``."""
+    return {ab: (c.numerator.terms, c.denominator.terms) for ab, c in cls.coeffs.items()}
 
+
+def quotient_at(coeff, x, y):
+    """A (numerator, denominator) pair of term dicts at (x, y) mod P, or
+    None where the denominator vanishes."""
+    num, den = ((sum(c * pow(x, i, P) * pow(y, j, P) for (i, j), c in terms.items()) % P) for terms in coeff)
+    return num * pow(den, -1, P) % P if den else None
+
+
+def class_at(coeffs, q, z, rho):
+    """sum_ab x_ab(q, z) (1 + z rho)^a (z + w rho)^b mod P for the class
+    ``coeffs`` (``class_terms``), or None where a coefficient's denominator
+    vanishes at (q, z)."""
+    w = ((q - 1) * z + q) % P
+    a_at, b_at = (1 + z * rho) % P, (z + w * rho) % P
+    total = 0
+    for (a, b), coeff in coeffs.items():
+        x = quotient_at(coeff, q, z)
+        if x is None:
+            return None
+        total += x * pow(a_at, a, P) * pow(b_at, b, P)
+    return total % P
+
+
+def check(text, strands, comps, rng, coeffs=None):
+    """True iff the components ``comps`` of the word agree with its fold
+    mod P at a point drawn from ``rng``, and so does its class over
+    Q(q, z), ``coeffs`` (``class_terms``), when it is given (check 2); the
+    point is drawn again while a coefficient's denominator vanishes."""
+    q, z, rho = point(rng)
+    if coeffs is not None:
+        while (at := class_at(coeffs, q, z, rho)) is None:
+            q, z, rho = point(rng)
+    folded = value(text, strands, q, z, rho)
+    return components_at(comps, q, z, rho) == folded and (coeffs is None or at == folded)
+
+
+def skein_at(coeffs, strands, writhe, s, u):
+    """{(a, b): x_ab(s^2, z) z^m u^k mod P} for the class over Q(q, z)
+    ``coeffs`` (``class_terms``) of a word on ``strands`` strands of writhe
+    ``writhe``, z = (s^2 - 1)/(1 - s^2 u^2) (module docstring), or None
+    where 1 - s^2 u^2, z or a coefficient's denominator vanishes."""
+    s2 = s * s % P
+    cut = (1 - s2 * u * u) % P
+    z = (s2 - 1) * pow(cut, -1, P) % P if cut else 0
+    if not z:
+        return None
+    out = {}
+    for (a, b), coeff in coeffs.items():
+        x = quotient_at(coeff, s2, z)
+        if x is None:
+            return None
+        out[a, b] = x * pow(z, a + b - strands + 1, P) * pow(u, a + writhe - strands + 1, P) % P
+    return out
+
+
+def skein_check(coeffs, skein_coeffs, strands, writhe, rng):
+    """True iff the skein class ``skein_coeffs`` has the coefficients
+    ``skein_at`` reads off the class over Q(q, z) ``coeffs`` (both
+    ``class_terms``) at a point (s, u) drawn from ``rng``, u != 0; the point
+    is drawn again while a denominator vanishes there."""
+    while True:
+        s, u = rng.randrange(1, P), rng.randrange(1, P)
+        expected = skein_at(coeffs, strands, writhe, s, u)
+        found = {ab: quotient_at(coeff, s, u) for ab, coeff in skein_coeffs.items()}
+        if expected is not None and None not in found.values():
+            return found == expected

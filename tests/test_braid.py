@@ -18,7 +18,6 @@ from singskein.braid import (
     TAU,
     component_count,
     exponent_sum,
-    inverse_word,
     parse,
 )
 from singskein.moves import (
@@ -228,9 +227,11 @@ def test_conjugate():
 
 
 def test_inverse_word():
-    assert inverse_word(word("s1 S2", 3)).display() == "s2 S1"
+    # the conjugator's inverse, which Conjugate builds: letters reversed,
+    # signs flipped; a double point has none
+    assert Conjugate(word("s1 S2", 3)).apply(word("", 3)).display() == "s1 S2 s2 S1"
     with pytest.raises(ValueError):
-        inverse_word(word("t1", 2))
+        Conjugate(word("s1 t1", 2)).apply(word("", 2))
 
 
 def test_records_keep_their_value_semantics():

@@ -13,18 +13,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import singskein
-from singskein import cli, hecke, markov
+from singskein import cli, hecke, markov, skein
 from singskein.braid import SIGMA, SIGMA_INV, TAU, Generator, SingularBraidWord, _reduced, parse
 from singskein.coeff import QZ, RationalFunction
 from singskein.cli import main
-from singskein.moves import random_move_sequence
+from singskein.moves import random_move_sequence, verify_moves
 from singskein.packed import PackedProduct
 from singskein.skein import skein_class, skein_triple_check
 
 import line_count
 
 TRUE_FOLD = markov._folded
-TRUE_CLASS_FROM_COMPONENTS = cli._class_from_components
+TRUE_CLASS_FROM_COMPONENTS = skein._class_from_components
 
 
 def invoke(capsys, *argv):
@@ -211,14 +211,12 @@ def reduction_skewed(word, reduced=None):
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
 @given(small_words(), st.integers(0, 2**16), st.integers(0, 12))
 def test_verify_matches_recomputing_every_class(word, seed, moves):
-    argv = ["--word", word.display(), "--strands", str(word.strands), "--verify"]
-    args = cli.build_parser().parse_args(argv + ["--moves", str(moves), "--seed", str(seed)])
     for fold in (TRUE_FOLD, reduction_skewed):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(markov, "_folded", fold)
-            verify = cli._verify_moves(
+            verify = verify_moves(
                 word, _reduced(word.letters), markov._folded(word), skein_class(word),
-                markov.HARD_MAX_STRANDS, args,
+                markov.HARD_MAX_STRANDS, moves, seed,
             )
             assert verify == recomputed_verify(word, moves, seed)
 
@@ -255,7 +253,7 @@ def test_verify_classes_each_new_reduction_once(monkeypatch):
         return TRUE_CLASS_FROM_COMPONENTS(comps, word)
 
     monkeypatch.setattr(markov, "_folded", counted_fold)
-    monkeypatch.setattr(cli, "_class_from_components", counted_class)
+    monkeypatch.setattr(skein, "_class_from_components", counted_class)
     args = cli.build_parser().parse_args(["--word", "t1 s1 s2", "--verify", "--moves", "8"])
     assert cli.run(args).verify == {
         "moves": 8,
