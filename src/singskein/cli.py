@@ -25,9 +25,9 @@ import time
 from json.encoder import encode_basestring_ascii as _json_string
 
 from . import markov
-from .braid import Record, SingularBraidWord, _reduced, component_count, exponent_sum, parse
-from .markov import HARD_MAX_DEGREE, HARD_MAX_STRANDS, CapExceededError, MarkovClass, check_caps
-from .skein import SkeinClass, _check_numerators, _legs, _rendered, _sides
+from .braid import Record, _reduced, component_count, exponent_sum, parse
+from .markov import HARD_MAX_DEGREE, HARD_MAX_STRANDS, CapExceededError, check_caps
+from .skein import _check_numerators, _legs, _rendered, _sides
 
 __all__ = ["main", "run", "RunReport"]
 
@@ -48,22 +48,6 @@ class RunReport(Record):
         "markov", "skein", "elapsed_seconds", "verify",
     )
     __hash__ = None
-
-    def __init__(
-        self,
-        word: SingularBraidWord,
-        strands: int,
-        degree: int,
-        writhe: int,
-        components: int,
-        markov: MarkovClass,
-        skein: SkeinClass,
-        elapsed_seconds: float,
-        verify: dict | None = None,
-    ):
-        self._set(
-            word, strands, degree, writhe, components, markov, skein, elapsed_seconds, verify
-        )
 
 
 def _move_count(text: str) -> int:
@@ -160,15 +144,7 @@ def run(args: argparse.Namespace) -> RunReport:
             }
     elapsed = time.perf_counter() - start
     return RunReport(
-        word=word,
-        strands=word.strands,
-        degree=word.degree,
-        writhe=exponent_sum(word),
-        components=component_count(word),
-        markov=coords,
-        skein=skein,
-        elapsed_seconds=elapsed,
-        verify=verify,
+        word, word.strands, word.degree, exponent_sum(word), component_count(word), coords, skein, elapsed, verify
     )
 
 

@@ -115,9 +115,9 @@ the whole-word fold, which the tests keep as an independent path, and
 ``_peel`` alone traces a single basis element.
 
 A reduced word that spans at least ``_SPLIT_STRANDS`` (7) strands is cut
-into pieces and blocks at its block indices (``_split``); on fewer,
-re-reducing the pieces, one fold per piece and the product cost more than
-the fold they save.  The trace is multiplicative over the split union and
+into pieces at its block indices (``_split``), a block's letters being a
+piece of their own; on fewer, re-reducing the pieces, one fold per piece
+and the product cost more than the fold they save.  The trace is multiplicative over the split union and
 the connected sum of closures, the stacking product of acceptance
 criterion 7 (``oracle.closure_product``).  The cut lemma: for a in H_n, b
 in H_k and x in the algebra generated by T_n, tr(a x sh^n(b)) =
@@ -162,18 +162,20 @@ multiply too.  The rotation is in the proof only: a and b, read in the
 word's own order, are rotations of the rotated word's a and b, with the
 same traces.  ``_split`` cuts a word at all of its block indices at once,
 found by two laps round its indices (``_blocks``); an unused index is cut
-too, with no block.  That is the same as cutting at them one after
+too, with no piece.  That is the same as cutting at them one after
 another: dropping letters only merges runs, so a block index of the word
 is still one of each side once the other blocks are dropped.  Dropping x
 can free pairs at i +- 1 (in ``s1 s2 S1`` the two index-1 letters cancel
 once s2 is gone), so each stretch between two cuts is reduced again and
 cut again, until no piece has a block index, and compacted once it is a
-piece.  A piece is folded with ``_trace`` on the strands it
-spans, in its own orientation (below) and at its own B: c and n in B are
-the piece's crossings and strands.  The product is taken on packed ints
-(``packed._product``): each piece's components and each factor are
-packed with r in R = d + 1 digits, then q over the product's q-range,
-then z, so no slot spills into the next (the r-degrees sum to d).  Every
+piece, a block on 2 strands.  ``_fold`` traces a piece on at most 2
+strands, one index's letters, by the block's factor (a and b empty), and
+folds a piece on more strands with ``_trace`` on the strands it spans, in
+its own orientation (below) and at its own B: c and n in B are the
+piece's crossings and strands.  The product is taken on packed ints
+(``packed._product``): each piece's components are packed with r in
+R = d + 1 digits, then q over the product's q-range, then z, so no slot
+spills into the next (the r-degrees sum to d).  Every
 coefficient of the product is a sum of products of one coefficient of
 each factor, so it is at most the product of the factors' L1 norms, and
 ``packed._width`` of that product, rounded up to whole bytes, reads it
@@ -185,12 +187,12 @@ holds R times the q-span such digits, so it too is read exactly (the
 lemma in ``singskein.packed``).  The split is a function of the reduced
 letters, so words with equal reductions still run the same computation.
 
-Each piece is folded in one of two orientations, chosen per piece.  The map
-``iota: T_i -> -q T_i^{-1} = q - 1 - T_i`` is an involutive automorphism of
-the algebra, and ``tr_z o iota`` is the Markov trace with parameter
-``z' = q - 1 - z``, so ``tr_z(x) = tr_{z'}(iota(x))`` (Jones, Ann. Math. 126,
-1987).  iota sends ``s_i`` and a resolved double point to ``-q T_i^{-1}`` and
-``S_i`` to ``-q^{-1} T_i``.  A positive letter branches only where w has a
+Each piece on 3 strands or more is folded in one of two orientations,
+chosen per piece.  The map ``iota: T_i -> -q T_i^{-1} = q - 1 - T_i`` is an
+involutive automorphism of the algebra, and ``tr_z o iota`` is the Markov
+trace with parameter ``z' = q - 1 - z``, so ``tr_z(x) = tr_{z'}(iota(x))``
+(Jones, Ann. Math. 126, 1987).  iota sends ``s_i`` and a resolved double
+point to ``-q T_i^{-1}`` and ``S_i`` to ``-q^{-1} T_i``.  A positive letter branches only where w has a
 descent at i, a negative one where it has an ascent, and ascents are the
 common case while w is short; so a piece with more negative than positive
 crossings (#S > #s) is folded as its mirror (a count rule, which need not
@@ -485,21 +487,20 @@ def _blocks(indices: list[int], low: int, high: int) -> list[int]:
     return [i for i in range(low, high + 1) if runs[i] <= 1]
 
 
-def _split(letters: tuple, strands: int) -> tuple[list[tuple[tuple, int]], list[tuple[int, int]]]:
+def _split(letters: tuple, strands: int) -> list[tuple[tuple, int]]:
     """The pieces of a cyclically reduced word compacted on ``strands``,
-    each compacted with its strand count, and the blocks cut out, each as
-    (exponent sum, double points) of its letters, whose trace is the
-    product of the pieces' traces and the blocks' factors (module
-    docstring).  A word on fewer than ``_SPLIT_STRANDS`` strands is its own
-    one piece.  A word on more strands than the kernel folds on is refused,
-    whatever its pieces span.  A word is cut at all of its block indices
-    at once; the stretches between them keep their indices until they are
-    pieces: cutting does not depend on a shift of every index."""
+    each compacted with its strand count, whose traces multiply to the
+    word's (module docstring); a block is the piece of the letters at its
+    cut index, on 2 strands.  A word on fewer than ``_SPLIT_STRANDS``
+    strands is its own one piece.  A word on more strands than the kernel
+    folds on is refused, whatever its pieces span.  A word is cut at all
+    of its block indices at once; the stretches between them keep their
+    indices until they are pieces: cutting does not depend on a shift of
+    every index."""
     _check_strands(strands)
     if strands < _SPLIT_STRANDS:
-        return [(letters, strands)], []
+        return [(letters, strands)]
     pieces: list[tuple[tuple, int]] = []
-    blocks: list[tuple[int, int]] = []
     work = [letters]
     while work:
         letters = work.pop()
@@ -514,10 +515,10 @@ def _split(letters: tuple, strands: int) -> tuple[list[tuple[tuple, int]], list[
             side = _reduced(tuple(g for g in letters if below < g.index < cut))
             if side:
                 work.append(side)
-            kinds = [g.kind for g in letters if g.index == cut]  # none at an unused index
-            if kinds:
-                blocks.append((sum(kinds), kinds.count(TAU)))
-    return pieces, blocks
+            block = tuple(g for g in letters if g.index == cut)  # none at an unused index
+            if block:
+                pieces.append(_compact(block))
+    return pieces
 
 
 def _block_factor(exponent: int, doubles: int) -> list[dict[tuple[int, int], int]]:
@@ -543,23 +544,24 @@ def _block_factor(exponent: int, doubles: int) -> list[dict[tuple[int, int], int
 
 
 def _fold(letters: tuple, strands: int) -> list[dict[tuple[int, int], int]]:
-    """``_trace`` of compacted letters, as their mirror when they hold more
-    negative than positive crossings."""
-    return _trace(letters, strands, sum(g.kind for g in letters if g.kind != TAU) < 0)
+    """The trace components of compacted letters: on at most 2 strands,
+    where they are one index's, by the closed form ``_block_factor`` of
+    their exponent sum and double points, and otherwise by ``_trace``, as
+    their mirror when they hold more negative than positive crossings."""
+    if strands <= 2:
+        return _block_factor(sum(g.kind for g in letters), sum(g.kind == TAU for g in letters))
+    return _trace(letters, strands, sum(g.kind for g in letters) < 0)  # TAU is 0
 
 
 def _folded(word: SingularBraidWord, reduced: tuple | None = None) -> list | PackedProduct:
-    """The word's trace components, or, for a word cut into pieces and
-    blocks, their product undecoded: the one fold entry.  The word's cyclic
+    """The word's trace components, or, for a word cut into more than one
+    piece, their product undecoded: the one fold entry.  The word's cyclic
     reduction (``reduced``, when the caller has it) is compacted and cut
-    (``_split``); a word that is its own one piece is folded whole, on the
-    strands it spans, and otherwise each piece is folded and the pieces'
-    traces and the blocks' factors are multiplied as packed ints."""
-    pieces, blocks = _split(*_compact(_reduced(word.letters) if reduced is None else reduced))
-    if not blocks and len(pieces) == 1:
-        return _fold(*pieces[0])
-    factors = [_fold(*piece) for piece in pieces] + [_block_factor(*block) for block in blocks]
-    return _product(factors, word.degree + 1)
+    (``_split``), each piece is traced (``_fold``), and the traces of two
+    or more pieces are multiplied as packed ints."""
+    reduced = _reduced(word.letters) if reduced is None else reduced
+    factors = [_fold(*piece) for piece in _split(*_compact(reduced))]
+    return factors[0] if len(factors) == 1 else _product(factors, word.degree + 1)
 
 
 def _decoded(traces: list | PackedProduct) -> list[dict[tuple[int, int], int]]:

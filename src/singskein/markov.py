@@ -225,10 +225,6 @@ class ClassPolynomial(Record):
             coeff = RationalFunction.one(cls.field_variables)
         return cls({(a, b): coeff})
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def homogeneous_degree(self) -> int:
         """Common total degree of all monomials; raises if mixed or zero."""
         degrees = {a + b for a, b in self.coeffs}

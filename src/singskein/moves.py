@@ -346,8 +346,8 @@ def verify_moves(
     steps = random_move_sequence(word, moves, seed=seed, max_strands=strand_cap)
     # A class reads the word's strands, degree and exponent sum, and its
     # traces, which hecke._folded folds from _compact(_reduced(letters)),
-    # whole or in the pieces and blocks hecke._split cuts it into, a
-    # function of those letters alone; the reduction keeps the degree and
+    # whole or in the pieces hecke._split cuts it into, a block among them,
+    # a function of those letters alone; the reduction keeps the degree and
     # the exponent sum.
     # So words with equal (strands, reduction) run the same computation on
     # the same input, and each key's verdict is computed once.  The key is

@@ -218,10 +218,6 @@ class HeckeElement(Record):
             raise ValueError("strand counts differ")
         return HeckeElement(self.strands, _summed(self.terms, other.terms))
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __hash__(self) -> int:
         return hash((self.strands, tuple(sorted(self.terms.items(), key=lambda kv: kv[0].image))))
 
@@ -407,8 +403,9 @@ def trace_components(word: SingularBraidWord) -> list[dict[tuple[int, int], int]
     letters of ``tr`` of the word with S resolved and the rest deleted, as an
     integer Laurent dict over (q-exponent, z-exponent): ``hecke._folded``'s
     result, decoded.  Each piece of the word's compacted cyclic reduction is
-    folded on the strands it spans, as its mirror when it has more negative
-    than positive crossings."""
+    traced on the strands it spans: a one-index piece, a block or the whole
+    word, by its closed form, and any other folded, as its mirror when it
+    has more negative than positive crossings."""
     return _decoded(_folded(word))
 
 

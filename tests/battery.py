@@ -122,17 +122,16 @@ def both_orientations(tally):
     # the letters as given, so they are also the cross-check of
     # oracle.trace_components, which folds the word's cyclic reduction on
     # the strands it spans and, on 7 strands or more, cuts it into pieces
-    # and blocks at its block indices and multiplies their traces and
-    # factors; the letter totals before and after that reduction, and the
-    # number of words that split, are printed
+    # at its block indices, each block a one-index piece, and multiplies
+    # their traces; the letter totals before and after that reduction, and
+    # the number of words that split, are printed
     given = reduced = split = 0
     for ref in reference_words():
         w = ref.word
         folds = [hecke._trace(w.letters, w.strands, m) for m in (False, True)]
         given += len(w.letters)
         reduced += len(_reduced(w.letters))
-        pieces, blocks = hecke._split(*hecke._compact(_reduced(w.letters)))
-        split += len(pieces) + len(blocks) > 1
+        split += len(hecke._split(*hecke._compact(_reduced(w.letters)))) > 1
         ok = folds[0] == folds[1] == trace_components(w)
         tally(ok, "folds differ:", ref.workload, " ".join(ref.argv))
     print(f"letters: {given} as given, {reduced} after cyclic reduction")
@@ -399,8 +398,7 @@ def cap_reference(tally):
     for entry in entries:
         argv = ["--word", entry["word"], "--strands", "12", "--format", "json"]
         report = cli.run(cli.build_parser().parse_args(argv))
-        pieces, blocks = hecke._split(*hecke._compact(_reduced(report.word.letters)))
-        split += len(pieces) + len(blocks) > 1
+        split += len(hecke._split(*hecke._compact(_reduced(report.word.letters)))) > 1
         digest = hashlib.sha256(cli.render_json(report).encode()).hexdigest()
         ok = entry["word"] == cap_word(entry["c"], entry["seed"]) and digest == entry["sha256"]
         matched += ok
@@ -434,7 +432,8 @@ CAP_SWEEP_SEEDS = range(1, 41)
 def cap_sweep(tally):
     # plan only: each cap_word(c, seed) of CAP_SWEEP is reduced and cut as
     # hecke._folded cuts it, and nothing is folded.  Per c, the distribution
-    # of the largest piece's strands (0 where every letter is in a block)
+    # of the largest piece's strands, over the pieces of 3 strands or more
+    # that hecke._trace folds (0 where every piece is a one-index block),
     # and the number of words with a piece of 11 or 12 strands, which fold
     # for seconds to minutes or run out of memory: the open cap target.  It
     # reports and gates nothing; the total CPU time is printed
@@ -442,8 +441,8 @@ def cap_sweep(tally):
     for c in CAP_SWEEP:
         largest = Counter()
         for seed in CAP_SWEEP_SEEDS:
-            pieces, _ = hecke._split(*hecke._compact(_reduced(parse(cap_word(c, seed), 12).letters)))
-            largest[max((n for _, n in pieces), default=0)] += 1
+            pieces = hecke._split(*hecke._compact(_reduced(parse(cap_word(c, seed), 12).letters)))
+            largest[max((n for _, n in pieces if n > 2), default=0)] += 1
         spread = ", ".join(f"{n}: {largest[n]}" for n in sorted(largest))
         print(f"c = {c}: largest piece's strands {{{spread}}}, {largest[11] + largest[12]}/{len(CAP_SWEEP_SEEDS)} with 11-12")
     print(f"{len(CAP_SWEEP) * len(CAP_SWEEP_SEEDS)} cap recipe words planned, CPU {time.process_time() - start:.2f} s")

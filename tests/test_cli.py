@@ -277,8 +277,8 @@ def test_verify_classes_each_new_reduction_once(monkeypatch):
 
 
 def test_every_fold_passes_the_seam_once_per_word(monkeypatch):
-    # a word cut into pieces and blocks: the class functions, the skein
-    # check and cli.run --verify fold each of their words through
+    # a word cut into pieces, blocks among them: the class functions, the
+    # skein check and cli.run --verify fold each of their words through
     # markov._folded, once per word (per distinct (strands, cyclic
     # reduction) for --verify), and no piece is folded outside that seam
     word = parse("t1 s1 s2 s3 s2 s3 S4 s5 s6 s5 s6", 7)
@@ -564,8 +564,8 @@ def test_strands_inferred(capsys):
 
 # The reach guard's CLI calls and their exit codes: text and JSON, --verify,
 # --skein-check and a syntax error, the runs without --verify first.  The
-# second --verify word is cut into pieces and blocks, so its fold is a
-# product, which --verify decodes
+# second --verify word is cut into pieces, blocks among them, so its fold is
+# a product, which --verify decodes
 _WORD = ["--word", "s1 S2 t1 s2 t2"]
 _SPLIT = ["--word", "t1 s1 s2 s3 s2 s3 S4 s5 s6 s5 s6"]
 _CORPUS = [
@@ -701,7 +701,7 @@ _UNREACHED = {
             "scaled", "evaluate",
         )),
         *(f"markov.ClassPolynomial.{name}" for name in (
-            "zero", "constant", "monomial", "is_zero", "homogeneous_degree", "add", "scaled",
+            "zero", "constant", "monomial", "homogeneous_degree", "add", "scaled",
             "__sub__", "multiply", "__hash__",
         )),
     ], _ARITHMETIC),
@@ -787,14 +787,16 @@ def test_skein_check_json_is_pinned(word, strands, index, digest):
 
 def test_run_report_is_an_immutable_unhashable_record():
     w = parse("s1 S2 t1", 3)
-    report = cli.RunReport(w, 3, 1, 0, 1, None, None, 0.5)
+    report = cli.RunReport(w, 3, 1, 0, 1, None, None, 0.5, None)
     assert report.verify is None
     assert repr(report) == (
         "RunReport(word=<word s1 S2 t1 on 3>, strands=3, degree=1, writhe=0, "
         "components=1, markov=None, skein=None, elapsed_seconds=0.5, verify=None)"
     )
-    assert report == cli.RunReport(w, 3, 1, 0, 1, None, None, 0.5, verify=None)
-    assert report != cli.RunReport(w, 3, 1, 0, 1, None, None, 0.5, verify={})
+    assert report == cli.RunReport(w, 3, 1, 0, 1, None, None, 0.5, None)
+    assert report != cli.RunReport(w, 3, 1, 0, 1, None, None, 0.5, {})
+    with pytest.raises(TypeError):  # verify has no default: a report takes all nine values
+        cli.RunReport(w, 3, 1, 0, 1, None, None, 0.5)
     with pytest.raises(AttributeError):
         report.verify = {}
     with pytest.raises(AttributeError):
@@ -803,7 +805,7 @@ def test_run_report_is_an_immutable_unhashable_record():
     with pytest.raises(TypeError):
         hash(report)
     run = cli.run(cli.build_parser().parse_args(["--word", "t1 s1", "--strands", "2"]))
-    full = cli.RunReport(run.word, run.strands, run.degree, run.writhe, run.components, run.markov, run.skein, 0.25)
+    full = cli.RunReport(run.word, run.strands, run.degree, run.writhe, run.components, run.markov, run.skein, 0.25, None)
     assert repr(full) == (
         "RunReport(word=<word t1 s1 on 2>, strands=2, degree=1, writhe=1, components=2, "
         "markov=<MarkovClass Y>, skein=<SkeinClass Yhat>, elapsed_seconds=0.25, verify=None)"
@@ -853,5 +855,5 @@ def test_render_json_matches_json_dumps_on_empty_classes_and_escapes():
         "failures": ["step 2: 'q\"\u00e9\n' changed the class"], "nested": {"empty": [], "also": {}},
     }
     for extra in (None, verify, {}):
-        report = cli.RunReport(word, 2, 1, 0, 1, markov.MarkovClass({}), cli.SkeinClass({}), 0.0, extra)
+        report = cli.RunReport(word, 2, 1, 0, 1, markov.MarkovClass({}), skein.SkeinClass({}), 0.0, extra)
         assert cli.render_json(report) == dumped(report)

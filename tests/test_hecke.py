@@ -487,16 +487,18 @@ def conjugated_words(draw):
     return w
 
 
-def spy_on_folds(monkeypatch):
-    """The letters (as text) and the strand count of every ``_trace`` call."""
+def spy_on_folds(monkeypatch, name="_trace"):
+    """The letters (as text) and the strand count of every call of
+    ``hecke._trace``, or of the function ``name`` that takes the same first
+    two arguments."""
     seen = []
-    real = hecke._trace
+    real = getattr(hecke, name)
 
-    def spy(letters, strands, mirror=False):
+    def spy(letters, strands, *mirror):
         seen.append((" ".join(g.token for g in letters), strands))
-        return real(letters, strands, mirror)
+        return real(letters, strands, *mirror)
 
-    monkeypatch.setattr(hecke, "_trace", spy)
+    monkeypatch.setattr(hecke, name, spy)
     return seen
 
 
@@ -537,7 +539,9 @@ def test_components_are_the_same_for_every_rotation(w):
 
 
 def test_fold_takes_the_reduction_on_the_strands_it_spans(monkeypatch):
-    seen = spy_on_folds(monkeypatch)
+    # every piece enters _fold, which traces the one-index ones by their
+    # closed form and folds the others with _trace
+    seen = spy_on_folds(monkeypatch, "_fold")
     cases = {
         "s3 s5 S3": ("s1", 2),  # s5 alone, moved down to index 1
         "S4 s5 s4 t6": ("s1 t2", 3),
@@ -615,14 +619,16 @@ def spy_on_orientation(monkeypatch):
 
 def test_orientation_rule_mirrors_only_mostly_negative_words(monkeypatch):
     seen = spy_on_orientation(monkeypatch)
+    # a one-index word is never folded (its closed form has no
+    # orientation), so each case spans at least two indices
     cases = {
-        "": False,
+        "t1 t2 t1": False,
         "t1 t2": False,
         "s1 S2": False,  # #S = #s keeps the word as given
         "s1 S2 t1 S1 s2": False,
         "s1 s2 s1 S2 t2": False,
         "S1 s2 S1": True,
-        "S1 t1": True,
+        "S1 t2": True,
         seed4_word(): True,
     }
     for text, mirror in cases.items():
@@ -664,9 +670,14 @@ def test_peel_base_is_the_trace_of_each_element_of_s3(image, trace):
 # -- the split at block indices -------------------------------------------------------
 
 
-# the block (exponent sum, double points) that ``hecke._split`` cuts out for
-# one lone letter of each kind
-LONE = {SIGMA: (1, 0), SIGMA_INV: (-1, 0), TAU: (0, 1)}
+# the piece that ``hecke._split`` cuts out for one lone letter of each kind:
+# the letter at index 1, on 2 strands
+LONE = {kind: ((Generator(kind, 1),), 2) for kind in (SIGMA, SIGMA_INV, TAU)}
+
+
+def shape(letters):
+    """The (exponent sum, double points) of a block's letters."""
+    return sum(g.kind for g in letters), sum(g.kind == TAU for g in letters)
 
 
 @st.composite
@@ -694,10 +705,12 @@ def test_split_fold_matches_the_whole_fold_in_both_orientations(case):
     w, kinds = case
     letters, strands = hecke._compact(_reduced(w.letters))
     assume(strands >= hecke._SPLIT_STRANDS)  # no pair at an end index cancelled
-    pieces, blocks = hecke._split(letters, strands)
-    assert not Counter(LONE[k] for k in kinds) - Counter(blocks)  # each planted lone letter is cut out
-    # no piece keeps a block index: each side is cut again until none is left
-    assert not any(hecke._blocks([g.index for g in piece], 1, n - 1) for piece, n in pieces)
+    pieces = hecke._split(letters, strands)
+    assert not Counter(LONE[k] for k in kinds) - Counter(pieces)  # each planted lone letter is cut out
+    # no piece but a block keeps a block index: each side is cut again
+    # until none is left, and a block is its one index's letters
+    assert all(n == 2 or not hecke._blocks([g.index for g in piece], 1, n - 1) for piece, n in pieces)
+    assert all({g.index for g in piece} == {1} for piece, n in pieces if n == 2)
     comps = trace_components(w)
     for mirror in (False, True):
         assert comps == hecke._trace(letters, strands, mirror)
@@ -710,8 +723,8 @@ def test_a_piece_is_reduced_again_once_its_lone_letter_is_cut_out():
     w = parse("s2 s1 s2 s3 S2 s1 s2 s1 s4 s5 s6 s4 s5 s6")
     letters, strands = hecke._compact(_reduced(w.letters))
     assert (letters, strands) == (w.letters, 7)
-    pieces = [(parse("s1 s2 s3 s1 s2 s3").letters, 4), (parse("s2 s1 s1 s2 s1").letters, 3)]
-    assert hecke._split(letters, strands) == (pieces, [LONE[SIGMA]])
+    pieces = [LONE[SIGMA], (parse("s1 s2 s3 s1 s2 s3").letters, 4), (parse("s2 s1 s1 s2 s1").letters, 3)]
+    assert hecke._split(letters, strands) == pieces
     assert trace_components(w) == forced(w, False) == forced(w, True)
 
 
@@ -725,17 +738,18 @@ def test_only_words_on_at_least_seven_strands_are_split(monkeypatch, strands, pi
     seen = spy_on_folds(monkeypatch)
     assert trace_components(w) == expected
     assert len(seen) == pieces
-    assert hecke._split(w.letters, strands)[1] == ([LONE[SIGMA_INV]] if pieces > 1 else [])
+    blocks = [piece for piece in hecke._split(w.letters, strands) if piece[1] == 2]
+    assert blocks == ([LONE[SIGMA_INV]] if pieces > 1 else [])
 
 
 def test_lone_letters_alone_multiply_their_factors():
-    # every index used once: no piece is folded, and the trace is the
-    # product z^3 (q^-1 (z + 1) - 1)^2 (1 + r z)^2, here checked against the
-    # whole fold
+    # every index used once: every piece is a lone letter, none is
+    # folded, and the trace is the product z^3 (q^-1 (z + 1) - 1)^2
+    # (1 + r z)^2, here checked against the whole fold
     w = parse("s1 S2 t3 s4 t5 S6 s7")
-    pieces, blocks = hecke._split(*hecke._compact(_reduced(w.letters)))
+    pieces = hecke._split(*hecke._compact(_reduced(w.letters)))
     kinds = [SIGMA_INV, SIGMA_INV, TAU, TAU, SIGMA, SIGMA, SIGMA]
-    assert pieces == [] and sorted(blocks) == sorted(LONE[k] for k in kinds)
+    assert len(pieces) == len(kinds) and Counter(pieces) == Counter(LONE[k] for k in kinds)
     assert trace_components(w) == forced(w, False) == forced(w, True)
 
 
@@ -751,6 +765,48 @@ def test_block_factor_is_the_whole_fold_of_its_letters(kinds):
     factor = hecke._block_factor(sum(kinds), kinds.count(TAU))
     for mirror in (False, True):
         assert factor == hecke._trace(letters, 2, mirror)
+
+
+@st.composite
+def one_index_words(draw):
+    """5-16 letters from s_i, S_i and t_i, at most 8 of them t_i, at one
+    index i on 2-12 strands."""
+    n = draw(st.integers(2, 12))
+    i = draw(st.integers(1, n - 1))
+    kinds = st.lists(st.sampled_from((SIGMA, SIGMA_INV, TAU)), min_size=5, max_size=16)
+    kinds = draw(kinds.filter(lambda ks: ks.count(TAU) <= 8))
+    return SingularBraidWord(n, tuple(Generator(kind, i) for kind in kinds))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(one_index_words())
+def test_one_index_words_take_the_closed_form_of_the_whole_fold(w):
+    # every one-index word is traced by _block_factor on the CLI path;
+    # against the kernel's fold of its letters as given, on all its strands
+    comps = trace_components(w)
+    for mirror in (False, True):
+        assert comps == hecke._trace(w.letters, w.strands, mirror)
+
+
+def test_one_index_words_and_blocks_are_never_folded(monkeypatch):
+    # a whole one-index word and a split word's block each enter
+    # _block_factor once, with their (exponent sum, double points), and
+    # _trace only folds the split word's two pieces of more than one index
+    factors = []
+    real = hecke._block_factor
+
+    def spy(exponent, doubles):
+        factors.append((exponent, doubles))
+        return real(exponent, doubles)
+
+    monkeypatch.setattr(hecke, "_block_factor", spy)
+    traced = spy_on_folds(monkeypatch)
+    trace_components(parse("s3 t3 s3 t3 s3", 8))
+    assert (factors, traced) == ([(3, 2)], [])
+    factors.clear()
+    trace_components(parse("s1 s2 s1 s2 S3 s4 s5 s6 s4 s5 s6"))
+    assert factors == [(-1, 0)]
+    assert sorted(traced) == [("s1 s2 s1 s2", 3), ("s1 s2 s3 s1 s2 s3", 4)]
 
 
 @st.composite
@@ -789,7 +845,7 @@ def test_planted_blocks_are_cut_and_the_fold_matches_the_whole_fold(case):
     w, shapes = case
     letters, strands = hecke._compact(_reduced(w.letters))
     assume(strands >= hecke._SPLIT_STRANDS)
-    blocks = hecke._split(letters, strands)[1]
+    blocks = [shape(piece) for piece, n in hecke._split(letters, strands) if n == 2]
     assert not Counter(shapes) - Counter(blocks)  # each planted block is cut out
     comps = trace_components(w)
     for mirror in (False, True):
@@ -805,8 +861,9 @@ def test_a_word_with_no_thin_index_is_cut_at_its_block():
     letters, strands = hecke._compact(_reduced(w.letters))
     assert (letters, strands) == (w.letters, 7)
     assert min(Counter(g.index for g in letters).values()) == 2
-    pieces = [(parse("s1 s2 s3 s1 s2 s3").letters, 4), (parse("s1 s2 s1 s2").letters, 3)]
-    assert hecke._split(letters, strands) == (pieces, [(2, 1)])
+    block = (parse("s1 t1 s1").letters, 2)
+    pieces = [block, (parse("s1 s2 s3 s1 s2 s3").letters, 4), (parse("s1 s2 s1 s2").letters, 3)]
+    assert hecke._split(letters, strands) == pieces
     assert trace_components(w) == forced(w, False) == forced(w, True)
 
 
@@ -818,7 +875,7 @@ def test_a_word_is_cut_at_every_block_index_in_one_lap():
     letters, strands = hecke._compact(_reduced(w.letters))
     assert (letters, strands) == (w.letters, 7)
     piece = (parse("s1 s2 s1 s2").letters, 3)
-    assert hecke._split(letters, strands) == ([piece, piece], [(1, 1), (-1, 0)])
+    assert hecke._split(letters, strands) == [(parse("t1 s1").letters, 2), LONE[SIGMA_INV], piece, piece]
     assert trace_components(w) == forced(w, False) == forced(w, True)
 
 
@@ -829,7 +886,7 @@ def test_an_unused_index_is_cut_without_a_block():
     letters, strands = hecke._compact(_reduced(w.letters))
     assert (letters, strands) == (w.letters, 7)
     pieces = [(parse("s1 s2 s3 s1 s2 s3").letters, 4), (parse("s1 s2 s1 s2").letters, 3)]
-    assert hecke._split(letters, strands) == (pieces, [])
+    assert hecke._split(letters, strands) == pieces
     assert trace_components(w) == forced(w, False) == forced(w, True)
 
 
