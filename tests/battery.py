@@ -15,10 +15,11 @@ dense oracle, the trace's L1 bound behind the fold's digit width on every
 permutation up to S_8, the 12-strand cap words, the trace components
 and both classes against an independent fold over GF(2^61 - 1) (tests/modp.py), the
 recorded digests of tests/cap_reference.json, and the CLI's output for the
-seeded argv lists of tests/cli_transcript.json; a last step, cap-sweep, only
-reports how the cap recipe's words are cut.  A failed check prints its line; the script exits 1
-if any step fails.  Whatever ``singskein`` the interpreter imports is the
-one checked, so PYTHONPATH may point at a copy of ``src/``.
+seeded argv lists of tests/cli_transcript.json; a last step, cap-sweep,
+checks how the cap recipe's words are cut against the recorded plan.  A
+failed check prints its line; the script exits 1 if any step fails.
+Whatever ``singskein`` the interpreter imports is the one checked, so
+PYTHONPATH may point at a copy of ``src/``.
 """
 
 import hashlib
@@ -180,6 +181,20 @@ def skein_check(tally):
 # decoded trace negated in hecke._peel) strata full classes, against 598,
 # and passed the step while these counts went unchecked.
 RECORDED_COUNTS = {"strata": (480, 4320, 1745, 598, 598), "warm-up": (6, 54, 17, 7, 7)}
+
+# cap-sweep's plan per crossing count c of the cap recipe, over seeds
+# CAP_SWEEP_SEEDS: {strands of the largest piece that hecke._trace folds:
+# words}.  A change to the cut (a new cut rule, handle reduction) changes
+# these rows, and updates them as a recorded edit of the check's data.  The
+# planted mutant runs[i] == 1 in hecke._blocks changes the rows of c = 40,
+# 60 and 80
+RECORDED_SWEEP = {
+    40: {4: 5, 5: 10, 6: 8, 7: 3, 8: 1, 9: 5, 10: 3, 11: 2, 12: 3},
+    50: {4: 1, 5: 3, 6: 3, 7: 9, 8: 5, 9: 3, 10: 2, 11: 7, 12: 7},
+    60: {5: 3, 6: 1, 7: 1, 8: 2, 9: 1, 10: 4, 11: 9, 12: 19},
+    80: {8: 1, 9: 2, 10: 2, 11: 6, 12: 29},
+    100: {11: 1, 12: 39},
+}
 
 
 def verify_recompute(tally):
@@ -424,28 +439,29 @@ def transcript(tally):
     print(f"{matched}/{len(entries)} CLI transcript entries match, CPU {time.process_time() - start:.2f} s")
 
 
-# the cap recipe's crossing counts and seeds that cap-sweep plans
-CAP_SWEEP = (40, 50, 60, 80, 100)
+# the cap recipe's seeds that cap-sweep plans, at each c of RECORDED_SWEEP
 CAP_SWEEP_SEEDS = range(1, 41)
 
 
 def cap_sweep(tally):
-    # plan only: each cap_word(c, seed) of CAP_SWEEP is reduced and cut as
-    # hecke._folded cuts it, and nothing is folded.  Per c, the distribution
-    # of the largest piece's strands, over the pieces of 3 strands or more
-    # that hecke._trace folds (0 where every piece is a one-index block),
-    # and the number of words with a piece of 11 or 12 strands, which fold
-    # for seconds to minutes or run out of memory: the open cap target.  It
-    # reports and gates nothing; the total CPU time is printed
+    # plan only: each cap_word(c, seed) of RECORDED_SWEEP is reduced and
+    # cut as hecke._folded cuts it, and nothing is folded.  Per c, the
+    # distribution of the largest piece's strands, over the pieces of 3
+    # strands or more that hecke._trace folds (0 where every piece is a
+    # one-index block), and the number of words with a piece of 11 or 12
+    # strands, which fold for seconds to minutes or run out of memory: the
+    # open cap target.  Each distribution must be the recorded one
+    # (RECORDED_SWEEP); the total CPU time is printed
     start = time.process_time()
-    for c in CAP_SWEEP:
+    for c, recorded in RECORDED_SWEEP.items():
         largest = Counter()
         for seed in CAP_SWEEP_SEEDS:
             pieces = hecke._split(*hecke._compact(_reduced(parse(cap_word(c, seed), 12).letters)))
             largest[max((n for _, n in pieces if n > 2), default=0)] += 1
         spread = ", ".join(f"{n}: {largest[n]}" for n in sorted(largest))
         print(f"c = {c}: largest piece's strands {{{spread}}}, {largest[11] + largest[12]}/{len(CAP_SWEEP_SEEDS)} with 11-12")
-    print(f"{len(CAP_SWEEP) * len(CAP_SWEEP_SEEDS)} cap recipe words planned, CPU {time.process_time() - start:.2f} s")
+        tally(largest == recorded, f"c = {c}: the plan differs from the recorded {recorded}")
+    print(f"{len(RECORDED_SWEEP) * len(CAP_SWEEP_SEEDS)} cap recipe words planned, CPU {time.process_time() - start:.2f} s")
 
 
 STEPS = {

@@ -1,5 +1,5 @@
-"""The size of src/singskein, split into production and reference code;
-standard library only.
+"""The size of src/singskein, split into production and reference code, and
+of tests/; standard library only.
 
     python3 tests/line_count.py
 
@@ -8,16 +8,17 @@ oracle.py, the reference engines and the word helpers only they and the
 tests use; linalg.py, which only tests import; and permutations.py, which
 only the oracle and the tests import.  Production is every other module.
 ``tests/test_cli.py`` checks that ``REFERENCE`` is exactly the set of
-modules its CLI corpus never loads.  For each module, and then for each
-part, it prints its lines and its code-only lines: those that are not
-blank, not a comment and not in a module, class or function docstring.
-It only reports.
+modules its CLI corpus never loads.  For each module, then for each part,
+then for the Python files of tests/ together, it prints the lines and the
+code-only lines: those that are not blank, not a comment and not in a
+module, class or function docstring.  It only reports.
 """
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "singskein"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "singskein"
 REFERENCE = ("oracle.py", "linalg.py", "permutations.py")
 
 
@@ -35,12 +36,13 @@ def code_lines(text: str) -> int:
 
 def main():
     reference = f"reference ({', '.join(REFERENCE)})"
-    parts = {"production": [0, 0], reference: [0, 0]}
-    for path in sorted(SRC.glob("*.py")):
+    parts = {"production": [0, 0], reference: [0, 0], "tests": [0, 0]}
+    for path in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")):
         text = path.read_text()
         lines, code = len(text.splitlines()), code_lines(text)
-        print(f"{path.name}: {lines} lines, {code} code-only")
-        counts = parts[reference if path.name in REFERENCE else "production"]
+        if path.parent == SRC:
+            print(f"{path.name}: {lines} lines, {code} code-only")
+        counts = parts["tests" if path.parent == TESTS else reference if path.name in REFERENCE else "production"]
         counts[0] += lines
         counts[1] += code
     for part, (lines, code) in parts.items():

@@ -2,8 +2,9 @@
 there: the workflow calls ``tests/battery.py`` nowhere, so no step is run
 twice or dropped, and no check hides in the workflow file.  Production
 code holds no unbounded memo, and makes its values one way, as
-``braid.Record``s.  ``python3 tests/battery.py [step]`` runs the battery
-alone."""
+``braid.Record``s.  Every property test runs under the one Hypothesis
+profile of ``tests/conftest.py``.  ``python3 tests/battery.py [step]``
+runs the battery alone."""
 
 import ast
 import importlib
@@ -12,6 +13,7 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 import singskein
 from singskein.braid import Record
@@ -43,6 +45,24 @@ def test_ci_runs_the_battery_only_through_tier1():
 
 def test_ci_embeds_no_python():
     assert "<<" not in WORKFLOW.read_text()  # a heredoc, the way CI embedded its checks
+
+
+def test_property_tests_share_one_hypothesis_profile():
+    # tests/conftest.py loads the one profile, and a test's settings(...)
+    # sets nothing but its example count, so no property test runs with a
+    # deadline, random examples or an example database
+    assert settings.get_current_profile_name() == "singskein"
+    changed = set(settings.default.show_changed().split(", "))  # from Hypothesis's defaults
+    assert changed == {"deadline=None", "derandomize=True", "database=None"}
+    calls = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(line_count.TESTS.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "settings"
+        and (node.args or any(k.arg != "max_examples" for k in node.keywords))
+    ]
+    assert calls == []
 
 
 def test_line_count_keeps_only_lines_that_hold_code():

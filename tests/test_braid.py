@@ -4,7 +4,6 @@ import random
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from singskein.braid import (
     Generator,
@@ -53,6 +52,7 @@ from singskein.permutations import Permutation
 from singskein.skein import SkeinClass, SkeinTripleResult
 
 from forwarding import forwarding
+from words import lettered_words
 
 
 def word(text: str, strands=None) -> SingularBraidWord:
@@ -110,17 +110,8 @@ def test_underlying_permutation():
     assert underlying_permutation(word("", 2)) == Permutation((1, 2))
 
 
-@st.composite
-def mixed_words(draw):
-    """1-8 strands, at most 12 letters of every kind."""
-    n = draw(st.integers(1, 8))
-    kind, index = st.sampled_from((SIGMA, SIGMA_INV, TAU)), st.integers(1, max(n - 1, 1))
-    letters = draw(st.lists(st.builds(Generator, kind, index), max_size=12 if n > 1 else 0))
-    return SingularBraidWord(n, tuple(letters))
-
-
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(mixed_words())
+@settings(max_examples=200)
+@given(lettered_words(strands=(1, 8), letters=12))
 def test_component_count_is_the_cycle_count(w):
     assert component_count(w) == underlying_permutation(w).cycle_count()
 
@@ -338,14 +329,6 @@ def test_relation_moves_preserve_counted_invariants():
             assert underlying_permutation(out) == underlying_permutation(w)
 
 
-@st.composite
-def _words(draw):
-    """2-6 strands, at most 12 letters of every kind."""
-    n = draw(st.integers(2, 6))
-    letter = st.builds(Generator, st.sampled_from((SIGMA, SIGMA_INV, TAU)), st.integers(1, n - 1))
-    return SingularBraidWord(n, tuple(draw(st.lists(letter, max_size=12))))
-
-
 def _applies(w, move):
     try:
         move.apply(w)
@@ -354,8 +337,8 @@ def _applies(w, move):
     return True
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(_words())
+@settings(max_examples=300)
+@given(lettered_words(strands=(2, 6), letters=12))
 def test_relation_move_candidates_are_exactly_the_applicable_moves(w):
     # pair rules position by position in rule order, then the triple rules
     pair_rules = (R_CANCEL, R_SIGMA_TAU_SAME, R_FAR_SIGMA_SIGMA, R_FAR_SIGMA_TAU, R_FAR_TAU_TAU)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import singskein
 from singskein import cli, hecke, markov, skein
-from singskein.braid import SIGMA, SIGMA_INV, TAU, Generator, SingularBraidWord, _reduced, parse
+from singskein.braid import SIGMA, SIGMA_INV, Generator, SingularBraidWord, _reduced, parse
 from singskein.coeff import QZ, RationalFunction
 from singskein.cli import main
 from singskein.moves import random_move_sequence, verify_moves
@@ -22,6 +22,7 @@ from singskein.packed import PackedProduct
 from singskein.skein import skein_class, skein_triple_check
 
 import line_count
+from words import crossing_words
 
 TRUE_FOLD = markov._folded
 TRUE_CLASS_FROM_COMPONENTS = skein._class_from_components
@@ -184,17 +185,7 @@ def recomputed_verify(word: SingularBraidWord, moves: int, seed: int) -> dict:
     }
 
 
-@st.composite
-def small_words(draw):
-    """At most 6 strands, at most 8 crossings and 3 double points."""
-    n = draw(st.integers(1, 6))
-    if n == 1:
-        return SingularBraidWord(1, ())
-    index = st.integers(1, n - 1)
-    letters = draw(st.lists(st.builds(Generator, st.sampled_from((SIGMA, SIGMA_INV)), index), max_size=8))
-    for _ in range(draw(st.integers(0, 3))):
-        letters.insert(draw(st.integers(0, len(letters))), Generator(TAU, draw(index)))
-    return SingularBraidWord(n, tuple(letters))
+SMALL_WORDS = crossing_words(strands=(1, 6), crossings=8, double_points=3)
 
 
 def reduction_skewed(word, reduced=None):
@@ -208,8 +199,8 @@ def reduction_skewed(word, reduced=None):
     return doubled(traces) if hashlib.sha256(key).digest()[0] % 2 else traces
 
 
-@settings(max_examples=50, deadline=None, derandomize=True, database=None)
-@given(small_words(), st.integers(0, 2**16), st.integers(0, 12))
+@settings(max_examples=50)
+@given(SMALL_WORDS, st.integers(0, 2**16), st.integers(0, 12))
 def test_verify_matches_recomputing_every_class(word, seed, moves):
     for fold in (TRUE_FOLD, reduction_skewed):
         with pytest.MonkeyPatch.context() as patch:
@@ -832,8 +823,8 @@ def dumped(report: cli.RunReport) -> str:
     return json.dumps(payload, indent=2)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(small_words(), st.booleans(), st.booleans(), st.integers(0, 3))
+@settings(max_examples=40)
+@given(SMALL_WORDS, st.booleans(), st.booleans(), st.integers(0, 3))
 def test_render_json_matches_json_dumps(word, verify, skein_check, moves):
     # reports with and without a verify object, and with and without its
     # skein_check entry

@@ -265,7 +265,7 @@ def test_pow_negative_exponent():
 _small_terms = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), st.integers(-4, 4), max_size=3)
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100)
 @given(st.sampled_from([QZ, SU]), _small_terms, _small_terms.filter(lambda t: any(t.values())), st.integers(-3, 4))
 def test_pow_is_the_canonical_power(variables, num, den, k):
     # f**k is N^k / D^k taken as canonical without a gcd; the oracle is the
@@ -475,7 +475,7 @@ _exponents = st.tuples(st.integers(0, 12), st.integers(0, 12))
 _coefficients = st.one_of(st.sampled_from([1, -1]), st.integers(-(10**6), 10**6)).filter(bool)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(
     st.sampled_from([QZ, SU]),
     st.dictionaries(_exponents, _coefficients, max_size=12),

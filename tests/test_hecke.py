@@ -31,6 +31,8 @@ from singskein.packed import _digits, _width
 from singskein.permutations import Permutation
 from singskein.skein import skein_class, skein_triple_check
 
+from words import crossing_words
+
 ONE = RationalFunction.one(QZ)
 Q = RationalFunction.coordinate(QZ, "q")
 Z = RationalFunction.coordinate(QZ, "z")
@@ -285,26 +287,14 @@ def test_kernel_refuses_more_than_31_strands():
 # -- exactness of the packed fold ---------------------------------------------------
 
 
-@st.composite
-def singular_words(draw):
-    """2-5 strands, at most 10 letters, at most 3 double points, crossings
-    three-to-one negative."""
-    n = draw(st.integers(2, 5))
-    index = st.integers(1, n - 1)
-    kind = st.sampled_from((SIGMA_INV, SIGMA_INV, SIGMA_INV, SIGMA))
-    letters = draw(st.lists(st.builds(Generator, kind, index), max_size=7))
-    for _ in range(draw(st.integers(0, 3))):
-        letters.insert(draw(st.integers(0, len(letters))), Generator(TAU, draw(index)))
-    return SingularBraidWord(n, tuple(letters))
-
-
 def forced(w, mirror):
     """``trace_components`` with the orientation forced: as given or mirrored."""
     return hecke._trace(w.letters, w.strands, mirror)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(singular_words())
+# crossings three-to-one negative
+@settings(max_examples=200)
+@given(crossing_words(strands=(2, 5), crossings=7, double_points=3, kinds=(SIGMA_INV, SIGMA_INV, SIGMA_INV, SIGMA)))
 def test_packed_components_match_literal_expansion(w):
     d = w.degree
     expected = [trace_functional(w, k) for k in range(d + 1)]
@@ -315,21 +305,11 @@ def test_packed_components_match_literal_expansion(w):
             assert value.scaled(factorial(k) * factorial(d - k)) == expected[k]
 
 
-@st.composite
-def mixed_sign_words(draw):
-    """2-6 strands, at most 14 letters, at most 3 double points, crossings
-    positive or negative with equal odds."""
-    n = draw(st.integers(2, 6))
-    index = st.integers(1, n - 1)
-    kind = st.sampled_from((SIGMA, SIGMA_INV))
-    letters = draw(st.lists(st.builds(Generator, kind, index), max_size=11))
-    for _ in range(draw(st.integers(0, 3))):
-        letters.insert(draw(st.integers(0, len(letters))), Generator(TAU, draw(index)))
-    return SingularBraidWord(n, tuple(letters))
+SIGNED_WORDS = crossing_words(strands=(2, 6), crossings=11, double_points=3)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(mixed_sign_words())
+@settings(max_examples=300)
+@given(SIGNED_WORDS)
 # 12 strands: traces up to z^11, so mapping the mirror back takes binomials
 # up to C(11, 5) = 462, beyond the strategy's 6 strands and z^5
 @example(parse(" ".join(f"s{i}" for i in range(1, 12)), 12))
@@ -409,7 +389,7 @@ def packed_steps(draw):
     return n, i, kind, state
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(packed_steps())
 def test_step_matches_the_oracle_and_stores_no_zero(case):
     n, i, kind, state = case
@@ -440,8 +420,8 @@ def test_step_matches_the_oracle_on_all_of_s5(kind):
             assert as_element(new, 5) == oracle_step(as_element(state, 5), i, kind)
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(mixed_sign_words())
+@settings(max_examples=100)
+@given(SIGNED_WORDS)
 # two of the rare words whose peel sums a term below the top strand to 0
 # where a slice's terms merge with those peeled from the slice before it,
 # at a permutation a later level peels again
@@ -472,10 +452,10 @@ def test_no_state_of_the_fold_or_the_peel_stores_a_zero(w):
 
 @st.composite
 def conjugated_words(draw):
-    """A mixed-sign word conjugated by up to 3 crossings, with up to 3
+    """A ``SIGNED_WORDS`` word conjugated by up to 3 crossings, with up to 3
     inverse pairs s_i^e s_i^-e inserted anywhere: letters the reduction can
     cancel, across the wrap or not."""
-    w = draw(mixed_sign_words())
+    w = draw(SIGNED_WORDS)
     n = w.strands
     index = st.integers(1, n - 1)
     sign = st.sampled_from((SIGMA, SIGMA_INV))
@@ -502,8 +482,8 @@ def spy_on_folds(monkeypatch, name="_trace"):
     return seen
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(st.one_of(mixed_sign_words(), conjugated_words()))
+@settings(max_examples=200)
+@given(st.one_of(SIGNED_WORDS, conjugated_words()))
 def test_reduced_fold_matches_the_unreduced_fold(w):
     # forced folds exactly the letters it is given, on all the word's strands
     assert trace_components(w) == forced(w, False)
@@ -527,8 +507,8 @@ def test_reduction_examples(text, kept):
     assert " ".join(g.token for g in _reduced(parse(text).letters)) == kept
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(st.one_of(mixed_sign_words(), conjugated_words()))
+@settings(max_examples=100)
+@given(st.one_of(SIGNED_WORDS, conjugated_words()))
 def test_components_are_the_same_for_every_rotation(w):
     # a rotation conjugates the closure, and it carries cancelling pairs
     # across the wrap, where only the reduction's second pass finds them
@@ -699,7 +679,7 @@ def thin_words(draw):
     return SingularBraidWord(n, tuple(letters[k] for k in order)), sorted(planted.values())
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(thin_words())
 def test_split_fold_matches_the_whole_fold_in_both_orientations(case):
     w, kinds = case
@@ -778,7 +758,7 @@ def one_index_words(draw):
     return SingularBraidWord(n, tuple(Generator(kind, i) for kind in kinds))
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100)
 @given(one_index_words())
 def test_one_index_words_take_the_closed_form_of_the_whole_fold(w):
     # every one-index word is traced by _block_factor on the CLI path;
@@ -839,7 +819,7 @@ def block_words(draw):
     return SingularBraidWord(n, tuple(letters)), shapes
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100)
 @given(block_words())
 def test_planted_blocks_are_cut_and_the_fold_matches_the_whole_fold(case):
     w, shapes = case

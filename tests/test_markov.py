@@ -53,6 +53,7 @@ from singskein.markov import (
 )
 
 from forwarding import forwarding, frozen_imports
+from words import crossing_words
 
 ONE = RationalFunction.one(QZ)
 Q = RationalFunction.coordinate(QZ, "q")
@@ -507,27 +508,20 @@ def _nonzero(polys):
     return {ab: poly for ab, poly in polys.items() if not poly.is_zero}
 
 
-@st.composite
-def mixed_sign_words(draw):
-    """A word on 2-6 strands with at most 10 letters, at most 4 of them
-    double points, crossings positive or negative with equal odds, so that
-    words are folded in both orientations (as given or as their mirror);
-    and a crossing site."""
-    n = draw(st.integers(2, 6))
-    index = st.integers(1, n - 1)
-    kind = st.sampled_from((SIGMA, SIGMA_INV))
-    letters = draw(st.lists(st.builds(Generator, kind, index), max_size=6))
-    for _ in range(draw(st.integers(0, 4))):
-        letters.insert(draw(st.integers(0, len(letters))), Generator(TAU, draw(index)))
-    return SingularBraidWord(n, tuple(letters)), draw(index)
+# a word with crossings positive or negative with equal odds, so that words
+# are folded in both orientations (as given or as their mirror); and a
+# crossing site, drawn after the word
+WORD_AND_SITE = crossing_words(strands=(2, 6), crossings=6, double_points=4).flatmap(
+    lambda w: st.tuples(st.just(w), st.integers(1, w.strands - 1))
+)
 
 
 # 12 strands: z-degree up to 11 + d; the first is folded as given, the second as its mirror
 _TWELVE_STRANDS = ("t1 s2 s3 s4 s5 s6 s7 t8 s9 s10 s11 S6", "t1 S2 s3 S4 S5 S6 S7 t8 S9 S10 S11 S6")
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(mixed_sign_words())
+@settings(max_examples=150)
+@given(WORD_AND_SITE)
 # degree 8, the hard cap: every F0^(8-k) F1^k of the Horner steps
 @example((parse(" ".join(["t1"] * 8), 2), 1))
 @example((parse(_TWELVE_STRANDS[0], 12), 11))
@@ -559,8 +553,8 @@ def test_packed_numerators_match_the_substitution_table(case):
         assert _decoded(value, layout, d, shift) == _nonzero(expected)
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(mixed_sign_words())
+@settings(max_examples=150)
+@given(WORD_AND_SITE)
 @example((parse(_TWELVE_STRANDS[0], 12), 11))
 @example((parse(_TWELVE_STRANDS[1], 12), 6))
 def test_skein_check_legs_are_the_classes_of_its_three_words(case):
@@ -590,7 +584,7 @@ def wide_words(draw):
     return SingularBraidWord(n, tuple(letters))
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100)
 @given(wide_words())
 def test_the_numerators_width_holds_a_split_words_product(w):
     # the width lemma in _layout: l1 is at least the sum of the product's

@@ -24,7 +24,7 @@ def word_texts(draw):
     return " ".join(f"{kind}{i}" for kind, i in letters), n
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(word_texts(), st.integers(1, modp.P - 1), st.integers(0, modp.P - 1), st.integers(0, modp.P - 1))
 def test_components_agree_with_the_fold_mod_p(word, q, z, rho):
     text, strands = word
@@ -42,7 +42,7 @@ def test_the_check_refuses_a_wrong_component():
         assert not modp.check("t1 s1", 2, wrong, random.Random(1))
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100)
 @given(word_texts(), st.integers(0, 2**32))
 def test_classes_agree_with_the_fold_mod_p(word, seed):
     # check 2, the class over Q(q, z) against the fold, and the skein class

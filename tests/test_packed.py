@@ -23,7 +23,7 @@ def _packed(digits, width):
     return sum(d << (width * i) for i, d in enumerate(digits))
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(digit_vectors())
 def test_digits_returns_exactly_the_nonzero_digits(case):
     width, digits = case
@@ -123,7 +123,7 @@ def laurent_factors(draw):
     return slots, factors
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(laurent_factors())
 def test_product_matches_the_convolution_of_the_components(case):
     slots, factors = case
@@ -174,7 +174,7 @@ def packed_products(draw):
     return product, digits, q0, target, q_slots
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(packed_products())
 def test_relaid_product_matches_its_decode_packed_at_the_target_layout(case):
     # the byte re-layout of every r-slot against a decode followed by _pack

@@ -5,7 +5,6 @@ import random
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from singskein import cli
 from singskein.braid import (
@@ -13,7 +12,6 @@ from singskein.braid import (
     SIGMA,
     SIGMA_INV,
     SingularBraidWord,
-    TAU,
     exponent_sum,
     parse,
 )
@@ -38,6 +36,7 @@ from singskein.skein import (
     skein_triple_check,
 )
 from test_markov import _packed, random_singular_word  # the shared test helpers
+from words import crossing_words
 
 ONE = RationalFunction.one(SU)
 S = RationalFunction.coordinate(SU, "s")
@@ -298,23 +297,8 @@ def test_closed_form_matches_embedding_of_the_general_fraction():
     assert at_limit and u_cut and refused, (at_limit, u_cut, refused)
 
 
-@st.composite
-def mixed_sign_words(draw):
-    """1-7 strands, at most 10 letters, at most 4 double points, crossings
-    positive or negative with equal odds."""
-    n = draw(st.integers(1, 7))
-    if n == 1:
-        return SingularBraidWord(1, ())
-    index = st.integers(1, n - 1)
-    kind = st.sampled_from((SIGMA, SIGMA_INV))
-    letters = draw(st.lists(st.builds(Generator, kind, index), max_size=6))
-    for _ in range(draw(st.integers(0, 4))):
-        letters.insert(draw(st.integers(0, len(letters))), Generator(TAU, draw(index)))
-    return SingularBraidWord(n, tuple(letters))
-
-
-@settings(max_examples=120, deadline=None, derandomize=True, database=None)
-@given(mixed_sign_words())
+@settings(max_examples=120)
+@given(crossing_words(strands=(1, 7), crossings=6, double_points=4))
 def test_classes_are_canonical_and_match_the_cli(w):
     # every coefficient is a fixed point of the general constructor, and the
     # class solved from scratch is the one the command line renders
