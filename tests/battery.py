@@ -31,6 +31,7 @@ import sys
 import time
 import traceback
 from collections import Counter
+from contextlib import contextmanager
 from itertools import permutations
 from pathlib import Path
 from typing import NamedTuple
@@ -197,17 +198,21 @@ RECORDED_SWEEP = {
 }
 
 
-def verify_recompute(tally):
-    # cli.run's verify dict for every verify-fuzz word against a loop that
-    # classes every move's word anew.  Inside cli.run the folds
-    # (markov._folded, the one fold seam) and the full classes
-    # (skein._class_from_components) are counted: a run folds each distinct
-    # (strand count, cyclic reduction) once, the given word's included, and
-    # builds a full class only for a new (strands, writhe) shape with no
-    # word known to be good.  Every verify dict must report no failed move,
-    # and the counts must be the recorded ones (RECORDED_COUNTS): --verify
-    # checks the engine against itself, so a fold that is wrong in the same
-    # way for every word of a class passes it, but it moves the counts
+def recomputed_verify(word, moves, seed, strand_cap):
+    """The ``verify`` dict of a run that classes every move's word anew, by
+    ``skein_class``: the oracle of --verify."""
+    reference = skein_class(word)
+    steps = random_move_sequence(word, moves, seed=seed, max_strands=strand_cap)
+    failures = [f"step {k}: {move!r} changed the class" for k, (move, step) in enumerate(steps, 1) if skein_class(step) != reference]
+    return {"moves": moves, "seed": seed, "passed": moves - len(failures), "failed": len(failures), "failures": failures}
+
+
+@contextmanager
+def seam_spy():
+    """Record, in order, the words given to the fold seam (markov._folded)
+    and to the full-class seam (skein._class_from_components), each still
+    handed to the function the seam held; both seams are restored on exit.
+    Yields the two lists, (folded, classed)."""
     fold, full_class = markov._folded, skein._class_from_components
     folded, classed = [], []
 
@@ -219,25 +224,35 @@ def verify_recompute(tally):
         classed.append(word)
         return full_class(comps, word)
 
+    markov._folded, skein._class_from_components = counted_fold, counted_class
+    try:
+        yield folded, classed
+    finally:
+        markov._folded, skein._class_from_components = fold, full_class
+
+
+def verify_recompute(tally):
+    # cli.run's verify dict for every verify-fuzz word against
+    # recomputed_verify, which classes every move's word anew.  Inside
+    # cli.run the folds and the full classes are counted (seam_spy): a run
+    # folds each distinct (strand count, cyclic reduction) once, the given
+    # word's included, and builds a full class only for a new (strands,
+    # writhe) shape with no word known to be good.  Every verify dict must
+    # report no failed move, and the counts must be the recorded ones
+    # (RECORDED_COUNTS): --verify checks the engine against itself, so a
+    # fold that is wrong in the same way for every word of a class passes
+    # it, but it moves the counts
     for label, part in (("strata", "strata"), ("warm-up", "warmup")):
         refs = list(reference_words((part,), ("verify-fuzz",)))
         steps = folds = classes = shapes = 0
         failed_before = tally.failed
         for ref in refs:
             w, args = ref.word, ref.args
-            reference = skein_class(w)
             strand_cap = markov.check_caps(w, args.max_degree, args.max_strands)
-            moves = list(random_move_sequence(w, args.moves, seed=args.seed, max_strands=strand_cap))
-            failures = [f"step {k}: {move!r} changed the class" for k, (move, step) in enumerate(moves, 1) if skein_class(step) != reference]
-            steps += len(moves)
-            expected = {"moves": args.moves, "seed": args.seed, "passed": args.moves - len(failures), "failed": len(failures), "failures": failures}
-            folded.clear()
-            classed.clear()
-            markov._folded, skein._class_from_components = counted_fold, counted_class
-            try:
+            expected = recomputed_verify(w, args.moves, args.seed, strand_cap)
+            steps += args.moves
+            with seam_spy() as (folded, classed):
                 verify = cli.run(args).verify
-            finally:
-                markov._folded, skein._class_from_components = fold, full_class
             keys = {(s.strands, _reduced(s.letters)) for s in folded}
             shape = (w.strands, exponent_sum(w))
             new_shapes = {(s.strands, exponent_sum(s)) for s in folded[1:]} - {shape}

@@ -8,10 +8,10 @@ oracle.py, the reference engines and the word helpers only they and the
 tests use; linalg.py, which only tests import; and permutations.py, which
 only the oracle and the tests import.  Production is every other module.
 ``tests/test_cli.py`` checks that ``REFERENCE`` is exactly the set of
-modules its CLI corpus never loads.  For each module, then for each part,
-then for the Python files of tests/ together, it prints the lines and the
-code-only lines: those that are not blank, not a comment and not in a
-module, class or function docstring.  It only reports.
+modules its CLI corpus never loads.  For each module, then for each Python
+file of tests/, then for each part and for tests/ together, it prints the
+lines and the code-only lines: those that are not blank, not a comment and
+not in a module, class or function docstring.  It only reports.
 """
 
 import ast
@@ -40,8 +40,7 @@ def main():
     for path in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")):
         text = path.read_text()
         lines, code = len(text.splitlines()), code_lines(text)
-        if path.parent == SRC:
-            print(f"{path.name}: {lines} lines, {code} code-only")
+        print(f"{path.name if path.parent == SRC else 'tests/' + path.name}: {lines} lines, {code} code-only")
         counts = parts["tests" if path.parent == TESTS else reference if path.name in REFERENCE else "production"]
         counts[0] += lines
         counts[1] += code

@@ -22,10 +22,10 @@ from singskein.packed import PackedProduct
 from singskein.skein import skein_class, skein_triple_check
 
 import line_count
+from battery import recomputed_verify, seam_spy
 from words import crossing_words
 
 TRUE_FOLD = markov._folded
-TRUE_CLASS_FROM_COMPONENTS = skein._class_from_components
 
 
 def invoke(capsys, *argv):
@@ -165,26 +165,6 @@ def test_text_report_lists_each_failure(capsys, monkeypatch):
     assert lines[at + 1:] == ["  " + failure for failure in failures] + ["skein_check:  index 1, FAILS"]
 
 
-def recomputed_verify(word: SingularBraidWord, moves: int, seed: int) -> dict:
-    """The ``verify`` dict of a run that classes every move's word anew, by
-    ``skein_class``."""
-    reference = skein_class(word)
-    failures = [
-        f"step {k}: {move!r} changed the class"
-        for k, (move, step_word) in enumerate(
-            random_move_sequence(word, moves, seed=seed, max_strands=cli.HARD_MAX_STRANDS), 1
-        )
-        if skein_class(step_word) != reference
-    ]
-    return {
-        "moves": moves,
-        "seed": seed,
-        "passed": moves - len(failures),
-        "failed": len(failures),
-        "failures": failures,
-    }
-
-
 SMALL_WORDS = crossing_words(strands=(1, 6), crossings=8, double_points=3)
 
 
@@ -209,7 +189,7 @@ def test_verify_matches_recomputing_every_class(word, seed, moves):
                 word, _reduced(word.letters), markov._folded(word), skein_class(word),
                 markov.HARD_MAX_STRANDS, moves, seed,
             )
-            assert verify == recomputed_verify(word, moves, seed)
+            assert verify == recomputed_verify(word, moves, seed, cli.HARD_MAX_STRANDS)
 
 
 def test_verify_classes_each_new_reduction_once(monkeypatch):
@@ -233,20 +213,10 @@ def test_verify_classes_each_new_reduction_once(monkeypatch):
         ("split", split),  # seen: neither folded nor classed
     ]
     monkeypatch.setattr("singskein.moves.random_move_sequence", lambda *args, **kwargs: iter(script))
-    folded, classed = [], []
-
-    def counted_fold(word, reduced=None):
-        folded.append(word)
-        return TRUE_FOLD(word, reduced)
-
-    def counted_class(comps, word):
-        classed.append(word)
-        return TRUE_CLASS_FROM_COMPONENTS(comps, word)
-
-    monkeypatch.setattr(markov, "_folded", counted_fold)
-    monkeypatch.setattr(skein, "_class_from_components", counted_class)
     args = cli.build_parser().parse_args(["--word", "t1 s1 s2", "--verify", "--moves", "8"])
-    assert cli.run(args).verify == {
+    with seam_spy() as (folded, classed):
+        verify = cli.run(args).verify
+    assert verify == {
         "moves": 8,
         "seed": 0,
         "passed": 4,
@@ -267,70 +237,64 @@ def test_verify_classes_each_new_reduction_once(monkeypatch):
     ]
 
 
-def test_every_fold_passes_the_seam_once_per_word(monkeypatch):
+def test_every_fold_passes_the_seam_once_per_word():
     # a word cut into pieces, blocks among them: the class functions, the
     # skein check and cli.run --verify fold each of their words through
     # markov._folded, once per word (per distinct (strands, cyclic
     # reduction) for --verify), and no piece is folded outside that seam
     word = parse("t1 s1 s2 s3 s2 s3 S4 s5 s6 s5 s6", 7)
     assert isinstance(TRUE_FOLD(word), PackedProduct)
-    folded, open_folds, pieces = [], [], []
+    open_folds, pieces = [], []
     true_piece_fold = hecke._fold
-
-    def counted_fold(w, reduced=None):
-        folded.append(w)
-        open_folds.append(w)
-        try:
-            return TRUE_FOLD(w, reduced)
-        finally:
-            open_folds.pop()
 
     def piece_fold(*piece):
         assert open_folds, "a piece was folded outside markov._folded"
         pieces.append(piece)
         return true_piece_fold(*piece)
 
-    monkeypatch.setattr(markov, "_folded", counted_fold)
-    monkeypatch.setattr(hecke, "_fold", piece_fold)
     legs = [SingularBraidWord(7, word.letters + (Generator(kind, 4),)) for kind in (SIGMA, SIGMA_INV)]
-    for call, expected in (
-        (lambda: markov.markov_class(word), [word]),
-        (lambda: skein_class(word), [word]),
-        (lambda: skein_triple_check(word, 4), [word] + legs),
-    ):
-        folded.clear()
-        call()
-        assert folded == expected
-    folded.clear()
     args = cli.build_parser().parse_args(["--word", word.display(), "--verify", "--moves", "20", "--seed", "5"])
-    assert cli.run(args).verify["failed"] == 0
+    with seam_spy() as (folded, _), pytest.MonkeyPatch.context() as patch:
+        recorded_fold = markov._folded
+
+        def open_fold(w, reduced=None):
+            open_folds.append(w)
+            try:
+                return recorded_fold(w, reduced)
+            finally:
+                open_folds.pop()
+
+        patch.setattr(markov, "_folded", open_fold)
+        patch.setattr(hecke, "_fold", piece_fold)
+        for call, expected in (
+            (lambda: markov.markov_class(word), [word]),
+            (lambda: skein_class(word), [word]),
+            (lambda: skein_triple_check(word, 4), [word] + legs),
+        ):
+            folded.clear()
+            call()
+            assert folded == expected
+        folded.clear()
+        assert cli.run(args).verify["failed"] == 0
     moved = [step for _, step in random_move_sequence(word, 20, seed=5, max_strands=cli.HARD_MAX_STRANDS)]
     keys = [(w.strands, _reduced(w.letters)) for w in [word] + moved]
     assert [(w.strands, _reduced(w.letters)) for w in folded] == list(dict.fromkeys(keys))
     assert len(pieces) > len(folded)
 
 
-def test_skein_check_shares_the_given_words_fold(monkeypatch):
+def test_skein_check_shares_the_given_words_fold():
     # cli.run folds the given word once and hands its traces to the skein
     # check, which folds only w s_i and w S_i; --verify adds its new move
     # words, and an out-of-range index folds nothing
-    folded = []
-
-    def counted_fold(w, reduced=None):
-        folded.append(w)
-        return TRUE_FOLD(w, reduced)
-
-    monkeypatch.setattr(markov, "_folded", counted_fold)
     word = parse("s1 S2 t1 s2")
     legs = [SingularBraidWord(3, word.letters + (Generator(kind, 1),)) for kind in (SIGMA, SIGMA_INV)]
     for flags, folds in (((), 3), (("--verify", "--moves", "5"), 6)):
-        folded.clear()
         argv = ["--word", "s1 S2 t1 s2", "--skein-check", "1", *flags]
-        assert cli.run(cli.build_parser().parse_args(argv)).verify["skein_check"]["holds"]
+        with seam_spy() as (folded, _):
+            assert cli.run(cli.build_parser().parse_args(argv)).verify["skein_check"]["holds"]
         assert len(folded) == folds
         assert folded.count(word) == 1 and all(folded.count(leg) == 1 for leg in legs)
-    folded.clear()
-    with pytest.raises(ValueError, match="crossing index 3 out of range"):
+    with seam_spy() as (folded, _), pytest.raises(ValueError, match="crossing index 3 out of range"):
         cli.run(cli.build_parser().parse_args(["--word", "s1 S2 t1 s2", "--skein-check", "3"]))
     assert folded == []
 
@@ -360,7 +324,7 @@ def _entries(function, argv) -> int:
     return _calls(function, lambda: cli.run(args))
 
 
-def test_each_word_is_checked_against_the_caps_once(monkeypatch):
+def test_each_word_is_checked_against_the_caps_once():
     # check_caps runs once, where a word enters: once per cli.run, whatever
     # it folds after parsing, and once per skein_triple_check and
     # markov_class call; the skein check's legs and the move words keep the
@@ -373,13 +337,12 @@ def test_each_word_is_checked_against_the_caps_once(monkeypatch):
     assert _calls(markov.check_caps, lambda: markov.markov_class(word)) == 1
     # skein_triple_check refuses a word over the caps before any fold, and
     # an out-of-range index before the caps
-    folded = []
-    monkeypatch.setattr(markov, "_folded", lambda w, reduced=None: folded.append(w))
     over = parse(" ".join(["t1"] * (markov.HARD_MAX_DEGREE + 1)), 2)
-    with pytest.raises(markov.CapExceededError, match="double points"):
-        skein_triple_check(over, 1)
-    with pytest.raises(ValueError, match="crossing index 2 out of range") as refused:
-        skein_triple_check(over, 2)
+    with seam_spy() as (folded, _):
+        with pytest.raises(markov.CapExceededError, match="double points"):
+            skein_triple_check(over, 1)
+        with pytest.raises(ValueError, match="crossing index 2 out of range") as refused:
+            skein_triple_check(over, 2)
     assert refused.type is ValueError
     assert folded == []
 
@@ -427,26 +390,43 @@ def test_verify_and_skein_check_build_no_qz_fractions(capsys, monkeypatch):
     assert built.count(("s", "u")) > 0
 
 
-def test_negative_moves_rejected_before_any_work(capsys, monkeypatch):
+def holds(message):
+    return lambda out, err: message in err
+
+
+def only(message):
+    return lambda out, err: out == "" and err.splitlines() == [message]
+
+
+# (argv, exit code, stderr check) of what is refused before any fold:
+# --moves by argparse, the skein-check index by skein._legs and the caps by
+# markov.check_caps; a cap flag out of range prints its one error line only
+T1 = ["--word", "t1", "--strands", "2"]
+REFUSALS = {
+    "negative-moves": (T1 + ["--verify", "--moves", "-1"], 2, holds("--moves must be >= 0")),
+    "moves-above-hard-cap": (T1 + ["--verify", "--moves", "10001"], 2, holds("--moves must be at most 10000 (hard cap)")),
+    "skein-check-index": (T1 + ["--skein-check", "5"], 2, holds("crossing index 5 out of range for 2 strands")),
+    "lowered-degree-cap": (["--word", "t1 t1", "--strands", "2", "--max-degree", "1"], 4, holds("word has 2 double points, cap is 1")),
+    "max-degree-99": (["--word", "t1", "--max-degree", "99"], 2, only("error: degree cap must lie in 1..8")),
+    "max-degree-0": (["--word", "t1", "--max-degree", "0"], 2, only("error: degree cap must lie in 1..8")),
+    "max-strands-13": (["--word", "t1", "--max-strands", "13"], 2, only("error: strand cap must lie in 1..12")),
+    "max-strands-0": (["--word", "t1", "--max-strands", "0"], 2, only("error: strand cap must lie in 1..12")),
+}
+
+
+@pytest.mark.parametrize("argv, code, check", REFUSALS.values(), ids=REFUSALS)
+def test_refused_before_any_fold(argv, code, check, capsys, monkeypatch):
     def unreachable(*args, **kwargs):
-        raise AssertionError("the class was computed before --moves was checked")
+        raise AssertionError("a word was folded before its flags were checked")
 
     monkeypatch.setattr(markov, "_folded", unreachable)
-    with pytest.raises(SystemExit) as exc:
-        main(["--word", "t1", "--strands", "2", "--verify", "--moves", "-1"])
-    assert exc.value.code == 2
-    assert "--moves must be >= 0" in capsys.readouterr().err
-
-
-def test_moves_above_the_hard_cap_rejected_before_any_work(capsys, monkeypatch):
-    def unreachable(*args, **kwargs):
-        raise AssertionError("the class was computed before --moves was checked")
-
-    monkeypatch.setattr(markov, "_folded", unreachable)
-    with pytest.raises(SystemExit) as exc:
-        main(["--word", "t1", "--strands", "2", "--verify", "--moves", str(cli.HARD_MAX_MOVES + 1)])
-    assert exc.value.code == 2
-    assert "--moves must be at most 10000 (hard cap)" in capsys.readouterr().err
+    try:
+        exit_code = main(argv)
+    except SystemExit as exc:  # argparse's refusals
+        exit_code = exc.code
+    out, err = capsys.readouterr()
+    assert exit_code == code
+    assert check(out, err), err
 
 
 def test_moves_at_the_hard_cap_parse():
@@ -455,42 +435,15 @@ def test_moves_at_the_hard_cap_parse():
     assert args.moves == 10_000
 
 
-def test_skein_check_index_rejected_before_any_work(capsys, monkeypatch):
-    def unreachable(*args, **kwargs):
-        raise AssertionError("the class was computed before --skein-check was checked")
-
-    monkeypatch.setattr(markov, "_folded", unreachable)
-    code, _, err = invoke(capsys, "--word", "t1", "--strands", "2", "--skein-check", "5")
-    assert code == 2
-    assert "crossing index 5 out of range for 2 strands" in err
-
-
-def test_lowered_cap_rejected_before_any_work(capsys, monkeypatch):
-    def unreachable(*args, **kwargs):
-        raise AssertionError("the class was computed before --max-degree was checked")
-
-    monkeypatch.setattr(markov, "_folded", unreachable)
-    code, _, err = invoke(capsys, "--word", "t1 t1", "--strands", "2", "--max-degree", "1")
-    assert code == 4
-    assert "word has 2 double points, cap is 1" in err
-
-
 def test_verify_keeps_move_words_within_the_strand_cap():
     # every word --verify folds, the given one's included, has at most the
     # strands --max-strands allows; at the hard cap this stream goes past it
     def strands_folded(*flags):
-        seen = []
-
-        def recording_fold(word, reduced=None):
-            seen.append(word.strands)
-            return TRUE_FOLD(word, reduced)
-
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(markov, "_folded", recording_fold)
-            argv = ["--word", "t1 s1 s2", "--verify", "--moves", "40", "--seed", "1", *flags]
+        argv = ["--word", "t1 s1 s2", "--verify", "--moves", "40", "--seed", "1", *flags]
+        with seam_spy() as (folded, _):
             report = cli.run(cli.build_parser().parse_args(argv))
         assert report.verify["passed"] == 40
-        return seen
+        return [word.strands for word in folded]
 
     assert max(strands_folded()) > 5
     assert max(strands_folded("--max-strands", "5")) == 5
@@ -528,23 +481,6 @@ def test_memory_exhausted_exits_4_with_one_error_line(capsys, monkeypatch):
 def test_lowered_cap_applies(capsys):
     code, _, _ = invoke(capsys, "--word", "t1 t1", "--strands", "2", "--max-degree", "1")
     assert code == 4
-
-
-def test_cap_override_above_hard_cap_rejected(capsys, monkeypatch):
-    def unreachable(*args, **kwargs):
-        raise AssertionError("the class was computed before the cap flags were checked")
-
-    monkeypatch.setattr(markov, "_folded", unreachable)
-    for flag, value, message in [
-        ("--max-degree", "99", "error: degree cap must lie in 1..8"),
-        ("--max-degree", "0", "error: degree cap must lie in 1..8"),
-        ("--max-strands", "13", "error: strand cap must lie in 1..12"),
-        ("--max-strands", "0", "error: strand cap must lie in 1..12"),
-    ]:
-        code, out, err = invoke(capsys, "--word", "t1", flag, value)
-        assert code == 2, (flag, value)
-        assert out == ""
-        assert err.splitlines() == [message], (flag, value)
 
 
 def test_strands_inferred(capsys):

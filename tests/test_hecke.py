@@ -548,13 +548,19 @@ def test_skein_check_legs_are_the_classes_when_w_reduces_across_the_wrap():
 def test_long_cancelling_words_reduce_quickly():
     # (s1 s3)^5000 (S3 S1)^5000 cancels to nothing, and s1^5000 s3^5000
     # S1^5000 to s3^5000, each S1 passing 5000 letters s3: every letter looks
-    # only at its own index and the two next to it, so neither is quadratic
+    # only at its own index and the two next to it, so neither is quadratic.
+    # In s5^2500 s1^2500 s2 S1^2500 s5^2500 the first pass keeps every
+    # letter, as s2 parts each s1 from each S1, and the wrap pass cancels the
+    # 2500 pairs round the ends: it is linear too.  Its fold is slow, so only
+    # its reduction is checked
     start = time.perf_counter()
     w = parse(" ".join(["s1 s3"] * 5000 + ["S3 S1"] * 5000), 4)
     assert _reduced(w.letters) == ()
     assert trace_components(w) == [{(0, 0): 1}]
     ladder = parse(" ".join(["s1"] * 5000 + ["s3"] * 5000 + ["S1"] * 5000), 4)
     assert _reduced(ladder.letters) == parse(" ".join(["s3"] * 5000)).letters
+    wrap = parse(" ".join(["s5"] * 2500 + ["s1"] * 2500 + ["s2"] + ["S1"] * 2500 + ["s5"] * 2500), 6)
+    assert _reduced(wrap.letters) == parse(" ".join(["s5"] * 2500 + ["s2"] + ["s5"] * 2500), 6).letters
     assert time.perf_counter() - start < 2.0
 
 

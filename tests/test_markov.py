@@ -571,21 +571,8 @@ def test_skein_check_legs_are_the_classes_of_its_three_words(case):
     assert result.smoothed == skein_class(w)
 
 
-@st.composite
-def wide_words(draw):
-    """A word on 7-12 strands with n - 1 to 2n crossings of either sign at
-    random indices and at most 3 double points."""
-    n = draw(st.integers(7, 12))
-    index = st.integers(1, n - 1)
-    kind = st.sampled_from((SIGMA, SIGMA_INV))
-    letters = draw(st.lists(st.builds(Generator, kind, index), min_size=n - 1, max_size=2 * n))
-    for _ in range(draw(st.integers(0, 3))):
-        letters.insert(draw(st.integers(0, len(letters))), Generator(TAU, draw(index)))
-    return SingularBraidWord(n, tuple(letters))
-
-
 @settings(max_examples=100)
-@given(wide_words())
+@given(crossing_words(strands=(7, 12), crossings=lambda n: (n - 1, 2 * n), double_points=3))
 def test_the_numerators_width_holds_a_split_words_product(w):
     # the width lemma in _layout: l1 is at least the sum of the product's
     # per-k L1 bounds, and _packed_width only multiplies it by factors of at
