@@ -90,9 +90,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="fuzz closure-preserving moves and check the class is unchanged",
     )
     parser.add_argument(
-        "--moves", type=_move_count, default=25, help="number of verification moves"
+        "--moves",
+        type=_move_count,
+        default=25,
+        help="number of verification moves (read only with --verify)",
     )
-    parser.add_argument("--seed", type=int, default=0, help="verification seed")
+    parser.add_argument("--seed", type=int, default=0, help="verification seed (read only with --verify)")
     parser.add_argument(
         "--skein-check",
         type=int,

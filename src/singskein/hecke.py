@@ -69,8 +69,9 @@ The peel's base is S_3, whose six traces are known in closed form:
 tr(1) = 1, tr(T_1) = tr(T_2) = z, tr(T_1 T_2) = tr(T_2 T_1) = z^2 and
 tr(T_1 T_2 T_1) = z tr(T_1^2) = z ((q - 1) z + q) = (q - 1) z^2 + q z.  So
 z-slice k adds each of its six coefficients, times its trace, into the ints
-of z^k, z^(k+1) and z^(k+2), with q a shift: one int per power of z,
-decoded once (``packed._laurent``); slots never collide because r < R.
+of z^k, z^(k+1) and z^(k+2), with q a shift: one int per power of z, which
+``_peel`` returns undecoded and ``_trace`` decodes once
+(``packed._laurent``); slots never collide because r < R.
 
 The width lemma.  The decode is exact by the lemma in ``singskein.packed``
 once B is ``packed._width`` of a bound on every digit, taken from L1 norms
@@ -93,8 +94,9 @@ and e(n) = 6 + sum_{m=9..n} (m - 2) above (``_peel_exponent``), and every
 digit is at most 3^(c + e(n)) 4^d.  The per-level bound alone gives
 (n-1)(n-2)/2 in place of e(n), 15 more on 8 strands or more.
 
-``_folded`` is the one fold entry, and ``_decoded`` decodes its result
-(the oracle's ``trace_components`` is the two together).  It does not
+``_folded`` is the one fold entry, and ``packed._decoded`` decodes its
+result, in either of its two formats (the oracle's ``trace_components`` is
+the two together).  It does not
 fold the word as given but its cyclic reduction (``braid._reduced``), or
 the reduction its caller already holds: every pair s_i^e ... s_i^-e is
 cancelled whose letters in between, going round the word, all commute with
@@ -112,7 +114,8 @@ it is tr.  Every word is folded this way, the skein check's w s_i, w S_i
 and w and ``--verify``'s move words too, each on its own.  ``_trace``
 itself folds the letters it is given, as given, from the identity: it is
 the whole-word fold, which the tests keep as an independent path, and
-``_peel`` alone traces a single basis element.
+``_peel`` alone, its ints decoded by ``packed._laurent``, traces a single
+basis element.
 
 A reduced word that spans at least ``_SPLIT_STRANDS`` (7) strands is cut
 into pieces at its block indices (``_split``), a block's letters being a
@@ -182,10 +185,11 @@ each factor, so it is at most the product of the factors' L1 norms, and
 exactly.  The ints are multiplied, and ``_folded`` returns the product
 undecoded, for ``markov`` to re-lay out at its own width; a word that is
 its own one piece is returned as its decoded components.  The product's
-decode (``_decoded``) splits it at z and each z-row at that width: a row
-holds R times the q-span such digits, so it too is read exactly (the
-lemma in ``singskein.packed``).  The split is a function of the reduced
-letters, so words with equal reductions still run the same computation.
+decode (``PackedProduct.decoded``) splits it at z and each z-row at that
+width: a row holds R times the q-span such digits, so it too is read
+exactly (the lemma in ``singskein.packed``).  The split is a function of
+the reduced letters, so words with equal reductions still run the same
+computation.
 
 Each piece on 3 strands or more is folded in one of two orientations,
 chosen per piece.  The map ``iota: T_i -> -q T_i^{-1} = q - 1 - T_i`` is an
@@ -202,14 +206,16 @@ s and S and resolves a double point by the negative rule
 ``q T_i^{-1} = T_i + (1 - q)``, one more factor q per resolution, so its
 component k carries q^(#s + k) where the direct fold's carries q^#S.  As
 component k of the word is (-1)^(c + k) q^(#s - #S + k) times the mirror's
-at z', the packed ints left on the identity, P_u for each power z'^u, are
-mapped back before the decode: z^t takes (-1)^t sum_{u >= t} C(u, t)
-(q - 1)^(u - t) P_u, by Horner's rule in q - 1 a shift, a subtraction and an
-add per step, at most n(n + 1)/2 steps.  Each sum, taken without its
-(-1)^t, is the direct fold's packed z^t with the digits of k resolutions
-signed by (-1)^(t + c + k): the map negates the sum where t + c is odd, and
-after the decode, which both orientations share (q-exponents shifted down
-by #S), the components of odd k are negated.  The decoded values are the
+at z', ``_trace``, which is told the orientation, maps the packed ints
+that ``_peel`` leaves on the identity, P_u for each power z'^u, back
+before the decode; the peel reads no orientation.  z^t takes
+(-1)^t sum_{u >= t} C(u, t) (q - 1)^(u - t) P_u, by Horner's rule in
+q - 1 a shift, a subtraction and an add per step, at most n(n + 1)/2
+steps.  Each sum, taken without its (-1)^t, is the direct fold's packed
+z^t with the digits of k resolutions signed by (-1)^(t + c + k): the map
+negates the sum where t + c is odd, and after the decode, which both
+orientations share (q-exponents shifted down by #S), the components of odd
+k are negated.  The decoded values are the
 direct fold's up to sign, which the bound above covers; the P_u and the
 ints in between may hold digits above 2^(B-1), as evaluation at
 q = 2^(R*B), r = 2^B is a ring homomorphism and packed shifts and adds are
@@ -221,7 +227,7 @@ from __future__ import annotations
 from math import comb
 
 from .braid import SIGMA, SIGMA_INV, TAU, Generator, SingularBraidWord, _forward, _reduced
-from .packed import PackedProduct, _laurent, _product, _width
+from .packed import _laurent, _product, _width
 
 __all__ = []
 
@@ -383,18 +389,27 @@ def _trace(letters: tuple, strands: int, mirror: bool = False) -> list[dict[tupl
     negatives = sum(1 for g in letters if g.kind == SIGMA_INV)
     slices = [state]
     del state
-    return _peel(slices, strands, stride, mirror, bits, crossings, negatives)
+    totals = _peel(slices, strands, stride, bits)
+    if mirror:  # z' -> q - 1 - z, Horner in q - 1, with the mirror's sign (-1)^(t + c)
+        mapped = []
+        for t in range(len(totals)):
+            acc = 0
+            for u in range(len(totals) - 1, t - 1, -1):
+                acc = (acc << q_shift) - acc + comb(u, t) * totals[u]
+            mapped.append(-acc if (t + crossings) & 1 else acc)
+        totals = mapped
+    comps = _laurent(totals, bits, stride, -negatives)  # undo q^#S
+    if mirror:  # and its sign (-1)^k
+        comps[1::2] = [{key: -v for key, v in comp.items()} for comp in comps[1::2]]
+    return comps
 
 
-def _peel(
-    slices: list, strands: int, stride: int, mirror: bool, bits: int, crossings: int, negatives: int
-) -> list[dict[tuple[int, int], int]]:
-    """Peel a folded state, passed as ``[state]``, down to S_3, finish each
-    z-slice from the traces of S_3 and decode (module docstring);
-    ``crossings`` and ``negatives`` count the folded word's crossings and
-    negative crossings.  The list is emptied as it is read, so a state that
-    only it holds is dropped slice by slice.  A strand count the fields
-    cannot hold is refused."""
+def _peel(slices: list, strands: int, stride: int, bits: int) -> list[int]:
+    """Peel a folded state, passed as ``[state]``, down to S_3 and finish
+    each z-slice from the traces of S_3 (module docstring): one int per
+    power of z, undecoded, its digits laid out as the state's.  The list is
+    emptied as it is read, so a state that only it holds is dropped slice by
+    slice.  A strand count the fields cannot hold is refused."""
     _check_strands(strands)
     q_shift = stride * bits
     for m in range(strands, 3, -1):
@@ -439,18 +454,7 @@ def _peel(
         totals[k] += get(0, 0)
         totals[k + 1] += get(_S1, 0) + get(_S2, 0) + (w0 << q_shift)
         totals[k + 2] += get(_S1S2, 0) + get(_S2S1, 0) + (w0 << q_shift) - w0
-    if mirror:  # z' -> q - 1 - z, Horner in q - 1, with the mirror's sign (-1)^(t + c)
-        mapped = []
-        for t in range(len(totals)):
-            acc = 0
-            for u in range(len(totals) - 1, t - 1, -1):
-                acc = (acc << q_shift) - acc + comb(u, t) * totals[u]
-            mapped.append(-acc if (t + crossings) & 1 else acc)
-        totals = mapped
-    comps = _laurent(totals, bits, stride, -negatives)  # undo q^#S
-    if mirror:  # and its sign (-1)^k
-        comps[1::2] = [{key: -v for key, v in comp.items()} for comp in comps[1::2]]
-    return comps
+    return totals
 
 
 def _compact(letters: tuple) -> tuple[tuple, int]:
@@ -553,17 +557,13 @@ def _fold(letters: tuple, strands: int) -> list[dict[tuple[int, int], int]]:
     return _trace(letters, strands, sum(g.kind for g in letters) < 0)  # TAU is 0
 
 
-def _folded(word: SingularBraidWord, reduced: tuple | None = None) -> list | PackedProduct:
-    """The word's trace components, or, for a word cut into more than one
-    piece, their product undecoded: the one fold entry.  The word's cyclic
+def _folded(word: SingularBraidWord, reduced: tuple | None = None):
+    """The word's trace value: its components, or, for a word cut into more
+    than one piece, their product undecoded, the two formats that only
+    ``singskein.packed`` tells apart.  The one fold entry.  The word's cyclic
     reduction (``reduced``, when the caller has it) is compacted and cut
     (``_split``), each piece is traced (``_fold``), and the traces of two
     or more pieces are multiplied as packed ints."""
     reduced = _reduced(word.letters) if reduced is None else reduced
     factors = [_fold(*piece) for piece in _split(*_compact(reduced))]
     return factors[0] if len(factors) == 1 else _product(factors, word.degree + 1)
-
-
-def _decoded(traces: list | PackedProduct) -> list[dict[tuple[int, int], int]]:
-    """Trace components from ``_folded``'s result: a product decoded."""
-    return traces.decoded() if isinstance(traces, PackedProduct) else traces

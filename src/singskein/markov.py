@@ -50,12 +50,13 @@ in k, acc = acc F0 + C_k F1^k, every step is a shift and an add
 ``(a << W+Z) - (a << Z) + (a << W) - (a << Z+S)`` and times F1 is
 ``(c << S) - (c << Z)``.  The int is exact at any strides, as evaluation at
 powers of two is a ring homomorphism.  Each C_k enters as one int, packed
-at q -> 2^W and z -> 2^Z from one of two sources.  Components given as
-Laurent dicts (a word folded whole) are packed term by term
-(``packed._pack``).  A word cut into pieces hands over the pieces' product
-undecoded (``hecke._folded``), and each C_k is re-laid out from it by byte
-copies (``PackedProduct.relaid``, the re-layout lemma in
-``singskein.packed``), so its terms are never read one by one.
+at q -> 2^W and z -> 2^Z by ``packed._laid`` from the trace value in
+either of its formats: Laurent dicts (a word folded whole) are packed term
+by term, and the pieces' product of a word cut into pieces, handed over
+undecoded (``hecke._folded``), is re-laid out by byte copies (the
+re-layout lemma in ``singskein.packed``), so its terms are never read one
+by one.  Only ``singskein.packed`` tells the formats apart; this module
+has no branch on them.
 ``_factored`` splits the numerators' int once with ``packed._digits``, at
 S into the numerators and each of those at Z into rows over z.  Both
 splits are exact: a row has at most q_top - q0 + 1 balanced digits, each
@@ -68,11 +69,14 @@ division by z - q ``Q_(t-1) = R_t + (Q_t << W)`` and division by z + 1
 bounds for one word:
 
 * l1 = sum_k 4^(d-k) 2^k L1(C_k), as F0 has L1 4 and F1 has L1 2, so
-  C_k F0^(d-k) F1^k has L1 at most 4^(d-k) 2^k L1(C_k) over all b; for a
-  product, L1(C_k) is bounded by the convolution of its factors' per-k L1
-  norms, and its q-range by the sum of theirs.  Both are bounds, so W stays
-  proved, and it is rounded up to whole bytes for the re-layout, which
-  leaves it at least the product's width (``_layout``);
+  C_k F0^(d-k) F1^k has L1 at most 4^(d-k) 2^k L1(C_k) over all b.
+  ``packed._bounds`` gives L1(C_k) and the q-range of either format; for a
+  product they are bounds, the convolution of its factors' per-k L1 norms
+  and the sum of their q-ranges, so W stays proved.  W is rounded up to
+  whole bytes for every word: the re-layout of a product needs it, and it
+  leaves W at least the product's width.  A wider W reads the same digits
+  (the exactness lemma in ``singskein.packed``), so no class changes
+  (``_layout``);
 * L = z_top = n - 1 + d, as a trace on n strands has z-degree below n (each
   peeled strand takes one z) and F0, F1 have z-degree 1;
 * D = q_top - q0, with q_top the components' top q-exponent (or 0) plus d,
@@ -84,7 +88,9 @@ each from its own source (the CLI hands the check w's traces, which its
 classes are built from), and packed at one layout
 (``_joint_numerators``), with l1 doubled and q_top raised by one for its
 sums num_P - q num_N and (q - 1) num_S, which are ``P - (N << W)`` and
-``(S << W) - S`` on the packed ints.
+``(S << W) - S`` on the packed ints.  The sums are formed and factored
+here, next to that bound (``_skein_sums``), so ``skein`` never reads a
+layout.
 
 The oracles live in ``singskein.oracle``, which no CLI run imports: the
 literal expansion (``FormalWordSum``, ``desing_delete``,
@@ -128,16 +134,7 @@ from typing import Mapping
 from .braid import Record, SingularBraidWord, _forward
 from .coeff import MultivariatePolynomial, QZ, RationalFunction, _convolved, _monomial_text, _summed
 from .hecke import _folded
-from .packed import (
-    PackedProduct,
-    _dense,
-    _digits,
-    _divide_linear,
-    _low_digit,
-    _pack,
-    _packed_width,
-    _whole_bytes,
-)
+from .packed import _bounds, _dense, _digits, _divide_linear, _laid, _low_digit, _packed_width, _whole_bytes
 
 __all__ = [
     "HARD_MAX_DEGREE",
@@ -325,56 +322,51 @@ def _joint_numerators(
 
 
 def _layout(comp_sets: list, word: SingularBraidWord) -> tuple[int, int, int, int]:
-    """(q0, W, Z, S) for the numerators of these sets of trace components,
-    of words with the degree and strand count of ``word``: q0 the lowest
-    q-exponent or 0, whichever is lower, W proved by
-    ``packed._packed_width`` for rendering the words' coordinates, and the
-    z- and B-strides that fit them (module docstring).  More than one set
-    also covers the skein check's sums.  A set given as a product is
-    bounded by the product's per-k L1 bounds and q-range, and W is then
-    rounded up to whole bytes for the re-layout.  That W is at least the
+    """(q0, W, Z, S) for the numerators of these trace values, of words with
+    the degree and strand count of ``word``: q0 the lowest q-exponent or 0,
+    whichever is lower, W proved by ``packed._packed_width`` for rendering
+    the words' coordinates, and the z- and B-strides that fit them (module
+    docstring).  More than one value also covers the skein check's sums
+    (``_skein_sums``).  Each value is bounded by its per-k L1 norms and
+    q-range (``packed._bounds``), and W is rounded up to whole bytes for
+    every word, as the re-layout of a product needs, with no test of the
+    format: a wider W reads the same digits.  That W is at least a
     product's width, which is ``_width`` of the sum of those bounds rounded
     up alike: l1 is at least that sum, and ``_packed_width`` multiplies it
     by factors of at least 1 (``relaid`` refuses a narrower W)."""
     d = word.degree
-    l1, low, high = 0, [0], [0]
-    for comps in comp_sets:
-        if isinstance(comps, PackedProduct):
-            norms = comps.norms
-            low.append(comps.low)
-            high.append(comps.low + comps.span - 1)
-        else:
-            norms = [sum(map(abs, comp.values())) for comp in comps]
-            low += [min(comp)[0] for comp in comps if comp]
-            high += [max(comp)[0] for comp in comps if comp]
+    l1, q0, q_top = 0, 0, 0
+    for traces in comp_sets:
+        norms, low, high = _bounds(traces)
+        q0, q_top = min(q0, low), max(q_top, high)
         l1 = max(l1, sum(norm << (2 * d - k) for k, norm in enumerate(norms)))
-    q0, q_top = min(low), max(high) + d
+    q_top += d
     if len(comp_sets) > 1:  # a sum of two at most doubles L1, and q num raises the q-degree by one
         l1, q_top = 2 * l1, q_top + 1
     # the trace has z-degree below the strand count: one z per peeled strand
     z_top = word.strands - 1 + d
-    width = _packed_width(l1, z_top, q_top - q0, d, d - word.strands + 1)
-    if any(isinstance(comps, PackedProduct) for comps in comp_sets):
-        width = _whole_bytes(width)
+    width = _whole_bytes(_packed_width(l1, z_top, q_top - q0, d, d - word.strands + 1))
     z_stride = width * (q_top - q0 + 1)
     return q0, width, z_stride, z_stride * (z_top + 1)
 
 
-def _numerators(comps: "list | PackedProduct", layout: tuple[int, int, int, int]) -> int:
-    """sum_k C_k F0^(d-k) F1^k for these trace components, packed at this
-    layout, by Horner's rule in k (module docstring): the coefficient of
+def _skein_sums(numerators: list[int], layout: tuple[int, int, int, int], d: int) -> tuple[dict, dict]:
+    """The factored coordinates of num_P - q num_N and (q - 1) num_S, from the
+    numerators of w s_i, w S_i and w at their one layout, which ``_layout``
+    proved for these sums (module docstring): times q is a shift by W."""
+    pos, neg, smo = numerators
+    q = layout[1]
+    return _factored(pos - (neg << q), layout, d), _factored((smo << q) - smo, layout, d)
+
+
+def _numerators(traces, layout: tuple[int, int, int, int]) -> int:
+    """sum_k C_k F0^(d-k) F1^k for this trace value, packed at this layout,
+    by Horner's rule in k (module docstring): the coefficient of
     q^(q0 + e) z^t B^b, numerator b's, in its balanced digit at q -> 2^W,
-    z -> 2^Z, B -> 2^S.  Each C_k is packed from its Laurent dict, or re-laid
-    out from the product."""
+    z -> 2^Z, B -> 2^S.  Each C_k is laid out by ``packed._laid``."""
     q0, q_bits, z_bits, b_bits = layout  # the shift of one power of q, of z and of B
-    if isinstance(comps, PackedProduct):
-        ints = comps.relaid(q0, q_bits, z_bits)
-    else:
-        ints = [
-            sum(row << (z_bits * t) for t, row in enumerate(_pack(comp, q0, q_bits))) for comp in comps
-        ]
     acc = 0
-    for k, c in enumerate(ints):
+    for k, c in enumerate(_laid(traces, q0, q_bits, z_bits)):
         for _ in range(k):
             c = (c << b_bits) - (c << z_bits)  # times F1 = B - z
         # times F0 = (q - 1)z + q - zB, plus C_k F1^k
@@ -392,14 +384,11 @@ def factored_coordinates(word: SingularBraidWord) -> dict[tuple[int, int], Facto
     return _factored_from(_folded(word), word)
 
 
-def _factored_from(
-    comps: "list | PackedProduct", word: SingularBraidWord
-) -> dict[tuple[int, int], FactoredCoordinate]:
+def _factored_from(traces, word: SingularBraidWord) -> dict[tuple[int, int], FactoredCoordinate]:
     """The nonzero coordinates in factored form of a word with the degree and
-    strand count of ``word`` whose trace components are ``comps``, Laurent
-    dicts or their product: the one way from components to a class, which
-    folds nothing."""
-    layout, (value,) = _joint_numerators([comps], word)
+    strand count of ``word`` whose trace value is ``traces``, in either
+    format: the one way from components to a class, which folds nothing."""
+    layout, (value,) = _joint_numerators([traces], word)
     return _factored(value, layout, word.degree)
 
 

@@ -46,8 +46,7 @@ from .braid import (
     _reduced,
     exponent_sum,
 )
-from .hecke import _decoded
-from .packed import PackedProduct
+from .packed import _decoded
 
 __all__ = [
     "MarkovMove",
@@ -327,7 +326,7 @@ def _sample_move(
 def verify_moves(
     word: SingularBraidWord,
     reduced: tuple,
-    traces: list | PackedProduct,
+    traces,
     reference: skein.SkeinClass,
     strand_cap: int,
     moves: int,

@@ -56,9 +56,9 @@ from typing import Iterable, Mapping
 from .braid import SIGMA, TAU, Generator, Record, SingularBraidWord, StrandIndexError
 from .coeff import QZ, SU, MixedVariablesError, Monomial
 from .coeff import MultivariatePolynomial, RationalFunction, _monomial_key, _summed, _terms_content
-from .hecke import _FIELD, _MASK, _decoded, _folded, _pack_perm, _peel, _peel_exponent
+from .hecke import _FIELD, _MASK, _folded, _pack_perm, _peel, _peel_exponent
 from .markov import DegreeError, MarkovClass, markov_class
-from .packed import _width
+from .packed import _decoded, _laurent, _width
 from .permutations import Permutation
 from .skein import VAR_T, VAR_X, SkeinClass
 
@@ -175,7 +175,7 @@ def permutation_trace(perm: Permutation) -> RationalFunction:
     one element, at the width of the peel's L1 bound 3^e(n)."""
     n = perm.largest_moved_point()
     bits = _width(3 ** _peel_exponent(n))
-    comps = _peel([{_pack_perm(perm.image): 1}], n, 1, False, bits, 0, 0)
+    comps = _laurent(_peel([{_pack_perm(perm.image): 1}], n, 1, bits), bits, 1, 0)
     return RationalFunction.from_laurent_terms(QZ, comps[0])
 
 

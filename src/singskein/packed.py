@@ -1,6 +1,7 @@
 """Polynomials packed into Python ints (Kronecker substitution).
 
-The one module that knows the packed format.  From the Hecke fold to the
+The one module that knows the packed format, and the one that tells the
+trace value's two formats apart (below).  From the Hecke fold to the
 skein coefficients every polynomial is kept as Python ints, one balanced
 W-bit digit per power of a variable set to 2^W; ``hecke``, ``markov`` and
 ``skein`` read digits only through ``_digits``, ``_laurent`` and
@@ -21,8 +22,18 @@ It is handed on undecoded, as a ``PackedProduct``.  Its decode splits it
 at Z into z-rows, and each row at W: a row holds at most Z/W balanced
 digits, so again |row| < 2^(Z-1).  The rows' decode, ``_laurent``, also
 reads the fold's rows (``hecke._peel``), which have the same layout with
-r in the lowest digits.  ``markov`` decodes nothing: it re-lays each power
-of r out at the numerators' layout (``PackedProduct.relaid``).
+r in the lowest digits.
+
+So the trace value that ``hecke._folded`` hands on has two formats: the
+Laurent dicts of its components, one per power of r, for a word folded
+whole, and a ``PackedProduct`` for a word cut into pieces.  This module
+is the one that tells them apart; every other takes either through three
+functions.  ``_decoded`` gives the Laurent dicts, decoding a product;
+``_bounds`` gives the per-r L1 norms and the q-range, which ``_product``
+reads of each factor and ``markov._layout`` of each value; and ``_laid``
+gives each power of r at the numerators' layout, re-laid out from a product
+(``PackedProduct.relaid``) or packed from its dict (``_pack``).  So
+``markov`` decodes nothing.
 
 The exactness lemma.  Evaluation at a power of two is a ring homomorphism,
 so shifts, adds and products of these ints are exact at any W.  Only the
@@ -50,10 +61,11 @@ bytes too, at any lane positions pos(j), with the bytes above left 0
 sum_j (d_j + 2^(w-1)) 2^(W pos(j)).  The same copy of O's lanes gives
 sum_j 2^(w-1) 2^(W pos(j)), and the difference is sum_j d_j 2^(W pos(j)),
 v's digits laid out anew at W.  The copies need whole bytes, so the
-product's width and the W it is re-laid out at are rounded up to whole
-bytes, and only those: a wider width only widens the range of digits
-that are read exactly (the exactness lemma), so every decode stays exact.
-The product's digits are below its L1 bound, so they lie in that range.
+product's width and the numerators' W are rounded up to whole bytes, W for
+every word, whatever its format: a wider width only widens the range of
+digits that are read exactly (the exactness lemma), so every decode stays
+exact.  The product's digits are below its L1 bound, so they lie in that
+range.
 
 ``_packed_width`` proves W for one word's coordinates from L1 norms (sums
 of absolute coefficients), which bound every digit.  Start from a numerator
@@ -218,22 +230,22 @@ def _product(factors: list[list[dict[tuple[int, int], int]]], slots: int) -> Pac
     the q-range of the product, then z.  So no slot of the product spills into
     the next, and the ints are multiplied.  The coefficient of r^k of the
     product is a sum of products of one coefficient of each factor, so its L1
-    norm is at most the convolution of the factors' per-r L1 norms at k, and
-    each of its coefficients at most the product of the factors' L1 norms, the
-    sum of that convolution.  At ``_width`` of that bound, rounded up to whole
+    norm is at most the convolution of the factors' per-r L1 norms at k
+    (``_bounds``, which gives each factor's q-range too), and each of its
+    coefficients at most the product of the factors' L1 norms, the sum of
+    that convolution.  At ``_width`` of that bound, rounded up to whole
     bytes, every digit is below 2^(width-1), so the product is read exactly
     (``PackedProduct.decoded``, the module docstring)."""
     lows, span, rows, norms = [], 1, 1, [1] + [0] * (slots - 1)
     for factor in factors:
-        qs = [qe for comp in factor for qe, _ in comp]
-        if not qs:  # a zero factor
+        bounds, low, high = _bounds(factor)
+        if not any(bounds):  # a zero factor
             return PackedProduct(0, 8, slots, 1, 1, 0, (0,) * slots)
-        lows.append(min(qs))
-        span += max(qs) - lows[-1]
+        lows.append(low)
+        span += high - low
         rows += max(ze for comp in factor for _, ze in comp)
         convolved = [0] * slots
-        for r, comp in enumerate(factor):
-            b = sum(map(abs, comp.values()))
+        for r, b in enumerate(bounds):
             for i in range(slots - r):
                 convolved[i + r] += norms[i] * b
         norms = convolved
@@ -247,6 +259,34 @@ def _product(factors: list[list[dict[tuple[int, int], int]]], slots: int) -> Pac
                 value += row << (width * r + z_shift * ze)
         total *= value
     return PackedProduct(total, width, slots, span, rows, sum(lows), tuple(norms))
+
+
+def _decoded(traces) -> list[dict[tuple[int, int], int]]:
+    """The components of a trace value in either format (module docstring),
+    each a Laurent dict over (q-exponent, z-exponent): a product decoded."""
+    return traces.decoded() if isinstance(traces, PackedProduct) else traces
+
+
+def _bounds(traces) -> tuple:
+    """(norms, low, high) of a trace value in either format: ``norms[k]``
+    bounds the L1 norm of the coefficient of r^k, and low .. high its
+    q-exponents (0 .. 0 when it has no term)."""
+    if isinstance(traces, PackedProduct):
+        return traces.norms, traces.low, traces.low + traces.span - 1
+    low = min((min(comp)[0] for comp in traces if comp), default=0)
+    high = max((max(comp)[0] for comp in traces if comp), default=0)
+    return [sum(map(abs, comp.values())) for comp in traces], low, high
+
+
+def _laid(traces, q0: int, width: int, z_stride: int) -> list[int]:
+    """The coefficient of each r^k of a trace value in either format as one
+    int, with the coefficient of q^(q0 + e) z^t in its balanced digit e at
+    ``width`` bits, a whole number of bytes, and z -> 2^z_stride: a product
+    re-laid out (``PackedProduct.relaid``), Laurent dicts packed term by
+    term (``_pack``)."""
+    if isinstance(traces, PackedProduct):
+        return traces.relaid(q0, width, z_stride)
+    return [sum(row << (z_stride * t) for t, row in enumerate(_pack(comp, q0, width))) for comp in traces]
 
 
 def _pack(laurent: Mapping[tuple[int, int], int], q0: int, width: int) -> list[int]:

@@ -58,7 +58,9 @@ traces it builds w's classes from (``_check_numerators``), and
 ``skein_triple_check``, called alone, checks w's caps right after the
 index and folds w itself; each fold calls the seam ``markov._folded``.
 The three numerators are packed at one width, proved for the two sums as
-well (``markov._joint_numerators``).  The CLI renders only the two sides
+well (``markov._joint_numerators``), and ``markov._skein_sums`` forms and
+factors the sums: the layout is opaque here, passed from one ``markov``
+function to the next and never read.  The CLI renders only the two sides
 (``_sides``); ``skein_triple_check`` also renders each numerator alone, so
 its legs are the classes of w s_i, w S_i and w.  This checks the fold,
 three coordinate solves and the closed-form rendering of both sides, not
@@ -76,9 +78,9 @@ from math import prod
 from .braid import Generator, Record, SIGMA, SIGMA_INV, SingularBraidWord, _forward, exponent_sum
 from .coeff import SU, MultivariatePolynomial, RationalFunction
 from . import markov
-from .markov import ClassPolynomial, FactoredCoordinate
+from .markov import ClassPolynomial, FactoredCoordinate, _skein_sums
 from .markov import _factored, _factored_from, _joint_numerators, check_caps, factored_coordinates
-from .packed import PackedProduct, _digits, _divide_x_minus_one, _embed_packed, _low_digit, _width
+from .packed import _digits, _divide_x_minus_one, _embed_packed, _low_digit, _width
 
 __all__ = [
     "SkeinClass",
@@ -123,11 +125,10 @@ def skein_class(word: SingularBraidWord) -> SkeinClass:
     return _rendered(factored_coordinates(word), word.strands, exponent_sum(word))
 
 
-def _class_from_components(comps: list | PackedProduct, word: SingularBraidWord) -> SkeinClass:
-    """``skein_class`` of a word whose trace components are ``comps``,
-    Laurent dicts or their product, built from them with no fold and no cap
-    check."""
-    return _rendered(_factored_from(comps, word), word.strands, exponent_sum(word))
+def _class_from_components(traces, word: SingularBraidWord) -> SkeinClass:
+    """``skein_class`` of a word whose trace value is ``traces``, in either
+    format, built from it with no fold and no cap check."""
+    return _rendered(_factored_from(traces, word), word.strands, exponent_sum(word))
 
 
 def _rendered(factored: dict, n: int, writhe: int, j: int = 0) -> SkeinClass:
@@ -221,7 +222,7 @@ def _legs(word: SingularBraidWord, i: int) -> tuple[SingularBraidWord, SingularB
     )
 
 
-def _check_numerators(word: SingularBraidWord, legs: tuple, traces: list | PackedProduct) -> tuple:
+def _check_numerators(word: SingularBraidWord, legs: tuple, traces) -> tuple:
     """The layout and the numerators of w s_i, w S_i and w, for ``word`` and
     its ``_legs``, given the word's traces (``markov._folded``): only the
     legs are folded here, with no cap check, as they keep w's."""
@@ -230,10 +231,7 @@ def _check_numerators(word: SingularBraidWord, legs: tuple, traces: list | Packe
 
 def _sides(word: SingularBraidWord, layout: tuple, numerators: list) -> tuple:
     """The skein check's two sides, t^-1 P - t N and x S, from the layout and
-    numerators of ``_check_numerators``."""
-    n, d, e = word.strands, word.degree, exponent_sum(word)
-    pos, neg, smo = numerators
-    q = layout[1]  # the three share one layout, where times q is a shift by W
-    lhs = _rendered(_factored(pos - (neg << q), layout, d), n, e, -1)
-    rhs = _rendered(_factored((smo << q) - smo, layout, d), n, e, -1)
-    return lhs, rhs
+    numerators of ``_check_numerators``, rendered from the factored sums of
+    ``markov._skein_sums``."""
+    n, e = word.strands, exponent_sum(word)
+    return tuple(_rendered(f, n, e, -1) for f in _skein_sums(numerators, layout, word.degree))

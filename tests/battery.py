@@ -43,7 +43,7 @@ from singskein.braid import SingularBraidWord, _reduced, exponent_sum
 from singskein.coeff import QZ, SU, RationalFunction
 from singskein.moves import random_move_sequence
 from singskein.oracle import embed_qz_to_su, trace_components
-from singskein.packed import PackedProduct, _width
+from singskein.packed import PackedProduct, _laurent, _width
 from singskein.skein import _closure_coefficient
 
 HERE = Path(__file__).resolve().parent
@@ -179,8 +179,9 @@ def skein_check(tally):
 # verify_recompute's (words, move words, folded, full classes, new shapes)
 # on working code.  The planted fold mutants that --verify cannot see
 # printed 661 (the S_i lone-letter factor with +1 for -1) and 647 (the
-# decoded trace negated in hecke._peel) strata full classes, against 598,
-# and passed the step while these counts went unchecked.
+# decoded trace negated, then in hecke._peel, now in hecke._trace) strata
+# full classes, against 598, and passed the step while these counts went
+# unchecked.
 RECORDED_COUNTS = {"strata": (480, 4320, 1745, 598, 598), "warm-up": (6, 54, 17, 7, 7)}
 
 # cap-sweep's plan per crossing count c of the cap recipe, over seeds
@@ -299,7 +300,7 @@ def trace_l1(n):
     bits = _width(3 ** ((n - 1) * (n - 2) // 2))
     l1 = {}
     for image in permutations(range(1, n + 1)):
-        comps = hecke._peel([{hecke._pack_perm(image): 1}], n, 1, False, bits, 0, 0)
+        comps = _laurent(hecke._peel([{hecke._pack_perm(image): 1}], n, 1, bits), bits, 1, 0)
         l1[image] = sum(abs(v) for v in comps[0].values())
     return l1
 

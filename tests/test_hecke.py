@@ -2,7 +2,9 @@
 
 import hashlib
 import random
+import sys
 import time
+import types
 from collections import Counter
 from itertools import combinations_with_replacement, permutations
 from math import factorial
@@ -27,7 +29,7 @@ from singskein.oracle import (
     trace_components,
     trace_functional,
 )
-from singskein.packed import _digits, _width
+from singskein.packed import _digits, _laurent, _width
 from singskein.permutations import Permutation
 from singskein.skein import skein_class, skein_triple_check
 
@@ -545,23 +547,57 @@ def test_skein_check_legs_are_the_classes_when_w_reduces_across_the_wrap():
     assert (result.positive, result.negative, result.smoothed) == tuple(map(skein_class, unreduced))
 
 
+def _wrap_word(pairs):
+    """s5^pairs s1^pairs s2 S1^pairs s5^pairs on 6 strands."""
+    return parse(" ".join(["s5"] * pairs + ["s1"] * pairs + ["s2"] + ["S1"] * pairs + ["s5"] * pairs), 6)
+
+
+def _reduction_steps(letters):
+    """The line events that ``braid._reduced`` and the functions nested in it
+    run on ``letters`` (``sys.settrace``): a count of its steps that does not
+    depend on the machine."""
+    codes, todo = set(), [_reduced.__code__]
+    while todo:
+        code = todo.pop()
+        codes.add(code)
+        todo += [c for c in code.co_consts if isinstance(c, types.CodeType)]
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        count += event == "line"
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code in codes else None)
+    try:
+        _reduced(letters)
+    finally:
+        sys.settrace(previous)
+    return count
+
+
 def test_long_cancelling_words_reduce_quickly():
     # (s1 s3)^5000 (S3 S1)^5000 cancels to nothing, and s1^5000 s3^5000
     # S1^5000 to s3^5000, each S1 passing 5000 letters s3: every letter looks
     # only at its own index and the two next to it, so neither is quadratic.
-    # In s5^2500 s1^2500 s2 S1^2500 s5^2500 the first pass keeps every
-    # letter, as s2 parts each s1 from each S1, and the wrap pass cancels the
-    # 2500 pairs round the ends: it is linear too.  Its fold is slow, so only
-    # its reduction is checked
+    # In the wrap word s5^2500 s1^2500 s2 S1^2500 s5^2500 the first pass
+    # keeps every letter, as s2 parts each s1 from each S1, and the wrap pass
+    # cancels the 2500 pairs round the ends: it is linear too.  Its fold is
+    # slow, so only its reduction is checked
     start = time.perf_counter()
     w = parse(" ".join(["s1 s3"] * 5000 + ["S3 S1"] * 5000), 4)
     assert _reduced(w.letters) == ()
     assert trace_components(w) == [{(0, 0): 1}]
     ladder = parse(" ".join(["s1"] * 5000 + ["s3"] * 5000 + ["S1"] * 5000), 4)
     assert _reduced(ladder.letters) == parse(" ".join(["s3"] * 5000)).letters
-    wrap = parse(" ".join(["s5"] * 2500 + ["s1"] * 2500 + ["s2"] + ["S1"] * 2500 + ["s5"] * 2500), 6)
-    assert _reduced(wrap.letters) == parse(" ".join(["s5"] * 2500 + ["s2"] + ["s5"] * 2500), 6).letters
+    assert _reduced(_wrap_word(2500).letters) == parse(" ".join(["s5"] * 2500 + ["s2"] + ["s5"] * 2500), 6).letters
     assert time.perf_counter() - start < 2.0
+    # the same guard on any machine: twice the pairs take about twice the
+    # steps in a linear pass (2.0 here), and about 4 times in a wrap pass
+    # that rescans the word from its ends for each pair (4.0)
+    fewer, more = (_reduction_steps(_wrap_word(pairs).letters) for pairs in (1250, 2500))
+    assert more <= 2.5 * fewer
 
 
 def test_packed_components_on_long_generator_runs():
@@ -650,7 +686,7 @@ def test_peel_base_is_the_trace_of_each_element_of_s3(image, trace):
     # kernel's peel on 3 strands, where it is its base alone
     assert _reference_trace(Permutation(image), {}) == RationalFunction.from_laurent_terms(QZ, trace)
     bits = _width(3 ** hecke._peel_exponent(3))
-    assert hecke._peel([{pack(image): 1}], 3, 1, False, bits, 0, 0) == [trace]
+    assert _laurent(hecke._peel([{pack(image): 1}], 3, 1, bits), bits, 1, 0) == [trace]
 
 
 # -- the split at block indices -------------------------------------------------------
