@@ -70,6 +70,7 @@ SIGMA_INV = -1
 TAU = 0
 
 _KIND_TOKEN = {SIGMA: "s", SIGMA_INV: "S", TAU: "t"}
+_TOKEN_KIND = {token: kind for kind, token in _KIND_TOKEN.items()}
 
 
 class BraidSyntaxError(ValueError):
@@ -201,6 +202,7 @@ class SingularBraidWord(Record):
 
 
 _TOKEN_RE = re.compile(r"([sSt])([0-9]+)$")
+_CHUNK_RE = re.compile(r"\S+")  # a token: the characters str.split() keeps together
 
 
 def parse(text: str, strands: int | None = None) -> SingularBraidWord:
@@ -210,18 +212,15 @@ def parse(text: str, strands: int | None = None) -> SingularBraidWord:
     (1 for the empty word).
     """
     letters: list[Generator] = []
-    offset = 0
-    for chunk in text.split():
-        position = text.index(chunk, offset)
-        offset = position + len(chunk)
-        match = _TOKEN_RE.fullmatch(chunk)
+    for chunk in _CHUNK_RE.finditer(text):
+        token = chunk.group()
+        match = _TOKEN_RE.fullmatch(token)
         if not match:
-            raise BraidSyntaxError(f"bad token {chunk!r}", position)
-        kind = {"s": SIGMA, "S": SIGMA_INV, "t": TAU}[match.group(1)]
+            raise BraidSyntaxError(f"bad token {token!r}", chunk.start())
         index = int(match.group(2))
         if index < 1:
-            raise BraidSyntaxError(f"index must be >= 1 in {chunk!r}", position)
-        letters.append(Generator(kind, index))
+            raise BraidSyntaxError(f"index must be >= 1 in {token!r}", chunk.start())
+        letters.append(Generator(_TOKEN_KIND[match.group(1)], index))
     if strands is None:
         strands = 1 + max((g.index for g in letters), default=0)
     return SingularBraidWord(strands, tuple(letters))

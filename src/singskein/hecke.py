@@ -366,7 +366,7 @@ def _peel_exponent(strands: int) -> int:
     return 6 + sum(range(7, strands - 1))  # sum over m = 9..n of m - 2
 
 
-def _trace(letters: tuple, strands: int, mirror: bool = False) -> list[dict[tuple[int, int], int]]:
+def _trace(letters: tuple, strands: int, mirror: bool) -> list[dict[tuple[int, int], int]]:
     """Fold ``letters`` from the identity (packed permutations to packed
     ints), peel the result down to the identity and decode it: for each
     resolution count 0..d, d the letters' double points, an integer Laurent
@@ -375,8 +375,10 @@ def _trace(letters: tuple, strands: int, mirror: bool = False) -> list[dict[tupl
     With ``mirror`` the word is folded as its mirror, and the ints left on
     the identity are mapped back by z' -> q - 1 - z before the one decode,
     so only the decoded values, the direct fold's up to sign, need the digit
-    bound (module docstring).
+    bound (module docstring).  A strand count the fields cannot hold is
+    refused before the first step.
     """
+    _check_strands(strands)
     degree = sum(1 for g in letters if g.kind == TAU)
     stride = degree + 1  # slots per power of q: resolution counts 0..degree
     crossings = len(letters) - degree

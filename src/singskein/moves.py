@@ -9,6 +9,10 @@ closure:
 * cyclic shifts and conjugation by invertible (crossing-only) words;
 * stabilisation by a crossing on a fresh top strand, and its inverse.
 
+``_rule_at`` is the one place a relation pattern is recognised:
+``relation_move_candidates`` lists its matches, and ``RelationMove.apply``
+refuses a move whose rule it does not match.
+
 ``random_move_sequence`` checks its arguments when it is called and then
 yields a seeded fuzzer's moves one at a time, and ``verify_moves`` checks
 the class of each move's word against the given word's, holding only the
@@ -159,36 +163,25 @@ class RelationMove(MarkovMove):
             pair = (Generator(kind, self.index), Generator(-kind, self.index))
             return SingularBraidWord(word.strands, letters[:p] + pair + letters[p:])
 
-        if rule in _PAIR_RULES:
-            if not 0 <= p <= len(letters) - 2:
-                raise InapplicableMoveError(f"{rule} position out of range")
-            a, b = letters[p], letters[p + 1]
-            gap = abs(a.index - b.index)
-            if gap == 1 or (_FAR_INDEX if gap else _SAME_INDEX).get((a.kind, b.kind)) != rule:
-                raise InapplicableMoveError(f"{rule} does not match at position {p}")
-            replaced = () if rule == R_CANCEL else (b, a)
-            return SingularBraidWord(
-                word.strands, letters[:p] + replaced + letters[p + 2 :]
-            )
-
-        if rule in _TRIPLE_RULES:
-            if not 0 <= p <= len(letters) - 3:
-                raise InapplicableMoveError(f"{rule} position out of range")
-            a, b, c = letters[p], letters[p + 1], letters[p + 2]
-            kinds = (a.kind, b.kind, c.kind)
-            if a.index != c.index or abs(a.index - b.index) != 1 or _TRIPLE.get(kinds) != rule:
-                raise InapplicableMoveError(f"{rule} does not match at position {p}")
-            if rule == R_BRAID:
-                replaced = (b, a, b)
-            elif a.kind == SIGMA:  # sigma_k sigma_l tau_k -> tau_l sigma_k sigma_l
-                replaced = (Generator(TAU, b.index), a, b)
-            else:  # tau_k sigma_l sigma_k -> sigma_l sigma_k tau_l
-                replaced = (b, c, Generator(TAU, b.index))
-            return SingularBraidWord(
-                word.strands, letters[:p] + replaced + letters[p + 3 :]
-            )
-
-        raise InapplicableMoveError(f"unknown relation rule {rule!r}")
+        size = _SIZE.get(rule)
+        if size is None:
+            raise InapplicableMoveError(f"unknown relation rule {rule!r}")
+        if not 0 <= p <= len(letters) - size:
+            raise InapplicableMoveError(f"{rule} position out of range")
+        if _rule_at(letters, p, size) != rule:
+            raise InapplicableMoveError(f"{rule} does not match at position {p}")
+        a, b = letters[p], letters[p + 1]
+        if rule == R_CANCEL:
+            replaced = ()
+        elif size == 2:  # a commutation
+            replaced = (b, a)
+        elif rule == R_BRAID:
+            replaced = (b, a, b)
+        elif a.kind == SIGMA:  # sigma_k sigma_l tau_k -> tau_l sigma_k sigma_l
+            replaced = (Generator(TAU, b.index), a, b)
+        else:  # tau_k sigma_l sigma_k -> sigma_l sigma_k tau_l
+            replaced = (b, letters[p + 2], Generator(TAU, b.index))
+        return SingularBraidWord(word.strands, letters[:p] + replaced + letters[p + size :])
 
 
 # The rule two adjacent letters match, keyed by their kinds, at one index
@@ -211,35 +204,38 @@ _TRIPLE = {
     (SIGMA, SIGMA, TAU): R_SIGMA_SIGMA_TAU,
     (TAU, SIGMA, SIGMA): R_SIGMA_SIGMA_TAU,
 }
-# the rules matched on two and on three adjacent letters
-_PAIR_RULES = {*_SAME_INDEX.values(), *_FAR_INDEX.values()}
-_TRIPLE_RULES = set(_TRIPLE.values())
+# each rule's pattern length: 2 or 3 adjacent letters
+_SIZE = {
+    rule: len(kinds) for table in (_SAME_INDEX, _FAR_INDEX, _TRIPLE) for kinds, rule in table.items()
+}
+
+
+def _rule_at(letters: tuple, p: int, size: int) -> str | None:
+    """The rule that the ``size`` (2 or 3) letters at position ``p`` match,
+    or None: the one place a relation pattern is recognised."""
+    a, b = letters[p], letters[p + 1]
+    gap = abs(a.index - b.index)
+    if size == 2:
+        return None if gap == 1 else (_FAR_INDEX if gap else _SAME_INDEX).get((a.kind, b.kind))
+    c = letters[p + 2]
+    if gap != 1 or c.index != a.index:
+        return None
+    return _TRIPLE.get((a.kind, b.kind, c.kind))
 
 
 def relation_move_candidates(word: SingularBraidWord) -> list[RelationMove]:
     """All in-place relation instances (everything except inserts): the pair
-    rules position by position, then the triple rules.  One pass reads each
-    letter once; at most one pair rule and one triple rule match at a
-    position, and ``RelationMove.apply``, which reads the same tables,
+    rules position by position, then the triple rules, as ``_rule_at``
+    matches them.  At most one pair rule and one triple rule match at a
+    position, and ``RelationMove.apply``, which asks ``_rule_at`` too,
     accepts exactly the moves listed here."""
-    pairs: list[RelationMove] = []
-    triples: list[RelationMove] = []
-    # the two letters before position p; the sentinels match no rule
-    ka = kb = None
-    ia = ib = -2
-    for p, g in enumerate(word.letters):
-        kc, ic = g.kind, g.index
-        gap = abs(ic - ib)
-        if gap != 1:
-            rule = (_FAR_INDEX if gap else _SAME_INDEX).get((kb, kc))
-            if rule:
-                pairs.append(RelationMove(rule, p - 1))
-        elif ic == ia:
-            rule = _TRIPLE.get((ka, kb, kc))
-            if rule:
-                triples.append(RelationMove(rule, p - 2))
-        ka, ia, kb, ib = kb, ib, kc, ic
-    return pairs + triples
+    letters = word.letters
+    return [
+        RelationMove(rule, p)
+        for size in (2, 3)
+        for p in range(len(letters) - size + 1)
+        if (rule := _rule_at(letters, p, size))
+    ]
 
 
 def random_move_sequence(

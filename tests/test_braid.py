@@ -1,9 +1,11 @@
 """Word model, parsing, homomorphisms, and move generators."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from singskein.braid import (
     Generator,
@@ -84,6 +86,39 @@ def test_parse_syntax_error_carries_position():
     with pytest.raises(BraidSyntaxError) as exc:
         parse("s1 x2")
     assert exc.value.position == 3
+
+
+# a good token: no leading zero, so neither a bad token below nor a part of
+# one is found in the text before it
+GOOD_TOKENS = st.builds("{}{}".format, st.sampled_from("sSt"), st.integers(1, 99))
+# a bad token: an index of zeros, or a character no good token holds
+BAD_TOKENS = st.one_of(
+    st.builds("{}{}".format, st.sampled_from("sSt"), st.text("0", min_size=1, max_size=3)),
+    st.builds(
+        "{}{}{}".format,
+        st.text("sSt0123456789", max_size=3),
+        st.sampled_from("x-_.é"),
+        st.text("sSt0123456789x", max_size=3),
+    ),
+)
+GAPS = st.text(" \t\n\r\x0b\x0c\x1c\x85\xa0\u2003\u3000", min_size=1, max_size=3)
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(st.tuples(GOOD_TOKENS, GAPS), max_size=6),
+    BAD_TOKENS,
+    st.just("") | st.builds("{}{}".format, GAPS, st.text(max_size=6)),
+)
+def test_parse_error_position_is_the_first_bad_tokens_offset(tokens, bad, rest):
+    # tokens joined by mixed whitespace, then a bad one, then nothing or
+    # whitespace and anything: the refusal names the first bad token and
+    # where it starts
+    prefix = "".join(token + gap for token, gap in tokens)
+    text = prefix + bad + rest
+    with pytest.raises(BraidSyntaxError, match=re.escape(repr(bad))) as exc:
+        parse(text)
+    assert exc.value.position == text.index(bad) == len(prefix)
 
 
 def test_parse_infers_strands():
@@ -349,6 +384,38 @@ def test_relation_move_candidates_are_exactly_the_applicable_moves(w):
                 (rule, p) for rule in rules if _applies(w, RelationMove(rule, p))
             )
     assert [(m.rule, m.position) for m in relation_move_candidates(w)] == expected
+
+
+def test_relation_move_candidates_list_pairs_then_triples_in_position_order():
+    # the list rng.choice draws from: every pair rule, then the braid
+    # relation and both sides of the singular braid relation
+    w = word("s1 S1 t1 s1 s3 t1 t3 s2 s3 s2 t3 s2 s3")
+    assert [(m.rule, m.position) for m in relation_move_candidates(w)] == [
+        (R_CANCEL, 0),
+        (R_SIGMA_TAU_SAME, 2),
+        (R_FAR_SIGMA_SIGMA, 3),
+        (R_FAR_SIGMA_TAU, 4),
+        (R_FAR_TAU_TAU, 5),
+        (R_SIGMA_SIGMA_TAU, 6),
+        (R_BRAID, 7),
+        (R_SIGMA_SIGMA_TAU, 8),
+        (R_SIGMA_SIGMA_TAU, 10),
+    ]
+
+
+@pytest.mark.parametrize(
+    "move, message",
+    [
+        (RelationMove("no_such_rule", 0), "unknown relation rule 'no_such_rule'"),
+        (RelationMove(R_CANCEL, 3), "cancel_inverse_pair position out of range"),
+        (RelationMove(R_BRAID, 2), "braid_relation position out of range"),
+        (RelationMove(R_SIGMA_TAU_SAME, 0), "commute_sigma_tau_same_index does not match at position 0"),
+        (RelationMove(R_BRAID, 1), "braid_relation does not match at position 1"),
+    ],
+)
+def test_relation_move_refusals_say_why(move, message):
+    with pytest.raises(InapplicableMoveError, match=re.escape(message)):
+        move.apply(word("s1 S1 s2 s1", 3))
 
 
 def test_relation_move_rejects_negative_position():

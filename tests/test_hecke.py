@@ -272,7 +272,7 @@ def test_evaluate_word_agrees_with_kernel():
             assert ocneanu_trace(evaluate_word(SingularBraidWord(4, low))) == via_public
 
 
-def test_kernel_refuses_more_than_31_strands():
+def test_kernel_refuses_more_than_31_strands(monkeypatch):
     # the kernel folds on at most 31 strands, the largest value of a 5-bit
     # field.  A field holds d_k <= k - 1, so 32 strands would still fit, but
     # not 33: the transposition (1 33) has d_33 = 32, which carries into the
@@ -284,6 +284,20 @@ def test_kernel_refuses_more_than_31_strands():
         trace_components(SingularBraidWord(32, (Generator(SIGMA, 1), Generator(SIGMA, 31))))
     with pytest.raises(ValueError):
         permutation_trace(Permutation.adjacent_transposition(32, 31))
+    # _trace refuses such a word before its first step, not after folding
+    # it all on fields that overflow
+    steps = []
+    real_step = hecke._step
+
+    def spy(*args):
+        steps.append(args)
+        return real_step(*args)
+
+    monkeypatch.setattr(hecke, "_step", spy)
+    letters = (Generator(SIGMA, 1), Generator(SIGMA, 20), Generator(SIGMA, 39))
+    with pytest.raises(ValueError, match="40 strands do not fit"):
+        hecke._trace(letters, 40, False)
+    assert steps == []
 
 
 # -- exactness of the packed fold ---------------------------------------------------
